@@ -1,12 +1,14 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-obs bench-profile bench-pool bench-kernels bench-fitted bench-audit bench-window
+.PHONY: ci fmt vet build test race bench-module fuzz-smoke bench bench-obs bench-profile bench-pool bench-kernels bench-fitted bench-audit bench-window
 
 ## ci: the full gate — formatting, vet, build, tests, the race suite over
-## the concurrency-sensitive packages, and the observability-, profiler-,
-## fleet-serving, dtype-kernel, fitted-noise, audit-ledger, and
-## sliding-window smoke benchmarks. Run before every push.
-ci: fmt vet build test race bench-obs bench-profile bench-pool bench-kernels bench-fitted bench-audit bench-window
+## the concurrency-sensitive packages, the benchmark module (its own go.mod,
+## so ./... does not reach it), ten seconds of each wire-format fuzz target,
+## and the observability-, profiler-, fleet-serving, dtype-kernel,
+## fitted-noise, audit-ledger, and sliding-window smoke benchmarks. Run
+## before every push.
+ci: fmt vet build test race bench-module fuzz-smoke bench-obs bench-profile bench-pool bench-kernels bench-fitted bench-audit bench-window
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -23,6 +25,17 @@ test:
 
 race:
 	$(GO) test -race ./internal/sched/... ./internal/splitrt/... ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/audit/... ./cmd/shredder/...
+
+## bench-module: vet and test bench/, which builds against this module's
+## splitrt API — a change that breaks it should fail here, not in the driver.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+## fuzz-smoke: run each fuzz target of the wire format's trust boundary for
+## ten seconds from the corpus in internal/splitrt/testdata/fuzz.
+fuzz-smoke:
+	for f in FuzzReadFrame FuzzDecodeRequest FuzzDecodeResponse; do \
+		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/splitrt || exit 1; done
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkCloudServerThroughput|BenchmarkServeBatched' -benchtime 200x .

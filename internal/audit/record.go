@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"math"
 )
 
@@ -169,6 +170,34 @@ func UnmarshalRecord(b []byte) (Record, error) {
 // does: a domain tag, the shape (so reshapes change the digest), and
 // the raw payload bytes.
 func DigestActivation(tag string, shape []int, payload []byte) [32]byte {
+	h := newActivationHash(tag, shape)
+	h.Write(payload)
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// DigestFloats is DigestActivation over the little-endian float64 bytes of
+// data, which it streams through a fixed-size chunk instead of
+// materializing: the digest of a dense activation costs no copy of it.
+func DigestFloats(tag string, shape []int, data []float64) [32]byte {
+	h := newActivationHash(tag, shape)
+	var chunk [4096]byte
+	for len(data) > 0 {
+		n := min(len(data), len(chunk)/8)
+		for i, v := range data[:n] {
+			binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(v))
+		}
+		h.Write(chunk[:8*n])
+		data = data[n:]
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// newActivationHash starts an activation digest: everything but the payload.
+func newActivationHash(tag string, shape []int) hash.Hash {
 	h := sha256.New()
 	h.Write([]byte("shredder-act/1\x00"))
 	h.Write([]byte(tag))
@@ -180,8 +209,5 @@ func DigestActivation(tag string, shape []int, payload []byte) [32]byte {
 		binary.BigEndian.PutUint64(dims[:], uint64(d))
 		h.Write(dims[:])
 	}
-	h.Write(payload)
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	return h
 }

@@ -1,6 +1,9 @@
 package obs
 
-import "time"
+import (
+	"math/bits"
+	"time"
+)
 
 // JoinedStages lists the seven canonical stages of a joined edge↔cloud
 // request timeline, in wire order: the client-side quantize/serialize/send,
@@ -18,10 +21,17 @@ var JoinedStages = []string{
 // it as the residual of the client's wait around the server span, splits it
 // evenly between the send and decode stages, and carries the RTT-midpoint
 // estimation error, which can be as large as half the asymmetry between the
-// two network directions. When that reconstruction would drive a stage
-// negative (asymmetric links, coarse clocks, a server span wider than the
-// wait that brackets it), the stage is clamped at zero and the timeline is
-// flagged Skewed instead of reporting an impossible negative duration.
+// two network directions.
+//
+// Two things hold for every joined span, whatever the two sides reported:
+// no stage is negative, and the stages sum to at most Dur. The server's
+// queue/batch/compute can only have happened inside the client's wait, so
+// when they are reported wider than that bracket (the server's clock starts
+// when the request is decoded, which on a fast link can be before the
+// client's write call has returned and stamped the end of its send) they
+// are scaled down proportionally to fit it; stages that still overrun Dur
+// are scaled the same way. Every such correction, and every negative stage
+// clamped to zero, flags the timeline Skewed.
 type JoinedSpan struct {
 	Trace       TraceID            `json:"trace"`
 	ID          uint64             `json:"id,omitempty"`
@@ -75,6 +85,10 @@ func JoinSpans(client, server []Span) []JoinedSpan {
 	return out
 }
 
+// maxStageDur caps what the join accepts as one stage (over two years), so
+// that sums of stages cannot overflow.
+const maxStageDur = time.Duration(1) << 56
+
 // joinOne merges one client/server span pair.
 func joinOne(cs, ss *Span) JoinedSpan {
 	j := JoinedSpan{
@@ -87,44 +101,49 @@ func joinOne(cs, ss *Span) JoinedSpan {
 	if j.Err == "" {
 		j.Err = ss.Err
 	}
-	queue := ss.StageDur("queue")
-	batch := ss.StageDur("batch")
-	compute := ss.StageDur("compute")
-	if queue == 0 && batch == 0 && compute == 0 {
-		// Server recorded no stage breakdown (e.g. a pre-stage build):
-		// attribute its whole duration to compute.
-		compute = ss.Dur
-	}
-	// Network transit reconstruction: the client's wait stage brackets the
-	// server span plus the two wire legs, so wait − serverDur is the total
-	// transit, split evenly between the directions (the same symmetry
-	// assumption the clock-offset estimate below rests on) and folded into
-	// the send and decode stages. On asymmetric links or when the server
-	// span overlaps the wait bracket (skewed stamps, coarse clocks) the
-	// residual can come out negative — clamp it at zero and flag the
-	// timeline rather than emit a negative stage.
-	leg := (cs.StageDur("wait") - ss.Dur) / 2
-	if leg < 0 {
-		leg = 0
-		j.Skewed = true
-	}
 	j.Stages = []Stage{
 		{Name: "quantize", Dur: cs.StageDur("quantize")},
 		{Name: "serialize", Dur: cs.StageDur("serialize")},
-		{Name: "send", Dur: cs.StageDur("send") + leg},
-		{Name: "queue", Dur: queue},
-		{Name: "batch", Dur: batch},
-		{Name: "compute", Dur: compute},
-		{Name: "decode", Dur: cs.StageDur("decode") + leg},
+		{Name: "send", Dur: cs.StageDur("send")},
+		{Name: "queue", Dur: ss.StageDur("queue")},
+		{Name: "batch", Dur: ss.StageDur("batch")},
+		{Name: "compute", Dur: ss.StageDur("compute")},
+		{Name: "decode", Dur: cs.StageDur("decode")},
+	}
+	send, server, decode := &j.Stages[2], j.Stages[3:6], &j.Stages[6]
+	if server[0].Dur == 0 && server[1].Dur == 0 && server[2].Dur == 0 {
+		// Server recorded no stage breakdown (e.g. a pre-stage build):
+		// attribute its whole duration to compute.
+		server[2].Dur = ss.Dur
 	}
 	for i := range j.Stages {
-		// Stage durations are wall times and should never be negative, but a
-		// peer shipping spans from another process (or another build) is not
-		// under our control: clamp defensively and mark the timeline.
-		if j.Stages[i].Dur < 0 {
-			j.Stages[i].Dur = 0
+		// Stage durations are wall times and should never be negative (or
+		// run to years), but a peer shipping spans from another process (or
+		// another build) is not under our control: clamp defensively and
+		// mark the timeline.
+		if d := j.Stages[i].Dur; d < 0 || d > maxStageDur {
+			j.Stages[i].Dur = min(max(d, 0), maxStageDur)
 			j.Skewed = true
 		}
+	}
+	// The client's wait stage brackets the server's stages plus the two wire
+	// legs. First fit the server's stages into the bracket; then whatever of
+	// the bracket the server span leaves over is the total transit, split
+	// evenly between the directions (the same symmetry assumption the
+	// clock-offset estimate below rests on) and folded into send and decode.
+	wait := min(max(cs.StageDur("wait"), 0), maxStageDur)
+	if fitStages(server, wait) {
+		j.Skewed = true
+	}
+	held := max(ss.Dur, server[0].Dur+server[1].Dur+server[2].Dur)
+	if held > wait {
+		j.Skewed = true
+	} else {
+		send.Dur += (wait - held) / 2
+		decode.Dur += (wait - held) / 2
+	}
+	if fitStages(j.Stages, max(j.Dur, 0)) {
+		j.Skewed = true
 	}
 	if len(cs.Attrs)+len(ss.Attrs) > 0 {
 		j.Attrs = make(map[string]float64, len(cs.Attrs)+len(ss.Attrs))
@@ -148,6 +167,27 @@ func joinOne(cs, ss *Span) JoinedSpan {
 	serverMid := ss.Start.Add(ss.Dur / 2)
 	j.ClockOffset = serverMid.Sub(clientMid)
 	return j
+}
+
+// fitStages scales stages down proportionally, rounding each down, when they
+// sum to more than budget, and reports whether it had to. Durations must be
+// non-negative.
+func fitStages(stages []Stage, budget time.Duration) bool {
+	var sum time.Duration
+	for _, st := range stages {
+		sum += st.Dur
+	}
+	if sum <= budget {
+		return false
+	}
+	for i := range stages {
+		// d·budget/sum in 128 bits: the product overflows 64 for durations
+		// of hours, the quotient cannot (d ≤ sum).
+		hi, lo := bits.Mul64(uint64(stages[i].Dur), uint64(budget))
+		q, _ := bits.Div64(hi, lo, uint64(sum))
+		stages[i].Dur = time.Duration(q)
+	}
+	return true
 }
 
 // SpanJoiner pairs a client-side and a server-side span ring for on-demand

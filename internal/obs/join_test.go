@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -122,6 +124,108 @@ func TestJoinClampsSkewedStages(t *testing.T) {
 	j2 := JoinSpans([]Span{cs2}, []Span{ss2})[0]
 	if j2.StageDur("queue") != 0 || !j2.Skewed {
 		t.Fatalf("negative peer stage survived: %+v", j2)
+	}
+}
+
+// TestJoinServerWiderThanWaitIsScaled is the shape of the failure that made
+// the end-to-end join test flaky: on loopback the server can decode a
+// request and start its clock before the client's write call has returned,
+// so its stages add up to more than the client's wait. The join must fit
+// them into the bracket in proportion, not splice them in whole.
+func TestJoinServerWiderThanWaitIsScaled(t *testing.T) {
+	cs, ss := joinFixture(23, 0)
+	ss.Dur = 8 * time.Millisecond
+	ss.Stages = []Stage{
+		{Name: "queue", Dur: 2 * time.Millisecond},
+		{Name: "batch", Dur: 2 * time.Millisecond},
+		{Name: "compute", Dur: 4 * time.Millisecond},
+	}
+	j := JoinSpans([]Span{cs}, []Span{ss})[0]
+	if !j.Skewed {
+		t.Fatal("server stages wider than the wait bracket not flagged Skewed")
+	}
+	// 8ms of server stages into a 5ms wait: 1.25 + 1.25 + 2.5, no legs.
+	want := map[string]time.Duration{
+		"queue": 1250 * time.Microsecond, "batch": 1250 * time.Microsecond,
+		"compute": 2500 * time.Microsecond, "send": time.Millisecond, "decode": time.Millisecond,
+	}
+	for name, d := range want {
+		if got := j.StageDur(name); got != d {
+			t.Fatalf("stage %q = %v, want %v", name, got, d)
+		}
+	}
+}
+
+// TestJoinStagesNeverExceedDur is the invariant as a property: whatever
+// the two sides report — consistent timelines, servers wider than the wait,
+// client stages that overrun their own span, negative and absurd values —
+// every joined stage is non-negative and the seven sum to at most Dur, and
+// only a timeline the join had to correct is flagged Skewed.
+func TestJoinStagesNeverExceedDur(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	dur := func() time.Duration {
+		switch rng.Intn(12) {
+		case 0:
+			return 0
+		case 1:
+			return -time.Duration(rng.Int63n(int64(time.Second)))
+		case 2:
+			return time.Duration(math.MaxInt64 - rng.Int63n(1000))
+		case 3:
+			return time.Duration(rng.Int63n(int64(100 * time.Hour)))
+		default:
+			return time.Duration(rng.Int63n(int64(time.Millisecond)))
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		cs := Span{Trace: 1, Start: time.Unix(1_700_000_000, 0), Stages: []Stage{
+			{Name: "quantize", Dur: dur()}, {Name: "serialize", Dur: dur()},
+			{Name: "send", Dur: dur()}, {Name: "wait", Dur: dur()}, {Name: "decode", Dur: dur()},
+		}}
+		var clientSum time.Duration
+		consistent := true
+		for _, st := range cs.Stages {
+			consistent = consistent && st.Dur >= 0 && st.Dur <= time.Hour
+			clientSum += st.Dur
+		}
+		if consistent && rng.Intn(2) == 0 {
+			cs.Dur = clientSum + time.Duration(rng.Int63n(1000)) // stages nest in the span, as a real client's do
+		} else {
+			cs.Dur = dur()
+		}
+		ss := Span{Trace: 1, Start: cs.Start, Dur: dur()}
+		if rng.Intn(4) != 0 {
+			ss.Stages = []Stage{{Name: "queue", Dur: dur()}, {Name: "batch", Dur: dur()}, {Name: "compute", Dur: dur()}}
+		}
+		j := joinOne(&cs, &ss)
+		if len(j.Stages) != len(JoinedStages) {
+			t.Fatalf("case %d: %d stages", i, len(j.Stages))
+		}
+		var sum time.Duration
+		for _, st := range j.Stages {
+			if st.Dur < 0 {
+				t.Fatalf("case %d: stage %q negative: %v\nclient %+v\nserver %+v", i, st.Name, st.Dur, cs, ss)
+			}
+			sum += st.Dur
+			if sum < 0 {
+				t.Fatalf("case %d: stage sum overflowed\nclient %+v\nserver %+v", i, cs, ss)
+			}
+		}
+		if sum > max(j.Dur, 0) {
+			t.Fatalf("case %d: stages sum to %v, more than the %v span\nclient %+v\nserver %+v\njoined %+v", i, sum, j.Dur, cs, ss, j.Stages)
+		}
+		server := j.StageDur("queue") + j.StageDur("batch") + j.StageDur("compute")
+		if server > max(cs.StageDur("wait"), 0) {
+			t.Fatalf("case %d: server stages %v wider than the %v wait", i, server, cs.StageDur("wait"))
+		}
+		var reported time.Duration
+		for _, st := range ss.Stages {
+			consistent = consistent && st.Dur >= 0 && st.Dur <= time.Hour
+			reported += st.Dur
+		}
+		if consistent && cs.Dur >= clientSum && ss.Dur >= 0 && ss.Dur <= cs.StageDur("wait") && reported <= ss.Dur && j.Skewed {
+			t.Fatalf("case %d: consistent timeline flagged Skewed\nclient %+v\nserver %+v", i, cs, ss)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package splitrt
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -45,20 +46,49 @@ func auditNoise() *core.Collection {
 	return &core.Collection{Shape: []int{1, 2, 2}, Members: []*tensor.Tensor{noise}, InVivo: []float64{0.25}}
 }
 
-// waitRoots polls the audit endpoint until at least n roots are anchored
-// (anchoring is asynchronous behind sealing).
-func waitRoots(t *testing.T, base string, n int) []audit.AnchoredRoot {
+// waitAnchored polls the audit endpoint until the batch the proof sits in
+// has been anchored (anchoring is asynchronous behind sealing, and how many
+// batches a run of requests seals into depends on how fast they arrive).
+func waitAnchored(t *testing.T, base string, proof *audit.InclusionProof) []audit.AnchoredRoot {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		roots, err := audit.FetchRoots(base, nil)
-		if err == nil && len(roots) >= n {
-			return roots
+		if err == nil {
+			if _, err = proof.VerifyAgainst(roots); !errors.Is(err, audit.ErrRootNotAnchored) {
+				return roots
+			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("anchored roots never reached %d (last: %d, err: %v)", n, len(roots), err)
+			t.Fatalf("proof's batch never anchored (%d roots, last error: %v)", len(roots), err)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestDigestRequestPinned fixes the activation digest an audit record
+// commits to, for a fixed dense activation (long enough to span several of
+// DigestFloats' chunks, with a partial last one), a fixed quantized payload
+// and an empty request. The values were computed by the implementation that
+// materialized the dense bytes; a ledger written then must verify now.
+func TestDigestRequestPinned(t *testing.T) {
+	act := tensor.New(2, 3, 700)
+	for i := range act.Data() {
+		act.Data()[i] = float64(i)*0.25 - 17
+	}
+	quant := &quantPayload{Bits: 8, Lo: -1.5, Hi: 2.25, Shape: []int{1, 2, 2}, Packed: []byte{1, 2, 3, 4}}
+	for _, c := range []struct {
+		name string
+		req  request
+		want string
+	}{
+		{"dense", request{Activation: act}, "ee57c81f28e1d1efbad50e831f77b17d73f07b6ba0ce6c83c94d9d207c41cc2d"},
+		{"quant", request{Quant: quant}, "14d1b4aada0748f6902a443fc76e6f76c06a84b7396e3d8a47b4b7cb0af8a2ad"},
+		{"none", request{}, "42f9a16e305ebf69ad8e09681fbe8aaa3f3b5fd0f5497118eeb203e5afc4f657"},
+	} {
+		if got := fmt.Sprintf("%x", digestRequest(c.req)); got != c.want {
+			t.Errorf("%s digest %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 
@@ -90,11 +120,11 @@ func TestServerAuditEndToEnd(t *testing.T) {
 
 	srv.Auditor().Flush()
 	base := "http://" + srv.DebugAddr() + "/debug/audit"
-	roots := waitRoots(t, base, (requests+3)/4)
 	proof, err := audit.FetchProof(base, trace.String(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	roots := waitAnchored(t, base, proof)
 	rec, err := proof.Verify()
 	if err != nil {
 		t.Fatalf("proof self-verification: %v", err)
@@ -235,11 +265,11 @@ func TestGatewayAuditFanOut(t *testing.T) {
 	}
 
 	base := "http://" + gw.DebugAddr() + "/debug/audit"
-	roots := waitRoots(t, base, 1)
 	proof, err := audit.FetchProof(base, trace.String(), nil)
 	if err != nil {
 		t.Fatalf("gateway could not serve proof for edge trace: %v", err)
 	}
+	roots := waitAnchored(t, base, proof)
 	rec, err := proof.Verify()
 	if err != nil {
 		t.Fatal(err)

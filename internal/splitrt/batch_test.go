@@ -9,7 +9,6 @@ package splitrt
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -272,26 +271,22 @@ func TestPipelinedRequestsOnOneConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	if err := enc.Encode(hello{Network: "gatenet", CutLayer: "cut"}); err != nil {
-		t.Fatal(err)
-	}
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil || !ack.OK {
+	peer := newTestPeer(conn)
+	if ack, err := peer.hello(hello{Version: protoVersion, Network: "gatenet", CutLayer: "cut"}); err != nil || !ack.OK {
 		t.Fatalf("handshake failed: %v %+v", err, ack)
 	}
 
 	const n = 6
 	for id := uint64(1); id <= n; id++ {
 		act := tensor.New(1, 1, 2, 2).Fill(float64(id))
-		if err := enc.Encode(request{ID: id, Activation: act}); err != nil {
+		if err := peer.write(&request{ID: id, Activation: act}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	seen := map[uint64]bool{}
 	for i := 0; i < n; i++ {
-		var resp response
-		if err := dec.Decode(&resp); err != nil {
+		resp, err := peer.readResponse()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.Err != "" {
@@ -322,11 +317,12 @@ func TestBadRequestDoesNotPoisonBatch(t *testing.T) {
 	}
 	defer client.Close()
 
-	if err := client.enc.Encode(request{ID: 77, Activation: tensor.New(1, 3, 3)}); err != nil {
+	peer := &testPeer{client.conn}
+	if err := peer.write(&request{ID: 77, Activation: tensor.New(1, 3, 3)}); err != nil {
 		t.Fatal(err)
 	}
-	var resp response
-	if err := client.dec.Decode(&resp); err != nil {
+	resp, err := peer.readResponse()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Kind != ErrBadRequest || resp.Err == "" {
@@ -391,21 +387,18 @@ func fakeKindServer(t *testing.T, script func(n int, req request) response) (add
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-				var h hello
-				if dec.Decode(&h) != nil {
-					return
-				}
-				if enc.Encode(helloAck{OK: true}) != nil {
+				peer := newTestPeer(conn)
+				if peer.accept() != nil {
 					return
 				}
 				for {
-					var req request
-					if dec.Decode(&req) != nil {
+					req, err := peer.readRequest()
+					if err != nil {
 						return
 					}
 					k := atomic.AddInt64(&n, 1)
-					if enc.Encode(script(int(k), req)) != nil {
+					resp := script(int(k), req)
+					if peer.write(&resp) != nil {
 						return
 					}
 				}

@@ -1,12 +1,9 @@
 package splitrt
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -34,7 +31,7 @@ type EdgeClient struct {
 	noise core.NoiseSource
 
 	// mu guards the RNG (tensor.RNG is not goroutine-safe), the draw
-	// scratch, the connection state (conn/enc/dec/broken), and wireBits.
+	// scratch, the connection state (conn/broken), and wireBits.
 	mu      sync.Mutex
 	rng     *tensor.RNG
 	scratch core.DrawScratch // reused by fitted sources: zero-alloc draws
@@ -42,10 +39,7 @@ type EdgeClient struct {
 	addr     string
 	cutLayer string
 
-	conn *countingConn
-	sw   *stageWriter // between enc and conn; buffers only while a staged send is timed
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	conn *frameConn
 
 	spans   *obs.SpanRing        // nil = client span recording disabled
 	monitor *core.PrivacyMonitor // nil = privacy telemetry disabled
@@ -90,9 +84,8 @@ func WithMetrics(reg *obs.Registry) ClientOption {
 // the request's trace ID and the stages quantize / serialize / send / wait
 // / decode. Join the ring against a server's span ring (obs.JoinSpans or
 // splitrt.WithSpanJoin) to get the full seven-stage edge↔cloud timeline.
-// Recording costs a handful of time.Now calls plus one in-memory copy of
-// the encoded request (the serialize/send split buffers the gob bytes);
-// without this option the wire path is untouched.
+// Recording costs a handful of time.Now calls and one span per request;
+// the wire path is the same with or without it.
 func WithSpans(ring *obs.SpanRing) ClientOption {
 	return func(c *EdgeClient) { c.spans = ring }
 }
@@ -160,8 +153,8 @@ func (c *EdgeClient) LastTrace() obs.TraceID {
 
 // SetWireQuantization switches the activation transport to linear
 // quantization with the given bit width (0 restores dense float transport).
-// Levels are bit-packed on the wire, so the payload shrinks by roughly
-// 64/bits× versus the gob float64 encoding and, being deterministic
+// Levels are bit-packed on the wire, so the payload shrinks by 64/bits×
+// versus the dense float64 frame and, being deterministic
 // post-processing, can only decrease the information the cloud receives.
 func (c *EdgeClient) SetWireQuantization(bits int) error {
 	if bits != 0 {
@@ -175,80 +168,10 @@ func (c *EdgeClient) SetWireQuantization(bits int) error {
 	return nil
 }
 
-// countingConn wraps a net.Conn, accumulating byte counts into the
-// client's cumulative wire-traffic counters. For staged round trips it can
-// additionally stamp the arrival time of the first response byte: arm sets
-// the trigger and the next successful Read records firstByte. The trigger
-// fields are only touched by the goroutine holding the client's mutex (the
-// protocol is lockstep), so they need no synchronization of their own.
-type countingConn struct {
-	net.Conn
-	sent, received *obs.Counter
-
-	armed     bool
-	firstByte time.Time
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.sent.Add(int64(n))
-	return n, err
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.received.Add(int64(n))
-	if c.armed && n > 0 {
-		c.firstByte = time.Now()
-		c.armed = false
-	}
-	return n, err
-}
-
-// stageWriter sits between the gob encoder and the connection so a staged
-// round trip can time serialization and transmission separately: with
-// buffering on, Encode's writes collect in memory (serialize), and flush
-// pushes the whole message to the connection in one call (send). With
-// buffering off — the default, and always the case when span recording is
-// disabled — writes pass straight through at the cost of one branch. The
-// same persistent writer must stay in front of the connection either way,
-// because a gob encoder's type-definition stream cannot be restarted
-// per-request.
-type stageWriter struct {
-	w         io.Writer
-	buffering bool
-	buf       bytes.Buffer
-}
-
-func (s *stageWriter) Write(p []byte) (int, error) {
-	if s.buffering {
-		return s.buf.Write(p)
-	}
-	return s.w.Write(p)
-}
-
-// flush turns buffering off and writes any buffered message out.
-func (s *stageWriter) flush() error {
-	s.buffering = false
-	if s.buf.Len() == 0 {
-		return nil
-	}
-	_, err := s.w.Write(s.buf.Bytes())
-	s.buf.Reset()
-	return err
-}
-
-// discard turns buffering off and drops any buffered bytes (encode failed;
-// nothing must reach the wire).
-func (s *stageWriter) discard() {
-	s.buffering = false
-	s.buf.Reset()
-}
-
 // errHandshakeRejected marks a dial that reached the server but was turned
-// away at the hello exchange (wrong network or cut layer). Redialing cannot
-// help — the server will keep refusing — so reconnect treats it as terminal
-// instead of burning the backoff budget.
+// away at the hello exchange (wrong network, cut layer or protocol version).
+// Redialing cannot help — the server will keep refusing — so reconnect
+// treats it as terminal instead of burning the backoff budget.
 var errHandshakeRejected = errors.New("handshake rejected")
 
 // Dial connects to a CloudServer and performs the handshake. src may be a
@@ -276,15 +199,19 @@ func (c *EdgeClient) connect() error {
 	if err != nil {
 		return fmt.Errorf("splitrt: dial: %w", err)
 	}
-	conn := &countingConn{Conn: raw, sent: c.m.sent, received: c.m.received}
-	sw := &stageWriter{w: conn}
-	enc, dec := gob.NewEncoder(sw), gob.NewDecoder(conn)
-	if err := enc.Encode(hello{Network: c.split.Net.Name(), CutLayer: c.cutLayer}); err != nil {
+	conn := &frameConn{conn: raw, sent: c.m.sent, received: c.m.received}
+	h := hello{Version: protoVersion, Network: c.split.Net.Name(), CutLayer: c.cutLayer}
+	conn.wbuf = h.appendFrame(conn.wbuf)
+	if err := conn.flush(); err != nil {
 		conn.Close()
 		return fmt.Errorf("splitrt: handshake send: %w", err)
 	}
 	var ack helloAck
-	if err := dec.Decode(&ack); err != nil {
+	body, err := conn.readFrame(maxHandshakeBody)
+	if err == nil {
+		ack, err = decodeAck(body)
+	}
+	if err != nil {
 		conn.Close()
 		return fmt.Errorf("splitrt: handshake recv: %w", err)
 	}
@@ -292,7 +219,7 @@ func (c *EdgeClient) connect() error {
 		conn.Close()
 		return fmt.Errorf("splitrt: %w: %s", errHandshakeRejected, ack.Err)
 	}
-	c.conn, c.sw, c.enc, c.dec = conn, sw, enc, dec
+	c.conn = conn
 	c.broken = false
 	return nil
 }
@@ -511,7 +438,6 @@ type stageTimes struct {
 	send       time.Duration
 	wait       time.Duration
 	decode     time.Duration
-	sendEnd    time.Time
 	srvElapsed time.Duration
 }
 
@@ -575,9 +501,10 @@ func (c *EdgeClient) exchange(ctx context.Context, req request, st *stageTimes) 
 // roundTrip sends one request and decodes its response on the current
 // connection, applying the call deadline. Transport failures mark the
 // connection broken; protocol failures (remote error string, ID mismatch)
-// do not. A non-nil st times the attempt's serialize / send / wait /
-// decode stages: the encoded message is buffered in memory, flushed in one
-// write, and the first response byte is stamped by the counting conn.
+// do not. Every attempt fills the connection's write buffer with the
+// request frame, flushes it in one write, blocks for the response's length
+// prefix, then reads and decodes the body; a non-nil st stamps those four
+// boundaries as the serialize / send / wait / decode stages.
 func (c *EdgeClient) roundTrip(ctx context.Context, req request, st *stageTimes) (*tensor.Tensor, error) {
 	deadline, ok := ctx.Deadline()
 	if !ok && c.timeout > 0 {
@@ -597,7 +524,7 @@ func (c *EdgeClient) roundTrip(ctx context.Context, req request, st *stageTimes)
 	}
 	if done := ctx.Done(); done != nil {
 		// An explicit cancellation (not just a deadline) must be able to
-		// interrupt a blocked gob read: poke the connection's deadline into
+		// interrupt a blocked read: poke the connection's deadline into
 		// the past so the transport call fails immediately and the loop above
 		// surfaces ctx.Err(). This is what lets a hedged duplicate request be
 		// abandoned the instant the other attempt wins.
@@ -615,50 +542,40 @@ func (c *EdgeClient) roundTrip(ctx context.Context, req request, st *stageTimes)
 		defer func() { close(stop); <-watcherDone }()
 	}
 	start := time.Now()
+	c.conn.wbuf = req.appendFrame(c.conn.wbuf)
+	var sendStart, sendEnd, firstByte time.Time
 	if st != nil {
-		c.sw.buffering = true
-		if err := c.enc.Encode(req); err != nil {
-			c.sw.discard()
-			c.broken = true
-			c.m.transportErrs.Inc()
-			return nil, fmt.Errorf("splitrt: send: %w", err)
-		}
-		st.serialize = time.Since(start)
-		sendStart := time.Now()
-		if err := c.sw.flush(); err != nil {
-			c.broken = true
-			c.m.transportErrs.Inc()
-			return nil, fmt.Errorf("splitrt: send: %w", err)
-		}
-		st.sendEnd = time.Now()
-		st.send = st.sendEnd.Sub(sendStart)
-		c.conn.armed = true
-	} else if err := c.enc.Encode(req); err != nil {
+		sendStart = time.Now()
+	}
+	if err := c.conn.flush(); err != nil {
 		c.broken = true
 		c.m.transportErrs.Inc()
 		return nil, fmt.Errorf("splitrt: send: %w", err)
 	}
+	if st != nil {
+		sendEnd = time.Now()
+	}
 	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
+	n, err := c.conn.readPrefix(maxFrameBody)
+	if err == nil {
 		if st != nil {
-			c.conn.armed = false
+			firstByte = time.Now()
 		}
+		var body []byte
+		if body, err = c.conn.readBody(n); err == nil {
+			err = decodeResponse(body, &resp)
+		}
+	}
+	if err != nil {
 		c.broken = true
 		c.m.transportErrs.Inc()
 		return nil, fmt.Errorf("splitrt: recv: %w", err)
 	}
 	if st != nil {
-		now := time.Now()
-		fb := c.conn.firstByte
-		if c.conn.armed || fb.Before(st.sendEnd) {
-			// No response byte was stamped for this attempt (the whole
-			// message was already buffered, which a lockstep protocol does
-			// not produce); fall back to attributing everything to wait.
-			fb = now
-		}
-		c.conn.armed = false
-		st.wait = fb.Sub(st.sendEnd)
-		st.decode = now.Sub(fb)
+		st.serialize = sendStart.Sub(start)
+		st.send = sendEnd.Sub(sendStart)
+		st.wait = firstByte.Sub(sendEnd)
+		st.decode = time.Since(firstByte)
 		st.srvElapsed = time.Duration(resp.SrvElapsedNs)
 	}
 	c.m.rtt.Observe(time.Since(start).Seconds())

@@ -8,7 +8,6 @@ package splitrt
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"strings"
@@ -169,11 +168,7 @@ func TestIdleTimeoutDropsStalledConnWithoutCollateral(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	if err := gob.NewEncoder(raw).Encode(hello{Network: "trapnet", CutLayer: cutLayer}); err != nil {
-		t.Fatal(err)
-	}
-	var ack helloAck
-	if err := gob.NewDecoder(raw).Decode(&ack); err != nil || !ack.OK {
+	if ack, err := newTestPeer(raw).hello(hello{Version: protoVersion, Network: "trapnet", CutLayer: cutLayer}); err != nil || !ack.OK {
 		t.Fatalf("handshake failed: %v %+v", err, ack)
 	}
 
@@ -218,17 +213,15 @@ func stallingServer(t *testing.T) (addr string, stop func()) {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				var h hello
-				if dec.Decode(&h) != nil {
+				peer := newTestPeer(conn)
+				if peer.accept() != nil {
 					return
 				}
-				if gob.NewEncoder(conn).Encode(helloAck{OK: true}) != nil {
-					return
-				}
-				var req request
-				for dec.Decode(&req) == nil {
+				for {
 					// Swallow the request; never answer.
+					if _, err := peer.readRequest(); err != nil {
+						break
+					}
 				}
 				<-done
 			}(conn)
@@ -317,7 +310,7 @@ func TestReconnectAfterBrokenConnection(t *testing.T) {
 
 // TestPackedQuantizedWireMatchesWireBytes asserts the bytes that actually
 // cross the wire under quantized transport are dominated by the bit-packed
-// payload Scheme.WireBytes promises, not gob's 2-bytes-per-uint16 blowup.
+// payload Scheme.WireBytes promises, not 2 bytes per uint16 level.
 func TestPackedQuantizedWireMatchesWireBytes(t *testing.T) {
 	split, pre, cutLayer, addr := rig(t)
 	client, err := Dial(addr, split, cutLayer, nil, 7)
@@ -340,11 +333,10 @@ func TestPackedQuantizedWireMatchesWireBytes(t *testing.T) {
 	if sent < payload {
 		t.Fatalf("impossible: sent %d bytes < packed payload %d", sent, payload)
 	}
-	// Everything beyond the packed levels is protocol overhead (gob type
-	// descriptors, handshake, scheme metadata, shape). It must be small
-	// relative to the payload — and in particular nowhere near the ~2.7x
-	// that unpacked []uint16 levels cost at 6 bits.
-	if sent > payload+payload/4+2048 {
+	// Everything beyond the packed levels is protocol overhead: the hello
+	// frame and one request header with the scheme and shape in it. A few
+	// hundred bytes, whatever the payload.
+	if sent > payload+256 {
 		t.Fatalf("wire traffic %d far exceeds WireBytes %d: levels are not packed", sent, payload)
 	}
 }

@@ -1,0 +1,192 @@
+package splitrt
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
+	"sync"
+	"time"
+
+	"shredder/internal/obs"
+)
+
+// readChunk is how far a connection's read buffer may grow ahead of the
+// bytes that have actually arrived: a peer that announces a large frame and
+// then stalls has cost the reader one chunk, not the announced length. Every
+// frame of the benchmark's workloads fits in one.
+const readChunk = 256 << 10
+
+// frameConn is one end of a framed connection: the socket, the read and
+// write buffers that live as long as it does, the two deadlines a server
+// arms around every frame, and the mutex that keeps concurrently written
+// frames whole. Reads are for one goroutine. A client leaves the timeouts at
+// zero and sets per-call deadlines itself, and passes its byte counters; a
+// server leaves the counters nil.
+type frameConn struct {
+	conn           net.Conn
+	idleTimeout    time.Duration // read deadline armed before each frame (0 = none)
+	writeTimeout   time.Duration // write deadline armed before each flush (0 = none)
+	sent, received *obs.Counter
+
+	prefix [4]byte
+	rbuf   []byte
+
+	wmu  sync.Mutex // serializes sendResponse; fill-then-flush callers are single-writer
+	wbuf []byte
+}
+
+func (c *frameConn) Close() error { return c.conn.Close() }
+
+func (c *frameConn) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
+
+// readPrefix blocks for the next frame's length prefix and returns the body
+// length it announces, refusing anything that cannot be a frame.
+func (c *frameConn) readPrefix(max int) (int, error) {
+	n, err := io.ReadFull(c.conn, c.prefix[:])
+	c.received.Add(int64(n))
+	if err != nil {
+		return 0, err
+	}
+	size := binary.LittleEndian.Uint32(c.prefix[:])
+	if size < 3 || size > uint32(max) {
+		return 0, badFrame("length prefix %d outside [3, %d]", size, max)
+	}
+	return int(size), nil
+}
+
+// readBody reads the n body bytes that follow a prefix into the
+// connection's read buffer and returns them; they are valid until the next
+// read. A buffer that is too small grows by at most readChunk beyond what
+// has arrived.
+func (c *frameConn) readBody(n int) ([]byte, error) {
+	buf := c.rbuf[:0]
+	for len(buf) < n {
+		step := n - len(buf)
+		if cap(buf) < n {
+			step = min(step, readChunk)
+			if cap(buf)-len(buf) < step {
+				grown := make([]byte, len(buf), len(buf)+step)
+				copy(grown, buf)
+				buf = grown
+			}
+		}
+		m, err := io.ReadFull(c.conn, buf[len(buf):len(buf)+step])
+		c.received.Add(int64(m))
+		buf = buf[:len(buf)+m]
+		c.rbuf = buf
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// readFrame arms the idle deadline and reads one whole frame body.
+func (c *frameConn) readFrame(max int) ([]byte, error) {
+	if c.idleTimeout > 0 {
+		if err := c.conn.SetReadDeadline(time.Now().Add(c.idleTimeout)); err != nil {
+			return nil, err
+		}
+	}
+	n, err := c.readPrefix(max)
+	if err != nil {
+		return nil, err
+	}
+	return c.readBody(n)
+}
+
+// flush arms the write deadline and puts the frame in wbuf on the wire in
+// one Write.
+func (c *frameConn) flush() error {
+	if len(c.wbuf)-4 > maxFrameBody {
+		return fmt.Errorf("splitrt: frame body of %d bytes exceeds the %d-byte limit", len(c.wbuf)-4, maxFrameBody)
+	}
+	if c.writeTimeout > 0 {
+		if err := c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
+			return err
+		}
+	}
+	n, err := c.conn.Write(c.wbuf)
+	c.sent.Add(int64(n))
+	return err
+}
+
+// sendResponse writes one response frame; safe for concurrent use.
+func (c *frameConn) sendResponse(resp *response) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = resp.appendFrame(c.wbuf)
+	return c.flush()
+}
+
+// serveFrames speaks the accepting side of the protocol on one connection,
+// for the CloudServer and the Gateway alike: the hello exchange against the
+// partition the host serves, then the request loop. Pipelined, every
+// request is answered on its own goroutine — several can be in flight on
+// one connection and responses may overtake each other, matched by ID — and
+// ctx is cancelled when the reader exits, abandoning whatever of this
+// connection is still queued. It returns when the peer hangs up, idles out,
+// sends something that is not a frame, or cannot be written to; the caller
+// closes the connection.
+//
+// A request frame that is whole but contradicts itself (dimensions against
+// payload length, say) does not end the connection — the length prefix has
+// kept the stream in step — and is handed on marked malformed, for handle to
+// refuse as a bad request like any other.
+func serveFrames(c *frameConn, host string, serves hello, pipelined bool, handle func(context.Context, request) response) {
+	body, err := c.readFrame(maxHandshakeBody)
+	if err != nil {
+		return
+	}
+	h, err := decodeHello(body)
+	if err != nil {
+		return
+	}
+	ack := helloAck{OK: true}
+	switch {
+	case h.Version != protoVersion:
+		ack = helloAck{Err: fmt.Sprintf("%s speaks protocol version %d, client speaks %d", host, protoVersion, h.Version)}
+	case h.Network != serves.Network || h.CutLayer != serves.CutLayer:
+		ack = helloAck{Err: fmt.Sprintf("%s serves %s cut at %s, client wants %s cut at %s",
+			host, serves.Network, serves.CutLayer, h.Network, h.CutLayer)}
+	}
+	c.wbuf = ack.appendFrame(c.wbuf)
+	if err := c.flush(); err != nil || !ack.OK {
+		return
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var inflight sync.WaitGroup
+	defer inflight.Wait()
+	for {
+		body, err := c.readFrame(maxFrameBody)
+		if err != nil || body[0] != kindRequest {
+			return
+		}
+		var req request
+		if err := decodeRequest(body, &req); err != nil {
+			req.Activation, req.Quant, req.malformed = nil, nil, err.Error()
+		}
+		if !pipelined {
+			resp := handle(ctx, req)
+			if c.sendResponse(&resp) != nil {
+				return
+			}
+			continue
+		}
+		inflight.Add(1)
+		go func(req request) { // by value: a captured req would move every request to the heap
+			defer inflight.Done()
+			resp := handle(ctx, req)
+			if c.sendResponse(&resp) != nil {
+				// The peer is unreachable; unblock the reader so the
+				// connection tears down instead of lingering until the
+				// idle deadline.
+				c.Close()
+			}
+		}(req)
+	}
+}

@@ -2,7 +2,6 @@ package splitrt
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -275,55 +274,8 @@ func (g *Gateway) serveConn(conn net.Conn) {
 		delete(g.conns, conn)
 		g.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-
-	var h hello
-	if err := g.decodeIdle(conn, dec, &h); err != nil {
-		return
-	}
-	split, cut := g.pool.Split(), g.pool.CutLayer()
-	ack := helloAck{OK: true}
-	if h.Network != split.Net.Name() || h.CutLayer != cut {
-		ack = helloAck{OK: false, Err: fmt.Sprintf(
-			"gateway fronts %s cut at %s, client wants %s cut at %s",
-			split.Net.Name(), cut, h.Network, h.CutLayer)}
-	}
-	if err := enc.Encode(ack); err != nil || !ack.OK {
-		return
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var writeMu sync.Mutex
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
-	for {
-		var req request
-		if err := g.decodeIdle(conn, dec, &req); err != nil {
-			return
-		}
-		reqWG.Add(1)
-		go func(req request) {
-			defer reqWG.Done()
-			resp := g.handle(ctx, req)
-			writeMu.Lock()
-			err := enc.Encode(resp)
-			writeMu.Unlock()
-			if err != nil {
-				conn.Close()
-			}
-		}(req)
-	}
-}
-
-func (g *Gateway) decodeIdle(conn net.Conn, dec *gob.Decoder, v any) error {
-	if g.idleTimeout > 0 {
-		if err := conn.SetReadDeadline(time.Now().Add(g.idleTimeout)); err != nil {
-			return err
-		}
-	}
-	return dec.Decode(v)
+	serveFrames(&frameConn{conn: conn, idleTimeout: g.idleTimeout},
+		"gateway", hello{Network: g.pool.Split().Net.Name(), CutLayer: g.pool.CutLayer()}, true, g.handle)
 }
 
 // handle relays one request through the pool, translating pool-level

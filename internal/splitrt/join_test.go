@@ -1,16 +1,13 @@
 package splitrt
 
-// Tests for the client↔server span join: gob wire compatibility of the new
-// server-timing response fields (both directions, including a live
-// old-format peer), the end-to-end seven-stage joined timeline over a real
-// batching server, server-side per-layer profiling behind WithProfiling,
-// and the /debug/spans?join=1 surface.
+// Tests for the client↔server span join: the end-to-end seven-stage joined
+// timeline over a real batching server, server-side per-layer profiling
+// behind WithProfiling, and the /debug/spans?join=1 surface. (That a peer
+// whose response header lacks the server-timing fields still interoperates
+// is TestFrameHeaderCompatibility's to pin.)
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
-	"net"
 	"net/http"
 	"testing"
 	"time"
@@ -19,70 +16,6 @@ import (
 	"shredder/internal/sched"
 	"shredder/internal/tensor"
 )
-
-// TestSrvFieldsGobBackwardCompatible pins both directions of wire
-// compatibility for the server-timing response fields: an old-format
-// response (no Srv* fields) decodes into the current struct as zeros, and a
-// new response decodes cleanly on an old peer (gob skips unknown fields).
-func TestSrvFieldsGobBackwardCompatible(t *testing.T) {
-	act := tensor.New(1, 1, 2, 2).Fill(2)
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacyResponse{ID: 4, Logits: act}); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := gob.NewDecoder(&buf).Decode(&resp); err != nil {
-		t.Fatalf("old-format response no longer decodes: %v", err)
-	}
-	if resp.ID != 4 || resp.SrvRecvUnixNanos != 0 || resp.SrvElapsedNs != 0 {
-		t.Fatalf("old-format response decoded wrong: %+v", resp)
-	}
-
-	buf.Reset()
-	now := time.Now()
-	timed := response{ID: 5, Logits: act, SrvRecvUnixNanos: now.UnixNano(), SrvElapsedNs: 1234}
-	if err := gob.NewEncoder(&buf).Encode(timed); err != nil {
-		t.Fatal(err)
-	}
-	var old legacyResponse
-	if err := gob.NewDecoder(&buf).Decode(&old); err != nil {
-		t.Fatalf("timed response does not decode on an old peer: %v", err)
-	}
-	if old.ID != 5 || old.Logits == nil {
-		t.Fatalf("timed response decoded wrong on old peer: %+v", old)
-	}
-}
-
-// TestOldClientAgainstTimedServer speaks the legacy wire format to a live
-// observability-enabled server (which now stamps Srv* fields on every
-// response) and checks an old peer still completes the exchange.
-func TestOldClientAgainstTimedServer(t *testing.T) {
-	_, _, addr := identityRig(t, WithObservability(obs.NewRegistry(), obs.NewSpanRing(16)))
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	if err := enc.Encode(hello{Network: "obsnet", CutLayer: "cut"}); err != nil {
-		t.Fatal(err)
-	}
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil || !ack.OK {
-		t.Fatalf("handshake failed: %v %+v", err, ack)
-	}
-	if err := enc.Encode(legacyRequest{ID: 6, Activation: tensor.New(1, 1, 2, 2).Fill(1)}); err != nil {
-		t.Fatal(err)
-	}
-	var old legacyResponse
-	if err := dec.Decode(&old); err != nil {
-		t.Fatalf("old peer cannot decode a timed response: %v", err)
-	}
-	if old.ID != 6 || old.Err != "" || old.Logits == nil {
-		t.Fatalf("old peer exchange failed: %+v", old)
-	}
-}
 
 // TestJoinedSpanEndToEnd is the acceptance test for the span join: a live
 // edge client (quantized wire, span recording) against a live batching

@@ -1,15 +1,12 @@
 package splitrt
 
 // Suite for the observability layer at the wire: trace IDs echoed through
-// the gob protocol (and backward compatibility with pre-trace peers),
-// per-error-kind counters on both ends of a failing request, race-free
+// the protocol, per-error-kind counters on both ends of a failing request, race-free
 // Stats polling during traffic and forced redials, and an end-to-end pass
 // over the live debug HTTP endpoint.
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"net"
@@ -44,7 +41,7 @@ func identityRig(t *testing.T, opts ...ServerOption) (*core.Split, *CloudServer,
 	return split, srv, addr
 }
 
-// TestTraceIDEchoedOnWire speaks raw gob to a real server and checks the
+// TestTraceIDEchoedOnWire speaks raw frames to a real server and checks the
 // request's trace ID comes back verbatim on the response.
 func TestTraceIDEchoedOnWire(t *testing.T) {
 	_, _, addr := identityRig(t)
@@ -53,21 +50,16 @@ func TestTraceIDEchoedOnWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	if err := enc.Encode(hello{Network: "obsnet", CutLayer: "cut"}); err != nil {
-		t.Fatal(err)
-	}
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil || !ack.OK {
+	peer := newTestPeer(conn)
+	if ack, err := peer.hello(hello{Version: protoVersion, Network: "obsnet", CutLayer: "cut"}); err != nil || !ack.OK {
 		t.Fatalf("handshake failed: %v %+v", err, ack)
 	}
 	const trace = 0xdeadbeefcafe
-	req := request{ID: 5, Trace: trace, Activation: tensor.New(1, 1, 2, 2).Fill(1)}
-	if err := enc.Encode(req); err != nil {
+	if err := peer.write(&request{ID: 5, Trace: trace, Activation: tensor.New(1, 1, 2, 2).Fill(1)}); err != nil {
 		t.Fatal(err)
 	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil {
+	resp, err := peer.readResponse()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.ID != 5 || resp.Trace != trace {
@@ -75,66 +67,6 @@ func TestTraceIDEchoedOnWire(t *testing.T) {
 	}
 	if resp.Err != "" || resp.Logits == nil {
 		t.Fatalf("traced request failed: %+v", resp)
-	}
-}
-
-// legacyRequest/legacyResponse mirror the pre-trace wire structs (no Trace
-// field). Gob matches fields by name, so these stand in for an old peer.
-type legacyRequest struct {
-	ID         uint64
-	Activation *tensor.Tensor
-	Quant      *quantPayload
-}
-
-type legacyResponse struct {
-	ID     uint64
-	Logits *tensor.Tensor
-	Err    string
-	Kind   ErrKind
-}
-
-// TestTraceFieldGobBackwardCompatible pins both directions of wire
-// compatibility: an old-format request (no Trace field) still decodes into
-// the current struct with Trace == 0, an old-format response likewise, and
-// a new traced request decodes cleanly into an old struct (gob skips the
-// unknown field).
-func TestTraceFieldGobBackwardCompatible(t *testing.T) {
-	act := tensor.New(1, 1, 2, 2).Fill(2)
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacyRequest{ID: 7, Activation: act}); err != nil {
-		t.Fatal(err)
-	}
-	var req request
-	if err := gob.NewDecoder(&buf).Decode(&req); err != nil {
-		t.Fatalf("old-format request no longer decodes: %v", err)
-	}
-	if req.ID != 7 || req.Trace != 0 || req.Activation == nil {
-		t.Fatalf("old-format request decoded wrong: %+v", req)
-	}
-
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(legacyResponse{ID: 8, Logits: act, Kind: ErrTimeout, Err: "late"}); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := gob.NewDecoder(&buf).Decode(&resp); err != nil {
-		t.Fatalf("old-format response no longer decodes: %v", err)
-	}
-	if resp.ID != 8 || resp.Trace != 0 || resp.Kind != ErrTimeout {
-		t.Fatalf("old-format response decoded wrong: %+v", resp)
-	}
-
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(request{ID: 9, Trace: 42, Activation: act}); err != nil {
-		t.Fatal(err)
-	}
-	var old legacyRequest
-	if err := gob.NewDecoder(&buf).Decode(&old); err != nil {
-		t.Fatalf("traced request does not decode on an old peer: %v", err)
-	}
-	if old.ID != 9 || old.Activation == nil {
-		t.Fatalf("traced request decoded wrong on old peer: %+v", old)
 	}
 }
 
@@ -283,7 +215,7 @@ func TestStatsPollingDuringTrafficAndRedials(t *testing.T) {
 	severConn := func() {
 		client.mu.Lock()
 		if client.conn != nil {
-			client.conn.Conn.Close()
+			client.conn.Close()
 		}
 		client.mu.Unlock()
 	}

@@ -127,6 +127,11 @@ func TestPoolKillBackendMidLoad(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < perWorker; i++ {
+				if w == 0 && i == perWorker/4 {
+					// The kill, with seven workers mid-traffic and three
+					// quarters of this one's calls still to come.
+					servers[1].Close()
+				}
 				x, want := poolInput(w*perWorker + i)
 				got, err := pool.Infer(x)
 				if err != nil {
@@ -140,8 +145,6 @@ func TestPoolKillBackendMidLoad(t *testing.T) {
 		}(w)
 	}
 	close(start)
-	time.Sleep(5 * time.Millisecond) // let traffic build before the kill
-	servers[1].Close()
 	wg.Wait()
 	close(errs)
 	for err := range errs {

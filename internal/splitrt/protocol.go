@@ -2,8 +2,9 @@
 // hosting the remote part R of a split network, and an edge client that
 // runs the local part L, injects sampled Shredder noise, and ships the
 // noisy activation over the wire — the deployment story of the paper's
-// Figure 2. The wire protocol is gob-encoded and carries only the noisy
-// activation; raw inputs never leave the edge.
+// Figure 2. The wire protocol is one length-prefixed binary frame per
+// message (frame.go) and carries only the noisy activation; raw inputs never
+// leave the edge.
 package splitrt
 
 import (
@@ -12,9 +13,11 @@ import (
 	"shredder/internal/tensor"
 )
 
-// hello is the connection handshake: the client declares which network and
-// cut it expects the server to host so mismatched deployments fail fast.
+// hello is the connection handshake: the client declares the protocol
+// version it speaks and which network and cut it expects the server to
+// host, so mismatched deployments fail fast.
 type hello struct {
+	Version  uint16
 	Network  string
 	CutLayer string
 }
@@ -36,20 +39,21 @@ type helloAck struct {
 // connection).
 // Trace is minted by the client (obs.NewTraceID) and echoed verbatim on
 // the response, so a request's client-side and server-side telemetry can
-// be joined into one timeline. Zero means "untraced". The field is gob
-// backward compatible in both directions: an old peer that never sets it
-// decodes to zero here, and an old decoder skips the unknown field.
+// be joined into one timeline. Zero means "untraced".
 // Audit, when non-nil, carries the edge's privacy attribution for the
 // server's tamper-evident audit trail (see internal/audit): which noise
 // mode and member perturbed this activation and the realized in-vivo
-// 1/SNR when the client's privacy monitor sampled one. Like Trace it is
-// gob backward compatible in both directions.
+// 1/SNR when the client's privacy monitor sampled one.
 type request struct {
 	ID         uint64
 	Trace      uint64         // trace ID, echoed in the response (0 = untraced)
 	Activation *tensor.Tensor // [N, ...] noisy activation batch
 	Quant      *quantPayload  // quantized wire format, when enabled
 	Audit      *auditNote     // privacy attribution for the audit ledger
+
+	// malformed is set by the accepting side, never sent: the frame arrived
+	// whole but its payload could not be decoded, and this is why.
+	malformed string
 }
 
 // auditNote is the per-request privacy attribution an edge attaches for
@@ -66,9 +70,8 @@ type auditNote struct {
 // quantPayload is the quantized wire representation of an activation
 // batch: level indices bit-packed at Bits bits each (little-endian bit
 // order, Volume(Shape) values — see quantize.Pack) plus the scheme needed
-// to unpack and dequantize them. Packing is what makes the bytes on the
-// wire actually match Scheme.WireBytes instead of gob's 2-byte uint16
-// encoding.
+// to unpack and dequantize them. The frame carries Packed unchanged, so
+// the bytes on the wire are exactly Scheme.WireBytes.
 type quantPayload struct {
 	Bits   int
 	Lo, Hi float64
@@ -78,13 +81,12 @@ type quantPayload struct {
 
 // ErrKind classifies a remote failure so the client can decide whether a
 // retry has any chance of succeeding. It travels on the wire as a small
-// integer next to the human-readable message; old servers that never set
-// it produce ErrUnknown, which is treated as non-retryable.
+// integer next to the human-readable message; a value this build does not
+// know is treated like ErrUnknown, which is non-retryable.
 type ErrKind uint8
 
 const (
-	// ErrUnknown is an unclassified remote error (including errors from
-	// pre-ErrKind servers). Not retryable.
+	// ErrUnknown is an unclassified remote error. Not retryable.
 	ErrUnknown ErrKind = iota
 	// ErrBadRequest is a malformed payload: wrong activation shape, bad
 	// quantization scheme, missing activation. The request itself is at
@@ -128,13 +130,10 @@ func (k ErrKind) String() string {
 // SrvRecvUnixNanos and SrvElapsedNs are server-side timing metadata for
 // end-to-end span joining: the server's receive timestamp (its own clock,
 // Unix nanoseconds) and how long it held the request. They are set only
-// when the server runs with observability and are 0 otherwise. Like Trace,
-// the fields are gob backward compatible in both directions: an old server
-// never sets them (they decode to 0 here) and an old client skips them as
-// unknown fields.
+// when the server runs with observability and are 0 otherwise.
 type response struct {
 	ID               uint64
-	Trace            uint64 // echo of the request's trace ID (0 from pre-trace servers)
+	Trace            uint64 // echo of the request's trace ID
 	Logits           *tensor.Tensor
 	Err              string
 	Kind             ErrKind

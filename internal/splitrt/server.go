@@ -2,11 +2,8 @@ package splitrt
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"sync"
@@ -452,93 +449,10 @@ func (s *CloudServer) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-
-	var h hello
-	if err := s.decodeWithIdleDeadline(conn, dec, &h); err != nil {
-		return
-	}
-	ack := helloAck{OK: true}
-	if h.Network != s.split.Net.Name() || h.CutLayer != s.cutLayer {
-		ack = helloAck{OK: false, Err: fmt.Sprintf(
-			"server hosts %s cut at %s, client wants %s cut at %s",
-			s.split.Net.Name(), s.cutLayer, h.Network, h.CutLayer)}
-	}
-	if err := s.encodeWithWriteDeadline(conn, enc, ack); err != nil || !ack.OK {
-		return
-	}
-
-	if s.batcher != nil {
-		s.serveConnPipelined(conn, dec, enc)
-		return
-	}
-	for {
-		var req request
-		if err := s.decodeWithIdleDeadline(conn, dec, &req); err != nil {
-			return
-		}
-		resp := s.handle(context.Background(), req)
-		if err := s.encodeWithWriteDeadline(conn, enc, resp); err != nil {
-			return
-		}
-	}
-}
-
-// serveConnPipelined is the batching-mode connection loop: every request is
-// answered on its own goroutine (so several can be in the batcher at once,
-// and a single connection can pipeline), with the gob encoder guarded by a
-// write mutex and responses matched to requests by ID. The connection
-// context is cancelled when the reader exits, abandoning any of this
-// connection's slots still queued in the batcher.
-func (s *CloudServer) serveConnPipelined(conn net.Conn, dec *gob.Decoder, enc *gob.Encoder) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var writeMu sync.Mutex
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
-	for {
-		var req request
-		if err := s.decodeWithIdleDeadline(conn, dec, &req); err != nil {
-			return
-		}
-		reqWG.Add(1)
-		go func(req request) {
-			defer reqWG.Done()
-			resp := s.handle(ctx, req)
-			writeMu.Lock()
-			err := s.encodeWithWriteDeadline(conn, enc, resp)
-			writeMu.Unlock()
-			if err != nil {
-				// The peer is unreachable; unblock the reader so the
-				// connection tears down instead of lingering until the
-				// idle deadline.
-				conn.Close()
-			}
-		}(req)
-	}
-}
-
-// decodeWithIdleDeadline arms the connection's read deadline (when an idle
-// timeout is configured) and decodes one value.
-func (s *CloudServer) decodeWithIdleDeadline(conn net.Conn, dec *gob.Decoder, v any) error {
-	if s.idleTimeout > 0 {
-		if err := conn.SetReadDeadline(time.Now().Add(s.idleTimeout)); err != nil {
-			return err
-		}
-	}
-	return dec.Decode(v)
-}
-
-// encodeWithWriteDeadline arms the connection's write deadline (when a
-// write timeout is configured) and encodes one value.
-func (s *CloudServer) encodeWithWriteDeadline(conn net.Conn, enc *gob.Encoder, v any) error {
-	if s.writeTimeout > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(s.writeTimeout)); err != nil {
-			return err
-		}
-	}
-	return enc.Encode(v)
+	// Under batching every request is answered on its own goroutine, so
+	// several can be in the batcher at once and one connection can pipeline.
+	serveFrames(&frameConn{conn: conn, idleTimeout: s.idleTimeout, writeTimeout: s.writeTimeout},
+		"server", hello{Network: s.split.Net.Name(), CutLayer: s.cutLayer}, s.batcher != nil, s.handle)
 }
 
 // handle computes R(a′) for one request. Validation errors are classified
@@ -634,9 +548,9 @@ func (s *CloudServer) auditRecord(req request) {
 
 // digestRequest hashes the activation payload exactly as received:
 // quantized requests digest the packed level bytes under their scheme,
-// dense requests the float64 activation bits. The digest commits the
-// server to what the cloud actually saw — the noised bytes — without
-// the ledger ever storing the activation itself.
+// dense requests the little-endian float64 bits the frame carried. The
+// digest commits the server to what the cloud actually saw — the noised
+// bytes — without the ledger ever storing the activation itself.
 func digestRequest(req request) [32]byte {
 	if req.Quant != nil {
 		tag := fmt.Sprintf("quant/%d/%g/%g", req.Quant.Bits, req.Quant.Lo, req.Quant.Hi)
@@ -645,12 +559,7 @@ func digestRequest(req request) [32]byte {
 	if req.Activation == nil {
 		return audit.DigestActivation("none", nil, nil)
 	}
-	data := req.Activation.Data()
-	buf := make([]byte, 8*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-	}
-	return audit.DigestActivation("dense", req.Activation.Shape(), buf)
+	return audit.DigestFloats("dense", req.Activation.Shape(), req.Activation.Data())
 }
 
 // decodeRequestActivation32 is the float32 twin of decodeRequestActivation
@@ -679,6 +588,9 @@ func decodeRequestActivation32(split *core.Split, req request) (act *tensor.Tens
 // request is rejected before inference. It is shared by the CloudServer and
 // the fleet Gateway, which speak the same wire protocol.
 func decodeRequestActivation(split *core.Split, req request) (act *tensor.Tensor, kind ErrKind, msg string) {
+	if req.malformed != "" {
+		return nil, ErrBadRequest, req.malformed
+	}
 	act = req.Activation
 	if act == nil && req.Quant != nil {
 		scheme, err := quantize.NewScheme(req.Quant.Bits, req.Quant.Lo, req.Quant.Hi)

@@ -1,10 +1,12 @@
 package splitrt
 
 import (
-	"encoding/gob"
+	"errors"
 	"net"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"shredder/internal/core"
 	"shredder/internal/model"
@@ -103,11 +105,12 @@ func TestServerRejectsBadActivationShape(t *testing.T) {
 	}
 	defer client.Close()
 	// Bypass Infer and send a malformed activation directly.
-	if err := client.enc.Encode(request{ID: 99, Activation: tensor.New(1, 3, 3)}); err != nil {
+	peer := &testPeer{client.conn}
+	if err := peer.write(&request{ID: 99, Activation: tensor.New(1, 3, 3)}); err != nil {
 		t.Fatal(err)
 	}
-	var resp response
-	if err := client.dec.Decode(&resp); err != nil {
+	resp, err := peer.readResponse()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Err == "" {
@@ -115,11 +118,11 @@ func TestServerRejectsBadActivationShape(t *testing.T) {
 	}
 	// Connection must survive the error: a valid request still works.
 	good := tensor.New(append([]int{1}, split.ActivationShape()...)...)
-	if err := client.enc.Encode(request{ID: 100, Activation: good}); err != nil {
+	if err := peer.write(&request{ID: 100, Activation: good}); err != nil {
 		t.Fatal(err)
 	}
-	var resp2 response // fresh struct: gob does not overwrite zero-valued fields
-	if err := client.dec.Decode(&resp2); err != nil {
+	resp2, err := peer.readResponse()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp2.Err != "" || resp2.Logits == nil {
@@ -128,17 +131,28 @@ func TestServerRejectsBadActivationShape(t *testing.T) {
 }
 
 func TestServerHandlesGarbageHandshake(t *testing.T) {
-	_, _, _, addr := rig(t)
+	split, _, cutLayer, addr := rig(t)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Send something that is not a hello and hang up; server must not
+	defer conn.Close()
+	// Send something that is not a frame: the server must hang up on it at
+	// once (these four bytes read as a length far past any hello), must not
 	// crash, and new clients must still connect.
-	if err := gob.NewEncoder(conn).Encode("nonsense"); err != nil {
+	if _, err := conn.Write([]byte("nonsense")); err != nil {
 		t.Fatal(err)
 	}
-	conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// (EOF, or a reset because the server closed with our bytes unread.)
+	if n, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("server did not hang up on bytes that are not a frame: read %d bytes, %v", n, err)
+	}
+	client, err := Dial(addr, split, cutLayer, nil, 5)
+	if err != nil {
+		t.Fatalf("server unusable after a garbage handshake: %v", err)
+	}
+	client.Close()
 }
 
 func TestMultipleConcurrentClients(t *testing.T) {
@@ -242,7 +256,7 @@ func TestQuantizedTransportAccuracyAndVolume(t *testing.T) {
 	if agree < len(b.Labels)-2 {
 		t.Fatalf("quantized transport changed %d/%d predictions", len(b.Labels)-agree, len(b.Labels))
 	}
-	// And move far fewer bytes: gob float64 is ≥8B/value, bit-packed 8-bit
+	// And move far fewer bytes: dense float64 is 8B/value, bit-packed 8-bit
 	// levels are 1B/value — demand at least 3x reduction (fixed protocol
 	// overhead dilutes the per-value win at this small activation volume).
 	ds, qs := denseClient.Stats(), quantClient.Stats()
