@@ -57,10 +57,11 @@ bench-profile:
 bench-pool:
 	$(GO) test -run '^$$' -bench BenchmarkPoolServe -benchtime 50x .
 
-## bench-kernels: smoke-run the dtype/fusion kernel benchmarks (stock f64
-## vs compiled f64/f32 fused plans on the profiler's top layers — the f32
-## fused path should beat stock f64 by >=1.5x on conv1 and fc1; reference
-## run committed as results_bench_kernels.txt).
+## bench-kernels: smoke-run the dtype/fusion kernel benchmarks (the tape
+## path's nil-tape forward pass — the f64-stock arm, the oracle plans are
+## tested against — vs compiled f64/f32 fused plans on the profiler's top
+## layers; the f32 fused path should beat the oracle by >=1.5x on conv1 and
+## fc1; reference run committed as results_bench_kernels.txt).
 bench-kernels:
 	$(GO) test -run '^$$' -bench BenchmarkKernels -benchtime 10x .
 

@@ -1,10 +1,12 @@
-// Benchmarks for the dtype-parameterized kernel stack: the stock float64
-// layer-at-a-time path versus nn.Compile plans — float64 (BN folding and
-// fusion only), float32 unfused, and float32 fused. The per-layer cases
-// cover the two heaviest layers of the profiler's alexnet breakdown (the
-// matmul-backed conv1 and the fc1 linear); the reference run is recorded
-// in results_bench_kernels.txt, where the fused float32 plan must hold a
-// ≥1.5× speedup over the stock path on both.
+// Benchmarks for the dtype-parameterized kernel stack: the tape path's
+// nil-tape forward pass (training's forward, and the oracle every plan is
+// tested against — no serving code runs it) versus nn.Compile plans —
+// float64 (BN folding and fusion only), float32 unfused, and float32
+// fused. The per-layer cases cover the two heaviest layers of the
+// profiler's alexnet breakdown (the matmul-backed conv1 and the fc1
+// linear); the reference run is recorded in results_bench_kernels.txt,
+// where the fused float32 plan must hold a ≥1.5× speedup over the f64-stock
+// arm on both.
 //
 // Weights are random: kernel timing does not depend on training, and
 // skipping pre-training keeps `make bench-kernels` a seconds-scale smoke.
@@ -56,10 +58,10 @@ func kernelSubjects(b *testing.B) []kernelBench {
 	}
 }
 
-// BenchmarkKernels compares, per subject, the stock float64 path against
-// compiled plans at both dtypes. The f32 cases feed a pre-converted
-// float32 batch through Infer32, so they time the kernels rather than the
-// one-off float64→float32 input conversion.
+// BenchmarkKernels compares, per subject, the oracle float64 pass (the
+// f64-stock arm) against compiled plans at both dtypes. The f32 cases feed
+// a pre-converted float32 batch through Infer32, so they time the kernels
+// rather than the one-off float64→float32 input conversion.
 func BenchmarkKernels(b *testing.B) {
 	for _, s := range kernelSubjects(b) {
 		compile := func(dt nn.Dtype, opts ...nn.CompileOption) *nn.CompiledNet {
@@ -73,7 +75,7 @@ func BenchmarkKernels(b *testing.B) {
 
 		b.Run(s.name+"/f64-stock", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s.net.InferRange(s.x, s.from, s.to)
+				s.net.ForwardRangeT(nil, s.x, s.from, s.to, false)
 			}
 		})
 		b.Run(s.name+"/f64-fused", func(b *testing.B) {

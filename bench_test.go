@@ -393,11 +393,9 @@ func BenchmarkEndToEndPrivateInference(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Split-runtime throughput: N concurrent edge clients hammering one cloud
-// server over loopback TCP. The "locked" variant reproduces the seed
-// behaviour (one global inference at a time via WithSerializedInference);
-// the "concurrent" variant is the reentrant forward path with no inference
-// lock. On a multi-core host the concurrent server's ops/sec scales with
-// cores while the locked one stays flat; on a single core they converge.
+// server over loopback TCP. The server has no inference lock — every
+// connection runs the compiled plan in its own workspace — so on a
+// multi-core host ops/sec scales with cores.
 // ---------------------------------------------------------------------------
 
 func benchServerThroughput(b *testing.B, clients int, opts ...splitrt.ServerOption) {
@@ -450,9 +448,6 @@ func benchServerThroughput(b *testing.B, clients int, opts ...splitrt.ServerOpti
 
 func BenchmarkCloudServerThroughput(b *testing.B) {
 	for _, clients := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("locked/clients=%d", clients), func(b *testing.B) {
-			benchServerThroughput(b, clients, splitrt.WithSerializedInference())
-		})
 		b.Run(fmt.Sprintf("concurrent/clients=%d", clients), func(b *testing.B) {
 			benchServerThroughput(b, clients)
 		})

@@ -123,7 +123,7 @@ func registerCommon(fs *flag.FlagSet) *commonFlags {
 	fs.IntVar(&c.testN, "test", 0, "test-set size (0 = network default)")
 	fs.IntVar(&c.epochs, "epochs", 0, "pre-training epochs (0 = network default)")
 	fs.StringVar(&c.cache, "cache", "", "directory for cached pre-trained weights")
-	fs.StringVar(&c.dtype, "dtype", "", "inference arithmetic: float64 (default) or float32 — compiles a fused plan; training always runs float64")
+	fs.StringVar(&c.dtype, "dtype", "", "arithmetic of the compiled plan every inference runs: float64 (default) or float32; training always runs float64")
 	fs.StringVar(&c.noiseMode, "noise-mode", "", "noise deployment: stored (default, replay trained tensors), fitted (sample fresh noise from fitted distributions), fitted-mul (fresh multiplicative a'=a⊙w+n)")
 	fs.StringVar(&c.noiseDist, "noise-dist", "", "fitted distribution family: laplace (default) or gaussian")
 	return c

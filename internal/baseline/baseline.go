@@ -89,13 +89,13 @@ func Compare(split *core.Split, ds *data.Dataset, col *core.Collection, seed int
 	correctBase, correctLap, correctShred, n := 0, 0, 0, 0
 	for _, b := range batches {
 		a := split.Local(b.Images)
-		base := split.Remote(a, false)
-		lap := split.Remote(mech.Perturb(a), false)
+		base := split.RemoteInfer(a)
+		lap := split.RemoteInfer(mech.Perturb(a))
 		noisy := a.Clone()
 		for i := 0; i < noisy.Dim(0); i++ {
 			noisy.Slice(i).AddInPlace(col.Sample(rng))
 		}
-		shred := split.Remote(noisy, false)
+		shred := split.RemoteInfer(noisy)
 		for i, y := range b.Labels {
 			if base.Slice(i).Argmax() == y {
 				correctBase++

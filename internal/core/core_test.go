@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"shredder/internal/model"
@@ -47,18 +48,67 @@ func TestNewSplitErrors(t *testing.T) {
 	}
 }
 
-func TestSplitCompositionEqualsFullForward(t *testing.T) {
-	split, pre := testSplit(t, 21)
-	b := pre.Test.Batches(8)[0]
-	full := split.Forward(b.Images)
-	a := split.Local(b.Images)
-	composed := split.Remote(a, false)
-	if !tensor.AllClose(full, composed, 1e-12) {
-		t.Fatal("L∘R != f")
+// opaqueLayer is a Layer the inference compiler has no lowering for.
+type opaqueLayer struct{}
+
+func (opaqueLayer) Name() string           { return "opaque" }
+func (opaqueLayer) Params() []*nn.Param    { return nil }
+func (opaqueLayer) OutShape(s []int) []int { return s }
+func (opaqueLayer) ForwardT(_ *nn.Tape, x *tensor.Tensor, _ bool) *tensor.Tensor {
+	return x
+}
+func (opaqueLayer) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor       { return x }
+func (opaqueLayer) BackwardT(_ *nn.Tape, g *tensor.Tensor) *tensor.Tensor { return g }
+func (opaqueLayer) Backward(g *tensor.Tensor) *tensor.Tensor              { return g }
+
+// TestNewSplitRejectsUncompilableLayer: every inference through a Split is
+// a compiled plan, so a layer the compiler cannot lower — on either side of
+// the cut — fails NewSplit with the compiler's error instead of silently
+// serving through some other path.
+func TestNewSplitRejectsUncompilableLayer(t *testing.T) {
+	rng := tensor.NewRNG(1)
+	for _, net := range []*nn.Sequential{
+		nn.NewSequential("edge", opaqueLayer{}, nn.NewFlatten("flat"), nn.NewLinear("fc", 4, 2, rng)),
+		nn.NewSequential("cloud", nn.NewFlatten("flat"), opaqueLayer{}, nn.NewLinear("fc", 4, 2, rng)),
+	} {
+		_, err := NewSplit(net, "flat", []int{1, 2, 2})
+		if err == nil || !strings.Contains(err.Error(), `cannot compile layer "opaque"`) {
+			t.Fatalf("%s: NewSplit = %v, want the compiler's error", net.Name(), err)
+		}
 	}
-	// Activation shape must match the declared one.
-	if !tensor.ShapeEq(a.Shape()[1:], split.ActivationShape()) {
-		t.Fatalf("activation shape %v, declared %v", a.Shape()[1:], split.ActivationShape())
+}
+
+// TestSplitCompositionEqualsFullForward: on every zoo network at every cut
+// the registry names, Local∘RemoteInfer, Forward, the tape path's nil-tape
+// forward pass and the legacy Remote agree bit for bit, and the cached
+// activation shape is the one Local produces.
+func TestSplitCompositionEqualsFullForward(t *testing.T) {
+	for _, spec := range model.All() {
+		rng := tensor.NewRNG(31)
+		net := spec.Build(rng)
+		for _, batch := range []int{1, 3} {
+			x := rng.FillNormal(tensor.New(append([]int{batch}, spec.Dataset.SampleShape()...)...), 0, 1)
+			oracle := net.ForwardT(nil, x, false)
+			for _, cp := range spec.CutPoints {
+				split, err := NewSplit(net, cp.Layer, spec.Dataset.SampleShape())
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := split.Local(x)
+				if !tensor.ShapeEq(a.Shape()[1:], split.ActivationShape()) {
+					t.Fatalf("%s/%s: activation shape %v, declared %v", spec.Name, cp.Name, a.Shape()[1:], split.ActivationShape())
+				}
+				for name, got := range map[string]*tensor.Tensor{
+					"Local∘RemoteInfer": split.RemoteInfer(a),
+					"Forward":           split.Forward(x),
+					"Local∘Remote":      split.Remote(a, false),
+				} {
+					if !tensor.BitEqual(got, oracle) {
+						t.Fatalf("%s/%s batch %d: %s differs from the nil-tape forward pass", spec.Name, cp.Name, batch, name)
+					}
+				}
+			}
+		}
 	}
 }
 

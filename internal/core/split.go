@@ -15,7 +15,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"shredder/internal/nn"
 	"shredder/internal/tensor"
@@ -23,29 +22,37 @@ import (
 
 // Split is a pre-trained network cut into a local part L (layers
 // [0, CutIndex]) and a remote part R (layers (CutIndex, end)).
+//
+// Every inference through a Split — Local, RemoteInfer, Forward — runs a
+// compiled float64 plan (nn.CompileRange) that NewSplit builds once. The
+// plans read the network's own weight storage and equal the tape path's
+// forward pass bit for bit, so they are not a second set of numbers: the
+// frozen local part of noise training, evaluation, the attacks and the
+// serving edge all see what RemoteT's forward pass would compute. Only
+// training's differentiable pass (RemoteT/RemoteBackwardT) walks the tape.
 type Split struct {
-	// Net is the intact pre-trained network; Split never mutates weights.
+	// Net is the intact pre-trained network; Split never mutates weights,
+	// and nothing else may once the Split exists (the plans alias them).
 	Net *nn.Sequential
 	// CutIndex is the index of the last local layer.
 	CutIndex int
 	// InShape is the per-sample input shape.
 	InShape []int
 
+	actShape            []int // per-sample activation shape at the cut
+	local, remote, full *nn.CompiledNet
+
 	// gradMu serializes the one legitimate mutation of shared network
 	// state the training path performs: clearing parameter gradients left
 	// behind by pre-training or legacy (non-frozen) backward passes.
 	gradMu sync.Mutex
-
-	// remotePlan holds the compiled inference plan for the remote part,
-	// installed by CompileRemote. Behind an atomic pointer so it can be
-	// (re)installed while inference traffic is in flight; nil means the
-	// layer-at-a-time path. Only inference uses it — training always walks
-	// the float64 tape path.
-	remotePlan atomic.Pointer[nn.CompiledNet]
 }
 
-// NewSplit cuts net after the layer with the given name. in is the
-// per-sample input shape (e.g. [1,28,28]).
+// NewSplit cuts net after the layer with the given name and compiles the
+// inference plans of both halves and of the whole network. in is the
+// per-sample input shape (e.g. [1,28,28]). A network containing a layer the
+// inference compiler cannot lower is an error: there is no uncompiled
+// inference path to fall back to.
 func NewSplit(net *nn.Sequential, cutLayer string, in []int) (*Split, error) {
 	idx := net.Index(cutLayer)
 	if idx < 0 {
@@ -54,21 +61,31 @@ func NewSplit(net *nn.Sequential, cutLayer string, in []int) (*Split, error) {
 	if idx == net.Len()-1 {
 		return nil, fmt.Errorf("core: cutting after the last layer %q leaves no remote part", cutLayer)
 	}
-	return &Split{Net: net, CutIndex: idx, InShape: append([]int(nil), in...)}, nil
+	s := &Split{Net: net, CutIndex: idx, InShape: append([]int(nil), in...)}
+	s.actShape = net.OutShapeAt(s.InShape, idx+1)
+	var err error
+	compile := func(from, to int) (cn *nn.CompiledNet) {
+		if err == nil {
+			cn, err = nn.CompileRange(net, from, to, nn.Float64)
+		}
+		return cn
+	}
+	s.local, s.remote, s.full = compile(0, idx+1), compile(idx+1, net.Len()), compile(0, net.Len())
+	if err != nil {
+		return nil, fmt.Errorf("core: split %q at %q: %w", net.Name(), cutLayer, err)
+	}
+	return s, nil
 }
 
 // ActivationShape returns the per-sample shape of the activation at the
-// cutting point — the shape of the noise tensor.
-func (s *Split) ActivationShape() []int {
-	return s.Net.OutShapeAt(s.InShape, s.CutIndex+1)
-}
+// cutting point — the shape of the noise tensor. It is computed once; the
+// returned slice is shared and must not be modified.
+func (s *Split) ActivationShape() []int { return s.actShape }
 
-// Local computes a = L(x) for a batch. The local part never needs
-// gradients in Shredder, so it runs on the reentrant inference path and is
-// safe to call from many goroutines sharing one Split.
-func (s *Split) Local(x *tensor.Tensor) *tensor.Tensor {
-	return s.Net.InferRange(x, 0, s.CutIndex+1)
-}
+// Local computes a = L(x) for a batch through the compiled edge plan. The
+// result is a fresh tensor the caller owns (the edge adds noise to it in
+// place). Safe to call from many goroutines sharing one Split.
+func (s *Split) Local(x *tensor.Tensor) *tensor.Tensor { return s.local.Infer(x) }
 
 // Remote computes y = R(a') for a batch of (possibly noisy) activations.
 // train selects training-mode behaviour (needed before RemoteBackward).
@@ -85,40 +102,10 @@ func (s *Split) RemoteT(tape *nn.Tape, a *tensor.Tensor, train bool) *tensor.Ten
 	return s.Net.ForwardRangeT(tape, a, s.CutIndex+1, s.Net.Len(), train)
 }
 
-// RemoteInfer computes y = R(a') on the reentrant inference path: no layer
-// state is touched, so any number of goroutines may serve remote inference
-// over one shared Split concurrently. This is the path CloudServer uses.
-func (s *Split) RemoteInfer(a *tensor.Tensor) *tensor.Tensor {
-	return s.Net.InferRange(a, s.CutIndex+1, s.Net.Len())
-}
-
-// CompileRemote lowers the remote part R into a fused inference plan at the
-// given dtype and installs it for RemoteInferCompiled. Weights are
-// snapshotted at compile time, consistent with Split's weights-are-frozen
-// contract. Safe to call while serving: in-flight passes finish on the old
-// plan.
-func (s *Split) CompileRemote(dt nn.Dtype, opts ...nn.CompileOption) error {
-	cn, err := nn.CompileRange(s.Net, s.CutIndex+1, s.Net.Len(), dt, opts...)
-	if err != nil {
-		return err
-	}
-	s.remotePlan.Store(cn)
-	return nil
-}
-
-// Compiled returns the installed remote inference plan, or nil when the
-// split serves through the layer-at-a-time path.
-func (s *Split) Compiled() *nn.CompiledNet { return s.remotePlan.Load() }
-
-// RemoteInferCompiled computes y = R(a') through the compiled plan when one
-// is installed, falling back to RemoteInfer otherwise. Like RemoteInfer it
-// is reentrant: any number of goroutines may call it concurrently.
-func (s *Split) RemoteInferCompiled(a *tensor.Tensor) *tensor.Tensor {
-	if cn := s.remotePlan.Load(); cn != nil {
-		return cn.Infer(a)
-	}
-	return s.RemoteInfer(a)
-}
+// RemoteInfer computes y = R(a') through the compiled cloud plan: no layer
+// state is touched, so any number of goroutines may run remote inference
+// over one shared Split concurrently.
+func (s *Split) RemoteInfer(a *tensor.Tensor) *tensor.Tensor { return s.remote.Infer(a) }
 
 // RemoteBackward backpropagates an output gradient through R and returns
 // ∂loss/∂a′ — which is exactly ∂loss/∂n, the quantity the paper derives in
@@ -136,11 +123,9 @@ func (s *Split) RemoteBackwardT(tape *nn.Tape, grad *tensor.Tensor) *tensor.Tens
 	return s.Net.BackwardRangeT(tape, grad, s.CutIndex+1, s.Net.Len())
 }
 
-// Forward runs the entire intact network (no noise) — the baseline path.
-// It uses the reentrant inference path and is safe for concurrent use.
-func (s *Split) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return s.Net.Infer(x)
-}
+// Forward runs the entire intact network (no noise) — the baseline path —
+// through the compiled whole-network plan. Safe for concurrent use.
+func (s *Split) Forward(x *tensor.Tensor) *tensor.Tensor { return s.full.Infer(x) }
 
 // zeroParamGrads clears any parameter gradients left on the network (e.g.
 // by pre-training), serialized so concurrent trainers do not race on the

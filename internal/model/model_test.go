@@ -140,8 +140,8 @@ func TestEvaluateEmptyDataset(t *testing.T) {
 	spec := LeNet()
 	net := spec.Build(tensor.NewRNG(1))
 	empty := spec.Dataset.Generate(0, 1)
-	if Evaluate(net, empty, 8) != 0 {
-		t.Fatal("Evaluate on empty dataset should be 0")
+	if acc, err := Evaluate(net, empty, 8); acc != 0 || err != nil {
+		t.Fatalf("Evaluate on empty dataset = %v, %v; want 0, nil", acc, err)
 	}
 }
 

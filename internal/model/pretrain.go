@@ -116,33 +116,46 @@ func Train(spec Spec, cfg TrainConfig) (*Pretrained, error) {
 			opt.Step()
 		}
 		if cfg.Progress != nil {
-			acc := Evaluate(net, test, cfg.BatchSize)
+			acc, err := Evaluate(net, test, cfg.BatchSize)
+			if err != nil {
+				return nil, err
+			}
 			fmt.Fprintf(cfg.Progress, "%s epoch %d/%d: loss %.4f, test acc %.2f%%\n",
 				spec.Name, epoch+1, cfg.Epochs, epochLoss/float64(len(batches)), 100*acc)
 		}
 	}
-	acc := Evaluate(net, test, cfg.BatchSize)
+	acc, err := Evaluate(net, test, cfg.BatchSize)
+	if err != nil {
+		return nil, err
+	}
 	return &Pretrained{
 		Spec: spec, Net: net, Train: train, Test: test,
 		TestAcc: acc, Mean: mean, Std: std, Config: cfg,
 	}, nil
 }
 
-// Evaluate returns test-set accuracy of a network.
-func Evaluate(net *nn.Sequential, ds *data.Dataset, batchSize int) float64 {
+// Evaluate returns test-set accuracy of a network at its current weights,
+// through a float64 inference plan compiled for the call (microseconds: the
+// plan reads the network's own weight storage). A network the compiler
+// cannot lower is an error.
+func Evaluate(net *nn.Sequential, ds *data.Dataset, batchSize int) (float64, error) {
 	if ds.N() == 0 {
-		return 0
+		return 0, nil
+	}
+	plan, err := nn.Compile(net, nn.Float64)
+	if err != nil {
+		return 0, fmt.Errorf("model: evaluate %s: %w", net.Name(), err)
 	}
 	correct := 0
 	for _, b := range ds.Batches(batchSize) {
-		logits := net.Forward(b.Images, false)
+		logits := plan.Infer(b.Images)
 		for i, y := range b.Labels {
 			if logits.Slice(i).Argmax() == y {
 				correct++
 			}
 		}
 	}
-	return float64(correct) / float64(ds.N())
+	return float64(correct) / float64(ds.N()), nil
 }
 
 // cachePath returns the checkpoint path for a spec/config pair.
@@ -180,8 +193,12 @@ func TrainCached(spec Spec, cfg TrainConfig, dir string) (*Pretrained, error) {
 	train, test := full.Split(cfg.TrainN, cfg.Seed+2000)
 	mean, std := train.Normalize()
 	test.ApplyNormalization(mean, std)
+	acc, err := Evaluate(net, test, cfg.BatchSize)
+	if err != nil {
+		return nil, err
+	}
 	return &Pretrained{
 		Spec: spec, Net: net, Train: train, Test: test,
-		TestAcc: Evaluate(net, test, cfg.BatchSize), Mean: mean, Std: std, Config: cfg,
+		TestAcc: acc, Mean: mean, Std: std, Config: cfg,
 	}, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"shredder/internal/tensor"
@@ -11,14 +13,21 @@ import (
 
 // This file is the inference compiler: it lowers a (range of a) Sequential
 // into a flat list of dtype-parameterized steps that run without tape,
-// without per-layer dispatch, and — where layers compose — fused.
+// without per-layer dispatch, without allocating, and — where layers
+// compose — fused. Every inference in the repository runs such a plan
+// (core.Split compiles the edge half, the cloud half and the whole net);
+// Sequential.ForwardRangeT is training's forward pass and the oracle the
+// plan is tested against.
 //
 // Compilation performs three transformations the layer-at-a-time path
 // cannot:
 //
-//   - Weight conversion happens once. A Float32 plan converts every
-//     parameter to float32 at compile time, so inference never pays the
-//     per-request conversion cost and moves half the bytes per element.
+//   - Weight binding happens once. A Float64 plan aliases the layers'
+//     parameter storage — compiling costs microseconds and copies nothing —
+//     under core.Split's contract that weights are frozen once inference
+//     starts. A Float32 plan converts every parameter to float32 at compile
+//     time, so inference never pays the per-request conversion cost and
+//     moves half the bytes per element.
 //
 //   - BatchNorm folding. A BatchNorm2D directly following a Conv2D is
 //     absorbed into the convolution step as a per-channel epilogue affine.
@@ -32,20 +41,31 @@ import (
 //     of the producing step, so the intermediate pre-activation tensor is
 //     never materialized and the extra memory pass disappears.
 //
-// Tolerance policy: compiled plans run their matmuls through the
-// register-blocked kernel (tensor.MatMulT2BlockedDense), whose four-wide
-// accumulation order differs from the legacy kernel by rounding. A Float64
-// plan therefore matches the stock layer-at-a-time path to ~1e-12 relative
-// (tests pin 1e-9 absolute on logits) rather than bitwise, and a Float32
-// plan to ~1e-4; classification decisions are pinned identical in both
-// cases. Within compiled plans the fold/fuse transformations themselves are
-// exact: fused and NoFusion Float64 plans agree bitwise. The stock float64
-// API keeps its original summation order so training, noise learning, and
-// cached-weight reproducibility are untouched.
+// Equality policy: a Float64 plan equals Sequential.ForwardRangeT(nil, …)
+// bit for bit, on every zoo network, range and batch size (pinned by
+// TestPlanEqualsOracleBitwise). The plan's matmuls run through the
+// register-blocked kernel (tensor.MatMulT2BlockedFlat), but its four
+// accumulators belong to four different outputs and each output is still
+// summed over p in the legacy kernel's order; bias, folded BatchNorm and
+// ReLU evaluate the layers' own expressions. Training, noise learning and
+// cached-weight reproducibility therefore see the same numbers whichever
+// path computed them. A Float32 plan stays within ~1e-4 of float64 with
+// classification decisions pinned identical.
 //
-// Everything else — training, noise learning, the inversion attack — stays
-// on the float64 tape path; a compiled plan is inference-only by
-// construction (there is no backward).
+// Execution: every step treats batch members independently, so a plan runs
+// sample-major — one sample through all steps, then the next — against a
+// workspace: two ping-pong activation buffers, the conv cols/prod scratch
+// and the dtype staging buffers, all sized for ONE sample of the plan's
+// input shape. Workspaces live in a per-plan sync.Pool; a single-sample
+// Infer takes one and runs inline, a batch fans out over
+// tensor.ParallelChunks with one workspace per chunk. A workspace does not
+// depend on the batch size, so a batch-size change costs nothing; a change
+// of the per-sample input shape re-resolves the step shapes once and grows
+// the buffers. The pool is emptied by the garbage collector like any
+// sync.Pool — the next call re-allocates. The last step writes straight
+// into the result tensor (Float32 plans widen into it), which is the one
+// allocation of a warm Infer and belongs to the caller: it never aliases
+// workspace memory, so the edge may add noise to it in place.
 
 // CompileOption configures Compile/CompileRange.
 type CompileOption func(*compileConfig)
@@ -62,16 +82,15 @@ func NoFusion() CompileOption {
 }
 
 // CompiledNet is an executable inference plan for a contiguous layer range
-// of a Sequential at a fixed dtype. It snapshots the parameters at compile
-// time and is immutable afterwards: any number of goroutines may call Infer
-// concurrently.
+// of a Sequential at a fixed dtype. A Float64 plan reads the layers' own
+// parameter storage and a Float32 plan its converted copy; neither is
+// written after compile, so any number of goroutines may call Infer
+// concurrently — each call works in its own workspace.
 type CompiledNet struct {
-	src      *Sequential
 	from, to int
 	dtype    Dtype
-	labels   []string
-	run      func(x *tensor.Tensor) *tensor.Tensor
-	run32    func(x *tensor.Tensor32) *tensor.Tensor
+	p64      *plan[float64] // exactly one of p64, p32 is set
+	p32      *plan[float32]
 }
 
 // Compile lowers the whole network into an inference plan at the given
@@ -81,8 +100,8 @@ func Compile(s *Sequential, dt Dtype, opts ...CompileOption) (*CompiledNet, erro
 }
 
 // CompileRange lowers layers [from, to) into an inference plan at the given
-// dtype — the split-execution form: core.Split compiles the remote part
-// [cut, len) for the cloud side.
+// dtype — the split-execution form: core.Split compiles [0, cut] for the
+// edge and (cut, len) for the cloud.
 func CompileRange(s *Sequential, from, to int, dt Dtype, opts ...CompileOption) (*CompiledNet, error) {
 	if from < 0 || to > s.Len() || from > to {
 		return nil, fmt.Errorf("nn: CompileRange [%d,%d) out of bounds for %d layers", from, to, s.Len())
@@ -91,31 +110,18 @@ func CompileRange(s *Sequential, from, to int, dt Dtype, opts ...CompileOption) 
 	for _, o := range opts {
 		o(&cfg)
 	}
-	c := &CompiledNet{src: s, from: from, to: to, dtype: dt}
+	c := &CompiledNet{from: from, to: to, dtype: dt}
+	var err error
 	switch dt {
 	case Float64:
-		steps, labels, err := buildPlan[float64](s, from, to, cfg, dt.Short())
-		if err != nil {
-			return nil, err
-		}
-		c.labels = labels
-		c.run = func(x *tensor.Tensor) *tensor.Tensor {
-			return tensor.AsTensor64(runSteps(s, steps, tensor.AsDense64(x), 8))
-		}
+		c.p64, err = buildPlan[float64](s, from, to, cfg, dt)
 	case Float32:
-		steps, labels, err := buildPlan[float32](s, from, to, cfg, dt.Short())
-		if err != nil {
-			return nil, err
-		}
-		c.labels = labels
-		c.run = func(x *tensor.Tensor) *tensor.Tensor {
-			return runSteps(s, steps, tensor.ToDense[float32](x), 4).ToTensor()
-		}
-		c.run32 = func(x *tensor.Tensor32) *tensor.Tensor {
-			return runSteps(s, steps, x, 4).ToTensor()
-		}
+		c.p32, err = buildPlan[float32](s, from, to, cfg, dt)
 	default:
-		return nil, fmt.Errorf("nn: cannot compile for dtype %v", dt)
+		err = fmt.Errorf("nn: cannot compile for dtype %v", dt)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -125,7 +131,12 @@ func (c *CompiledNet) Dtype() Dtype { return c.dtype }
 
 // Labels returns the per-step profiler labels in execution order, e.g.
 // "conv2+relu2[f32]" for a fused step. The slice must not be mutated.
-func (c *CompiledNet) Labels() []string { return c.labels }
+func (c *CompiledNet) Labels() []string {
+	if c.p32 != nil {
+		return c.p32.labels
+	}
+	return c.p64.labels
+}
 
 // From returns the first compiled layer index.
 func (c *CompiledNet) From() int { return c.from }
@@ -133,25 +144,31 @@ func (c *CompiledNet) From() int { return c.from }
 // To returns the end (exclusive) of the compiled layer range.
 func (c *CompiledNet) To() int { return c.to }
 
-// Infer runs the plan on a float64 batch and returns a float64 result —
-// dtype conversion, when any, happens at the boundaries. Safe for
+// Infer runs the plan on a float64 batch [N, ...] and returns a fresh
+// float64 result the caller owns — dtype conversion, when any, happens
+// sample by sample at the boundaries. The input is only read. Safe for
 // concurrent use.
-func (c *CompiledNet) Infer(x *tensor.Tensor) *tensor.Tensor { return c.run(x) }
+func (c *CompiledNet) Infer(x *tensor.Tensor) *tensor.Tensor {
+	if c.p32 != nil {
+		return infer(c.p32, x.Data(), x.Shape())
+	}
+	return infer(c.p64, x.Data(), x.Shape())
+}
 
 // Infer32 runs the plan on a float32 batch — the zero-conversion entry for
 // payloads dequantized directly to float32 (quantize.Dequantize32). For a
-// Float64 plan the input is widened first.
+// Float64 plan the input is widened sample by sample.
 func (c *CompiledNet) Infer32(x *tensor.Tensor32) *tensor.Tensor {
-	if c.run32 != nil {
-		return c.run32(x)
+	if c.p32 != nil {
+		return infer(c.p32, x.Data(), x.Shape())
 	}
-	return c.run(x.ToTensor())
+	return infer(c.p64, x.Data(), x.Shape())
 }
 
 // LabelMatches reports whether a profiler label produced by a compiled plan
-// (or the stock layer path) refers to the named layer. Fused steps carry
-// labels like "conv2+relu2[f32]": the '+'-joined constituent layer names
-// with a dtype suffix.
+// (or the tape path) refers to the named layer. Fused steps carry labels
+// like "conv2+relu2[f32]": the '+'-joined constituent layer names with a
+// dtype suffix.
 func LabelMatches(label, layer string) bool {
 	if i := strings.LastIndexByte(label, '['); i >= 0 && strings.HasSuffix(label, "]") {
 		label = label[:i]
@@ -167,50 +184,232 @@ func LabelMatches(label, layer string) bool {
 	return false
 }
 
-// step is one executable unit of a compiled plan. run returns a fresh (or
-// reshaped-view) buffer; it never mutates its input, so the caller's input
-// tensor is safe to reuse.
-type step[F tensor.Float] interface {
-	label() string
-	run(x *tensor.Dense[F]) *tensor.Dense[F]
+// plan is a compiled layer range at element type F.
+type plan[F tensor.Float] struct {
+	src      *Sequential // profiler attach point
+	steps    []step[F]
+	labels   []string
+	elemSize int64
+
+	// lay caches the step shapes resolved for the per-sample input shape
+	// last seen — in practice the only one a plan ever sees.
+	lay  atomic.Pointer[layout]
+	pool sync.Pool // *workspace[F]
 }
 
-// runSteps executes a plan, reporting per-step wall time to the source
-// network's profiler (the same attach point the tape path uses, so
-// `shredder profile` sees compiled and stock passes through one interface).
-func runSteps[F tensor.Float](s *Sequential, steps []step[F], x *tensor.Dense[F], elemSize int64) *tensor.Dense[F] {
-	if p := s.activeProfiler(nil); p != nil {
-		for _, st := range steps {
-			t0 := time.Now()
-			x = st.run(x)
-			p.ObserveLayer(st.label(), false, time.Since(t0), int64(x.Len())*elemSize)
+// step is one executable unit of a plan. Both methods work on ONE sample.
+type step[F tensor.Float] interface {
+	label() string
+	// resolve returns the step's geometry for a per-sample input shape,
+	// panicking like the layer it lowers when the shape does not fit.
+	resolve(in []int) stepLayout
+	// sample computes y from x, both flat and exactly sl.inVol/sl.outVol
+	// long. It never writes x and keeps no reference to either.
+	sample(sl *stepLayout, x, y []F, ws *workspace[F])
+}
+
+// stepLayout is one step's geometry for one per-sample input shape.
+type stepLayout struct {
+	in, out       []int // per-sample shapes
+	inVol, outVol int
+	view          bool            // output is the input re-shaped: nothing runs
+	geom          tensor.ConvGeom // conv steps
+	cols, prod    int             // conv steps: scratch elements
+}
+
+// layout is a plan's geometry for one per-sample input shape.
+type layout struct {
+	in            []int
+	steps         []stepLayout
+	out           []int // per-sample output shape of the plan
+	inVol, outVol int
+	last          int // index of the last non-view step (it writes the result), -1 if none
+	act           int // largest intermediate activation, elements
+	cols, prod    int // largest conv scratch, elements
+}
+
+// workspace is the memory one in-flight sample needs; see the file comment.
+type workspace[F tensor.Float] struct {
+	act        [2][]F
+	cols, prod []F
+	in, out    []F // staging where the caller's dtype is not F
+}
+
+// grow returns b if it holds n elements, else a fresh buffer that does.
+func grow[F tensor.Float](b []F, n int) []F {
+	if len(b) >= n {
+		return b
+	}
+	return make([]F, n)
+}
+
+// layoutFor returns the plan's geometry for a per-sample shape, resolving
+// it only when the shape differs from the cached one.
+func (p *plan[F]) layoutFor(sample []int) *layout {
+	if l := p.lay.Load(); l != nil && tensor.ShapeEq(l.in, sample) {
+		return l
+	}
+	l := &layout{in: append([]int(nil), sample...), steps: make([]stepLayout, len(p.steps)), last: -1}
+	l.inVol = tensor.Volume(sample)
+	shape := l.in
+	for k, st := range p.steps {
+		sl := st.resolve(shape)
+		sl.in, sl.inVol, sl.outVol = shape, tensor.Volume(shape), tensor.Volume(sl.out)
+		l.steps[k] = sl
+		shape = sl.out
+		if !sl.view {
+			l.last = k
 		}
-		return x
+		l.cols, l.prod = max(l.cols, sl.cols), max(l.prod, sl.prod)
 	}
-	for _, st := range steps {
-		x = st.run(x)
+	for k, sl := range l.steps {
+		if !sl.view && k != l.last {
+			l.act = max(l.act, sl.outVol)
+		}
 	}
-	return x
+	l.out, l.outVol = shape, tensor.Volume(shape)
+	p.lay.Store(l)
+	return l
+}
+
+// workspaceFor takes a workspace from the pool and fits it to the layout.
+func (p *plan[F]) workspaceFor(l *layout) *workspace[F] {
+	ws, _ := p.pool.Get().(*workspace[F])
+	if ws == nil {
+		ws = new(workspace[F])
+	}
+	ws.act[0], ws.act[1] = grow(ws.act[0], l.act), grow(ws.act[1], l.act)
+	ws.cols, ws.prod = grow(ws.cols, l.cols), grow(ws.prod, l.prod)
+	return ws
+}
+
+// sample runs one sample through every step, x → dst. A non-nil durs
+// accumulates each step's wall time.
+func (p *plan[F]) sample(ws *workspace[F], l *layout, x, dst []F, durs []time.Duration) {
+	cur, flip := x, 0
+	var t0 time.Time
+	for k, st := range p.steps {
+		sl := &l.steps[k]
+		if sl.view {
+			continue
+		}
+		y := dst
+		if k != l.last {
+			y = ws.act[flip][:sl.outVol]
+			flip ^= 1
+		}
+		if durs != nil {
+			t0 = time.Now()
+		}
+		st.sample(sl, cur, y, ws)
+		if durs != nil {
+			durs[k] += time.Since(t0)
+		}
+		cur = y
+	}
+	if l.last < 0 {
+		copy(dst, cur)
+	}
+}
+
+// convert copies src into dst across element types.
+func convert[D, S tensor.Float](dst []D, src []S) {
+	for i, v := range src {
+		dst[i] = D(v)
+	}
+}
+
+// inferSample runs one sample from the caller's input element type to the
+// float64 result, staging through the workspace only on the sides where the
+// element type is not the plan's.
+func inferSample[F, In tensor.Float](p *plan[F], ws *workspace[F], l *layout, x []In, dst []float64, durs []time.Duration) {
+	in, inDirect := any(x).([]F)
+	if !inDirect {
+		ws.in = grow(ws.in, l.inVol)
+		in = ws.in[:l.inVol]
+		convert(in, x)
+	}
+	out, outDirect := any(dst).([]F)
+	if !outDirect {
+		ws.out = grow(ws.out, l.outVol)
+		out = ws.out[:l.outVol]
+	}
+	p.sample(ws, l, in, out, durs)
+	if !outDirect {
+		convert(dst, out)
+	}
+}
+
+// infer runs the plan over a batch x of the given [N, ...] shape. One
+// sample runs inline on the caller's goroutine with no closure built; a
+// batch fans out in chunks, one workspace each. Under a profiler the
+// samples run in sequence so each step reports once per call — its time
+// summed over the batch — through the same attach point the tape path uses,
+// so `shredder profile` sees compiled and tape passes through one interface.
+func infer[F, In tensor.Float](p *plan[F], x []In, shape []int) *tensor.Tensor {
+	if len(shape) < 2 {
+		panic(fmt.Sprintf("nn: compiled plan expects a batched input [N, ...], got shape %v", shape))
+	}
+	n := shape[0]
+	l := p.layoutFor(shape[1:])
+	var buf [8]int // keeps the result's shape off the heap until tensor.New copies it
+	out := tensor.New(append(append(buf[:0], n), l.out...)...)
+	od := out.Data()
+	prof := p.src.activeProfiler(nil)
+	if n == 1 || prof != nil {
+		var durs []time.Duration
+		if prof != nil {
+			durs = make([]time.Duration, len(p.steps))
+		}
+		ws := p.workspaceFor(l)
+		for i := 0; i < n; i++ {
+			inferSample(p, ws, l, x[i*l.inVol:(i+1)*l.inVol], od[i*l.outVol:(i+1)*l.outVol], durs)
+		}
+		p.pool.Put(ws)
+		for k, d := range durs {
+			prof.ObserveLayer(p.labels[k], false, d, int64(n*l.steps[k].outVol)*p.elemSize)
+		}
+		return out
+	}
+	tensor.ParallelChunks(n, func(lo, hi int) {
+		ws := p.workspaceFor(l)
+		for i := lo; i < hi; i++ {
+			inferSample(p, ws, l, x[i*l.inVol:(i+1)*l.inVol], od[i*l.outVol:(i+1)*l.outVol], nil)
+		}
+		p.pool.Put(ws)
+	})
+	return out
+}
+
+// params returns a parameter tensor's values at element type F: the
+// tensor's own storage for float64 (no copy — see the file comment), a
+// converted copy otherwise.
+func params[F tensor.Float](t *tensor.Tensor) []F {
+	if d, ok := any(t.Data()).([]F); ok {
+		return d
+	}
+	return tensor.ToDense[F](t).Data()
 }
 
 // buildPlan lowers layers [from, to) to steps at element type F. The fusion
 // scan is greedy over the canonical producer chains:
 // Conv2D (+BatchNorm2D) (+ReLU) and Linear (+ReLU). Dropout is identity at
 // inference and compiles to nothing.
-func buildPlan[F tensor.Float](s *Sequential, from, to int, cfg compileConfig, short string) ([]step[F], []string, error) {
-	var steps []step[F]
+func buildPlan[F tensor.Float](s *Sequential, from, to int, cfg compileConfig, dt Dtype) (*plan[F], error) {
+	p := &plan[F]{src: s, elemSize: int64(dt.Size())}
+	tag := "[" + dt.Short() + "]"
 	layers := s.Layers()
 	i := from
 	for i < to {
 		switch l := layers[i].(type) {
 		case *Conv2D:
-			st := newConvStep[F](l)
+			st := &convStep[F]{src: l, w: params[F](l.W.Value), b: params[F](l.B.Value)}
 			names := []string{l.Name()}
 			j := i + 1
 			if !cfg.noFuse {
 				if j < to {
 					if bn, ok := layers[j].(*BatchNorm2D); ok && bn.C == l.OutC {
-						st.foldBatchNorm(bn)
+						st.bn = newBatchNormStep[F](bn, "")
 						names = append(names, bn.Name())
 						j++
 					}
@@ -223,11 +422,11 @@ func buildPlan[F tensor.Float](s *Sequential, from, to int, cfg compileConfig, s
 					}
 				}
 			}
-			st.lbl = strings.Join(names, "+") + "[" + short + "]"
-			steps = append(steps, st)
+			st.lbl = strings.Join(names, "+") + tag
+			p.steps = append(p.steps, st)
 			i = j
 		case *Linear:
-			st := newLinearStep[F](l)
+			st := &linearStep[F]{src: l, w: params[F](l.W.Value), b: params[F](l.B.Value)}
 			names := []string{l.Name()}
 			j := i + 1
 			if !cfg.noFuse && j < to {
@@ -237,39 +436,39 @@ func buildPlan[F tensor.Float](s *Sequential, from, to int, cfg compileConfig, s
 					j++
 				}
 			}
-			st.lbl = strings.Join(names, "+") + "[" + short + "]"
-			steps = append(steps, st)
+			st.lbl = strings.Join(names, "+") + tag
+			p.steps = append(p.steps, st)
 			i = j
 		case *ReLU:
-			steps = append(steps, &reluStep[F]{lbl: l.Name() + "[" + short + "]"})
+			p.steps = append(p.steps, &reluStep[F]{lbl: l.Name() + tag})
 			i++
 		case *MaxPool2D:
-			steps = append(steps, &maxPoolStep[F]{lbl: l.Name() + "[" + short + "]", src: l})
+			p.steps = append(p.steps, &maxPoolStep[F]{lbl: l.Name() + tag, src: l})
 			i++
 		case *AvgPool2D:
-			steps = append(steps, &avgPoolStep[F]{lbl: l.Name() + "[" + short + "]", src: l})
+			p.steps = append(p.steps, &avgPoolStep[F]{lbl: l.Name() + tag, src: l})
 			i++
 		case *LocalResponseNorm:
-			steps = append(steps, &lrnStep[F]{lbl: l.Name() + "[" + short + "]", src: l})
+			p.steps = append(p.steps, &lrnStep[F]{lbl: l.Name() + tag, src: l})
 			i++
 		case *Flatten:
-			steps = append(steps, &flattenStep[F]{lbl: l.Name() + "[" + short + "]"})
+			p.steps = append(p.steps, &flattenStep[F]{lbl: l.Name() + tag})
 			i++
 		case *BatchNorm2D:
-			steps = append(steps, newBatchNormStep[F](l, short))
+			p.steps = append(p.steps, newBatchNormStep[F](l, l.Name()+tag))
 			i++
 		case *Dropout:
 			// Identity at inference: compiles to nothing.
 			i++
 		default:
-			return nil, nil, fmt.Errorf("nn: cannot compile layer %q (%T) for inference", layers[i].Name(), layers[i])
+			return nil, fmt.Errorf("nn: cannot compile layer %q (%T) for inference", layers[i].Name(), layers[i])
 		}
 	}
-	labels := make([]string, len(steps))
-	for k, st := range steps {
-		labels[k] = st.label()
+	p.labels = make([]string, len(p.steps))
+	for k, st := range p.steps {
+		p.labels[k] = st.label()
 	}
-	return steps, labels, nil
+	return p, nil
 }
 
 // convStep is an im2col-lowered convolution with the fused epilogue:
@@ -279,117 +478,74 @@ func buildPlan[F tensor.Float](s *Sequential, from, to int, cfg compileConfig, s
 type convStep[F tensor.Float] struct {
 	lbl  string
 	src  *Conv2D
-	w    *tensor.Dense[F] // [OutC, InC*KH*KW], converted once at compile
-	b    []F              // [OutC]
+	w    []F // [OutC, InC*KH*KW]
+	b    []F // [OutC]
 	relu bool
-
-	// Folded BatchNorm epilogue, nil when absent: y = g·(z−mean)·inv + b in
-	// exactly normalizeRunning's expression order, with inv precomputed in
-	// float64 so the fused Float64 plan is bitwise identical to the
-	// NoFusion plan's standalone BN step.
-	bnG, bnB, bnMean, bnInv []F
-}
-
-func newConvStep[F tensor.Float](c *Conv2D) *convStep[F] {
-	return &convStep[F]{
-		src: c,
-		w:   tensor.ToDense[F](c.W.Value),
-		b:   tensor.ToDense[F](c.B.Value).Data(),
-	}
-}
-
-func (st *convStep[F]) foldBatchNorm(bn *BatchNorm2D) {
-	n := bn.C
-	st.bnG = tensor.ToDense[F](bn.Gamma.Value).Data()
-	st.bnB = tensor.ToDense[F](bn.Beta.Value).Data()
-	st.bnMean = make([]F, n)
-	st.bnInv = make([]F, n)
-	for c := 0; c < n; c++ {
-		st.bnMean[c] = F(bn.runningMean[c])
-		st.bnInv[c] = F(1 / math.Sqrt(bn.runningVar[c]+bn.Eps))
-	}
+	// bn is the folded BatchNorm, nil when absent. Its epilogue is the
+	// standalone step's expression, y = g·(z−mean)·inv + b, so the fused
+	// Float64 plan is bitwise identical to the NoFusion plan.
+	bn *batchNormStep[F]
 }
 
 func (st *convStep[F]) label() string { return st.lbl }
 
-func (st *convStep[F]) run(x *tensor.Dense[F]) *tensor.Dense[F] {
-	c := st.src
-	shape := x.Shape()
-	if len(shape) != 4 {
-		panic(fmt.Sprintf("nn: compiled %s expects [N,C,H,W] input, got %v", st.lbl, shape))
+func (st *convStep[F]) resolve(in []int) stepLayout {
+	g := st.src.geom(in)
+	p := g.OutH() * g.OutW()
+	return stepLayout{
+		out:  []int{st.src.OutC, g.OutH(), g.OutW()},
+		geom: g, cols: p * g.InC * g.KH * g.KW, prod: p * st.src.OutC,
 	}
-	g := c.geom(shape[1:])
-	n := shape[0]
-	outH, outW := g.OutH(), g.OutW()
-	out := tensor.NewDense[F](n, c.OutC, outH, outW)
-	p := outH * outW
-	ckk := c.InC * c.KH * c.KW
-	tensor.ParallelFor(n, func(i int) {
-		cols := tensor.GetScratchDense[F](p, ckk)
-		prod := tensor.GetScratchDense[F](p, c.OutC)
-		tensor.Im2ColDense(cols, x.Slice(i), g)
-		tensor.MatMulT2BlockedDense(prod, cols, st.w) // [P, OutC]
-		dst := out.Slice(i).Data()                    // [OutC, P] layout
-		pd := prod.Data()
-		for pos := 0; pos < p; pos++ {
-			row := pd[pos*c.OutC:]
-			for oc := 0; oc < c.OutC; oc++ {
-				z := row[oc] + st.b[oc]
-				if st.bnInv != nil {
-					z = st.bnG[oc]*(z-st.bnMean[oc])*st.bnInv[oc] + st.bnB[oc]
-				}
-				if st.relu && !(z > 0) {
-					z = 0
-				}
-				dst[oc*p+pos] = z
+}
+
+func (st *convStep[F]) sample(sl *stepLayout, x, y []F, ws *workspace[F]) {
+	outC := st.src.OutC
+	p := sl.outVol / outC
+	cols, prod := ws.cols[:sl.cols], ws.prod[:sl.prod]
+	tensor.Im2ColFlat(cols, x, sl.geom)
+	tensor.MatMulT2BlockedFlat(prod, cols, st.w, p, sl.cols/p, outC) // [P, OutC]
+	for pos := 0; pos < p; pos++ {
+		row := prod[pos*outC:]
+		for oc := 0; oc < outC; oc++ {
+			z := row[oc] + st.b[oc]
+			if bn := st.bn; bn != nil {
+				z = bn.g[oc]*(z-bn.mean[oc])*bn.inv[oc] + bn.b[oc]
 			}
+			if st.relu && !(z > 0) {
+				z = 0
+			}
+			y[oc*p+pos] = z // [OutC, P] layout
 		}
-		tensor.PutScratchDense(prod)
-		tensor.PutScratchDense(cols)
-	})
-	return out
+	}
 }
 
 // linearStep is y = x·Wᵀ + b with an optional fused ReLU epilogue.
 type linearStep[F tensor.Float] struct {
 	lbl  string
 	src  *Linear
-	w    *tensor.Dense[F] // [Out, In]
+	w    []F // [Out, In]
 	b    []F
 	relu bool
 }
 
-func newLinearStep[F tensor.Float](l *Linear) *linearStep[F] {
-	return &linearStep[F]{
-		src: l,
-		w:   tensor.ToDense[F](l.W.Value),
-		b:   tensor.ToDense[F](l.B.Value).Data(),
-	}
-}
-
 func (st *linearStep[F]) label() string { return st.lbl }
 
-func (st *linearStep[F]) run(x *tensor.Dense[F]) *tensor.Dense[F] {
-	l := st.src
-	n := x.Dim(0)
-	x2 := x.Reshape(n, -1)
-	if x2.Dim(1) != l.In {
-		panic(fmt.Sprintf("nn: compiled %s expects %d inputs, got %d", st.lbl, l.In, x2.Dim(1)))
+func (st *linearStep[F]) resolve(in []int) stepLayout {
+	if tensor.Volume(in) != st.src.In {
+		panic(fmt.Sprintf("nn: compiled %s expects %d inputs, got %d", st.lbl, st.src.In, tensor.Volume(in)))
 	}
-	out := tensor.NewDense[F](n, l.Out)
-	tensor.MatMulT2BlockedDense(out, x2, st.w)
-	od := out.Data()
-	for i := 0; i < n; i++ {
-		row := od[i*l.Out:]
-		for j := 0; j < l.Out; j++ {
-			v := row[j] + st.b[j]
-			if st.relu && !(v > 0) {
-				v = 0
-			}
-			row[j] = v
+	return stepLayout{out: []int{st.src.Out}}
+}
+
+func (st *linearStep[F]) sample(sl *stepLayout, x, y []F, _ *workspace[F]) {
+	tensor.MatMulT2BlockedFlat(y, x, st.w, 1, sl.inVol, sl.outVol)
+	for j, v := range y {
+		v += st.b[j]
+		if st.relu && !(v > 0) {
+			v = 0
 		}
+		y[j] = v
 	}
-	return out
 }
 
 // reluStep is a standalone max(0, x) for positions where fusion did not
@@ -398,10 +554,15 @@ type reluStep[F tensor.Float] struct{ lbl string }
 
 func (st *reluStep[F]) label() string { return st.lbl }
 
-func (st *reluStep[F]) run(x *tensor.Dense[F]) *tensor.Dense[F] {
-	out := tensor.NewDense[F](x.Shape()...)
-	tensor.ReLUDense(out, x)
-	return out
+func (st *reluStep[F]) resolve(in []int) stepLayout { return stepLayout{out: in} }
+
+func (st *reluStep[F]) sample(_ *stepLayout, x, y []F, _ *workspace[F]) {
+	for i, v := range x {
+		if !(v > 0) {
+			v = 0
+		}
+		y[i] = v
+	}
 }
 
 // maxPoolStep is the window-max sweep, without the argmax routing table the
@@ -413,35 +574,32 @@ type maxPoolStep[F tensor.Float] struct {
 
 func (st *maxPoolStep[F]) label() string { return st.lbl }
 
-func (st *maxPoolStep[F]) run(x *tensor.Dense[F]) *tensor.Dense[F] {
+func (st *maxPoolStep[F]) resolve(in []int) stepLayout {
+	return stepLayout{out: st.src.OutShape(in)}
+}
+
+func (st *maxPoolStep[F]) sample(sl *stepLayout, x, y []F, _ *workspace[F]) {
 	m := st.src
-	n, c := x.Dim(0), x.Dim(1)
-	h, w := x.Dim(2), x.Dim(3)
-	os := m.OutShape([]int{c, h, w})
-	oh, ow := os[1], os[2]
-	out := tensor.NewDense[F](n, c, oh, ow)
-	xd, od := x.Data(), out.Data()
-	tensor.ParallelFor(n, func(i int) {
-		for ch := 0; ch < c; ch++ {
-			in := xd[(i*c+ch)*h*w:]
-			outPlane := od[(i*c+ch)*oh*ow:]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					y0, x0 := oy*m.Stride, ox*m.Stride
-					best := in[y0*w+x0]
-					for ky := 0; ky < m.K; ky++ {
-						for kx := 0; kx < m.K; kx++ {
-							if v := in[(y0+ky)*w+(x0+kx)]; v > best {
-								best = v
-							}
+	c, h, w := sl.in[0], sl.in[1], sl.in[2]
+	oh, ow := sl.out[1], sl.out[2]
+	for ch := 0; ch < c; ch++ {
+		in := x[ch*h*w:]
+		outPlane := y[ch*oh*ow:]
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				y0, x0 := oy*m.Stride, ox*m.Stride
+				best := in[y0*w+x0]
+				for ky := 0; ky < m.K; ky++ {
+					for kx := 0; kx < m.K; kx++ {
+						if v := in[(y0+ky)*w+(x0+kx)]; v > best {
+							best = v
 						}
 					}
-					outPlane[oy*ow+ox] = best
 				}
+				outPlane[oy*ow+ox] = best
 			}
 		}
-	})
-	return out
+	}
 }
 
 // avgPoolStep is the window-mean sweep.
@@ -452,39 +610,36 @@ type avgPoolStep[F tensor.Float] struct {
 
 func (st *avgPoolStep[F]) label() string { return st.lbl }
 
-func (st *avgPoolStep[F]) run(x *tensor.Dense[F]) *tensor.Dense[F] {
+func (st *avgPoolStep[F]) resolve(in []int) stepLayout {
+	return stepLayout{out: st.src.OutShape(in)}
+}
+
+func (st *avgPoolStep[F]) sample(sl *stepLayout, x, y []F, _ *workspace[F]) {
 	a := st.src
-	n, c := x.Dim(0), x.Dim(1)
-	h, w := x.Dim(2), x.Dim(3)
-	os := a.OutShape([]int{c, h, w})
-	oh, ow := os[1], os[2]
-	out := tensor.NewDense[F](n, c, oh, ow)
+	c, h, w := sl.in[0], sl.in[1], sl.in[2]
+	oh, ow := sl.out[1], sl.out[2]
 	inv := 1 / F(a.K*a.K)
-	xd, od := x.Data(), out.Data()
-	tensor.ParallelFor(n, func(i int) {
-		for ch := 0; ch < c; ch++ {
-			in := xd[(i*c+ch)*h*w:]
-			outPlane := od[(i*c+ch)*oh*ow:]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					y0, x0 := oy*a.Stride, ox*a.Stride
-					var s F
-					for ky := 0; ky < a.K; ky++ {
-						for kx := 0; kx < a.K; kx++ {
-							s += in[(y0+ky)*w+(x0+kx)]
-						}
+	for ch := 0; ch < c; ch++ {
+		in := x[ch*h*w:]
+		outPlane := y[ch*oh*ow:]
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				y0, x0 := oy*a.Stride, ox*a.Stride
+				var s F
+				for ky := 0; ky < a.K; ky++ {
+					for kx := 0; kx < a.K; kx++ {
+						s += in[(y0+ky)*w+(x0+kx)]
 					}
-					outPlane[oy*ow+ox] = s * inv
 				}
+				outPlane[oy*ow+ox] = s * inv
 			}
 		}
-	})
-	return out
+	}
 }
 
 // lrnStep is the cross-channel local response normalization sweep. The
 // x^(-β) power runs through math.Pow in float64 at both dtypes — exactly
-// what the stock path does at Float64, and well inside the float32 epsilon
+// what the tape path does at Float64, and well inside the float32 epsilon
 // budget at Float32.
 type lrnStep[F tensor.Float] struct {
 	lbl string
@@ -493,59 +648,60 @@ type lrnStep[F tensor.Float] struct {
 
 func (st *lrnStep[F]) label() string { return st.lbl }
 
-func (st *lrnStep[F]) run(x *tensor.Dense[F]) *tensor.Dense[F] {
-	l := st.src
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	hw := h * w
-	out := tensor.NewDense[F](x.Shape()...)
-	xd, od := x.Data(), out.Data()
-	coef := F(l.Alpha) / F(l.N)
-	tensor.ParallelFor(n, func(i int) {
-		base := i * c * hw
-		for ch := 0; ch < c; ch++ {
-			lo, hi := l.window(ch, c)
-			for p := 0; p < hw; p++ {
-				var sum F
-				for j := lo; j < hi; j++ {
-					v := xd[base+j*hw+p]
-					sum += v * v
-				}
-				s := F(l.K) + coef*sum
-				idx := base + ch*hw + p
-				od[idx] = xd[idx] * F(math.Pow(float64(s), -l.Beta))
-			}
-		}
-	})
-	return out
+func (st *lrnStep[F]) resolve(in []int) stepLayout {
+	if len(in) != 3 {
+		panic(fmt.Sprintf("nn: compiled %s expects per-sample shape [C,H,W], got %v", st.lbl, in))
+	}
+	return stepLayout{out: in}
 }
 
-// flattenStep reshapes [N, ...] to [N, D] — a view, no copy.
+func (st *lrnStep[F]) sample(sl *stepLayout, x, y []F, _ *workspace[F]) {
+	l := st.src
+	c, hw := sl.in[0], sl.in[1]*sl.in[2]
+	coef := F(l.Alpha) / F(l.N)
+	for ch := 0; ch < c; ch++ {
+		lo, hi := l.window(ch, c)
+		for p := 0; p < hw; p++ {
+			var sum F
+			for j := lo; j < hi; j++ {
+				v := x[j*hw+p]
+				sum += v * v
+			}
+			s := F(l.K) + coef*sum
+			idx := ch*hw + p
+			y[idx] = x[idx] * F(math.Pow(float64(s), -l.Beta))
+		}
+	}
+}
+
+// flattenStep reshapes [C,H,W] to [D] — a view of the same flat sample:
+// nothing runs.
 type flattenStep[F tensor.Float] struct{ lbl string }
 
 func (st *flattenStep[F]) label() string { return st.lbl }
 
-func (st *flattenStep[F]) run(x *tensor.Dense[F]) *tensor.Dense[F] {
-	return x.Reshape(x.Dim(0), -1)
+func (st *flattenStep[F]) resolve(in []int) stepLayout {
+	return stepLayout{out: []int{tensor.Volume(in)}, view: true}
 }
 
-// batchNormStep is a standalone inference-mode BatchNorm (running-stats
-// affine) for positions where folding did not apply: BN not directly after
-// a Conv2D, or under NoFusion. The per-channel constants are precomputed at
-// compile time with inv derived in float64, matching normalizeRunning.
+func (st *flattenStep[F]) sample(*stepLayout, []F, []F, *workspace[F]) {}
+
+// batchNormStep is an inference-mode BatchNorm (running-stats affine): a
+// step of its own where folding did not apply — BN not directly after a
+// Conv2D, or under NoFusion — and the holder of a convStep's folded
+// constants otherwise. inv is derived in float64 at compile time, matching
+// normalizeRunning.
 type batchNormStep[F tensor.Float] struct {
 	lbl             string
 	c               int
 	g, b, mean, inv []F
 }
 
-func newBatchNormStep[F tensor.Float](bn *BatchNorm2D, short string) *batchNormStep[F] {
+func newBatchNormStep[F tensor.Float](bn *BatchNorm2D, lbl string) *batchNormStep[F] {
 	st := &batchNormStep[F]{
-		lbl:  bn.Name() + "[" + short + "]",
-		c:    bn.C,
-		g:    tensor.ToDense[F](bn.Gamma.Value).Data(),
-		b:    tensor.ToDense[F](bn.Beta.Value).Data(),
-		mean: make([]F, bn.C),
-		inv:  make([]F, bn.C),
+		lbl: lbl, c: bn.C,
+		g: params[F](bn.Gamma.Value), b: params[F](bn.Beta.Value),
+		mean: make([]F, bn.C), inv: make([]F, bn.C),
 	}
 	for c := 0; c < bn.C; c++ {
 		st.mean[c] = F(bn.runningMean[c])
@@ -556,22 +712,20 @@ func newBatchNormStep[F tensor.Float](bn *BatchNorm2D, short string) *batchNormS
 
 func (st *batchNormStep[F]) label() string { return st.lbl }
 
-func (st *batchNormStep[F]) run(x *tensor.Dense[F]) *tensor.Dense[F] {
-	if x.Rank() != 4 || x.Dim(1) != st.c {
-		panic(fmt.Sprintf("nn: compiled %s expects [N,%d,H,W], got %v", st.lbl, st.c, x.Shape()))
+func (st *batchNormStep[F]) resolve(in []int) stepLayout {
+	if len(in) != 3 || in[0] != st.c {
+		panic(fmt.Sprintf("nn: compiled %s expects per-sample shape [%d,H,W], got %v", st.lbl, st.c, in))
 	}
-	n, hw := x.Dim(0), x.Dim(2)*x.Dim(3)
-	out := tensor.NewDense[F](x.Shape()...)
-	xd, od := x.Data(), out.Data()
+	return stepLayout{out: in}
+}
+
+func (st *batchNormStep[F]) sample(sl *stepLayout, x, y []F, _ *workspace[F]) {
+	hw := sl.inVol / st.c
 	for c := 0; c < st.c; c++ {
 		inv, mean := st.inv[c], st.mean[c]
 		g, b := st.g[c], st.b[c]
-		for i := 0; i < n; i++ {
-			base := (i*st.c + c) * hw
-			for p := 0; p < hw; p++ {
-				od[base+p] = g*(xd[base+p]-mean)*inv + b
-			}
+		for p := c * hw; p < (c+1)*hw; p++ {
+			y[p] = g*(x[p]-mean)*inv + b
 		}
 	}
-	return out
 }

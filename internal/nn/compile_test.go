@@ -82,9 +82,8 @@ func convBNNet(t *testing.T, inC, outC, k, stride, pad int, rng *tensor.RNG) *Se
 // sweep of stride/pad/channel combinations, the folded+fused Float64 plan
 // must equal the unfused Conv→BN→ReLU plan bitwise — the fold and fusion
 // transformations are exact, they only reorganize where the same arithmetic
-// happens. Against the stock layer-at-a-time path, which sums its matmuls
-// in the legacy order, the plan must stay within the accumulation-reorder
-// epsilon with identical argmax.
+// happens — and both must equal the tape path's nil-tape forward, the
+// oracle, bit for bit.
 func TestFoldedConvBNBitwiseFloat64(t *testing.T) {
 	combos := []struct{ inC, outC, k, stride, pad int }{
 		{1, 4, 3, 1, 0},
@@ -121,17 +120,8 @@ func TestFoldedConvBNBitwiseFloat64(t *testing.T) {
 					cb, i, v, want.Data()[i])
 			}
 		}
-		stock := net.Infer(x)
-		for i, v := range got.Data() {
-			if math.Abs(v-stock.Data()[i]) > 1e-9 {
-				t.Fatalf("%+v: f64 plan deviates from stock path at %d: %v vs %v",
-					cb, i, v, stock.Data()[i])
-			}
-		}
-		for s := 0; s < got.Dim(0); s++ {
-			if got.Slice(s).Argmax() != stock.Slice(s).Argmax() {
-				t.Fatalf("%+v: sample %d decision differs from stock path", cb, s)
-			}
+		if oracle := net.ForwardT(nil, x, false); !tensor.BitEqual(got, oracle) {
+			t.Fatalf("%+v: f64 plan differs from the nil-tape forward pass", cb)
 		}
 	}
 }
@@ -150,7 +140,7 @@ func TestFoldedConvBNFloat32Epsilon(t *testing.T) {
 		net := convBNNet(t, cb.inC, cb.outC, cb.k, cb.stride, cb.pad, rng)
 		x := rng.FillNormal(tensor.New(3, cb.inC, 11, 11), 0, 1)
 
-		want := net.Infer(x)
+		want := net.ForwardT(nil, x, false)
 		cn, err := Compile(net, Float32)
 		if err != nil {
 			t.Fatalf("%+v: compile: %v", cb, err)
@@ -218,12 +208,10 @@ func TestCompileSkipsDropoutAndRejectsUnknown(t *testing.T) {
 		}
 	}
 	x := rng.FillNormal(tensor.New(4, 12), 0, 1)
-	want := net.Infer(x)
+	want := net.ForwardT(nil, x, false)
 	got := cn.Infer(x)
-	for i, v := range got.Data() {
-		if math.Abs(v-want.Data()[i]) > 1e-12 {
-			t.Fatalf("dropout-skipping plan differs at %d", i)
-		}
+	if !tensor.BitEqual(got, want) {
+		t.Fatal("dropout-skipping plan differs from the nil-tape forward pass")
 	}
 
 	bad := NewSequential("bad", &unknownLayer{})
@@ -276,5 +264,41 @@ func TestCompiledInfer32DirectEntry(t *testing.T) {
 	}
 	if out := cn64.Infer32(tensor.ToDense[float32](x)); out.Len() != 6 {
 		t.Fatalf("f64 Infer32 returned %v", out.Shape())
+	}
+}
+
+// TestPlanReportsEachStepOncePerCall: under a profiler a plan reports every
+// step once per Infer — not once per sample — with the bytes of the whole
+// batch's step output, view steps included, and the result is unchanged.
+func TestPlanReportsEachStepOncePerCall(t *testing.T) {
+	rng := tensor.NewRNG(9)
+	net := NewSequential("p",
+		NewConv2D("conv0", 1, 2, 3, 3, 1, 1, rng), NewReLU("relu0"),
+		NewFlatten("flat"), NewLinear("fc", 2*4*4, 3, rng),
+	)
+	cn, err := Compile(net, Float32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := rng.FillNormal(tensor.New(5, 1, 4, 4), 0, 1)
+	want := cn.Infer(x)
+
+	rec := &recordingProfiler{}
+	net.SetProfiler(rec)
+	defer net.SetProfiler(nil)
+	if got := cn.Infer(x); !tensor.BitEqual(got, want) {
+		t.Fatal("profiled Infer computes something else")
+	}
+	wantEvents := []profEvent{
+		{"conv0+relu0[f32]", false, 5 * 32 * 4}, {"flat[f32]", false, 5 * 32 * 4}, {"fc[f32]", false, 5 * 3 * 4},
+	}
+	events := rec.take()
+	if len(events) != len(wantEvents) {
+		t.Fatalf("got %d events, want %d: %+v", len(events), len(wantEvents), events)
+	}
+	for i, e := range events {
+		if e != wantEvents[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, e, wantEvents[i])
+		}
 	}
 }

@@ -14,10 +14,10 @@ import (
 type Dtype int
 
 const (
-	// Float64 runs the compiled plan at reference precision. The plan's
-	// float64 instantiation delegates to the exact same generic kernels the
-	// stock layer path uses, so its outputs are bitwise identical to
-	// Sequential.Infer.
+	// Float64 runs the compiled plan at reference precision — the default
+	// (zero value) everywhere a dtype is optional. Its outputs are bitwise
+	// identical to the tape path's forward pass, Sequential.ForwardRangeT
+	// (see the equality policy in compile.go).
 	Float64 Dtype = iota
 	// Float32 runs the compiled plan at reduced precision: weights are
 	// converted once at compile time and every intermediate buffer holds

@@ -2,7 +2,7 @@ package nn
 
 // Tests for the reentrant inference path: for every layer, ForwardT with a
 // discarded (nil) tape must compute exactly what Forward(x, false)
-// computes, and running Sequential.Infer from many goroutines over one
+// computes, and running nil-tape ForwardT from many goroutines over one
 // shared network must be race-free (the -race runs in CI enforce the
 // latter).
 
@@ -98,7 +98,7 @@ func TestSequentialInferConcurrent(t *testing.T) {
 	net.Forward(rng.FillNormal(tensor.New(4, 1, 12, 12), 0, 1), true)
 
 	x := rng.FillNormal(tensor.New(2, 1, 12, 12), 0, 1)
-	want := net.Infer(x)
+	want := net.ForwardT(nil, x, false)
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -108,7 +108,7 @@ func TestSequentialInferConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				if got := net.Infer(x); !tensor.AllClose(got, want, 0) {
+				if got := net.ForwardT(nil, x, false); !tensor.AllClose(got, want, 0) {
 					errs <- "concurrent Infer diverged from baseline"
 					return
 				}

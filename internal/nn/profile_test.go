@@ -79,7 +79,7 @@ func TestSequentialProfilerInferAndDetach(t *testing.T) {
 	x := tensor.New(1, 1, 2, 2).Fill(1)
 	rec := &recordingProfiler{}
 	net.SetProfiler(rec)
-	if out := net.Infer(x); out.Len() != 4 {
+	if out := net.ForwardT(nil, x, false); out.Len() != 4 {
 		t.Fatalf("infer output %v", out.Shape())
 	}
 	if got := rec.take(); len(got) != 2 || got[0].layer != "a" || got[1].layer != "b" {
@@ -87,7 +87,7 @@ func TestSequentialProfilerInferAndDetach(t *testing.T) {
 	}
 
 	net.SetProfiler(nil)
-	net.Infer(x)
+	net.ForwardT(nil, x, false)
 	if got := rec.take(); len(got) != 0 {
 		t.Fatalf("detached profiler still observed: %+v", got)
 	}
@@ -113,7 +113,7 @@ func TestTapeProfilerOverridesNetwork(t *testing.T) {
 		t.Fatalf("network profiler saw the tape's pass: %+v", got)
 	}
 
-	net.Infer(x)
+	net.ForwardT(nil, x, false)
 	if got := netRec.take(); len(got) != 1 {
 		t.Fatalf("network profiler missed nil-tape traffic: %+v", got)
 	}

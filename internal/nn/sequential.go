@@ -60,9 +60,8 @@ func (s *Sequential) Index(name string) int {
 }
 
 // SetProfiler installs (or, with nil, removes) a network-level profiler.
-// Every subsequent ForwardRangeT/BackwardRangeT pass — including the
-// nil-tape inference path — reports per-layer wall time and scratch bytes
-// to it. Attaching is safe while other goroutines are mid-pass: they see
+// Every subsequent ForwardRangeT/BackwardRangeT pass and every compiled
+// plan's Infer reports per-layer wall time and scratch bytes to it. Attaching is safe while other goroutines are mid-pass: they see
 // the old value until their next range call. A tape-level profiler
 // (Tape.Profiler) overrides the network-level one for that tape's passes.
 func (s *Sequential) SetProfiler(p Profiler) {
@@ -105,8 +104,10 @@ func (s *Sequential) ZeroGrad() {
 }
 
 // ForwardT runs the full network on a batch, recording backward state on
-// tape. With a nil tape this is the reentrant inference path: any number of
-// goroutines may run it concurrently over one shared network.
+// tape. With a nil tape nothing is recorded and any number of goroutines may
+// run it concurrently over one shared network: that form is the oracle the
+// compiled inference plans (compile.go) are tested against, bit for bit.
+// Serving code does not call it — every inference runs a plan.
 func (s *Sequential) ForwardT(tape *Tape, x *tensor.Tensor, train bool) *tensor.Tensor {
 	return s.ForwardRangeT(tape, x, 0, len(s.layers), train)
 }
@@ -183,20 +184,6 @@ func (s *Sequential) ForwardRange(x *tensor.Tensor, from, to int, train bool) *t
 	return x
 }
 
-// Infer runs the full network in inference mode without recording any
-// state: ForwardT with a discarded (nil) tape. Safe for any number of
-// goroutines to call concurrently on a shared network.
-func (s *Sequential) Infer(x *tensor.Tensor) *tensor.Tensor {
-	return s.ForwardRangeT(nil, x, 0, len(s.layers), false)
-}
-
-// InferRange runs layers [from, to) in inference mode via the discarded
-// tape path. It is how a concurrent split-inference server executes the
-// remote part R for many connections in parallel over one shared network.
-func (s *Sequential) InferRange(x *tensor.Tensor, from, to int) *tensor.Tensor {
-	return s.ForwardRangeT(nil, x, from, to, false)
-}
-
 // Backward propagates the output gradient through the whole network and
 // returns the input gradient (legacy API).
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
@@ -231,15 +218,4 @@ func (s *Sequential) OutShapeAt(in []int, n int) []int {
 		shape = l.OutShape(shape)
 	}
 	return shape
-}
-
-// Predict returns the argmax class per sample for a batch of inputs.
-func (s *Sequential) Predict(x *tensor.Tensor) []int {
-	logits := s.Forward(x, false)
-	n := logits.Dim(0)
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = logits.Slice(i).Argmax()
-	}
-	return out
 }

@@ -166,40 +166,21 @@ func TestBatchedConcurrentStress(t *testing.T) {
 	t.Logf("batch stats: %+v", stats)
 }
 
-// gateLayer is an identity layer whose forward pass blocks until the gate
-// channel is closed — a stand-in for a slow batch in flight.
-type gateLayer struct {
-	name string
-	gate chan struct{}
-}
-
-func (l *gateLayer) Name() string { return l.name }
-func (l *gateLayer) ForwardT(tape *nn.Tape, x *tensor.Tensor, train bool) *tensor.Tensor {
-	<-l.gate
-	return x
-}
-func (l *gateLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return l.ForwardT(nil, x, train)
-}
-func (l *gateLayer) BackwardT(tape *nn.Tape, grad *tensor.Tensor) *tensor.Tensor { return grad }
-func (l *gateLayer) Backward(grad *tensor.Tensor) *tensor.Tensor                 { return grad }
-func (l *gateLayer) Params() []*nn.Param                                         { return nil }
-func (l *gateLayer) OutShape(in []int) []int                                     { return in }
-
-// gateRig serves a tiny identity net (logits == activation) whose remote
-// part blocks until openGate is called (idempotent; also invoked at
-// cleanup so background flights never outlive the test).
+// gateRig serves a tiny identity net (logits == activation for positive
+// inputs) whose every forward pass blocks — a stand-in for a slow batch in
+// flight — until openGate is called (idempotent; also invoked at cleanup so
+// background flights never outlive the test).
 func gateRig(t *testing.T, opts ...ServerOption) (split *core.Split, addr string, openGate func()) {
 	t.Helper()
 	gate := make(chan struct{})
 	var once sync.Once
 	openGate = func() { once.Do(func() { close(gate) }) }
-	seq := nn.NewSequential("gatenet", nn.NewReLU("cut"), &gateLayer{name: "gate", gate: gate})
+	seq := nn.NewSequential("gatenet", nn.NewReLU("cut"), nn.NewReLU("post"))
 	split, err := core.NewSplit(seq, "cut", []int{1, 2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewCloudServer(split, "cut", opts...)
+	srv := NewCloudServer(split, "cut", append(opts, withFault(func(*tensor.Tensor) { <-gate }))...)
 	a, err := srv.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +393,7 @@ func fakeKindServer(t *testing.T, script func(n int, req request) response) (add
 // and succeeds; a bad-request error is surfaced immediately without a
 // second request.
 func TestClientRetriesOnlyRetryableKinds(t *testing.T) {
-	seq := nn.NewSequential("gatenet", nn.NewReLU("cut"), &trapLayer{name: "trap"})
+	seq := nn.NewSequential("gatenet", nn.NewReLU("cut"), nn.NewReLU("post"))
 	split, err := core.NewSplit(seq, "cut", []int{1, 2, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -483,7 +464,7 @@ func TestClientRetriesOnlyRetryableKinds(t *testing.T) {
 // the shutdown race where Close could strand batcher slots forever.
 func TestBatchedServerCloseDrainsWithoutLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
-	seq := nn.NewSequential("gatenet", nn.NewReLU("cut"), &trapLayer{name: "trap"})
+	seq := nn.NewSequential("gatenet", nn.NewReLU("cut"), nn.NewReLU("post"))
 	split, err := core.NewSplit(seq, "cut", []int{1, 2, 2})
 	if err != nil {
 		t.Fatal(err)

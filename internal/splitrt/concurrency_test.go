@@ -68,39 +68,35 @@ func TestConcurrentClientsHammerServer(t *testing.T) {
 	}
 }
 
-// trapLayer is an identity layer that panics when the magic value appears
-// in its input — a stand-in for any malformed payload that slips past
-// shape validation and blows up mid-forward.
-type trapLayer struct{ name string }
+// withFault installs fn as the server's forward-pass fault: it runs before
+// every forward pass, inside the panic/timeout guard, where a slow or
+// crashing forward pass would.
+func withFault(fn func(act *tensor.Tensor)) ServerOption {
+	return func(s *CloudServer) { s.fault = fn }
+}
 
 const trapValue = 666.0
 
-func (l *trapLayer) Name() string { return l.name }
-func (l *trapLayer) ForwardT(tape *nn.Tape, x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, v := range x.Data() {
+// trapFault panics when the magic value appears in the activation — a
+// stand-in for any malformed payload that slips past shape validation and
+// blows up mid-forward.
+func trapFault(act *tensor.Tensor) {
+	for _, v := range act.Data() {
 		if v == trapValue {
-			panic("trapLayer: boobytrapped activation")
+			panic("trapFault: boobytrapped activation")
 		}
 	}
-	return x
 }
-func (l *trapLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return l.ForwardT(nil, x, train)
-}
-func (l *trapLayer) BackwardT(tape *nn.Tape, grad *tensor.Tensor) *tensor.Tensor { return grad }
-func (l *trapLayer) Backward(grad *tensor.Tensor) *tensor.Tensor                 { return grad }
-func (l *trapLayer) Params() []*nn.Param                                         { return nil }
-func (l *trapLayer) OutShape(in []int) []int                                     { return in }
 
 // trapRig serves a tiny net whose remote part panics on the magic value.
 func trapRig(t *testing.T, opts ...ServerOption) (*core.Split, string, string) {
 	t.Helper()
-	net := nn.NewSequential("trapnet", nn.NewReLU("cut"), &trapLayer{name: "trap"})
+	net := nn.NewSequential("trapnet", nn.NewReLU("cut"), nn.NewReLU("post"))
 	split, err := core.NewSplit(net, "cut", []int{1, 2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewCloudServer(split, "cut", opts...)
+	srv := NewCloudServer(split, "cut", append(opts, withFault(trapFault))...)
 	addr, err := srv.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +229,7 @@ func stallingServer(t *testing.T) (addr string, stop func()) {
 // TestInferContextDeadline proves a stalled cloud cannot hang the edge:
 // both a context deadline and a configured client timeout unblock Infer.
 func TestInferContextDeadline(t *testing.T) {
-	seq := nn.NewSequential("trapnet", nn.NewReLU("cut"), &trapLayer{name: "trap"})
+	seq := nn.NewSequential("trapnet", nn.NewReLU("cut"), nn.NewReLU("post"))
 	split, err := core.NewSplit(seq, "cut", []int{1, 2, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +341,7 @@ func TestPackedQuantizedWireMatchesWireBytes(t *testing.T) {
 // connection) from several goroutines at once; every call must return nil
 // and none may deadlock (-race guards the conn registry).
 func TestCloseIsConcurrentlyIdempotent(t *testing.T) {
-	seq := nn.NewSequential("trapnet", nn.NewReLU("cut"), &trapLayer{name: "trap"})
+	seq := nn.NewSequential("trapnet", nn.NewReLU("cut"), nn.NewReLU("post"))
 	split, err := core.NewSplit(seq, "cut", []int{1, 2, 2})
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ import (
 
 	"shredder/internal/core"
 	"shredder/internal/model"
+	"shredder/internal/race"
 	"shredder/internal/tensor"
 )
 
@@ -423,11 +424,15 @@ func TestFrameCodecAllocatesNothingWarm(t *testing.T) {
 
 // roundTripAllocCeiling bounds one warm InferActivation against an
 // in-process server at LeNet's conv2 cut, every goroutine of the process
-// counted: the server's activation tensor and forward pass, the client's
-// logits, and nothing for framing. Measured: 40.
-const roundTripAllocCeiling = 46
+// counted: the server's activation tensor, the result tensor of its
+// compiled plan and the guard closure around it, the client's logits, and
+// nothing for framing or for the forward pass itself. Measured: 13.
+const roundTripAllocCeiling = 16
 
 func TestWarmRoundTripAllocationCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	pre, err := model.Train(model.LeNet(), model.TrainConfig{TrainN: 64, TestN: 16, Epochs: 1, Seed: 40})
 	if err != nil {
 		t.Fatal(err)

@@ -133,11 +133,12 @@ func TestServerProfiling(t *testing.T) {
 	}
 
 	// The profiler hooks the whole shared network, so in this in-process
-	// test it sees both the client's local pass ("cut") and the server's
-	// remote pass ("post").
+	// test it sees both the client's local pass ("cut[f64]") and the
+	// server's remote pass — both compiled plans, hence the dtype tag.
+	const postLabel = "post[f64]"
 	var post obs.LayerProfile
 	for _, lp := range prof.Table() {
-		if lp.Layer == "post" {
+		if lp.Layer == postLabel {
 			post = lp
 		}
 	}
@@ -147,7 +148,7 @@ func TestServerProfiling(t *testing.T) {
 	if post.ForwardCalls != n || post.ScratchBytes != n*4*8 {
 		t.Fatalf("post layer accumulation: %+v", post)
 	}
-	if h := srv.Metrics().Snapshot().Histograms["profile.forward_seconds.post"]; h.Count != n {
+	if h := srv.Metrics().Snapshot().Histograms["profile.forward_seconds."+postLabel]; h.Count != n {
 		t.Fatalf("per-layer histogram count %d, want %d", h.Count, n)
 	}
 
@@ -162,7 +163,7 @@ func TestServerProfiling(t *testing.T) {
 	}
 	served := false
 	for _, lp := range overHTTP {
-		if lp.Layer == "post" && lp.ForwardCalls == n {
+		if lp.Layer == postLabel && lp.ForwardCalls == n {
 			served = true
 		}
 	}
@@ -173,9 +174,9 @@ func TestServerProfiling(t *testing.T) {
 	// Close must detach the profiler from the shared network: later passes
 	// (e.g. another server over the same split) record nothing here.
 	srv.Close()
-	split.Net.Infer(tensor.New(1, 1, 2, 2).Fill(1))
+	split.Forward(tensor.New(1, 1, 2, 2).Fill(1))
 	for _, lp := range prof.Table() {
-		if lp.Layer == "post" && lp.ForwardCalls != n {
+		if lp.Layer == postLabel && lp.ForwardCalls != n {
 			t.Fatalf("profiler still attached after Close: %d calls", lp.ForwardCalls)
 		}
 	}

@@ -22,12 +22,12 @@ import (
 // cloud side of the paper's deployment: it receives only noisy activations
 // and returns logits, never seeing raw inputs.
 //
-// Concurrency model: inference runs on core.Split.RemoteInfer, the
-// reentrant forward path that keeps no per-layer state, so every
-// connection serves requests truly in parallel — there is no inference
-// lock. The server's mutex guards only the connection registry and
-// shutdown flag and is never held across an inference or a network I/O
-// call.
+// Concurrency model: inference runs a compiled plan of the remote part
+// (nn.CompiledNet), which keeps no per-layer state and works in a per-call
+// workspace, so every connection serves requests truly in parallel — there
+// is no inference lock. The server's mutex guards only the connection
+// registry and shutdown flag and is never held across an inference or a
+// network I/O call.
 //
 // With WithBatching, concurrent requests from *different* connections are
 // coalesced by an internal sched.Batcher into one [N, ...] forward pass
@@ -45,15 +45,16 @@ type CloudServer struct {
 	idleTimeout    time.Duration
 	writeTimeout   time.Duration
 	handlerTimeout time.Duration
-	injectLatency  time.Duration // chaos/bench only: sleep before every forward pass
-	serialized     bool
-	serialMu       sync.Mutex // used only when serialized (legacy mode)
+	// fault, when set, runs before every forward pass, inside its
+	// panic/timeout guard — chaos, benchmarks and tests only. It is handed
+	// the activation batch (nil on the float32 direct-dequantization path).
+	fault func(act *tensor.Tensor)
 
 	batchOpts *sched.Options
 	batcher   *sched.Batcher[*tensor.Tensor, *tensor.Tensor]
 
-	dtype      *nn.Dtype       // WithDtype: compile the remote part at this dtype
-	compiled   *nn.CompiledNet // non-nil once compilation succeeded
+	dtype      nn.Dtype        // WithDtype: the plan's arithmetic (default float64)
+	plan       *nn.CompiledNet // the remote part at dtype: every forward pass runs it
 	compileErr error           // deferred to Serve so construction stays infallible
 
 	auditor *audit.Auditor // nil = audit trail disabled
@@ -109,26 +110,18 @@ func WithHandlerTimeout(d time.Duration) ServerOption {
 // slow backend — e.g. proving a pool's hedged requests cap tail latency —
 // and must never be set on a production server.
 func WithLatencyInjection(d time.Duration) ServerOption {
-	return func(s *CloudServer) { s.injectLatency = d }
+	return func(s *CloudServer) { s.fault = func(*tensor.Tensor) { time.Sleep(d) } }
 }
 
-// WithSerializedInference restores the pre-concurrency behaviour of one
-// global inference at a time. It exists so benchmarks can measure what the
-// global lock used to cost; production servers should never set it.
-func WithSerializedInference() ServerOption {
-	return func(s *CloudServer) { s.serialized = true }
-}
-
-// WithDtype compiles the remote part into a fused inference plan at the
-// given dtype (nn.Compile) and serves every forward pass through it.
-// Float64 keeps bitwise-identical results while gaining BN folding and
-// conv/linear+ReLU fusion; Float32 additionally halves the memory traffic,
-// with classification decisions pinned to the float64 path by tests. When
-// the client ships quantized payloads and batching is off, a Float32 server
-// dequantizes straight into float32 and never materializes a float64
-// activation. Compilation errors surface from Serve.
+// WithDtype selects the arithmetic of the compiled plan (nn.CompileRange)
+// every forward pass runs through. Float64, the default, equals the
+// training path's forward pass bit for bit; Float32 halves the memory
+// traffic, with classification decisions pinned to the float64 ones by
+// tests. When the client ships quantized payloads and batching is off, a
+// Float32 server dequantizes straight into float32 and never materializes a
+// float64 activation. Compilation errors surface from Serve.
 func WithDtype(dt nn.Dtype) ServerOption {
-	return func(s *CloudServer) { s.dtype = &dt }
+	return func(s *CloudServer) { s.dtype = dt }
 }
 
 // WithBatching coalesces concurrent requests across connections into
@@ -247,13 +240,9 @@ func NewCloudServer(split *core.Split, cutLayer string, opts ...ServerOption) *C
 	for _, o := range opts {
 		o(s)
 	}
-	if s.dtype != nil {
-		cn, err := nn.CompileRange(split.Net, split.CutIndex+1, split.Net.Len(), *s.dtype)
-		if err != nil {
-			s.compileErr = fmt.Errorf("splitrt: compile remote part at %v: %w", *s.dtype, err)
-		} else {
-			s.compiled = cn
-		}
+	s.plan, s.compileErr = nn.CompileRange(split.Net, split.CutIndex+1, split.Net.Len(), s.dtype)
+	if s.compileErr != nil {
+		s.compileErr = fmt.Errorf("splitrt: compile remote part at %v: %w", s.dtype, s.compileErr)
 	}
 	if (s.debugAddr != "" || s.profiling || s.joinRing != nil ||
 		s.windowOpts != nil || len(s.sloObjs) > 0) && s.obs == nil {
@@ -472,11 +461,10 @@ func (s *CloudServer) handle(ctx context.Context, req request) response {
 	var logits *tensor.Tensor
 	var err error
 	var si *sched.SubmitInfo
-	if s.batcher == nil && s.compiled != nil && s.compiled.Dtype() == nn.Float32 &&
-		req.Activation == nil && req.Quant != nil {
-		// Direct-dequantization fast path: the quantized payload is
-		// reconstructed straight into float32 and fed to the compiled plan's
-		// float32 entry, so no float64 activation is ever materialized.
+	if s.batcher == nil && s.dtype == nn.Float32 && req.Activation == nil && req.Quant != nil {
+		// Direct dequantization: the quantized payload is reconstructed
+		// straight into float32 and fed to the plan's float32 entry, so no
+		// float64 activation is ever materialized.
 		act32, kind, msg := decodeRequestActivation32(s.split, req)
 		if kind != ErrUnknown {
 			resp.Err, resp.Kind = msg, kind
@@ -486,7 +474,7 @@ func (s *CloudServer) handle(ctx context.Context, req request) response {
 		if o != nil {
 			computeStart = time.Now()
 		}
-		logits, err = s.inferGuarded(func() *tensor.Tensor { return s.compiled.Infer32(act32) })
+		logits, err = s.inferGuarded(nil, func() *tensor.Tensor { return s.plan.Infer32(act32) })
 	} else {
 		act, kind, msg := decodeRequestActivation(s.split, req)
 		if kind != ErrUnknown {
@@ -674,15 +662,9 @@ func (s *CloudServer) runBatch(acts []*tensor.Tensor) ([]*tensor.Tensor, error) 
 	return out, nil
 }
 
-// infer runs the reentrant remote forward pass — through the compiled plan
-// when WithDtype installed one — with the panic/timeout guard.
+// infer runs the remote forward pass with the panic/timeout guard.
 func (s *CloudServer) infer(act *tensor.Tensor) (*tensor.Tensor, error) {
-	return s.inferGuarded(func() *tensor.Tensor {
-		if s.compiled != nil {
-			return s.compiled.Infer(act)
-		}
-		return s.split.RemoteInfer(act)
-	})
+	return s.inferGuarded(act, func() *tensor.Tensor { return s.plan.Infer(act) })
 }
 
 // inferGuarded runs one forward-pass closure, optionally bounded by the
@@ -691,19 +673,15 @@ func (s *CloudServer) infer(act *tensor.Tensor) (*tensor.Tensor, error) {
 // the server. On timeout the computation goroutine is left to finish in
 // the background (Go cannot cancel a compute loop), but the request gets
 // an error and the connection moves on.
-func (s *CloudServer) inferGuarded(fn func() *tensor.Tensor) (*tensor.Tensor, error) {
+func (s *CloudServer) inferGuarded(act *tensor.Tensor, fn func() *tensor.Tensor) (*tensor.Tensor, error) {
 	run := func() (out *tensor.Tensor, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				out, err = nil, fmt.Errorf("remote inference failed: %v", r)
 			}
 		}()
-		if s.injectLatency > 0 {
-			time.Sleep(s.injectLatency)
-		}
-		if s.serialized {
-			s.serialMu.Lock()
-			defer s.serialMu.Unlock()
+		if s.fault != nil {
+			s.fault(act)
 		}
 		return fn(), nil
 	}

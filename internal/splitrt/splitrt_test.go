@@ -268,21 +268,14 @@ func TestQuantizedTransportAccuracyAndVolume(t *testing.T) {
 	}
 }
 
-// TestCompiledServingDecisionParity pins the dtype-compiled serving paths
-// to the stock float64 path: a Float64-compiled server must reproduce the
-// logits within the blocked-matmul accumulation epsilon, and a
-// Float32-compiled server must yield identical classification decisions —
-// over dense transport and over the quantized fast path that dequantizes
-// straight into float32.
+// TestCompiledServingDecisionParity pins what each serving dtype returns
+// over the wire: the default (float64-plan) server reproduces the tape
+// path's in-process forward pass bit for bit, and a Float32 server yields
+// identical classification decisions — over dense transport and over the
+// quantized fast path that dequantizes straight into float32.
 func TestCompiledServingDecisionParity(t *testing.T) {
-	split, pre, cutLayer, addr := rig(t)
+	split, pre, cutLayer, addr64 := rig(t)
 
-	srv64 := NewCloudServer(split, cutLayer, WithDtype(nn.Float64))
-	addr64, err := srv64.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv64.Close() })
 	srv32 := NewCloudServer(split, cutLayer, WithDtype(nn.Float32))
 	addr32, err := srv32.Serve("127.0.0.1:0")
 	if err != nil {
@@ -299,26 +292,17 @@ func TestCompiledServingDecisionParity(t *testing.T) {
 		t.Cleanup(func() { c.Close() })
 		return c
 	}
-	stock := dial(addr, 20)
 	c64 := dial(addr64, 21)
 	c32 := dial(addr32, 22)
 
 	b := pre.Test.Batches(16)[0]
-	want, err := stock.Infer(b.Images)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := split.Net.ForwardT(nil, b.Images, false)
 	got64, err := c64.Infer(b.Images)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.AllClose(want, got64, 1e-9) {
-		t.Fatal("float64-compiled server logits deviate from stock path")
-	}
-	for i := range b.Labels {
-		if want.Slice(i).Argmax() != got64.Slice(i).Argmax() {
-			t.Fatalf("sample %d: float64-compiled decision differs", i)
-		}
+	if !sameBits(want, got64) {
+		t.Fatal("float64 server logits differ from the in-process forward pass")
 	}
 	got32, err := c32.Infer(b.Images)
 	if err != nil {

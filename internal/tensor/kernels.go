@@ -2,8 +2,8 @@ package tensor
 
 // This file is the dtype-parameterized kernel layer: every hot numeric loop
 // in the package — matrix multiplication in its three transposition
-// variants, im2col/col2im convolution lowering, and the elementwise
-// epilogues — is written once, generically over the element type F. The
+// variants and im2col/col2im convolution lowering — is written once,
+// generically over the element type F. The
 // exported float64 Tensor API (MatMul*, Im2Col*, Col2Im) delegates to these
 // kernels, and the nn compile pipeline instantiates them at float32 for the
 // inference-only reduced-precision path.
@@ -14,17 +14,37 @@ package tensor
 // and the float32 instantiation moves half the bytes per element through
 // the cache hierarchy.
 
+import "fmt"
+
 // Float is the element-type constraint of the kernel layer.
 type Float interface {
 	~float32 | ~float64
 }
 
+// Each matmul kernel is a serial row-range body plus a dispatcher that runs
+// it inline for small products and over ParallelChunks for large ones. The
+// body is a plain function, not a closure, so the serial branch — every
+// single-sample inference and most training steps — allocates nothing; the
+// chunking closure exists only on the parallel branch. Rows are independent
+// and each output element is summed over p in ascending order whatever the
+// chunking, so results do not depend on which branch ran.
+
+// serialMatmul reports whether an [m,n] product is too small to fan out.
+func serialMatmul(m, n int) bool { return m*n < parallelThreshold || m < 2 }
+
 // matmulKernel computes dst = a·b for row-major a [m,k], b [k,n],
 // dst [m,n]. Every element of dst is overwritten. The loop order is i-k-j
-// so the hot loop streams both b and the output row; rows are computed in
-// parallel for large products.
+// so the hot loop streams both b and the output row.
 func matmulKernel[F Float](dst, a, b []F, m, k, n int) {
-	rowFn := func(i int) {
+	if serialMatmul(m, n) {
+		matmulRows(dst, a, b, k, n, 0, m)
+		return
+	}
+	ParallelChunks(m, func(lo, hi int) { matmulRows(dst, a, b, k, n, lo, hi) })
+}
+
+func matmulRows[F Float](dst, a, b []F, k, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		out := dst[i*n : (i+1)*n]
 		for j := range out {
 			out[j] = 0
@@ -40,20 +60,21 @@ func matmulKernel[F Float](dst, a, b []F, m, k, n int) {
 			}
 		}
 	}
-	if m*n < parallelThreshold || m < 2 {
-		for i := 0; i < m; i++ {
-			rowFn(i)
-		}
-		return
-	}
-	parallelRows(m, rowFn)
 }
 
 // matmulT1Kernel computes dst += aᵀ·b for a [k,m], b [k,n], dst [m,n].
 // dst must be zeroed by the caller (the float64 wrapper allocates it
 // zero-filled; kernels accumulate so gradient callers can reuse buffers).
 func matmulT1Kernel[F Float](dst, a, b []F, k, m, n int) {
-	rowFn := func(i int) {
+	if serialMatmul(m, n) {
+		matmulT1Rows(dst, a, b, k, m, n, 0, m)
+		return
+	}
+	ParallelChunks(m, func(lo, hi int) { matmulT1Rows(dst, a, b, k, m, n, lo, hi) })
+}
+
+func matmulT1Rows[F Float](dst, a, b []F, k, m, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		o := dst[i*n : (i+1)*n]
 		for p := 0; p < k; p++ {
 			av := a[p*m+i]
@@ -66,21 +87,22 @@ func matmulT1Kernel[F Float](dst, a, b []F, k, m, n int) {
 			}
 		}
 	}
-	if m*n < parallelThreshold || m < 2 {
-		for i := 0; i < m; i++ {
-			rowFn(i)
-		}
-		return
-	}
-	parallelRows(m, rowFn)
 }
 
 // matmulT2Kernel computes dst = a·bᵀ for a [m,k], b [n,k], dst [m,n].
 // Every element of dst is overwritten, so non-zeroed scratch is a valid
-// destination. This is the kernel behind both the linear layer and the
+// destination. This is the kernel behind the tape path's linear layer and
 // im2col-lowered convolution (cols · Wᵀ).
 func matmulT2Kernel[F Float](dst, a, b []F, m, k, n int) {
-	rowFn := func(i int) {
+	if serialMatmul(m, n) {
+		matmulT2Rows(dst, a, b, k, n, 0, m)
+		return
+	}
+	ParallelChunks(m, func(lo, hi int) { matmulT2Rows(dst, a, b, k, n, lo, hi) })
+}
+
+func matmulT2Rows[F Float](dst, a, b []F, k, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		ar := a[i*k : (i+1)*k]
 		o := dst[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
@@ -92,25 +114,27 @@ func matmulT2Kernel[F Float](dst, a, b []F, m, k, n int) {
 			o[j] = s
 		}
 	}
-	if m*n < parallelThreshold || m < 2 {
-		for i := 0; i < m; i++ {
-			rowFn(i)
-		}
-		return
-	}
-	parallelRows(m, rowFn)
 }
 
 // matmulT2BlockedKernel computes dst = a·bᵀ like matmulT2Kernel, but
 // register-blocked four columns wide: each pass over a row of a feeds four
 // independent accumulators, quartering the loads of a and breaking the
-// serial dependence of a single running sum. That reorders the floating-
-// point accumulation relative to matmulT2Kernel, so results differ by
-// rounding — which is why only the compiled inference path (gated by
-// tolerance tests) uses it, while training and the stock float64 API keep
-// the legacy kernel and its bitwise-reproducible summation order.
+// serial dependence of a single running sum. The four accumulators belong
+// to four different outputs, and each still sums its products over p in
+// ascending order — exactly matmulT2Kernel's order for that output — so the
+// two kernels agree bit for bit (pinned by TestBlockedMatMulT2Bitwise); the
+// blocking changes which loads are shared, not any sum. It is the kernel of
+// the compiled inference plan.
 func matmulT2BlockedKernel[F Float](dst, a, b []F, m, k, n int) {
-	rowFn := func(i int) {
+	if serialMatmul(m, n) {
+		matmulT2BlockedRows(dst, a, b, k, n, 0, m)
+		return
+	}
+	ParallelChunks(m, func(lo, hi int) { matmulT2BlockedRows(dst, a, b, k, n, lo, hi) })
+}
+
+func matmulT2BlockedRows[F Float](dst, a, b []F, k, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		ar := a[i*k : (i+1)*k]
 		o := dst[i*n : (i+1)*n]
 		j := 0
@@ -137,13 +161,6 @@ func matmulT2BlockedKernel[F Float](dst, a, b []F, m, k, n int) {
 			o[j] = s
 		}
 	}
-	if m*n < parallelThreshold || m < 2 {
-		for i := 0; i < m; i++ {
-			rowFn(i)
-		}
-		return
-	}
-	parallelRows(m, rowFn)
 }
 
 // im2colKernel lowers one image of shape [C,H,W] (flat, row-major) into a
@@ -220,29 +237,6 @@ func col2imKernel[F Float](dst, src []F, g ConvGeom) {
 	}
 }
 
-// reluKernel writes max(0, src) into dst elementwise. dst and src may be
-// the same slice.
-func reluKernel[F Float](dst, src []F) {
-	for i, v := range src {
-		if v > 0 {
-			dst[i] = v
-		} else {
-			dst[i] = 0
-		}
-	}
-}
-
-// addBiasRowsKernel adds the bias vector b [n] to every row of the
-// row-major matrix x [m,n] in place.
-func addBiasRowsKernel[F Float](x, b []F, m, n int) {
-	for i := 0; i < m; i++ {
-		row := x[i*n:]
-		for j := 0; j < n; j++ {
-			row[j] += b[j]
-		}
-	}
-}
-
 // MatMulDense computes dst = a·b over dtype-tagged buffers; shapes are
 // validated like MatMulInto.
 func MatMulDense[F Float](dst, a, b *Dense[F]) {
@@ -267,9 +261,8 @@ func MatMulT2Dense[F Float](dst, a, b *Dense[F]) {
 }
 
 // MatMulT2BlockedDense computes dst = a·bᵀ with the register-blocked
-// kernel. Same shapes as MatMulT2Dense; the accumulation order differs by
-// rounding (see matmulT2BlockedKernel), so it is reserved for the compiled
-// inference path.
+// kernel. Same shapes and, element for element, the same result as
+// MatMulT2Dense (see matmulT2BlockedKernel).
 func MatMulT2BlockedDense[F Float](dst, a, b *Dense[F]) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[0]
@@ -279,23 +272,25 @@ func MatMulT2BlockedDense[F Float](dst, a, b *Dense[F]) {
 	matmulT2BlockedKernel(dst.data, a.data, b.data, m, k, n)
 }
 
-// Im2ColDense lowers an image [C,H,W] into a column matrix
-// [OutH*OutW, C*KH*KW] over dtype-tagged buffers. Every element of cols is
-// overwritten, so non-zeroed scratch is a valid destination.
-func Im2ColDense[F Float](cols, img *Dense[F], g ConvGeom) {
-	if len(img.data) != g.InC*g.InH*g.InW {
-		panicShape("Im2ColDense", img.shape)
+// MatMulT2BlockedFlat is MatMulT2BlockedDense over flat row-major slices:
+// dst [m,n] = a [m,k] · b [n,k]ᵀ. It is the entry the compiled inference
+// plan uses — its operands are re-sliced workspace buffers with no tensor
+// header to allocate.
+func MatMulT2BlockedFlat[F Float](dst, a, b []F, m, k, n int) {
+	if len(a) != m*k || len(b) != n*k || len(dst) != m*n {
+		panic(fmt.Sprintf("tensor: MatMulT2BlockedFlat got %d·%dᵀ→%d elems for m,k,n = %d,%d,%d",
+			len(a), len(b), len(dst), m, k, n))
 	}
-	if len(cols.data) != g.OutH()*g.OutW()*g.InC*g.KH*g.KW {
-		panicShape("Im2ColDense", cols.shape)
-	}
-	im2colKernel(cols.data, img.data, g)
+	matmulT2BlockedKernel(dst, a, b, m, k, n)
 }
 
-// ReLUDense writes max(0, src) into dst elementwise; dst and src may alias.
-func ReLUDense[F Float](dst, src *Dense[F]) {
-	if len(dst.data) != len(src.data) {
-		panicShape("ReLUDense", dst.shape, src.shape)
+// Im2ColFlat lowers one image [C,H,W] into a column matrix
+// [OutH*OutW, C*KH*KW] over flat slices of either dtype. Every element of
+// cols is overwritten, so a non-zeroed workspace buffer is a valid
+// destination.
+func Im2ColFlat[F Float](cols, img []F, g ConvGeom) {
+	if len(img) != g.InC*g.InH*g.InW || len(cols) != g.OutH()*g.OutW()*g.InC*g.KH*g.KW {
+		panic(fmt.Sprintf("tensor: Im2ColFlat got %d→%d elems for geometry %+v", len(img), len(cols), g))
 	}
-	reluKernel(dst.data, src.data)
+	im2colKernel(cols, img, g)
 }

@@ -3,6 +3,8 @@ package tensor
 import (
 	"math"
 	"testing"
+
+	"shredder/internal/race"
 )
 
 // toDense32 converts a float64 tensor to a float32 buffer for kernel
@@ -50,10 +52,13 @@ func TestMatMulT2KernelFloat32Parity(t *testing.T) {
 	}
 }
 
-// TestMatMulT2BlockedParity checks the register-blocked kernel against the
-// legacy one at both dtypes, with shapes that exercise the four-wide body,
-// the tail columns, the single-row serial path, and the parallel path.
-func TestMatMulT2BlockedParity(t *testing.T) {
+// TestBlockedMatMulT2Bitwise pins the property the compiled inference plan
+// rests on: the register-blocked kernel equals the legacy kernel bit for bit
+// at both dtypes — its four accumulators belong to four different outputs
+// and each sums over p in the legacy order — over shapes that exercise the
+// four-wide body, the tail columns, the single-row serial path, and the
+// parallel path.
+func TestBlockedMatMulT2Bitwise(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{1, 7, 3},    // all tail, serial
 		{5, 40, 8},   // exact four-wide blocks
@@ -64,22 +69,52 @@ func TestMatMulT2BlockedParity(t *testing.T) {
 		rng := NewRNG(int64(s.m + s.k + s.n))
 		a := rng.FillNormal(New(s.m, s.k), 0, 1)
 		b := rng.FillNormal(New(s.n, s.k), 0, 1)
-		want := MatMulT2(a, b)
 
+		want64 := MatMulT2(a, b)
 		got64 := NewDense[float64](s.m, s.n)
 		MatMulT2BlockedDense(got64, AsDense64(a), AsDense64(b))
-		for i, v := range got64.Data() {
-			// The blocked kernel reorders accumulation, so agreement is to
-			// rounding, not bitwise.
-			if math.Abs(v-want.Data()[i]) > 1e-12 {
-				t.Fatalf("%+v: blocked f64 elem %d deviates: %v vs %v", s, i, v, want.Data()[i])
-			}
+		if !Equal(AsTensor64(got64), want64) {
+			t.Fatalf("%+v: blocked f64 kernel differs from the legacy kernel", s)
+		}
+		flat64 := make([]float64, s.m*s.n)
+		MatMulT2BlockedFlat(flat64, a.Data(), b.Data(), s.m, s.k, s.n)
+		if !Equal(From(flat64, s.m, s.n), want64) {
+			t.Fatalf("%+v: MatMulT2BlockedFlat differs from the legacy kernel", s)
 		}
 
-		got32 := NewDense[float32](s.m, s.n)
-		MatMulT2BlockedDense(got32, toDense32(a), toDense32(b))
-		if d := maxAbsDiff32(got32, want); d > 1e-4 {
-			t.Fatalf("%+v: blocked f32 deviates by %g", s, d)
+		a32, b32 := toDense32(a), toDense32(b)
+		want32, got32 := NewDense[float32](s.m, s.n), NewDense[float32](s.m, s.n)
+		MatMulT2Dense(want32, a32, b32)
+		MatMulT2BlockedDense(got32, a32, b32)
+		for i, v := range got32.Data() {
+			if v != want32.Data()[i] {
+				t.Fatalf("%+v: blocked f32 elem %d: %v vs legacy %v", s, i, v, want32.Data()[i])
+			}
+		}
+	}
+}
+
+// TestSerialKernelsDoNotAllocate: below the fan-out threshold no kernel
+// builds a closure, and a warm scratch Get/Put pair boxes nothing.
+func TestSerialKernelsDoNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	rng := NewRNG(17)
+	a := rng.FillNormal(New(6, 9), 0, 1)
+	b := rng.FillNormal(New(9, 5), 0, 1)
+	bt := rng.FillNormal(New(5, 9), 0, 1)
+	at := rng.FillNormal(New(9, 6), 0, 1)
+	dst := New(6, 5)
+	for name, fn := range map[string]func(){
+		"matmul":        func() { MatMulInto(dst, a, b) },
+		"matmulT1":      func() { matmulT1Kernel(dst.Data(), at.Data(), b.Data(), 9, 6, 5) },
+		"matmulT2":      func() { MatMulT2Into(dst, a, bt) },
+		"matmulT2Block": func() { MatMulT2BlockedFlat(dst.Data(), a.Data(), bt.Data(), 6, 9, 5) },
+		"scratch":       func() { PutScratch(GetScratch(6, 5)) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s allocates %v times per call on the serial path", name, n)
 		}
 	}
 }
@@ -97,7 +132,7 @@ func TestMatMulKernelFloat32Parity(t *testing.T) {
 }
 
 func TestMatMulKernelParallelPathFloat32(t *testing.T) {
-	// Large enough to cross parallelThreshold: exercises parallelRows under
+	// Large enough to cross parallelThreshold: exercises ParallelChunks under
 	// the generic instantiation.
 	rng := NewRNG(14)
 	m, k, n := 64, 33, 300
@@ -117,32 +152,13 @@ func TestIm2ColKernelFloat32Parity(t *testing.T) {
 	g := ConvGeom{InC: 3, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 2, Pad: 1}
 	want := Im2Col(img, g)
 	cols := NewDense[float32](g.OutH()*g.OutW(), 3*3*3)
-	Im2ColDense(cols, toDense32(img), g)
+	Im2ColFlat(cols.Data(), toDense32(img).Data(), g)
 	// im2col only moves values (and writes zeros); the only error is the
 	// one float64→float32 conversion of the input.
 	wd := want.Data()
 	for i, v := range cols.Data() {
 		if float64(float32(wd[i])) != float64(v) {
 			t.Fatalf("im2col float32 elem %d: got %v want %v", i, v, float32(wd[i]))
-		}
-	}
-}
-
-func TestReLUDense(t *testing.T) {
-	in := DenseFrom([]float32{-1, 0, 2.5, -0.001, 7}, 5)
-	out := NewDense[float32](5)
-	ReLUDense(out, in)
-	want := []float32{0, 0, 2.5, 0, 7}
-	for i, v := range out.Data() {
-		if v != want[i] {
-			t.Fatalf("relu elem %d: got %v want %v", i, v, want[i])
-		}
-	}
-	// In-place aliasing must work too.
-	ReLUDense(in, in)
-	for i, v := range in.Data() {
-		if v != want[i] {
-			t.Fatalf("in-place relu elem %d: got %v want %v", i, v, want[i])
 		}
 	}
 }

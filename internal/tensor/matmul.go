@@ -104,19 +104,27 @@ func Transpose(a *Tensor) *Tensor {
 	return out
 }
 
-// parallelRows invokes fn(i) for i in [0,m) across GOMAXPROCS workers.
-func parallelRows(m int, fn func(i int)) {
+// ParallelChunks splits [0,n) into at most GOMAXPROCS contiguous chunks and
+// runs fn(lo, hi) on one goroutine per chunk, returning when all are done.
+// It is the package's one fan-out: the matmul kernels chunk their rows with
+// it, ParallelFor its index range, and the compiled inference plan its
+// batch — one chunk per worker, so per-worker state (a workspace) is taken
+// once per chunk, not once per index.
+func ParallelChunks(n int, fn func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
 	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
+	if workers > n {
+		workers = n
 	}
 	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
+	chunk := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
 		hi := lo + chunk
-		if hi > m {
-			hi = m
+		if hi > n {
+			hi = n
 		}
 		if lo >= hi {
 			break
@@ -124,9 +132,7 @@ func parallelRows(m int, fn func(i int)) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
+			fn(lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -141,5 +147,9 @@ func ParallelFor(n int, fn func(i int)) {
 		}
 		return
 	}
-	parallelRows(n, fn)
+	ParallelChunks(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(i)
+		}
+	})
 }

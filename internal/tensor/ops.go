@@ -279,6 +279,22 @@ func Equal(a, b *Tensor) bool {
 	return true
 }
 
+// BitEqual reports whether a and b have the same shape and the same float64
+// bit patterns — stricter than Equal: it tells -0 from +0 and equates equal
+// NaNs. It is the comparison behind every "bit for bit" property the
+// compiled inference plans are pinned to.
+func BitEqual(a, b *Tensor) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for i := range a.data {
+		if math.Float64bits(a.data[i]) != math.Float64bits(b.data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // AllClose reports whether a and b have the same shape and elements within
 // absolute tolerance tol.
 func AllClose(a, b *Tensor, tol float64) bool {

@@ -2,23 +2,14 @@ package tensor
 
 import "sync"
 
-// The scratch pools recycle the flat storage of short-lived tensors used by
-// inference hot paths (im2col column matrices, matmul products). Buffers
-// are handed out by GetScratch/GetScratchDense and returned by the matching
-// Put; pooling them keeps the per-request allocation volume of a concurrent
-// inference server flat instead of scaling with request rate.
-//
-// The pools are keyed by dtype: float64 and float32 storage live in
-// separate sync.Pools, so a buffer handed to the compiled float32 path can
-// never alias — or evict — float64 scratch mid-inference, and vice versa.
-// (The Go type system enforces the no-aliasing half: a []float32 cannot be
-// type-asserted out of the float64 pool. Keeping the pools separate also
-// prevents the subtler failure where one dtype's traffic drains the other's
-// warm buffers.)
-var (
-	scratchPool64 = sync.Pool{New: func() any { return []float64(nil) }}
-	scratchPool32 = sync.Pool{New: func() any { return []float32(nil) }}
-)
+// scratchPool recycles whole scratch tensors — header, shape slice and
+// flat storage — for the short-lived buffers of the tape path's hot loops
+// (im2col column matrices, matmul products, gradient reassembly). Pooling
+// the *Tensor rather than its []float64 means neither Get nor Put boxes a
+// slice header: a warm GetScratch/PutScratch pair allocates nothing.
+// (Compiled inference plans do not come here: each owns a workspace, see
+// nn.CompiledNet.)
+var scratchPool = sync.Pool{New: func() any { return new(Tensor) }}
 
 // GetScratch returns a float64 tensor of the given shape backed by pooled
 // storage. The contents are NOT zeroed: callers must fully overwrite every
@@ -26,66 +17,20 @@ var (
 // with PutScratch when done; do not retain references to it afterwards.
 func GetScratch(shape ...int) *Tensor {
 	n := Volume(shape)
-	buf := scratchPool64.Get().([]float64)
-	if cap(buf) < n {
-		buf = make([]float64, n)
+	t := scratchPool.Get().(*Tensor)
+	if cap(t.data) < n {
+		t.data = make([]float64, n)
 	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{shape: s, data: buf[:n]}
+	t.data = t.data[:n]
+	t.shape = append(t.shape[:0], shape...)
+	return t
 }
 
-// PutScratch returns a tensor obtained from GetScratch to the float64
-// pool. The tensor must not be used after this call.
+// PutScratch returns a tensor obtained from GetScratch to the pool. The
+// tensor — and every view of it — must not be used after this call: the
+// next GetScratch re-shapes it in place.
 func PutScratch(t *Tensor) {
-	if t == nil {
-		return
-	}
-	//lint:ignore SA6002 the slice header is what we pool; the allocation is amortized
-	scratchPool64.Put(t.data[:0])
-}
-
-// GetScratchDense returns a dtype-tagged buffer of the given shape backed
-// by the pool of its element type. Like GetScratch, the contents are NOT
-// zeroed; callers must fully overwrite every element. Return it with
-// PutScratchDense.
-func GetScratchDense[F Float](shape ...int) *Dense[F] {
-	n := Volume(shape)
-	var zero F
-	var buf []F
-	// Defined types over ~float32/~float64 miss the pool type assertions and
-	// simply allocate; the plain float32/float64 instantiations the compiled
-	// path uses always hit their pool.
-	switch any(zero).(type) {
-	case float32:
-		if b, ok := any(scratchPool32.Get()).([]F); ok {
-			buf = b
-		}
-	case float64:
-		if b, ok := any(scratchPool64.Get()).([]F); ok {
-			buf = b
-		}
-	}
-	if cap(buf) < n {
-		buf = make([]F, n)
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Dense[F]{shape: s, data: buf[:n]}
-}
-
-// PutScratchDense returns a buffer obtained from GetScratchDense to its
-// dtype's pool. The buffer must not be used after this call.
-func PutScratchDense[F Float](d *Dense[F]) {
-	if d == nil {
-		return
-	}
-	switch buf := any(d.data[:0]).(type) {
-	case []float32:
-		//lint:ignore SA6002 the slice header is what we pool; the allocation is amortized
-		scratchPool32.Put(buf)
-	case []float64:
-		//lint:ignore SA6002 the slice header is what we pool; the allocation is amortized
-		scratchPool64.Put(buf)
+	if t != nil {
+		scratchPool.Put(t)
 	}
 }

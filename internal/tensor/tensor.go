@@ -28,15 +28,17 @@ type Tensor struct {
 // New returns a zero-filled tensor with the given shape. New() with no
 // arguments returns a scalar-shaped tensor of one element.
 func New(shape ...int) *Tensor {
+	// Only the copy is retained or formatted, so the argument does not
+	// escape: a caller may assemble it in a stack buffer.
+	s := make([]int, len(shape))
+	copy(s, shape)
 	n := 1
-	for _, d := range shape {
+	for _, d := range s {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, s))
 		}
 		n *= d
 	}
-	s := make([]int, len(shape))
-	copy(s, shape)
 	return &Tensor{shape: s, data: make([]float64, n)}
 }
 

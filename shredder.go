@@ -48,13 +48,15 @@ type Config struct {
 	WeightCacheDir string
 	// Progress, when non-nil, receives human-readable progress lines.
 	Progress io.Writer
-	// Dtype selects the inference arithmetic: "" or "float64" keeps the
-	// stock layer-at-a-time path; "float32" (also "f32", "fp32", "single")
-	// compiles the network into a fused single-precision plan — BatchNorm
-	// folded, conv+bias+ReLU fused — used by Classify, ClassifyBaseline,
-	// and ServeCloud. Training and noise learning always run in float64;
-	// only inference is lowered. Classification decisions are pinned to the
-	// float64 path by the test suite.
+	// Dtype selects the serving arithmetic of Classify, ClassifyBaseline
+	// and ServeCloud. Every inference runs a compiled plan (nn.Compile:
+	// BatchNorm folded, conv+bias+ReLU fused, no per-request allocation
+	// beyond its result); "" or "float64" is the float64 plan, whose
+	// results equal the training path's forward pass bit for bit, and
+	// "float32" (also "f32", "fp32", "single") the single-precision plan,
+	// whose classification decisions are pinned to the float64 ones by the
+	// test suite. Training, noise learning and Evaluate always run in
+	// float64.
 	Dtype string
 	// NoiseMode selects how learned noise is deployed at inference.
 	// "stored" (or "") replays the K trained tensors, sampling one per
@@ -138,8 +140,9 @@ type System struct {
 	rng        *tensor.RNG
 	scratch    core.DrawScratch // reused fitted-draw buffers for the serving hot path
 	seed       int64
-	dtype      *nn.Dtype       // Config.Dtype parsed; nil = stock float64 path
-	fullPlan   *nn.CompiledNet // compiled whole net for ClassifyBaseline; nil = stock
+	dtype      nn.Dtype        // Config.Dtype parsed ("" = float64)
+	remotePlan *nn.CompiledNet // R at dtype, for Classify
+	fullPlan   *nn.CompiledNet // the whole net at dtype, for ClassifyBaseline
 }
 
 // Networks lists the available benchmark networks.
@@ -206,20 +209,20 @@ func NewSystem(network string, cfg Config) (*System, error) {
 		noiseMode: mode, noiseKind: kind,
 		rng: tensor.NewRNG(cfg.Seed + 77), seed: cfg.Seed,
 	}
+	// The serving dtype is the System's own: its plans serve Classify*, and
+	// ServeCloud hands the dtype to its servers. The Split's plans stay
+	// float64 whatever it is, so noise training and Evaluate — which go
+	// through the Split — do not move with a serving knob.
 	if cfg.Dtype != "" {
-		dt, err := nn.ParseDtype(cfg.Dtype)
-		if err != nil {
+		if sys.dtype, err = nn.ParseDtype(cfg.Dtype); err != nil {
 			return nil, fmt.Errorf("shredder: %w", err)
 		}
-		full, err := nn.Compile(pre.Net, dt)
-		if err != nil {
-			return nil, fmt.Errorf("shredder: compile %s at %v: %w", bench.Spec.Name, dt, err)
-		}
-		if err := split.CompileRemote(dt); err != nil {
-			return nil, fmt.Errorf("shredder: compile remote part at %v: %w", dt, err)
-		}
-		sys.dtype = &dt
-		sys.fullPlan = full
+	}
+	if sys.remotePlan, err = nn.CompileRange(pre.Net, split.CutIndex+1, pre.Net.Len(), sys.dtype); err != nil {
+		return nil, fmt.Errorf("shredder: compile remote part at %v: %w", sys.dtype, err)
+	}
+	if sys.fullPlan, err = nn.Compile(pre.Net, sys.dtype); err != nil {
+		return nil, fmt.Errorf("shredder: compile %s at %v: %w", bench.Spec.Name, sys.dtype, err)
 	}
 	return sys, nil
 }
@@ -237,14 +240,8 @@ func (s *System) CutLayerName() string { return s.cutLayer }
 // PrivacyTarget returns the benchmark's tuned in-vivo (1/SNR) target.
 func (s *System) PrivacyTarget() float64 { return s.bench.PrivacyTarget }
 
-// Dtype returns the inference arithmetic ("float64" or "float32"). The
-// stock uncompiled path reports "float64".
-func (s *System) Dtype() string {
-	if s.dtype != nil {
-		return s.dtype.String()
-	}
-	return nn.Float64.String()
-}
+// Dtype returns the serving arithmetic ("float64" or "float32").
+func (s *System) Dtype() string { return s.dtype.String() }
 
 // AttachProfiler installs p as the network's per-layer profiler: every
 // forward/backward pass — local, remote, serving, or training — reports
@@ -468,8 +465,7 @@ func (s *System) Classify(pixels []float64) (int, error) {
 	s.monitor.ObserveDraw(d, a.Slice(0))
 	d.ApplyInPlace(a.Slice(0))
 	s.rngMu.Unlock()
-	logits := s.split.RemoteInferCompiled(a)
-	return logits.Slice(0).Argmax(), nil
+	return s.remotePlan.Infer(a).Slice(0).Argmax(), nil
 }
 
 // ClassifyBaseline performs inference without noise (the original
@@ -479,10 +475,7 @@ func (s *System) ClassifyBaseline(pixels []float64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if s.fullPlan != nil {
-		return s.fullPlan.Infer(x).Slice(0).Argmax(), nil
-	}
-	return s.split.Forward(x).Slice(0).Argmax(), nil
+	return s.fullPlan.Infer(x).Slice(0).Argmax(), nil
 }
 
 // SaveNoise writes the deployed noise source to path: stored collections
@@ -569,11 +562,9 @@ func (h *CloudHandle) Auditor() *audit.Auditor { return h.srv.Auditor() }
 // Connections are served fully concurrently (the remote forward pass is
 // reentrant); opts configure per-connection timeouts.
 func (s *System) ServeCloud(addr string, opts ...splitrt.ServerOption) (*CloudHandle, error) {
-	if s.dtype != nil {
-		// Inherit the system's dtype; an explicit WithDtype later in the
-		// slice still wins.
-		opts = append([]splitrt.ServerOption{splitrt.WithDtype(*s.dtype)}, opts...)
-	}
+	// Inherit the system's dtype; an explicit WithDtype later in the slice
+	// still wins.
+	opts = append([]splitrt.ServerOption{splitrt.WithDtype(s.dtype)}, opts...)
 	srv := splitrt.NewCloudServer(s.split, s.cutLayer, opts...)
 	bound, err := srv.Serve(addr)
 	if err != nil {
