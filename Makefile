@@ -31,11 +31,13 @@ race:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-## fuzz-smoke: run each fuzz target of the wire format's trust boundary for
-## ten seconds from the corpus in internal/splitrt/testdata/fuzz.
+## fuzz-smoke: run each fuzz target of the wire's trust boundary — the three
+## frame targets, and the packed payload a frame carries — for ten seconds
+## from the corpus in the package's testdata/fuzz.
 fuzz-smoke:
 	for f in FuzzReadFrame FuzzDecodeRequest FuzzDecodeResponse; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/splitrt || exit 1; done
+	$(GO) test -run '^$$' -fuzz '^FuzzDequantizePacked$$' -fuzztime 10s ./internal/quantize
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkCloudServerThroughput|BenchmarkServeBatched' -benchtime 200x .

@@ -71,7 +71,10 @@ func (s Scheme) Quantize(x *tensor.Tensor) []uint16 {
 	maxLevel := float64(s.Levels() - 1)
 	for i, v := range x.Data() {
 		q := math.Round((v - s.Lo) / step)
-		if q < 0 {
+		if !(q >= 0) {
+			// Below the range — or NaN, which has no nearest level and must
+			// not reach the wire as whatever a float→integer conversion
+			// makes of it on this platform.
 			q = 0
 		}
 		if q > maxLevel {
@@ -164,7 +167,7 @@ func Unpack(packed []byte, bits, n int) ([]uint16, error) {
 		return nil, fmt.Errorf("quantize: unpack count %d negative", n)
 	}
 	need := (n*bits + 7) / 8
-	if len(packed) != need {
+	if n > 8*len(packed) || len(packed) != need { // the first comparison catches a product that overflowed
 		return nil, fmt.Errorf("quantize: packed payload is %d bytes, %d levels at %d bits need %d",
 			len(packed), n, bits, need)
 	}
@@ -184,32 +187,6 @@ func Unpack(packed []byte, bits, n int) ([]uint16, error) {
 		bitPos += bits
 	}
 	return out, nil
-}
-
-// QuantizePacked quantizes x and packs the levels in one step: the exact
-// bytes the wire carries.
-func (s Scheme) QuantizePacked(x *tensor.Tensor) []byte {
-	return Pack(s.Quantize(x), s.Bits)
-}
-
-// DequantizePacked unpacks a wire payload and reconstructs the tensor.
-func (s Scheme) DequantizePacked(packed []byte, shape ...int) (*tensor.Tensor, error) {
-	levels, err := Unpack(packed, s.Bits, tensor.Volume(shape))
-	if err != nil {
-		return nil, err
-	}
-	return s.Dequantize(levels, shape...), nil
-}
-
-// DequantizePacked32 unpacks a wire payload and reconstructs a float32
-// buffer: the dequantize-straight-into-target-dtype path a Float32-compiled
-// cloud server feeds from, skipping the float64 intermediate entirely.
-func (s Scheme) DequantizePacked32(packed []byte, shape ...int) (*tensor.Tensor32, error) {
-	levels, err := Unpack(packed, s.Bits, tensor.Volume(shape))
-	if err != nil {
-		return nil, err
-	}
-	return s.Dequantize32(levels, shape...), nil
 }
 
 // MSE returns the mean squared reconstruction error of a round trip.

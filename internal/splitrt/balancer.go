@@ -11,6 +11,7 @@ import (
 type BackendView struct {
 	Addr     string
 	Inflight int
+	backend  *poolBackend // the pool's way back from the balancer's choice
 }
 
 // Balancer picks which healthy backend serves the next request. Pick

@@ -24,14 +24,15 @@ import (
 // The wire protocol is request/response over a single connection, so the
 // client serializes round trips internally: Infer/Classify are safe to
 // call from multiple goroutines (the local forward passes still run
-// concurrently; only noise sampling and the wire exchange are serialized).
+// concurrently; noise sampling and the wire exchange, packing included, are
+// serialized).
 // Stats is lock-free and safe to call from a concurrent poller at any time.
 type EdgeClient struct {
 	split *core.Split
 	noise core.NoiseSource
 
 	// mu guards the RNG (tensor.RNG is not goroutine-safe), the draw
-	// scratch, the connection state (conn/broken), and wireBits.
+	// scratch, the connection state (conn/broken), wireBits and quant.
 	mu      sync.Mutex
 	rng     *tensor.RNG
 	scratch core.DrawScratch // reused by fitted sources: zero-alloc draws
@@ -53,7 +54,8 @@ type EdgeClient struct {
 	nextID    uint64
 	lastTrace uint64 // atomic: trace ID of the most recent request
 
-	wireBits int // 0 = dense float transport
+	wireBits int          // 0 = dense float transport
+	quant    quantPayload // the request on the wire, packed; the buffer is kept between requests
 
 	timeout    time.Duration // per-call bound when the context has no deadline
 	maxRedials int           // reconnect attempts per broken call
@@ -199,7 +201,8 @@ func (c *EdgeClient) connect() error {
 	if err != nil {
 		return fmt.Errorf("splitrt: dial: %w", err)
 	}
-	conn := &frameConn{conn: raw, sent: c.m.sent, received: c.m.received}
+	conn := &frameConn{conn: raw, sent: c.m.sent, received: c.m.received,
+		poke: func() { raw.SetDeadline(time.Unix(1, 0)) }}
 	h := hello{Version: protoVersion, Network: c.split.Net.Name(), CutLayer: c.cutLayer}
 	conn.wbuf = h.appendFrame(conn.wbuf)
 	if err := conn.flush(); err != nil {
@@ -308,101 +311,55 @@ func (c *EdgeClient) InferContext(ctx context.Context, x *tensor.Tensor) (*tenso
 		note = &auditNote{Mode: c.noise.Mode(), Member: -2}
 		for i := 0; i < a.Dim(0); i++ {
 			d := core.DrawReusing(c.noise, &c.scratch, c.rng)
+			ai := a.Slice(i)
 			// Telemetry sees the clean activation: realized SNR is defined
 			// against the signal the noise is about to cover.
-			inv, sampled := c.monitor.ObserveDrawSampled(d, a.Slice(i))
+			inv, sampled := c.monitor.ObserveDrawSampled(d, ai)
 			if sampled {
 				note.InVivo, note.Sampled = inv, true
 			}
 			if a.Dim(0) == 1 {
 				note.Member = int32(d.Member)
 			}
-			d.ApplyInPlace(a.Slice(i))
+			d.ApplyInPlace(ai)
 		}
 	}
 	c.mu.Unlock()
-	return c.inferActivation(ctx, a, note)
+	return c.relay(ctx, request{Activation: a, Audit: note})
 }
 
 // InferActivation ships an already-prepared cut-layer activation batch to
 // the cloud and returns the logits, skipping the local forward pass and
-// noise injection. It is the relay building block for components that
-// forward activations noised elsewhere — a fleet pool rerouting a request
-// to another backend, or a gateway proxying for remote edge devices. The
-// caller is responsible for the activation already carrying whatever
-// protection it needs; a client's own noise collection is applied only by
-// Infer/InferContext.
+// noise injection — for components that forward activations noised
+// elsewhere. The caller is responsible for the activation already carrying
+// whatever protection it needs; a client's own noise collection is applied
+// only by Infer/InferContext.
 func (c *EdgeClient) InferActivation(ctx context.Context, a *tensor.Tensor) (*tensor.Tensor, error) {
-	return c.inferActivation(ctx, a, nil)
+	return c.relay(ctx, request{Activation: a})
 }
 
-// relayMeta carries a relayed request's original trace ID and audit
-// attribution through the pool's routing layers (balancing, reroutes,
-// hedges) to the backend client, so a fleet backend's audit record
-// names the edge's trace rather than a relay-minted one. It rides the
-// context because the relay path crosses several public signatures that
-// have no business knowing about audit plumbing.
-type relayMeta struct {
-	trace uint64
-	note  *auditNote
-}
-
-type relayMetaKey struct{}
-
-// withRelayMeta attaches relayed trace/audit attribution to a context.
-func withRelayMeta(ctx context.Context, trace uint64, note *auditNote) context.Context {
-	if trace == 0 && note == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, relayMetaKey{}, relayMeta{trace: trace, note: note})
-}
-
-// inferActivation is InferActivation with the optional audit attribution
-// riding the request (only InferContext, which applied the noise itself,
-// can truthfully fill one).
-func (c *EdgeClient) inferActivation(ctx context.Context, a *tensor.Tensor, note *auditNote) (*tensor.Tensor, error) {
-	c.mu.Lock()
-	wireBits := c.wireBits
-	c.mu.Unlock()
-	id := atomic.AddUint64(&c.nextID, 1)
+// relay ships one request and returns its logits: every call of the client
+// ends here. Payload, trace and audit note are the caller's — a pool
+// relaying for a gateway passes on what the edge sent, packed bytes
+// included. The ID is the client's own (IDs are per connection), a zero
+// trace is minted, and a dense payload goes out in the client's wire format.
+func (c *EdgeClient) relay(ctx context.Context, req request) (*tensor.Tensor, error) {
+	req.ID = atomic.AddUint64(&c.nextID, 1)
 	c.m.requests.Inc()
+	if req.Trace == 0 {
+		req.Trace = uint64(obs.NewTraceID())
+	}
+	atomic.StoreUint64(&c.lastTrace, req.Trace)
 
 	// st non-nil turns on per-stage timing for this call; the span covers
 	// quantize through decode (the wire-side work, i.e. the RTT portion —
-	// the local forward above is not part of it).
+	// a local forward pass before it is not part of it).
 	var st *stageTimes
 	var spanStart time.Time
 	if c.spans != nil {
 		st = new(stageTimes)
 		spanStart = time.Now()
 	}
-
-	req := request{ID: id, Trace: uint64(obs.NewTraceID()), Audit: note}
-	if m, ok := ctx.Value(relayMetaKey{}).(relayMeta); ok {
-		if m.trace != 0 {
-			req.Trace = m.trace
-		}
-		if req.Audit == nil {
-			req.Audit = m.note
-		}
-	}
-	atomic.StoreUint64(&c.lastTrace, req.Trace)
-	if wireBits > 0 {
-		scheme, err := quantize.Fit(a, wireBits)
-		if err != nil {
-			return nil, fmt.Errorf("splitrt: quantize: %w", err)
-		}
-		req.Quant = &quantPayload{
-			Bits: scheme.Bits, Lo: scheme.Lo, Hi: scheme.Hi,
-			Shape: append([]int(nil), a.Shape()...), Packed: scheme.QuantizePacked(a),
-		}
-		if st != nil {
-			st.quantize = time.Since(spanStart)
-		}
-	} else {
-		req.Activation = a
-	}
-
 	logits, err := c.exchange(ctx, req, st)
 	if st != nil {
 		span := obs.Span{
@@ -430,6 +387,22 @@ func (c *EdgeClient) inferActivation(ctx context.Context, a *tensor.Tensor, note
 	return logits, err
 }
 
+// pack swaps req's dense activation for its packed form at the client's wire
+// width, in the buffer the client keeps for it; the shape is the activation's
+// own, only read. The caller holds c.mu: one request uses the buffer at a time.
+func (c *EdgeClient) pack(req *request) error {
+	a := req.Activation
+	scheme, err := quantize.Fit(a, c.wireBits)
+	if err != nil {
+		return fmt.Errorf("splitrt: quantize: %w", err)
+	}
+	q := &c.quant
+	q.Bits, q.Lo, q.Hi, q.Shape = scheme.Bits, scheme.Lo, scheme.Hi, a.Shape()
+	q.Packed = scheme.AppendPacked(q.Packed[:0], a.Data())
+	req.Activation, req.Quant = nil, q
+	return nil
+}
+
 // stageTimes collects the per-stage wall times of one traced Infer call.
 // Retried calls keep the stages of the final attempt.
 type stageTimes struct {
@@ -441,14 +414,23 @@ type stageTimes struct {
 	srvElapsed time.Duration
 }
 
-// exchange runs the request/response loop (with retries and redials) under
-// the connection lock: one request in flight at a time.
+// exchange packs the request for the wire and runs the request/response
+// loop (with retries and redials) under the connection lock.
 func (c *EdgeClient) exchange(ctx context.Context, req request, st *stageTimes) (*tensor.Tensor, error) {
 	// The wire exchange (and any redialing) owns the connection state for
 	// the duration of the call: one request/response in flight at a time.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
+	if c.wireBits > 0 && req.Activation != nil {
+		t0 := time.Now()
+		if err := c.pack(&req); err != nil {
+			return nil, err
+		}
+		if st != nil {
+			st.quantize = time.Since(t0)
+		}
+	}
 	var lastErr error
 	retries := 0 // remote-error resends; counted apart from redial episodes
 	for attempt := 0; ; attempt++ {
@@ -522,24 +504,20 @@ func (c *EdgeClient) roundTrip(ctx context.Context, req request, st *stageTimes)
 		c.m.transportErrs.Inc()
 		return nil, fmt.Errorf("splitrt: clear deadline: %w", err)
 	}
-	if done := ctx.Done(); done != nil {
+	if ctx.Done() != nil {
 		// An explicit cancellation (not just a deadline) must be able to
 		// interrupt a blocked read: poke the connection's deadline into
 		// the past so the transport call fails immediately and the loop above
 		// surfaces ctx.Err(). This is what lets a hedged duplicate request be
 		// abandoned the instant the other attempt wins.
-		stop := make(chan struct{})
-		watcherDone := make(chan struct{})
-		conn := c.conn
-		go func() {
-			defer close(watcherDone)
-			select {
-			case <-done:
-				conn.SetDeadline(time.Unix(1, 0))
-			case <-stop:
+		stop := context.AfterFunc(ctx, c.conn.poke)
+		defer func() {
+			if !stop() {
+				// The poke has started and may land late: this connection,
+				// its target, serves no later request.
+				c.broken = true
 			}
 		}()
-		defer func() { close(stop); <-watcherDone }()
 	}
 	start := time.Now()
 	c.conn.wbuf = req.appendFrame(c.conn.wbuf)

@@ -29,6 +29,10 @@ type frameConn struct {
 	idleTimeout    time.Duration // read deadline armed before each frame (0 = none)
 	writeTimeout   time.Duration // write deadline armed before each flush (0 = none)
 	sent, received *obs.Counter
+	// poke (client connections only) fails the transport call the connection
+	// is blocked in by moving its deadline into the past. Built once per
+	// connection: arming it for a request allocates nothing.
+	poke func()
 
 	prefix [4]byte
 	rbuf   []byte
@@ -161,17 +165,23 @@ func serveFrames(c *frameConn, host string, serves hello, pipelined bool, handle
 	defer cancel()
 	var inflight sync.WaitGroup
 	defer inflight.Wait()
+	// In lockstep a request is over once answered, and the next is decoded
+	// into its buffers; a pipelined one belongs to the goroutine answering it.
+	var spare request
 	for {
 		body, err := c.readFrame(maxFrameBody)
 		if err != nil || body[0] != kindRequest {
 			return
 		}
-		var req request
+		req := request{Activation: spare.Activation, Quant: spare.Quant, Audit: spare.Audit}
 		if err := decodeRequest(body, &req); err != nil {
 			req.Activation, req.Quant, req.malformed = nil, nil, err.Error()
 		}
 		if !pipelined {
 			resp := handle(ctx, req)
+			if spare = req; resp.Kind == ErrTimeout {
+				spare = request{} // the overrun forward pass still reads the buffers: it keeps them
+			}
 			if c.sendResponse(&resp) != nil {
 				return
 			}

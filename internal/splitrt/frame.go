@@ -306,8 +306,8 @@ func cutShape(rank byte, b []byte) (s frameShape, rest []byte, err error) {
 	return s, b[4*s.rank:], nil
 }
 
-// list copies the shape out, so that formatting it into an error does not
-// move the frameShape it came from to the heap.
+// list copies the shape out for an error message: formatting the copy does
+// not move the frameShape it came from to the heap.
 func (s *frameShape) list() []int {
 	return append([]int(nil), s.dims[:s.rank]...)
 }
@@ -317,7 +317,7 @@ func (s *frameShape) list() []int {
 // must have been checked against the shape.
 func decodeFloats(dst *tensor.Tensor, s *frameShape, payload []byte) *tensor.Tensor {
 	if dst == nil || !tensor.ShapeEq(dst.Shape(), s.dims[:s.rank]) {
-		dst = tensor.New(s.list()...)
+		dst = tensor.New(s.dims[:s.rank]...)
 	}
 	data := dst.Data()
 	for i := range data {
@@ -363,9 +363,9 @@ func decodeAck(body []byte) (helloAck, error) {
 // decodeRequest decodes a request frame into req. ID and Trace are set as
 // soon as the header is open, so the caller can still answer a request
 // whose payload it must refuse. What req already holds is reused where it
-// fits (a tensor of the same shape, a Packed slice of enough capacity); the
-// payload is copied, never aliased, because body is the connection's read
-// buffer and the request outlives it.
+// fits (a tensor of the same shape, a Packed slice of enough capacity), as a
+// lockstep connection does with the request before; the payload is copied,
+// never aliased: body is the read buffer and the request outlives it.
 func decodeRequest(body []byte, req *request) error {
 	var h [requestHeaderLen]byte
 	rest, err := openFrame(body, kindRequest, h[:])
@@ -417,7 +417,12 @@ func decodeRequest(body []byte, req *request) error {
 	}
 	q := req.Quant
 	if q == nil {
-		q = new(quantPayload)
+		// One allocation holds the payload's description and its dimensions.
+		fresh := new(struct {
+			quantPayload
+			dims [maxRank]int
+		})
+		q, fresh.Shape = &fresh.quantPayload, fresh.dims[:0]
 	}
 	q.Bits = bits
 	q.Lo = math.Float64frombits(binary.LittleEndian.Uint64(h[reqLoOff:]))

@@ -16,10 +16,12 @@ import (
 
 // Gateway fronts a Pool with the splitrt wire protocol: edge devices speak
 // to it exactly as they would to a single CloudServer, and the gateway
-// relays each activation through the pool — balancing, rerouting, hedging,
-// and health handling included. The activations it forwards were noised on
-// the original edge device (the gateway's pool carries no collection of its
-// own when used this way), so the privacy boundary stays at the device.
+// relays each request through the pool — balancing, rerouting, hedging,
+// and health handling included — checked from its header and handed on as
+// decoded: a packed payload reaches the backend as the bytes the edge sent.
+// Those were noised on the original edge device (the gateway's pool carries
+// no collection of its own when used this way), so the privacy boundary
+// stays at the device.
 //
 // With WithGatewayDebugServer the gateway's debug endpoint re-exports a
 // merged /debug/metrics: its own registry (gateway.* plus the pool's
@@ -287,8 +289,7 @@ func (g *Gateway) handle(ctx context.Context, req request) response {
 	g.requests.Inc()
 	recv := time.Now()
 	resp := response{ID: req.ID, Trace: req.Trace}
-	act, kind, msg := decodeRequestActivation(g.pool.Split(), req)
-	if kind != ErrUnknown {
+	if _, kind, msg := checkRequest(g.pool.Split(), &req); kind != ErrUnknown {
 		g.failures.Inc()
 		resp.Err, resp.Kind = msg, kind
 		return resp
@@ -298,10 +299,9 @@ func (g *Gateway) handle(ctx context.Context, req request) response {
 		ctx, cancel = context.WithTimeout(ctx, g.callTimeout)
 		defer cancel()
 	}
-	// Relay the edge's trace and audit attribution to whichever backend
-	// serves the request, so its audit record is retrievable by the
-	// trace the edge actually holds.
-	logits, err := g.pool.InferActivation(withRelayMeta(ctx, req.Trace, req.Audit), act)
+	// The request carries the edge's trace and audit note to whichever
+	// backend serves it: the record there is found by the edge's own trace.
+	logits, err := g.pool.relay(ctx, req)
 	if err != nil {
 		g.failures.Inc()
 		resp.Err, resp.Kind = err.Error(), classifyPoolErr(err)

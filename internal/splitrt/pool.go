@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -300,36 +301,42 @@ func (p *Pool) InferContext(ctx context.Context, x *tensor.Tensor) (*tensor.Tens
 }
 
 // InferActivation routes an already-prepared cut-layer activation through
-// the fleet — the relay entry point the gateway uses for activations that
-// were noised on the original edge device.
+// the fleet, for activations that were noised elsewhere.
 func (p *Pool) InferActivation(ctx context.Context, a *tensor.Tensor) (*tensor.Tensor, error) {
+	return p.relay(ctx, request{Activation: a})
+}
+
+// relay routes one request through the fleet with balancing, rerouting and
+// hedging. The gateway hands over the request it decoded: payload (dense or
+// still packed), trace and audit note reach the backend as the edge sent them.
+func (p *Pool) relay(ctx context.Context, req request) (*tensor.Tensor, error) {
 	if !p.gate.Enter() {
 		return nil, ErrPoolClosed
 	}
 	defer p.gate.Leave()
 	p.m.requests.Inc()
 
-	tried := make(map[string]bool)
+	var tried []*poolBackend // backends this call has failed on: nothing until the first failure
 	var lastErr error
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		b := p.pick(tried)
+		b := p.pick(tried, nil)
 		if b == nil {
 			if lastErr != nil {
 				return nil, fmt.Errorf("%w (last failure: %v)", ErrNoBackends, lastErr)
 			}
 			return nil, ErrNoBackends
 		}
-		out, err := p.callMaybeHedged(ctx, b, a, tried)
+		out, err := p.callMaybeHedged(ctx, b, req, &tried)
 		if err == nil {
 			return out, nil
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		tried[b.addr] = true
+		tried = append(tried, b)
 		if !reroutable(err) {
 			return nil, err
 		}
@@ -366,71 +373,50 @@ func reroutable(err error) bool {
 	return true // transport-level failure, including errBackendDraining
 }
 
+// viewsPool keeps a pick's candidate list: choosing a backend allocates nothing.
+var viewsPool = sync.Pool{New: func() any { return new([]BackendView) }}
+
 // pick selects the next backend to try, excluding tried ones. A half-open
 // backend with an unclaimed trial latch takes priority (that is the only
 // path back into rotation); otherwise the balancer chooses among healthy
-// candidates. Returns nil when nothing is available.
-func (p *Pool) pick(tried map[string]bool) *poolBackend {
+// candidates. Returns nil when nothing is available. With primary set it
+// chooses the backend of a hedge — the duplicate of an attempt in flight at
+// primary: never primary itself, and never a half-open trial (a probe slot
+// is for deliberate readmission, not speculation).
+func (p *Pool) pick(tried []*poolBackend, primary *poolBackend) *poolBackend {
 	p.bmu.RLock()
 	defer p.bmu.RUnlock()
-	for _, b := range p.backends {
-		if tried[b.addr] {
-			continue
-		}
-		if b.getState() == BackendHalfOpen && b.trial.CompareAndSwap(false, true) {
-			return b
+	if primary == nil {
+		for _, b := range p.backends {
+			if b.getState() == BackendHalfOpen && !slices.Contains(tried, b) && b.trial.CompareAndSwap(false, true) {
+				return b
+			}
 		}
 	}
-	var cands []*poolBackend
-	var views []BackendView
+	kept := viewsPool.Get().(*[]BackendView)
+	views := (*kept)[:0]
+	defer func() { *kept = views; viewsPool.Put(kept) }()
 	for _, b := range p.backends {
-		if tried[b.addr] || b.getState() != BackendHealthy {
-			continue
+		if b != primary && b.getState() == BackendHealthy && !slices.Contains(tried, b) {
+			views = append(views, BackendView{Addr: b.addr, Inflight: int(b.inflight.Load()), backend: b})
 		}
-		cands = append(cands, b)
-		views = append(views, BackendView{Addr: b.addr, Inflight: int(b.inflight.Load())})
 	}
-	if len(cands) == 0 {
+	if len(views) == 0 {
 		return nil
 	}
 	i := p.balancer.Pick(p.key, views)
-	if i < 0 || i >= len(cands) {
+	if i < 0 || i >= len(views) {
 		i = 0
 	}
-	return cands[i]
+	return views[i].backend
 }
 
-// pickHedge chooses a backend for the duplicate attempt: healthy, not the
-// primary, not already tried. Hedges never claim a half-open trial — a
-// probe slot is for deliberate readmission, not speculation.
-func (p *Pool) pickHedge(tried map[string]bool, primary string) *poolBackend {
-	p.bmu.RLock()
-	defer p.bmu.RUnlock()
-	var cands []*poolBackend
-	var views []BackendView
-	for _, b := range p.backends {
-		if tried[b.addr] || b.addr == primary || b.getState() != BackendHealthy {
-			continue
-		}
-		cands = append(cands, b)
-		views = append(views, BackendView{Addr: b.addr, Inflight: int(b.inflight.Load())})
-	}
-	if len(cands) == 0 {
-		return nil
-	}
-	i := p.balancer.Pick(p.key, views)
-	if i < 0 || i >= len(cands) {
-		i = 0
-	}
-	return cands[i]
-}
-
-// callOne sends the activation to one backend through its drain gate,
+// callOne sends the request to one backend through its drain gate,
 // keeping the health machine and per-backend stats honest: successes reset
 // the failure streak (and readmit a half-open backend), eject-worthy
 // failures advance it, and a context cancellation — the losing half of a
 // hedge, or the caller giving up — counts as neither.
-func (p *Pool) callOne(ctx context.Context, b *poolBackend, a *tensor.Tensor) (*tensor.Tensor, error) {
+func (p *Pool) callOne(ctx context.Context, b *poolBackend, req request) (*tensor.Tensor, error) {
 	wasTrial := b.getState() == BackendHalfOpen
 	if !b.gate.Enter() {
 		if wasTrial {
@@ -454,7 +440,7 @@ func (p *Pool) callOne(ctx context.Context, b *poolBackend, a *tensor.Tensor) (*
 	}
 
 	start := time.Now()
-	out, err := client.InferActivation(ctx, a)
+	out, err := client.relay(ctx, req)
 	if err == nil {
 		b.rtt.Observe(time.Since(start).Seconds())
 		p.noteSuccess(b)
@@ -542,10 +528,10 @@ func (p *Pool) hedgeBudget() time.Duration {
 // translates into an interrupted read (and callOne into a no-stats
 // cancellation). A failed hedge backend is added to tried so the outer
 // reroute loop does not revisit it.
-func (p *Pool) callMaybeHedged(ctx context.Context, b *poolBackend, a *tensor.Tensor, tried map[string]bool) (*tensor.Tensor, error) {
+func (p *Pool) callMaybeHedged(ctx context.Context, b *poolBackend, req request, tried *[]*poolBackend) (*tensor.Tensor, error) {
 	budget := p.hedgeBudget()
 	if budget <= 0 {
-		return p.callOne(ctx, b, a)
+		return p.callOne(ctx, b, req)
 	}
 	type attempt struct {
 		out    *tensor.Tensor
@@ -556,7 +542,7 @@ func (p *Pool) callMaybeHedged(ctx context.Context, b *poolBackend, a *tensor.Te
 	defer cancel()
 	results := make(chan attempt, 2) // buffered: the loser must never block
 	go func() {
-		out, err := p.callOne(cctx, b, a)
+		out, err := p.callOne(cctx, b, req)
 		results <- attempt{out, err, false}
 	}()
 	timer := time.NewTimer(budget)
@@ -571,14 +557,14 @@ func (p *Pool) callMaybeHedged(ctx context.Context, b *poolBackend, a *tensor.Te
 			if hedge != nil {
 				continue
 			}
-			hedge = p.pickHedge(tried, b.addr)
+			hedge = p.pick(*tried, b)
 			if hedge == nil {
 				continue // nothing to hedge to; keep waiting on the primary
 			}
 			pending++
 			p.m.hedges.Inc()
 			go func() {
-				out, err := p.callOne(cctx, hedge, a)
+				out, err := p.callOne(cctx, hedge, req)
 				results <- attempt{out, err, true}
 			}()
 		case r := <-results:
@@ -595,8 +581,8 @@ func (p *Pool) callMaybeHedged(ctx context.Context, b *poolBackend, a *tensor.Te
 				// died of the shared cancellation.
 				firstErr = r.err
 			}
-			if r.hedged && hedge != nil {
-				tried[hedge.addr] = true
+			if r.hedged {
+				*tried = append(*tried, hedge)
 			}
 			if pending == 0 {
 				return nil, firstErr
@@ -753,7 +739,7 @@ func (p *Pool) Stats() PoolStats {
 func (p *Pool) Registry() *obs.Registry { return p.reg }
 
 // Split returns the model partition the pool serves — the gateway needs it
-// to validate and decode incoming activations.
+// to validate incoming requests.
 func (p *Pool) Split() *core.Split { return p.split }
 
 // CutLayer returns the cut-layer name of the served partition.

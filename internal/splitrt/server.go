@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -47,11 +48,11 @@ type CloudServer struct {
 	handlerTimeout time.Duration
 	// fault, when set, runs before every forward pass, inside its
 	// panic/timeout guard — chaos, benchmarks and tests only. It is handed
-	// the activation batch (nil on the float32 direct-dequantization path).
+	// the activation batch where that is float64, nil otherwise.
 	fault func(act *tensor.Tensor)
 
 	batchOpts *sched.Options
-	batcher   *sched.Batcher[*tensor.Tensor, *tensor.Tensor]
+	batcher   *sched.Batcher[activation, *tensor.Tensor]
 
 	dtype      nn.Dtype        // WithDtype: the plan's arithmetic (default float64)
 	plan       *nn.CompiledNet // the remote part at dtype: every forward pass runs it
@@ -117,9 +118,9 @@ func WithLatencyInjection(d time.Duration) ServerOption {
 // every forward pass runs through. Float64, the default, equals the
 // training path's forward pass bit for bit; Float32 halves the memory
 // traffic, with classification decisions pinned to the float64 ones by
-// tests. When the client ships quantized payloads and batching is off, a
-// Float32 server dequantizes straight into float32 and never materializes a
-// float64 activation. Compilation errors surface from Serve.
+// tests. A quantized payload is dequantized once, straight into the plan's
+// dtype: a Float32 server never materializes a float64 activation for it,
+// batched or not. Compilation errors surface from Serve.
 func WithDtype(dt nn.Dtype) ServerOption {
 	return func(s *CloudServer) { s.dtype = dt }
 }
@@ -458,41 +459,25 @@ func (s *CloudServer) handle(ctx context.Context, req request) response {
 		t0 = time.Now()
 	}
 	resp := response{ID: req.ID, Trace: req.Trace}
+	act, kind, msg := s.decode(&req)
+	if kind != ErrUnknown {
+		resp.Err, resp.Kind = msg, kind
+		o.finish(req, &resp, t0, nil, computeStart)
+		return resp
+	}
 	var logits *tensor.Tensor
 	var err error
 	var si *sched.SubmitInfo
-	if s.batcher == nil && s.dtype == nn.Float32 && req.Activation == nil && req.Quant != nil {
-		// Direct dequantization: the quantized payload is reconstructed
-		// straight into float32 and fed to the plan's float32 entry, so no
-		// float64 activation is ever materialized.
-		act32, kind, msg := decodeRequestActivation32(s.split, req)
-		if kind != ErrUnknown {
-			resp.Err, resp.Kind = msg, kind
-			o.finish(req, &resp, t0, nil, computeStart)
-			return resp
+	if s.batcher != nil {
+		if o != nil {
+			si = new(sched.SubmitInfo)
 		}
+		logits, err = s.batcher.SubmitTraced(ctx, act, act.n, si)
+	} else {
 		if o != nil {
 			computeStart = time.Now()
 		}
-		logits, err = s.inferGuarded(nil, func() *tensor.Tensor { return s.plan.Infer32(act32) })
-	} else {
-		act, kind, msg := decodeRequestActivation(s.split, req)
-		if kind != ErrUnknown {
-			resp.Err, resp.Kind = msg, kind
-			o.finish(req, &resp, t0, nil, computeStart)
-			return resp
-		}
-		if s.batcher != nil {
-			if o != nil {
-				si = new(sched.SubmitInfo)
-			}
-			logits, err = s.batcher.SubmitTraced(ctx, act, act.Dim(0), si)
-		} else {
-			if o != nil {
-				computeStart = time.Now()
-			}
-			logits, err = s.infer(act)
-		}
+		logits, err = s.infer(act)
 	}
 	if err != nil {
 		resp.Err, resp.Kind = err.Error(), classify(err)
@@ -538,11 +523,17 @@ func (s *CloudServer) auditRecord(req request) {
 // quantized requests digest the packed level bytes under their scheme,
 // dense requests the little-endian float64 bits the frame carried. The
 // digest commits the server to what the cloud actually saw — the noised
-// bytes — without the ledger ever storing the activation itself.
+// bytes — without the ledger ever storing the activation itself. A gateway
+// relays those bytes untouched: the digest does not depend on the topology.
 func digestRequest(req request) [32]byte {
-	if req.Quant != nil {
-		tag := fmt.Sprintf("quant/%d/%g/%g", req.Quant.Bits, req.Quant.Lo, req.Quant.Hi)
-		return audit.DigestActivation(tag, req.Quant.Shape, req.Quant.Packed)
+	if q := req.Quant; q != nil {
+		// fmt.Sprintf("quant/%d/%g/%g", bits, lo, hi), the tag the ledgers on
+		// disk were written with, built without fmt: this runs per request.
+		var buf [64]byte
+		tag := strconv.AppendInt(append(buf[:0], "quant/"...), int64(q.Bits), 10)
+		tag = strconv.AppendFloat(append(tag, '/'), q.Lo, 'g', -1, 64)
+		tag = strconv.AppendFloat(append(tag, '/'), q.Hi, 'g', -1, 64)
+		return audit.DigestActivation(string(tag), q.Shape, q.Packed)
 	}
 	if req.Activation == nil {
 		return audit.DigestActivation("none", nil, nil)
@@ -550,53 +541,66 @@ func digestRequest(req request) [32]byte {
 	return audit.DigestFloats("dense", req.Activation.Shape(), req.Activation.Data())
 }
 
-// decodeRequestActivation32 is the float32 twin of decodeRequestActivation
-// for the direct-dequantization fast path: it reconstructs a quantized
-// payload straight into a float32 buffer and validates its shape against
-// the split being served.
-func decodeRequestActivation32(split *core.Split, req request) (act *tensor.Tensor32, kind ErrKind, msg string) {
-	scheme, err := quantize.NewScheme(req.Quant.Bits, req.Quant.Lo, req.Quant.Hi)
-	if err != nil {
-		return nil, ErrBadRequest, fmt.Sprintf("bad quantization scheme: %v", err)
+// checkRequest validates a request from its header alone: the frame was
+// well-formed, a payload is there, its quantization scheme is one (returned),
+// its declared shape is a batch of the split's activations — decodeRequest
+// has held the payload's length against that shape. A non-ErrUnknown kind
+// means the request is refused. Shared by the CloudServer, which goes on to
+// decode the payload, and the fleet Gateway, which relays it as it is.
+func checkRequest(split *core.Split, req *request) (scheme quantize.Scheme, kind ErrKind, msg string) {
+	if req.malformed != "" {
+		return scheme, ErrBadRequest, req.malformed
 	}
-	act, err = scheme.DequantizePacked32(req.Quant.Packed, req.Quant.Shape...)
-	if err != nil {
-		return nil, ErrBadRequest, fmt.Sprintf("bad quantized payload: %v", err)
+	var got []int
+	switch {
+	case req.Activation != nil:
+		got = req.Activation.Shape()
+	case req.Quant != nil:
+		var err error
+		if scheme, err = quantize.NewScheme(req.Quant.Bits, req.Quant.Lo, req.Quant.Hi); err != nil {
+			return scheme, ErrBadRequest, fmt.Sprintf("bad quantization scheme: %v", err)
+		}
+		got = req.Quant.Shape
+	default:
+		return scheme, ErrBadRequest, "missing activation"
 	}
 	want := split.ActivationShape()
-	got := act.Shape()
 	if len(got) != len(want)+1 || !tensor.ShapeEq(got[1:], want) {
-		return nil, ErrBadRequest, fmt.Sprintf("activation shape %v does not match expected [N %v]", got, want)
+		return scheme, ErrBadRequest, fmt.Sprintf("activation shape %v does not match expected [N %v]", got, want)
 	}
-	return act, ErrUnknown, ""
+	return scheme, ErrUnknown, ""
 }
 
-// decodeRequestActivation extracts and validates a request's activation
-// batch against the split being served. A non-ErrUnknown kind means the
-// request is rejected before inference. It is shared by the CloudServer and
-// the fleet Gateway, which speak the same wire protocol.
-func decodeRequestActivation(split *core.Split, req request) (act *tensor.Tensor, kind ErrKind, msg string) {
-	if req.malformed != "" {
-		return nil, ErrBadRequest, req.malformed
+// activation is a batch of n activations as the plan takes it, in exactly
+// one of the two fields. A dense payload stays the float64 tensor the frame
+// carried (a float32 plan narrows it sample by sample in its workspace); a
+// packed payload has been dequantized once, at the plan's dtype.
+type activation struct {
+	n   int
+	f64 *tensor.Tensor
+	f32 *tensor.Tensor32
+}
+
+// decode is the server's one decode step, the same for every configuration:
+// payload → activation at the plan's dtype.
+func (s *CloudServer) decode(req *request) (act activation, kind ErrKind, msg string) {
+	scheme, kind, msg := checkRequest(s.split, req)
+	if kind != ErrUnknown {
+		return act, kind, msg
 	}
-	act = req.Activation
-	if act == nil && req.Quant != nil {
-		scheme, err := quantize.NewScheme(req.Quant.Bits, req.Quant.Lo, req.Quant.Hi)
-		if err != nil {
-			return nil, ErrBadRequest, fmt.Sprintf("bad quantization scheme: %v", err)
-		}
-		act, err = scheme.DequantizePacked(req.Quant.Packed, req.Quant.Shape...)
-		if err != nil {
-			return nil, ErrBadRequest, fmt.Sprintf("bad quantized payload: %v", err)
-		}
+	q := req.Quant
+	if q == nil {
+		return activation{n: req.Activation.Dim(0), f64: req.Activation}, ErrUnknown, ""
 	}
-	if act == nil {
-		return nil, ErrBadRequest, "missing activation"
+	act.n = q.Shape[0]
+	var err error
+	if s.dtype == nn.Float32 {
+		act.f32, err = scheme.DequantizePacked32(q.Packed, q.Shape...)
+	} else {
+		act.f64, err = scheme.DequantizePacked(q.Packed, q.Shape...)
 	}
-	want := split.ActivationShape()
-	got := act.Shape()
-	if len(got) != len(want)+1 || !tensor.ShapeEq(got[1:], want) {
-		return nil, ErrBadRequest, fmt.Sprintf("activation shape %v does not match expected [N %v]", got, want)
+	if err != nil {
+		return act, ErrBadRequest, fmt.Sprintf("bad quantized payload: %v", err)
 	}
 	return act, ErrUnknown, ""
 }
@@ -620,12 +624,13 @@ func classify(err error) ErrKind {
 }
 
 // runBatch is the sched.Batcher flush function: it stacks the coalesced
-// [nᵢ, ...] activation batches into one [Σnᵢ, ...] tensor, runs a single
-// remote forward pass, and splits the logits back per request. Stacking
-// and splitting are pure copies, and every layer treats batch members
-// independently on the inference path, so the per-request logits are
-// bitwise identical to what per-sample serving would have produced.
-func (s *CloudServer) runBatch(acts []*tensor.Tensor) ([]*tensor.Tensor, error) {
+// [nᵢ, ...] activation batches into one [Σnᵢ, ...] buffer at the plan's
+// dtype, runs a single remote forward pass, and splits the logits back per
+// request. Stacking and splitting are pure copies (a dense payload in front
+// of a float32 plan is narrowed here exactly as the plan would have), and
+// every layer treats batch members independently on the inference path, so
+// the per-request logits are bitwise identical to per-sample serving's.
+func (s *CloudServer) runBatch(acts []activation) ([]*tensor.Tensor, error) {
 	if len(acts) == 1 {
 		logits, err := s.infer(acts[0])
 		if err != nil {
@@ -633,16 +638,30 @@ func (s *CloudServer) runBatch(acts []*tensor.Tensor) ([]*tensor.Tensor, error) 
 		}
 		return []*tensor.Tensor{logits}, nil
 	}
-	sample := s.split.ActivationShape()
-	total := 0
+	var stacked activation
 	for _, a := range acts {
-		total += a.Dim(0)
+		stacked.n += a.n
 	}
-	stacked := tensor.New(append([]int{total}, sample...)...)
-	off := 0
-	for _, a := range acts {
-		copy(stacked.Data()[off:], a.Data())
-		off += a.Len()
+	shape := append([]int{stacked.n}, s.split.ActivationShape()...)
+	if s.dtype == nn.Float32 {
+		stacked.f32 = tensor.NewDense[float32](shape...)
+		dst := stacked.f32.Data()
+		for _, a := range acts {
+			if a.f32 != nil {
+				dst = dst[copy(dst, a.f32.Data()):]
+				continue
+			}
+			for i, v := range a.f64.Data() {
+				dst[i] = float32(v)
+			}
+			dst = dst[a.f64.Len():]
+		}
+	} else {
+		stacked.f64 = tensor.New(shape...)
+		dst := stacked.f64.Data()
+		for _, a := range acts {
+			dst = dst[copy(dst, a.f64.Data()):]
+		}
 	}
 	logits, err := s.infer(stacked)
 	if err != nil {
@@ -653,40 +672,37 @@ func (s *CloudServer) runBatch(acts []*tensor.Tensor) ([]*tensor.Tensor, error) 
 	out := make([]*tensor.Tensor, len(acts))
 	row := 0
 	for i, a := range acts {
-		n := a.Dim(0)
-		o := tensor.New(append([]int{n}, outShape...)...)
-		copy(o.Data(), logits.Data()[row*outVol:(row+n)*outVol])
+		o := tensor.New(append([]int{a.n}, outShape...)...)
+		copy(o.Data(), logits.Data()[row*outVol:(row+a.n)*outVol])
 		out[i] = o
-		row += n
+		row += a.n
 	}
 	return out, nil
 }
 
-// infer runs the remote forward pass with the panic/timeout guard.
-func (s *CloudServer) infer(act *tensor.Tensor) (*tensor.Tensor, error) {
-	return s.inferGuarded(act, func() *tensor.Tensor { return s.plan.Infer(act) })
+// forward runs one remote forward pass; a panic (a bad payload that slipped
+// past validation) becomes an error instead of crashing the server.
+func (s *CloudServer) forward(act activation) (out *tensor.Tensor, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("remote inference failed: %v", r)
+		}
+	}()
+	if s.fault != nil {
+		s.fault(act.f64)
+	}
+	if act.f32 != nil {
+		return s.plan.Infer32(act.f32), nil
+	}
+	return s.plan.Infer(act.f64), nil
 }
 
-// inferGuarded runs one forward-pass closure, optionally bounded by the
-// handler timeout, converting panics (bad payloads from a misbehaving
-// client that slipped past validation) into errors rather than crashing
-// the server. On timeout the computation goroutine is left to finish in
-// the background (Go cannot cancel a compute loop), but the request gets
-// an error and the connection moves on.
-func (s *CloudServer) inferGuarded(act *tensor.Tensor, fn func() *tensor.Tensor) (*tensor.Tensor, error) {
-	run := func() (out *tensor.Tensor, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				out, err = nil, fmt.Errorf("remote inference failed: %v", r)
-			}
-		}()
-		if s.fault != nil {
-			s.fault(act)
-		}
-		return fn(), nil
-	}
+// infer is forward bounded by the handler timeout, when one is set. On
+// timeout the computation goroutine is left to finish in the background (Go
+// cannot cancel a compute loop); the request gets an error.
+func (s *CloudServer) infer(act activation) (*tensor.Tensor, error) {
 	if s.handlerTimeout <= 0 {
-		return run()
+		return s.forward(act)
 	}
 	type res struct {
 		t   *tensor.Tensor
@@ -694,7 +710,7 @@ func (s *CloudServer) inferGuarded(act *tensor.Tensor, fn func() *tensor.Tensor)
 	}
 	done := make(chan res, 1)
 	go func() {
-		t, err := run()
+		t, err := s.forward(act)
 		done <- res{t, err}
 	}()
 	timer := time.NewTimer(s.handlerTimeout)
