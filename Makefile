@@ -4,7 +4,7 @@ GO ?= go
 
 ## ci: the full gate — formatting, vet, build, tests, the race suite over
 ## the concurrency-sensitive packages, the benchmark module (its own go.mod,
-## so ./... does not reach it), ten seconds of each wire-format fuzz target,
+## so ./... does not reach it), ten seconds of each fuzz target,
 ## and the observability-, profiler-, fleet-serving, dtype-kernel,
 ## fitted-noise, audit-ledger, and sliding-window smoke benchmarks. Run
 ## before every push.
@@ -31,13 +31,16 @@ race:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-## fuzz-smoke: run each fuzz target of the wire's trust boundary — the three
-## frame targets, and the packed payload a frame carries — for ten seconds
-## from the corpus in the package's testdata/fuzz.
+## fuzz-smoke: run each fuzz target of a trust boundary — the wire's three
+## frame targets and the packed payload a frame carries, and the weight file
+## (each gob execution is slow, so minimizing a find gets one second, not
+## the minute that would swallow the run) — for ten seconds from the
+## package's seeds.
 fuzz-smoke:
 	for f in FuzzReadFrame FuzzDecodeRequest FuzzDecodeResponse; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/splitrt || exit 1; done
 	$(GO) test -run '^$$' -fuzz '^FuzzDequantizePacked$$' -fuzztime 10s ./internal/quantize
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/nn
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkCloudServerThroughput|BenchmarkServeBatched' -benchtime 200x .

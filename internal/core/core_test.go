@@ -255,7 +255,7 @@ func TestTrainNoiseRecoversAccuracy(t *testing.T) {
 	accTrained := accWith(res.Noise.Values())
 	if accTrained <= accInit+0.05 {
 		t.Fatalf("noise training did not recover accuracy: init %.3f, trained %.3f (baseline %.3f)",
-			accInit, accTrained, pre.TestAcc)
+			accInit, accTrained, pre.TestAccuracy())
 	}
 	if res.FinalInVivo <= 0 {
 		t.Fatal("final in vivo privacy must be positive")

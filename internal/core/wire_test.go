@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -271,5 +274,87 @@ func TestEncodeNoiseSourceDispatch(t *testing.T) {
 	err := EncodeNoiseSource(&buf, fakeSource{})
 	if err == nil || !strings.Contains(err.Error(), "cannot encode") {
 		t.Fatalf("err = %v, want cannot-encode", err)
+	}
+}
+
+// refitDigest is the SHA-256 of everything a stored collection refitted
+// under kind holds — what a fitted deployment writes and every fitted draw
+// is a function of. The fields are hashed, not the encoded file: gob numbers
+// its types in the order a process first meets them, so a file's bytes
+// depend on which tests ran before.
+func refitDigest(t *testing.T, col *Collection, kind noisedist.Kind) string {
+	t.Helper()
+	fc, err := FitCollection(col, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := EncodeNoiseSource(&buf, fc); err != nil {
+		t.Fatal(err)
+	}
+	src, err := DecodeNoiseSource(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	put := func(v any) {
+		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fc = src.(*FittedCollection)
+	put(fc.InVivo)
+	for _, f := range []*noisedist.Fitted{fc.Noise, fc.Weight} {
+		if f == nil {
+			continue
+		}
+		put(int64(f.Kind))
+		for _, d := range f.Shape {
+			put(int64(d))
+		}
+		for i, c := range f.Comps {
+			put([]float64{c.Loc, c.Scale})
+			put(f.Sketches[i])
+			put(f.Orders[i])
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// The fit may change how it sorts, never what it produces: these digests
+// were recorded with the three-sort fit (sort.Float64s twice and
+// sort.SliceStable per member) and must not move.
+func TestRefitPinned(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "legacy_v1.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := DecodeCollection(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A multiplicative collection at a realistic cut size, with ties.
+	rng := tensor.NewRNG(23)
+	big := &Collection{Shape: []int{8, 16, 16}}
+	for i := 0; i < 3; i++ {
+		n := rng.FillLaplace(tensor.New(8, 16, 16), 0, 2.5)
+		w := rng.FillNormal(tensor.New(8, 16, 16), 1, 0.25)
+		copy(n.Data()[100:], n.Data()[:50])
+		big.Members, big.Weights, big.InVivo = append(big.Members, n), append(big.Weights, w), append(big.InVivo, float64(i))
+	}
+	for _, c := range []struct {
+		name string
+		col  *Collection
+		kind noisedist.Kind
+		want string
+	}{
+		{"legacy_v1 laplace", legacy, noisedist.Laplace, "fa4f55b2eefc457e79efd9e0e371ad47b19bd2bd2809e0b205413a8d5df1ce73"},
+		{"legacy_v1 gaussian", legacy, noisedist.Gaussian, "a68666eccbbb0bd1d03311f64f7b38ed9f96e3546206ef864c6143ea60e2e54e"},
+		{"multiplicative laplace", big, noisedist.Laplace, "2b751cd69862f24771c73c4878bd7b811f87153a99a3cebd16c007bd1b4d1f41"},
+		{"multiplicative gaussian", big, noisedist.Gaussian, "c4312a119cba9309a8bc614e72badcb90a20cbfa66d1814e6ec29cf9bda273a6"},
+	} {
+		if got := refitDigest(t, c.col, c.kind); got != c.want {
+			t.Errorf("%s: refit digest %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -11,6 +11,7 @@ package data
 
 import (
 	"fmt"
+	"math"
 
 	"shredder/internal/tensor"
 )
@@ -34,15 +35,18 @@ func (d *Dataset) SampleShape() []int { return d.Images.Shape()[1:] }
 func (d *Dataset) Image(i int) *tensor.Tensor { return d.Images.Slice(i) }
 
 // Subset returns a dataset view containing the given indices (deep copy of
-// the selected images).
+// the selected images, rows copied in parallel).
 func (d *Dataset) Subset(idx []int) *Dataset {
 	shape := append([]int{len(idx)}, d.SampleShape()...)
 	img := tensor.New(shape...)
 	labels := make([]int, len(idx))
-	for i, j := range idx {
-		img.Slice(i).CopyFrom(d.Image(j))
+	size := tensor.Volume(shape[1:])
+	src, dst := d.Images.Data(), img.Data()
+	tensor.ParallelFor(len(idx), func(i int) {
+		j := idx[i]
+		copy(dst[i*size:(i+1)*size], src[j*size:(j+1)*size])
 		labels[i] = d.Labels[j]
-	}
+	})
 	return &Dataset{Name: d.Name, Classes: d.Classes, Images: img, Labels: labels}
 }
 
@@ -76,17 +80,12 @@ func (d *Dataset) Batches(size int) []Batch {
 		panic("data: batch size must be positive")
 	}
 	var out []Batch
+	px, row := d.Images.Data(), tensor.Volume(d.SampleShape())
 	for lo := 0; lo < d.N(); lo += size {
-		hi := lo + size
-		if hi > d.N() {
-			hi = d.N()
-		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
-		}
-		sub := d.Subset(idx)
-		out = append(out, Batch{Images: sub.Images, Labels: sub.Labels})
+		hi := min(lo+size, d.N())
+		img := tensor.New(append([]int{hi - lo}, d.SampleShape()...)...)
+		copy(img.Data(), px[lo*row:hi*row]) // consecutive rows: one copy, no gather
+		out = append(out, Batch{Images: img, Labels: append([]int(nil), d.Labels[lo:hi]...)})
 	}
 	return out
 }
@@ -102,10 +101,20 @@ func (d *Dataset) ClassCounts() []int {
 
 // Normalize shifts and scales all pixels in place to zero mean and unit
 // standard deviation across the whole dataset, returning the applied
-// (mean, std) so test sets can reuse training statistics.
+// (mean, std) so test sets can reuse training statistics. The two
+// statistics are one serial pass each, in element order: their bits decide
+// every pixel a network trains on.
 func (d *Dataset) Normalize() (mean, std float64) {
+	px := d.Images.Data()
 	mean = d.Images.Mean()
-	std = d.Images.Std()
+	var sq float64
+	for _, v := range px {
+		dev := v - mean
+		sq += dev * dev
+	}
+	if len(px) > 0 {
+		std = math.Sqrt(sq / float64(len(px)))
+	}
 	if std == 0 {
 		std = 1
 	}
@@ -113,8 +122,14 @@ func (d *Dataset) Normalize() (mean, std float64) {
 	return mean, std
 }
 
-// ApplyNormalization applies a precomputed (mean, std) to the dataset.
+// ApplyNormalization applies a precomputed (mean, std) to the dataset:
+// every pixel becomes (x + (−mean)) · (1/std), in one parallel pass.
 func (d *Dataset) ApplyNormalization(mean, std float64) {
-	d.Images.Shift(-mean)
-	d.Images.Scale(1 / std)
+	px := d.Images.Data()
+	shift, scale := -mean, 1/std
+	tensor.ParallelChunks(len(px), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			px[i] = (px[i] + shift) * scale
+		}
+	})
 }

@@ -1,6 +1,9 @@
 package data
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -214,5 +217,50 @@ func TestSubsetSelectsCorrectSamples(t *testing.T) {
 	}
 	if !tensor.Equal(sub.Image(0), ds.Image(3)) || sub.Labels[1] != ds.Labels[7] {
 		t.Fatal("subset selected wrong samples")
+	}
+}
+
+// datasetDigest hashes what model.Train feeds a network from generator g:
+// the normalised train and test tensors, their labels, and the bits of the
+// (mean, std) pair the normalisation applied.
+func datasetDigest(g Generator) string {
+	const trainN, testN, seed = 24, 16, 7
+	train, test := g.Generate(trainN+testN, seed+1000).Split(trainN, seed+2000)
+	mean, std := train.Normalize()
+	test.ApplyNormalization(mean, std)
+	h := sha256.New()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, ds := range []*Dataset{train, test} {
+		for _, v := range ds.Images.Data() {
+			put(math.Float64bits(v))
+		}
+		for _, y := range ds.Labels {
+			put(uint64(y))
+		}
+	}
+	put(math.Float64bits(mean))
+	put(math.Float64bits(std))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Pins dataset preparation — generate, split, normalise — bit for bit. The
+// digests were recorded before Subset and Normalize were rewritten into
+// fewer passes; every pre-trained weight, and so every results_* number,
+// sits downstream of these bytes.
+func TestDatasetDigestPinned(t *testing.T) {
+	want := map[string]string{
+		"digits":       "0271423abf6ff5f93eb11479e9187300e8448a486eb84b5f93208acd08a69a7f",
+		"objects":      "0f075b4b6d5e83a029abd80f9999aabba392aa3dc6c1f2276de29f8b89845f87",
+		"housenumbers": "d78601e4e6e11358ae52def2644b9446d6dd3c0d913ac1cf2977c506c0efbed2",
+		"tinyscenes":   "6f88effdb12e1a761f10e3474e07e72091b7ef7a1d06ad170f6bc2b69db8a623",
+	}
+	for _, g := range allGenerators() {
+		if got := datasetDigest(g); got != want[g.Name()] {
+			t.Errorf("%s: dataset digest %s, want %s", g.Name(), got, want[g.Name()])
+		}
 	}
 }

@@ -68,7 +68,7 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		series := Fig3Series{Benchmark: b.Spec.Name, BaselineAcc: pre.TestAcc}
+		series := Fig3Series{Benchmark: b.Spec.Name, BaselineAcc: pre.TestAccuracy()}
 		for i, op := range fig3Ops(cfg.Quick) {
 			nc := cfg.noiseConfig(b)
 			nc.Scale *= op.scaleMul

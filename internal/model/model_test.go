@@ -1,9 +1,13 @@
 package model
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 
+	"shredder/internal/nn"
+	"shredder/internal/obs"
 	"shredder/internal/tensor"
 )
 
@@ -125,8 +129,8 @@ func TestTrainLeNetTinyLearns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pre.TestAcc < 0.4 {
-		t.Fatalf("LeNet tiny run test acc = %.2f, want > 0.40", pre.TestAcc)
+	if acc := pre.TestAccuracy(); acc < 0.4 {
+		t.Fatalf("LeNet tiny run test acc = %.2f, want > 0.40", acc)
 	}
 	if pre.Std <= 0 {
 		t.Fatal("normalization stats not recorded")
@@ -163,8 +167,133 @@ func TestTrainCachedRoundTrip(t *testing.T) {
 	if !tensor.AllClose(a, b, 1e-12) {
 		t.Fatal("cached weights differ from trained weights")
 	}
-	if second.TestAcc != first.TestAcc {
-		t.Fatalf("cached accuracy %v != trained %v", second.TestAcc, first.TestAcc)
+	// Miss and hit measure the same accuracy, the one Evaluate returns.
+	want, err := Evaluate(first.Net, first.Test, first.Config.BatchSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := first.TestAccuracy(); got != want {
+		t.Fatalf("trained accuracy %v, Evaluate returns %v", got, want)
+	}
+	if got := second.TestAccuracy(); got != want {
+		t.Fatalf("cached accuracy %v != trained %v", got, want)
+	}
+}
+
+// profiled returns spec with a Build that attaches prof to every network it
+// constructs, so that whatever TrainCached runs through the network shows.
+func profiled(spec Spec, prof *obs.Profiler) Spec {
+	build := spec.Build
+	spec.Build = func(rng *tensor.RNG) *nn.Sequential {
+		net := build(rng)
+		net.SetProfiler(prof)
+		return net
+	}
+	return spec
+}
+
+// A cache hit loads: it runs nothing through the network. The accuracy is
+// one test-set sweep when first asked for, and none after that.
+func TestCacheHitRunsNoForwardPass(t *testing.T) {
+	dir := t.TempDir()
+	cfg := TrainConfig{TrainN: 96, TestN: 40, Epochs: 1, BatchSize: 16, Seed: 4}
+	if _, err := TrainCached(LeNet(), cfg, dir); err != nil {
+		t.Fatal(err)
+	}
+	prof := obs.NewProfiler(nil)
+	pre, err := TrainCached(profiled(LeNet(), prof), cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table := prof.Table(); len(table) != 0 {
+		t.Fatalf("cache hit ran layer passes: %+v", table)
+	}
+	pre.TestAccuracy()
+	pre.TestAccuracy()
+	table := prof.Table()
+	if len(table) == 0 {
+		t.Fatal("TestAccuracy ran no forward pass")
+	}
+	const sweep = 3 // ceil(40 test samples / batches of 16)
+	for _, lp := range table {
+		if lp.ForwardCalls != sweep || lp.BackwardCalls != 0 {
+			t.Errorf("%s: %d forward and %d backward calls, want one sweep of %d batches",
+				lp.Layer, lp.ForwardCalls, lp.BackwardCalls, sweep)
+		}
+	}
+}
+
+// Split permutes all TrainN+TestN samples, so the training set — and the
+// weights — depend on TestN, BatchSize and LR as much as on TrainN.
+func TestCacheKeyCoversWhatWeightsDependOn(t *testing.T) {
+	base := TrainConfig{TrainN: 64, TestN: 20, Epochs: 1, Seed: 2}.withDefaults(LeNet())
+	for name, mutate := range map[string]func(*TrainConfig){
+		"TestN":     func(c *TrainConfig) { c.TestN = 24 },
+		"BatchSize": func(c *TrainConfig) { c.BatchSize = 8 },
+		"LR":        func(c *TrainConfig) { c.LR = 2e-3 },
+	} {
+		other := base
+		mutate(&other)
+		if cachePath("d", LeNet(), other) == cachePath("d", LeNet(), base) {
+			t.Errorf("configs differing in %s share cache entry %s", name, cachePath("d", LeNet(), base))
+		}
+	}
+	// End to end: a second test-set size must train, not hit.
+	dir := t.TempDir()
+	other := base
+	other.TestN = 24
+	for _, cfg := range []TrainConfig{base, other} {
+		if _, err := TrainCached(LeNet(), cfg, dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+		t.Fatalf("%d cache entries for two test-set sizes, want 2", len(entries))
+	}
+}
+
+// A cache entry that does not load is a miss: retrain, rewrite, say so.
+func TestDamagedCacheEntryIsAMiss(t *testing.T) {
+	cfg := TrainConfig{TrainN: 64, TestN: 20, Epochs: 1, Seed: 2}
+	dir := t.TempDir()
+	good, err := TrainCached(LeNet(), cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := cachePath(dir, LeNet(), good.Config)
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wrongNet bytes.Buffer
+	if err := nn.Save(CifarNet().Build(tensor.NewRNG(1)), &wrongNet); err != nil {
+		t.Fatal(err)
+	}
+	for name, damaged := range map[string][]byte{
+		"truncated":     whole[:len(whole)/2],
+		"wrong network": wrongNet.Bytes(),
+	} {
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var progress strings.Builder
+		cfg.Progress = &progress
+		pre, err := TrainCached(LeNet(), cfg, dir)
+		if err != nil {
+			t.Fatalf("%s entry: %v", name, err)
+		}
+		if !strings.Contains(progress.String(), "retraining") {
+			t.Errorf("%s entry: Progress does not mention the retrain: %q", name, progress.String())
+		}
+		reloaded := LeNet().Build(tensor.NewRNG(1))
+		if err := nn.LoadFile(reloaded, path); err != nil {
+			t.Fatalf("%s entry: cache file was not rewritten: %v", name, err)
+		}
+		for i, p := range good.Net.Params() {
+			if !tensor.Equal(pre.Net.Params()[i].Value, p.Value) || !tensor.Equal(reloaded.Params()[i].Value, p.Value) {
+				t.Fatalf("%s entry: retrained or rewritten parameter %s differs", name, p.Name)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"shredder/internal/data"
 	"shredder/internal/nn"
@@ -78,33 +79,60 @@ func (c TrainConfig) withDefaults(spec Spec) TrainConfig {
 }
 
 // Pretrained bundles a trained network with its data and statistics — the
-// starting point of every Shredder experiment.
+// starting point of every Shredder experiment. Shared by pointer, not copied.
 type Pretrained struct {
-	Spec    Spec
-	Net     *nn.Sequential
-	Train   *data.Dataset
-	Test    *data.Dataset
-	TestAcc float64
-	Mean    float64 // normalization applied to both splits
-	Std     float64
-	Config  TrainConfig
+	Spec   Spec
+	Net    *nn.Sequential
+	Train  *data.Dataset
+	Test   *data.Dataset
+	Mean   float64 // normalization applied to both splits
+	Std    float64
+	Config TrainConfig
+
+	plan    *nn.CompiledNet // float64 plan over Net, compiled at construction
+	accOnce sync.Once
+	acc     float64
 }
 
-// Train generates the benchmark's dataset, trains the network with Adam and
-// cross-entropy, and reports test accuracy.
-func Train(spec Spec, cfg TrainConfig) (*Pretrained, error) {
-	cfg = cfg.withDefaults(spec)
-	rng := tensor.NewRNG(cfg.Seed)
-	net := spec.Build(rng)
+// TestAccuracy returns the network's accuracy on Test: one sweep of the test
+// set when first asked for, once however many goroutines ask, and never at
+// construction — a cold start on a warm weight cache runs no forward pass.
+func (p *Pretrained) TestAccuracy() float64 {
+	p.accOnce.Do(func() { p.acc = evaluate(p.plan, p.Test, p.Config.BatchSize) })
+	return p.acc
+}
 
+// prepare builds the untrained network of spec and its normalised dataset
+// split, the part of Train a cache hit repeats (deterministic in the seed).
+func prepare(spec Spec, cfg TrainConfig) *Pretrained {
+	net := spec.Build(tensor.NewRNG(cfg.Seed))
 	full := spec.Dataset.Generate(cfg.TrainN+cfg.TestN, cfg.Seed+1000)
 	train, test := full.Split(cfg.TrainN, cfg.Seed+2000)
 	mean, std := train.Normalize()
 	test.ApplyNormalization(mean, std)
+	return &Pretrained{Spec: spec, Net: net, Train: train, Test: test, Mean: mean, Std: std, Config: cfg}
+}
 
+// compile gives p the plan TestAccuracy runs, once Net's weights are final.
+// A network the compiler cannot lower fails here, not when accuracy is asked.
+func (p *Pretrained) compile() (*Pretrained, error) {
+	plan, err := nn.Compile(p.Net, nn.Float64)
+	if err != nil {
+		return nil, fmt.Errorf("model: compile %s: %w", p.Net.Name(), err)
+	}
+	p.plan = plan
+	return p, nil
+}
+
+// Train generates the benchmark's dataset and trains the network with Adam
+// and cross-entropy; only a Progress writer makes it measure test accuracy.
+func Train(spec Spec, cfg TrainConfig) (*Pretrained, error) {
+	cfg = cfg.withDefaults(spec)
+	pre := prepare(spec, cfg)
+	net := pre.Net
 	opt := optim.NewAdam(net.Params(), cfg.LR)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		shuffled := train.Shuffle(cfg.Seed + int64(3000+epoch))
+		shuffled := pre.Train.Shuffle(cfg.Seed + int64(3000+epoch))
 		var epochLoss float64
 		batches := shuffled.Batches(cfg.BatchSize)
 		for _, b := range batches {
@@ -116,7 +144,7 @@ func Train(spec Spec, cfg TrainConfig) (*Pretrained, error) {
 			opt.Step()
 		}
 		if cfg.Progress != nil {
-			acc, err := Evaluate(net, test, cfg.BatchSize)
+			acc, err := Evaluate(net, pre.Test, cfg.BatchSize)
 			if err != nil {
 				return nil, err
 			}
@@ -124,14 +152,7 @@ func Train(spec Spec, cfg TrainConfig) (*Pretrained, error) {
 				spec.Name, epoch+1, cfg.Epochs, epochLoss/float64(len(batches)), 100*acc)
 		}
 	}
-	acc, err := Evaluate(net, test, cfg.BatchSize)
-	if err != nil {
-		return nil, err
-	}
-	return &Pretrained{
-		Spec: spec, Net: net, Train: train, Test: test,
-		TestAcc: acc, Mean: mean, Std: std, Config: cfg,
-	}, nil
+	return pre.compile()
 }
 
 // Evaluate returns test-set accuracy of a network at its current weights,
@@ -139,12 +160,18 @@ func Train(spec Spec, cfg TrainConfig) (*Pretrained, error) {
 // plan reads the network's own weight storage). A network the compiler
 // cannot lower is an error.
 func Evaluate(net *nn.Sequential, ds *data.Dataset, batchSize int) (float64, error) {
-	if ds.N() == 0 {
-		return 0, nil
-	}
 	plan, err := nn.Compile(net, nn.Float64)
 	if err != nil {
 		return 0, fmt.Errorf("model: evaluate %s: %w", net.Name(), err)
+	}
+	return evaluate(plan, ds, batchSize), nil
+}
+
+// evaluate is one sweep of ds through plan: the share of samples whose
+// largest logit is their label (0 for an empty dataset).
+func evaluate(plan *nn.CompiledNet, ds *data.Dataset, batchSize int) float64 {
+	if ds.N() == 0 {
+		return 0
 	}
 	correct := 0
 	for _, b := range ds.Batches(batchSize) {
@@ -155,50 +182,44 @@ func Evaluate(net *nn.Sequential, ds *data.Dataset, batchSize int) (float64, err
 			}
 		}
 	}
-	return float64(correct) / float64(ds.N()), nil
+	return float64(correct) / float64(ds.N())
 }
 
-// cachePath returns the checkpoint path for a spec/config pair.
+// cachePath returns the checkpoint path for a spec/config pair. The key
+// names everything the weights depend on: Split permutes all TrainN+TestN
+// samples, so the training set moves with TestN too.
 func cachePath(dir string, spec Spec, cfg TrainConfig) string {
-	return filepath.Join(dir, fmt.Sprintf("%s-n%d-e%d-s%d.gob", spec.Name, cfg.TrainN, cfg.Epochs, cfg.Seed))
+	return filepath.Join(dir, fmt.Sprintf("%s-n%d-t%d-e%d-b%d-lr%g-s%d.gob",
+		spec.Name, cfg.TrainN, cfg.TestN, cfg.Epochs, cfg.BatchSize, cfg.LR, cfg.Seed))
 }
 
 // TrainCached behaves like Train but reuses weights cached in dir from a
 // previous identical run, regenerating only the datasets (which are
 // deterministic in the seed). The cache keeps the multi-network experiment
-// harness from re-training AlexNet for every figure.
+// harness from re-training AlexNet for every figure. An entry that does not
+// load — truncated, or another network's — is a miss: the network is
+// retrained and the entry rewritten.
 func TrainCached(spec Spec, cfg TrainConfig, dir string) (*Pretrained, error) {
 	cfg = cfg.withDefaults(spec)
 	path := cachePath(dir, spec, cfg)
-	if _, err := os.Stat(path); err != nil {
-		pre, err := Train(spec, cfg)
-		if err != nil {
-			return nil, err
+	if _, err := os.Stat(path); err == nil {
+		pre := prepare(spec, cfg)
+		if err = nn.LoadFile(pre.Net, path); err == nil {
+			return pre.compile()
 		}
-		if mkErr := os.MkdirAll(dir, 0o755); mkErr != nil {
-			return nil, fmt.Errorf("model: cache dir: %w", mkErr)
+		if cfg.Progress != nil {
+			fmt.Fprintf(cfg.Progress, "%s: weight cache entry %s is unusable (%v); retraining\n", spec.Name, path, err)
 		}
-		if saveErr := nn.SaveFile(pre.Net, path); saveErr != nil {
-			return nil, saveErr
-		}
-		return pre, nil
 	}
-	// Cache hit: rebuild datasets and load weights.
-	rng := tensor.NewRNG(cfg.Seed)
-	net := spec.Build(rng)
-	if err := nn.LoadFile(net, path); err != nil {
-		return nil, err
-	}
-	full := spec.Dataset.Generate(cfg.TrainN+cfg.TestN, cfg.Seed+1000)
-	train, test := full.Split(cfg.TrainN, cfg.Seed+2000)
-	mean, std := train.Normalize()
-	test.ApplyNormalization(mean, std)
-	acc, err := Evaluate(net, test, cfg.BatchSize)
+	pre, err := Train(spec, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Pretrained{
-		Spec: spec, Net: net, Train: train, Test: test,
-		TestAcc: acc, Mean: mean, Std: std, Config: cfg,
-	}, nil
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("model: cache dir: %w", err)
+	}
+	if err := nn.SaveFile(pre.Net, path); err != nil {
+		return nil, err
+	}
+	return pre, nil
 }

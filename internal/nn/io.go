@@ -35,7 +35,8 @@ func Save(s *Sequential, w io.Writer) error {
 
 // Load reads parameters written by Save into an already-constructed network
 // of the same topology. Every parameter must be present with a matching
-// shape; the saved network name must match too.
+// shape; the saved network name must match too. On an error the network is
+// left as it was.
 func Load(s *Sequential, r io.Reader) error {
 	var cp checkpoint
 	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
@@ -53,7 +54,9 @@ func Load(s *Sequential, r io.Reader) error {
 			return fmt.Errorf("nn: parameter %q shape %v does not match model shape %v",
 				p.Name, saved.Shape(), p.Value.Shape())
 		}
-		p.Value.CopyFrom(saved)
+	}
+	for _, p := range s.Params() {
+		p.Value.CopyFrom(cp.Params[p.Name])
 	}
 	return nil
 }

@@ -2,7 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"shredder/internal/tensor"
@@ -83,4 +85,121 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := LoadFile(dst, filepath.Join(dir, "missing.gob")); err == nil {
 		t.Fatal("LoadFile of missing path should fail")
 	}
+}
+
+// loadSeeds are the weight files FuzzLoad starts from: a valid checkpoint of
+// smallNet and the ways one goes wrong.
+func loadSeeds(t testing.TB) map[string][]byte {
+	encode := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var valid bytes.Buffer
+	if err := Save(smallNet(1), &valid); err != nil {
+		t.Fatal(err)
+	}
+	params := func() map[string]*tensor.Tensor {
+		m := map[string]*tensor.Tensor{}
+		for _, p := range smallNet(1).Params() {
+			m[p.Name] = p.Value
+		}
+		return m
+	}
+	missing, reshaped := params(), params()
+	delete(missing, "fc.b")
+	reshaped["fc.b"] = tensor.New(1, 3)
+	// A tensor on the wire is its own gob message of {Shape, Data}: these
+	// two carry dimensions whose product still equals len(Data), the second
+	// by wrapping round: (2³²+1)(2³²−1) = 2⁶⁴−1, squared ≡ 1.
+	hostile := func(shape ...int) map[string]hostileTensor {
+		m := map[string]hostileTensor{}
+		for name, v := range params() {
+			m[name] = hostileTensor{v.Shape(), v.Data()}
+		}
+		m["fc.b"] = hostileTensor{shape, make([]float64, 3)}
+		return m
+	}
+	type hostileCheckpoint struct {
+		Network string
+		Params  map[string]hostileTensor
+	}
+	return map[string][]byte{
+		"valid":         valid.Bytes(),
+		"truncated":     valid.Bytes()[:valid.Len()/2],
+		"wrong network": encode(checkpoint{Network: "other", Params: params()}),
+		"missing param": encode(checkpoint{Network: "small", Params: missing}),
+		"wrong shape":   encode(checkpoint{Network: "small", Params: reshaped}),
+		"negative dim":  encode(hostileCheckpoint{"small", hostile(-1, -3)}),
+		"overflow dim":  encode(hostileCheckpoint{"small", hostile(1<<32+1, 1<<32-1, 1<<32+1, 1<<32-1, 3)}),
+	}
+}
+
+// hostileTensor gob-encodes as a tensor does, with whatever shape it holds.
+type hostileTensor struct {
+	Shape []int
+	Data  []float64
+}
+
+func (h hostileTensor) GobEncode() ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(struct {
+		Shape []int
+		Data  []float64
+	}{h.Shape, h.Data})
+	return buf.Bytes(), err
+}
+
+func TestLoadRefusesMalformedFiles(t *testing.T) {
+	for name, file := range loadSeeds(t) {
+		net, before := smallNet(2), smallNet(2)
+		err := Load(net, bytes.NewReader(file))
+		if (err == nil) != (name == "valid") {
+			t.Errorf("%s file: Load error = %v", name, err)
+		}
+		if err == nil {
+			continue
+		}
+		for i, p := range net.Params() {
+			if !tensor.Equal(p.Value, before.Params()[i].Value) {
+				t.Errorf("%s file: refused, yet parameter %s changed", name, p.Name)
+			}
+		}
+	}
+}
+
+// FuzzLoad: a weight file is read from disk, so any bytes may arrive. Load
+// must refuse them or load a complete set of well-shaped parameters — never
+// panic — and what it allocates is bounded by the file's own size and one
+// decoder chunk.
+func FuzzLoad(f *testing.F) {
+	for _, file := range loadSeeds(f) {
+		f.Add(file)
+	}
+	f.Fuzz(func(t *testing.T, file []byte) {
+		net := smallNet(2)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := Load(net, bytes.NewReader(file))
+		runtime.ReadMemStats(&after)
+		// gob sizes a slice by its declared length only when that many
+		// elements can still follow, one byte each at the least: 8 bytes
+		// of float64 per input byte, doubled for slack. The fixed term is
+		// gob's own: it reads a message into a buffer of the declared
+		// length, up to a 10 MB chunk, before it finds the input shorter
+		// (testdata/fuzz/FuzzLoad/message_length_5gb is six bytes long).
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 12<<20+16*uint64(len(file)) {
+			t.Fatalf("%d-byte file made Load allocate %d bytes", len(file), grew)
+		}
+		if err != nil {
+			return
+		}
+		for i, p := range net.Params() {
+			if want := smallNet(2).Params()[i].Value; !tensor.ShapeEq(p.Value.Shape(), want.Shape()) {
+				t.Fatalf("loaded parameter %s has shape %v, the model's is %v", p.Name, p.Value.Shape(), want.Shape())
+			}
+		}
+	})
 }

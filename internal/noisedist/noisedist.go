@@ -26,7 +26,7 @@ package noisedist
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"shredder/internal/tensor"
 )
@@ -87,6 +87,17 @@ func (c Component) variance(k Kind) float64 {
 // FitValues computes the maximum-likelihood Component of kind k over vals.
 // The input slice is not modified.
 func FitValues(vals []float64, k Kind) Component {
+	var sorted []float64
+	if k != Gaussian {
+		sorted = append([]float64(nil), vals...)
+		slices.Sort(sorted)
+	}
+	return component(vals, sorted, k)
+}
+
+// component is FitValues given vals in ascending order as well (the
+// Gaussian fit does not read sorted). Sums run over vals in its own order.
+func component(vals, sorted []float64, k Kind) Component {
 	if len(vals) == 0 {
 		return Component{}
 	}
@@ -104,8 +115,6 @@ func FitValues(vals []float64, k Kind) Component {
 		}
 		return Component{Loc: mean, Scale: math.Sqrt(sq / float64(len(vals)))}
 	default: // Laplace
-		sorted := append([]float64(nil), vals...)
-		sort.Float64s(sorted)
 		med := median(sorted)
 		var abs float64
 		for _, v := range vals {
@@ -150,13 +159,11 @@ func sketchKnots(n int) int {
 	return k
 }
 
-// sketchOf builds a k-knot quantile sketch of vals: knot j holds the
-// quantile at probability j/(k−1), linearly interpolated over the sorted
-// values. The sketch is the inverse CDF sampled at equispaced
-// probabilities, non-decreasing by construction.
-func sketchOf(vals []float64, knots int) []float32 {
-	v := append([]float64(nil), vals...)
-	sort.Float64s(v)
+// sketchOf builds a k-knot quantile sketch of the ascending values v: knot
+// j holds the quantile at probability j/(k−1), linearly interpolated. The
+// sketch is the inverse CDF sampled at equispaced probabilities,
+// non-decreasing by construction.
+func sketchOf(v []float64, knots int) []float32 {
 	out := make([]float32, knots)
 	for k := 0; k < knots; k++ {
 		x := float64(k) * float64(len(v)-1) / float64(knots-1)
@@ -240,21 +247,46 @@ func FitMixture(members []*tensor.Tensor, k Kind) (*Fitted, error) {
 		if m == nil || !tensor.ShapeEq(m.Shape(), shape) {
 			return nil, fmt.Errorf("noisedist: member %d shape mismatch", i)
 		}
-		f.Comps[i] = FitValues(m.Data(), k)
-		f.Sketches[i] = sketchOf(m.Data(), knots)
-		f.Orders[i] = argsort(m.Data())
 	}
+	// One sort per member: its argsort is the Orders row, and the values
+	// gathered through it are what the median and the sketch read.
+	tensor.ParallelFor(len(members), func(i int) {
+		vals := members[i].Data()
+		order, sorted := argsort(vals)
+		f.Comps[i] = component(vals, sorted, k)
+		f.Sketches[i] = sketchOf(sorted, knots)
+		f.Orders[i] = order
+	})
 	return f, nil
 }
 
-// argsort returns the ascending argsort of vals as int32 flat indices.
-func argsort(vals []float64) []int32 {
-	order := make([]int32, len(vals))
-	for i := range order {
-		order[i] = int32(i)
+// argsort returns the stable ascending argsort of vals as int32 flat
+// indices — equal values keep their index order — and the values in that
+// order, sorted[j] = vals[order[j]]. Ordering (value, index) pairs is a
+// total order, so an unstable sort yields the stable result.
+func argsort(vals []float64) (order []int32, sorted []float64) {
+	type entry struct {
+		v float64
+		i int32
 	}
-	sort.SliceStable(order, func(a, b int) bool { return vals[order[a]] < vals[order[b]] })
-	return order
+	entries := make([]entry, len(vals))
+	for i, v := range vals {
+		entries[i] = entry{v, int32(i)}
+	}
+	slices.SortFunc(entries, func(a, b entry) int {
+		if a.v < b.v {
+			return -1
+		}
+		if a.v > b.v {
+			return 1
+		}
+		return int(a.i - b.i)
+	})
+	order, sorted = make([]int32, len(vals)), make([]float64, len(vals))
+	for j, e := range entries {
+		order[j], sorted[j] = e.i, e.v
+	}
+	return order, sorted
 }
 
 // Components returns the mixture size.

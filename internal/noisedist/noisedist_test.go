@@ -2,6 +2,7 @@ package noisedist
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -132,7 +133,7 @@ func TestFitMixture(t *testing.T) {
 		t.Fatalf("per-member orders/sketches: %d/%d", len(f.Orders), len(f.Sketches))
 	}
 	for i, m := range members {
-		want := argsort(m.Data())
+		want, _ := argsort(m.Data())
 		for j := range want {
 			if want[j] != f.Orders[i][j] {
 				t.Fatalf("order %d not the member's own argsort", i)
@@ -251,4 +252,101 @@ func TestSampleIntoWrongSizePanics(t *testing.T) {
 		}
 	}()
 	f.SampleInto(tensor.New(5), tensor.NewRNG(1))
+}
+
+// threeSortFit is FitMixture's per-member work as it was before the fit
+// derived everything from one argsort: sort.Float64s for the median, again
+// for the sketch, and a reflection-driven sort.SliceStable for the order.
+// Kept as the oracle the one-sort fit is held to, field by field.
+func threeSortFit(vals []float64, k Kind, knots int) (Component, []float32, []int32) {
+	var comp Component
+	switch k {
+	case Gaussian:
+		var sum float64
+		for _, v := range vals {
+			sum += v
+		}
+		mean := sum / float64(len(vals))
+		var sq float64
+		for _, v := range vals {
+			d := v - mean
+			sq += d * d
+		}
+		comp = Component{Loc: mean, Scale: math.Sqrt(sq / float64(len(vals)))}
+	default:
+		sorted := append([]float64(nil), vals...)
+		sort.Float64s(sorted)
+		med := median(sorted)
+		var abs float64
+		for _, v := range vals {
+			abs += math.Abs(v - med)
+		}
+		comp = Component{Loc: med, Scale: abs / float64(len(vals))}
+	}
+
+	v := append([]float64(nil), vals...)
+	sort.Float64s(v)
+	sketch := make([]float32, knots)
+	for j := 0; j < knots; j++ {
+		x := float64(j) * float64(len(v)-1) / float64(knots-1)
+		i := int(x)
+		if i >= len(v)-1 {
+			sketch[j] = float32(v[len(v)-1])
+			continue
+		}
+		frac := x - float64(i)
+		sketch[j] = float32(v[i] + frac*(v[i+1]-v[i]))
+	}
+
+	order := make([]int32, len(vals))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(a, b int) bool { return vals[order[a]] < vals[order[b]] })
+	return comp, sketch, order
+}
+
+func TestFitMixtureMatchesThreeSortReference(t *testing.T) {
+	rng := tensor.NewRNG(17)
+	laplace := func(shape ...int) *tensor.Tensor { return rng.FillLaplace(tensor.New(shape...), 0.25, 3) }
+	tied := laplace(8, 16, 16)
+	for i, v := range tied.Data() {
+		tied.Data()[i] = math.Round(v) + 0 // a few dozen distinct values over 2048 elements; +0 folds −0 into 0
+	}
+	cases := map[string][]*tensor.Tensor{
+		"trained-like": {laplace(8, 16, 16), laplace(8, 16, 16), laplace(8, 16, 16)},
+		"lenet cut":    {laplace(120), laplace(120)},
+		"even length":  {laplace(6)},
+		"ties":         {tied, laplace(8, 16, 16)},
+		"one element":  {tensor.From([]float64{-1.5}, 1), tensor.From([]float64{2}, 1)},
+		"all equal":    {tensor.New(3, 3).Fill(0.75), tensor.New(3, 3).Fill(-2)},
+	}
+	for name, members := range cases {
+		for _, k := range []Kind{Laplace, Gaussian} {
+			f, err := FitMixture(members, k)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, k, err)
+			}
+			knots := sketchKnots(members[0].Len())
+			for i, m := range members {
+				comp, sketch, order := threeSortFit(m.Data(), k, knots)
+				if math.Float64bits(f.Comps[i].Loc) != math.Float64bits(comp.Loc) ||
+					math.Float64bits(f.Comps[i].Scale) != math.Float64bits(comp.Scale) {
+					t.Errorf("%s/%v member %d: component %+v, reference %+v", name, k, i, f.Comps[i], comp)
+				}
+				if !slices.Equal(f.Orders[i], order) {
+					t.Errorf("%s/%v member %d: order differs from the stable reference argsort", name, k, i)
+				}
+				if len(f.Sketches[i]) != len(sketch) {
+					t.Fatalf("%s/%v member %d: %d knots, reference %d", name, k, i, len(f.Sketches[i]), len(sketch))
+				}
+				for j := range sketch {
+					if math.Float32bits(f.Sketches[i][j]) != math.Float32bits(sketch[j]) {
+						t.Errorf("%s/%v member %d: knot %d = %v, reference %v", name, k, i, j, f.Sketches[i][j], sketch[j])
+						break
+					}
+				}
+			}
+		}
+	}
 }

@@ -84,7 +84,7 @@ func TestClassifyWithNoiseCollection(t *testing.T) {
 	}
 	acc := float64(correct) / float64(n)
 	if acc < 0.3 {
-		t.Fatalf("noisy remote accuracy %.2f collapsed (baseline %.2f)", acc, pre.TestAcc)
+		t.Fatalf("noisy remote accuracy %.2f collapsed (baseline %.2f)", acc, pre.TestAccuracy())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 )
 
 // wireTensor is the gob wire representation of a Tensor. Kept separate from
@@ -30,7 +31,16 @@ func Decode(r io.Reader) (*Tensor, error) {
 	if err := dec.Decode(&wt); err != nil {
 		return nil, fmt.Errorf("tensor: decode: %w", err)
 	}
-	if Volume(wt.Shape) != len(wt.Data) {
+	// A file can hold any integers as a shape: negative ones, or ones whose
+	// product wraps round to len(Data).
+	vol := 1
+	for _, d := range wt.Shape {
+		if d < 0 || (d > 0 && vol > math.MaxInt/d) {
+			return nil, fmt.Errorf("tensor: decode: invalid shape %v", wt.Shape)
+		}
+		vol *= d
+	}
+	if vol != len(wt.Data) {
 		return nil, fmt.Errorf("tensor: decode: shape %v does not match %d elements", wt.Shape, len(wt.Data))
 	}
 	return From(wt.Data, wt.Shape...), nil
