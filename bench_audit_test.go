@@ -18,7 +18,6 @@
 //
 // The p50_ms/p99_ms metrics are per-call latencies at the caller;
 // batches/records report how much audit work the run generated.
-// Reference numbers live in results_bench_audit.txt.
 package shredder
 
 import (

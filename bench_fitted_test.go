@@ -7,8 +7,7 @@
 // quantile sketch and scatters them through that member's order
 // permutation, also O(n) per query; the benchmark quantifies what fresh
 // per-query sampling costs in latency over replay. The fitted-mul variant
-// pays that twice (weight and noise). Reference run committed as
-// results_bench_fitted.txt.
+// pays that twice (weight and noise).
 package shredder
 
 import (

@@ -4,9 +4,8 @@
 // float64 (BN folding and fusion only), float32 unfused, and float32
 // fused. The per-layer cases cover the two heaviest layers of the
 // profiler's alexnet breakdown (the matmul-backed conv1 and the fc1
-// linear); the reference run is recorded in results_bench_kernels.txt,
-// where the fused float32 plan must hold a ≥1.5× speedup over the f64-stock
-// arm on both.
+// linear), where the fused float32 plan should hold a ≥1.5× speedup over the
+// f64-stock arm on both.
 //
 // Weights are random: kernel timing does not depend on training, and
 // skipping pre-training keeps `make bench-kernels` a seconds-scale smoke.

@@ -3,8 +3,7 @@
 // spans — and must stay within noise of the pre-observability baseline
 // (the nil-metric no-op contract: one predictable branch per would-be
 // record). The "enabled" variant prices the full pipeline: counters,
-// latency histograms, and a span per request. Reference numbers live in
-// results_bench_obs.txt.
+// latency histograms, and a span per request.
 package shredder
 
 import (

@@ -9,8 +9,7 @@
 //     fast backend and p99 collapses back toward the uniform fleet's.
 //
 // The p50_ms/p99_ms metrics are end-to-end per-call latencies measured at
-// the caller, not per-backend RTTs. Reference numbers live in
-// results_bench_pool.txt.
+// the caller, not per-backend RTTs.
 package shredder
 
 import (

@@ -3,8 +3,7 @@
 // — and must stay within noise of the pre-profiler baseline: the per-range
 // check is a single atomic load plus branch. The "enabled" variant prices
 // full per-layer timing (two clock reads and an ObserveLayer per layer per
-// pass) feeding registry histograms. Reference numbers live in
-// results_bench_profile.txt.
+// pass) feeding registry histograms.
 package shredder
 
 import (

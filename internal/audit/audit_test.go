@@ -368,6 +368,46 @@ func TestAuditorEvictsOldBatches(t *testing.T) {
 	}
 }
 
+// TestEvictionForgetsEveryTrace: a batch leaving the proof ring takes its
+// traces out of the index, read from the trace IDs the batch keeps beside its
+// records — the index stays as small as the ring however many batches pass
+// through — except a trace a later batch sealed again, which must keep
+// pointing at the later record.
+func TestEvictionForgetsEveryTrace(t *testing.T) {
+	a := New(Options{MaxBatch: 1, KeepBatches: 2}) // every record seals at once, alone
+	defer a.Close()
+	indexed := func() int {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.byTrace)
+	}
+	const again = 1 << 40 // the trace of batches 7 and 9
+	for batch := 0; batch < 10; batch++ {
+		r := testRecord(batch)
+		if batch == 7 || batch == 9 {
+			r.Trace = again
+		}
+		if err := a.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		if n := indexed(); n > 2 {
+			t.Fatalf("after %d batches the index holds %d traces, the ring 2 records", batch+1, n)
+		}
+	}
+	if s := a.Summarize(); s.Kept != 2 || s.Evicted != 8 {
+		t.Fatalf("ring keeps %d batches after %d evictions, want 2 after 8", s.Kept, s.Evicted)
+	}
+	if n := indexed(); n != 2 {
+		t.Fatalf("the index holds %d traces, the ring 2", n)
+	}
+	if p, ok := a.ProofByTrace(again); !ok || p.Seq != 9 {
+		t.Fatalf("the trace sealed twice resolves to %+v, want its record in batch 9", p)
+	}
+	if _, ok := a.ProofByTrace(testRecord(6).Trace); ok {
+		t.Fatal("a trace of an evicted batch is still served")
+	}
+}
+
 func TestProofTamperDetection(t *testing.T) {
 	a := New(Options{MaxBatch: 8})
 	for i := 0; i < 5; i++ {

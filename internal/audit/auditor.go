@@ -85,6 +85,10 @@ type SealedBatch struct {
 	Records   [][]byte
 	Leaves    [][32]byte
 	Root      [32]byte
+
+	// traces[i] is the trace ID of Records[i], kept so that evicting the
+	// batch from the proof ring never has to decode a record again.
+	traces []uint64
 }
 
 // traceRef locates a record inside the sealed ring by batch and index.
@@ -108,8 +112,9 @@ type Auditor struct {
 	gate sched.Gate
 
 	mu       sync.Mutex
-	pending  []pendingRec
-	inFlight int // sealed batches queued or being anchored
+	pending  [][]byte // canonical bytes of the records not yet sealed
+	traces   []uint64 // their trace IDs, index for index
+	inFlight int      // sealed batches queued or being anchored
 	timerGen uint64
 	timer    *time.Timer
 	closed   bool
@@ -122,11 +127,6 @@ type Auditor struct {
 
 	anchorDone sync.WaitGroup
 	m          counters
-}
-
-type pendingRec struct {
-	trace uint64
-	raw   []byte
 }
 
 // New starts an Auditor and its anchor goroutine.
@@ -161,7 +161,8 @@ func (a *Auditor) Append(r Record) error {
 		return ErrClosed
 	}
 	a.m.records.Add(1)
-	a.pending = append(a.pending, pendingRec{trace: r.Trace, raw: raw})
+	a.pending = append(a.pending, raw)
+	a.traces = append(a.traces, r.Trace)
 	switch {
 	case len(a.pending) >= a.opts.MaxBatch:
 		a.sealLocked(sealFull)
@@ -205,43 +206,40 @@ func (a *Auditor) armTimerLocked() {
 // SealedBatch, indexes it for proof service, and hands it to the anchor
 // goroutine. Called with a.mu held.
 func (a *Auditor) sealLocked(reason sealReason) {
-	batch := a.pending
-	a.pending = nil
+	records, traces := a.pending, a.traces
+	a.pending, a.traces = nil, nil
 	a.timerGen++
 	if a.timer != nil {
 		a.timer.Stop()
 		a.timer = nil
 	}
-	if len(batch) == 0 {
+	if len(records) == 0 {
 		return
 	}
 	sb := &SealedBatch{
 		Seq:       a.nextSeq,
 		UnixNanos: time.Now().UnixNano(),
-		Records:   make([][]byte, len(batch)),
-		Leaves:    make([][32]byte, len(batch)),
+		Records:   records,
+		Leaves:    make([][32]byte, len(records)),
+		traces:    traces,
 	}
 	a.nextSeq++
-	for i, p := range batch {
-		sb.Records[i] = p.raw
-		sb.Leaves[i] = LeafHash(p.raw)
+	for i, raw := range records {
+		sb.Leaves[i] = LeafHash(raw)
 	}
 	sb.Root = MerkleRoot(sb.Leaves)
 
 	a.ring = append(a.ring, sb)
-	for i, p := range batch {
-		a.byTrace[p.trace] = traceRef{seq: sb.Seq, index: i}
+	for i, trace := range traces {
+		a.byTrace[trace] = traceRef{seq: sb.Seq, index: i}
 	}
 	for len(a.ring) > a.opts.KeepBatches {
 		old := a.ring[0]
 		a.ring = a.ring[1:]
-		for i, rec := range old.Records {
-			r, err := UnmarshalRecord(rec)
-			if err != nil {
-				continue
-			}
-			if ref, ok := a.byTrace[r.Trace]; ok && ref.seq == old.Seq && ref.index == i {
-				delete(a.byTrace, r.Trace)
+		for i, trace := range old.traces {
+			// A trace sealed again since then points at the later record.
+			if a.byTrace[trace] == (traceRef{seq: old.Seq, index: i}) {
+				delete(a.byTrace, trace)
 			}
 		}
 		a.m.evicted.Add(1)

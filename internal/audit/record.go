@@ -170,44 +170,71 @@ func UnmarshalRecord(b []byte) (Record, error) {
 // does: a domain tag, the shape (so reshapes change the digest), and
 // the raw payload bytes.
 func DigestActivation(tag string, shape []int, payload []byte) [32]byte {
-	h := newActivationHash(tag, shape)
-	h.Write(payload)
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	var d Digester
+	return d.Activation([]byte(tag), shape, payload)
 }
 
 // DigestFloats is DigestActivation over the little-endian float64 bytes of
 // data, which it streams through a fixed-size chunk instead of
 // materializing: the digest of a dense activation costs no copy of it.
 func DigestFloats(tag string, shape []int, data []float64) [32]byte {
-	h := newActivationHash(tag, shape)
-	var chunk [4096]byte
-	for len(data) > 0 {
-		n := min(len(data), len(chunk)/8)
-		for i, v := range data[:n] {
-			binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(v))
-		}
-		h.Write(chunk[:8*n])
-		data = data[n:]
-	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	var d Digester
+	return d.Floats([]byte(tag), shape, data)
 }
 
-// newActivationHash starts an activation digest: everything but the payload.
-func newActivationHash(tag string, shape []int) hash.Hash {
-	h := sha256.New()
-	h.Write([]byte("shredder-act/1\x00"))
-	h.Write([]byte(tag))
-	h.Write([]byte{0})
-	var dims [8]byte
-	binary.BigEndian.PutUint64(dims[:], uint64(len(shape)))
-	h.Write(dims[:])
-	for _, d := range shape {
-		binary.BigEndian.PutUint64(dims[:], uint64(d))
-		h.Write(dims[:])
+// Digester computes activation digests through one SHA-256 state and one
+// staging buffer it keeps between calls, so a server that holds one per
+// request in flight digests without allocating. The zero value is ready to
+// use; a Digester serves one goroutine at a time.
+type Digester struct {
+	h   hash.Hash
+	buf []byte // the preamble, then the chunks of a dense payload
+	sum [32]byte
+}
+
+// begin starts a digest: everything but the payload.
+func (d *Digester) begin(tag []byte, shape []int) {
+	if d.h == nil {
+		d.h = sha256.New()
 	}
-	return h
+	d.h.Reset()
+	b := append(d.buf[:0], "shredder-act/1\x00"...)
+	b = append(append(b, tag...), 0)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(shape)))
+	for _, dim := range shape {
+		b = binary.BigEndian.AppendUint64(b, uint64(dim))
+	}
+	d.h.Write(b)
+	d.buf = b
+}
+
+func (d *Digester) end() [32]byte {
+	d.h.Sum(d.sum[:0])
+	return d.sum
+}
+
+// Activation is DigestActivation.
+func (d *Digester) Activation(tag []byte, shape []int, payload []byte) [32]byte {
+	d.begin(tag, shape)
+	d.h.Write(payload)
+	return d.end()
+}
+
+// Floats is DigestFloats.
+func (d *Digester) Floats(tag []byte, shape []int, data []float64) [32]byte {
+	d.begin(tag, shape)
+	const chunk = 4096
+	if cap(d.buf) < chunk {
+		d.buf = make([]byte, chunk)
+	}
+	b := d.buf[:chunk]
+	for len(data) > 0 {
+		n := min(len(data), chunk/8)
+		for i, v := range data[:n] {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		d.h.Write(b[:8*n])
+		data = data[n:]
+	}
+	return d.end()
 }

@@ -51,18 +51,29 @@ type Draw struct {
 	Noise *tensor.Tensor
 }
 
-// ApplyInPlace perturbs one per-sample activation: a ← a⊙w + n. The draw's
-// tensors are never modified; for stored draws they are shared collection
-// members, so the activation is the only tensor written.
+// ApplyInPlace perturbs one per-sample activation: a ← a⊙w + n. Only the
+// volumes must agree, so a single-sample batch [1, ...] is perturbed as it
+// is, without a per-sample view. The draw's tensors are never modified; for
+// stored draws they are shared collection members, so the activation is the
+// only tensor written.
 func (d Draw) ApplyInPlace(a *tensor.Tensor) *tensor.Tensor {
-	if d.Noise != nil && a.Len() != d.Noise.Len() {
-		panic(fmt.Sprintf("core: draw of %d values applied to activation of %d", d.Noise.Len(), a.Len()))
+	ad := a.Data()
+	for _, t := range []*tensor.Tensor{d.Weight, d.Noise} {
+		if t != nil && t.Len() != len(ad) {
+			panic(fmt.Sprintf("core: draw of %d values applied to activation of %d", t.Len(), len(ad)))
+		}
 	}
+	// Two passes, as MulInPlace then AddInPlace: one fused loop could be
+	// contracted into a multiply-add on some targets and change the bits.
 	if d.Weight != nil {
-		a.MulInPlace(d.Weight)
+		for i, w := range d.Weight.Data() {
+			ad[i] *= w
+		}
 	}
 	if d.Noise != nil {
-		a.AddInPlace(d.Noise)
+		for i, n := range d.Noise.Data() {
+			ad[i] += n
+		}
 	}
 	return a
 }

@@ -87,6 +87,11 @@ func (s *Split) ActivationShape() []int { return s.actShape }
 // place). Safe to call from many goroutines sharing one Split.
 func (s *Split) Local(x *tensor.Tensor) *tensor.Tensor { return s.local.Infer(x) }
 
+// LocalInto is Local writing into dst under nn.CompiledNet.InferInto's rule
+// (a nil or wrong-shaped dst is replaced): the serving edge hands back the
+// activation of an earlier request, once nothing reads it any more.
+func (s *Split) LocalInto(dst, x *tensor.Tensor) *tensor.Tensor { return s.local.InferInto(dst, x) }
+
 // Remote computes y = R(a') for a batch of (possibly noisy) activations.
 // train selects training-mode behaviour (needed before RemoteBackward).
 // This legacy path caches state on the layers, so it is NOT reentrant;

@@ -63,9 +63,12 @@ import (
 // of the per-sample input shape re-resolves the step shapes once and grows
 // the buffers. The pool is emptied by the garbage collector like any
 // sync.Pool — the next call re-allocates. The last step writes straight
-// into the result tensor (Float32 plans widen into it), which is the one
-// allocation of a warm Infer and belongs to the caller: it never aliases
-// workspace memory, so the edge may add noise to it in place.
+// into the result tensor (Float32 plans widen into it), which belongs to the
+// caller and never aliases workspace memory, so the edge may add noise to it
+// in place. It is what a warm Infer allocates — a batch above the matmul
+// kernels' fan-out threshold adds one chunking closure per parallel product —
+// and InferInto, handed the result of the call before, allocates not even
+// that.
 
 // CompileOption configures Compile/CompileRange.
 type CompileOption func(*compileConfig)
@@ -148,21 +151,31 @@ func (c *CompiledNet) To() int { return c.to }
 // float64 result the caller owns — dtype conversion, when any, happens
 // sample by sample at the boundaries. The input is only read. Safe for
 // concurrent use.
-func (c *CompiledNet) Infer(x *tensor.Tensor) *tensor.Tensor {
+func (c *CompiledNet) Infer(x *tensor.Tensor) *tensor.Tensor { return c.InferInto(nil, x) }
+
+// InferInto is Infer writing its result into dst, which it returns: the
+// entry for a caller that keeps the result tensor between calls — and the
+// one a fused or packed kernel will be called through. A dst that is nil or
+// not of the result's shape [N, ...] is replaced by a fresh tensor, which is
+// all Infer is. Every element is overwritten; dst must not alias x.
+func (c *CompiledNet) InferInto(dst, x *tensor.Tensor) *tensor.Tensor {
 	if c.p32 != nil {
-		return infer(c.p32, x.Data(), x.Shape())
+		return inferInto(c.p32, dst, x.Data(), x.Shape())
 	}
-	return infer(c.p64, x.Data(), x.Shape())
+	return inferInto(c.p64, dst, x.Data(), x.Shape())
 }
 
 // Infer32 runs the plan on a float32 batch — the zero-conversion entry for
-// payloads dequantized directly to float32 (quantize.Dequantize32). For a
+// payloads dequantized directly to float32 (quantize.DequantizeInto). For a
 // Float64 plan the input is widened sample by sample.
-func (c *CompiledNet) Infer32(x *tensor.Tensor32) *tensor.Tensor {
+func (c *CompiledNet) Infer32(x *tensor.Tensor32) *tensor.Tensor { return c.Infer32Into(nil, x) }
+
+// Infer32Into is Infer32 with InferInto's destination rule.
+func (c *CompiledNet) Infer32Into(dst *tensor.Tensor, x *tensor.Tensor32) *tensor.Tensor {
 	if c.p32 != nil {
-		return infer(c.p32, x.Data(), x.Shape())
+		return inferInto(c.p32, dst, x.Data(), x.Shape())
 	}
-	return infer(c.p64, x.Data(), x.Shape())
+	return inferInto(c.p64, dst, x.Data(), x.Shape())
 }
 
 // LabelMatches reports whether a profiler label produced by a compiled plan
@@ -340,20 +353,23 @@ func inferSample[F, In tensor.Float](p *plan[F], ws *workspace[F], l *layout, x 
 	}
 }
 
-// infer runs the plan over a batch x of the given [N, ...] shape. One
-// sample runs inline on the caller's goroutine with no closure built; a
-// batch fans out in chunks, one workspace each. Under a profiler the
-// samples run in sequence so each step reports once per call — its time
-// summed over the batch — through the same attach point the tape path uses,
-// so `shredder profile` sees compiled and tape passes through one interface.
-func infer[F, In tensor.Float](p *plan[F], x []In, shape []int) *tensor.Tensor {
+// inferInto runs the plan over a batch x of the given [N, ...] shape into out,
+// replaced by a fresh tensor when it is nil or of another shape. One sample
+// runs inline on the caller's goroutine with no closure built; a batch fans
+// out in chunks, one workspace each. Under a profiler the samples run in
+// sequence so each step reports once per call — its time summed over the
+// batch — through the same attach point the tape path uses, so `shredder
+// profile` sees compiled and tape passes through one interface.
+func inferInto[F, In tensor.Float](p *plan[F], out *tensor.Tensor, x []In, shape []int) *tensor.Tensor {
 	if len(shape) < 2 {
 		panic(fmt.Sprintf("nn: compiled plan expects a batched input [N, ...], got shape %v", shape))
 	}
 	n := shape[0]
 	l := p.layoutFor(shape[1:])
-	var buf [8]int // keeps the result's shape off the heap until tensor.New copies it
-	out := tensor.New(append(append(buf[:0], n), l.out...)...)
+	if out == nil || out.Rank() != 1+len(l.out) || out.Dim(0) != n || !tensor.ShapeEq(out.Shape()[1:], l.out) {
+		var buf [8]int // keeps the result's shape off the heap until tensor.New copies it
+		out = tensor.New(append(append(buf[:0], n), l.out...)...)
+	}
 	od := out.Data()
 	prof := p.src.activeProfiler(nil)
 	if n == 1 || prof != nil {

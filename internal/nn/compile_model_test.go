@@ -146,22 +146,23 @@ func TestCompileRangeAccessorsAndFloat32Remote(t *testing.T) {
 
 // TestWarmInferAllocations pins what a warm single-sample Infer allocates:
 // its result tensor (header, shape, data) and nothing else — no activation
-// tensors, scratch headers, shape slices or closures — plus, on SVHN's
-// remote part, the goroutine fan-out of its one matmul large enough to
-// parallelize.
+// tensors, scratch headers, shape slices, goroutines or per-chunk closures —
+// and that InferInto, handed that result back, allocates nothing. SVHN's
+// remote part has one matmul large enough to fan out, whose chunking closure
+// is one more allocation on either entry.
 func TestWarmInferAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	cases := []struct {
-		spec    model.Spec
-		cut     string
-		local   bool
-		ceiling float64
+		spec        model.Spec
+		cut         string
+		local       bool
+		infer, into float64 // ceilings
 	}{
-		{model.LeNet(), "conv2", true, 4},
-		{model.LeNet(), "conv2", false, 4},
-		{model.SvhnNet(), "conv0", false, 16},
+		{model.LeNet(), "conv2", true, 3, 0},
+		{model.LeNet(), "conv2", false, 3, 0},
+		{model.SvhnNet(), "conv0", false, 4, 1},
 	}
 	for _, tc := range cases {
 		net, x := zooInput(tc.spec, 1)
@@ -176,13 +177,46 @@ func TestWarmInferAllocations(t *testing.T) {
 		}
 		for _, dt := range []nn.Dtype{nn.Float64, nn.Float32} {
 			cn := mustCompile(t, net, from, to, dt)
-			cn.Infer(in) // warm: resolves the layout, sizes one workspace
+			out := cn.Infer(in) // warm: resolves the layout, sizes one workspace
 			n := testing.AllocsPerRun(100, func() { cn.Infer(in) })
 			t.Logf("%s [%d,%d) %v: %v allocations per warm Infer", tc.spec.Name, from, to, dt, n)
-			if n > tc.ceiling {
+			if n > tc.infer {
 				t.Errorf("%s [%d,%d) %v: a warm single-sample Infer allocates %v times, ceiling %v",
-					tc.spec.Name, from, to, dt, n, tc.ceiling)
+					tc.spec.Name, from, to, dt, n, tc.infer)
 			}
+			n = testing.AllocsPerRun(100, func() {
+				if cn.InferInto(out, in) != out {
+					t.Error("InferInto replaced a destination of the right shape")
+				}
+			})
+			if n > tc.into {
+				t.Errorf("%s [%d,%d) %v: a warm single-sample InferInto allocates %v times, ceiling %v",
+					tc.spec.Name, from, to, dt, n, tc.into)
+			}
+		}
+	}
+}
+
+// TestInferIntoEqualsInfer: InferInto writes what Infer returns, at both
+// dtypes and through both input types, into a destination that held another
+// result before; a destination of another shape is replaced, not written.
+func TestInferIntoEqualsInfer(t *testing.T) {
+	spec := model.LeNet()
+	net, x := zooInput(spec, 3)
+	y := x.Clone().Scale(0.5)
+	for _, dt := range []nn.Dtype{nn.Float64, nn.Float32} {
+		cn := mustCompile(t, net, 0, net.Len(), dt)
+		dst := cn.Infer(y)
+		if got := cn.InferInto(dst, x); got != dst || !tensor.Equal(got, cn.Infer(x)) {
+			t.Fatalf("%v: InferInto differs from Infer", dt)
+		}
+		x32 := tensor.ToDense[float32](x)
+		if got := cn.Infer32Into(dst, x32); got != dst || !tensor.Equal(got, cn.Infer32(x32)) {
+			t.Fatalf("%v: Infer32Into differs from Infer32", dt)
+		}
+		small := tensor.New(1, 10)
+		if got := cn.InferInto(small, x); got == small || !tensor.Equal(got, cn.Infer(x)) {
+			t.Fatalf("%v: a destination of the wrong shape was not replaced", dt)
 		}
 	}
 }

@@ -10,8 +10,7 @@ import (
 // adds nothing to the metric hot path, because window aggregates are
 // derived from cumulative snapshots at bucket boundaries rather than from
 // a second per-observation write path. The windowed variant must stay
-// within noise of cumulative-only; reference run committed as
-// results_bench_window.txt.
+// within noise of cumulative-only.
 func BenchmarkWindowOverhead(b *testing.B) {
 	run := func(b *testing.B, windowed bool) {
 		reg := NewRegistry()

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,9 +29,9 @@ func TestGateAdmitsAndDrains(t *testing.T) {
 		close(drained)
 	}()
 
-	// Give Drain a chance to start waiting, then refuse new entries.
+	// Wait for Drain to start waiting, then refuse new entries.
 	for !g.Draining() {
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 	if g.Enter() {
 		t.Fatal("gate admitted work while draining")
@@ -68,7 +69,9 @@ func TestGateConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(time.Millisecond)
+	for admitted.Load() == 0 { // Drain races entries already under way
+		runtime.Gosched()
+	}
 	g.Drain()
 	if g.Active() != 0 {
 		t.Fatalf("active after Drain: %d", g.Active())

@@ -118,6 +118,13 @@ type result[R any] struct {
 // slot is one pending submission: the request, its weight, the channel its
 // submitter is waiting on (buffered, so an abandoned slot never blocks the
 // flusher), and an optional SubmitInfo to fill with dispatch timings.
+//
+// Slots and their channels are reused. A flight's last touch of a slot is the
+// send of its result, so the submitter that receives the result is the slot's
+// only holder and puts it on the batcher's free list. A submitter that left
+// on ctx.Done() does not: the flight may still read the slot and will still
+// send into its channel, so that slot is never handed to a later submission —
+// it is garbage once the flight is over.
 type slot[Q, R any] struct {
 	ctx    context.Context
 	req    Q
@@ -125,6 +132,17 @@ type slot[Q, R any] struct {
 	enq    time.Time
 	res    chan result[R]
 	info   *SubmitInfo
+}
+
+// flight is one dispatched batch. Flights are reused like slots, taken and
+// returned under the batcher's mutex: the queue a flight carried becomes the
+// next pending queue's storage, and launch is built once so that starting the
+// flight's goroutine allocates nothing.
+type flight[Q, R any] struct {
+	batch  []*slot[Q, R]
+	reqs   []Q
+	reason flushReason
+	launch func()
 }
 
 // SubmitInfo reports how one submission travelled through the batcher: when
@@ -186,13 +204,15 @@ type Batcher[Q, R any] struct {
 	opts Options
 	run  func([]Q) ([]R, error)
 
-	mu       sync.Mutex
-	pending  []*slot[Q, R]
-	pendingW int
-	inFlight int
-	timerGen uint64 // invalidates stale MaxDelay timers
-	timer    *time.Timer
-	closed   bool
+	mu          sync.Mutex
+	pending     []*slot[Q, R]
+	pendingW    int
+	inFlight    int
+	timerGen    uint64 // invalidates stale MaxDelay timers
+	timer       *time.Timer
+	closed      bool
+	freeSlots   []*slot[Q, R]
+	freeFlights []*flight[Q, R]
 
 	flights sync.WaitGroup
 	stats   counters
@@ -230,13 +250,20 @@ func (b *Batcher[Q, R]) SubmitTraced(ctx context.Context, req Q, weight int, inf
 		b.stats.cancelled.Add(1)
 		return zero, err
 	}
-	s := &slot[Q, R]{ctx: ctx, req: req, weight: weight, enq: time.Now(), res: make(chan result[R], 1), info: info}
+	enq := time.Now()
 
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return zero, ErrClosed
 	}
+	var s *slot[Q, R]
+	if n := len(b.freeSlots); n > 0 {
+		s, b.freeSlots = b.freeSlots[n-1], b.freeSlots[:n-1]
+	} else {
+		s = &slot[Q, R]{res: make(chan result[R], 1)}
+	}
+	s.ctx, s.req, s.weight, s.enq, s.info = ctx, req, weight, enq, info
 	b.stats.submitted.Add(1)
 	b.pending = append(b.pending, s)
 	b.pendingW += weight
@@ -252,6 +279,11 @@ func (b *Batcher[Q, R]) SubmitTraced(ctx context.Context, req Q, weight int, inf
 
 	select {
 	case r := <-s.res:
+		var none Q
+		s.ctx, s.req, s.info = nil, none, nil
+		b.mu.Lock()
+		b.freeSlots = append(b.freeSlots, s)
+		b.mu.Unlock()
 		return r.val, r.err
 	case <-ctx.Done():
 		b.stats.cancelled.Add(1)
@@ -282,19 +314,26 @@ func (b *Batcher[Q, R]) armTimerLocked() {
 // flights.Add happens under the mutex so Close cannot miss a flight that a
 // concurrent Submit is about to launch.
 func (b *Batcher[Q, R]) dispatchLocked(reason flushReason) {
-	batch := b.pending
-	b.pending = nil
 	b.pendingW = 0
 	b.timerGen++
 	if b.timer != nil {
 		b.timer.Stop()
 		b.timer = nil
 	}
-	if len(batch) == 0 {
+	if len(b.pending) == 0 {
 		return
 	}
+	var f *flight[Q, R]
+	if n := len(b.freeFlights); n > 0 {
+		f, b.freeFlights = b.freeFlights[n-1], b.freeFlights[:n-1]
+	} else {
+		f = new(flight[Q, R])
+		f.launch = func() { b.fly(f) }
+	}
+	f.batch, b.pending = b.pending, f.batch[:0]
+	f.reason = reason
 	now := time.Now()
-	for _, s := range batch {
+	for _, s := range f.batch {
 		if s.info != nil {
 			s.info.Enqueued = s.enq
 			s.info.Dispatched = now
@@ -302,14 +341,18 @@ func (b *Batcher[Q, R]) dispatchLocked(reason flushReason) {
 	}
 	b.inFlight++
 	b.flights.Add(1)
-	go b.fly(batch, reason)
+	go f.launch()
 }
 
 // fly filters abandoned slots, runs the batch, and demultiplexes results.
-func (b *Batcher[Q, R]) fly(batch []*slot[Q, R], reason flushReason) {
+func (b *Batcher[Q, R]) fly(f *flight[Q, R]) {
 	defer func() {
+		// Drop what the flight still points at before it waits for reuse.
+		clear(f.batch)
+		clear(f.reqs)
 		b.mu.Lock()
 		b.inFlight--
+		b.freeFlights = append(b.freeFlights, f)
 		// The flight that just finished is the natural trigger for the
 		// next one: anything queued behind it goes out immediately.
 		if b.inFlight == 0 && len(b.pending) > 0 && !b.closed {
@@ -320,9 +363,9 @@ func (b *Batcher[Q, R]) fly(batch []*slot[Q, R], reason flushReason) {
 	}()
 
 	now := time.Now()
-	live := batch[:0]
+	live := f.batch[:0]
 	weight := 0
-	for _, s := range batch {
+	for _, s := range f.batch {
 		if s.ctx.Err() != nil {
 			continue // abandoned: its submitter already returned ctx.Err()
 		}
@@ -337,7 +380,7 @@ func (b *Batcher[Q, R]) fly(batch []*slot[Q, R], reason flushReason) {
 	b.stats.batches.Add(1)
 	b.stats.weight.Add(int64(weight))
 	b.stats.occupancy.Set(float64(weight))
-	switch reason {
+	switch f.reason {
 	case flushFull:
 		b.stats.full.Add(1)
 	case flushIdle:
@@ -348,15 +391,15 @@ func (b *Batcher[Q, R]) fly(batch []*slot[Q, R], reason flushReason) {
 		b.stats.closeFlush.Add(1)
 	}
 
-	reqs := make([]Q, len(live))
-	for i, s := range live {
-		reqs[i] = s.req
+	f.reqs = f.reqs[:0]
+	for _, s := range live {
+		f.reqs = append(f.reqs, s.req)
 	}
 	started := time.Now()
-	out, err := b.runProtected(reqs)
+	out, err := b.runProtected(f.reqs)
 	finished := time.Now()
-	if err == nil && len(out) != len(reqs) {
-		err = fmt.Errorf("sched: run returned %d results for %d requests", len(out), len(reqs))
+	if err == nil && len(out) != len(live) {
+		err = fmt.Errorf("sched: run returned %d results for %d requests", len(out), len(live))
 	}
 	for i, s := range live {
 		if s.info != nil {
@@ -366,8 +409,9 @@ func (b *Batcher[Q, R]) fly(batch []*slot[Q, R], reason flushReason) {
 			s.info.Finished = finished
 			s.info.BatchSize = len(live)
 			s.info.BatchWeight = weight
-			s.info.Reason = reason.String()
+			s.info.Reason = f.reason.String()
 		}
+		// The send is the flight's last touch of s: see slot.
 		if err != nil {
 			s.res <- result[R]{err: err}
 		} else {

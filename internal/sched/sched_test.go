@@ -408,7 +408,8 @@ func TestConcurrentStress(t *testing.T) {
 	t.Logf("stress stats: %+v", s)
 }
 
-// waitFor polls cond for up to 5 seconds.
+// waitFor yields to the goroutines cond is waiting on until it holds, for up
+// to 5 seconds.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -416,9 +417,89 @@ func waitFor(t *testing.T, cond func() bool) {
 		if cond() {
 			return
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 	t.Fatal("condition never became true")
+}
+
+// TestCancelledSubmitterSlotIsNotRecycledEarly: a submitter that leaves on
+// ctx.Done() while its batch is in flight must not put its slot back — the
+// flight still sends that slot's result. Were the slot handed to the next
+// submission, that submitter would wake up with the abandoned request's
+// result. Slots are recycled only by the submitter that received a result.
+func TestCancelledSubmitterSlotIsNotRecycledEarly(t *testing.T) {
+	started := make(chan int, 4)
+	release := map[int]chan struct{}{1: make(chan struct{}), 2: make(chan struct{})}
+	run := func(reqs []int) ([]int, error) {
+		started <- reqs[0]
+		if gate := release[reqs[0]]; gate != nil {
+			<-gate
+		}
+		return echoRun(reqs)
+	}
+	// MaxBatch 1: every submission flies at once, beside the blocked flights.
+	b := New(run, Options{MaxBatch: 1, MaxDelay: time.Minute})
+	defer b.Close()
+	free := func() (n int) {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.freeSlots)
+	}
+	flying := func() (n int) {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.inFlight
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	left := make(chan error, 1)
+	go func() {
+		_, err := b.Submit(ctx, 1, 1)
+		left <- err
+	}()
+	if v := <-started; v != 1 {
+		t.Fatalf("flight of %d started first", v)
+	}
+	cancel()
+	if err := <-left; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled submitter got %v", err)
+	}
+	if n := free(); n != 0 {
+		t.Fatalf("the submitter that left recycled its slot: %d on the free list with its flight still out", n)
+	}
+
+	type answer struct {
+		v   int
+		err error
+	}
+	second := make(chan answer, 1)
+	go func() {
+		v, err := b.Submit(context.Background(), 2, 1)
+		second <- answer{v, err}
+	}()
+	if v := <-started; v != 2 {
+		t.Fatalf("flight of %d started second", v)
+	}
+	// The abandoned flight now delivers into the slot its submitter left...
+	close(release[1])
+	waitFor(t, func() bool { return flying() == 1 })
+	select {
+	case a := <-second:
+		t.Fatalf("the second submitter woke up with %+v before its own flight finished", a)
+	default:
+	}
+	// ...and the second submission gets its own result, and recycles.
+	close(release[2])
+	if a := <-second; a.err != nil || a.v != 20 {
+		t.Fatalf("second submitter got %+v, want 20", a)
+	}
+	waitFor(t, func() bool { return free() == 1 && flying() == 0 })
+	if v, err := b.Submit(context.Background(), 3, 1); err != nil || v != 30 {
+		t.Fatalf("the submission on the recycled slot got %d, %v", v, err)
+	}
+	if n := free(); n != 1 {
+		t.Fatalf("%d slots on the free list after a third submission, want the one reused", n)
+	}
 }
 
 // TestSubmitTracedFillsInfoAndMetrics pins the tracing/metrics contract: a
@@ -427,11 +508,13 @@ func waitFor(t *testing.T, cond func() bool) {
 // and the shared registry sees the scheduler's registered counters.
 func TestSubmitTracedFillsInfoAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	slow := func(reqs []int) ([]int, error) {
-		time.Sleep(2 * time.Millisecond)
+	var entered, returned time.Time // the run's own clock readings
+	timed := func(reqs []int) ([]int, error) {
+		entered = time.Now()
+		defer func() { returned = time.Now() }()
 		return echoRun(reqs)
 	}
-	b := New(slow, Options{MaxBatch: 4, MaxDelay: time.Millisecond, Metrics: reg})
+	b := New(timed, Options{MaxBatch: 4, MaxDelay: time.Millisecond, Metrics: reg})
 	defer b.Close()
 
 	var info SubmitInfo
@@ -446,8 +529,9 @@ func TestSubmitTracedFillsInfoAndMetrics(t *testing.T) {
 	if info.BatchSize != 1 || info.BatchWeight != 2 || info.Reason == "" {
 		t.Fatalf("batch membership wrong: %+v", info)
 	}
-	if info.QueueDelay() < 0 || info.RunTime() < 2*time.Millisecond {
-		t.Fatalf("derived timings wrong: queue=%v run=%v", info.QueueDelay(), info.RunTime())
+	if info.QueueDelay() < 0 || info.Started.After(entered) || info.Finished.Before(returned) {
+		t.Fatalf("derived timings wrong: queue=%v, run [%v, %v] does not cover [%v, %v]",
+			info.QueueDelay(), info.Started, info.Finished, entered, returned)
 	}
 
 	snap := reg.Snapshot()

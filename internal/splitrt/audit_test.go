@@ -77,6 +77,7 @@ func TestDigestRequestPinned(t *testing.T) {
 		act.Data()[i] = float64(i)*0.25 - 17
 	}
 	quant := &quantPayload{Bits: 8, Lo: -1.5, Hi: 2.25, Shape: []int{1, 2, 2}, Packed: []byte{1, 2, 3, 4}}
+	var d audit.Digester
 	for _, c := range []struct {
 		name string
 		req  request
@@ -86,7 +87,8 @@ func TestDigestRequestPinned(t *testing.T) {
 		{"quant", request{Quant: quant}, "14d1b4aada0748f6902a443fc76e6f76c06a84b7396e3d8a47b4b7cb0af8a2ad"},
 		{"none", request{}, "42f9a16e305ebf69ad8e09681fbe8aaa3f3b5fd0f5497118eeb203e5afc4f657"},
 	} {
-		if got := fmt.Sprintf("%x", digestRequest(c.req)); got != c.want {
+		// One digest state for all three, as a request state reuses its own.
+		if got := fmt.Sprintf("%x", digestRequest(&d, &c.req)); got != c.want {
 			t.Errorf("%s digest %s, want %s", c.name, got, c.want)
 		}
 	}
@@ -175,6 +177,71 @@ func TestServerAuditEndToEnd(t *testing.T) {
 	}
 	if _, err := proof.VerifyAgainst(persisted); err != nil {
 		t.Fatalf("proof does not verify against reopened ledger: %v", err)
+	}
+}
+
+// TestNoisedBytesOnTheWirePinned: the client perturbs a single-sample batch
+// as it is and a larger one through per-sample views, and either way the
+// server's record commits to the bytes the old route put on the wire — one
+// draw per sample from the client's seed, each applied to its own slice with
+// the tensor package's in-place operations.
+func TestNoisedBytesOnTheWirePinned(t *testing.T) {
+	split, srv, addr, _ := auditRig(t, 1, time.Millisecond)
+	members := make([]*tensor.Tensor, 3)
+	for m := range members {
+		members[m] = tensor.New(1, 2, 2)
+		for i := range members[m].Data() {
+			members[m].Data()[i] = 0.5*float64(i) - 0.3*float64(m+1)
+		}
+	}
+	noise := &core.Collection{Shape: []int{1, 2, 2}, Members: members, InVivo: []float64{0.25, 0.5, 0.75}}
+	const seed = 29
+	for _, n := range []int{1, 3} {
+		x := tensor.New(n, 1, 2, 2)
+		for i := range x.Data() {
+			x.Data()[i] = float64(i%5) - 1.5
+		}
+		// Two calls: the second runs in the activation tensor of the first.
+		const calls = 2
+		rng := tensor.NewRNG(seed)
+		var want *tensor.Tensor
+		member := -2
+		for call := 0; call < calls; call++ {
+			want = split.Local(x)
+			for i := 0; i < n; i++ {
+				d := noise.Draw(rng)
+				want.Slice(i).AddInPlace(d.Noise)
+				if n == 1 {
+					member = d.Member
+				}
+			}
+		}
+
+		client, err := Dial(addr, split, "cut", noise, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call := 0; call < calls; call++ {
+			if _, err := client.Infer(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		client.Close()
+		srv.Auditor().Flush()
+		proof, ok := srv.Auditor().ProofByTrace(uint64(client.LastTrace()))
+		if !ok {
+			t.Fatalf("batch of %d: no record for the client's trace", n)
+		}
+		rec, err := proof.Verify()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.ActDigest != audit.DigestFloats("dense", want.Shape(), want.Data()) {
+			t.Errorf("batch of %d: the server saw other bytes than slice-by-slice noising produces", n)
+		}
+		if int(rec.Member) != member {
+			t.Errorf("batch of %d: record attributes member %d, want %d", n, rec.Member, member)
+		}
 	}
 }
 

@@ -32,10 +32,18 @@ type EdgeClient struct {
 	noise core.NoiseSource
 
 	// mu guards the RNG (tensor.RNG is not goroutine-safe), the draw
-	// scratch, the connection state (conn/broken), wireBits and quant.
+	// scratch, the connection state (conn/broken), wireBits and the
+	// per-call storage below it. A call holds it from its noise draw to its
+	// response, so one call at a time uses that storage.
 	mu      sync.Mutex
 	rng     *tensor.RNG
 	scratch core.DrawScratch // reused by fitted sources: zero-alloc draws
+
+	// acts holds the edge activations no call is using: InferContext takes
+	// one for its local forward pass (which runs outside mu, so several may
+	// be out at once) and puts it back when relay has returned — the
+	// exchange is synchronous, nothing reads the activation after that.
+	acts freeList[tensor.Tensor]
 
 	addr     string
 	cutLayer string
@@ -56,6 +64,8 @@ type EdgeClient struct {
 
 	wireBits int          // 0 = dense float transport
 	quant    quantPayload // the request on the wire, packed; the buffer is kept between requests
+	note     auditNote    // the request's privacy attribution
+	stages   stageTimes   // the request's stage clock, when spans are on
 
 	timeout    time.Duration // per-call bound when the context has no deadline
 	maxRedials int           // reconnect attempts per broken call
@@ -301,31 +311,39 @@ func (c *EdgeClient) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 // to the network round trip, and a broken connection is transparently
 // redialed with backoff when WithReconnect is configured.
 func (c *EdgeClient) InferContext(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	a := c.split.Local(x) // reentrant: runs outside the lock
-	var note *auditNote
+	a := c.split.LocalInto(c.acts.take(), x) // reentrant: runs outside the lock
+
 	c.mu.Lock()
+	var note *auditNote
 	if c.noise != nil {
 		// Member -2 = "not attributable": a multi-sample batch mixes draws,
 		// so no single member describes the request. Single-sample requests
 		// (the serving common case) carry the exact member.
-		note = &auditNote{Mode: c.noise.Mode(), Member: -2}
-		for i := 0; i < a.Dim(0); i++ {
+		note = &c.note
+		*note = auditNote{Mode: c.noise.Mode(), Member: -2}
+		n := a.Dim(0)
+		for i := 0; i < n; i++ {
 			d := core.DrawReusing(c.noise, &c.scratch, c.rng)
-			ai := a.Slice(i)
+			ai := a // a batch of one is its own sample: no view is built
+			if n > 1 {
+				ai = a.Slice(i)
+			}
 			// Telemetry sees the clean activation: realized SNR is defined
 			// against the signal the noise is about to cover.
 			inv, sampled := c.monitor.ObserveDrawSampled(d, ai)
 			if sampled {
 				note.InVivo, note.Sampled = inv, true
 			}
-			if a.Dim(0) == 1 {
+			if n == 1 {
 				note.Member = int32(d.Member)
 			}
 			d.ApplyInPlace(ai)
 		}
 	}
+	logits, err := c.relayLocked(ctx, request{Activation: a, Audit: note})
 	c.mu.Unlock()
-	return c.relay(ctx, request{Activation: a, Audit: note})
+	c.acts.give(a)
+	return logits, err
 }
 
 // InferActivation ships an already-prepared cut-layer activation batch to
@@ -343,7 +361,16 @@ func (c *EdgeClient) InferActivation(ctx context.Context, a *tensor.Tensor) (*te
 // relaying for a gateway passes on what the edge sent, packed bytes
 // included. The ID is the client's own (IDs are per connection), a zero
 // trace is minted, and a dense payload goes out in the client's wire format.
+// The call owns the connection until the response is in: when relay returns,
+// nothing of the client reads req any more.
 func (c *EdgeClient) relay(ctx context.Context, req request) (*tensor.Tensor, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.relayLocked(ctx, req)
+}
+
+// relayLocked is relay for a caller that holds c.mu.
+func (c *EdgeClient) relayLocked(ctx context.Context, req request) (*tensor.Tensor, error) {
 	req.ID = atomic.AddUint64(&c.nextID, 1)
 	c.m.requests.Inc()
 	if req.Trace == 0 {
@@ -357,7 +384,8 @@ func (c *EdgeClient) relay(ctx context.Context, req request) (*tensor.Tensor, er
 	var st *stageTimes
 	var spanStart time.Time
 	if c.spans != nil {
-		st = new(stageTimes)
+		st = &c.stages
+		*st = stageTimes{}
 		spanStart = time.Now()
 	}
 	logits, err := c.exchange(ctx, req, st)
@@ -415,13 +443,10 @@ type stageTimes struct {
 }
 
 // exchange packs the request for the wire and runs the request/response
-// loop (with retries and redials) under the connection lock.
+// loop (with retries and redials). The caller holds c.mu: the wire exchange
+// (and any redialing) owns the connection state for the duration of the
+// call, one request/response in flight at a time.
 func (c *EdgeClient) exchange(ctx context.Context, req request, st *stageTimes) (*tensor.Tensor, error) {
-	// The wire exchange (and any redialing) owns the connection state for
-	// the duration of the call: one request/response in flight at a time.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
 	if c.wireBits > 0 && req.Activation != nil {
 		t0 := time.Now()
 		if err := c.pack(&req); err != nil {
@@ -533,7 +558,7 @@ func (c *EdgeClient) roundTrip(ctx context.Context, req request, st *stageTimes)
 	if st != nil {
 		sendEnd = time.Now()
 	}
-	var resp response
+	resp := response{Logits: req.logitsInto}
 	n, err := c.conn.readPrefix(maxFrameBody)
 	if err == nil {
 		if st != nil {

@@ -127,11 +127,14 @@ func (c *frameConn) sendResponse(resp *response) error {
 
 // serveFrames speaks the accepting side of the protocol on one connection,
 // for the CloudServer and the Gateway alike: the hello exchange against the
-// partition the host serves, then the request loop. Pipelined, every
-// request is answered on its own goroutine — several can be in flight on
-// one connection and responses may overtake each other, matched by ID — and
-// ctx is cancelled when the reader exits, abandoning whatever of this
-// connection is still queued. It returns when the peer hangs up, idles out,
+// partition the host serves, then the request loop. Every frame is decoded
+// into a request state from the host's free list, which goes back there once
+// the response is written (reqState.answer). Pipelined, every request is
+// answered on its own goroutine — several can be in flight on one connection
+// and responses may overtake each other, matched by ID — and ctx is cancelled
+// when the reader exits, abandoning whatever of this connection is still
+// queued. In lockstep a request is over once answered, so the next one finds
+// its state on top of the list. It returns when the peer hangs up, idles out,
 // sends something that is not a frame, or cannot be written to; the caller
 // closes the connection.
 //
@@ -139,7 +142,7 @@ func (c *frameConn) sendResponse(resp *response) error {
 // payload length, say) does not end the connection — the length prefix has
 // kept the stream in step — and is handed on marked malformed, for handle to
 // refuse as a bad request like any other.
-func serveFrames(c *frameConn, host string, serves hello, pipelined bool, handle func(context.Context, request) response) {
+func serveFrames(c *frameConn, host string, serves hello, pipelined bool, states *stateList) {
 	body, err := c.readFrame(maxHandshakeBody)
 	if err != nil {
 		return
@@ -165,38 +168,19 @@ func serveFrames(c *frameConn, host string, serves hello, pipelined bool, handle
 	defer cancel()
 	var inflight sync.WaitGroup
 	defer inflight.Wait()
-	// In lockstep a request is over once answered, and the next is decoded
-	// into its buffers; a pipelined one belongs to the goroutine answering it.
-	var spare request
 	for {
 		body, err := c.readFrame(maxFrameBody)
 		if err != nil || body[0] != kindRequest {
 			return
 		}
-		req := request{Activation: spare.Activation, Quant: spare.Quant, Audit: spare.Audit}
-		if err := decodeRequest(body, &req); err != nil {
-			req.Activation, req.Quant, req.malformed = nil, nil, err.Error()
+		st := states.take()
+		st.conn, st.ctx, st.done = c, ctx, &inflight
+		st.decode(body)
+		if pipelined {
+			inflight.Add(1)
+			go st.run()
+		} else if !st.answer() {
+			return
 		}
-		if !pipelined {
-			resp := handle(ctx, req)
-			if spare = req; resp.Kind == ErrTimeout {
-				spare = request{} // the overrun forward pass still reads the buffers: it keeps them
-			}
-			if c.sendResponse(&resp) != nil {
-				return
-			}
-			continue
-		}
-		inflight.Add(1)
-		go func(req request) { // by value: a captured req would move every request to the heap
-			defer inflight.Done()
-			resp := handle(ctx, req)
-			if c.sendResponse(&resp) != nil {
-				// The peer is unreachable; unblock the reader so the
-				// connection tears down instead of lingering until the
-				// idle deadline.
-				c.Close()
-			}
-		}(req)
 	}
 }

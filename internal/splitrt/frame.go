@@ -363,9 +363,10 @@ func decodeAck(body []byte) (helloAck, error) {
 // decodeRequest decodes a request frame into req. ID and Trace are set as
 // soon as the header is open, so the caller can still answer a request
 // whose payload it must refuse. What req already holds is reused where it
-// fits (a tensor of the same shape, a Packed slice of enough capacity), as a
-// lockstep connection does with the request before; the payload is copied,
-// never aliased: body is the read buffer and the request outlives it.
+// fits (a tensor of the same shape, a Packed slice of enough capacity), which
+// is how a request state serves one request after another without
+// allocating; the payload is copied, never aliased: body is the read buffer
+// and the request outlives it.
 func decodeRequest(body []byte, req *request) error {
 	var h [requestHeaderLen]byte
 	rest, err := openFrame(body, kindRequest, h[:])

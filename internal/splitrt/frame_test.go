@@ -424,11 +424,11 @@ func TestFrameCodecAllocatesNothingWarm(t *testing.T) {
 
 // roundTripAllocCeiling bounds one warm InferActivation against an
 // in-process server at LeNet's conv2 cut, every goroutine of the process
-// counted: the result tensor of the server's compiled plan and the client's
-// logits, three allocations each, and nothing for framing, for the server's
-// activation tensor (each request is decoded into the one before it) or for
-// the forward pass itself. Measured: 6.
-const roundTripAllocCeiling = 9
+// counted: the logits the client hands its caller, three allocations, and
+// nothing for framing, for the server's request state (each request is
+// decoded, run and answered in the state of the one before it) or for the
+// forward pass itself. Measured: 3.
+const roundTripAllocCeiling = 4
 
 func TestWarmRoundTripAllocationCeiling(t *testing.T) {
 	if race.Enabled {

@@ -46,6 +46,8 @@ type Gateway struct {
 	sloErr     error  // deferred to Serve so construction stays infallible
 	stopObs    func() // stops the window/SLO ticker, set by Serve
 
+	states stateList // request states not in use (state.go)
+
 	mu       sync.Mutex // guards listener, conns, closed, debug
 	listener net.Listener
 	conns    map[net.Conn]struct{}
@@ -142,6 +144,7 @@ func WithGatewayCallTimeout(d time.Duration) GatewayOption {
 // close (or hand to another gateway).
 func NewGateway(pool *Pool, opts ...GatewayOption) *Gateway {
 	g := &Gateway{pool: pool, conns: map[net.Conn]struct{}{}}
+	g.states.handle = g.handle
 	for _, o := range opts {
 		o(g)
 	}
@@ -277,37 +280,47 @@ func (g *Gateway) serveConn(conn net.Conn) {
 		g.mu.Unlock()
 	}()
 	serveFrames(&frameConn{conn: conn, idleTimeout: g.idleTimeout},
-		"gateway", hello{Network: g.pool.Split().Net.Name(), CutLayer: g.pool.CutLayer()}, true, g.handle)
+		"gateway", hello{Network: g.pool.Split().Net.Name(), CutLayer: g.pool.CutLayer()}, true, &g.states)
 }
 
-// handle relays one request through the pool, translating pool-level
-// failures into wire kinds: a backend's own typed error passes through
-// verbatim, while fleet-level exhaustion (no backend available, pool
-// closed, transport budget spent) maps to the retryable shutdown kind so
-// edge clients with WithReconnect resend rather than give up.
-func (g *Gateway) handle(ctx context.Context, req request) response {
+// handle relays the request in st through the pool and leaves the response
+// there, translating pool-level failures into wire kinds: a backend's own
+// typed error passes through verbatim, while fleet-level exhaustion (no
+// backend available, pool closed, transport budget spent) maps to the
+// retryable shutdown kind so edge clients with WithReconnect resend rather
+// than give up.
+func (g *Gateway) handle(ctx context.Context, st *reqState) {
+	req, resp := &st.req, &st.resp
 	g.requests.Inc()
 	recv := time.Now()
-	resp := response{ID: req.ID, Trace: req.Trace}
-	if _, kind, msg := checkRequest(g.pool.Split(), &req); kind != ErrUnknown {
+	*resp = response{ID: req.ID, Trace: req.Trace}
+	if _, kind, msg := checkRequest(g.pool.Split(), req); kind != ErrUnknown {
 		g.failures.Inc()
 		resp.Err, resp.Kind = msg, kind
-		return resp
+		return
 	}
 	if g.callTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, g.callTimeout)
 		defer cancel()
 	}
+	if g.pool.hedges() {
+		// The losing attempt of a hedged call may still be sending the
+		// payload when the winner has returned: the state is not reused, and
+		// no two attempts share a destination for the logits.
+		st.forfeit = true
+	} else {
+		req.logitsInto = st.logits
+	}
 	// The request carries the edge's trace and audit note to whichever
 	// backend serves it: the record there is found by the edge's own trace.
-	logits, err := g.pool.relay(ctx, req)
+	logits, err := g.pool.relay(ctx, *req)
 	if err != nil {
 		g.failures.Inc()
 		resp.Err, resp.Kind = err.Error(), classifyPoolErr(err)
-		return resp
+		return
 	}
-	resp.Logits = logits
+	st.logits, resp.Logits = logits, logits
 	resp.SrvRecvUnixNanos = recv.UnixNano()
 	resp.SrvElapsedNs = int64(time.Since(recv))
 	if n := req.Audit; n != nil && n.Sampled {
@@ -317,7 +330,6 @@ func (g *Gateway) handle(ctx context.Context, req request) response {
 		g.invivo.Observe(n.InVivo)
 		g.invivoG.Set(n.InVivo)
 	}
-	return resp
 }
 
 // classifyPoolErr maps a pool failure to its wire kind for the edge client.

@@ -117,7 +117,7 @@ func (o *serverObs) observeAudit(n *auditNote) {
 // batcher's SubmitInfo when the request rode a batch, or computeStart on
 // the direct path). si must only carry data for successful batched
 // requests — SubmitInfo contents are unspecified after an error.
-func (o *serverObs) finish(req request, resp *response, t0 time.Time, si *sched.SubmitInfo, computeStart time.Time) {
+func (o *serverObs) finish(req *request, resp *response, t0 time.Time, si *sched.SubmitInfo, computeStart time.Time) {
 	if o == nil {
 		return
 	}

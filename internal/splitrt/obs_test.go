@@ -174,8 +174,10 @@ func TestServerErrorKindCounters(t *testing.T) {
 		WithBatching(sched.Options{MaxBatch: 2, MaxDelay: time.Millisecond}),
 		WithObservability(regS, nil))
 	srv.Close() // batcher now refuses submissions with the shutdown kind
-	resp := srv.handle(context.Background(), request{ID: 1, Activation: tensor.New(1, 1, 2, 2).Fill(1)})
-	if resp.Kind != ErrShutdown {
+	st := srv.states.take()
+	st.req = request{ID: 1, Activation: tensor.New(1, 1, 2, 2).Fill(1)}
+	srv.handle(context.Background(), st)
+	if resp := st.resp; resp.Kind != ErrShutdown {
 		t.Fatalf("closed batcher answered kind %s: %+v", resp.Kind, resp)
 	}
 	if got := regS.Snapshot().Counters["server.errors.shutdown"]; got != 1 {

@@ -491,6 +491,9 @@ func (p *Pool) noteFailure(b *poolBackend, err error) {
 	}
 }
 
+// hedges reports whether the pool may run two attempts of one call at once.
+func (p *Pool) hedges() bool { return p.hedgeQ > 0 }
+
 // hedgeBudget derives the live hedge-fire threshold: the hedgeQ quantile of
 // the fastest healthy backend's RTT histogram, floored at hedgeMin. The
 // minimum over backends (not a pooled histogram) is what lets the budget
@@ -498,7 +501,7 @@ func (p *Pool) noteFailure(b *poolBackend, err error) {
 // with fewer than 16 observations are skipped — too cold to trust — and
 // with no warm backend at all, hedging stays off (returns 0).
 func (p *Pool) hedgeBudget() time.Duration {
-	if p.hedgeQ <= 0 {
+	if !p.hedges() {
 		return 0
 	}
 	p.bmu.RLock()
@@ -533,6 +536,9 @@ func (p *Pool) callMaybeHedged(ctx context.Context, b *poolBackend, req request,
 	if budget <= 0 {
 		return p.callOne(ctx, b, req)
 	}
+	// Two attempts may now decode a response each: neither into a tensor
+	// the caller handed over for one.
+	req.logitsInto = nil
 	type attempt struct {
 		out    *tensor.Tensor
 		err    error

@@ -54,6 +54,10 @@ type request struct {
 	// malformed is set by the accepting side, never sent: the frame arrived
 	// whole but its payload could not be decoded, and this is why.
 	malformed string
+	// logitsInto is set by the sending side, never sent: a tensor the caller
+	// owns for the response's logits to be decoded into, when it has their
+	// shape. One attempt at a time may hold it — a hedged call passes none.
+	logitsInto *tensor.Tensor
 }
 
 // auditNote is the per-request privacy attribution an edge attaches for

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -472,6 +473,86 @@ func TestLockstepServerReusesRequestBuffers(t *testing.T) {
 	}
 }
 
+// TestPooledRequestStateNotReusedAfterTimeout is the same rule on a batching
+// server, whose requests are answered on their own goroutines from pooled
+// states: a request whose batch overran the handler timeout forfeits its
+// state — the abandoned flight still reads its activation and writes its
+// logits — so the next request is decoded into other tensors, and is answered
+// with its own logits whatever the abandoned pass writes afterwards.
+func TestPooledRequestStateNotReusedAfterTimeout(t *testing.T) {
+	gate := make(chan struct{})
+	seen := make(chan *tensor.Tensor, 8)
+	stale := make(chan float64, 1)
+	split, srv, addr := identityRig(t,
+		WithBatching(sched.Options{MaxBatch: 4, MaxDelay: time.Millisecond}),
+		WithHandlerTimeout(50*time.Millisecond), withFault(func(act *tensor.Tensor) {
+			seen <- act
+			if act.Data()[0] == trapValue {
+				<-gate                 // overrun the handler timeout …
+				stale <- act.Data()[0] // … and read the activation afterwards
+			}
+		}))
+	idle := func() int {
+		srv.states.mu.Lock()
+		defer srv.states.mu.Unlock()
+		return len(srv.states.idle)
+	}
+	client, err := Dial(addr, split, "cut", nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	send := func(v float64) (*tensor.Tensor, error) {
+		got, err := client.InferActivation(context.Background(), tensor.New(1, 1, 2, 2).Fill(v))
+		if err != nil {
+			return nil, err
+		}
+		if got.Data()[0] != v {
+			t.Errorf("request %v answered with logits of %v", v, got.Data()[0])
+		}
+		// The state goes back once the response is written: wait for it, or
+		// the next request may find the list still empty.
+		for deadline := time.Now().Add(5 * time.Second); idle() == 0; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatal("the answered request's state never came back")
+			}
+		}
+		return <-seen, nil
+	}
+
+	first, err := send(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second, err := send(2); err != nil || second != first {
+		t.Fatalf("the second request did not run in the first one's state: %v", err)
+	}
+	var remote *RemoteError
+	if _, err := client.InferActivation(context.Background(), tensor.New(1, 1, 2, 2).Fill(trapValue)); !errors.As(err, &remote) || remote.Kind != ErrTimeout {
+		t.Fatalf("the blocked request: %v, want a handler timeout", err)
+	}
+	if abandoned := <-seen; abandoned != first {
+		t.Fatal("the timed-out request did not run in the pooled state")
+	}
+	if n := idle(); n != 0 {
+		t.Fatalf("%d states on the free list with the only one ever made still read by an abandoned pass", n)
+	}
+	next, err := send(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next == first {
+		t.Fatal("a request was decoded into the tensor an abandoned forward pass is still reading")
+	}
+	close(gate)
+	if v := <-stale; v != trapValue {
+		t.Fatalf("the abandoned forward pass read %v from its activation, sent %v", v, trapValue)
+	}
+	if again, err := send(4); err != nil || again != next {
+		t.Fatalf("reuse did not resume after the timeout: %v", err)
+	}
+}
+
 // TestCancelAfterResponseDoesNotPoisonNextRequest races a cancellation
 // against the arrival of the response, over and over: whichever wins, the
 // poke it may have fired must never fail the request after it.
@@ -517,7 +598,7 @@ func TestQuantTagMatchesFmt(t *testing.T) {
 	} {
 		q.Shape, q.Packed = []int{1, 2}, []byte{7, 9}
 		tag := fmt.Sprintf("quant/%d/%g/%g", q.Bits, q.Lo, q.Hi)
-		if digestRequest(request{Quant: &q}) != audit.DigestActivation(tag, q.Shape, q.Packed) {
+		if digestRequest(new(audit.Digester), &request{Quant: &q}) != audit.DigestActivation(tag, q.Shape, q.Packed) {
 			t.Errorf("the digest of a payload tagged %q is not the one fmt's tag gives", tag)
 		}
 	}
@@ -547,10 +628,29 @@ func TestPoolPickAllocatesNothing(t *testing.T) {
 // gatewayRelayAllocCeiling bounds one warm 8-bit InferActivation through
 // the whole fleet path — edge client, gateway, pool, and a batched float32
 // audited server with observability on, the fleet benchmark's server —
-// every goroutine of the process counted. Measured: 41.
-const gatewayRelayAllocCeiling = 44
+// every goroutine of the process counted. DESIGN §5l lists what is left: the
+// caller's logits, the audit record and its sealed batch, the server's span,
+// the pool client's cancellation watcher and the batch's result list.
+// Measured: 15.
+const gatewayRelayAllocCeiling = 16
 
 func TestWarmGatewayRelayAllocationCeiling(t *testing.T) {
+	warmFleetServerAllocations(t, true, gatewayRelayAllocCeiling)
+}
+
+// batchedServeAllocCeiling is the same request sent straight to that server,
+// without gateway and pool: no second hop, no cancellation watcher (the
+// caller's context cannot be cancelled). Measured: 13.
+const batchedServeAllocCeiling = 14
+
+func TestWarmBatchedAuditedServeAllocationCeiling(t *testing.T) {
+	warmFleetServerAllocations(t, false, batchedServeAllocCeiling)
+}
+
+// warmFleetServerAllocations counts the allocations of one warm 8-bit
+// InferActivation against the fleet benchmark's server, direct or through a
+// gateway and its pool.
+func warmFleetServerAllocations(t *testing.T, fronted bool, ceiling float64) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -560,8 +660,10 @@ func TestWarmGatewayRelayAllocationCeiling(t *testing.T) {
 		WithBatching(sched.Options{MaxBatch: 8, MaxDelay: time.Millisecond}),
 		WithAudit(audit.New(audit.Options{})),
 		WithObservability(nil, nil))
-	_, _, gwAddr := front(t, split, cutLayer, []string{addr})
-	client, err := Dial(gwAddr, split, cutLayer, nil, 1)
+	if fronted {
+		_, _, addr = front(t, split, cutLayer, []string{addr})
+	}
+	client, err := Dial(addr, split, cutLayer, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,8 +678,8 @@ func TestWarmGatewayRelayAllocationCeiling(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	t.Logf("%v allocations per warm relayed round trip", n)
-	if n > gatewayRelayAllocCeiling {
-		t.Fatalf("a warm relayed round trip allocates %v times, ceiling %d", n, gatewayRelayAllocCeiling)
+	t.Logf("%v allocations per warm round trip (through a gateway: %v)", n, fronted)
+	if n > ceiling {
+		t.Fatalf("a warm round trip allocates %v times, ceiling %v", n, ceiling)
 	}
 }

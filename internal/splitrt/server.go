@@ -53,6 +53,7 @@ type CloudServer struct {
 
 	batchOpts *sched.Options
 	batcher   *sched.Batcher[activation, *tensor.Tensor]
+	states    stateList // request states not in use (state.go)
 
 	dtype      nn.Dtype        // WithDtype: the plan's arithmetic (default float64)
 	plan       *nn.CompiledNet // the remote part at dtype: every forward pass runs it
@@ -238,6 +239,7 @@ func WithSpanJoin(clientSpans *obs.SpanRing) ServerOption {
 // layer name clients must declare in their handshake.
 func NewCloudServer(split *core.Split, cutLayer string, opts ...ServerOption) *CloudServer {
 	s := &CloudServer{split: split, cutLayer: cutLayer, conns: map[net.Conn]struct{}{}}
+	s.states.handle = s.handle
 	for _, o := range opts {
 		o(s)
 	}
@@ -442,75 +444,78 @@ func (s *CloudServer) serveConn(conn net.Conn) {
 	// Under batching every request is answered on its own goroutine, so
 	// several can be in the batcher at once and one connection can pipeline.
 	serveFrames(&frameConn{conn: conn, idleTimeout: s.idleTimeout, writeTimeout: s.writeTimeout},
-		"server", hello{Network: s.split.Net.Name(), CutLayer: s.cutLayer}, s.batcher != nil, s.handle)
+		"server", hello{Network: s.split.Net.Name(), CutLayer: s.cutLayer}, s.batcher != nil, &s.states)
 }
 
-// handle computes R(a′) for one request. Validation errors are classified
-// per request (ErrBadRequest) before the batcher is involved, so a
-// malformed payload can never poison a batch it would have ridden in.
-// The request's trace ID is echoed on the response, and with observability
-// enabled the whole exchange is recorded as a span whose stages split the
-// latency into queue / batch / compute time.
-func (s *CloudServer) handle(ctx context.Context, req request) response {
+// handle computes R(a′) for the request in st and leaves the response there.
+// Validation errors are classified per request (ErrBadRequest) before the
+// batcher is involved, so a malformed payload can never poison a batch it
+// would have ridden in. The request's trace ID is echoed on the response, and
+// with observability enabled the whole exchange is recorded as a span whose
+// stages split the latency into queue / batch / compute time.
+func (s *CloudServer) handle(ctx context.Context, st *reqState) {
+	req, resp := &st.req, &st.resp
 	o := s.obs
 	var t0, computeStart time.Time
 	if o != nil {
 		o.requests.Inc()
 		t0 = time.Now()
 	}
-	resp := response{ID: req.ID, Trace: req.Trace}
-	act, kind, msg := s.decode(&req)
+	*resp = response{ID: req.ID, Trace: req.Trace}
+	act, kind, msg := s.decode(st)
 	if kind != ErrUnknown {
 		resp.Err, resp.Kind = msg, kind
-		o.finish(req, &resp, t0, nil, computeStart)
-		return resp
+		o.finish(req, resp, t0, nil, computeStart)
+		return
 	}
-	var logits *tensor.Tensor
 	var err error
 	var si *sched.SubmitInfo
 	if s.batcher != nil {
 		if o != nil {
-			si = new(sched.SubmitInfo)
+			si = &st.info
 		}
-		logits, err = s.batcher.SubmitTraced(ctx, act, act.n, si)
+		st.logits, err = s.batcher.SubmitTraced(ctx, act, act.n, si)
 	} else {
 		if o != nil {
 			computeStart = time.Now()
 		}
-		logits, err = s.infer(act)
+		st.logits, err = s.infer(act)
 	}
 	if err != nil {
+		// A forward pass that overran the handler timeout, or a flight this
+		// handler left on ctx.Done(), still reads the activation and writes
+		// the logits: they stay its own.
+		st.forfeit = true
 		resp.Err, resp.Kind = err.Error(), classify(err)
 		// SubmitInfo contents are unspecified after an error; don't report
 		// its timings.
-		o.finish(req, &resp, t0, nil, computeStart)
-		return resp
+		o.finish(req, resp, t0, nil, computeStart)
+		return
 	}
-	resp.Logits = logits
-	o.finish(req, &resp, t0, si, computeStart)
+	resp.Logits = st.logits
+	o.finish(req, resp, t0, si, computeStart)
 	o.observeAudit(req.Audit)
-	s.auditRecord(req)
-	return resp
+	s.auditRecord(st)
 }
 
 // auditRecord emits one request's evidence record into the audit trail.
 // Called only for successfully served requests, synchronously inside
 // handle — so Close's wg.Wait → auditor.Close ordering guarantees every
 // emitted record is sealed and anchored before shutdown completes.
-func (s *CloudServer) auditRecord(req request) {
+func (s *CloudServer) auditRecord(st *reqState) {
 	if s.auditor == nil {
 		return
 	}
 	rec := audit.Record{
-		Trace:     req.Trace,
+		Trace:     st.req.Trace,
 		UnixNanos: time.Now().UnixNano(),
 		Model:     s.split.Net.Name(),
 		Cut:       s.cutLayer,
 		Mode:      "none",
 		Member:    -2,
-		ActDigest: digestRequest(req),
+		ActDigest: digestRequest(&st.digest, &st.req),
 	}
-	if n := req.Audit; n != nil {
+	if n := st.req.Audit; n != nil {
 		rec.Mode, rec.Member, rec.InVivo, rec.Sampled = n.Mode, n.Member, n.InVivo, n.Sampled
 	}
 	// The only Append failure modes are a closed auditor (impossible
@@ -519,13 +524,14 @@ func (s *CloudServer) auditRecord(req request) {
 	_ = s.auditor.Append(rec)
 }
 
-// digestRequest hashes the activation payload exactly as received:
-// quantized requests digest the packed level bytes under their scheme,
-// dense requests the little-endian float64 bits the frame carried. The
-// digest commits the server to what the cloud actually saw — the noised
-// bytes — without the ledger ever storing the activation itself. A gateway
-// relays those bytes untouched: the digest does not depend on the topology.
-func digestRequest(req request) [32]byte {
+// digestRequest hashes the activation payload exactly as received, through
+// the digest state the request's own state keeps: quantized requests digest
+// the packed level bytes under their scheme, dense requests the little-endian
+// float64 bits the frame carried. The digest commits the server to what the
+// cloud actually saw — the noised bytes — without the ledger ever storing the
+// activation itself. A gateway relays those bytes untouched: the digest does
+// not depend on the topology.
+func digestRequest(d *audit.Digester, req *request) [32]byte {
 	if q := req.Quant; q != nil {
 		// fmt.Sprintf("quant/%d/%g/%g", bits, lo, hi), the tag the ledgers on
 		// disk were written with, built without fmt: this runs per request.
@@ -533,12 +539,12 @@ func digestRequest(req request) [32]byte {
 		tag := strconv.AppendInt(append(buf[:0], "quant/"...), int64(q.Bits), 10)
 		tag = strconv.AppendFloat(append(tag, '/'), q.Lo, 'g', -1, 64)
 		tag = strconv.AppendFloat(append(tag, '/'), q.Hi, 'g', -1, 64)
-		return audit.DigestActivation(string(tag), q.Shape, q.Packed)
+		return d.Activation(tag, q.Shape, q.Packed)
 	}
 	if req.Activation == nil {
-		return audit.DigestActivation("none", nil, nil)
+		return d.Activation([]byte("none"), nil, nil)
 	}
-	return audit.DigestFloats("dense", req.Activation.Shape(), req.Activation.Data())
+	return d.Floats([]byte("dense"), req.Activation.Shape(), req.Activation.Data())
 }
 
 // checkRequest validates a request from its header alone: the frame was
@@ -572,32 +578,47 @@ func checkRequest(split *core.Split, req *request) (scheme quantize.Scheme, kind
 }
 
 // activation is a batch of n activations as the plan takes it, in exactly
-// one of the two fields. A dense payload stays the float64 tensor the frame
-// carried (a float32 plan narrows it sample by sample in its workspace); a
-// packed payload has been dequantized once, at the plan's dtype.
+// one of the two fields, and where the plan is to put their logits. A dense
+// payload stays the float64 tensor the frame carried (a float32 plan narrows
+// it sample by sample in its workspace); a packed payload has been
+// dequantized once, at the plan's dtype. All three tensors belong to the
+// request's state; dst is nil or of another shape until the state has served
+// a request of this size.
 type activation struct {
 	n   int
 	f64 *tensor.Tensor
 	f32 *tensor.Tensor32
+	dst *tensor.Tensor
 }
 
 // decode is the server's one decode step, the same for every configuration:
-// payload → activation at the plan's dtype.
-func (s *CloudServer) decode(req *request) (act activation, kind ErrKind, msg string) {
+// payload → activation at the plan's dtype, in the tensors the state keeps.
+func (s *CloudServer) decode(st *reqState) (act activation, kind ErrKind, msg string) {
+	req := &st.req
 	scheme, kind, msg := checkRequest(s.split, req)
 	if kind != ErrUnknown {
 		return act, kind, msg
 	}
+	act.dst = st.logits
 	q := req.Quant
 	if q == nil {
-		return activation{n: req.Activation.Dim(0), f64: req.Activation}, ErrUnknown, ""
+		act.n, act.f64 = req.Activation.Dim(0), req.Activation
+		return act, ErrUnknown, ""
 	}
+	// decodeRequest has held the payload's length against the shape, so the
+	// tensors sized from it here are no larger than what the peer sent.
 	act.n = q.Shape[0]
 	var err error
 	if s.dtype == nn.Float32 {
-		act.f32, err = scheme.DequantizePacked32(q.Packed, q.Shape...)
+		if st.f32 == nil || !tensor.ShapeEq(st.f32.Shape(), q.Shape) {
+			st.f32 = tensor.NewDense[float32](q.Shape...)
+		}
+		act.f32, err = st.f32, quantize.DequantizeInto(scheme, st.f32.Data(), q.Packed)
 	} else {
-		act.f64, err = scheme.DequantizePacked(q.Packed, q.Shape...)
+		if st.f64 == nil || !tensor.ShapeEq(st.f64.Shape(), q.Shape) {
+			st.f64 = tensor.New(q.Shape...)
+		}
+		act.f64, err = st.f64, quantize.DequantizeInto(scheme, st.f64.Data(), q.Packed)
 	}
 	if err != nil {
 		return act, ErrBadRequest, fmt.Sprintf("bad quantized payload: %v", err)
@@ -625,18 +646,19 @@ func classify(err error) ErrKind {
 
 // runBatch is the sched.Batcher flush function: it stacks the coalesced
 // [nᵢ, ...] activation batches into one [Σnᵢ, ...] buffer at the plan's
-// dtype, runs a single remote forward pass, and splits the logits back per
-// request. Stacking and splitting are pure copies (a dense payload in front
-// of a float32 plan is narrowed here exactly as the plan would have), and
-// every layer treats batch members independently on the inference path, so
-// the per-request logits are bitwise identical to per-sample serving's.
+// dtype, runs a single remote forward pass, and splits the logits back into
+// each request's own destination. Stacking and splitting are pure copies (a
+// dense payload in front of a float32 plan is narrowed here exactly as the
+// plan would have), and every layer treats batch members independently on the
+// inference path, so the per-request logits are bitwise identical to
+// per-sample serving's. A batch of one — all an idle server ever sees — runs
+// straight from and into its request's tensors.
 func (s *CloudServer) runBatch(acts []activation) ([]*tensor.Tensor, error) {
+	out := make([]*tensor.Tensor, len(acts))
 	if len(acts) == 1 {
-		logits, err := s.infer(acts[0])
-		if err != nil {
-			return nil, err
-		}
-		return []*tensor.Tensor{logits}, nil
+		var err error
+		out[0], err = s.infer(acts[0])
+		return out, err
 	}
 	var stacked activation
 	for _, a := range acts {
@@ -669,10 +691,12 @@ func (s *CloudServer) runBatch(acts []activation) ([]*tensor.Tensor, error) {
 	}
 	outShape := logits.Shape()[1:]
 	outVol := tensor.Volume(outShape)
-	out := make([]*tensor.Tensor, len(acts))
 	row := 0
 	for i, a := range acts {
-		o := tensor.New(append([]int{a.n}, outShape...)...)
+		o := a.dst
+		if o == nil || o.Dim(0) != a.n || !tensor.ShapeEq(o.Shape()[1:], outShape) {
+			o = tensor.New(append([]int{a.n}, outShape...)...)
+		}
 		copy(o.Data(), logits.Data()[row*outVol:(row+a.n)*outVol])
 		out[i] = o
 		row += a.n
@@ -692,9 +716,9 @@ func (s *CloudServer) forward(act activation) (out *tensor.Tensor, err error) {
 		s.fault(act.f64)
 	}
 	if act.f32 != nil {
-		return s.plan.Infer32(act.f32), nil
+		return s.plan.Infer32Into(act.dst, act.f32), nil
 	}
-	return s.plan.Infer(act.f64), nil
+	return s.plan.InferInto(act.dst, act.f64), nil
 }
 
 // infer is forward bounded by the handler timeout, when one is set. On

@@ -119,6 +119,33 @@ func TestSerialKernelsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestParallelKernelsAllocateOnlyTheirClosure is the same pin above the
+// fan-out threshold: the chunking closure handed to ParallelChunks is the one
+// allocation of a parallel matmul.
+func TestParallelKernelsAllocateOnlyTheirClosure(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const m, k, n = 64, 9, 300 // m·n is above parallelThreshold
+	rng := NewRNG(18)
+	a := rng.FillNormal(New(m, k), 0, 1)
+	b := rng.FillNormal(New(k, n), 0, 1)
+	bt := rng.FillNormal(New(n, k), 0, 1)
+	at := rng.FillNormal(New(k, m), 0, 1)
+	dst := New(m, n)
+	for name, fn := range map[string]func(){
+		"matmul":        func() { MatMulInto(dst, a, b) },
+		"matmulT1":      func() { matmulT1Kernel(dst.Data(), at.Data(), b.Data(), k, m, n) },
+		"matmulT2":      func() { MatMulT2Into(dst, a, bt) },
+		"matmulT2Block": func() { MatMulT2BlockedFlat(dst.Data(), a.Data(), bt.Data(), m, k, n) },
+	} {
+		fn()
+		if n := testing.AllocsPerRun(100, fn); n > 1 {
+			t.Errorf("%s allocates %v times per call on the parallel path", name, n)
+		}
+	}
+}
+
 func TestMatMulKernelFloat32Parity(t *testing.T) {
 	rng := NewRNG(13)
 	a := rng.FillNormal(New(6, 17), 0, 1)

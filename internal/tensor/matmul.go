@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"runtime"
-	"sync"
 )
 
 // parallelThreshold is the number of output elements below which MatMul
@@ -105,11 +104,18 @@ func Transpose(a *Tensor) *Tensor {
 }
 
 // ParallelChunks splits [0,n) into at most GOMAXPROCS contiguous chunks and
-// runs fn(lo, hi) on one goroutine per chunk, returning when all are done.
-// It is the package's one fan-out: the matmul kernels chunk their rows with
-// it, ParallelFor its index range, and the compiled inference plan its
-// batch — one chunk per worker, so per-worker state (a workspace) is taken
-// once per chunk, not once per index.
+// runs fn(lo, hi) once per chunk, returning when all are done. It is the
+// package's one fan-out: the matmul kernels chunk their rows with it,
+// ParallelFor its index range, and the compiled inference plan its batch —
+// per-worker state (a workspace) is taken once per chunk, not once per index.
+//
+// The chunks run on helper goroutines, as many as the package's team has
+// seats free (team.go), and on the calling goroutine when there were fewer
+// seats than chunks; a call allocates nothing beyond the closure its caller
+// built. Which goroutine runs a chunk is not specified; the chunk boundaries
+// depend only on n and GOMAXPROCS. A panic in any chunk is re-raised on the
+// calling goroutine once every chunk has stopped. fn must not call
+// runtime.Goexit.
 func ParallelChunks(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -118,24 +124,34 @@ func ParallelChunks(n int, fn func(lo, hi int)) {
 	if workers > n {
 		workers = n
 	}
-	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
+	chunks := (n + chunk - 1) / chunk
+	if chunks == 1 {
+		fn(0, n)
+		return
+	}
+	j := jobs.Get().(*job)
+	j.fn, j.n, j.chunk, j.chunks = fn, n, chunk, int64(chunks)
+	j.next.Store(0)
+	seated := 0
+	for ; seated < chunks; seated++ {
+		if seatsOut.Add(1) > seats {
+			seatsOut.Add(-1)
 			break
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+		j.helpers.Add(1)
+		go j.help()
 	}
-	wg.Wait()
+	if seated < chunks {
+		j.run()
+	}
+	j.helpers.Wait()
+	failure := j.failure.Swap(nil)
+	j.fn = nil
+	jobs.Put(j)
+	if failure != nil {
+		panic(*failure)
+	}
 }
 
 // ParallelFor runs fn over [0,n) in parallel chunks. Exported for use by
