@@ -23,8 +23,13 @@ build:
 test:
 	$(GO) test ./...
 
+## race: the race suite over the concurrency-sensitive packages, and of the
+## root package the cold-start and lazy-materialisation tests (the first
+## users of a System share one sync.Once; the whole root package under
+## -race is too slow for a gate).
 race:
-	$(GO) test -race ./internal/sched/... ./internal/splitrt/... ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/audit/... ./cmd/shredder/...
+	$(GO) test -race ./internal/sched/... ./internal/splitrt/... ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/audit/... ./internal/model/... ./internal/data/... ./cmd/shredder/...
+	$(GO) test -race -run 'ColdStart|Materiali' .
 
 ## bench-module: vet and test bench/, which builds against this module's
 ## splitrt API — a change that breaks it should fail here, not in the driver.
@@ -32,15 +37,16 @@ bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 ## fuzz-smoke: run each fuzz target of a trust boundary — the wire's three
-## frame targets and the packed payload a frame carries, and the weight file
-## (each gob execution is slow, so minimizing a find gets one second, not
-## the minute that would swallow the run) — for ten seconds from the
-## package's seeds.
+## frame targets and the packed payload a frame carries, and the two files a
+## cold start reads, weights and noise (each gob execution is slow, so
+## minimizing a find gets one second, not the minute that would swallow the
+## run) — for ten seconds from the package's seeds.
 fuzz-smoke:
 	for f in FuzzReadFrame FuzzDecodeRequest FuzzDecodeResponse; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/splitrt || exit 1; done
 	$(GO) test -run '^$$' -fuzz '^FuzzDequantizePacked$$' -fuzztime 10s ./internal/quantize
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/nn
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNoiseSource$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkCloudServerThroughput|BenchmarkServeBatched' -benchtime 200x .

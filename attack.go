@@ -43,8 +43,12 @@ func (s *System) GalleryAttack(trials int) (GalleryReport, error) {
 	if !s.HasNoise() {
 		return GalleryReport{}, fmt.Errorf("shredder: GalleryAttack before LearnNoise/LoadNoise")
 	}
-	clean := attack.GalleryIdentify(s.split, s.pre.Test.Images, nil, trials, s.seed)
-	noisy := attack.GalleryIdentify(s.split, s.pre.Test.Images, s.collection, trials, s.seed)
+	pre, err := s.materialized()
+	if err != nil {
+		return GalleryReport{}, err
+	}
+	clean := attack.GalleryIdentify(s.split, pre.Test.Images, nil, trials, s.seed)
+	noisy := attack.GalleryIdentify(s.split, pre.Test.Images, s.collection, trials, s.seed)
 	return GalleryReport{Trials: clean.Trials, CleanTop1: clean.Top1, NoisyTop1: noisy.Top1}, nil
 }
 
@@ -62,7 +66,11 @@ func (s *System) AttackResistance(n, steps int) (AttackReport, error) {
 	if !s.HasNoise() {
 		return AttackReport{}, fmt.Errorf("shredder: AttackResistance before LearnNoise/LoadNoise")
 	}
-	clean, shredded := attack.Evaluate(s.split, s.pre.Test.Images, s.noise, n,
+	pre, err := s.materialized()
+	if err != nil {
+		return AttackReport{}, err
+	}
+	clean, shredded := attack.Evaluate(s.split, pre.Test.Images, s.noise, n,
 		attack.Config{Steps: steps, Seed: s.seed})
 	rep := AttackReport{CleanMSE: clean, ShreddedMSE: shredded}
 	if clean > 0 {

@@ -251,25 +251,40 @@ func TestFileLedgerDetectsTampering(t *testing.T) {
 	}
 }
 
+// announcingLedger sends the record count of every root once it is anchored.
+type announcingLedger struct {
+	Ledger
+	anchored chan<- int
+}
+
+func (l announcingLedger) Anchor(r AnchoredRoot) error {
+	err := l.Ledger.Anchor(r)
+	l.anchored <- r.Count
+	return err
+}
+
 func TestAuditorSealsAndProves(t *testing.T) {
-	a := New(Options{MaxBatch: 4, MaxDelay: time.Millisecond})
 	const n = 13
+	anchored := make(chan int, n) // one send per batch, and a batch holds a record at least
+	a := New(Options{MaxBatch: 4, MaxDelay: time.Millisecond, Ledger: announcingLedger{NewMemLedger(), anchored}})
 	for i := 0; i < n; i++ {
 		if err := a.Append(testRecord(i)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
 	a.Flush()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s := a.Summarize()
-		if s.Pending == 0 && s.Queued == 0 && s.Records == n {
-			break
+	// Flush sealed whatever was pending; every record is anchored once the
+	// ledger has announced batches that hold all n.
+	for got := 0; got < n; {
+		select {
+		case count := <-anchored:
+			got += count
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d records anchored: %+v", got, n, a.Summarize())
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("auditor did not settle: %+v", s)
-		}
-		time.Sleep(time.Millisecond)
+	}
+	if s := a.Summarize(); s.Pending != 0 || s.Queued != 0 || s.Records != n {
+		t.Fatalf("auditor did not settle: %+v", s)
 	}
 
 	roots := a.Roots()

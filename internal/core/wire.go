@@ -198,7 +198,7 @@ func validateStored(c *Collection) error {
 	if len(c.Members) == 0 {
 		return ErrCollectionEmpty
 	}
-	if tensor.Volume(c.Shape) <= 0 {
+	if vol, ok := tensor.CheckedVolume(c.Shape); !ok || vol <= 0 {
 		return fmt.Errorf("%w: invalid shape %v", ErrCollectionCorrupt, c.Shape)
 	}
 	for i, m := range c.Members {

@@ -51,7 +51,9 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 }
 
 // Split partitions the dataset into a training set of trainN samples and a
-// test set of the remainder, after a seeded shuffle.
+// test set of the remainder, after a seeded shuffle. Pre-training splits the
+// recipe instead (Recipe.Split) and never builds the whole dataset; this
+// gather is what that path is tested against.
 func (d *Dataset) Split(trainN int, seed int64) (train, test *Dataset) {
 	if trainN < 0 || trainN > d.N() {
 		panic(fmt.Sprintf("data: Split trainN=%d out of range for %d samples", trainN, d.N()))
@@ -122,14 +124,19 @@ func (d *Dataset) Normalize() (mean, std float64) {
 	return mean, std
 }
 
-// ApplyNormalization applies a precomputed (mean, std) to the dataset:
-// every pixel becomes (x + (−mean)) · (1/std), in one parallel pass.
+// ApplyNormalization applies a precomputed (mean, std) to the dataset, in
+// one parallel pass.
 func (d *Dataset) ApplyNormalization(mean, std float64) {
 	px := d.Images.Data()
+	tensor.ParallelChunks(len(px), func(lo, hi int) { ApplyNormalization(px[lo:hi], mean, std) })
+}
+
+// ApplyNormalization normalises pixels in place: every one becomes
+// (x + (−mean)) · (1/std). It is the one place that arithmetic lives, so a
+// sample normalised alone has the bits it has inside a normalised dataset.
+func ApplyNormalization(px []float64, mean, std float64) {
 	shift, scale := -mean, 1/std
-	tensor.ParallelChunks(len(px), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			px[i] = (px[i] + shift) * scale
-		}
-	})
+	for i := range px {
+		px[i] = (px[i] + shift) * scale
+	}
 }

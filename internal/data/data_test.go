@@ -225,7 +225,11 @@ func TestSubsetSelectsCorrectSamples(t *testing.T) {
 // (mean, std) pair the normalisation applied.
 func datasetDigest(g Generator) string {
 	const trainN, testN, seed = 24, 16, 7
-	train, test := g.Generate(trainN+testN, seed+1000).Split(trainN, seed+2000)
+	trainR, testR, err := NewRecipe(g, trainN+testN, seed+1000).Split(trainN, seed+2000)
+	if err != nil {
+		panic(err)
+	}
+	train, test := trainR.Materialize(), testR.Materialize()
 	mean, std := train.Normalize()
 	test.ApplyNormalization(mean, std)
 	h := sha256.New()
@@ -247,10 +251,11 @@ func datasetDigest(g Generator) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Pins dataset preparation — generate, split, normalise — bit for bit. The
-// digests were recorded before Subset and Normalize were rewritten into
-// fewer passes; every pre-trained weight, and so every results_* number,
-// sits downstream of these bytes.
+// Pins dataset preparation — recipe, split, render into place, normalise —
+// bit for bit. The digests were recorded on the generate-then-gather path,
+// before Subset and Normalize were rewritten into fewer passes; every
+// pre-trained weight, and so every results_* number, sits downstream of
+// these bytes.
 func TestDatasetDigestPinned(t *testing.T) {
 	want := map[string]string{
 		"digits":       "0271423abf6ff5f93eb11479e9187300e8448a486eb84b5f93208acd08a69a7f",
@@ -261,6 +266,67 @@ func TestDatasetDigestPinned(t *testing.T) {
 	for _, g := range allGenerators() {
 		if got := datasetDigest(g); got != want[g.Name()] {
 			t.Errorf("%s: dataset digest %s, want %s", g.Name(), got, want[g.Name()])
+		}
+	}
+}
+
+// A split recipe rendered into place is the dataset the gather path builds —
+// generate everything, then copy each split out (Dataset.Split, kept as the
+// reference) — and one sample rendered alone is its row of that dataset.
+func TestRecipeEqualsGenerateThenSplit(t *testing.T) {
+	const trainN, testN, seed = 14, 9, 3
+	for _, g := range allGenerators() {
+		wantTrain, wantTest := g.Generate(trainN+testN, seed).Split(trainN, seed+1)
+		trainR, testR, err := NewRecipe(g, trainN+testN, seed).Split(trainN, seed+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			r    *Recipe
+			want *Dataset
+		}{{"train", trainR, wantTrain}, {"test", testR, wantTest}} {
+			got := c.r.Materialize()
+			if !tensor.Equal(got.Images, c.want.Images) {
+				t.Errorf("%s %s: rendered into place differs from generate-then-gather", g.Name(), c.name)
+			}
+			if got.Name != c.want.Name || got.Classes != c.want.Classes || c.r.N() != c.want.N() {
+				t.Errorf("%s %s: metadata %s/%d/%d, want %s/%d/%d", g.Name(), c.name,
+					got.Name, got.Classes, c.r.N(), c.want.Name, c.want.Classes, c.want.N())
+			}
+			for i, y := range c.want.Labels {
+				img := tensor.New(g.SampleShape()...).Fill(7) // Render owes nothing to what img held
+				c.r.Render(i, img)
+				if got.Labels[i] != y || c.r.Label(i) != y || !tensor.Equal(img, c.want.Image(i)) {
+					t.Fatalf("%s %s sample %d: rendered alone differs from its row", g.Name(), c.name, i)
+				}
+			}
+		}
+	}
+}
+
+func TestRecipeSplitOutOfRangeIsAnError(t *testing.T) {
+	r := NewRecipe(Digits{}, 10, 1)
+	for _, trainN := range []int{-1, 11} {
+		if _, _, err := r.Split(trainN, 1); err == nil {
+			t.Errorf("Split(%d) of 10 samples: no error", trainN)
+		}
+	}
+	if train, test, err := r.Split(10, 1); err != nil || train.N() != 10 || test.N() != 0 {
+		t.Errorf("Split(10) of 10 samples: %v", err)
+	}
+}
+
+// A sample normalised alone has the bits it has inside a normalised dataset.
+func TestApplyNormalizationAloneMatchesDataset(t *testing.T) {
+	ds := Objects{}.Generate(12, 4)
+	raw := ds.Images.Clone()
+	mean, std := ds.Normalize()
+	for i := 0; i < ds.N(); i++ {
+		px := raw.Slice(i).Clone()
+		ApplyNormalization(px.Data(), mean, std)
+		if !tensor.Equal(px, ds.Image(i)) {
+			t.Fatalf("sample %d normalised alone differs from the dataset's", i)
 		}
 	}
 }

@@ -2,6 +2,9 @@ package model
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -266,12 +269,25 @@ func TestDamagedCacheEntryIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wrongNet bytes.Buffer
-	if err := nn.Save(CifarNet().Build(tensor.NewRNG(1)), &wrongNet); err != nil {
+	if err := nn.Save(CifarNet().Build(tensor.NewRNG(1)), nn.InputNorm{Std: 1}, &wrongNet); err != nil {
+		t.Fatal(err)
+	}
+	// What a checkpoint was before it recorded the input normalisation.
+	params := map[string]*tensor.Tensor{}
+	for _, p := range good.Net.Params() {
+		params[p.Name] = p.Value
+	}
+	var noNorm bytes.Buffer
+	if err := gob.NewEncoder(&noNorm).Encode(struct {
+		Network string
+		Params  map[string]*tensor.Tensor
+	}{good.Net.Name(), params}); err != nil {
 		t.Fatal(err)
 	}
 	for name, damaged := range map[string][]byte{
-		"truncated":     whole[:len(whole)/2],
-		"wrong network": wrongNet.Bytes(),
+		"truncated":        whole[:len(whole)/2],
+		"wrong network":    wrongNet.Bytes(),
+		"no normalisation": noNorm.Bytes(),
 	} {
 		if err := os.WriteFile(path, damaged, 0o644); err != nil {
 			t.Fatal(err)
@@ -286,14 +302,116 @@ func TestDamagedCacheEntryIsAMiss(t *testing.T) {
 			t.Errorf("%s entry: Progress does not mention the retrain: %q", name, progress.String())
 		}
 		reloaded := LeNet().Build(tensor.NewRNG(1))
-		if err := nn.LoadFile(reloaded, path); err != nil {
+		norm, err := nn.LoadFile(reloaded, path)
+		if err != nil {
 			t.Fatalf("%s entry: cache file was not rewritten: %v", name, err)
+		}
+		if norm.Mean != good.Mean || norm.Std != good.Std || pre.Mean != good.Mean || pre.Std != good.Std {
+			t.Fatalf("%s entry: rewritten normalisation %+v, retrained (%v, %v), want (%v, %v)",
+				name, norm, pre.Mean, pre.Std, good.Mean, good.Std)
 		}
 		for i, p := range good.Net.Params() {
 			if !tensor.Equal(pre.Net.Params()[i].Value, p.Value) || !tensor.Equal(reloaded.Params()[i].Value, p.Value) {
 				t.Fatalf("%s entry: retrained or rewritten parameter %s differs", name, p.Name)
 			}
 		}
+	}
+}
+
+// The checkpoint's normalisation cannot go stale silently: Open trusts it
+// and renders nothing, and the materialisation that recomputes other bits is
+// ErrNormalizationMismatch — for every caller, once.
+func TestNormalizationMismatchIsATypedError(t *testing.T) {
+	cfg := TrainConfig{TrainN: 48, TestN: 16, Epochs: 1, Seed: 3}
+	dir := t.TempDir()
+	good, err := TrainCached(LeNet(), cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := cachePath(dir, LeNet(), good.Config)
+	stale := nn.InputNorm{Mean: good.Mean, Std: math.Nextafter(good.Std, 2)}
+	if err := nn.SaveFile(good.Net, stale, path); err != nil {
+		t.Fatal(err)
+	}
+	pre, err := Open(LeNet(), cfg, dir)
+	if err != nil {
+		t.Fatalf("Open of a loadable entry: %v", err)
+	}
+	if pre.Train != nil || pre.Test != nil || pre.Std != stale.Std {
+		t.Fatalf("Open materialised or ignored the stored normalisation: std %v, want %v", pre.Std, stale.Std)
+	}
+	for i := 0; i < 2; i++ {
+		if err := pre.Materialize(); !errors.Is(err, ErrNormalizationMismatch) {
+			t.Fatalf("Materialize #%d: %v, want ErrNormalizationMismatch", i, err)
+		}
+	}
+	if pre.Train != nil || pre.Test != nil {
+		t.Fatal("a refused materialisation left splits behind")
+	}
+	if _, err := TrainCached(LeNet(), cfg, dir); !errors.Is(err, ErrNormalizationMismatch) {
+		t.Fatalf("TrainCached: %v, want ErrNormalizationMismatch", err)
+	}
+}
+
+// Open on a hit is TrainCached without the pixels: same weights, same
+// normalisation, and every test sample rendered alone is the materialised
+// split's row, for every benchmark's generator.
+func TestOpenTestSampleEqualsMaterialised(t *testing.T) {
+	for _, spec := range All() {
+		cfg := TrainConfig{TrainN: 8, TestN: 6, Epochs: 1, BatchSize: 8, Seed: 11}
+		dir := t.TempDir()
+		want, err := TrainCached(spec, cfg, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lazy, err := Open(spec, cfg, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lazy.Train != nil || lazy.Test != nil {
+			t.Fatalf("%s: Open on a hit materialised the splits", spec.Name)
+		}
+		if lazy.Mean != want.Mean || lazy.Std != want.Std {
+			t.Fatalf("%s: opened normalisation (%v, %v), trained under (%v, %v)", spec.Name, lazy.Mean, lazy.Std, want.Mean, want.Std)
+		}
+		for i := 0; i < want.Test.N(); i++ {
+			px, label := lazy.TestSample(i)
+			if label != want.Test.Labels[i] || !tensor.Equal(tensor.From(px, spec.Dataset.SampleShape()...), want.Test.Image(i)) {
+				t.Fatalf("%s: test sample %d rendered alone differs from the materialised split", spec.Name, i)
+			}
+		}
+		if err := lazy.Materialize(); err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.Equal(lazy.Train.Images, want.Train.Images) || !tensor.Equal(lazy.Test.Images, want.Test.Images) {
+			t.Fatalf("%s: splits materialised after Open differ from TrainCached's", spec.Name)
+		}
+	}
+}
+
+// Sizes no dataset can have come back as errors, not as a panic from the
+// split; zero still selects the network's default.
+func TestNegativeSizesAreErrors(t *testing.T) {
+	for name, cfg := range map[string]TrainConfig{
+		"TrainN":    {TrainN: -5},
+		"TestN":     {TestN: -1},
+		"Epochs":    {Epochs: -2},
+		"BatchSize": {BatchSize: -8},
+		"LR":        {LR: -1e-3},
+	} {
+		if _, err := Train(LeNet(), cfg); err == nil {
+			t.Errorf("Train with negative %s: no error", name)
+		}
+		if _, err := TrainCached(LeNet(), cfg, t.TempDir()); err == nil {
+			t.Errorf("TrainCached with negative %s: no error", name)
+		}
+		if _, err := Open(LeNet(), cfg, t.TempDir()); err == nil {
+			t.Errorf("Open with negative %s: no error", name)
+		}
+	}
+	pre, err := prepare(LeNet(), TrainConfig{})
+	if err != nil || pre.Config.TrainN != 2400 || pre.Config.TestN != 600 || pre.Config.Epochs != 6 {
+		t.Fatalf("zero config: %v, %+v", err, pre.Config)
 	}
 }
 

@@ -1,8 +1,10 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -78,39 +80,107 @@ func (c TrainConfig) withDefaults(spec Spec) TrainConfig {
 	return c
 }
 
+// validate refuses sizes no dataset or training run can have. Zero is not
+// refused: it selects the network's default.
+func (c TrainConfig) validate() error {
+	for _, f := range []struct {
+		name  string
+		value float64
+	}{
+		{"TrainN", float64(c.TrainN)}, {"TestN", float64(c.TestN)}, {"Epochs", float64(c.Epochs)},
+		{"BatchSize", float64(c.BatchSize)}, {"LR", c.LR},
+	} {
+		if f.value < 0 {
+			return fmt.Errorf("model: %s %v is negative (0 selects the network's default)", f.name, f.value)
+		}
+	}
+	return nil
+}
+
+// ErrNormalizationMismatch is what Materialize returns when the training
+// split it rendered does not have the (mean, std) the checkpoint recorded:
+// the weights were trained on other pixels than this code generates.
+var ErrNormalizationMismatch = errors.New("model: checkpoint's input normalisation does not match the dataset's")
+
 // Pretrained bundles a trained network with its data and statistics — the
 // starting point of every Shredder experiment. Shared by pointer, not copied.
 type Pretrained struct {
-	Spec   Spec
-	Net    *nn.Sequential
-	Train  *data.Dataset
-	Test   *data.Dataset
-	Mean   float64 // normalization applied to both splits
-	Std    float64
+	Spec Spec
+	Net  *nn.Sequential
+	// Train and Test are the normalised splits. Train and TrainCached return
+	// them rendered; after Open they are nil until Materialize.
+	Train *data.Dataset
+	Test  *data.Dataset
+	Mean  float64 // normalization applied to both splits
+	Std   float64
+	// Config is the configuration with the network's defaults filled in.
 	Config TrainConfig
 
+	trainRecipe, testRecipe *data.Recipe
+
 	plan    *nn.CompiledNet // float64 plan over Net, compiled at construction
+	matOnce sync.Once
+	matErr  error
 	accOnce sync.Once
 	acc     float64
+}
+
+// Materialize renders Train and Test, each sample straight into its row, and
+// normalises both by the training split's statistics — once, however many
+// goroutines ask. After Open those statistics came with the weights; a
+// training split that measures other bits is ErrNormalizationMismatch.
+func (p *Pretrained) Materialize() error {
+	p.matOnce.Do(func() {
+		train, test := p.trainRecipe.Materialize(), p.testRecipe.Materialize()
+		mean, std := train.Normalize()
+		if p.Std == 0 {
+			p.Mean, p.Std = mean, std
+		} else if mean != p.Mean || std != p.Std {
+			p.matErr = fmt.Errorf("%w: %s trained under (mean %v, std %v), the training split has (%v, %v)",
+				ErrNormalizationMismatch, p.Spec.Name, p.Mean, p.Std, mean, std)
+			return
+		}
+		test.ApplyNormalization(mean, std)
+		p.Train, p.Test = train, test
+	})
+	return p.matErr
+}
+
+// TestSample renders test sample i alone: the pixels and label of
+// Test.Image(i) and Test.Labels[i], bit for bit, with nothing else rendered.
+func (p *Pretrained) TestSample(i int) (pixels []float64, label int) {
+	img := tensor.New(p.Spec.Dataset.SampleShape()...)
+	p.testRecipe.Render(i, img)
+	data.ApplyNormalization(img.Data(), p.Mean, p.Std)
+	return img.Data(), p.testRecipe.Label(i)
 }
 
 // TestAccuracy returns the network's accuracy on Test: one sweep of the test
 // set when first asked for, once however many goroutines ask, and never at
 // construction — a cold start on a warm weight cache runs no forward pass.
+// It materialises the splits and panics with Materialize's error.
 func (p *Pretrained) TestAccuracy() float64 {
+	if err := p.Materialize(); err != nil {
+		panic(err)
+	}
 	p.accOnce.Do(func() { p.acc = evaluate(p.plan, p.Test, p.Config.BatchSize) })
 	return p.acc
 }
 
-// prepare builds the untrained network of spec and its normalised dataset
-// split, the part of Train a cache hit repeats (deterministic in the seed).
-func prepare(spec Spec, cfg TrainConfig) *Pretrained {
-	net := spec.Build(tensor.NewRNG(cfg.Seed))
-	full := spec.Dataset.Generate(cfg.TrainN+cfg.TestN, cfg.Seed+1000)
-	train, test := full.Split(cfg.TrainN, cfg.Seed+2000)
-	mean, std := train.Normalize()
-	test.ApplyNormalization(mean, std)
-	return &Pretrained{Spec: spec, Net: net, Train: train, Test: test, Mean: mean, Std: std, Config: cfg}
+// prepare builds the untrained network of spec and the recipes of its
+// dataset split — integers, no pixels: what a cache hit shares with Train.
+func prepare(spec Spec, cfg TrainConfig) (*Pretrained, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults(spec)
+	full := data.NewRecipe(spec.Dataset, cfg.TrainN+cfg.TestN, cfg.Seed+1000)
+	train, test, err := full.Split(cfg.TrainN, cfg.Seed+2000)
+	if err != nil {
+		return nil, err
+	}
+	return &Pretrained{Spec: spec, Net: spec.Build(tensor.NewRNG(cfg.Seed)), Config: cfg,
+		trainRecipe: train, testRecipe: test}, nil
 }
 
 // compile gives p the plan TestAccuracy runs, once Net's weights are final.
@@ -127,12 +197,22 @@ func (p *Pretrained) compile() (*Pretrained, error) {
 // Train generates the benchmark's dataset and trains the network with Adam
 // and cross-entropy; only a Progress writer makes it measure test accuracy.
 func Train(spec Spec, cfg TrainConfig) (*Pretrained, error) {
-	cfg = cfg.withDefaults(spec)
-	pre := prepare(spec, cfg)
-	net := pre.Net
+	pre, err := prepare(spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return pre.train()
+}
+
+// train materialises the splits and trains p.Net, untrained so far, on them.
+func (p *Pretrained) train() (*Pretrained, error) {
+	if err := p.Materialize(); err != nil {
+		return nil, err
+	}
+	cfg, net := p.Config, p.Net
 	opt := optim.NewAdam(net.Params(), cfg.LR)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		shuffled := pre.Train.Shuffle(cfg.Seed + int64(3000+epoch))
+		shuffled := p.Train.Shuffle(cfg.Seed + int64(3000+epoch))
 		var epochLoss float64
 		batches := shuffled.Batches(cfg.BatchSize)
 		for _, b := range batches {
@@ -144,15 +224,15 @@ func Train(spec Spec, cfg TrainConfig) (*Pretrained, error) {
 			opt.Step()
 		}
 		if cfg.Progress != nil {
-			acc, err := Evaluate(net, pre.Test, cfg.BatchSize)
+			acc, err := Evaluate(net, p.Test, cfg.BatchSize)
 			if err != nil {
 				return nil, err
 			}
 			fmt.Fprintf(cfg.Progress, "%s epoch %d/%d: loss %.4f, test acc %.2f%%\n",
-				spec.Name, epoch+1, cfg.Epochs, epochLoss/float64(len(batches)), 100*acc)
+				p.Spec.Name, epoch+1, cfg.Epochs, epochLoss/float64(len(batches)), 100*acc)
 		}
 	}
-	return pre.compile()
+	return p.compile()
 }
 
 // Evaluate returns test-set accuracy of a network at its current weights,
@@ -193,32 +273,51 @@ func cachePath(dir string, spec Spec, cfg TrainConfig) string {
 		spec.Name, cfg.TrainN, cfg.TestN, cfg.Epochs, cfg.BatchSize, cfg.LR, cfg.Seed))
 }
 
-// TrainCached behaves like Train but reuses weights cached in dir from a
-// previous identical run, regenerating only the datasets (which are
-// deterministic in the seed). The cache keeps the multi-network experiment
-// harness from re-training AlexNet for every figure. An entry that does not
-// load — truncated, or another network's — is a miss: the network is
-// retrained and the entry rewritten.
-func TrainCached(spec Spec, cfg TrainConfig, dir string) (*Pretrained, error) {
-	cfg = cfg.withDefaults(spec)
-	path := cachePath(dir, spec, cfg)
-	if _, err := os.Stat(path); err == nil {
-		pre := prepare(spec, cfg)
-		if err = nn.LoadFile(pre.Net, path); err == nil {
-			return pre.compile()
-		}
-		if cfg.Progress != nil {
-			fmt.Fprintf(cfg.Progress, "%s: weight cache entry %s is unusable (%v); retraining\n", spec.Name, path, err)
-		}
-	}
-	pre, err := Train(spec, cfg)
+// Open returns the pre-trained network of spec without rendering a pixel
+// when dir holds its checkpoint from a previous identical run: it reads the
+// weights and the input normalisation they were trained under, and leaves
+// Train and Test to Materialize, whenever something needs all of them
+// (TestSample needs neither). An entry that does not load — truncated,
+// another network's, or written before checkpoints recorded the
+// normalisation — is a miss: the network is trained, which materialises the
+// splits, and the entry rewritten.
+func Open(spec Spec, cfg TrainConfig, dir string) (*Pretrained, error) {
+	pre, err := prepare(spec, cfg)
 	if err != nil {
+		return nil, err
+	}
+	path := cachePath(dir, spec, pre.Config)
+	norm, err := nn.LoadFile(pre.Net, path)
+	if err == nil {
+		pre.Mean, pre.Std = norm.Mean, norm.Std
+		return pre.compile()
+	}
+	// Load is all-or-nothing: pre.Net is still the seeded initialisation.
+	if cfg.Progress != nil && !errors.Is(err, fs.ErrNotExist) {
+		fmt.Fprintf(cfg.Progress, "%s: weight cache entry %s is unusable (%v); retraining\n", spec.Name, path, err)
+	}
+	if _, err := pre.train(); err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("model: cache dir: %w", err)
 	}
-	if err := nn.SaveFile(pre.Net, path); err != nil {
+	if err := nn.SaveFile(pre.Net, nn.InputNorm{Mean: pre.Mean, Std: pre.Std}, path); err != nil {
+		return nil, err
+	}
+	return pre, nil
+}
+
+// TrainCached behaves like Train but reuses weights cached in dir from a
+// previous identical run: Open, then Materialize at once. The cache keeps
+// the multi-network experiment harness from re-training AlexNet for every
+// figure.
+func TrainCached(spec Spec, cfg TrainConfig, dir string) (*Pretrained, error) {
+	pre, err := Open(spec, cfg, dir)
+	if err != nil {
+		return nil, err
+	}
+	if err := pre.Materialize(); err != nil {
 		return nil, err
 	}
 	return pre, nil

@@ -3,12 +3,17 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"math"
 	"path/filepath"
 	"runtime"
 	"testing"
 
 	"shredder/internal/tensor"
 )
+
+// testNorm is the input normalisation the io tests save their networks under.
+var testNorm = InputNorm{Mean: 0.25, Std: 0.5}
 
 func smallNet(seed int64) *Sequential {
 	rng := tensor.NewRNG(seed)
@@ -24,11 +29,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	src := smallNet(1)
 	dst := smallNet(2) // different init; must become identical after Load
 	var buf bytes.Buffer
-	if err := Save(src, &buf); err != nil {
+	if err := Save(src, testNorm, &buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	if err := Load(dst, &buf); err != nil {
-		t.Fatalf("Load: %v", err)
+	if norm, err := Load(dst, &buf); err != nil || norm != testNorm {
+		t.Fatalf("Load: %v, %v; want %v", norm, err, testNorm)
 	}
 	x := tensor.NewRNG(3).FillNormal(tensor.New(2, 1, 4, 4), 0, 1)
 	if !tensor.AllClose(src.Forward(x, false), dst.Forward(x, false), 1e-12) {
@@ -39,11 +44,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadWrongNameFails(t *testing.T) {
 	src := smallNet(1)
 	var buf bytes.Buffer
-	if err := Save(src, &buf); err != nil {
+	if err := Save(src, testNorm, &buf); err != nil {
 		t.Fatal(err)
 	}
 	other := NewSequential("other", NewReLU("r"))
-	if err := Load(other, &buf); err == nil {
+	if _, err := Load(other, &buf); err == nil {
 		t.Fatal("Load should reject a checkpoint for a different network")
 	}
 }
@@ -51,7 +56,7 @@ func TestLoadWrongNameFails(t *testing.T) {
 func TestLoadShapeMismatchFails(t *testing.T) {
 	src := smallNet(1)
 	var buf bytes.Buffer
-	if err := Save(src, &buf); err != nil {
+	if err := Save(src, testNorm, &buf); err != nil {
 		t.Fatal(err)
 	}
 	rng := tensor.NewRNG(4)
@@ -62,7 +67,7 @@ func TestLoadShapeMismatchFails(t *testing.T) {
 		NewFlatten("flat"),
 		NewLinear("fc", 2*4*4, 7, rng),
 	)
-	if err := Load(dst, &buf); err == nil {
+	if _, err := Load(dst, &buf); err == nil {
 		t.Fatal("Load should reject mismatched parameter shapes")
 	}
 }
@@ -71,18 +76,18 @@ func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.gob")
 	src := smallNet(5)
-	if err := SaveFile(src, path); err != nil {
+	if err := SaveFile(src, testNorm, path); err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
 	dst := smallNet(6)
-	if err := LoadFile(dst, path); err != nil {
-		t.Fatalf("LoadFile: %v", err)
+	if norm, err := LoadFile(dst, path); err != nil || norm != testNorm {
+		t.Fatalf("LoadFile: %v, %v; want %v", norm, err, testNorm)
 	}
 	x := tensor.NewRNG(7).FillNormal(tensor.New(1, 1, 4, 4), 0, 1)
 	if !tensor.AllClose(src.Forward(x, false), dst.Forward(x, false), 1e-12) {
 		t.Fatal("file round trip changed parameters")
 	}
-	if err := LoadFile(dst, filepath.Join(dir, "missing.gob")); err == nil {
+	if _, err := LoadFile(dst, filepath.Join(dir, "missing.gob")); err == nil {
 		t.Fatal("LoadFile of missing path should fail")
 	}
 }
@@ -98,7 +103,7 @@ func loadSeeds(t testing.TB) map[string][]byte {
 		return buf.Bytes()
 	}
 	var valid bytes.Buffer
-	if err := Save(smallNet(1), &valid); err != nil {
+	if err := Save(smallNet(1), testNorm, &valid); err != nil {
 		t.Fatal(err)
 	}
 	params := func() map[string]*tensor.Tensor {
@@ -125,15 +130,24 @@ func loadSeeds(t testing.TB) map[string][]byte {
 	type hostileCheckpoint struct {
 		Network string
 		Params  map[string]hostileTensor
+		Norm    InputNorm
+	}
+	// A checkpoint written before checkpoints recorded the normalisation.
+	type oldCheckpoint struct {
+		Network string
+		Params  map[string]*tensor.Tensor
 	}
 	return map[string][]byte{
 		"valid":         valid.Bytes(),
 		"truncated":     valid.Bytes()[:valid.Len()/2],
-		"wrong network": encode(checkpoint{Network: "other", Params: params()}),
-		"missing param": encode(checkpoint{Network: "small", Params: missing}),
-		"wrong shape":   encode(checkpoint{Network: "small", Params: reshaped}),
-		"negative dim":  encode(hostileCheckpoint{"small", hostile(-1, -3)}),
-		"overflow dim":  encode(hostileCheckpoint{"small", hostile(1<<32+1, 1<<32-1, 1<<32+1, 1<<32-1, 3)}),
+		"wrong network": encode(checkpoint{Network: "other", Params: params(), Norm: testNorm}),
+		"missing param": encode(checkpoint{Network: "small", Params: missing, Norm: testNorm}),
+		"wrong shape":   encode(checkpoint{Network: "small", Params: reshaped, Norm: testNorm}),
+		"negative dim":  encode(hostileCheckpoint{"small", hostile(-1, -3), testNorm}),
+		"overflow dim":  encode(hostileCheckpoint{"small", hostile(1<<32+1, 1<<32-1, 1<<32+1, 1<<32-1, 3), testNorm}),
+		"no norm":       encode(oldCheckpoint{Network: "small", Params: params()}),
+		"zero std":      encode(checkpoint{Network: "small", Params: params(), Norm: InputNorm{Mean: 1}}),
+		"nan norm":      encode(checkpoint{Network: "small", Params: params(), Norm: InputNorm{Mean: math.NaN(), Std: math.Inf(1)}}),
 	}
 }
 
@@ -155,12 +169,21 @@ func (h hostileTensor) GobEncode() ([]byte, error) {
 func TestLoadRefusesMalformedFiles(t *testing.T) {
 	for name, file := range loadSeeds(t) {
 		net, before := smallNet(2), smallNet(2)
-		err := Load(net, bytes.NewReader(file))
+		norm, err := Load(net, bytes.NewReader(file))
 		if (err == nil) != (name == "valid") {
 			t.Errorf("%s file: Load error = %v", name, err)
 		}
+		if noNorm := name == "no norm" || name == "zero std" || name == "nan norm"; errors.Is(err, ErrNoInputNorm) != noNorm {
+			t.Errorf("%s file: Load error = %v, ErrNoInputNorm wanted: %v", name, err, noNorm)
+		}
 		if err == nil {
+			if norm != testNorm {
+				t.Errorf("%s file: loaded normalisation %v, saved %v", name, norm, testNorm)
+			}
 			continue
+		}
+		if norm != (InputNorm{}) {
+			t.Errorf("%s file: refused, yet normalisation %v returned", name, norm)
 		}
 		for i, p := range net.Params() {
 			if !tensor.Equal(p.Value, before.Params()[i].Value) {
@@ -171,9 +194,9 @@ func TestLoadRefusesMalformedFiles(t *testing.T) {
 }
 
 // FuzzLoad: a weight file is read from disk, so any bytes may arrive. Load
-// must refuse them or load a complete set of well-shaped parameters — never
-// panic — and what it allocates is bounded by the file's own size and one
-// decoder chunk.
+// must refuse them or load a complete set of well-shaped parameters and a
+// usable normalisation — never panic — and what it allocates is bounded by
+// the file's own size and one decoder chunk.
 func FuzzLoad(f *testing.F) {
 	for _, file := range loadSeeds(f) {
 		f.Add(file)
@@ -182,7 +205,7 @@ func FuzzLoad(f *testing.F) {
 		net := smallNet(2)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := Load(net, bytes.NewReader(file))
+		norm, err := Load(net, bytes.NewReader(file))
 		runtime.ReadMemStats(&after)
 		// gob sizes a slice by its declared length only when that many
 		// elements can still follow, one byte each at the least: 8 bytes
@@ -195,6 +218,9 @@ func FuzzLoad(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if !norm.valid() {
+			t.Fatalf("loaded an unusable input normalisation %+v", norm)
 		}
 		for i, p := range net.Params() {
 			if want := smallNet(2).Params()[i].Value; !tensor.ShapeEq(p.Value.Shape(), want.Shape()) {

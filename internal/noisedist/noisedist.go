@@ -375,8 +375,8 @@ func (f *Fitted) Validate() error {
 	if f == nil {
 		return fmt.Errorf("noisedist: nil fitted distribution")
 	}
-	vol := tensor.Volume(f.Shape)
-	if vol <= 0 {
+	vol, ok := tensor.CheckedVolume(f.Shape)
+	if !ok || vol <= 0 {
 		return fmt.Errorf("noisedist: invalid shape %v", f.Shape)
 	}
 	if len(f.Comps) == 0 {

@@ -282,22 +282,12 @@ func (s *SLO) Start(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = s.win.Bucket()
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case now := <-t.C:
-				s.Evaluate(now)
-			case <-s.stopCh:
-				return
-			}
-		}
-	}()
-	return func() {
-		s.stopOnce.Do(func() { close(s.stopCh) })
-		<-done
-	}
+	t := time.NewTicker(interval)
+	return s.startOn(t.C, t.Stop)
+}
+
+// startOn is Start on the caller's clock: it evaluates at every time ticks
+// delivers.
+func (s *SLO) startOn(ticks <-chan time.Time, release func()) (stop func()) {
+	return runOnTicks(ticks, release, &s.stopOnce, s.stopCh, func(now time.Time) { s.Evaluate(now) })
 }

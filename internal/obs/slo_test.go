@@ -229,28 +229,38 @@ func TestSLOValidation(t *testing.T) {
 	}
 }
 
-// TestSLOStartStop: the ticker evaluates in the background and stop is
-// idempotent.
+// TestSLOStartStop: the background goroutine evaluates at every tick and
+// stop is idempotent. The test is the clock: it sends the ticks.
 func TestSLOStartStop(t *testing.T) {
 	reg := NewRegistry()
 	reg.Histogram("lat", 0.001)
-	w := NewWindows(reg, WindowOptions{Bucket: 5 * time.Millisecond, Buckets: 2})
-	s, err := NewSLO(w, nil, Objective{
-		Name: "lat.p50", Metric: "lat", Aggregate: AggP50, Op: OpAtMost, Target: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := s.Start(0) // 0 = the window's bucket cadence
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot().Counters["slo.evals"] == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("ticker never evaluated")
+	newSLO := func() *SLO {
+		w := NewWindows(reg, WindowOptions{Bucket: 5 * time.Millisecond, Buckets: 2})
+		s, err := NewSLO(w, nil, Objective{
+			Name: "lat.p50", Metric: "lat", Aggregate: AggP50, Op: OpAtMost, Target: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		return s
 	}
-	stop()
+	ticks := make(chan time.Time)
+	stop := newSLO().startOn(ticks, func() {})
+	base := time.Now()
+	for i := 1; i <= 3; i++ {
+		ticks <- base.Add(time.Duration(i) * 5 * time.Millisecond)
+	}
+	stop() // returns once the third tick was evaluated
 	stop() // idempotent
+	if evals := reg.Snapshot().Counters["slo.evals"]; evals != 3 {
+		t.Fatalf("three ticks ran %d evaluations", evals)
+	}
+
+	// On the real ticker (0 = the window's bucket cadence): starts and
+	// stops, twice.
+	stop = newSLO().Start(0)
+	stop()
+	stop()
 }
 
 // TestSLONil: every method is a no-op on a nil SLO.

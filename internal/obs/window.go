@@ -159,22 +159,35 @@ func (w *Windows) Start() (stop func()) {
 	if w == nil {
 		return func() {}
 	}
+	t := time.NewTicker(w.bucket)
+	return w.startOn(t.C, t.Stop)
+}
+
+// startOn is Start on the caller's clock: it advances the window to every
+// time ticks delivers.
+func (w *Windows) startOn(ticks <-chan time.Time, release func()) (stop func()) {
+	return runOnTicks(ticks, release, &w.stopOnce, w.stopCh, func(now time.Time) { w.Advance(now) })
+}
+
+// runOnTicks calls fn with every time ticks delivers, from one background
+// goroutine, until stopCh is closed. The returned stop closes stopCh (once
+// per once) and returns when the goroutine has ended and run release.
+func runOnTicks(ticks <-chan time.Time, release func(), once *sync.Once, stopCh chan struct{}, fn func(now time.Time)) (stop func()) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		t := time.NewTicker(w.bucket)
-		defer t.Stop()
+		defer release()
 		for {
 			select {
-			case now := <-t.C:
-				w.Advance(now)
-			case <-w.stopCh:
+			case now := <-ticks:
+				fn(now)
+			case <-stopCh:
 				return
 			}
 		}
 	}()
 	return func() {
-		w.stopOnce.Do(func() { close(w.stopCh) })
+		once.Do(func() { close(stopCh) })
 		<-done
 	}
 }

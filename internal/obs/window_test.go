@@ -171,34 +171,43 @@ func TestWindowSnapshotPureRead(t *testing.T) {
 	}
 }
 
-// TestWindowStartStop: the background ticker rotates the ring (old
-// observations age out without any explicit Advance call) and stop is
-// idempotent.
+// TestWindowStartStop: the background goroutine rotates the ring at every
+// tick (old observations age out without any explicit Advance call) and
+// stop is idempotent. The test is the clock: it sends the ticks.
 func TestWindowStartStop(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("x")
-	w := NewWindows(reg, WindowOptions{Bucket: 5 * time.Millisecond, Buckets: 2})
-	w.Advance(time.Now()) // baseline before the burst
+	const bucket = 5 * time.Millisecond
+	w := NewWindows(reg, WindowOptions{Bucket: bucket, Buckets: 2})
+	base := time.Now()
+	w.Advance(base) // baseline before the burst
 	c.Add(1)
 	if ws := w.Snapshot(); ws.Counters["x"].Delta != 1 {
 		t.Fatalf("burst not visible: %+v", ws.Counters["x"])
 	}
-	stop := w.Start()
-	defer stop()
-	// Only the ticker rotates the ring here; once it has pushed enough
-	// boundaries the burst ages out and the windowed delta returns to 0.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if ws := w.Snapshot(); ws.Counters["x"].Delta == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("ticker never rotated the burst out of the window")
-		}
-		time.Sleep(time.Millisecond)
+	ticks := make(chan time.Time)
+	released := false
+	stop := w.startOn(ticks, func() { released = true })
+	// Enough boundaries to push the pre-burst baseline out of a two-bucket
+	// ring. A tick is received only once the one before it was acted on, and
+	// stop returns only once the last one was.
+	for i := 1; i <= 4; i++ {
+		ticks <- base.Add(time.Duration(i) * bucket)
 	}
 	stop()
 	stop() // idempotent
+	if !released {
+		t.Fatal("stop returned before the goroutine released its ticker")
+	}
+	if ws := w.Snapshot(); ws.Counters["x"].Delta != 0 {
+		t.Fatalf("four ticks did not rotate the burst out of the window: %+v", ws.Counters["x"])
+	}
+
+	// On the real ticker: starts and stops, twice.
+	onTicker := NewWindows(reg, WindowOptions{Bucket: time.Hour, Buckets: 2})
+	stop = onTicker.Start()
+	stop()
+	stop()
 }
 
 // TestMergeSnapshotWindow: a source's windowed series fold in under its

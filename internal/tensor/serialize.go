@@ -31,19 +31,29 @@ func Decode(r io.Reader) (*Tensor, error) {
 	if err := dec.Decode(&wt); err != nil {
 		return nil, fmt.Errorf("tensor: decode: %w", err)
 	}
-	// A file can hold any integers as a shape: negative ones, or ones whose
-	// product wraps round to len(Data).
-	vol := 1
-	for _, d := range wt.Shape {
-		if d < 0 || (d > 0 && vol > math.MaxInt/d) {
-			return nil, fmt.Errorf("tensor: decode: invalid shape %v", wt.Shape)
-		}
-		vol *= d
+	vol, ok := CheckedVolume(wt.Shape)
+	if !ok {
+		return nil, fmt.Errorf("tensor: decode: invalid shape %v", wt.Shape)
 	}
 	if vol != len(wt.Data) {
 		return nil, fmt.Errorf("tensor: decode: shape %v does not match %d elements", wt.Shape, len(wt.Data))
 	}
 	return From(wt.Data, wt.Shape...), nil
+}
+
+// CheckedVolume is Volume for a shape that came from outside the program. A
+// file can hold any integers as a shape: ok is false for a negative
+// dimension and for dimensions whose product does not fit an int (it would
+// wrap round, possibly to the very element count the file carries).
+func CheckedVolume(shape []int) (vol int, ok bool) {
+	vol = 1
+	for _, d := range shape {
+		if d < 0 || (d > 0 && vol > math.MaxInt/d) {
+			return 0, false
+		}
+		vol *= d
+	}
+	return vol, true
 }
 
 // GobEncode implements gob.GobEncoder so tensors can be embedded in larger

@@ -45,9 +45,10 @@ type Config struct {
 	// non-zero. Smaller values trade accuracy for speed.
 	TrainN, TestN, Epochs int
 	// WeightCacheDir, when set, caches pre-trained weights between runs,
-	// one entry per (network, TrainN, TestN, Epochs, Seed). A hit rebuilds
-	// the dataset and reads the weights; an entry that does not load is
-	// retrained and rewritten.
+	// one entry per (network, TrainN, TestN, Epochs, Seed). A hit reads the
+	// weights and the input normalisation they were trained under and
+	// renders no dataset until something needs one; an entry that does not
+	// load is retrained and rewritten.
 	WeightCacheDir string
 	// Progress, when non-nil, receives human-readable progress lines: one
 	// per pre-training epoch, each of which measures test accuracy.
@@ -160,9 +161,13 @@ func Networks() []string {
 
 // NewSystem pre-trains (or loads from cache) the named benchmark network
 // on its synthetic dataset and splits it at the configured cutting point.
-// On a warm weight cache that is all loading — dataset synthesis, the
-// weight read, plan compilation — and no forward pass: whatever can be
-// derived from the loaded state (BaselineAccuracy) is computed when asked.
+// On a warm weight cache that is all loading — the checkpoint (weights and
+// input normalisation) and plan compilation: no forward pass and no pixel
+// rendered. Whatever can be derived from the loaded state is computed when
+// asked: TestSample renders its one sample, and the first of LearnNoise*,
+// Evaluate, BaselineAccuracy or an attack renders the train and test splits,
+// once, on its caller's goroutine. Negative TrainN, TestN or Epochs are an
+// error.
 func NewSystem(network string, cfg Config) (*System, error) {
 	bench, err := model.BenchmarkByName(network)
 	if err != nil {
@@ -183,7 +188,7 @@ func newSystem(bench model.Benchmark, cfg Config) (*System, error) {
 	}
 	var pre *model.Pretrained
 	if cfg.WeightCacheDir != "" {
-		pre, err = model.TrainCached(bench.Spec, tc, cfg.WeightCacheDir)
+		pre, err = model.Open(bench.Spec, tc, cfg.WeightCacheDir)
 	} else {
 		pre, err = model.Train(bench.Spec, tc)
 	}
@@ -294,10 +299,32 @@ func (s *System) EnablePrivacyTelemetry(reg *obs.Registry, sampleEvery int) erro
 // EnablePrivacyTelemetry has not been called.
 func (s *System) PrivacyMonitor() *core.PrivacyMonitor { return s.monitor }
 
+// materialized returns the model with its Train and Test splits rendered.
+// The first call, from whichever goroutine, renders and normalises them
+// (model.Pretrained.Materialize); nothing on the serving path calls it. Its
+// error is a weight-cache entry trained on other pixels than this code
+// generates (model.ErrNormalizationMismatch).
+func (s *System) materialized() (*model.Pretrained, error) {
+	if err := s.pre.Materialize(); err != nil {
+		return nil, fmt.Errorf("shredder: %w", err)
+	}
+	return s.pre, nil
+}
+
+// mustMaterialize is materialized for the methods that return no error.
+func (s *System) mustMaterialize() *model.Pretrained {
+	pre, err := s.materialized()
+	if err != nil {
+		panic(err)
+	}
+	return pre
+}
+
 // BaselineAccuracy returns the pre-trained network's test accuracy. The
-// first call measures it — one sweep of the test set; NewSystem does not —
-// and later calls, from any goroutine, return that value.
-func (s *System) BaselineAccuracy() float64 { return s.pre.TestAccuracy() }
+// first call measures it — one sweep of the test set, materialised if it was
+// not yet; NewSystem does neither — and later calls, from any goroutine,
+// return that value.
+func (s *System) BaselineAccuracy() float64 { return s.mustMaterialize().TestAccuracy() }
 
 // InputShape returns the per-sample [C,H,W] input shape.
 func (s *System) InputShape() []int { return s.bench.Spec.Dataset.SampleShape() }
@@ -306,16 +333,17 @@ func (s *System) InputShape() []int { return s.bench.Spec.Dataset.SampleShape() 
 func (s *System) Classes() int { return s.bench.Spec.Dataset.Classes() }
 
 // TestSample returns the pixels and label of test sample i, for demo and
-// example use.
+// example use. It renders that one sample — the bits the materialised test
+// split holds at i — and panics for an i outside [0, TestSize()).
 func (s *System) TestSample(i int) (pixels []float64, label int) {
-	img := s.pre.Test.Image(i)
-	out := make([]float64, img.Len())
-	copy(out, img.Data())
-	return out, s.pre.Test.Labels[i]
+	if i < 0 || i >= s.TestSize() {
+		panic(fmt.Sprintf("shredder: TestSample(%d) out of range [0, %d)", i, s.TestSize()))
+	}
+	return s.pre.TestSample(i)
 }
 
 // TestSize returns the number of test samples.
-func (s *System) TestSize() int { return s.pre.Test.N() }
+func (s *System) TestSize() int { return s.pre.Config.TestN }
 
 // noiseConfig merges tuned defaults with user overrides.
 func (s *System) noiseConfig(opt NoiseOptions) core.NoiseConfig {
@@ -359,7 +387,7 @@ func (s *System) LearnNoise(count int) { s.LearnNoiseWith(count, NoiseOptions{})
 // opt.Multiplicative; under the fitted modes the trained collection is
 // fitted immediately and fresh noise is sampled from then on.
 func (s *System) LearnNoiseWith(count int, opt NoiseOptions) {
-	col := core.Collect(s.split, s.pre.Train, s.noiseConfig(opt), count, opt.Workers)
+	col := core.Collect(s.split, s.mustMaterialize().Train, s.noiseConfig(opt), count, opt.Workers)
 	if err := s.installNoise(col); err != nil {
 		// The guards below make this unreachable from Collect output; a
 		// failure here is a programming error, not an I/O condition.
@@ -420,7 +448,7 @@ func (s *System) Evaluate() Report {
 	if !s.HasNoise() {
 		panic("shredder: Evaluate before LearnNoise/LoadNoise")
 	}
-	ev := core.Evaluate(s.split, s.pre.Test, s.noise, core.EvalConfig{
+	ev := core.Evaluate(s.split, s.mustMaterialize().Test, s.noise, core.EvalConfig{
 		MI:   mi.Options{K: 3, MaxSamples: 256, Seed: s.seed},
 		Seed: s.seed,
 	})
@@ -539,9 +567,10 @@ func (s *System) LoadNoise(path string) error {
 	return nil
 }
 
-// SaveWeights writes the pre-trained network weights to path.
+// SaveWeights writes the pre-trained network's checkpoint — weights and
+// input normalisation — to path.
 func (s *System) SaveWeights(path string) error {
-	return saveWeights(s.pre, path)
+	return nn.SaveFile(s.pre.Net, nn.InputNorm{Mean: s.pre.Mean, Std: s.pre.Std}, path)
 }
 
 // CloudHandle is a running cloud server hosting the remote part.
