@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench-module fuzz-smoke bench bench-obs bench-profile bench-pool bench-kernels bench-fitted bench-audit bench-window
+.PHONY: ci fmt vet build cross test race bench-module fuzz-smoke bench bench-obs bench-profile bench-pool bench-fitted bench-audit bench-window
 
-## ci: the full gate — formatting, vet, build, tests, the race suite over
+## ci: the full gate — formatting, vet, build, a cross-build for an
+## architecture without the assembly leaf, tests, the race suite over
 ## the concurrency-sensitive packages, the benchmark module (its own go.mod,
 ## so ./... does not reach it) and ten seconds of each fuzz target. Run
 ## before every push. Speed is held by the benchmark (BENCHMARK.json,
 ## bench/), which compares; the bench-* targets below run benchmarks for a
 ## reader and compare nothing, so they are not part of the gate.
-ci: fmt vet build test race bench-module fuzz-smoke
+ci: fmt vet build cross test race bench-module fuzz-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -19,6 +20,16 @@ vet:
 
 build:
 	$(GO) build ./...
+
+## cross: build for an architecture without the assembly leaf of the direct
+## kernel (internal/tensor/leaf_amd64.s), and vet the two packages above it
+## there: the file set every non-amd64 build gets is proven to compile on
+## every push. Pure Go, nothing to download. (On amd64 the tests run the Go
+## leaf beside the vector one; the guard-page test runs in `test` and `race`
+## wherever the OS is Linux. Neither needs a tag.)
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/nn/...
 
 test:
 	$(GO) test ./...
@@ -65,13 +76,6 @@ bench-profile:
 ## backend should stay below the injected latency).
 bench-pool:
 	$(GO) test -run '^$$' -bench BenchmarkPoolServe -benchtime 50x .
-
-## bench-kernels: run the dtype/fusion kernel benchmarks (the tape path's
-## nil-tape forward pass — the f64-stock arm, the oracle plans are tested
-## against — vs compiled f64/f32 fused plans on the profiler's top layers;
-## the f32 fused path should beat the oracle by >=1.5x on conv1 and fc1).
-bench-kernels:
-	$(GO) test -run '^$$' -bench BenchmarkKernels -benchtime 10x .
 
 ## bench-fitted: run the fitted noise-distribution benchmarks (per-query
 ## sampling overhead vs stored replay, plus the resident-memory accounting).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"shredder/internal/model"
@@ -108,6 +109,61 @@ func TestSplitCompositionEqualsFullForward(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSplitCompilesEachDtypeOnce: a Split owns one set of plans per dtype.
+// At float64 RemotePlan and FullPlan are the plans behind RemoteInfer and
+// Forward; at float32 sixteen goroutines asking at once all get the one plan
+// compiled for the first; a cut inside a fused Conv2D | ReLU group (no steps
+// to share) still serves the oracle's bits.
+func TestSplitCompilesEachDtypeOnce(t *testing.T) {
+	spec := model.LeNet()
+	rng := tensor.NewRNG(32)
+	net := spec.Build(rng)
+	x := rng.FillNormal(tensor.New(append([]int{2}, spec.Dataset.SampleShape()...)...), 0, 1)
+	oracle := net.ForwardT(nil, x, false)
+	for _, cut := range []string{"relu2", "conv0"} { // the default cut; conv0 | relu0
+		split, err := NewSplit(net, cut, spec.Dataset.SampleShape())
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, err := split.RemotePlan(nn.Float64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := split.FullPlan(nn.Float64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if remote != split.f64.remote || full != split.f64.full {
+			t.Fatalf("cut %s: the float64 plans handed out are not the Split's own", cut)
+		}
+		if !tensor.BitEqual(remote.Infer(split.Local(x)), oracle) || !tensor.BitEqual(full.Infer(x), oracle) {
+			t.Fatalf("cut %s: the Split's plans differ from the nil-tape forward pass", cut)
+		}
+		got := make([]*nn.CompiledNet, 16)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p, err := split.RemotePlan(nn.Float32)
+				if err != nil {
+					t.Error(err)
+				}
+				got[g] = p
+			}()
+		}
+		wg.Wait()
+		for _, p := range got {
+			if p == nil || p != got[0] || p.Dtype() != nn.Float32 {
+				t.Fatalf("cut %s: sixteen callers got different float32 plans", cut)
+			}
+		}
+		if _, err := split.RemotePlan(nn.Dtype(99)); err == nil {
+			t.Fatal("RemotePlan compiled for an unknown dtype")
 		}
 	}
 }

@@ -24,28 +24,92 @@ import (
 // [0, CutIndex]) and a remote part R (layers (CutIndex, end)).
 //
 // Every inference through a Split — Local, RemoteInfer, Forward — runs a
-// compiled float64 plan (nn.CompileRange) that NewSplit builds once. The
-// plans read the network's own weight storage and equal the tape path's
+// compiled float64 plan: NewSplit compiles the whole network once and slices
+// the two halves from it (nn.CompiledNet.Slice). The plans hold their own
+// packed copy of the weights as NewSplit found them and equal the tape path's
 // forward pass bit for bit, so they are not a second set of numbers: the
 // frozen local part of noise training, evaluation, the attacks and the
 // serving edge all see what RemoteT's forward pass would compute. Only
 // training's differentiable pass (RemoteT/RemoteBackwardT) walks the tape.
 type Split struct {
 	// Net is the intact pre-trained network; Split never mutates weights,
-	// and nothing else may once the Split exists (the plans alias them).
+	// and nothing else may once the Split exists: the plans would keep
+	// serving the weights they were compiled from while the tape path read
+	// the new ones.
 	Net *nn.Sequential
 	// CutIndex is the index of the last local layer.
 	CutIndex int
 	// InShape is the per-sample input shape.
 	InShape []int
 
-	actShape            []int // per-sample activation shape at the cut
-	local, remote, full *nn.CompiledNet
+	actShape []int // per-sample activation shape at the cut
+	f64      plans // behind Local, RemoteInfer and Forward
+
+	// planMu guards others, the plans at dtypes a server or System asked
+	// for: each compiled once, whoever asks.
+	planMu sync.Mutex
+	others map[nn.Dtype]plans
 
 	// gradMu serializes the one legitimate mutation of shared network
 	// state the training path performs: clearing parameter gradients left
 	// behind by pre-training or legacy (non-frozen) backward passes.
 	gradMu sync.Mutex
+}
+
+// plans are the compiled plans of one dtype: the whole network and the two
+// halves sliced from it.
+type plans struct{ local, remote, full *nn.CompiledNet }
+
+// compile builds the plans at dt: one compile, which packs every weight
+// once, and two slices that share its steps (or, where the cut splits a
+// fused Conv2D | ReLU, two smaller compiles).
+func (s *Split) compile(dt nn.Dtype) (p plans, err error) {
+	if p.full, err = nn.Compile(s.Net, dt); err != nil {
+		return plans{}, err
+	}
+	if p.local, err = p.full.Slice(0, s.CutIndex+1); err != nil {
+		return plans{}, err
+	}
+	if p.remote, err = p.full.Slice(s.CutIndex+1, s.Net.Len()); err != nil {
+		return plans{}, err
+	}
+	return p, nil
+}
+
+// plansAt returns the plans at dt, compiling them on first use.
+func (s *Split) plansAt(dt nn.Dtype) (plans, error) {
+	if dt == nn.Float64 {
+		return s.f64, nil
+	}
+	s.planMu.Lock()
+	defer s.planMu.Unlock()
+	if p, ok := s.others[dt]; ok {
+		return p, nil
+	}
+	p, err := s.compile(dt)
+	if err != nil {
+		return plans{}, err
+	}
+	if s.others == nil {
+		s.others = map[nn.Dtype]plans{}
+	}
+	s.others[dt] = p
+	return p, nil
+}
+
+// RemotePlan returns the compiled plan of R at dt — at Float64 the one behind
+// RemoteInfer. A Split compiles each dtype once; every server and System over
+// it shares the plan, which is safe for concurrent use.
+func (s *Split) RemotePlan(dt nn.Dtype) (*nn.CompiledNet, error) {
+	p, err := s.plansAt(dt)
+	return p.remote, err
+}
+
+// FullPlan is RemotePlan for the whole network — at Float64 the plan behind
+// Forward.
+func (s *Split) FullPlan(dt nn.Dtype) (*nn.CompiledNet, error) {
+	p, err := s.plansAt(dt)
+	return p.full, err
 }
 
 // NewSplit cuts net after the layer with the given name and compiles the
@@ -64,14 +128,7 @@ func NewSplit(net *nn.Sequential, cutLayer string, in []int) (*Split, error) {
 	s := &Split{Net: net, CutIndex: idx, InShape: append([]int(nil), in...)}
 	s.actShape = net.OutShapeAt(s.InShape, idx+1)
 	var err error
-	compile := func(from, to int) (cn *nn.CompiledNet) {
-		if err == nil {
-			cn, err = nn.CompileRange(net, from, to, nn.Float64)
-		}
-		return cn
-	}
-	s.local, s.remote, s.full = compile(0, idx+1), compile(idx+1, net.Len()), compile(0, net.Len())
-	if err != nil {
+	if s.f64, err = s.compile(nn.Float64); err != nil {
 		return nil, fmt.Errorf("core: split %q at %q: %w", net.Name(), cutLayer, err)
 	}
 	return s, nil
@@ -85,12 +142,12 @@ func (s *Split) ActivationShape() []int { return s.actShape }
 // Local computes a = L(x) for a batch through the compiled edge plan. The
 // result is a fresh tensor the caller owns (the edge adds noise to it in
 // place). Safe to call from many goroutines sharing one Split.
-func (s *Split) Local(x *tensor.Tensor) *tensor.Tensor { return s.local.Infer(x) }
+func (s *Split) Local(x *tensor.Tensor) *tensor.Tensor { return s.f64.local.Infer(x) }
 
 // LocalInto is Local writing into dst under nn.CompiledNet.InferInto's rule
 // (a nil or wrong-shaped dst is replaced): the serving edge hands back the
 // activation of an earlier request, once nothing reads it any more.
-func (s *Split) LocalInto(dst, x *tensor.Tensor) *tensor.Tensor { return s.local.InferInto(dst, x) }
+func (s *Split) LocalInto(dst, x *tensor.Tensor) *tensor.Tensor { return s.f64.local.InferInto(dst, x) }
 
 // Remote computes y = R(a') for a batch of (possibly noisy) activations.
 // train selects training-mode behaviour (needed before RemoteBackward).
@@ -110,7 +167,7 @@ func (s *Split) RemoteT(tape *nn.Tape, a *tensor.Tensor, train bool) *tensor.Ten
 // RemoteInfer computes y = R(a') through the compiled cloud plan: no layer
 // state is touched, so any number of goroutines may run remote inference
 // over one shared Split concurrently.
-func (s *Split) RemoteInfer(a *tensor.Tensor) *tensor.Tensor { return s.remote.Infer(a) }
+func (s *Split) RemoteInfer(a *tensor.Tensor) *tensor.Tensor { return s.f64.remote.Infer(a) }
 
 // RemoteBackward backpropagates an output gradient through R and returns
 // ∂loss/∂a′ — which is exactly ∂loss/∂n, the quantity the paper derives in
@@ -130,7 +187,7 @@ func (s *Split) RemoteBackwardT(tape *nn.Tape, grad *tensor.Tensor) *tensor.Tens
 
 // Forward runs the entire intact network (no noise) — the baseline path —
 // through the compiled whole-network plan. Safe for concurrent use.
-func (s *Split) Forward(x *tensor.Tensor) *tensor.Tensor { return s.full.Infer(x) }
+func (s *Split) Forward(x *tensor.Tensor) *tensor.Tensor { return s.f64.full.Infer(x) }
 
 // zeroParamGrads clears any parameter gradients left on the network (e.g.
 // by pre-training), serialized so concurrent trainers do not race on the

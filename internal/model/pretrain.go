@@ -118,11 +118,11 @@ type Pretrained struct {
 
 	trainRecipe, testRecipe *data.Recipe
 
-	plan    *nn.CompiledNet // float64 plan over Net, compiled at construction
 	matOnce sync.Once
 	matErr  error
 	accOnce sync.Once
 	acc     float64
+	accErr  error
 }
 
 // Materialize renders Train and Test, each sample straight into its row, and
@@ -157,13 +157,17 @@ func (p *Pretrained) TestSample(i int) (pixels []float64, label int) {
 
 // TestAccuracy returns the network's accuracy on Test: one sweep of the test
 // set when first asked for, once however many goroutines ask, and never at
-// construction — a cold start on a warm weight cache runs no forward pass.
-// It materialises the splits and panics with Materialize's error.
+// construction — a cold start on a warm weight cache runs no forward pass and
+// compiles nothing here. It materialises the splits and panics with
+// Materialize's error, or Evaluate's for a network the compiler cannot lower.
 func (p *Pretrained) TestAccuracy() float64 {
 	if err := p.Materialize(); err != nil {
 		panic(err)
 	}
-	p.accOnce.Do(func() { p.acc = evaluate(p.plan, p.Test, p.Config.BatchSize) })
+	p.accOnce.Do(func() { p.acc, p.accErr = Evaluate(p.Net, p.Test, p.Config.BatchSize) })
+	if p.accErr != nil {
+		panic(p.accErr)
+	}
 	return p.acc
 }
 
@@ -181,17 +185,6 @@ func prepare(spec Spec, cfg TrainConfig) (*Pretrained, error) {
 	}
 	return &Pretrained{Spec: spec, Net: spec.Build(tensor.NewRNG(cfg.Seed)), Config: cfg,
 		trainRecipe: train, testRecipe: test}, nil
-}
-
-// compile gives p the plan TestAccuracy runs, once Net's weights are final.
-// A network the compiler cannot lower fails here, not when accuracy is asked.
-func (p *Pretrained) compile() (*Pretrained, error) {
-	plan, err := nn.Compile(p.Net, nn.Float64)
-	if err != nil {
-		return nil, fmt.Errorf("model: compile %s: %w", p.Net.Name(), err)
-	}
-	p.plan = plan
-	return p, nil
 }
 
 // Train generates the benchmark's dataset and trains the network with Adam
@@ -232,26 +225,23 @@ func (p *Pretrained) train() (*Pretrained, error) {
 				p.Spec.Name, epoch+1, cfg.Epochs, epochLoss/float64(len(batches)), 100*acc)
 		}
 	}
-	return p.compile()
+	return p, nil
 }
 
 // Evaluate returns test-set accuracy of a network at its current weights,
-// through a float64 inference plan compiled for the call (microseconds: the
-// plan reads the network's own weight storage). A network the compiler
-// cannot lower is an error.
+// through a float64 inference plan compiled for the call — a plan is a
+// snapshot of the weights it was compiled from, so one kept across training
+// steps would measure stale weights; compiling packs every weight once, a
+// strided copy that is nothing beside the sweep it serves. The result is the
+// share of samples whose largest logit is their label (0 for an empty
+// dataset); a network the compiler cannot lower is an error.
 func Evaluate(net *nn.Sequential, ds *data.Dataset, batchSize int) (float64, error) {
 	plan, err := nn.Compile(net, nn.Float64)
 	if err != nil {
 		return 0, fmt.Errorf("model: evaluate %s: %w", net.Name(), err)
 	}
-	return evaluate(plan, ds, batchSize), nil
-}
-
-// evaluate is one sweep of ds through plan: the share of samples whose
-// largest logit is their label (0 for an empty dataset).
-func evaluate(plan *nn.CompiledNet, ds *data.Dataset, batchSize int) float64 {
 	if ds.N() == 0 {
-		return 0
+		return 0, nil
 	}
 	correct := 0
 	for _, b := range ds.Batches(batchSize) {
@@ -262,7 +252,7 @@ func evaluate(plan *nn.CompiledNet, ds *data.Dataset, batchSize int) float64 {
 			}
 		}
 	}
-	return float64(correct) / float64(ds.N())
+	return float64(correct) / float64(ds.N()), nil
 }
 
 // cachePath returns the checkpoint path for a spec/config pair. The key
@@ -290,7 +280,7 @@ func Open(spec Spec, cfg TrainConfig, dir string) (*Pretrained, error) {
 	norm, err := nn.LoadFile(pre.Net, path)
 	if err == nil {
 		pre.Mean, pre.Std = norm.Mean, norm.Std
-		return pre.compile()
+		return pre, nil
 	}
 	// Load is all-or-nothing: pre.Net is still the seeded initialisation.
 	if cfg.Progress != nil && !errors.Is(err, fs.ErrNotExist) {

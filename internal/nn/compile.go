@@ -22,12 +22,15 @@ import (
 // Compilation performs three transformations the layer-at-a-time path
 // cannot:
 //
-//   - Weight binding happens once. A Float64 plan aliases the layers'
-//     parameter storage — compiling costs microseconds and copies nothing —
-//     under core.Split's contract that weights are frozen once inference
-//     starts. A Float32 plan converts every parameter to float32 at compile
-//     time, so inference never pays the per-request conversion cost and
-//     moves half the bytes per element.
+//   - Weight binding happens once. Every parameter is converted to the
+//     plan's dtype at compile time and the weights of Conv2D and Linear are
+//     re-laid into the output-channel panels the direct kernel reads
+//     (tensor.Pack), so a plan of either dtype is a snapshot: it holds its own
+//     copy of the weights as they were when it was compiled and does not see a
+//     later change — recompile after training, loading or any other write.
+//     Compiling costs a strided copy of every weight, which is why a network
+//     is compiled once per dtype and its ranges are sliced from that plan
+//     (CompiledNet.Slice).
 //
 //   - BatchNorm folding. A BatchNorm2D directly following a Conv2D is
 //     absorbed into the convolution step as a per-channel epilogue affine.
@@ -43,32 +46,31 @@ import (
 //
 // Equality policy: a Float64 plan equals Sequential.ForwardRangeT(nil, …)
 // bit for bit, on every zoo network, range and batch size (pinned by
-// TestPlanEqualsOracleBitwise). The plan's matmuls run through the
-// register-blocked kernel (tensor.MatMulT2BlockedFlat), but its four
-// accumulators belong to four different outputs and each output is still
-// summed over p in the legacy kernel's order; bias, folded BatchNorm and
-// ReLU evaluate the layers' own expressions. Training, noise learning and
-// cached-weight reproducibility therefore see the same numbers whichever
-// path computed them. A Float32 plan stays within ~1e-4 of float64 with
-// classification decisions pinned identical.
+// TestPlanEqualsOracleBitwise). The plan's convolutions and linear layers
+// run the direct kernel over packed weights (tensor.Packed), scalar or
+// vector, but every accumulator of its leaf belongs to a different output and
+// each output is still summed over p in the legacy kernel's order; bias,
+// folded BatchNorm and ReLU evaluate the layers' own expressions. Training,
+// noise learning and cached-weight reproducibility therefore see the same
+// numbers whichever path computed them. A Float32 plan stays within ~1e-4 of
+// float64 with classification decisions pinned identical.
 //
 // Execution: every step treats batch members independently, so a plan runs
 // sample-major — one sample through all steps, then the next — against a
-// workspace: two ping-pong activation buffers, the conv cols/prod scratch
-// and the dtype staging buffers, all sized for ONE sample of the plan's
-// input shape. Workspaces live in a per-plan sync.Pool; a single-sample
-// Infer takes one and runs inline, a batch fans out over
-// tensor.ParallelChunks with one workspace per chunk. A workspace does not
+// workspace: two ping-pong activation buffers, the direct kernel's scratch
+// (its accumulators and a convolution's zero-bordered input) and the dtype
+// staging buffers, all sized for ONE sample of the plan's input shape.
+// Workspaces live in a per-plan sync.Pool; a single-sample Infer takes one
+// and runs inline — no step fans out inside a sample — and a batch fans out
+// over tensor.ParallelChunks with one workspace per chunk. A workspace does not
 // depend on the batch size, so a batch-size change costs nothing; a change
 // of the per-sample input shape re-resolves the step shapes once and grows
 // the buffers. The pool is emptied by the garbage collector like any
 // sync.Pool — the next call re-allocates. The last step writes straight
 // into the result tensor (Float32 plans widen into it), which belongs to the
 // caller and never aliases workspace memory, so the edge may add noise to it
-// in place. It is what a warm Infer allocates — a batch above the matmul
-// kernels' fan-out threshold adds one chunking closure per parallel product —
-// and InferInto, handed the result of the call before, allocates not even
-// that.
+// in place. It is all a warm single-sample Infer allocates, and InferInto,
+// handed the result of the call before, allocates not even that.
 
 // CompileOption configures Compile/CompileRange.
 type CompileOption func(*compileConfig)
@@ -85,11 +87,13 @@ func NoFusion() CompileOption {
 }
 
 // CompiledNet is an executable inference plan for a contiguous layer range
-// of a Sequential at a fixed dtype. A Float64 plan reads the layers' own
-// parameter storage and a Float32 plan its converted copy; neither is
-// written after compile, so any number of goroutines may call Infer
-// concurrently — each call works in its own workspace.
+// of a Sequential at a fixed dtype. It reads its own copy of the parameters,
+// taken at compile time and never written afterwards, so any number of
+// goroutines may call Infer concurrently — each call works in its own
+// workspace.
 type CompiledNet struct {
+	src      *Sequential
+	cfg      compileConfig
 	from, to int
 	dtype    Dtype
 	p64      *plan[float64] // exactly one of p64, p32 is set
@@ -103,8 +107,8 @@ func Compile(s *Sequential, dt Dtype, opts ...CompileOption) (*CompiledNet, erro
 }
 
 // CompileRange lowers layers [from, to) into an inference plan at the given
-// dtype — the split-execution form: core.Split compiles [0, cut] for the
-// edge and (cut, len) for the cloud.
+// dtype — the split-execution form, on its own: a caller that also wants the
+// whole network, as core.Split does, compiles that and Slices the ranges.
 func CompileRange(s *Sequential, from, to int, dt Dtype, opts ...CompileOption) (*CompiledNet, error) {
 	if from < 0 || to > s.Len() || from > to {
 		return nil, fmt.Errorf("nn: CompileRange [%d,%d) out of bounds for %d layers", from, to, s.Len())
@@ -113,7 +117,11 @@ func CompileRange(s *Sequential, from, to int, dt Dtype, opts ...CompileOption) 
 	for _, o := range opts {
 		o(&cfg)
 	}
-	c := &CompiledNet{from: from, to: to, dtype: dt}
+	return compileRange(s, from, to, dt, cfg)
+}
+
+func compileRange(s *Sequential, from, to int, dt Dtype, cfg compileConfig) (*CompiledNet, error) {
+	c := &CompiledNet{src: s, cfg: cfg, from: from, to: to, dtype: dt}
 	var err error
 	switch dt {
 	case Float64:
@@ -127,6 +135,28 @@ func CompileRange(s *Sequential, from, to int, dt Dtype, opts ...CompileOption) 
 		return nil, err
 	}
 	return c, nil
+}
+
+// Slice returns the plan of layers [from, to), a sub-range of c's. Where no
+// fused step straddles from or to it shares c's steps — the packed weights
+// are immutable — and owns only its layout cache and workspace pool, so it
+// costs no copy and serves c's snapshot. A boundary inside a fused group
+// (Conv2D | ReLU) has no steps to share: that range is compiled afresh, with
+// c's options, from the network's weights as they are now.
+func (c *CompiledNet) Slice(from, to int) (*CompiledNet, error) {
+	if from < c.from || to > c.to || from > to {
+		return nil, fmt.Errorf("nn: Slice [%d,%d) of a plan over [%d,%d)", from, to, c.from, c.to)
+	}
+	out := &CompiledNet{src: c.src, cfg: c.cfg, from: from, to: to, dtype: c.dtype}
+	if c.p32 != nil {
+		out.p32 = c.p32.slice(from, to)
+	} else {
+		out.p64 = c.p64.slice(from, to)
+	}
+	if out.p32 == nil && out.p64 == nil {
+		return compileRange(c.src, from, to, c.dtype, c.cfg)
+	}
+	return out, nil
 }
 
 // Dtype returns the plan's element type.
@@ -201,6 +231,7 @@ func LabelMatches(label, layer string) bool {
 type plan[F tensor.Float] struct {
 	src      *Sequential // profiler attach point
 	steps    []step[F]
+	spans    [][2]int // the layers [from, to) each step lowers; Dropout falls between
 	labels   []string
 	elemSize int64
 
@@ -210,7 +241,25 @@ type plan[F tensor.Float] struct {
 	pool sync.Pool // *workspace[F]
 }
 
+// slice returns the plan of the steps lying in layers [from, to), sharing
+// them, or nil when a step straddles a boundary.
+func (p *plan[F]) slice(from, to int) *plan[F] {
+	lo, hi := 0, len(p.steps)
+	for k, sp := range p.spans {
+		switch {
+		case sp[1] <= from:
+			lo = k + 1
+		case sp[0] >= to:
+			hi = min(hi, k)
+		case sp[0] < from || sp[1] > to:
+			return nil
+		}
+	}
+	return &plan[F]{src: p.src, steps: p.steps[lo:hi], spans: p.spans[lo:hi], labels: p.labels[lo:hi], elemSize: p.elemSize}
+}
+
 // step is one executable unit of a plan. Both methods work on ONE sample.
+// Steps are immutable once built: plans sliced from one another share them.
 type step[F tensor.Float] interface {
 	label() string
 	// resolve returns the step's geometry for a per-sample input shape,
@@ -225,9 +274,9 @@ type step[F tensor.Float] interface {
 type stepLayout struct {
 	in, out       []int // per-sample shapes
 	inVol, outVol int
-	view          bool            // output is the input re-shaped: nothing runs
-	geom          tensor.ConvGeom // conv steps
-	cols, prod    int             // conv steps: scratch elements
+	view          bool             // output is the input re-shaped: nothing runs
+	taps          *tensor.ConvTaps // conv steps
+	scratch       int              // conv and linear steps: kernel scratch elements
 }
 
 // layout is a plan's geometry for one per-sample input shape.
@@ -238,14 +287,14 @@ type layout struct {
 	inVol, outVol int
 	last          int // index of the last non-view step (it writes the result), -1 if none
 	act           int // largest intermediate activation, elements
-	cols, prod    int // largest conv scratch, elements
+	scratch       int // largest kernel scratch, elements
 }
 
 // workspace is the memory one in-flight sample needs; see the file comment.
 type workspace[F tensor.Float] struct {
-	act        [2][]F
-	cols, prod []F
-	in, out    []F // staging where the caller's dtype is not F
+	act     [2][]F
+	scratch []F
+	in, out []F // staging where the caller's dtype is not F
 }
 
 // grow returns b if it holds n elements, else a fresh buffer that does.
@@ -273,7 +322,7 @@ func (p *plan[F]) layoutFor(sample []int) *layout {
 		if !sl.view {
 			l.last = k
 		}
-		l.cols, l.prod = max(l.cols, sl.cols), max(l.prod, sl.prod)
+		l.scratch = max(l.scratch, sl.scratch)
 	}
 	for k, sl := range l.steps {
 		if !sl.view && k != l.last {
@@ -292,7 +341,7 @@ func (p *plan[F]) workspaceFor(l *layout) *workspace[F] {
 		ws = new(workspace[F])
 	}
 	ws.act[0], ws.act[1] = grow(ws.act[0], l.act), grow(ws.act[1], l.act)
-	ws.cols, ws.prod = grow(ws.cols, l.cols), grow(ws.prod, l.prod)
+	ws.scratch = grow(ws.scratch, l.scratch)
 	return ws
 }
 
@@ -397,15 +446,8 @@ func inferInto[F, In tensor.Float](p *plan[F], out *tensor.Tensor, x []In, shape
 	return out
 }
 
-// params returns a parameter tensor's values at element type F: the
-// tensor's own storage for float64 (no copy — see the file comment), a
-// converted copy otherwise.
-func params[F tensor.Float](t *tensor.Tensor) []F {
-	if d, ok := any(t.Data()).([]F); ok {
-		return d
-	}
-	return tensor.ToDense[F](t).Data()
-}
+// params returns a copy of a parameter tensor's values at element type F.
+func params[F tensor.Float](t *tensor.Tensor) []F { return tensor.ToDense[F](t).Data() }
 
 // buildPlan lowers layers [from, to) to steps at element type F. The fusion
 // scan is greedy over the canonical producer chains:
@@ -415,64 +457,61 @@ func buildPlan[F tensor.Float](s *Sequential, from, to int, cfg compileConfig, d
 	p := &plan[F]{src: s, elemSize: int64(dt.Size())}
 	tag := "[" + dt.Short() + "]"
 	layers := s.Layers()
+	// next is the layer at j if fusion may absorb it, else nil.
+	next := func(j int) Layer {
+		if cfg.noFuse || j >= to {
+			return nil
+		}
+		return layers[j]
+	}
+	// fused packs the producer at i with the epilogue ep, absorbing a ReLU
+	// at j, the first layer not yet consumed.
+	fused := func(i, j int, w *tensor.Tensor, ep tensor.Epilogue[F]) (k *tensor.Packed[F], lbl string, end int) {
+		if _, ok := next(j).(*ReLU); ok {
+			ep.ReLU = true
+			j++
+		}
+		names := make([]string, 0, 3)
+		for _, l := range layers[i:j] {
+			names = append(names, l.Name())
+		}
+		return tensor.Pack(w, ep), strings.Join(names, "+") + tag, j
+	}
+	add := func(st step[F], i, j int) int {
+		p.steps = append(p.steps, st)
+		p.spans = append(p.spans, [2]int{i, j})
+		return j
+	}
 	i := from
 	for i < to {
 		switch l := layers[i].(type) {
 		case *Conv2D:
-			st := &convStep[F]{src: l, w: params[F](l.W.Value), b: params[F](l.B.Value)}
-			names := []string{l.Name()}
-			j := i + 1
-			if !cfg.noFuse {
-				if j < to {
-					if bn, ok := layers[j].(*BatchNorm2D); ok && bn.C == l.OutC {
-						st.bn = newBatchNormStep[F](bn, "")
-						names = append(names, bn.Name())
-						j++
-					}
-				}
-				if j < to {
-					if r, ok := layers[j].(*ReLU); ok {
-						st.relu = true
-						names = append(names, r.Name())
-						j++
-					}
-				}
+			ep, j := tensor.Epilogue[F]{Bias: params[F](l.B.Value)}, i+1
+			if bn, ok := next(j).(*BatchNorm2D); ok && bn.C == l.OutC {
+				// The fold's epilogue is the standalone step's expression,
+				// y = g·(z−mean)·inv + b, so the fused Float64 plan is
+				// bitwise identical to the NoFusion plan.
+				st := newBatchNormStep[F](bn, "")
+				ep.Scale, ep.Mean, ep.Inv, ep.Shift = st.g, st.mean, st.inv, st.b
+				j++
 			}
-			st.lbl = strings.Join(names, "+") + tag
-			p.steps = append(p.steps, st)
-			i = j
+			k, lbl, j := fused(i, j, l.W.Value, ep)
+			i = add(&convStep[F]{lbl: lbl, src: l, k: k}, i, j)
 		case *Linear:
-			st := &linearStep[F]{src: l, w: params[F](l.W.Value), b: params[F](l.B.Value)}
-			names := []string{l.Name()}
-			j := i + 1
-			if !cfg.noFuse && j < to {
-				if r, ok := layers[j].(*ReLU); ok {
-					st.relu = true
-					names = append(names, r.Name())
-					j++
-				}
-			}
-			st.lbl = strings.Join(names, "+") + tag
-			p.steps = append(p.steps, st)
-			i = j
+			k, lbl, j := fused(i, i+1, l.W.Value, tensor.Epilogue[F]{Bias: params[F](l.B.Value)})
+			i = add(&linearStep[F]{lbl: lbl, src: l, k: k}, i, j)
 		case *ReLU:
-			p.steps = append(p.steps, &reluStep[F]{lbl: l.Name() + tag})
-			i++
+			i = add(&reluStep[F]{lbl: l.Name() + tag}, i, i+1)
 		case *MaxPool2D:
-			p.steps = append(p.steps, &maxPoolStep[F]{lbl: l.Name() + tag, src: l})
-			i++
+			i = add(&maxPoolStep[F]{lbl: l.Name() + tag, src: l}, i, i+1)
 		case *AvgPool2D:
-			p.steps = append(p.steps, &avgPoolStep[F]{lbl: l.Name() + tag, src: l})
-			i++
+			i = add(&avgPoolStep[F]{lbl: l.Name() + tag, src: l}, i, i+1)
 		case *LocalResponseNorm:
-			p.steps = append(p.steps, &lrnStep[F]{lbl: l.Name() + tag, src: l})
-			i++
+			i = add(&lrnStep[F]{lbl: l.Name() + tag, src: l}, i, i+1)
 		case *Flatten:
-			p.steps = append(p.steps, &flattenStep[F]{lbl: l.Name() + tag})
-			i++
+			i = add(&flattenStep[F]{lbl: l.Name() + tag}, i, i+1)
 		case *BatchNorm2D:
-			p.steps = append(p.steps, newBatchNormStep[F](l, l.Name()+tag))
-			i++
+			i = add(newBatchNormStep[F](l, l.Name()+tag), i, i+1)
 		case *Dropout:
 			// Identity at inference: compiles to nothing.
 			i++
@@ -487,61 +526,34 @@ func buildPlan[F tensor.Float](s *Sequential, from, to int, cfg compileConfig, d
 	return p, nil
 }
 
-// convStep is an im2col-lowered convolution with the fused epilogue:
-// bias add, optional folded-BatchNorm affine, optional ReLU — applied while
-// the product row is still hot, so the pre-activation tensor is never
-// materialized.
+// convStep is a convolution through the direct kernel over packed weights,
+// with the fused epilogue — bias add, optional folded-BatchNorm affine,
+// optional ReLU — applied to the leaf's accumulators, so neither im2col's
+// column matrix nor the pre-activation tensor is ever materialized.
 type convStep[F tensor.Float] struct {
-	lbl  string
-	src  *Conv2D
-	w    []F // [OutC, InC*KH*KW]
-	b    []F // [OutC]
-	relu bool
-	// bn is the folded BatchNorm, nil when absent. Its epilogue is the
-	// standalone step's expression, y = g·(z−mean)·inv + b, so the fused
-	// Float64 plan is bitwise identical to the NoFusion plan.
-	bn *batchNormStep[F]
+	lbl string
+	src *Conv2D
+	k   *tensor.Packed[F]
 }
 
 func (st *convStep[F]) label() string { return st.lbl }
 
 func (st *convStep[F]) resolve(in []int) stepLayout {
 	g := st.src.geom(in)
-	p := g.OutH() * g.OutW()
-	return stepLayout{
-		out:  []int{st.src.OutC, g.OutH(), g.OutW()},
-		geom: g, cols: p * g.InC * g.KH * g.KW, prod: p * st.src.OutC,
-	}
+	taps := g.Taps()
+	return stepLayout{out: []int{st.src.OutC, g.OutH(), g.OutW()}, taps: taps, scratch: taps.Scratch}
 }
 
 func (st *convStep[F]) sample(sl *stepLayout, x, y []F, ws *workspace[F]) {
-	outC := st.src.OutC
-	p := sl.outVol / outC
-	cols, prod := ws.cols[:sl.cols], ws.prod[:sl.prod]
-	tensor.Im2ColFlat(cols, x, sl.geom)
-	tensor.MatMulT2BlockedFlat(prod, cols, st.w, p, sl.cols/p, outC) // [P, OutC]
-	for pos := 0; pos < p; pos++ {
-		row := prod[pos*outC:]
-		for oc := 0; oc < outC; oc++ {
-			z := row[oc] + st.b[oc]
-			if bn := st.bn; bn != nil {
-				z = bn.g[oc]*(z-bn.mean[oc])*bn.inv[oc] + bn.b[oc]
-			}
-			if st.relu && !(z > 0) {
-				z = 0
-			}
-			y[oc*p+pos] = z // [OutC, P] layout
-		}
-	}
+	st.k.Conv(y, x, ws.scratch, sl.taps)
 }
 
-// linearStep is y = x·Wᵀ + b with an optional fused ReLU epilogue.
+// linearStep is y = x·Wᵀ + b with an optional fused ReLU epilogue: the
+// direct kernel's one-position case.
 type linearStep[F tensor.Float] struct {
-	lbl  string
-	src  *Linear
-	w    []F // [Out, In]
-	b    []F
-	relu bool
+	lbl string
+	src *Linear
+	k   *tensor.Packed[F]
 }
 
 func (st *linearStep[F]) label() string { return st.lbl }
@@ -550,18 +562,11 @@ func (st *linearStep[F]) resolve(in []int) stepLayout {
 	if tensor.Volume(in) != st.src.In {
 		panic(fmt.Sprintf("nn: compiled %s expects %d inputs, got %d", st.lbl, st.src.In, tensor.Volume(in)))
 	}
-	return stepLayout{out: []int{st.src.Out}}
+	return stepLayout{out: []int{st.src.Out}, scratch: tensor.LinearScratch}
 }
 
-func (st *linearStep[F]) sample(sl *stepLayout, x, y []F, _ *workspace[F]) {
-	tensor.MatMulT2BlockedFlat(y, x, st.w, 1, sl.inVol, sl.outVol)
-	for j, v := range y {
-		v += st.b[j]
-		if st.relu && !(v > 0) {
-			v = 0
-		}
-		y[j] = v
-	}
+func (st *linearStep[F]) sample(_ *stepLayout, x, y []F, ws *workspace[F]) {
+	st.k.Linear(y, x, ws.scratch)
 }
 
 // reluStep is a standalone max(0, x) for positions where fusion did not

@@ -35,38 +35,40 @@ func mustCompile(t *testing.T, net *nn.Sequential, from, to int, dt nn.Dtype) *n
 // TestPlanEqualsOracleBitwise is the property every served number rests on:
 // for every zoo network, every cut the registry names and batch sizes 1, 3
 // and 32, the Float64 plan of the local range, the remote range and the
-// whole network equals the tape path's nil-tape forward pass bit for bit.
+// whole network equals the tape path's nil-tape forward pass bit for bit —
+// under the vector leaf of the direct kernel and under the Go one.
 func TestPlanEqualsOracleBitwise(t *testing.T) {
 	for _, spec := range model.All() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			t.Parallel()
-			for _, batch := range []int{1, 3, 32} {
-				net, x := zooInput(spec, batch)
-				want := net.ForwardT(nil, x, false)
-				if got := mustCompile(t, net, 0, net.Len(), nn.Float64).Infer(x); !tensor.BitEqual(got, want) {
-					t.Fatalf("batch %d: full plan differs from the oracle", batch)
-				}
-				for _, cp := range spec.CutPoints {
-					cut := net.Index(cp.Layer) + 1
-					act := net.ForwardRangeT(nil, x, 0, cut, false)
-					if got := mustCompile(t, net, 0, cut, nn.Float64).Infer(x); !tensor.BitEqual(got, act) {
-						t.Fatalf("batch %d cut %s: local plan differs from the oracle", batch, cp.Name)
-					}
-					// The oracle's remote pass from the oracle's activation is
-					// the full pass: layers treat a range boundary as nothing.
-					if got := mustCompile(t, net, cut, net.Len(), nn.Float64).Infer(act); !tensor.BitEqual(got, want) {
-						t.Fatalf("batch %d cut %s: remote plan differs from the oracle", batch, cp.Name)
-					}
-				}
+		t.Run(spec.Name, func(t *testing.T) { nn.UnderEachLeaf(t, func(t *testing.T) { planEqualsOracle(t, spec) }) })
+	}
+}
+
+func planEqualsOracle(t *testing.T, spec model.Spec) {
+	for _, batch := range []int{1, 3, 32} {
+		net, x := zooInput(spec, batch)
+		want := net.ForwardT(nil, x, false)
+		if got := mustCompile(t, net, 0, net.Len(), nn.Float64).Infer(x); !tensor.BitEqual(got, want) {
+			t.Fatalf("batch %d: full plan differs from the oracle", batch)
+		}
+		for _, cp := range spec.CutPoints {
+			cut := net.Index(cp.Layer) + 1
+			act := net.ForwardRangeT(nil, x, 0, cut, false)
+			if got := mustCompile(t, net, 0, cut, nn.Float64).Infer(x); !tensor.BitEqual(got, act) {
+				t.Fatalf("batch %d cut %s: local plan differs from the oracle", batch, cp.Name)
 			}
-		})
+			// The oracle's remote pass from the oracle's activation is
+			// the full pass: layers treat a range boundary as nothing.
+			if got := mustCompile(t, net, cut, net.Len(), nn.Float64).Infer(act); !tensor.BitEqual(got, want) {
+				t.Fatalf("batch %d cut %s: remote plan differs from the oracle", batch, cp.Name)
+			}
+		}
 	}
 }
 
 // float32Golden are the first eight bytes of the SHA-256 over the result
 // bits of each zoo network's Float32 plan on zooInput(spec, 3), computed at
-// the commit before plans ran against workspaces. A Float32 plan has no
+// the commit before plans ran against workspaces — two kernels ago: the
+// direct kernel, under either leaf, still produces them. A Float32 plan has no
 // float64 oracle to equal; what serving relies on (the fleet benchmark's
 // in-process reference, cross-server transparency) is that its per-output
 // operation order never moves, and this pins it.
@@ -82,40 +84,41 @@ var float32Golden = map[string]string{
 // epsilon of the float64 oracle with identical argmax decisions on every
 // sample, and bit-identical to the pinned golden output.
 func TestFloat32PlanParity(t *testing.T) {
-	const batch = 3
 	for _, spec := range model.All() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			net, x := zooInput(spec, batch)
-			want := net.ForwardT(nil, x, false)
-			got := mustCompile(t, net, 0, net.Len(), nn.Float32).Infer(x)
-			if !got.SameShape(want) {
-				t.Fatalf("f32 plan shape %v want %v", got.Shape(), want.Shape())
-			}
-			maxDiff := 0.0
-			for i, v := range got.Data() {
-				maxDiff = math.Max(maxDiff, math.Abs(v-want.Data()[i]))
-			}
-			// The epsilon contract documented in DESIGN.md §5f: logits agree
-			// to ~1e-3 absolute on these depths at unit-scale inputs.
-			if maxDiff > 1e-3 {
-				t.Fatalf("f32 plan deviates by %g from the float64 oracle", maxDiff)
-			}
-			for i := 0; i < batch; i++ {
-				if a, b := got.Slice(i).Argmax(), want.Slice(i).Argmax(); a != b {
-					t.Fatalf("f32 plan flips decision on sample %d: %d vs %d", i, a, b)
-				}
-			}
-			h := sha256.New()
-			var b [8]byte
-			for _, v := range got.Data() {
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-				h.Write(b[:])
-			}
-			if sum := fmt.Sprintf("%x", h.Sum(nil)[:8]); sum != float32Golden[spec.Name] {
-				t.Fatalf("f32 plan output hash %s, pinned %s: a per-output operation order moved", sum, float32Golden[spec.Name])
-			}
-		})
+		t.Run(spec.Name, func(t *testing.T) { nn.UnderEachLeaf(t, func(t *testing.T) { float32PlanParity(t, spec) }) })
+	}
+}
+
+func float32PlanParity(t *testing.T, spec model.Spec) {
+	const batch = 3
+	net, x := zooInput(spec, batch)
+	want := net.ForwardT(nil, x, false)
+	got := mustCompile(t, net, 0, net.Len(), nn.Float32).Infer(x)
+	if !got.SameShape(want) {
+		t.Fatalf("f32 plan shape %v want %v", got.Shape(), want.Shape())
+	}
+	maxDiff := 0.0
+	for i, v := range got.Data() {
+		maxDiff = math.Max(maxDiff, math.Abs(v-want.Data()[i]))
+	}
+	// The epsilon contract documented in DESIGN.md §5f: logits agree
+	// to ~1e-3 absolute on these depths at unit-scale inputs.
+	if maxDiff > 1e-3 {
+		t.Fatalf("f32 plan deviates by %g from the float64 oracle", maxDiff)
+	}
+	for i := 0; i < batch; i++ {
+		if a, b := got.Slice(i).Argmax(), want.Slice(i).Argmax(); a != b {
+			t.Fatalf("f32 plan flips decision on sample %d: %d vs %d", i, a, b)
+		}
+	}
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range got.Data() {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	if sum := fmt.Sprintf("%x", h.Sum(nil)[:8]); sum != float32Golden[spec.Name] {
+		t.Fatalf("f32 plan output hash %s, pinned %s: a per-output operation order moved", sum, float32Golden[spec.Name])
 	}
 }
 
@@ -147,9 +150,8 @@ func TestCompileRangeAccessorsAndFloat32Remote(t *testing.T) {
 // TestWarmInferAllocations pins what a warm single-sample Infer allocates:
 // its result tensor (header, shape, data) and nothing else — no activation
 // tensors, scratch headers, shape slices, goroutines or per-chunk closures —
-// and that InferInto, handed that result back, allocates nothing. SVHN's
-// remote part has one matmul large enough to fan out, whose chunking closure
-// is one more allocation on either entry.
+// and that InferInto, handed that result back, allocates nothing, however
+// large the layers: no step fans out inside a sample.
 func TestWarmInferAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -162,7 +164,7 @@ func TestWarmInferAllocations(t *testing.T) {
 	}{
 		{model.LeNet(), "conv2", true, 3, 0},
 		{model.LeNet(), "conv2", false, 3, 0},
-		{model.SvhnNet(), "conv0", false, 4, 1},
+		{model.SvhnNet(), "conv0", false, 3, 0},
 	}
 	for _, tc := range cases {
 		net, x := zooInput(tc.spec, 1)
@@ -284,5 +286,156 @@ func TestResultDoesNotAliasWorkspace(t *testing.T) {
 		if !tensor.BitEqual(tensor.From(big.Data()[:keep.Len()], keep.Shape()...), keep) {
 			t.Fatalf("%v: sample 0 of the batch differs from the same sample served alone", dt)
 		}
+	}
+}
+
+// TestPlanIsSnapshot: a plan holds the weights as they were when it was
+// compiled. One compiled before a weight is written keeps serving what it
+// served, at both dtypes — and so do the halves sliced from it afterwards,
+// which share its packed weights and read none anew — and a recompile serves
+// the new weights.
+func TestPlanIsSnapshot(t *testing.T) {
+	spec := model.LeNet()
+	net, x := zooInput(spec, 2)
+	cutLayer, err := spec.CutLayer(spec.DefaultCut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := net.Index(cutLayer) + 1
+	for _, dt := range []nn.Dtype{nn.Float64, nn.Float32} {
+		before := mustCompile(t, net, 0, net.Len(), dt)
+		want := before.Infer(x)
+		var saved [][]float64
+		for _, p := range net.Params() { // weights and biases alike
+			saved = append(saved, append([]float64(nil), p.Value.Data()...))
+			p.Value.Scale(-0.5)
+		}
+		if got := before.Infer(x); !tensor.BitEqual(got, want) {
+			t.Fatalf("%v: a plan compiled before the weights changed serves something else after", dt)
+		}
+		local, err := before.Slice(0, cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, err := before.Slice(cut, net.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := remote.Infer(local.Infer(x)); dt == nn.Float64 && !tensor.BitEqual(got, want) {
+			t.Fatal("halves sliced after the weights changed do not serve the plan's snapshot")
+		}
+		after := mustCompile(t, net, 0, net.Len(), dt)
+		if got := after.Infer(x); tensor.BitEqual(got, want) {
+			t.Fatalf("%v: a recompiled plan does not see the new weights", dt)
+		} else if dt == nn.Float64 && !tensor.BitEqual(got, net.ForwardT(nil, x, false)) {
+			t.Fatal("the recompiled plan differs from the oracle at the new weights")
+		}
+		for i, p := range net.Params() {
+			copy(p.Value.Data(), saved[i])
+		}
+	}
+}
+
+// TestSliceEqualsCompileRange: for every zoo network, registry cut and dtype
+// the two halves sliced from the whole-network plan carry CompileRange's
+// labels and compute CompileRange's bits, and report their own range; a
+// boundary inside a fused group (Conv2D | ReLU) compiles afresh to the same
+// effect; a range outside the plan's is an error.
+func TestSliceEqualsCompileRange(t *testing.T) {
+	for _, spec := range model.All() {
+		net, x := zooInput(spec, 3)
+		for _, dt := range []nn.Dtype{nn.Float64, nn.Float32} {
+			full := mustCompile(t, net, 0, net.Len(), dt)
+			cuts := []int{net.Index("conv0") + 1} // splits conv0+relu0
+			for _, cp := range spec.CutPoints {
+				cuts = append(cuts, net.Index(cp.Layer)+1)
+			}
+			for _, cut := range cuts {
+				act := net.ForwardRangeT(nil, x, 0, cut, false)
+				for _, r := range []struct {
+					from, to int
+					in       *tensor.Tensor
+				}{{0, cut, x}, {cut, net.Len(), act}} {
+					got, err := full.Slice(r.from, r.to)
+					if err != nil {
+						t.Fatalf("%s %v: Slice [%d,%d): %v", spec.Name, dt, r.from, r.to, err)
+					}
+					want := mustCompile(t, net, r.from, r.to, dt)
+					if got.From() != r.from || got.To() != r.to || got.Dtype() != dt ||
+						fmt.Sprint(got.Labels()) != fmt.Sprint(want.Labels()) {
+						t.Fatalf("%s %v: Slice [%d,%d) is [%d,%d) %v with steps %v, want steps %v",
+							spec.Name, dt, r.from, r.to, got.From(), got.To(), got.Dtype(), got.Labels(), want.Labels())
+					}
+					if !tensor.BitEqual(got.Infer(r.in), want.Infer(r.in)) {
+						t.Fatalf("%s %v: the plan sliced for [%d,%d) differs from the one compiled for it", spec.Name, dt, r.from, r.to)
+					}
+				}
+			}
+			if _, err := full.Slice(2, 1); err == nil {
+				t.Fatal("Slice accepted an inverted range")
+			}
+			if half, _ := full.Slice(0, 3); half != nil {
+				if _, err := half.Slice(0, 4); err == nil {
+					t.Fatal("Slice accepted a range beyond the plan's own")
+				}
+			}
+		}
+	}
+}
+
+// TestSlicedPlansConcurrent: sixteen goroutines share one set of plans cut
+// from one compile — local, remote and whole — which share their steps and
+// packed weights; every output equals the one computed alone (-race checks
+// the same from the memory model's side).
+func TestSlicedPlansConcurrent(t *testing.T) {
+	spec := model.SvhnNet()
+	net, x := zooInput(spec, 2)
+	cutLayer, err := spec.CutLayer("conv0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := net.Index(cutLayer) + 1
+	for _, dt := range []nn.Dtype{nn.Float64, nn.Float32} {
+		full := mustCompile(t, net, 0, net.Len(), dt)
+		local, err := full.Slice(0, cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, err := full.Slice(cut, net.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := full.Infer(x)
+		if dt == nn.Float64 { // at Float32 the activation is rounded at the cut
+			if got := remote.Infer(local.Infer(x)); !tensor.BitEqual(got, want) {
+				t.Fatalf("%v: remote∘local differs from the whole plan", dt)
+			}
+		}
+		wantAct := local.Infer(x)
+		wantOut := remote.Infer(wantAct)
+		var wg sync.WaitGroup
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 3; i++ {
+					switch (g + i) % 3 {
+					case 0:
+						if !tensor.BitEqual(full.Infer(x), want) {
+							t.Errorf("%v: goroutine %d: whole plan differs from its sequential result", dt, g)
+						}
+					case 1:
+						if !tensor.BitEqual(local.Infer(x), wantAct) {
+							t.Errorf("%v: goroutine %d: local plan differs from its sequential result", dt, g)
+						}
+					default:
+						if !tensor.BitEqual(remote.Infer(wantAct), wantOut) {
+							t.Errorf("%v: goroutine %d: remote plan differs from its sequential result", dt, g)
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }

@@ -83,8 +83,12 @@ func convBNNet(t *testing.T, inC, outC, k, stride, pad int, rng *tensor.RNG) *Se
 // must equal the unfused Conv→BN→ReLU plan bitwise — the fold and fusion
 // transformations are exact, they only reorganize where the same arithmetic
 // happens — and both must equal the tape path's nil-tape forward, the
-// oracle, bit for bit.
+// oracle, bit for bit. Under both leaves of the direct kernel.
 func TestFoldedConvBNBitwiseFloat64(t *testing.T) {
+	UnderEachLeaf(t, testFoldedConvBNBitwiseFloat64)
+}
+
+func testFoldedConvBNBitwiseFloat64(t *testing.T) {
 	combos := []struct{ inC, outC, k, stride, pad int }{
 		{1, 4, 3, 1, 0},
 		{1, 4, 3, 1, 1},
@@ -162,6 +166,10 @@ func TestFoldedConvBNFloat32Epsilon(t *testing.T) {
 // but not the Float64 result (still bitwise — the standalone BN step uses
 // the same expression as the fold epilogue).
 func TestNoFusionPlanMatchesFused(t *testing.T) {
+	UnderEachLeaf(t, testNoFusionPlanMatchesFused)
+}
+
+func testNoFusionPlanMatchesFused(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	net := convBNNet(t, 3, 6, 3, 1, 1, rng)
 	x := rng.FillNormal(tensor.New(2, 3, 9, 9), 0, 1)

@@ -243,7 +243,7 @@ func NewCloudServer(split *core.Split, cutLayer string, opts ...ServerOption) *C
 	for _, o := range opts {
 		o(s)
 	}
-	s.plan, s.compileErr = nn.CompileRange(split.Net, split.CutIndex+1, split.Net.Len(), s.dtype)
+	s.plan, s.compileErr = split.RemotePlan(s.dtype)
 	if s.compileErr != nil {
 		s.compileErr = fmt.Errorf("splitrt: compile remote part at %v: %w", s.dtype, s.compileErr)
 	}

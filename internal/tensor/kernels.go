@@ -1,20 +1,18 @@
 package tensor
 
-// This file is the dtype-parameterized kernel layer: every hot numeric loop
-// in the package — matrix multiplication in its three transposition
-// variants and im2col/col2im convolution lowering — is written once,
-// generically over the element type F. The
-// exported float64 Tensor API (MatMul*, Im2Col*, Col2Im) delegates to these
-// kernels, and the nn compile pipeline instantiates them at float32 for the
-// inference-only reduced-precision path.
+// This file is the dtype-parameterized kernel layer of the training tape:
+// matrix multiplication in its three transposition variants and
+// im2col/col2im convolution lowering, each written once, generically over
+// the element type F. The exported float64 Tensor API (MatMul*, Im2Col*,
+// Col2Im) delegates to these kernels. Compiled inference plans run the direct
+// kernel of direct.go, which these are the reference for: matmulT2Kernel's
+// per-output summation order is the one every plan is pinned to.
 //
 // float32 and float64 have distinct gcshapes, so the compiler stencils a
 // separate, fully specialized instantiation per dtype: the inner loops
 // compile to the same scalar FP code a hand-written concrete version would,
 // and the float32 instantiation moves half the bytes per element through
 // the cache hierarchy.
-
-import "fmt"
 
 // Float is the element-type constraint of the kernel layer.
 type Float interface {
@@ -123,8 +121,9 @@ func matmulT2Rows[F Float](dst, a, b []F, k, n, lo, hi int) {
 // to four different outputs, and each still sums its products over p in
 // ascending order — exactly matmulT2Kernel's order for that output — so the
 // two kernels agree bit for bit (pinned by TestBlockedMatMulT2Bitwise); the
-// blocking changes which loads are shared, not any sum. It is the kernel of
-// the compiled inference plan.
+// blocking changes which loads are shared, not any sum. Its one caller
+// outside the tests is the benchmark's tensor.matmul_f32_blocked_gflops probe
+// (MatMulT2BlockedDense).
 func matmulT2BlockedKernel[F Float](dst, a, b []F, m, k, n int) {
 	if serialMatmul(m, n) {
 		matmulT2BlockedRows(dst, a, b, k, n, 0, m)
@@ -248,9 +247,7 @@ func MatMulDense[F Float](dst, a, b *Dense[F]) {
 	matmulKernel(dst.data, a.data, b.data, m, k, n)
 }
 
-// MatMulT2Dense computes dst = a·bᵀ over dtype-tagged buffers — the
-// allocation-free product the compiled inference path uses for both linear
-// layers and im2col-lowered convolution.
+// MatMulT2Dense computes dst = a·bᵀ over dtype-tagged buffers.
 func MatMulT2Dense[F Float](dst, a, b *Dense[F]) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[0]
@@ -270,27 +267,4 @@ func MatMulT2BlockedDense[F Float](dst, a, b *Dense[F]) {
 		panicShape("MatMulT2BlockedDense", dst.shape, a.shape, b.shape)
 	}
 	matmulT2BlockedKernel(dst.data, a.data, b.data, m, k, n)
-}
-
-// MatMulT2BlockedFlat is MatMulT2BlockedDense over flat row-major slices:
-// dst [m,n] = a [m,k] · b [n,k]ᵀ. It is the entry the compiled inference
-// plan uses — its operands are re-sliced workspace buffers with no tensor
-// header to allocate.
-func MatMulT2BlockedFlat[F Float](dst, a, b []F, m, k, n int) {
-	if len(a) != m*k || len(b) != n*k || len(dst) != m*n {
-		panic(fmt.Sprintf("tensor: MatMulT2BlockedFlat got %d·%dᵀ→%d elems for m,k,n = %d,%d,%d",
-			len(a), len(b), len(dst), m, k, n))
-	}
-	matmulT2BlockedKernel(dst, a, b, m, k, n)
-}
-
-// Im2ColFlat lowers one image [C,H,W] into a column matrix
-// [OutH*OutW, C*KH*KW] over flat slices of either dtype. Every element of
-// cols is overwritten, so a non-zeroed workspace buffer is a valid
-// destination.
-func Im2ColFlat[F Float](cols, img []F, g ConvGeom) {
-	if len(img) != g.InC*g.InH*g.InW || len(cols) != g.OutH()*g.OutW()*g.InC*g.KH*g.KW {
-		panic(fmt.Sprintf("tensor: Im2ColFlat got %d→%d elems for geometry %+v", len(img), len(cols), g))
-	}
-	im2colKernel(cols, img, g)
 }

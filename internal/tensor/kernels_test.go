@@ -52,12 +52,11 @@ func TestMatMulT2KernelFloat32Parity(t *testing.T) {
 	}
 }
 
-// TestBlockedMatMulT2Bitwise pins the property the compiled inference plan
-// rests on: the register-blocked kernel equals the legacy kernel bit for bit
-// at both dtypes — its four accumulators belong to four different outputs
-// and each sums over p in the legacy order — over shapes that exercise the
-// four-wide body, the tail columns, the single-row serial path, and the
-// parallel path.
+// TestBlockedMatMulT2Bitwise: the register-blocked kernel equals the legacy
+// kernel bit for bit at both dtypes — its four accumulators belong to four
+// different outputs and each sums over p in the legacy order — over shapes
+// that exercise the four-wide body, the tail columns, the single-row serial
+// path, and the parallel path.
 func TestBlockedMatMulT2Bitwise(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{1, 7, 3},    // all tail, serial
@@ -75,11 +74,6 @@ func TestBlockedMatMulT2Bitwise(t *testing.T) {
 		MatMulT2BlockedDense(got64, AsDense64(a), AsDense64(b))
 		if !Equal(AsTensor64(got64), want64) {
 			t.Fatalf("%+v: blocked f64 kernel differs from the legacy kernel", s)
-		}
-		flat64 := make([]float64, s.m*s.n)
-		MatMulT2BlockedFlat(flat64, a.Data(), b.Data(), s.m, s.k, s.n)
-		if !Equal(From(flat64, s.m, s.n), want64) {
-			t.Fatalf("%+v: MatMulT2BlockedFlat differs from the legacy kernel", s)
 		}
 
 		a32, b32 := toDense32(a), toDense32(b)
@@ -110,7 +104,7 @@ func TestSerialKernelsDoNotAllocate(t *testing.T) {
 		"matmul":        func() { MatMulInto(dst, a, b) },
 		"matmulT1":      func() { matmulT1Kernel(dst.Data(), at.Data(), b.Data(), 9, 6, 5) },
 		"matmulT2":      func() { MatMulT2Into(dst, a, bt) },
-		"matmulT2Block": func() { MatMulT2BlockedFlat(dst.Data(), a.Data(), bt.Data(), 6, 9, 5) },
+		"matmulT2Block": func() { matmulT2BlockedKernel(dst.Data(), a.Data(), bt.Data(), 6, 9, 5) },
 		"scratch":       func() { PutScratch(GetScratch(6, 5)) },
 	} {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
@@ -137,7 +131,7 @@ func TestParallelKernelsAllocateOnlyTheirClosure(t *testing.T) {
 		"matmul":        func() { MatMulInto(dst, a, b) },
 		"matmulT1":      func() { matmulT1Kernel(dst.Data(), at.Data(), b.Data(), k, m, n) },
 		"matmulT2":      func() { MatMulT2Into(dst, a, bt) },
-		"matmulT2Block": func() { MatMulT2BlockedFlat(dst.Data(), a.Data(), bt.Data(), m, k, n) },
+		"matmulT2Block": func() { matmulT2BlockedKernel(dst.Data(), a.Data(), bt.Data(), m, k, n) },
 	} {
 		fn()
 		if n := testing.AllocsPerRun(100, fn); n > 1 {
@@ -179,7 +173,7 @@ func TestIm2ColKernelFloat32Parity(t *testing.T) {
 	g := ConvGeom{InC: 3, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 2, Pad: 1}
 	want := Im2Col(img, g)
 	cols := NewDense[float32](g.OutH()*g.OutW(), 3*3*3)
-	Im2ColFlat(cols.Data(), toDense32(img).Data(), g)
+	im2colKernel(cols.Data(), toDense32(img).Data(), g)
 	// im2col only moves values (and writes zeros); the only error is the
 	// one float64→float32 conversion of the input.
 	wd := want.Data()

@@ -65,7 +65,7 @@ func TestParallelChunksNestedAndConcurrent(t *testing.T) {
 			outs := make([][]float64, 3)
 			ParallelFor(len(outs), func(i int) {
 				outs[i] = make([]float64, m*n)
-				MatMulT2BlockedFlat(outs[i], a.Data(), b.Data(), m, k, n)
+				matmulT2BlockedKernel(outs[i], a.Data(), b.Data(), m, k, n)
 			})
 			for i, out := range outs {
 				for p, v := range out {

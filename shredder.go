@@ -236,10 +236,12 @@ func newSystem(bench model.Benchmark, cfg Config) (*System, error) {
 			return nil, fmt.Errorf("shredder: %w", err)
 		}
 	}
-	if sys.remotePlan, err = nn.CompileRange(pre.Net, split.CutIndex+1, pre.Net.Len(), sys.dtype); err != nil {
-		return nil, fmt.Errorf("shredder: compile remote part at %v: %w", sys.dtype, err)
+	// Both are the Split's: at float64 the plans it already serves from,
+	// otherwise one more compile, which the System's servers share.
+	if sys.remotePlan, err = split.RemotePlan(sys.dtype); err == nil {
+		sys.fullPlan, err = split.FullPlan(sys.dtype)
 	}
-	if sys.fullPlan, err = nn.Compile(pre.Net, sys.dtype); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("shredder: compile %s at %v: %w", bench.Spec.Name, sys.dtype, err)
 	}
 	return sys, nil
