@@ -211,7 +211,7 @@ func BenchmarkAblationTrainedVsRandomNoise(b *testing.B) {
 		accWith := func(noise *tensor.Tensor) float64 {
 			correct := 0
 			for _, bt := range pre.Test.Batches(64) {
-				logits := spl.Remote(core.AddBroadcast(spl.Local(bt.Images), noise), false)
+				logits := spl.RemoteInfer(core.AddBroadcast(spl.Local(bt.Images), noise))
 				for j, y := range bt.Labels {
 					if logits.Slice(j).Argmax() == y {
 						correct++
@@ -238,7 +238,7 @@ func BenchmarkAblationSelfSupervised(b *testing.B) {
 			})
 			correct := 0
 			for _, bt := range pre.Test.Batches(64) {
-				logits := spl.Remote(core.AddBroadcast(spl.Local(bt.Images), res.Noise.Values()), false)
+				logits := spl.RemoteInfer(core.AddBroadcast(spl.Local(bt.Images), res.Noise.Values()))
 				for j, y := range bt.Labels {
 					if logits.Slice(j).Argmax() == y {
 						correct++
@@ -333,23 +333,6 @@ func BenchmarkConv2DBackward(b *testing.B) {
 	}
 }
 
-func BenchmarkNoiseTrainingIteration(b *testing.B) {
-	pre, spl := lenetSplit(b)
-	batch := pre.Train.Batches(32)[0]
-	noise := core.NewNoiseTensor(spl.ActivationShape(), 0, 2, tensor.NewRNG(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := spl.Local(batch.Images)
-		logits := spl.Remote(noise.Apply(a), true)
-		_, _, grad := core.ShredderLoss(logits, batch.Labels, noise, 0.01)
-		d := spl.RemoteBackward(grad)
-		noise.Param.ZeroGrad()
-		noise.AccumulateGrad(d)
-		core.AddPrivacyGrad(noise, 0.01)
-		spl.Net.ZeroGrad()
-	}
-}
-
 func BenchmarkMIEstimatorKL(b *testing.B) {
 	rng := tensor.NewRNG(1)
 	n, d := 256, 64
@@ -387,7 +370,7 @@ func BenchmarkEndToEndPrivateInference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := spl.Local(batch.Images)
 		a.Slice(0).AddInPlace(col.Sample(rng))
-		spl.Remote(a, false)
+		spl.RemoteInfer(a)
 	}
 }
 
@@ -551,8 +534,8 @@ func BenchmarkAblationQuantizedWire(b *testing.B) {
 				scheme = s
 				fitted = true
 			}
-			full := spl.Remote(noisy, false)
-			quant := spl.Remote(scheme.RoundTrip(noisy), false)
+			full := spl.RemoteInfer(noisy)
+			quant := spl.RemoteInfer(scheme.RoundTrip(noisy))
 			for j, y := range bt.Labels {
 				if full.Slice(j).Argmax() == y {
 					correctF++

@@ -68,21 +68,24 @@ func Invert(split *core.Split, target *tensor.Tensor, trueInput *tensor.Tensor, 
 	xhat := nn.NewParam("xhat", rng.FillNormal(tensor.New(shape...), 0, cfg.Init))
 	opt := optim.NewAdam([]*nn.Param{xhat}, cfg.LR)
 
-	// The attack differentiates through frozen L: a private frozen tape
-	// makes the loop reentrant (concurrent inversions share one Split) and
-	// skips the useless ∂loss/∂θ work.
-	tape := nn.NewFrozenTape()
-	tape.RNG = tensor.NewRNG(cfg.Seed + 1)
+	// The attack differentiates through frozen L: a private pass on L's
+	// training plan makes the loop reentrant (concurrent inversions share one
+	// Split) and computes no ∂loss/∂θ.
+	plan, err := split.LocalTrainPlan()
+	if err != nil {
+		panic("attack: " + err.Error())
+	}
+	pass := plan.NewPass(tensor.NewRNG(cfg.Seed + 1))
 
 	n := float64(target.Len())
 	var lastMSE float64
+	var a, dx *tensor.Tensor
 	for step := 0; step < cfg.Steps; step++ {
-		tape.Reset()
-		a := split.Net.ForwardRangeT(tape, xhat.Value, 0, split.CutIndex+1, true)
+		a = pass.ForwardInto(a, xhat.Value)
 		diff := tensor.Sub(a, target)
 		lastMSE = diff.SqSum() / n
 		grad := diff.Scale(2 / n) // d(MSE)/da
-		dx := split.Net.BackwardRangeT(tape, grad, 0, split.CutIndex+1)
+		dx = pass.BackwardInto(dx, grad)
 		xhat.ZeroGrad()
 		xhat.Grad.AddInPlace(dx)
 		opt.Step()

@@ -128,11 +128,11 @@ func (c *Collection) MeanInVivo() float64 {
 //
 // workers bounds the number of members trained concurrently: 1 trains
 // sequentially, n > 1 fans the members over n goroutines sharing the one
-// Split (training is reentrant — each run owns a frozen tape), and any
-// value <= 0 selects GOMAXPROCS. Every member's randomness derives from
-// its own seed (cfg.Seed + i·1_000_003) and results are assembled by
-// member index, so parallel and sequential runs produce byte-identical
-// collections.
+// Split (training is reentrant — each run owns its pass on R's training plan,
+// and all read one trainSet), and any value <= 0 selects GOMAXPROCS. Every
+// member's randomness derives from its own seed (cfg.Seed + i·1_000_003) and
+// results are assembled by member index, so parallel and sequential runs
+// produce byte-identical collections.
 func Collect(split *Split, ds *data.Dataset, cfg NoiseConfig, count, workers int) *Collection {
 	if count <= 0 {
 		panic("core: Collect needs a positive count")
@@ -150,6 +150,10 @@ func Collect(split *Split, ds *data.Dataset, cfg NoiseConfig, count, workers int
 		inVivo float64
 	}
 	results := make([]member, count)
+	// The members differ only in their seed: what the frozen weights make of
+	// the dataset is computed once for all of them.
+	cfg = cfg.withDefaults()
+	set := newTrainSet(split, ds, cfg)
 	train := func(i int) {
 		run := cfg
 		run.Seed = cfg.Seed + int64(i)*1_000_003
@@ -159,7 +163,7 @@ func Collect(split *Split, ds *data.Dataset, cfg NoiseConfig, count, workers int
 		if cfg.Run != "" {
 			run.Run = cfg.Run + "/" + run.Run
 		}
-		res := TrainNoise(split, ds, run)
+		res := trainNoise(split, set, run)
 		results[i] = member{noise: res.Noise, weight: res.Weight, inVivo: res.FinalInVivo}
 	}
 

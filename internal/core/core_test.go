@@ -81,8 +81,8 @@ func TestNewSplitRejectsUncompilableLayer(t *testing.T) {
 
 // TestSplitCompositionEqualsFullForward: on every zoo network at every cut
 // the registry names, Local∘RemoteInfer, Forward, the tape path's nil-tape
-// forward pass and the legacy Remote agree bit for bit, and the cached
-// activation shape is the one Local produces.
+// forward pass and RemoteT agree bit for bit, and the cached activation shape
+// is the one Local produces.
 func TestSplitCompositionEqualsFullForward(t *testing.T) {
 	for _, spec := range model.All() {
 		rng := tensor.NewRNG(31)
@@ -102,7 +102,7 @@ func TestSplitCompositionEqualsFullForward(t *testing.T) {
 				for name, got := range map[string]*tensor.Tensor{
 					"Local∘RemoteInfer": split.RemoteInfer(a),
 					"Forward":           split.Forward(x),
-					"Local∘Remote":      split.Remote(a, false),
+					"Local∘RemoteT":     split.RemoteT(nil, a, false),
 				} {
 					if !tensor.BitEqual(got, oracle) {
 						t.Fatalf("%s/%s batch %d: %s differs from the nil-tape forward pass", spec.Name, cp.Name, batch, name)
@@ -235,19 +235,19 @@ func TestNoiseGradientMatchesFiniteDifference(t *testing.T) {
 
 	lossOf := func() float64 {
 		a := split.Local(b.Images)
-		logits := split.Remote(noise.Apply(a), false)
+		logits := split.RemoteInfer(noise.Apply(a))
 		total, _, _ := ShredderLoss(logits, b.Labels, noise, lambda)
 		return total
 	}
 
 	a := split.Local(b.Images)
-	logits := split.Remote(noise.Apply(a), true)
+	tape := nn.NewFrozenTape()
+	logits := split.RemoteT(tape, noise.Apply(a), true)
 	_, _, grad := ShredderLoss(logits, b.Labels, noise, lambda)
-	dAprime := split.RemoteBackward(grad)
+	dAprime := split.RemoteBackwardT(tape, grad)
 	noise.Param.ZeroGrad()
 	noise.AccumulateGrad(dAprime)
 	AddPrivacyGrad(noise, lambda)
-	split.Net.ZeroGrad()
 
 	eps := 1e-5
 	nd := noise.Param.Value.Data()
@@ -294,7 +294,7 @@ func TestTrainNoiseRecoversAccuracy(t *testing.T) {
 		correct := 0
 		for _, b := range pre.Test.Batches(32) {
 			a := split.Local(b.Images)
-			logits := split.Remote(AddBroadcast(a, noise), false)
+			logits := split.RemoteInfer(AddBroadcast(a, noise))
 			for i, y := range b.Labels {
 				if logits.Slice(i).Argmax() == y {
 					correct++

@@ -39,20 +39,24 @@ func (n *NoiseTensor) Apply(a *tensor.Tensor) *tensor.Tensor {
 // [N, ...shape] and a per-sample noise tensor, broadcasting the noise over
 // the batch. The input is not modified.
 func AddBroadcast(a, noise *tensor.Tensor) *tensor.Tensor {
+	return addBroadcastInto(tensor.New(a.Shape()...), a, noise)
+}
+
+// addBroadcastInto is AddBroadcast writing into dst, a tensor of a's size a
+// training run keeps between steps; it returns dst.
+func addBroadcastInto(dst, a, noise *tensor.Tensor) *tensor.Tensor {
 	per := noise.Len()
-	if a.Rank() < 2 || a.Len()%per != 0 || a.Len()/a.Dim(0) != per {
+	if a.Rank() < 2 || a.Len()%per != 0 || a.Len()/a.Dim(0) != per || dst.Len() != a.Len() {
 		panic(fmt.Sprintf("core: noise of %d values cannot broadcast over activation shape %v", per, a.Shape()))
 	}
-	out := a.Clone()
-	od, nd := out.Data(), noise.Data()
-	batch := a.Dim(0)
-	for i := 0; i < batch; i++ {
-		row := od[i*per : (i+1)*per]
+	od, ad, nd := dst.Data(), a.Data(), noise.Data()
+	for i, batch := 0, a.Dim(0); i < batch; i++ {
+		row, arow := od[i*per:(i+1)*per], ad[i*per:(i+1)*per]
 		for j := range row {
-			row[j] += nd[j]
+			row[j] = arow[j] + nd[j]
 		}
 	}
-	return out
+	return dst
 }
 
 // NewWeightTensor creates a Normal(mu, std)-initialized multiplicative
@@ -70,23 +74,28 @@ func NewWeightTensor(shape []int, mu, std float64, rng *tensor.RNG) *NoiseTensor
 // the batch — the multiplicative Shredder variant's forward transform. The
 // input is not modified.
 func MulAddBroadcast(a, w, noise *tensor.Tensor) *tensor.Tensor {
+	return mulAddBroadcastInto(tensor.New(a.Shape()...), a, w, noise)
+}
+
+// mulAddBroadcastInto is MulAddBroadcast writing into dst, a tensor of a's
+// size; it returns dst.
+func mulAddBroadcastInto(dst, a, w, noise *tensor.Tensor) *tensor.Tensor {
 	per := noise.Len()
 	if w.Len() != per {
 		panic(fmt.Sprintf("core: weight of %d values paired with noise of %d", w.Len(), per))
 	}
-	if a.Rank() < 2 || a.Len()%per != 0 || a.Len()/a.Dim(0) != per {
+	if a.Rank() < 2 || a.Len()%per != 0 || a.Len()/a.Dim(0) != per || dst.Len() != a.Len() {
 		panic(fmt.Sprintf("core: noise of %d values cannot broadcast over activation shape %v", per, a.Shape()))
 	}
-	out := a.Clone()
-	od, wd, nd := out.Data(), w.Data(), noise.Data()
+	od, ad, wd, nd := dst.Data(), a.Data(), w.Data(), noise.Data()
 	batch := a.Dim(0)
 	for i := 0; i < batch; i++ {
-		row := od[i*per : (i+1)*per]
+		row, arow := od[i*per:(i+1)*per], ad[i*per:(i+1)*per]
 		for j := range row {
-			row[j] = row[j]*wd[j] + nd[j]
+			row[j] = arow[j]*wd[j] + nd[j]
 		}
 	}
-	return out
+	return dst
 }
 
 // AccumulateWeightGrad folds a batched activation gradient ∂loss/∂a′ into

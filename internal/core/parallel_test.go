@@ -132,6 +132,36 @@ func TestConcurrentTrainNoiseSharedSplit(t *testing.T) {
 	}
 }
 
+// TestTrainNoiseConcurrentFirstUse starts four runs at once on a Split that
+// has never trained: all four ask for R's training plan, one compiles it, and
+// each run equals the same run made alone afterwards. Under -race this fails
+// if the lazy compile or the plan's shared state is not synchronised.
+func TestTrainNoiseConcurrentFirstUse(t *testing.T) {
+	split, ds := dropoutSplit(t)
+	const runs = 4
+	cfgFor := func(i int) NoiseConfig {
+		cfg := collectCfg()
+		cfg.Seed = 1300 + int64(i)*7
+		cfg.SelfSupervised = i%2 == 1
+		return cfg
+	}
+	got := make([]*tensor.Tensor, runs)
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = TrainNoise(split, ds, cfgFor(i)).Noise.Values()
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < runs; i++ {
+		if want := TrainNoise(split, ds, cfgFor(i)).Noise.Values(); !tensor.BitEqual(got[i], want) {
+			t.Errorf("run %d: the concurrent first use differs from the run made alone", i)
+		}
+	}
+}
+
 // TestTrainNoiseConcurrentWithInference mixes training and serving on one
 // Split: noise training must not disturb concurrent RemoteInfer calls.
 func TestTrainNoiseConcurrentWithInference(t *testing.T) {

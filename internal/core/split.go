@@ -7,9 +7,10 @@
 //
 // The network weights are never modified: the trainer backpropagates
 // through R only to obtain ∂loss/∂(R's input), which equals ∂loss/∂n since
-// a' = a + n, and updates only the noise tensor. Training runs on frozen
-// tapes (nn.Tape with FrozenParams), which makes TrainNoise reentrant: any
-// number of noise tensors can train concurrently over one shared Split.
+// a' = a + n, and updates only the noise tensor. Training runs R's training
+// plan (nn.TrainPlan: forward and ∂/∂input, no weight gradient), each run in
+// its own pass, which makes TrainNoise reentrant: any number of noise tensors
+// can train concurrently over one shared Split.
 package core
 
 import (
@@ -29,8 +30,10 @@ import (
 // packed copy of the weights as NewSplit found them and equal the tape path's
 // forward pass bit for bit, so they are not a second set of numbers: the
 // frozen local part of noise training, evaluation, the attacks and the
-// serving edge all see what RemoteT's forward pass would compute. Only
-// training's differentiable pass (RemoteT/RemoteBackwardT) walks the tape.
+// serving edge all see what RemoteT's forward pass would compute. Noise
+// training and the inversion attack differentiate through the halves' training
+// plans, compiled on first use; RemoteT/RemoteBackwardT walk the tape, the
+// oracle those plans are pinned to.
 type Split struct {
 	// Net is the intact pre-trained network; Split never mutates weights,
 	// and nothing else may once the Split exists: the plans would keep
@@ -50,11 +53,38 @@ type Split struct {
 	planMu sync.Mutex
 	others map[nn.Dtype]plans
 
+	// trainL and trainR are the training plans of the two halves, compiled
+	// by whoever trains or attacks first — never by NewSplit: a cold start
+	// that only serves packs no transposed weight.
+	trainL, trainR lazyTrainPlan
+
 	// gradMu serializes the one legitimate mutation of shared network
 	// state the training path performs: clearing parameter gradients left
 	// behind by pre-training or legacy (non-frozen) backward passes.
 	gradMu sync.Mutex
 }
+
+// lazyTrainPlan is a training plan compiled once, on first use.
+type lazyTrainPlan struct {
+	once sync.Once
+	plan *nn.TrainPlan
+	err  error
+}
+
+func (l *lazyTrainPlan) get(of *nn.CompiledNet) (*nn.TrainPlan, error) {
+	l.once.Do(func() { l.plan, l.err = of.TrainPlan() })
+	return l.plan, l.err
+}
+
+// RemoteTrainPlan returns the training plan of R — forward in training mode
+// and ∂loss/∂a′, which is ∂loss/∂n — compiling it on first use. Every
+// TrainNoise over the Split shares it. A network whose remote part holds a
+// BatchNorm2D has none.
+func (s *Split) RemoteTrainPlan() (*nn.TrainPlan, error) { return s.trainR.get(s.f64.remote) }
+
+// LocalTrainPlan is RemoteTrainPlan for L: the plan the inversion attack
+// differentiates through.
+func (s *Split) LocalTrainPlan() (*nn.TrainPlan, error) { return s.trainL.get(s.f64.local) }
 
 // plans are the compiled plans of one dtype: the whole network and the two
 // halves sliced from it.
@@ -149,17 +179,9 @@ func (s *Split) Local(x *tensor.Tensor) *tensor.Tensor { return s.f64.local.Infe
 // activation of an earlier request, once nothing reads it any more.
 func (s *Split) LocalInto(dst, x *tensor.Tensor) *tensor.Tensor { return s.f64.local.InferInto(dst, x) }
 
-// Remote computes y = R(a') for a batch of (possibly noisy) activations.
-// train selects training-mode behaviour (needed before RemoteBackward).
-// This legacy path caches state on the layers, so it is NOT reentrant;
-// concurrent code must use RemoteT or RemoteInfer.
-func (s *Split) Remote(a *tensor.Tensor, train bool) *tensor.Tensor {
-	return s.Net.ForwardRange(a, s.CutIndex+1, s.Net.Len(), train)
-}
-
-// RemoteT computes y = R(a') recording backward state on tape. With a
-// frozen tape per training run, any number of goroutines may train over
-// one shared Split concurrently.
+// RemoteT computes y = R(a') recording backward state on tape: with
+// RemoteBackwardT, the explicit-tape form of what RemoteTrainPlan computes,
+// kept as its oracle.
 func (s *Split) RemoteT(tape *nn.Tape, a *tensor.Tensor, train bool) *tensor.Tensor {
 	return s.Net.ForwardRangeT(tape, a, s.CutIndex+1, s.Net.Len(), train)
 }
@@ -169,18 +191,11 @@ func (s *Split) RemoteT(tape *nn.Tape, a *tensor.Tensor, train bool) *tensor.Ten
 // over one shared Split concurrently.
 func (s *Split) RemoteInfer(a *tensor.Tensor) *tensor.Tensor { return s.f64.remote.Infer(a) }
 
-// RemoteBackward backpropagates an output gradient through R and returns
-// ∂loss/∂a′ — which is exactly ∂loss/∂n, the quantity the paper derives in
-// §2.1 (legacy path; parameter gradients accumulate and must be zeroed by
-// the caller).
-func (s *Split) RemoteBackward(grad *tensor.Tensor) *tensor.Tensor {
-	return s.Net.BackwardRange(grad, s.CutIndex+1, s.Net.Len())
-}
-
 // RemoteBackwardT backpropagates an output gradient through R, consuming
-// the matching RemoteT's tape, and returns ∂loss/∂a′ = ∂loss/∂n. On a
-// frozen tape no parameter gradients are written, so concurrent backward
-// passes over one shared Split are race-free.
+// the matching RemoteT's tape, and returns ∂loss/∂a′ — which is exactly
+// ∂loss/∂n, the quantity the paper derives in §2.1. On a frozen tape no
+// parameter gradients are written, so concurrent backward passes over one
+// shared Split are race-free.
 func (s *Split) RemoteBackwardT(tape *nn.Tape, grad *tensor.Tensor) *tensor.Tensor {
 	return s.Net.BackwardRangeT(tape, grad, s.CutIndex+1, s.Net.Len())
 }

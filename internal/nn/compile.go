@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -334,14 +335,15 @@ func (p *plan[F]) layoutFor(sample []int) *layout {
 	return l
 }
 
-// workspaceFor takes a workspace from the pool and fits it to the layout.
-func (p *plan[F]) workspaceFor(l *layout) *workspace[F] {
+// workspaceFor takes a workspace from the pool and fits its two activation
+// buffers and its kernel scratch to the given element counts.
+func (p *plan[F]) workspaceFor(act, scratch int) *workspace[F] {
 	ws, _ := p.pool.Get().(*workspace[F])
 	if ws == nil {
 		ws = new(workspace[F])
 	}
-	ws.act[0], ws.act[1] = grow(ws.act[0], l.act), grow(ws.act[1], l.act)
-	ws.scratch = grow(ws.scratch, l.scratch)
+	ws.act[0], ws.act[1] = grow(ws.act[0], act), grow(ws.act[1], act)
+	ws.scratch = grow(ws.scratch, scratch)
 	return ws
 }
 
@@ -415,18 +417,17 @@ func inferInto[F, In tensor.Float](p *plan[F], out *tensor.Tensor, x []In, shape
 	}
 	n := shape[0]
 	l := p.layoutFor(shape[1:])
-	if out == nil || out.Rank() != 1+len(l.out) || out.Dim(0) != n || !tensor.ShapeEq(out.Shape()[1:], l.out) {
-		var buf [8]int // keeps the result's shape off the heap until tensor.New copies it
-		out = tensor.New(append(append(buf[:0], n), l.out...)...)
-	}
+	out = fitResult(out, n, l.out)
 	od := out.Data()
 	prof := p.src.activeProfiler(nil)
-	if n == 1 || prof != nil {
+	if n == 1 || prof != nil || runtime.GOMAXPROCS(0) == 1 {
+		// ParallelChunks would run this inline too, but only after the
+		// closure handed to it was built.
 		var durs []time.Duration
 		if prof != nil {
 			durs = make([]time.Duration, len(p.steps))
 		}
-		ws := p.workspaceFor(l)
+		ws := p.workspaceFor(l.act, l.scratch)
 		for i := 0; i < n; i++ {
 			inferSample(p, ws, l, x[i*l.inVol:(i+1)*l.inVol], od[i*l.outVol:(i+1)*l.outVol], durs)
 		}
@@ -437,13 +438,23 @@ func inferInto[F, In tensor.Float](p *plan[F], out *tensor.Tensor, x []In, shape
 		return out
 	}
 	tensor.ParallelChunks(n, func(lo, hi int) {
-		ws := p.workspaceFor(l)
+		ws := p.workspaceFor(l.act, l.scratch)
 		for i := lo; i < hi; i++ {
 			inferSample(p, ws, l, x[i*l.inVol:(i+1)*l.inVol], od[i*l.outVol:(i+1)*l.outVol], nil)
 		}
 		p.pool.Put(ws)
 	})
 	return out
+}
+
+// fitResult returns out if it is a tensor of shape [n, per...], else a fresh
+// one.
+func fitResult(out *tensor.Tensor, n int, per []int) *tensor.Tensor {
+	if out != nil && out.Rank() == 1+len(per) && out.Dim(0) == n && tensor.ShapeEq(out.Shape()[1:], per) {
+		return out
+	}
+	var buf [8]int // keeps the result's shape off the heap until tensor.New copies it
+	return tensor.New(append(append(buf[:0], n), per...)...)
 }
 
 // params returns a copy of a parameter tensor's values at element type F.
@@ -747,6 +758,484 @@ func (st *batchNormStep[F]) sample(sl *stepLayout, x, y []F, _ *workspace[F]) {
 		g, b := st.g[c], st.b[c]
 		for p := c * hw; p < (c+1)*hw; p++ {
 			y[p] = g*(x[p]-mean)*inv + b
+		}
+	}
+}
+
+// What follows is the training plan: the differentiable counterpart of a
+// Float64 inference plan for a range whose weights are frozen. Shredder never
+// updates θ, so a noise-training step — and the inversion attack's — needs
+// the range's forward pass in training mode and ∂loss/∂(its input), nothing
+// else: no weight gradient, and so no activation kept for one.
+//
+// Forward runs the inference plan's own steps, unchanged — the same packed
+// weights, the same bits as ForwardRangeT — but each step writes its output
+// to its own slot of a per-sample arena instead of a ping-pong buffer, so the
+// backward pass finds what it needs in a step's input and output: the sign a
+// ReLU gates by (in the fused output), the window a max-pool's maximum came
+// from and an LRN's denominators (recomputed from the input by the forward
+// sweep's own expressions, so the same bits). Dropout is the one step an
+// inference plan does not have, and its mask the one thing kept beside the
+// activations; the masks of the whole batch are drawn serially from the
+// pass's RNG before the samples fan out, in the tape's order (layer by layer,
+// sample-major), so a run's random stream does not depend on the schedule.
+//
+// Backward computes dX only. A convolution's or linear layer's backward-data
+// product runs the direct kernel over the weights packed once transposed
+// (tensor.PackTransposed): every column gradient is the leaf's sum over the
+// output channels ascending and overlapping taps are scatter-added in
+// col2im's order, which is Conv2D.BackwardT's association — the input
+// gradient equals BackwardRangeT's on a frozen tape bit for bit, under either
+// leaf (TestTrainPlanEqualsTapeBitwise). Every other step repeats its layer's
+// backward expression on one sample.
+//
+// BatchNorm2D in training mode normalises by the statistics of the batch: it
+// couples the samples every other step treats independently, and a range
+// containing one has no training plan.
+
+// TrainPlan is the training plan of a CompiledNet's layer range. It is
+// immutable and safe for concurrent use: each run works through its own
+// TrainPass.
+type TrainPlan struct {
+	p     *plan[float64] // the inference plan: its steps, its workspace pool
+	steps []trainStep
+	lay   atomic.Pointer[trainLayout]
+}
+
+// trainStep is one step of a training plan.
+type trainStep struct {
+	st    step[float64] // the inference plan's step; nil for a Dropout
+	label string
+	// Conv and linear steps: the weights packed transposed, and whether a
+	// fused ReLU gates the gradient first.
+	kT   *tensor.Packed[float64]
+	relu bool
+	drop float64 // Dropout: the probability of a zero
+}
+
+// TrainPlan compiles the training plan of c's range from the network's
+// weights as they are now, which must still be the ones c was compiled from.
+// Only a Float64 plan has one. Compiling packs every weight of the range
+// once more, transposed: a caller keeps the plan (core.Split compiles it on
+// the first TrainNoise).
+func (c *CompiledNet) TrainPlan() (*TrainPlan, error) {
+	if c.p64 == nil {
+		return nil, fmt.Errorf("nn: a %v plan has no training plan: training is float64", c.dtype)
+	}
+	layers := c.src.Layers()
+	for _, l := range layers[c.from:c.to] {
+		if _, ok := l.(*BatchNorm2D); ok { // a step of its own or folded into a convolution's
+			return nil, fmt.Errorf("nn: %s normalises by batch statistics in training mode: no training plan", l.Name())
+		}
+	}
+	tp := &TrainPlan{p: c.p64}
+	at := c.from
+	// dropouts lowers the layers between two inference steps: Dropout is all
+	// the inference compiler skips.
+	dropouts := func(to int) {
+		for ; at < to; at++ {
+			if d := layers[at].(*Dropout); d.P > 0 {
+				tp.steps = append(tp.steps, trainStep{label: d.Name() + "[f64]", drop: d.P})
+			}
+		}
+	}
+	for k, st := range c.p64.steps {
+		dropouts(c.p64.spans[k][0])
+		at = c.p64.spans[k][1]
+		ts := trainStep{st: st, label: c.p64.labels[k]}
+		switch st := st.(type) {
+		case *convStep[float64]:
+			ts.kT, ts.relu = tensor.PackTransposed[float64](st.src.W.Value), st.k.ReLU()
+		case *linearStep[float64]:
+			ts.kT, ts.relu = tensor.PackTransposed[float64](st.src.W.Value), st.k.ReLU()
+		}
+		tp.steps = append(tp.steps, ts)
+	}
+	dropouts(c.to)
+	return tp, nil
+}
+
+// trainStepLayout is one training step's geometry for one per-sample input
+// shape. x, y and mask are offsets into a sample's arena.
+type trainStepLayout struct {
+	stepLayout
+	x, y int                  // the step's input (−1: the plan's) and output (the last step's: the result row)
+	mask int                  // Dropout
+	back *tensor.ConvBackTaps // convolutions
+}
+
+// trainLayout is a training plan's geometry for one per-sample input shape.
+type trainLayout struct {
+	in, out       []int
+	steps         []trainStepLayout
+	inVol, outVol int
+	first, last   int // the first and last non-view steps, −1 if none
+	arena         int // one sample's arena, elements
+	grad          int // largest gradient, elements
+	scratch       int // largest kernel scratch, forward or backward
+}
+
+// layoutFor is plan.layoutFor for the training steps.
+func (tp *TrainPlan) layoutFor(sample []int) *trainLayout {
+	if l := tp.lay.Load(); l != nil && tensor.ShapeEq(l.in, sample) {
+		return l
+	}
+	l := &trainLayout{in: append([]int(nil), sample...), steps: make([]trainStepLayout, len(tp.steps)), first: -1, last: -1}
+	l.inVol = tensor.Volume(sample)
+	shape, at := l.in, -1
+	for k, ts := range tp.steps {
+		sl := &l.steps[k]
+		if ts.st == nil {
+			sl.out = shape
+		} else {
+			sl.stepLayout = ts.st.resolve(shape)
+		}
+		sl.in, sl.inVol, sl.outVol = shape, tensor.Volume(shape), tensor.Volume(sl.out)
+		sl.x, sl.y = at, at
+		shape = sl.out
+		if sl.view {
+			continue
+		}
+		if l.first < 0 {
+			l.first = k
+		}
+		l.last = k
+		sl.y, at = l.arena, l.arena
+		l.arena += sl.outVol
+		l.grad = max(l.grad, sl.inVol, sl.outVol)
+		switch st := ts.st.(type) {
+		case nil:
+			sl.mask = l.arena
+			l.arena += sl.outVol
+		case *lrnStep[float64]:
+			sl.scratch = sl.in[0] // its backward: one term per channel
+		case *convStep[float64]:
+			sl.back = sl.taps.Geom.BackTaps(st.src.OutC)
+			sl.scratch = max(sl.scratch, sl.back.Scratch)
+		}
+		l.scratch = max(l.scratch, sl.scratch)
+	}
+	l.out, l.outVol = shape, tensor.Volume(shape)
+	l.grad = max(l.grad, l.outVol)
+	tp.lay.Store(l)
+	return l
+}
+
+// TrainPass is one run's state on a TrainPlan: the arena of the batch in
+// flight and the RNG its dropout masks come from. A pass belongs to one
+// goroutine; any number of passes share a plan. Handed result tensors of the
+// right shape, ForwardInto and BackwardInto allocate nothing once the arena
+// has grown to the run's batch size.
+type TrainPass struct {
+	tp    *TrainPlan
+	rng   *tensor.RNG
+	l     *trainLayout
+	n     int
+	x, gy []float64 // the batch ForwardInto was given; the gradient BackwardInto was
+	out   []float64 // ForwardInto's result; BackwardInto's
+	dx    []float64
+	arena []float64
+	durs  []time.Duration // per-step wall time, under a profiler
+	// The chunk bodies, built once, so a fan-out builds no closure.
+	forward, backward func(lo, hi int)
+}
+
+// NewPass returns a pass drawing its dropout masks from rng, which may be nil
+// for a range without Dropout.
+func (tp *TrainPlan) NewPass(rng *tensor.RNG) *TrainPass {
+	ps := &TrainPass{tp: tp, rng: rng}
+	ps.forward = func(lo, hi int) { ps.chunk(lo, hi, false) }
+	ps.backward = func(lo, hi int) { ps.chunk(lo, hi, true) }
+	return ps
+}
+
+// ForwardInto runs the range in training mode on a batch x [N, ...] and
+// returns its output [N, ...] — ForwardRangeT(tape, x, from, to, true), bit
+// for bit — in dst, under InferInto's rule: a nil or wrong-shaped dst is
+// replaced. Neither the result nor x may be written before the matching
+// BackwardInto has returned: the backward pass reads both.
+func (ps *TrainPass) ForwardInto(dst, x *tensor.Tensor) *tensor.Tensor {
+	shape := x.Shape()
+	if len(shape) < 2 {
+		panic(fmt.Sprintf("nn: training plan expects a batched input [N, ...], got shape %v", shape))
+	}
+	l := ps.tp.layoutFor(shape[1:])
+	ps.l, ps.n, ps.x = l, shape[0], x.Data()
+	ps.arena = grow(ps.arena, ps.n*l.arena)
+	dst = fitResult(dst, ps.n, l.out)
+	ps.out = dst.Data()
+	for k, ts := range ps.tp.steps {
+		if ts.st != nil {
+			continue
+		}
+		sl, keep := &l.steps[k], 1/(1-ts.drop)
+		for i := 0; i < ps.n; i++ {
+			mask := ps.arena[i*l.arena+sl.mask:][:sl.outVol]
+			for j := range mask {
+				mask[j] = keep
+				if ps.rng.Float64() < ts.drop {
+					mask[j] = 0
+				}
+			}
+		}
+	}
+	ps.run(ps.forward, false)
+	return dst
+}
+
+// BackwardInto propagates grad, the gradient of a loss with respect to the
+// last ForwardInto's result, and returns the gradient with respect to that
+// call's input — BackwardRangeT on a frozen tape, bit for bit — in dst, under
+// the same rule. grad is only read.
+func (ps *TrainPass) BackwardInto(dst, grad *tensor.Tensor) *tensor.Tensor {
+	if ps.l == nil || grad.Len() != ps.n*ps.l.outVol {
+		panic(fmt.Sprintf("nn: training plan got gradient %v, which no forward pass's output matches", grad.Shape()))
+	}
+	dst = fitResult(dst, ps.n, ps.l.in)
+	ps.gy, ps.dx = grad.Data(), dst.Data()
+	ps.run(ps.backward, true)
+	return dst
+}
+
+// run fans a chunk body out over the batch. Under a profiler the samples run
+// in sequence and every step reports once, its time summed over the batch,
+// through the attach point the inference plan and the tape use.
+func (ps *TrainPass) run(body func(lo, hi int), backward bool) {
+	prof := ps.tp.p.src.activeProfiler(nil)
+	if prof == nil {
+		tensor.ParallelChunks(ps.n, body)
+		return
+	}
+	ps.durs = make([]time.Duration, len(ps.tp.steps))
+	body(0, ps.n)
+	for k, d := range ps.durs {
+		vol := ps.l.steps[k].outVol
+		if backward {
+			vol = ps.l.steps[k].inVol
+		}
+		prof.ObserveLayer(ps.tp.steps[k].label, backward, d, int64(ps.n*vol)*8)
+	}
+	ps.durs = nil
+}
+
+// chunk runs samples [lo, hi) forward or backward in one workspace of the
+// inference plan's pool, whose activation buffers carry the gradients.
+func (ps *TrainPass) chunk(lo, hi int, backward bool) {
+	l, p := ps.l, ps.tp.p
+	ws := p.workspaceFor(l.grad, l.scratch)
+	for i := lo; i < hi; i++ {
+		x, out := ps.x[i*l.inVol:(i+1)*l.inVol], ps.out[i*l.outVol:(i+1)*l.outVol]
+		arena := ps.arena[i*l.arena : (i+1)*l.arena]
+		if backward {
+			ps.tp.backwardSample(l, ws, x, out, arena, ps.gy[i*l.outVol:(i+1)*l.outVol], ps.dx[i*l.inVol:(i+1)*l.inVol], ps.durs)
+		} else {
+			ps.tp.forwardSample(l, ws, x, out, arena, ps.durs)
+		}
+	}
+	p.pool.Put(ws)
+}
+
+// forwardSample runs one sample x through every step, each output to its
+// arena slot and the last to out.
+func (tp *TrainPlan) forwardSample(l *trainLayout, ws *workspace[float64], x, out, arena []float64, durs []time.Duration) {
+	cur := x
+	var t0 time.Time
+	for k := range tp.steps {
+		ts, sl := &tp.steps[k], &l.steps[k]
+		if sl.view {
+			continue
+		}
+		y := out
+		if k != l.last {
+			y = arena[sl.y : sl.y+sl.outVol]
+		}
+		if durs != nil {
+			t0 = time.Now()
+		}
+		if ts.st != nil {
+			ts.st.sample(&sl.stepLayout, cur, y, ws)
+		} else {
+			for j, m := range arena[sl.mask : sl.mask+sl.outVol] {
+				y[j] = 0 // a dropped element is +0 whatever it held
+				if m != 0 {
+					y[j] = cur[j] * m
+				}
+			}
+		}
+		if durs != nil {
+			durs[k] += time.Since(t0)
+		}
+		cur = y
+	}
+	if l.last < 0 {
+		copy(out, x)
+	}
+}
+
+// backwardSample walks one sample's steps in reverse from the output gradient
+// gy to dx. The gradient in flight lives in the workspace's two activation
+// buffers, so a step may gate it in place.
+func (tp *TrainPlan) backwardSample(l *trainLayout, ws *workspace[float64], x, out, arena, gy, dx []float64, durs []time.Duration) {
+	if l.last < 0 {
+		copy(dx, gy)
+		return
+	}
+	g, flip := ws.act[0][:l.outVol], 1
+	copy(g, gy)
+	var t0 time.Time
+	for k := l.last; k >= l.first; k-- {
+		ts, sl := &tp.steps[k], &l.steps[k]
+		if sl.view {
+			continue
+		}
+		in, y := x, out
+		if sl.x >= 0 {
+			in = arena[sl.x : sl.x+sl.inVol]
+		}
+		if k != l.last {
+			y = arena[sl.y : sl.y+sl.outVol]
+		}
+		gx := dx
+		if k != l.first {
+			gx = ws.act[flip][:sl.inVol]
+			flip ^= 1
+		}
+		if durs != nil {
+			t0 = time.Now()
+		}
+		if ts.relu {
+			reluBackward(g, g, y)
+		}
+		switch st := ts.st.(type) {
+		case nil:
+			for j, m := range arena[sl.mask : sl.mask+sl.outVol] {
+				gx[j] = g[j] * m
+			}
+		case *convStep[float64]:
+			ts.kT.ConvBackward(gx, g, ws.scratch, sl.back)
+		case *linearStep[float64]:
+			ts.kT.Linear(gx, g, ws.scratch)
+		case *reluStep[float64]:
+			reluBackward(gx, g, y)
+		case *maxPoolStep[float64]:
+			st.backward(&sl.stepLayout, in, g, gx)
+		case *avgPoolStep[float64]:
+			st.backward(&sl.stepLayout, g, gx)
+		case *lrnStep[float64]:
+			st.backward(&sl.stepLayout, in, g, gx, ws.scratch)
+		default:
+			panic(fmt.Sprintf("nn: training plan has no backward for %s", ts.label))
+		}
+		if durs != nil {
+			durs[k] += time.Since(t0)
+		}
+		g = gx
+	}
+}
+
+// reluBackward is ReLU.BackwardT: gx = g where the forward output y is
+// positive, +0 elsewhere. gx may be g.
+func reluBackward(gx, g, y []float64) {
+	for j, v := range y {
+		if v > 0 {
+			gx[j] = g[j]
+		} else {
+			gx[j] = 0
+		}
+	}
+}
+
+// backward is MaxPool2D.BackwardT on one sample: every output's gradient is
+// added to the input element its maximum came from — found again as the
+// forward sweep found it, the first of the window's largest — outputs
+// ascending.
+func (st *maxPoolStep[F]) backward(sl *stepLayout, x, g, gx []F) {
+	m := st.src
+	c, h, w := sl.in[0], sl.in[1], sl.in[2]
+	oh, ow := sl.out[1], sl.out[2]
+	clear(gx)
+	for ch := 0; ch < c; ch++ {
+		in, dplane, gplane := x[ch*h*w:], gx[ch*h*w:], g[ch*oh*ow:]
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				y0, x0 := oy*m.Stride, ox*m.Stride
+				best, bi := in[y0*w+x0], y0*w+x0
+				for ky := 0; ky < m.K; ky++ {
+					for kx := 0; kx < m.K; kx++ {
+						if idx := (y0+ky)*w + (x0 + kx); in[idx] > best {
+							best, bi = in[idx], idx
+						}
+					}
+				}
+				dplane[bi] += gplane[oy*ow+ox]
+			}
+		}
+	}
+}
+
+// backward is AvgPool2D.BackwardT on one sample: every output's gradient,
+// scaled, is added to its window, outputs ascending.
+func (st *avgPoolStep[F]) backward(sl *stepLayout, g, gx []F) {
+	a := st.src
+	c, h, w := sl.in[0], sl.in[1], sl.in[2]
+	oh, ow := sl.out[1], sl.out[2]
+	inv := 1 / F(a.K*a.K)
+	clear(gx)
+	for ch := 0; ch < c; ch++ {
+		dplane, gplane := gx[ch*h*w:], g[ch*oh*ow:]
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				gv := gplane[oy*ow+ox] * inv
+				y0, x0 := oy*a.Stride, ox*a.Stride
+				for ky := 0; ky < a.K; ky++ {
+					for kx := 0; kx < a.K; kx++ {
+						dplane[(y0+ky)*w+(x0+kx)] += gv
+					}
+				}
+			}
+		}
+	}
+}
+
+// backward is LocalResponseNorm.BackwardT on one sample, x the step's input.
+// Per position it recomputes each channel's denominator base s by the forward
+// sweep's expression, then the cross term's factor t_c = g_c·x_c·s_c^(−β−1)
+// once per channel — the layer recomputes it for every window it falls in —
+// and sums in the layer's order, so the bits are the layer's. scratch holds
+// one value per channel.
+func (st *lrnStep[F]) backward(sl *stepLayout, x, g, gx, scratch []F) {
+	l := st.src
+	c, hw := sl.in[0], sl.in[1]*sl.in[2]
+	fwd := F(l.Alpha) / F(l.N)
+	coef := F(2 * l.Beta * l.Alpha / float64(l.N))
+	t := scratch[:c]
+	clear(gx)
+	for p := 0; p < hw; p++ {
+		for ch := 0; ch < c; ch++ {
+			lo, hi := l.window(ch, c)
+			var sum F
+			for j := lo; j < hi; j++ {
+				v := x[j*hw+p]
+				sum += v * v
+			}
+			s := float64(F(l.K) + fwd*sum)
+			idx := ch*hw + p
+			gx[idx] += g[idx] * F(math.Pow(s, -l.Beta))
+			t[ch] = g[idx] * x[idx] * F(math.Pow(s, -l.Beta-1))
+		}
+		for j := 0; j < c; j++ {
+			xj := x[j*hw+p]
+			if xj == 0 {
+				continue
+			}
+			// The channels whose window holds j.
+			var acc F
+			for ch := max(0, j-(l.N-1)/2); ch < min(c, j+l.N/2+1); ch++ {
+				if lo, hi := l.window(ch, c); j >= lo && j < hi {
+					acc += t[ch]
+				}
+			}
+			gx[j*hw+p] -= coef * xj * acc
 		}
 	}
 }

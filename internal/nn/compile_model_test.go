@@ -148,7 +148,8 @@ func TestCompileRangeAccessorsAndFloat32Remote(t *testing.T) {
 }
 
 // TestWarmInferAllocations pins what a warm single-sample Infer allocates:
-// its result tensor (header, shape, data) and nothing else — no activation
+// its result tensor (the header with its inline shape, and the data) and
+// nothing else — no activation
 // tensors, scratch headers, shape slices, goroutines or per-chunk closures —
 // and that InferInto, handed that result back, allocates nothing, however
 // large the layers: no step fans out inside a sample.
@@ -162,9 +163,9 @@ func TestWarmInferAllocations(t *testing.T) {
 		local       bool
 		infer, into float64 // ceilings
 	}{
-		{model.LeNet(), "conv2", true, 3, 0},
-		{model.LeNet(), "conv2", false, 3, 0},
-		{model.SvhnNet(), "conv0", false, 3, 0},
+		{model.LeNet(), "conv2", true, 2, 0},
+		{model.LeNet(), "conv2", false, 2, 0},
+		{model.SvhnNet(), "conv0", false, 2, 0},
 	}
 	for _, tc := range cases {
 		net, x := zooInput(tc.spec, 1)

@@ -310,3 +310,51 @@ func TestPlanReportsEachStepOncePerCall(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainPassReportsEachStepOncePerPass: under a profiler a training pass
+// reports every step once per direction, its volume that of the batch, and
+// computes what it computes unobserved.
+func TestTrainPassReportsEachStepOncePerPass(t *testing.T) {
+	rng := tensor.NewRNG(9)
+	net := NewSequential("p",
+		NewConv2D("conv0", 1, 2, 3, 3, 1, 1, rng), NewReLU("relu0"),
+		NewFlatten("flat"), NewDropout("drop", 0.5, rng), NewLinear("fc", 2*4*4, 3, rng),
+	)
+	cn, err := Compile(net, Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := cn.TrainPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := rng.FillNormal(tensor.New(5, 1, 4, 4), 0, 1)
+	grad := rng.FillNormal(tensor.New(5, 3), 0, 1)
+	quiet := tp.NewPass(tensor.NewRNG(1))
+	wantY := quiet.ForwardInto(nil, x)
+	wantDX := quiet.BackwardInto(nil, grad)
+
+	rec := &recordingProfiler{}
+	net.SetProfiler(rec)
+	defer net.SetProfiler(nil)
+	pass := tp.NewPass(tensor.NewRNG(1))
+	if y := pass.ForwardInto(nil, x); !tensor.BitEqual(y, wantY) {
+		t.Fatal("a profiled forward pass computes something else")
+	}
+	if dx := pass.BackwardInto(nil, grad); !tensor.BitEqual(dx, wantDX) {
+		t.Fatal("a profiled backward pass computes something else")
+	}
+	wantEvents := []profEvent{
+		{"conv0+relu0[f64]", false, 5 * 32 * 8}, {"flat[f64]", false, 5 * 32 * 8}, {"drop[f64]", false, 5 * 32 * 8}, {"fc[f64]", false, 5 * 3 * 8},
+		{"conv0+relu0[f64]", true, 5 * 16 * 8}, {"flat[f64]", true, 5 * 32 * 8}, {"drop[f64]", true, 5 * 32 * 8}, {"fc[f64]", true, 5 * 32 * 8},
+	}
+	events := rec.take()
+	if len(events) != len(wantEvents) {
+		t.Fatalf("got %d events, want %d: %+v", len(events), len(wantEvents), events)
+	}
+	for i, e := range events {
+		if e != wantEvents[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, e, wantEvents[i])
+		}
+	}
+}

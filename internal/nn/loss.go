@@ -13,9 +13,17 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 	if logits.Rank() != 2 {
 		panic("nn: Softmax expects [N, M] logits")
 	}
+	return SoftmaxInto(tensor.New(logits.Dim(0), logits.Dim(1)), logits)
+}
+
+// SoftmaxInto is Softmax writing into dst, which must have logits' shape and
+// may be logits itself; it returns dst.
+func SoftmaxInto(dst, logits *tensor.Tensor) *tensor.Tensor {
+	if logits.Rank() != 2 || !dst.SameShape(logits) {
+		panic(fmt.Sprintf("nn: SoftmaxInto %v from logits %v, want one [N, M] shape", dst.Shape(), logits.Shape()))
+	}
 	n, m := logits.Dim(0), logits.Dim(1)
-	out := tensor.New(n, m)
-	ld, od := logits.Data(), out.Data()
+	ld, od := logits.Data(), dst.Data()
 	for i := 0; i < n; i++ {
 		row := ld[i*m : (i+1)*m]
 		orow := od[i*m : (i+1)*m]
@@ -36,7 +44,7 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 			orow[j] *= inv
 		}
 	}
-	return out
+	return dst
 }
 
 // CrossEntropy computes the mean softmax cross-entropy loss over a batch
@@ -44,26 +52,30 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 // of sample i. The returned gradient is already divided by the batch size,
 // so optimizer steps are batch-size invariant.
 func CrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, grad *tensor.Tensor) {
+	grad = tensor.New(logits.Dim(0), logits.Dim(1))
+	return CrossEntropyInto(grad, logits, labels), grad
+}
+
+// CrossEntropyInto is CrossEntropy writing the gradient into grad, which must
+// have logits' shape: a training loop keeps one gradient tensor per batch
+// size.
+func CrossEntropyInto(grad, logits *tensor.Tensor, labels []int) (loss float64) {
 	n, m := logits.Dim(0), logits.Dim(1)
 	if len(labels) != n {
 		panic(fmt.Sprintf("nn: CrossEntropy got %d labels for batch of %d", len(labels), n))
 	}
-	probs := Softmax(logits)
-	grad = probs.Clone()
-	pd, gd := probs.Data(), grad.Data()
+	gd := SoftmaxInto(grad, logits).Data()
 	invN := 1 / float64(n)
 	for i := 0; i < n; i++ {
 		y := labels[i]
 		if y < 0 || y >= m {
 			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, m))
 		}
-		p := pd[i*m+y]
-		loss -= math.Log(math.Max(p, 1e-300))
+		loss -= math.Log(math.Max(gd[i*m+y], 1e-300))
 		gd[i*m+y] -= 1
 	}
-	loss *= invN
 	grad.Scale(invN)
-	return loss, grad
+	return loss * invN
 }
 
 // SoftCrossEntropy computes the mean cross-entropy against a full target
@@ -71,20 +83,23 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, grad *tens
 // noise-training mode where targets are the unnoised model's own softmax
 // outputs. Returns loss and gradient w.r.t. the logits.
 func SoftCrossEntropy(logits, target *tensor.Tensor) (loss float64, grad *tensor.Tensor) {
+	grad = tensor.New(logits.Dim(0), logits.Dim(1))
+	return SoftCrossEntropyInto(grad, logits, target), grad
+}
+
+// SoftCrossEntropyInto is SoftCrossEntropy writing the gradient into grad,
+// which must have logits' shape.
+func SoftCrossEntropyInto(grad, logits, target *tensor.Tensor) (loss float64) {
 	if !logits.SameShape(target) {
 		panic(fmt.Sprintf("nn: SoftCrossEntropy shape mismatch %v vs %v", logits.Shape(), target.Shape()))
 	}
-	n, m := logits.Dim(0), logits.Dim(1)
-	probs := Softmax(logits)
-	grad = tensor.New(n, m)
-	pd, td, gd := probs.Data(), target.Data(), grad.Data()
-	invN := 1 / float64(n)
-	for i := 0; i < n*m; i++ {
-		loss -= td[i] * math.Log(math.Max(pd[i], 1e-300))
-		gd[i] = (pd[i] - td[i]) * invN
+	gd, td := SoftmaxInto(grad, logits).Data(), target.Data()
+	invN := 1 / float64(logits.Dim(0))
+	for i, p := range gd {
+		loss -= td[i] * math.Log(math.Max(p, 1e-300))
+		gd[i] = (p - td[i]) * invN
 	}
-	loss *= invN
-	return loss, grad
+	return loss * invN
 }
 
 // Accuracy returns the fraction of rows whose argmax equals the label.

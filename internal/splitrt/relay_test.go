@@ -631,8 +631,8 @@ func TestPoolPickAllocatesNothing(t *testing.T) {
 // every goroutine of the process counted. DESIGN §5l lists what is left: the
 // caller's logits, the audit record and its sealed batch, the server's span,
 // the pool client's cancellation watcher and the batch's result list.
-// Measured: 15.
-const gatewayRelayAllocCeiling = 16
+// Measured: 14.
+const gatewayRelayAllocCeiling = 15
 
 func TestWarmGatewayRelayAllocationCeiling(t *testing.T) {
 	warmFleetServerAllocations(t, true, gatewayRelayAllocCeiling)
@@ -640,8 +640,8 @@ func TestWarmGatewayRelayAllocationCeiling(t *testing.T) {
 
 // batchedServeAllocCeiling is the same request sent straight to that server,
 // without gateway and pool: no second hop, no cancellation watcher (the
-// caller's context cannot be cancelled). Measured: 13.
-const batchedServeAllocCeiling = 14
+// caller's context cannot be cancelled). Measured: 12.
+const batchedServeAllocCeiling = 13
 
 func TestWarmBatchedAuditedServeAllocationCeiling(t *testing.T) {
 	warmFleetServerAllocations(t, false, batchedServeAllocCeiling)

@@ -145,6 +145,32 @@ func Pack[F Float](w *Tensor, ep Epilogue[F]) *Packed[F] {
 	return p
 }
 
+// PackTransposed packs wᵀ for the backward-data pass of the layer whose
+// row-major weights are w [n, k]: k outputs — the layer's inputs, or a
+// convolution's taps — each summed over the layer's n outputs in ascending
+// order, which is matmulRows' order for G·W. The raw sums are the result:
+// the epilogue is a bias of zeros, which changes no bit of a sum that started
+// from +0 (such a sum is never −0).
+func PackTransposed[F Float](w *Tensor) *Packed[F] {
+	if w.Rank() != 2 || w.Len() == 0 {
+		panic(fmt.Sprintf("tensor: PackTransposed weights %v", w.shape))
+	}
+	n, k := w.shape[0], w.shape[1]
+	p := &Packed[F]{n: k, k: n, seq: make([]int32, n), ep: Epilogue[F]{Bias: make([]F, k)},
+		panels: make([]F, (k+PanelWidth-1)/PanelWidth*n*PanelWidth)}
+	for t := 0; t < n; t++ {
+		for j, v := range w.data[t*k : (t+1)*k] {
+			p.panels[j/PanelWidth*n*PanelWidth+t*PanelWidth+j%PanelWidth] = F(v)
+		}
+		p.seq[t] = int32(t)
+	}
+	return p
+}
+
+// ReLU reports whether the epilogue ends in max(0, z): a backward pass gates
+// the gradient by the sign of this layer's output.
+func (p *Packed[F]) ReLU() bool { return p.ep.ReLU }
+
 // finish applies the epilogue to the raw sum z of output j.
 func (p *Packed[F]) finish(j int, z F) F {
 	e := &p.ep
@@ -267,6 +293,121 @@ func (p *Packed[F]) Linear(y, x, scratch []F) {
 		out := y[j0:min(j0+rows*PanelWidth, p.n)]
 		for i := range out {
 			out[i] = p.finish(j0+i, acc[i])
+		}
+	}
+}
+
+// ConvBackTaps is a convolution geometry resolved for ConvBackward.
+type ConvBackTaps struct {
+	Geom ConvGeom
+	// Scratch is the number of scratch elements ConvBackward needs: the
+	// leaf's accumulators and one output row of column gradients.
+	Scratch int
+	off     []int32 // output channel → offset of its plane in the output gradient
+}
+
+// BackTaps resolves g, which must be valid, for a convolution of outC filters.
+func (g ConvGeom) BackTaps(outC int) *ConvBackTaps {
+	positions := g.OutH() * g.OutW()
+	if outC*positions > math.MaxInt32 {
+		panic(fmt.Sprintf("tensor: conv geometry %+v × %d filters is too large for the direct kernel", g, outC))
+	}
+	t := &ConvBackTaps{Geom: g, Scratch: accLen + g.OutW()*g.InC*g.KH*g.KW, off: make([]int32, outC)}
+	for oc := range t.off {
+		t.off[oc] = int32(oc * positions)
+	}
+	return t
+}
+
+// ConvBackward computes the input gradient dx [C,H,W] of a convolution from
+// its output gradient gy [OutC, OutH·OutW], p being PackTransposed of the
+// layer's weights. It is col2im(G·W) in the tape's association, bit for bit:
+// a column gradient is the leaf's sum over OutC ascending — lanes are taps, so
+// no lane ever adds two of col2im's terms — and each output row's column
+// gradients are scatter-added by scatterRow, rows ascending, before the next
+// row is computed, so an element of dx gathers its terms in ascending (oy, ox)
+// as col2imKernel adds them. scratch holds at least t.Scratch elements of any
+// content. Every element of dx is written.
+func (p *Packed[F]) ConvBackward(dx, gy, scratch []F, t *ConvBackTaps) {
+	g := t.Geom
+	outH, outW := g.OutH(), g.OutW()
+	ckk := g.InC * g.KH * g.KW
+	if len(t.off) != p.k || ckk != p.n || len(dx) != g.InC*g.InH*g.InW || len(gy) != p.k*outH*outW || len(scratch) < t.Scratch {
+		panic(fmt.Sprintf("tensor: Packed.ConvBackward got %d←%d elems (scratch %d) for %d filters of %d taps over %+v",
+			len(dx), len(gy), len(scratch), p.k, p.n, g))
+	}
+	if outH*outW == 1 && g.Pad == 0 && g.KH == g.InH && g.KW == g.InW {
+		// The one window is the whole image: col2im adds each column
+		// gradient to its own zeroed element, and a sum that started from +0
+		// is never −0, so the scatter is a copy (see Conv).
+		p.Linear(dx, gy, scratch)
+		return
+	}
+	acc := (*[accLen]F)(scratch)
+	strip := scratch[accLen:t.Scratch] // [ckk][outW]: tap-major, so a tap's row scatters in one run
+	clear(dx)
+	leaf := leafFor[F]()
+	for oy := 0; oy < outH; oy++ {
+		for j0 := 0; j0 < ckk; j0 += PanelWidth {
+			w := p.panels[j0*p.k : (j0+PanelWidth)*p.k]
+			lanes := min(PanelWidth, ckk-j0)
+			for ox := 0; ox < outW; ox += leafRows {
+				rows := min(leafRows, outW-ox)
+				leaf(acc, rows, gy[oy*outW+ox:], 1, t.off, w, 0)
+				for l := 0; l < lanes; l++ {
+					dst := strip[(j0+l)*outW+ox:][:rows]
+					for r := range dst {
+						dst[r] = acc[r*PanelWidth+l]
+					}
+				}
+			}
+		}
+		scatterRow(dx, strip, g, oy)
+	}
+}
+
+// scatterRow adds the column gradients of output row oy, strip [C·KH·KW][OutW],
+// into the image dx: col2im for one row of positions. An element of dx takes
+// its terms of this row in ascending ox, as col2im adds them — for a fixed
+// element a later position reaches it through an earlier tap, so kx descends
+// outside the run over ox.
+func scatterRow[F Float](dx, strip []F, g ConvGeom, oy int) {
+	outW := g.OutW()
+	for c := 0; c < g.InC; c++ {
+		for ky := 0; ky < g.KH; ky++ {
+			iy := oy*g.Stride - g.Pad + ky
+			if iy < 0 || iy >= g.InH {
+				continue
+			}
+			row := dx[(c*g.InH+iy)*g.InW:][:g.InW]
+			for kx := g.KW - 1; kx >= 0; kx-- {
+				// Positions lo ≤ ox < hi put this tap inside the image.
+				lo, hi := 0, outW
+				if d := g.Pad - kx; d > 0 {
+					lo = (d + g.Stride - 1) / g.Stride
+				}
+				if last := g.InW - 1 + g.Pad - kx; last < 0 {
+					continue
+				} else if last < (outW-1)*g.Stride {
+					hi = last/g.Stride + 1
+				}
+				if lo >= hi {
+					continue
+				}
+				src := strip[((c*g.KH+ky)*g.KW+kx)*outW:][lo:hi]
+				at := lo*g.Stride + kx - g.Pad
+				if g.Stride == 1 {
+					dst := row[at:][:len(src)]
+					for i, v := range src {
+						dst[i] += v
+					}
+					continue
+				}
+				for _, v := range src {
+					row[at] += v
+					at += g.Stride
+				}
+			}
 		}
 	}
 }

@@ -189,6 +189,105 @@ func TestDirectLinearEqualsMatMul(t *testing.T) {
 	})
 }
 
+// referenceConvBackward is the frozen tape's Conv2D.BackwardT for one sample:
+// the gradient transposed to G [P, OutC], dcols = G·W through matmulRows —
+// which skips a zero of G — and col2im into a zeroed image.
+func referenceConvBackward[F Float](gy []F, w *Tensor, g ConvGeom) []F {
+	n, k := w.shape[0], w.shape[1]
+	positions := g.OutH() * g.OutW()
+	G, dcols := make([]F, positions*n), make([]F, positions*k)
+	for oc := 0; oc < n; oc++ {
+		for pos := 0; pos < positions; pos++ {
+			G[pos*n+oc] = gy[oc*positions+pos]
+		}
+	}
+	matmulRows(dcols, G, ToDense[F](w).Data(), n, k, 0, positions)
+	// col2im as the tape has always run it: positions ascending, every tap
+	// bounds-checked on its own.
+	dx := make([]F, g.InC*g.InH*g.InW)
+	for pos := 0; pos < positions; pos++ {
+		iy0, ix0 := pos/g.OutW()*g.Stride-g.Pad, pos%g.OutW()*g.Stride-g.Pad
+		for t := 0; t < k; t++ {
+			c, ky, kx := t/(g.KH*g.KW), t/g.KW%g.KH, t%g.KW
+			if iy, ix := iy0+ky, ix0+kx; iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
+				dx[(c*g.InH+iy)*g.InW+ix] += dcols[pos*k+t]
+			}
+		}
+	}
+	return dx
+}
+
+// drawGradient draws an output gradient a third of which a ReLU or a dropout
+// gated: +0 and, as a mask's product with a negative gradient leaves it, −0.
+func drawGradient[F Float](rng *RNG, n int) []F {
+	gy := make([]F, n)
+	for i := range gy {
+		switch rng.Intn(6) {
+		case 0:
+			gy[i] = 0
+		case 1:
+			gy[i] = F(math.Copysign(0, -1))
+		default:
+			gy[i] = F(rng.Normal(0, 1))
+		}
+	}
+	return gy
+}
+
+func checkConvBackward[F Float](t *testing.T, leaf string, c convCase, variant int) {
+	t.Helper()
+	gy := drawGradient[F](NewRNG(int64(variant)), c.outC*c.g.OutH()*c.g.OutW())
+	want := referenceConvBackward(gy, c.w, c.g)
+	taps := c.g.BackTaps(c.outC)
+	got, scratch := make([]F, len(want)), make([]F, taps.Scratch)
+	for i := range scratch {
+		scratch[i] = F(math.NaN())
+	}
+	for i := range got {
+		got[i] = F(math.NaN())
+	}
+	PackTransposed[F](c.w).ConvBackward(got, gy, scratch, taps)
+	for i, v := range got {
+		if !sameBits(v, want[i]) {
+			t.Fatalf("%s leaf, %v, %T: input gradient %d is %v, matmul + col2im give %v", leaf, c, v, i, v, want[i])
+		}
+	}
+}
+
+// TestConvBackwardEqualsMatMulCol2Im: over the whole sweep, at both dtypes
+// and under both leaves, the backward-data kernel's input gradient is the
+// frozen tape's G·W + col2im bit for bit, gated gradients included.
+func TestConvBackwardEqualsMatMulCol2Im(t *testing.T) {
+	underEachLeaf(t, func(t *testing.T, leaf string) {
+		convSweep(false, func(c convCase, variant int) {
+			checkConvBackward[float64](t, leaf, c, variant)
+			checkConvBackward[float32](t, leaf, c, variant)
+		})
+	})
+}
+
+// TestLinearBackwardEqualsMatMul is the same property for a linear layer:
+// Linear over the transposed pack is one row of matmulRows' G·W.
+func TestLinearBackwardEqualsMatMul(t *testing.T) {
+	underEachLeaf(t, func(t *testing.T, leaf string) {
+		for _, n := range []int{1, 6, 10, 33, 120} {
+			for _, k := range []int{1, 7, 64, 400} {
+				rng := NewRNG(int64(1000*n + k))
+				w := rng.FillNormal(New(n, k), 0, 1)
+				gy := drawGradient[float64](rng, n)
+				want, got := make([]float64, k), make([]float64, k)
+				matmulRows(want, gy, w.Data(), n, k, 0, 1)
+				PackTransposed[float64](w).Linear(got, gy, make([]float64, LinearScratch))
+				for i, v := range got {
+					if !sameBits(v, want[i]) {
+						t.Fatalf("%s leaf, %d←%d: input gradient %d is %v, matmul gives %v", leaf, k, n, i, v, want[i])
+					}
+				}
+			}
+		}
+	})
+}
+
 // specials are the inputs a rounding or ordering shortcut would show on.
 func specials[F Float]() []F {
 	var tiny F = 1
@@ -290,12 +389,15 @@ func TestDirectKernelDoesNotAllocate(t *testing.T) {
 	x32 := ToDense[float32](x).Data()
 	y64, s64 := make([]float64, 10*81), make([]float64, taps.Scratch)
 	y32, s32 := make([]float32, 10*81), make([]float32, taps.Scratch)
+	back := g.BackTaps(10)
+	t64, dx64, b64 := PackTransposed[float64](w), make([]float64, 3*81), make([]float64, back.Scratch)
 	underEachLeaf(t, func(t *testing.T, leaf string) {
 		if n := testing.AllocsPerRun(20, func() {
 			p64.Conv(y64, x.Data(), s64, taps)
 			p32.Conv(y32, x32, s32, taps)
 			p64.Linear(y64[:10], x.Data()[:27], s64)
 			p32.Linear(y32[:10], x32[:27], s32)
+			t64.ConvBackward(dx64, y64, b64, back)
 		}); n != 0 {
 			t.Errorf("%s leaf: the direct kernel allocates %v times per call", leaf, n)
 		}
@@ -349,6 +451,38 @@ func BenchmarkConvLeaf(b *testing.B) {
 			vectorLeaf = leaf == "vector"
 			b.Run(c.name+"/f64/"+leaf, func(b *testing.B) { benchConv[float64](b, c.g, c.outC) })
 			b.Run(c.name+"/f32/"+leaf, func(b *testing.B) { benchConv[float32](b, c.g, c.outC) })
+		}
+	}
+}
+
+// BenchmarkConvBackwardLeaf times the backward-data kernel on zooConvs under
+// each leaf beside the frozen tape's matmul + col2im: the table of DESIGN §5m.
+func BenchmarkConvBackwardLeaf(b *testing.B) {
+	leafNames := []string{"tape", "go"}
+	if vectorLeaf {
+		leafNames = append(leafNames, "vector")
+		defer func() { vectorLeaf = true }()
+	}
+	for _, c := range zooConvs {
+		rng := NewRNG(7)
+		w := rng.FillNormal(New(c.outC, c.g.InC*c.g.KH*c.g.KW), 0, 1)
+		gy := drawGradient[float64](rng, c.outC*c.g.OutH()*c.g.OutW())
+		for _, leaf := range leafNames {
+			vectorLeaf = leaf == "vector"
+			b.Run(c.name+"/"+leaf, func(b *testing.B) {
+				if leaf == "tape" {
+					for i := 0; i < b.N; i++ {
+						referenceConvBackward(gy, w, c.g)
+					}
+					return
+				}
+				p, taps := PackTransposed[float64](w), c.g.BackTaps(c.outC)
+				dx, scratch := make([]float64, c.g.InC*c.g.InH*c.g.InW), make([]float64, taps.Scratch)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.ConvBackward(dx, gy, scratch, taps)
+				}
+			})
 		}
 	}
 }

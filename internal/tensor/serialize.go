@@ -72,7 +72,7 @@ func (t *Tensor) GobDecode(p []byte) error {
 	if err != nil {
 		return err
 	}
-	t.shape = dt.shape
+	t.setShape(dt.shape)
 	t.data = dt.data
 	return nil
 }

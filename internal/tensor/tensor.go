@@ -20,26 +20,47 @@ import (
 
 // Tensor is a dense, contiguous, row-major n-dimensional array of float64.
 // The zero value is an empty tensor; use New or From to construct one.
+//
+// The header carries its shape inline: shape is dims[:rank] for every rank
+// the networks use, so a tensor is two objects — header and data — not three.
+// A Tensor is therefore handled by pointer only; a copied header's shape
+// would still point into the original.
 type Tensor struct {
 	shape []int
 	data  []float64
+	dims  [4]int
+}
+
+// wrap returns a tensor over data with a copy of shape, which is neither
+// retained nor formatted: a caller may assemble it in a stack buffer.
+func wrap(data []float64, shape []int) *Tensor {
+	t := &Tensor{data: data}
+	t.setShape(shape)
+	return t
+}
+
+// setShape makes t's shape a copy of shape, inline up to rank len(dims).
+func (t *Tensor) setShape(shape []int) {
+	if len(shape) <= len(t.dims) {
+		t.shape = t.dims[:len(shape)]
+	} else {
+		t.shape = make([]int, len(shape))
+	}
+	copy(t.shape, shape)
 }
 
 // New returns a zero-filled tensor with the given shape. New() with no
 // arguments returns a scalar-shaped tensor of one element.
 func New(shape ...int) *Tensor {
-	// Only the copy is retained or formatted, so the argument does not
-	// escape: a caller may assemble it in a stack buffer.
-	s := make([]int, len(shape))
-	copy(s, shape)
 	n := 1
-	for _, d := range s {
+	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, s))
+			// Only a copy is formatted, so the argument does not escape.
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
-	return &Tensor{shape: s, data: make([]float64, n)}
+	return wrap(make([]float64, n), shape)
 }
 
 // From wraps an existing slice as a tensor with the given shape. The slice
@@ -50,11 +71,9 @@ func From(data []float64, shape ...int) *Tensor {
 		n *= d
 	}
 	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)", len(data), append([]int(nil), shape...), n))
 	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{shape: s, data: data}
+	return wrap(data, shape)
 }
 
 // Scalar returns a 1-element tensor holding v.
@@ -88,8 +107,8 @@ func (t *Tensor) Clone() *Tensor {
 // Reshape returns a tensor sharing t's storage with a new shape of equal
 // volume. A single -1 dimension is inferred from the rest.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	s := make([]int, len(shape))
-	copy(s, shape)
+	out := wrap(t.data, shape)
+	s := out.shape
 	infer := -1
 	n := 1
 	for i, d := range s {
@@ -104,20 +123,20 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	}
 	if infer >= 0 {
 		if n == 0 || len(t.data)%n != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, shape))
+			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, s))
 		}
 		s[infer] = len(t.data) / n
 		n *= s[infer]
 	}
 	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n))
+		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), s, n))
 	}
-	return &Tensor{shape: s, data: t.data}
+	return out
 }
 
 // Flatten returns a rank-1 view of t sharing its storage.
 func (t *Tensor) Flatten() *Tensor {
-	return &Tensor{shape: []int{len(t.data)}, data: t.data}
+	return wrap(t.data, []int{len(t.data)})
 }
 
 // index converts multi-indices to a flat offset.
@@ -180,7 +199,7 @@ func (t *Tensor) Row(i int) *Tensor {
 		panic("tensor: Row requires a rank-2 tensor")
 	}
 	w := t.shape[1]
-	return &Tensor{shape: []int{w}, data: t.data[i*w : (i+1)*w]}
+	return wrap(t.data[i*w:(i+1)*w], t.shape[1:])
 }
 
 // Slice returns the i-th sub-tensor along the first axis, sharing storage.
@@ -196,12 +215,10 @@ func (t *Tensor) Slice(i int) *Tensor {
 	for _, d := range t.shape[1:] {
 		sub *= d
 	}
-	s := make([]int, len(t.shape)-1)
-	copy(s, t.shape[1:])
-	if len(s) == 0 {
-		s = []int{1}
+	if len(t.shape) == 1 {
+		return wrap(t.data[i:i+1], []int{1})
 	}
-	return &Tensor{shape: s, data: t.data[i*sub : (i+1)*sub]}
+	return wrap(t.data[i*sub:(i+1)*sub], t.shape[1:])
 }
 
 // String renders a short human-readable description (shape plus the first
