@@ -1,14 +1,16 @@
 GO ?= go
 
-.PHONY: ci fmt vet build cross test race bench-module fuzz-smoke bench bench-obs bench-profile bench-pool bench-fitted bench-audit bench-window
+.PHONY: ci fmt vet build cross test race bench-module fuzz-smoke bench bench-profile bench-pool bench-window
 
 ## ci: the full gate — formatting, vet, build, a cross-build for an
 ## architecture without the assembly leaf, tests, the race suite over
 ## the concurrency-sensitive packages, the benchmark module (its own go.mod,
 ## so ./... does not reach it) and ten seconds of each fuzz target. Run
-## before every push. Speed is held by the benchmark (BENCHMARK.json,
-## bench/), which compares; the bench-* targets below run benchmarks for a
-## reader and compare nothing, so they are not part of the gate.
+## before every push; .github/workflows/ci.yml runs these same targets, so a
+## new package, fuzz target or build line is added here and nowhere else.
+## Speed is held by the benchmark (BENCHMARK.json, bench/), which compares;
+## the bench-* targets below run benchmarks for a reader — what bench/ has no
+## probe for — and compare nothing, so they are not part of the gate.
 ci: fmt vet build cross test race bench-module fuzz-smoke
 
 fmt:
@@ -65,11 +67,6 @@ fuzz-smoke:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkCloudServerThroughput|BenchmarkServeBatched' -benchtime 200x .
 
-## bench-obs: run the observability overhead benchmark (disabled path
-## against enabled).
-bench-obs:
-	$(GO) test -run '^$$' -bench BenchmarkObsOverhead -benchtime 50x .
-
 ## bench-profile: run the per-layer profiler overhead benchmark (detached
 ## hooks cost one atomic load per range pass).
 bench-profile:
@@ -79,16 +76,6 @@ bench-profile:
 ## backend should stay below the injected latency).
 bench-pool:
 	$(GO) test -run '^$$' -bench BenchmarkPoolServe -benchtime 50x .
-
-## bench-fitted: run the fitted noise-distribution benchmarks (per-query
-## sampling overhead vs stored replay, plus the resident-memory accounting).
-bench-fitted:
-	$(GO) test -run '^$$' -bench BenchmarkFitted -benchtime 50x .
-
-## bench-audit: run the audit-ledger overhead benchmark (serving with the
-## auditor disabled vs mem/file/mock-latency ledgers).
-bench-audit:
-	$(GO) test -run '^$$' -bench BenchmarkAuditOverhead -benchtime 50x .
 
 ## bench-window: run the sliding-window overhead benchmark (windows derive
 ## from snapshots, they add no per-observation work).

@@ -317,7 +317,7 @@ func BenchmarkConv2DForward(b *testing.B) {
 	x := rng.FillNormal(tensor.New(8, 16, 16, 16), 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		conv.Forward(x, false)
+		conv.ForwardT(nil, x, false)
 	}
 }
 
@@ -325,11 +325,17 @@ func BenchmarkConv2DBackward(b *testing.B) {
 	rng := tensor.NewRNG(1)
 	conv := nn.NewConv2D("c", 16, 32, 3, 3, 1, 1, rng)
 	x := rng.FillNormal(tensor.New(8, 16, 16, 16), 0, 1)
-	out := conv.Forward(x, true)
+	tape := nn.NewTape()
+	out := conv.ForwardT(tape, x, true)
 	g := rng.FillNormal(tensor.New(out.Shape()...), 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		conv.Backward(g)
+		// A backward pass consumes its forward pass's tape entry.
+		b.StopTimer()
+		tape.Reset()
+		conv.ForwardT(tape, x, true)
+		b.StartTimer()
+		conv.BackwardT(tape, g)
 	}
 }
 

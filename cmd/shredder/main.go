@@ -224,6 +224,79 @@ func cmdEval(args []string) error {
 	return nil
 }
 
+// telemetryFlags are the window/SLO flags serve and gateway share.
+type telemetryFlags struct {
+	window, windowBucket, sloIvl time.Duration
+	sloPrivacy                   float64
+}
+
+func registerTelemetry(fs *flag.FlagSet) *telemetryFlags {
+	t := &telemetryFlags{}
+	fs.DurationVar(&t.window, "window", 0, "sliding-window span for windowed rates and quantiles in /debug/metrics (0 = off unless an -slo-* flag is set)")
+	fs.DurationVar(&t.windowBucket, "window-bucket", 5*time.Second, "bucket granularity at which old observations age out of the window")
+	fs.DurationVar(&t.sloIvl, "slo-interval", 0, "SLO evaluation cadence (0 = the window bucket)")
+	fs.Float64Var(&t.sloPrivacy, "slo-privacy", 0, "fire an SLO event when the windowed mean in-vivo 1/SNR relayed by telemetry-enabled clients (a gateway: over the whole fleet) drops below this floor (0 = off, negative = the benchmark's tuned privacy target)")
+	return t
+}
+
+// interpret turns the flags into what they ask for: the objectives — the
+// caller's own, then the privacy floor of -slo-privacy, a negative value
+// meaning privacyTarget — and the sliding window, nil unless -window or an
+// objective wants one. A zero -window-bucket, like a zero -window, leaves the
+// count or the granularity to obs.WindowOptions' defaults.
+func (t *telemetryFlags) interpret(privacyTarget float64, objectives []obs.Objective) (*obs.WindowOptions, []obs.Objective) {
+	if t.sloPrivacy != 0 {
+		target := t.sloPrivacy
+		if target < 0 {
+			target = privacyTarget
+		}
+		objectives = append(objectives, obs.Objective{
+			Name: "privacy.invivo", Metric: "privacy.invivo",
+			Aggregate: obs.AggMean, Op: obs.OpAtLeast, Target: target, MinCount: 8,
+		})
+	}
+	if t.window <= 0 && len(objectives) == 0 {
+		return nil, objectives
+	}
+	window := &obs.WindowOptions{Bucket: t.windowBucket}
+	if t.window > 0 && t.windowBucket > 0 {
+		window.Buckets = int(t.window / t.windowBucket)
+	}
+	return window, objectives
+}
+
+// options is interpret's result as the options a server or a gateway takes,
+// and the objectives among them.
+func (t *telemetryFlags) options(privacyTarget float64, objectives []obs.Objective) ([]splitrt.FrontOption, []obs.Objective) {
+	window, objectives := t.interpret(privacyTarget, objectives)
+	var opts []splitrt.FrontOption
+	if window != nil {
+		opts = append(opts, splitrt.WithWindows(*window))
+	}
+	if len(objectives) > 0 {
+		opts = append(opts, splitrt.WithSLO(t.sloIvl, objectives...))
+	}
+	return opts, objectives
+}
+
+// backendBases parses -backend-debug: one debug base URL per address of
+// -backends, in its order (the gateway labels each by that address). A value
+// ending in /debug/metrics — what the flag took when it named that one route
+// — is trimmed to its base.
+func backendBases(list string, backends []string) ([]string, error) {
+	if list == "" {
+		return nil, nil
+	}
+	bases := strings.Split(list, ",")
+	if len(bases) != len(backends) {
+		return nil, fmt.Errorf("gateway: -backend-debug lists %d URLs for the %d addresses of -backends", len(bases), len(backends))
+	}
+	for i, b := range bases {
+		bases[i] = strings.TrimSuffix(strings.TrimRight(strings.TrimSpace(b), "/"), "/debug/metrics")
+	}
+	return bases, nil
+}
+
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	c := registerCommon(fs)
@@ -235,11 +308,8 @@ func cmdServe(args []string) error {
 	batchDelay := fs.Duration("batch-delay", 2*time.Millisecond, "max queueing behind an in-flight batch before a partial batch flushes")
 	debugAddr := fs.String("debug-addr", "", "serve /debug/metrics, /debug/spans and pprof on this HTTP address (empty = off)")
 	profile := fs.Bool("profile", false, "attach the per-layer profiler (table at /debug/profile; see -debug-addr)")
-	window := fs.Duration("window", 0, "sliding-window span for windowed rates and quantiles in /debug/metrics (0 = off unless an -slo-* flag is set)")
-	windowBucket := fs.Duration("window-bucket", 5*time.Second, "bucket granularity at which old observations age out of the window")
-	sloIvl := fs.Duration("slo-interval", 0, "SLO evaluation cadence (0 = the window bucket)")
+	telemetry := registerTelemetry(fs)
 	sloP99 := fs.Duration("slo-p99", 0, "fire an SLO event when the windowed p99 serving latency exceeds this (0 = off)")
-	sloPrivacy := fs.Float64("slo-privacy", 0, "fire an SLO event when the windowed mean in-vivo 1/SNR relayed by telemetry-enabled clients drops below this floor (0 = off, negative = the benchmark's tuned privacy target)")
 	auditOn := fs.Bool("audit", false, "keep a tamper-evident in-memory audit ledger of served requests (implied by -audit-ledger)")
 	auditLedger := fs.String("audit-ledger", "", "append-only file anchoring the audit ledger's Merkle roots (enables -audit)")
 	auditBatch := fs.Int("audit-batch", 0, "records per sealed audit batch (0 = default 64)")
@@ -253,12 +323,10 @@ func cmdServe(args []string) error {
 		splitrt.WithIdleTimeout(*idle),
 		splitrt.WithWriteTimeout(*write),
 		splitrt.WithHandlerTimeout(*handler),
+		splitrt.WithDebugServer(*debugAddr), // "" = none
 	}
 	if *batch > 0 {
 		opts = append(opts, splitrt.WithBatching(sched.Options{MaxBatch: *batch, MaxDelay: *batchDelay}))
-	}
-	if *debugAddr != "" {
-		opts = append(opts, splitrt.WithDebugServer(*debugAddr))
 	}
 	if *profile {
 		opts = append(opts, splitrt.WithProfiling())
@@ -270,25 +338,9 @@ func cmdServe(args []string) error {
 			Aggregate: obs.AggP99, Op: obs.OpAtMost, Target: sloP99.Seconds(), MinCount: 8,
 		})
 	}
-	if *sloPrivacy != 0 {
-		target := *sloPrivacy
-		if target < 0 {
-			target = sys.PrivacyTarget()
-		}
-		objectives = append(objectives, obs.Objective{
-			Name: "privacy.invivo", Metric: "privacy.invivo",
-			Aggregate: obs.AggMean, Op: obs.OpAtLeast, Target: target, MinCount: 8,
-		})
-	}
-	if *window > 0 || len(objectives) > 0 {
-		opt := obs.WindowOptions{Bucket: *windowBucket}
-		if *window > 0 && *windowBucket > 0 {
-			opt.Buckets = int(*window / *windowBucket)
-		}
-		opts = append(opts, splitrt.WithWindows(opt))
-	}
-	if len(objectives) > 0 {
-		opts = append(opts, splitrt.WithSLO(*sloIvl, objectives...))
+	front, objectives := telemetry.options(sys.PrivacyTarget(), objectives)
+	for _, o := range front {
+		opts = append(opts, o)
 	}
 	if *auditOn || *auditLedger != "" {
 		aopts := audit.Options{MaxBatch: *auditBatch, MaxDelay: *auditDelay}
@@ -309,13 +361,11 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
+	batching := ""
 	if *batch > 0 {
-		fmt.Printf("cloud part of %s (cut %s, %s) serving on %s (micro-batching ≤%d samples, %v delay budget)\n",
-			sys.Network(), sys.Cut(), sys.Dtype(), cloud.Addr, *batch, *batchDelay)
-	} else {
-		fmt.Printf("cloud part of %s (cut %s, %s) serving on %s\n",
-			sys.Network(), sys.Cut(), sys.Dtype(), cloud.Addr)
+		batching = fmt.Sprintf(" (micro-batching ≤%d samples, %v delay budget)", *batch, *batchDelay)
 	}
+	fmt.Printf("cloud part of %s (cut %s, %s) serving on %s%s\n", sys.Network(), sys.Cut(), sys.Dtype(), cloud.Addr, batching)
 	if d := cloud.DebugAddr(); d != "" {
 		fmt.Printf("debug endpoint on http://%s/debug/metrics\n", d)
 		if len(objectives) > 0 {
@@ -347,18 +397,20 @@ func cmdGateway(args []string) error {
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request relay deadline (0 = none)")
 	idle := fs.Duration("idle-timeout", 5*time.Minute, "drop client connections idle longer than this (0 = never)")
 	debugAddr := fs.String("debug-addr", "", "serve the merged fleet /debug/metrics on this HTTP address (empty = off)")
-	backendDebug := fs.String("backend-debug", "", "comma-separated backend /debug/metrics URLs to fold into the merged snapshot, ordered like -backends")
-	backendAudit := fs.String("backend-audit", "", "comma-separated backend /debug/audit URLs; the gateway then serves fleet-wide proof lookups and the anchored-root union at its own /debug/audit")
-	backendEvents := fs.String("backend-events", "", "comma-separated backend /debug/events URLs; the gateway then serves the fleet's merged SLO event stream at its own /debug/events, ordered like -backends")
-	window := fs.Duration("window", 0, "sliding-window span for windowed rates and quantiles in the merged /debug/metrics (0 = off unless -slo-privacy is set)")
-	windowBucket := fs.Duration("window-bucket", 5*time.Second, "bucket granularity at which old observations age out of the window")
-	sloIvl := fs.Duration("slo-interval", 0, "SLO evaluation cadence (0 = the window bucket)")
-	sloPrivacy := fs.Float64("slo-privacy", 0, "fire an SLO event when the fleet's windowed mean relayed in-vivo 1/SNR drops below this floor (0 = off, negative = the benchmark's tuned privacy target)")
+	backendDebug := fs.String("backend-debug", "", "comma-separated backend debug base URLs (http://host:port, the backend's -debug-addr), one per address of -backends in the same order; the gateway then serves the fleet's merged /debug/metrics and /debug/events and fleet-wide proof lookups at /debug/audit (needs -debug-addr)")
+	telemetry := registerTelemetry(fs)
 	fs.Parse(args)
 	if *backends == "" {
 		return fmt.Errorf("gateway: -backends is required")
 	}
 	addrs := strings.Split(*backends, ",")
+	bases, err := backendBases(*backendDebug, addrs)
+	if err != nil {
+		return err
+	}
+	if len(bases) > 0 && *debugAddr == "" {
+		return fmt.Errorf("gateway: -backend-debug needs -debug-addr: the fleet view is served on the gateway's debug endpoint")
+	}
 	bal, err := splitrt.BalancerByName(*balance)
 	if err != nil {
 		return err
@@ -383,65 +435,14 @@ func cmdGateway(args []string) error {
 	defer pool.Close()
 
 	gwOpts := []splitrt.GatewayOption{
-		splitrt.WithGatewayIdleTimeout(*idle),
+		splitrt.WithIdleTimeout(*idle),
 		splitrt.WithGatewayCallTimeout(*timeout),
+		splitrt.WithBackends(bases...),
+		splitrt.WithDebugServer(*debugAddr), // "" = none
 	}
-	var objectives []obs.Objective
-	if *sloPrivacy != 0 {
-		target := *sloPrivacy
-		if target < 0 {
-			target = sys.PrivacyTarget()
-		}
-		objectives = append(objectives, obs.Objective{
-			Name: "privacy.invivo", Metric: "privacy.invivo",
-			Aggregate: obs.AggMean, Op: obs.OpAtLeast, Target: target, MinCount: 8,
-		})
-	}
-	if *window > 0 || len(objectives) > 0 {
-		opt := obs.WindowOptions{Bucket: *windowBucket}
-		if *window > 0 && *windowBucket > 0 {
-			opt.Buckets = int(*window / *windowBucket)
-		}
-		gwOpts = append(gwOpts, splitrt.WithGatewayWindows(opt))
-	}
-	if len(objectives) > 0 {
-		gwOpts = append(gwOpts, splitrt.WithGatewaySLO(*sloIvl, objectives...))
-	}
-	if *debugAddr != "" {
-		gwOpts = append(gwOpts, splitrt.WithGatewayDebugServer(*debugAddr))
-		if *backendDebug != "" {
-			var sources []obs.SnapshotSource
-			for i, u := range strings.Split(*backendDebug, ",") {
-				label := fmt.Sprintf("backend.%d", i)
-				if i < len(addrs) {
-					label = "backend." + addrs[i]
-				}
-				sources = append(sources, obs.HTTPSnapshotSource(label, u))
-			}
-			gwOpts = append(gwOpts, splitrt.WithBackendSources(sources...))
-		}
-		if *backendAudit != "" {
-			var sources []audit.Source
-			for i, u := range strings.Split(*backendAudit, ",") {
-				name := fmt.Sprintf("backend.%d", i)
-				if i < len(addrs) {
-					name = addrs[i]
-				}
-				sources = append(sources, audit.HTTPSource{Name: name, Base: u})
-			}
-			gwOpts = append(gwOpts, splitrt.WithBackendAuditSources(sources...))
-		}
-		if *backendEvents != "" {
-			var sources []obs.EventSource
-			for i, u := range strings.Split(*backendEvents, ",") {
-				label := fmt.Sprintf("backend.%d", i)
-				if i < len(addrs) {
-					label = "backend." + addrs[i]
-				}
-				sources = append(sources, obs.HTTPEventSource(label, u))
-			}
-			gwOpts = append(gwOpts, splitrt.WithBackendEventSources(sources...))
-		}
+	front, objectives := telemetry.options(sys.PrivacyTarget(), nil)
+	for _, o := range front {
+		gwOpts = append(gwOpts, o)
 	}
 	gw := splitrt.NewGateway(pool.Pool(), gwOpts...)
 	bound, err := gw.Serve(*addr)
@@ -455,10 +456,10 @@ func cmdGateway(args []string) error {
 	}
 	if d := gw.DebugAddr(); d != "" {
 		fmt.Printf("merged fleet metrics on http://%s/debug/metrics\n", d)
-		if len(objectives) > 0 || *backendEvents != "" {
+		if len(objectives) > 0 || len(bases) > 0 {
 			fmt.Printf("fleet SLO events on http://%s/debug/events\n", d)
 		}
-		if *backendAudit != "" {
+		if len(bases) > 0 {
 			fmt.Printf("fleet audit proofs on http://%s/debug/audit\n", d)
 		}
 	}
@@ -496,8 +497,8 @@ func cmdInfer(args []string) error {
 		return err
 	}
 	defer edge.Close()
-	correct := 0
-	for i := 0; i < *n && i < sys.TestSize(); i++ {
+	correct, classified := 0, min(*n, sys.TestSize())
+	for i := 0; i < classified; i++ {
 		px, y := sys.TestSample(i)
 		got, err := edge.Classify(px)
 		if err != nil {
@@ -510,7 +511,7 @@ func cmdInfer(args []string) error {
 		}
 		fmt.Printf("sample %3d: predicted %2d, label %2d %s  trace %s\n", i, got, y, mark, edge.LastTrace())
 	}
-	fmt.Printf("accuracy: %d/%d\n", correct, *n)
+	fmt.Printf("accuracy: %d/%d\n", correct, classified)
 	if m := sys.PrivacyMonitor(); m != nil {
 		m.WriteSummary(os.Stdout)
 	}

@@ -3,11 +3,10 @@ package main
 // cmdTop is the live fleet dashboard: it polls one serve or gateway debug
 // endpoint (/debug/metrics + /debug/events) and renders per-backend QPS,
 // windowed latency quantiles, batch occupancy, the realized in-vivo 1/SNR,
-// and the active SLO alerts. Against a gateway with -backend-debug and
-// -backend-events configured, one `shredder top` watches the whole fleet.
+// and the active SLO alerts. Against a gateway with -backend-debug (one debug
+// base URL per backend), one `shredder top` watches the whole fleet.
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -53,26 +52,14 @@ func cmdTop(args []string) error {
 // SLO configured) degrades to a metrics-only frame rather than failing.
 func topFetch(client *http.Client, base string) (obs.Snapshot, []obs.Event, error) {
 	var snap obs.Snapshot
-	if err := topGet(client, base+"/debug/metrics", &snap); err != nil {
+	if err := obs.GetJSON(client, base+"/debug/metrics", &snap); err != nil {
 		return snap, nil, err
 	}
 	var events []obs.Event
-	if err := topGet(client, base+"/debug/events", &events); err != nil {
+	if err := obs.GetJSON(client, base+"/debug/events", &events); err != nil {
 		events = nil
 	}
 	return snap, events, nil
-}
-
-func topGet(client *http.Client, url string, into any) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: status %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(into)
 }
 
 // topRow is one serving process's line in the dashboard table: the local

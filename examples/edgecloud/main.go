@@ -128,7 +128,7 @@ func main() {
 	// slowed — hedged requests so the tail pays a fast backend's latency.
 	var pool *shredder.PoolHandle
 	if *backends > 1 {
-		popts := []splitrt.PoolOption{splitrt.WithPoolMetrics(reg)}
+		popts := []splitrt.PoolOption{splitrt.WithMetrics(reg)}
 		if *slowOne > 0 {
 			popts = append(popts, splitrt.WithHedging(0.9, 5*time.Millisecond))
 		}

@@ -424,7 +424,10 @@ func TestEvictionForgetsEveryTrace(t *testing.T) {
 }
 
 func TestProofTamperDetection(t *testing.T) {
-	a := New(Options{MaxBatch: 8})
+	// An idle auditor seals a record the moment it arrives. The slow anchor
+	// keeps it busy with the first, so the other four seal together and the
+	// proof below sits in a batch where a shifted index is another leaf.
+	a := New(Options{MaxBatch: 8, Ledger: WithLatency(NewMemLedger(), 50*time.Millisecond)})
 	for i := 0; i < 5; i++ {
 		if err := a.Append(testRecord(i)); err != nil {
 			t.Fatal(err)
@@ -456,6 +459,9 @@ func TestProofTamperDetection(t *testing.T) {
 	}
 
 	// Wrong index: the path no longer replays to the root.
+	if p.Count < 2 {
+		t.Fatalf("record sealed alone (batch of %d): the appends above took longer than the anchor", p.Count)
+	}
 	shifted := *p
 	shifted.Index = (p.Index + 1) % p.Count
 	if _, err := shifted.VerifyAgainst(roots); !errors.Is(err, ErrProofInvalid) {

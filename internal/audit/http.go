@@ -3,11 +3,12 @@ package audit
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"time"
+
+	"shredder/internal/obs"
 )
 
 // The /debug/audit surface, mirroring the obs merge design: a Source
@@ -59,19 +60,10 @@ type Source interface {
 }
 
 // LocalSource serves a process-local Auditor.
-type LocalSource struct {
-	Auditor *Auditor
-	// Name defaults to "local".
-	Name string
-}
+type LocalSource struct{ Auditor *Auditor }
 
 // Label implements Source.
-func (s LocalSource) Label() string {
-	if s.Name != "" {
-		return s.Name
-	}
-	return "local"
-}
+func (s LocalSource) Label() string { return "local" }
 
 // Status implements Source.
 func (s LocalSource) Status() (Status, error) {
@@ -103,22 +95,15 @@ func ParseTrace(s string) (uint64, error) {
 }
 
 // HTTPSource fetches audit evidence from a peer's /debug/audit
-// endpoint — how a gateway reaches each backend's ledger, the exact
-// analogue of obs.HTTPSnapshotSource.
+// endpoint — how a gateway reaches each backend's ledger, the audit side
+// of the obs.HTTPSource fan-out.
 type HTTPSource struct {
 	// Name labels the peer in merged output.
 	Name string
 	// Base is the peer's audit endpoint, e.g. "http://host:port/debug/audit".
 	Base string
-	// Client defaults to a 2-second-timeout client.
+	// Client defaults to obs.GetJSON's 2-second-timeout client.
 	Client *http.Client
-}
-
-func (s HTTPSource) client() *http.Client {
-	if s.Client != nil {
-		return s.Client
-	}
-	return &http.Client{Timeout: 2 * time.Second}
 }
 
 // Label implements Source.
@@ -127,43 +112,28 @@ func (s HTTPSource) Label() string { return s.Name }
 // Status implements Source.
 func (s HTTPSource) Status() (Status, error) {
 	var st Status
-	if err := s.getJSON(s.Base, &st); err != nil {
-		return Status{}, err
-	}
-	return st, nil
+	err := s.get("", &st)
+	return st, err
 }
 
 // Proof implements Source. A peer 404 means "not held here".
 func (s HTTPSource) Proof(traceHex string) (*InclusionProof, bool, error) {
-	resp, err := s.client().Get(s.Base + "?trace=" + traceHex)
-	if err != nil {
-		return nil, false, fmt.Errorf("audit: fetch proof from %s: %w", s.Name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
-		return nil, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("audit: peer %s returned %s", s.Name, resp.Status)
-	}
 	var p InclusionProof
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
-		return nil, false, fmt.Errorf("audit: decode proof from %s: %w", s.Name, err)
+	switch err := s.get("?trace="+traceHex, &p); {
+	case errors.Is(err, obs.ErrNotFound):
+		return nil, false, nil
+	case err != nil:
+		return nil, false, err
 	}
 	return &p, true, nil
 }
 
-func (s HTTPSource) getJSON(url string, dst any) error {
-	resp, err := s.client().Get(url)
-	if err != nil {
-		return fmt.Errorf("audit: fetch %s: %w", s.Name, err)
+// get decodes the JSON the peer's audit endpoint serves for query.
+func (s HTTPSource) get(query string, dst any) error {
+	if err := obs.GetJSON(s.Client, s.Base+query, dst); err != nil {
+		return fmt.Errorf("audit: fetch from %s: %w", s.Name, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("audit: peer %s returned %s", s.Name, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(dst)
+	return nil
 }
 
 // Handler serves the audit endpoint over the given sources. Proof
@@ -270,7 +240,7 @@ func FetchProof(base, traceHex string, client *http.Client) (*InclusionProof, er
 func FetchRoots(base string, client *http.Client) ([]AnchoredRoot, error) {
 	src := HTTPSource{Name: base, Base: base, Client: client}
 	var rows []RootJSON
-	if err := src.getJSON(base+"?view=roots", &rows); err != nil {
+	if err := src.get("?view=roots", &rows); err != nil {
 		return nil, err
 	}
 	out := make([]AnchoredRoot, 0, len(rows))

@@ -91,7 +91,7 @@ func TestProfileMatchesForwardShapes(t *testing.T) {
 	x := ds.Images
 	var cur = x
 	for i := 0; i < net.Len(); i++ {
-		cur = net.Layer(i).Forward(cur, false)
+		cur = net.Layer(i).ForwardT(nil, cur, false)
 		if cur.Len() != prof[i].OutVals {
 			t.Fatalf("layer %s: forward size %d != profiled %d", net.Layer(i).Name(), cur.Len(), prof[i].OutVals)
 		}

@@ -27,7 +27,7 @@ func TestAllSpecsBuildAndRun(t *testing.T) {
 			}
 			// A forward pass on a real batch must produce finite logits.
 			ds := spec.Dataset.Generate(4, 2)
-			logits := net.Forward(ds.Images, false)
+			logits := net.ForwardT(nil, ds.Images, false)
 			if !logits.AllFinite() {
 				t.Fatalf("%s produced non-finite logits", spec.Name)
 			}
@@ -165,8 +165,8 @@ func TestTrainCachedRoundTrip(t *testing.T) {
 	}
 	// Second run must load identical weights (same forward outputs).
 	x := first.Test.Images.Slice(0).Reshape(1, 1, 28, 28)
-	a := first.Net.Forward(x, false)
-	b := second.Net.Forward(x, false)
+	a := first.Net.ForwardT(nil, x, false)
+	b := second.Net.ForwardT(nil, x, false)
 	if !tensor.AllClose(a, b, 1e-12) {
 		t.Fatal("cached weights differ from trained weights")
 	}

@@ -204,16 +204,19 @@ func (p *Pretrained) train() (*Pretrained, error) {
 	}
 	cfg, net := p.Config, p.Net
 	opt := optim.NewAdam(net.Params(), cfg.LR)
+	// No RNG on the tape: Dropout draws from the generator it was built with.
+	tape := nn.NewTape()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		shuffled := p.Train.Shuffle(cfg.Seed + int64(3000+epoch))
 		var epochLoss float64
 		batches := shuffled.Batches(cfg.BatchSize)
 		for _, b := range batches {
 			net.ZeroGrad()
-			logits := net.Forward(b.Images, true)
+			tape.Reset()
+			logits := net.ForwardT(tape, b.Images, true)
 			loss, grad := nn.CrossEntropy(logits, b.Labels)
 			epochLoss += loss
-			net.Backward(grad)
+			net.BackwardT(tape, grad)
 			opt.Step()
 		}
 		if cfg.Progress != nil {

@@ -1,0 +1,50 @@
+package model
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+
+	"shredder/internal/nn"
+)
+
+// weightDigest is the SHA-256 of every parameter of net, in layer order, as
+// little-endian float64 bits.
+func weightDigest(net *nn.Sequential) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, p := range net.Params() {
+		for _, v := range p.Value.Data() {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTrainPinned holds pre-training to digests recorded when every layer
+// still kept a tape of its own and Train ran the struct-held-tape
+// Forward/Backward: one tape owned by train gives the same weights bit for
+// bit, Dropout's construction-time generator included (cifar).
+func TestTrainPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		cfg  TrainConfig
+		want string
+	}{
+		{LeNet(), TrainConfig{TrainN: 96, TestN: 16, Epochs: 2, Seed: 11},
+			"2bee40ca9a4c54620608a464fe782ab5aec91f9ddb220afcd34241300de82564"},
+		{CifarNet(), TrainConfig{TrainN: 48, TestN: 8, Epochs: 2, BatchSize: 16, Seed: 12},
+			"75468b330d67b6f39736a4acae7f6e0d34714b4842921f43906e91a6f896d810"},
+	} {
+		pre, err := Train(tc.spec, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := weightDigest(pre.Net); got != tc.want {
+			t.Errorf("%s: trained weights digest %s, want %s", tc.spec.Name, got, tc.want)
+		}
+	}
+}

@@ -9,7 +9,6 @@ import (
 // exactly where in>0), so the tape costs no extra storage.
 type ReLU struct {
 	name string
-	tape Tape // backs the legacy Forward/Backward API
 }
 
 // NewReLU constructs a ReLU activation layer.
@@ -37,12 +36,6 @@ func (r *ReLU) ForwardT(tape *Tape, x *tensor.Tensor, train bool) *tensor.Tensor
 	return out
 }
 
-// Forward implements Layer (legacy wrapper over the struct-held tape).
-func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	r.tape.Reset()
-	return r.ForwardT(&r.tape, x, train)
-}
-
 // BackwardT implements Layer.
 func (r *ReLU) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
 	fwd := tape.pop(r).(*tensor.Tensor)
@@ -59,19 +52,10 @@ func (r *ReLU) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer (legacy wrapper over the struct-held tape).
-func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if r.tape.Len() == 0 {
-		panic("nn: ReLU.Backward before Forward")
-	}
-	return r.BackwardT(&r.tape, grad)
-}
-
 // Flatten reshapes [N, ...] to [N, D]. It exists so that cutting points can
 // fall on either side of the features/classifier boundary the paper uses.
 type Flatten struct {
 	name string
-	tape Tape // backs the legacy Forward/Backward API
 }
 
 // NewFlatten constructs a flatten layer.
@@ -93,24 +77,10 @@ func (f *Flatten) ForwardT(tape *Tape, x *tensor.Tensor, train bool) *tensor.Ten
 	return x.Reshape(x.Dim(0), -1)
 }
 
-// Forward implements Layer (legacy wrapper over the struct-held tape).
-func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.tape.Reset()
-	return f.ForwardT(&f.tape, x, train)
-}
-
 // BackwardT implements Layer.
 func (f *Flatten) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
 	shape := tape.pop(f).([]int)
 	return grad.Reshape(shape...)
-}
-
-// Backward implements Layer (legacy wrapper over the struct-held tape).
-func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if f.tape.Len() == 0 {
-		panic("nn: Flatten.Backward before Forward")
-	}
-	return f.BackwardT(&f.tape, grad)
 }
 
 // Dropout zeroes a fraction p of activations during training and scales the
@@ -122,7 +92,6 @@ type Dropout struct {
 	name string
 	P    float64
 	rng  *tensor.RNG
-	tape Tape // backs the legacy Forward/Backward API
 }
 
 // NewDropout constructs a dropout layer with drop probability p.
@@ -167,12 +136,6 @@ func (d *Dropout) ForwardT(tape *Tape, x *tensor.Tensor, train bool) *tensor.Ten
 	return out
 }
 
-// Forward implements Layer (legacy wrapper over the struct-held tape).
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	d.tape.Reset()
-	return d.ForwardT(&d.tape, x, train)
-}
-
 // BackwardT implements Layer.
 func (d *Dropout) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
 	mask := tape.pop(d).(*tensor.Tensor)
@@ -186,12 +149,4 @@ func (d *Dropout) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
 	}
 	tensor.PutScratch(mask)
 	return out
-}
-
-// Backward implements Layer (legacy wrapper over the struct-held tape).
-func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if d.tape.Len() == 0 {
-		panic("nn: Dropout.Backward before Forward")
-	}
-	return d.BackwardT(&d.tape, grad)
 }

@@ -29,8 +29,6 @@ type BatchNorm2D struct {
 
 	runningMean []float64
 	runningVar  []float64
-
-	tape Tape // backs the legacy Forward/Backward API
 }
 
 // batchNormState is the tape record of one training-mode forward pass. A
@@ -137,12 +135,6 @@ func (bn *BatchNorm2D) ForwardT(tape *Tape, x *tensor.Tensor, train bool) *tenso
 	return out
 }
 
-// Forward implements Layer (legacy wrapper over the struct-held tape).
-func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	bn.tape.Reset()
-	return bn.ForwardT(&bn.tape, x, train)
-}
-
 // normalizeRunning applies the running-statistics affine normalization,
 // reading only immutable-at-inference layer state.
 func (bn *BatchNorm2D) normalizeRunning(xd, od []float64, n, hw int) {
@@ -205,12 +197,4 @@ func (bn *BatchNorm2D) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor
 		}
 	}
 	return dx
-}
-
-// Backward implements Layer (legacy wrapper over the struct-held tape).
-func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if bn.tape.Len() == 0 {
-		panic("nn: BatchNorm2D.Backward before training-mode Forward")
-	}
-	return bn.BackwardT(&bn.tape, grad)
 }

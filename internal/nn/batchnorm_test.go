@@ -11,7 +11,7 @@ func TestBatchNormNormalizesTrainingBatch(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	bn := NewBatchNorm2D("bn", 3)
 	x := rng.FillNormal(tensor.New(4, 3, 5, 5), 7, 3) // far from standard
-	y := bn.Forward(x, true)
+	y := bn.ForwardT(nil, x, true)
 	// With γ=1, β=0 the per-channel output must be ~N(0,1).
 	n, hw := 4, 25
 	for c := 0; c < 3; c++ {
@@ -40,7 +40,7 @@ func TestBatchNormAffineApplies(t *testing.T) {
 	bn.Gamma.Value.CopyFrom(tensor.From([]float64{2, 3}, 2))
 	bn.Beta.Value.CopyFrom(tensor.From([]float64{-1, 5}, 2))
 	x := rng.FillNormal(tensor.New(3, 2, 4, 4), 0, 1)
-	y := bn.Forward(x, true)
+	y := bn.ForwardT(nil, x, true)
 	// Channel 0 output mean ≈ β₀ = −1, std ≈ γ₀ = 2.
 	hw := 16
 	var sum, sq float64
@@ -65,12 +65,12 @@ func TestBatchNormRunningStatsUsedAtInference(t *testing.T) {
 	// distribution N(5, 4).
 	for i := 0; i < 200; i++ {
 		x := rng.FillNormal(tensor.New(8, 2, 3, 3), 5, 2)
-		bn.Forward(x, true)
+		bn.ForwardT(nil, x, true)
 	}
 	// At inference a single constant input should be normalized by the
 	// running stats, not its own (zero-variance) batch stats.
 	x := tensor.New(1, 2, 3, 3).Fill(5)
-	y := bn.Forward(x, false)
+	y := bn.ForwardT(nil, x, false)
 	if y.MaxAbs() > 0.2 {
 		t.Fatalf("inference normalization off: output %v", y.MaxAbs())
 	}
@@ -87,12 +87,13 @@ func TestBatchNormGradCheck(t *testing.T) {
 	// for batch norm (different normalization path). Check manually with
 	// training-mode finite differences instead.
 	w := rng.FillNormal(tensor.New(3, 2, 3, 3), 0, 1)
-	loss := func() float64 { return tensor.Dot(bn.Forward(x, true), w) }
+	loss := func() float64 { return tensor.Dot(bn.ForwardT(nil, x, true), w) }
 
 	bn.Gamma.ZeroGrad()
 	bn.Beta.ZeroGrad()
-	bn.Forward(x, true)
-	dx := bn.Backward(w)
+	tape := NewTape()
+	bn.ForwardT(tape, x, true)
+	dx := bn.BackwardT(tape, w)
 
 	eps := 1e-5
 	xd := x.Data()
@@ -132,7 +133,7 @@ func TestBatchNormBackwardBeforeForwardPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	bn.Backward(tensor.New(1, 1, 2, 2))
+	bn.BackwardT(NewTape(), tensor.New(1, 1, 2, 2))
 }
 
 func TestBatchNormInSequentialTrains(t *testing.T) {
@@ -154,13 +155,14 @@ func TestBatchNormInSequentialTrains(t *testing.T) {
 	lr := 0.01
 	for epoch := 0; epoch < 80; epoch++ {
 		net.ZeroGrad()
-		logits := net.Forward(x, true)
+		tape := NewTape()
+		logits := net.ForwardT(tape, x, true)
 		loss, grad := CrossEntropy(logits, labels)
 		if epoch == 0 {
 			first = loss
 		}
 		last = loss
-		net.Backward(grad)
+		net.BackwardT(tape, grad)
 		for _, p := range net.Params() {
 			p.Value.AddScaled(-lr, p.Grad)
 		}

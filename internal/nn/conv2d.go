@@ -15,7 +15,6 @@ type Conv2D struct {
 	KH, KW      int
 	Stride, Pad int
 	W, B        *Param
-	tape        Tape // backs the legacy Forward/Backward API
 }
 
 // convState is the tape record of one Conv2D forward pass.
@@ -68,12 +67,6 @@ func (c *Conv2D) ForwardT(tape *Tape, x *tensor.Tensor, train bool) *tensor.Tens
 	g := c.geom(x.Shape()[1:])
 	tape.push(c, convState{in: x, geom: g, outH: g.OutH(), outW: g.OutW()})
 	return c.compute(x, g)
-}
-
-// Forward implements Layer (legacy wrapper over the struct-held tape).
-func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	c.tape.Reset()
-	return c.ForwardT(&c.tape, x, train)
 }
 
 // compute runs the im2col-lowered convolution over a batch. It reads only
@@ -168,14 +161,6 @@ func (c *Conv2D) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return dx
-}
-
-// Backward implements Layer (legacy wrapper over the struct-held tape).
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.tape.Len() == 0 {
-		panic("nn: Conv2D.Backward before Forward")
-	}
-	return c.BackwardT(&c.tape, grad)
 }
 
 // MACs returns the multiply-accumulate count of one forward pass over a

@@ -9,49 +9,30 @@ import (
 
 // gradCheckLayer verifies a layer's backward pass against central finite
 // differences. It uses loss = Σ w⊙Forward(x) with random w, so the analytic
-// gradient is Backward(w), and checks both the input gradient and every
-// parameter gradient. The same gradients are then recomputed through an
-// explicit tape (ForwardT/BackwardT) and must match the legacy path
-// bitwise, and a frozen tape must leave every parameter gradient untouched.
+// gradient is BackwardT(w), and checks both the input gradient and every
+// parameter gradient. A frozen tape must give the same input gradient
+// bitwise and leave every parameter gradient untouched.
 func gradCheckLayer(t *testing.T, l Layer, x *tensor.Tensor, eps, tol float64, seed int64) {
 	t.Helper()
 	rng := tensor.NewRNG(seed)
 
-	out := l.Forward(x, true)
+	tape := NewTape()
+	out := l.ForwardT(tape, x, true)
 	w := rng.FillNormal(tensor.New(out.Shape()...), 0, 1)
 
 	for _, p := range l.Params() {
 		p.ZeroGrad()
 	}
-	dx := l.Backward(w)
+	dx := l.BackwardT(tape, w)
 
 	loss := func() float64 {
-		return tensor.Dot(l.Forward(x, false), w)
-	}
-
-	// Tape path: identical math, explicit execution context.
-	legacyGrads := make([]*tensor.Tensor, len(l.Params()))
-	for i, p := range l.Params() {
-		legacyGrads[i] = p.Grad.Clone()
-		p.ZeroGrad()
-	}
-	tape := NewTape()
-	outT := l.ForwardT(tape, x, true)
-	if !tensor.Equal(outT, out) {
-		t.Fatalf("%s: tape ForwardT diverges from legacy Forward", l.Name())
-	}
-	dxT := l.BackwardT(tape, w)
-	if !tensor.Equal(dxT, dx) {
-		t.Fatalf("%s: tape BackwardT input grad diverges from legacy Backward", l.Name())
-	}
-	for i, p := range l.Params() {
-		if !tensor.Equal(p.Grad, legacyGrads[i]) {
-			t.Fatalf("%s: tape param %s grad diverges from legacy path", l.Name(), p.Name)
-		}
+		return tensor.Dot(l.ForwardT(nil, x, false), w)
 	}
 
 	// Frozen tape: same input gradient, zero parameter gradients.
-	for _, p := range l.Params() {
+	grads := make([]*tensor.Tensor, len(l.Params()))
+	for i, p := range l.Params() {
+		grads[i] = p.Grad.Clone()
 		p.ZeroGrad()
 	}
 	frozen := NewFrozenTape()
@@ -67,9 +48,9 @@ func gradCheckLayer(t *testing.T, l Layer, x *tensor.Tensor, eps, tol float64, s
 		}
 	}
 
-	// Restore the legacy-path gradients for the finite-difference check.
+	// Restore the recording tape's gradients for the finite-difference check.
 	for i, p := range l.Params() {
-		p.Grad.CopyFrom(legacyGrads[i])
+		p.Grad.CopyFrom(grads[i])
 	}
 
 	// Input gradient. Checking every element is O(|x|) forwards; keep the
@@ -237,15 +218,16 @@ func TestSequentialGradCheck(t *testing.T) {
 	labels := []int{1, 2}
 
 	lossOf := func() float64 {
-		logits := net.Forward(x, false)
+		logits := net.ForwardT(nil, x, false)
 		l, _ := CrossEntropy(logits, labels)
 		return l
 	}
 
 	net.ZeroGrad()
-	logits := net.Forward(x, true)
+	tape := NewTape()
+	logits := net.ForwardT(tape, x, true)
 	_, grad := CrossEntropy(logits, labels)
-	dx := net.Backward(grad)
+	dx := net.BackwardT(tape, grad)
 
 	eps := 1e-5
 	xd := x.Data()

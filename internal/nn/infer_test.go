@@ -24,7 +24,7 @@ func inferCases(rng *tensor.RNG) []struct {
 	flat := rng.FillNormal(tensor.New(2, 192), 0, 1)
 	bn := NewBatchNorm2D("bn", 3)
 	// Give batch norm non-trivial running stats via a training pass.
-	bn.Forward(rng.FillNormal(tensor.New(4, 3, 8, 8), 0.5, 2), true)
+	bn.ForwardT(nil, rng.FillNormal(tensor.New(4, 3, 8, 8), 0.5, 2), true)
 	return []struct {
 		name  string
 		layer Layer
@@ -44,7 +44,7 @@ func inferCases(rng *tensor.RNG) []struct {
 
 func TestInferMatchesInferenceForward(t *testing.T) {
 	for _, tc := range inferCases(tensor.NewRNG(11)) {
-		want := tc.layer.Forward(tc.x, false)
+		want := tc.layer.ForwardT(nil, tc.x, false)
 		got := tc.layer.ForwardT(nil, tc.x, false)
 		if !tensor.AllClose(got, want, 0) {
 			t.Errorf("%s: nil-tape ForwardT diverges from Forward(x, false)", tc.name)
@@ -59,17 +59,18 @@ func TestInferDoesNotDisturbTrainingState(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	conv := NewConv2D("conv", 3, 4, 3, 3, 1, 1, rng)
 	x := rng.FillNormal(tensor.New(2, 3, 8, 8), 0, 1)
-	out := conv.Forward(x, true)
+	tape := NewTape()
+	out := conv.ForwardT(tape, x, true)
 	g := rng.FillNormal(tensor.New(out.Shape()...), 0, 1)
-	wantDx := conv.Backward(g).Clone()
+	wantDx := conv.BackwardT(tape, g).Clone()
 	conv.W.Grad.Zero()
 	conv.B.Grad.Zero()
 
 	// An interleaved nil-tape inference (e.g. a serving goroutine) must not
 	// corrupt the Forward→Backward pairing of a concurrent training loop.
-	conv.Forward(x, true)
+	conv.ForwardT(tape, x, true)
 	conv.ForwardT(nil, rng.FillNormal(tensor.New(5, 3, 8, 8), 0, 1), false)
-	gotDx := conv.Backward(g)
+	gotDx := conv.BackwardT(tape, g)
 	if !tensor.AllClose(gotDx, wantDx, 0) {
 		t.Fatal("Infer between Forward and Backward corrupted the backward pass")
 	}
@@ -95,7 +96,7 @@ func TestSequentialInferConcurrent(t *testing.T) {
 		NewLinear("fc", 54, 10, rng),
 	)
 	// Populate batch-norm running stats, then freeze for inference.
-	net.Forward(rng.FillNormal(tensor.New(4, 1, 12, 12), 0, 1), true)
+	net.ForwardT(nil, rng.FillNormal(tensor.New(4, 1, 12, 12), 0, 1), true)
 
 	x := rng.FillNormal(tensor.New(2, 1, 12, 12), 0, 1)
 	want := net.ForwardT(nil, x, false)

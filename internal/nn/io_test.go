@@ -36,7 +36,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("Load: %v, %v; want %v", norm, err, testNorm)
 	}
 	x := tensor.NewRNG(3).FillNormal(tensor.New(2, 1, 4, 4), 0, 1)
-	if !tensor.AllClose(src.Forward(x, false), dst.Forward(x, false), 1e-12) {
+	if !tensor.AllClose(src.ForwardT(nil, x, false), dst.ForwardT(nil, x, false), 1e-12) {
 		t.Fatal("loaded network differs from saved network")
 	}
 }
@@ -84,7 +84,7 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Fatalf("LoadFile: %v, %v; want %v", norm, err, testNorm)
 	}
 	x := tensor.NewRNG(7).FillNormal(tensor.New(1, 1, 4, 4), 0, 1)
-	if !tensor.AllClose(src.Forward(x, false), dst.Forward(x, false), 1e-12) {
+	if !tensor.AllClose(src.ForwardT(nil, x, false), dst.ForwardT(nil, x, false), 1e-12) {
 		t.Fatal("file round trip changed parameters")
 	}
 	if _, err := LoadFile(dst, filepath.Join(dir, "missing.gob")); err == nil {

@@ -52,12 +52,6 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // nothing and is safe for unbounded concurrent use. BackwardT consumes the
 // tape entry its matching ForwardT pushed, returns ∂loss/∂input, and
 // accumulates parameter gradients unless the tape is in FrozenParams mode.
-//
-// Forward and Backward are thin legacy wrappers over a tape held on the
-// layer struct: Forward resets that tape and delegates to ForwardT,
-// Backward delegates to BackwardT. They preserve the historic
-// one-in-flight-pass-per-layer API (and its non-reentrancy); new code
-// should pass tapes explicitly.
 type Layer interface {
 	// Name identifies the layer within a model (e.g. "conv2"); cutting
 	// points are addressed by layer name.
@@ -70,11 +64,6 @@ type Layer interface {
 	// and returns ∂loss/∂input, accumulating parameter gradients unless
 	// tape.FrozenParams is set.
 	BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor
-	// Forward is ForwardT over the layer's struct-held tape (legacy API,
-	// not safe for concurrent use).
-	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
-	// Backward is BackwardT over the layer's struct-held tape (legacy API).
-	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's trainable parameters (nil if none).
 	Params() []*Param
 	// OutShape maps a per-sample input shape (without the batch dim) to the

@@ -18,7 +18,7 @@ func TestConv2DKnownValues(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	}, 1, 1, 3, 3)
-	out := c.Forward(x, false)
+	out := c.ForwardT(nil, x, false)
 	// window(0,0)=1+4+12+20=37, +10=47, etc.
 	want := tensor.From([]float64{47, 57, 77, 87}, 1, 1, 2, 2)
 	if !tensor.AllClose(out, want, 1e-12) {
@@ -43,7 +43,7 @@ func TestConv2DWrongChannelsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.Forward(tensor.New(1, 2, 8, 8), false)
+	c.ForwardT(nil, tensor.New(1, 2, 8, 8), false)
 }
 
 func TestConv2DMACs(t *testing.T) {
@@ -61,7 +61,7 @@ func TestLinearKnownValues(t *testing.T) {
 	l.W.Value.CopyFrom(tensor.From([]float64{1, 0, -1, 2, 2, 2}, 2, 3))
 	l.B.Value.CopyFrom(tensor.From([]float64{0.5, -0.5}, 2))
 	x := tensor.From([]float64{1, 2, 3}, 1, 3)
-	out := l.Forward(x, false)
+	out := l.ForwardT(nil, x, false)
 	want := tensor.From([]float64{1 - 3 + 0.5, 2 + 4 + 6 - 0.5}, 1, 2)
 	if !tensor.AllClose(out, want, 1e-12) {
 		t.Fatalf("linear out = %v, want %v", out, want)
@@ -71,7 +71,7 @@ func TestLinearKnownValues(t *testing.T) {
 func TestLinearAcceptsSpatialInput(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	l := NewLinear("fc", 12, 4, rng)
-	out := l.Forward(tensor.New(2, 3, 2, 2), false)
+	out := l.ForwardT(nil, tensor.New(2, 3, 2, 2), false)
 	if !tensor.ShapeEq(out.Shape(), []int{2, 4}) {
 		t.Fatalf("out shape = %v", out.Shape())
 	}
@@ -80,7 +80,7 @@ func TestLinearAcceptsSpatialInput(t *testing.T) {
 func TestReLUForward(t *testing.T) {
 	r := NewReLU("relu")
 	x := tensor.From([]float64{-1, 0, 2, -3}, 1, 4)
-	out := r.Forward(x, false)
+	out := r.ForwardT(nil, x, false)
 	if !tensor.Equal(out, tensor.From([]float64{0, 0, 2, 0}, 1, 4)) {
 		t.Fatalf("relu = %v", out)
 	}
@@ -94,14 +94,15 @@ func TestMaxPoolForwardAndRouting(t *testing.T) {
 		9, 1, 2, 2,
 		1, 1, 2, 3,
 	}, 1, 1, 4, 4)
-	out := p.Forward(x, true)
+	tape := NewTape()
+	out := p.ForwardT(tape, x, true)
 	want := tensor.From([]float64{4, 8, 9, 3}, 1, 1, 2, 2)
 	if !tensor.Equal(out, want) {
 		t.Fatalf("maxpool = %v, want %v", out, want)
 	}
 	// Gradient routes only to argmax positions.
 	g := tensor.From([]float64{10, 20, 30, 40}, 1, 1, 2, 2)
-	dx := p.Backward(g)
+	dx := p.BackwardT(tape, g)
 	wantDx := tensor.From([]float64{
 		0, 0, 0, 0,
 		0, 10, 0, 20,
@@ -121,7 +122,7 @@ func TestAvgPoolForward(t *testing.T) {
 		1, 1, 1, 1,
 		1, 1, 1, 1,
 	}, 1, 1, 4, 4)
-	out := p.Forward(x, false)
+	out := p.ForwardT(nil, x, false)
 	want := tensor.From([]float64{3.5, 5.5, 1, 1}, 1, 1, 2, 2)
 	if !tensor.Equal(out, want) {
 		t.Fatalf("avgpool = %v, want %v", out, want)
@@ -132,11 +133,12 @@ func TestDropoutTrainVsEval(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	d := NewDropout("drop", 0.5, rng)
 	x := tensor.New(1, 1000).Fill(1)
-	evalOut := d.Forward(x, false)
+	evalOut := d.ForwardT(nil, x, false)
 	if !tensor.Equal(evalOut, x) {
 		t.Fatal("dropout must be identity at inference")
 	}
-	trainOut := d.Forward(x, true)
+	tape := NewTape()
+	trainOut := d.ForwardT(tape, x, true)
 	zeros := 0
 	for _, v := range trainOut.Data() {
 		if v == 0 {
@@ -150,7 +152,7 @@ func TestDropoutTrainVsEval(t *testing.T) {
 	}
 	// Backward applies the same mask.
 	g := tensor.New(1, 1000).Fill(1)
-	dx := d.Backward(g)
+	dx := d.BackwardT(tape, g)
 	for i, v := range trainOut.Data() {
 		if (v == 0) != (dx.Data()[i] == 0) {
 			t.Fatal("backward mask does not match forward mask")
@@ -171,12 +173,13 @@ func TestFlattenRoundTrip(t *testing.T) {
 	f := NewFlatten("flat")
 	rng := tensor.NewRNG(8)
 	x := rng.FillNormal(tensor.New(3, 2, 4, 4), 0, 1)
-	y := f.Forward(x, true)
+	tape := NewTape()
+	y := f.ForwardT(tape, x, true)
 	if !tensor.ShapeEq(y.Shape(), []int{3, 32}) {
 		t.Fatalf("flatten shape = %v", y.Shape())
 	}
 	g := rng.FillNormal(tensor.New(3, 32), 0, 1)
-	dx := f.Backward(g)
+	dx := f.BackwardT(tape, g)
 	if !tensor.ShapeEq(dx.Shape(), []int{3, 2, 4, 4}) {
 		t.Fatalf("flatten grad shape = %v", dx.Shape())
 	}
@@ -186,7 +189,7 @@ func TestLRNReducesMagnitude(t *testing.T) {
 	l := NewLocalResponseNorm("lrn", 5, 2, 1, 0.75)
 	rng := tensor.NewRNG(9)
 	x := rng.FillNormal(tensor.New(1, 8, 3, 3), 0, 3)
-	y := l.Forward(x, false)
+	y := l.ForwardT(nil, x, false)
 	if y.MaxAbs() >= x.MaxAbs() {
 		t.Fatal("LRN with k>1 should shrink activations")
 	}
@@ -281,10 +284,10 @@ func TestSequentialForwardRangeComposition(t *testing.T) {
 		NewLinear("fc", 2*3*3, 5, rng),
 	)
 	x := rng.FillNormal(tensor.New(2, 1, 6, 6), 0, 1)
-	full := s.Forward(x, false)
+	full := s.ForwardT(nil, x, false)
 	cut := 3
-	a := s.ForwardRange(x, 0, cut, false)
-	y := s.ForwardRange(a, cut, s.Len(), false)
+	a := s.ForwardRangeT(nil, x, 0, cut, false)
+	y := s.ForwardRangeT(nil, a, cut, s.Len(), false)
 	if !tensor.AllClose(full, y, 1e-12) {
 		t.Fatal("ForwardRange composition != full Forward")
 	}
@@ -330,7 +333,7 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 					t.Errorf("%s: Backward before Forward should panic", l.Name())
 				}
 			}()
-			l.Backward(tensor.New(1, 1))
+			l.BackwardT(NewTape(), tensor.New(1, 1))
 		}()
 	}
 }

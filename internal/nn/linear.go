@@ -12,7 +12,6 @@ type Linear struct {
 	name    string
 	In, Out int
 	W, B    *Param
-	tape    Tape // backs the legacy Forward/Backward API
 }
 
 // NewLinear constructs a fully-connected layer with Xavier-initialized
@@ -49,12 +48,6 @@ func (l *Linear) ForwardT(tape *Tape, x *tensor.Tensor, train bool) *tensor.Tens
 	return l.compute(x2)
 }
 
-// Forward implements Layer (legacy wrapper over the struct-held tape).
-func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.tape.Reset()
-	return l.ForwardT(&l.tape, x, train)
-}
-
 // compute reads only the layer's parameters, never mutable layer state.
 func (l *Linear) compute(x2 *tensor.Tensor) *tensor.Tensor {
 	n := x2.Dim(0)
@@ -88,14 +81,6 @@ func (l *Linear) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return tensor.MatMul(g2, l.W.Value) // [N, In]
-}
-
-// Backward implements Layer (legacy wrapper over the struct-held tape).
-func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if l.tape.Len() == 0 {
-		panic("nn: Linear.Backward before Forward")
-	}
-	return l.BackwardT(&l.tape, grad)
 }
 
 // MACs returns the multiply-accumulate count of one forward pass over a

@@ -20,7 +20,6 @@ type LocalResponseNorm struct {
 	N           int // window size in channels
 	K           float64
 	Alpha, Beta float64
-	tape        Tape // backs the legacy Forward/Backward API
 }
 
 // lrnState is the tape record of one forward pass: the input and the
@@ -105,12 +104,6 @@ func (l *LocalResponseNorm) ForwardT(tape *Tape, x *tensor.Tensor, train bool) *
 	return out
 }
 
-// Forward implements Layer (legacy wrapper over the struct-held tape).
-func (l *LocalResponseNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.tape.Reset()
-	return l.ForwardT(&l.tape, x, train)
-}
-
 // BackwardT implements Layer.
 func (l *LocalResponseNorm) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
 	st := tape.pop(l).(lrnState)
@@ -159,12 +152,4 @@ func (l *LocalResponseNorm) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.T
 		}
 	})
 	return dx
-}
-
-// Backward implements Layer (legacy wrapper over the struct-held tape).
-func (l *LocalResponseNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if l.tape.Len() == 0 {
-		panic("nn: LRN.Backward before Forward")
-	}
-	return l.BackwardT(&l.tape, grad)
 }

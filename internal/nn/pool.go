@@ -11,7 +11,6 @@ import (
 type MaxPool2D struct {
 	name      string
 	K, Stride int
-	tape      Tape // backs the legacy Forward/Backward API
 }
 
 // maxPoolState is the tape record of one MaxPool2D forward pass.
@@ -60,12 +59,6 @@ func (m *MaxPool2D) ForwardT(tape *Tape, x *tensor.Tensor, train bool) *tensor.T
 	out := m.compute(x, oh, ow, argmax)
 	tape.push(m, maxPoolState{shape: append([]int(nil), x.Shape()...), argmax: argmax})
 	return out
-}
-
-// Forward implements Layer (legacy wrapper over the struct-held tape).
-func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	m.tape.Reset()
-	return m.ForwardT(&m.tape, x, train)
 }
 
 // compute runs the window sweep; when argmax is non-nil it records the flat
@@ -117,19 +110,10 @@ func (m *MaxPool2D) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// Backward implements Layer (legacy wrapper over the struct-held tape).
-func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if m.tape.Len() == 0 {
-		panic("nn: MaxPool2D.Backward before Forward")
-	}
-	return m.BackwardT(&m.tape, grad)
-}
-
 // AvgPool2D applies average pooling over [N, C, H, W] inputs.
 type AvgPool2D struct {
 	name      string
 	K, Stride int
-	tape      Tape // backs the legacy Forward/Backward API
 }
 
 // NewAvgPool2D constructs an average-pooling layer with a square window.
@@ -191,12 +175,6 @@ func (a *AvgPool2D) ForwardT(tape *Tape, x *tensor.Tensor, train bool) *tensor.T
 	return out
 }
 
-// Forward implements Layer (legacy wrapper over the struct-held tape).
-func (a *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	a.tape.Reset()
-	return a.ForwardT(&a.tape, x, train)
-}
-
 // BackwardT implements Layer.
 func (a *AvgPool2D) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
 	shape := tape.pop(a).([]int)
@@ -228,12 +206,4 @@ func (a *AvgPool2D) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return dx
-}
-
-// Backward implements Layer (legacy wrapper over the struct-held tape).
-func (a *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if a.tape.Len() == 0 {
-		panic("nn: AvgPool2D.Backward before Forward")
-	}
-	return a.BackwardT(&a.tape, grad)
 }

@@ -55,8 +55,8 @@ func TestPropertyReLUIdempotent(t *testing.T) {
 		rng := tensor.NewRNG(seed)
 		r := NewReLU("r")
 		x := rng.FillNormal(tensor.New(2, 9), 0, 2)
-		once := r.Forward(x, false)
-		twice := r.Forward(once, false)
+		once := r.ForwardT(nil, x, false)
+		twice := r.ForwardT(nil, once, false)
 		return tensor.Equal(once, twice)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -73,9 +73,9 @@ func TestPropertyLinearIsAffine(t *testing.T) {
 		y := rng.FillNormal(tensor.New(1, 5), 0, 1)
 		alpha, beta := rng.Uniform(-2, 2), rng.Uniform(-2, 2)
 		mix := tensor.Add(x.Clone().Scale(alpha), y.Clone().Scale(beta))
-		lhs := l.Forward(mix, false)
-		fx := l.Forward(x, false).Clone().Scale(alpha)
-		fy := l.Forward(y, false).Clone().Scale(beta)
+		lhs := l.ForwardT(nil, mix, false)
+		fx := l.ForwardT(nil, x, false).Clone().Scale(alpha)
+		fy := l.ForwardT(nil, y, false).Clone().Scale(beta)
 		rhs := tensor.Add(fx, fy)
 		// Correct for bias counted α+β times instead of once.
 		corr := (alpha + beta - 1)
@@ -94,8 +94,8 @@ func TestPropertyMaxPoolDominatesAvgPool(t *testing.T) {
 		mp := NewMaxPool2D("m", 2, 2)
 		ap := NewAvgPool2D("a", 2, 2)
 		x := rng.FillNormal(tensor.New(1, 2, 4, 4), 0, 2)
-		mx := mp.Forward(x, false)
-		av := ap.Forward(x, false)
+		mx := mp.ForwardT(nil, x, false)
+		av := ap.ForwardT(nil, x, false)
 		for i, m := range mx.Data() {
 			if m < av.Data()[i]-1e-12 {
 				return false

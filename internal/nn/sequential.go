@@ -164,47 +164,6 @@ func (s *Sequential) BackwardRangeT(tape *Tape, grad *tensor.Tensor, from, to in
 	return grad
 }
 
-// Forward runs the full network on a batch (legacy API over the per-layer
-// struct-held tapes; one in-flight pass per network).
-func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.layers {
-		x = l.Forward(x, train)
-	}
-	return x
-}
-
-// ForwardRange runs layers [from, to) on a batch (legacy API).
-func (s *Sequential) ForwardRange(x *tensor.Tensor, from, to int, train bool) *tensor.Tensor {
-	if from < 0 || to > len(s.layers) || from > to {
-		panic(fmt.Sprintf("nn: ForwardRange [%d,%d) out of bounds for %d layers", from, to, len(s.layers)))
-	}
-	for _, l := range s.layers[from:to] {
-		x = l.Forward(x, train)
-	}
-	return x
-}
-
-// Backward propagates the output gradient through the whole network and
-// returns the input gradient (legacy API).
-func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.layers) - 1; i >= 0; i-- {
-		grad = s.layers[i].Backward(grad)
-	}
-	return grad
-}
-
-// BackwardRange propagates the gradient through layers [from, to) in
-// reverse and returns ∂loss/∂(input of layer from) (legacy API).
-func (s *Sequential) BackwardRange(grad *tensor.Tensor, from, to int) *tensor.Tensor {
-	if from < 0 || to > len(s.layers) || from > to {
-		panic(fmt.Sprintf("nn: BackwardRange [%d,%d) out of bounds for %d layers", from, to, len(s.layers)))
-	}
-	for i := to - 1; i >= from; i-- {
-		grad = s.layers[i].Backward(grad)
-	}
-	return grad
-}
-
 // OutShape threads a per-sample input shape through every layer and
 // returns the final per-sample output shape.
 func (s *Sequential) OutShape(in []int) []int {

@@ -15,9 +15,8 @@ import (
 // tape per in-flight pass.
 //
 // A nil *Tape is the discard mode: ForwardT computes the output without
-// recording anything (this is the inference path — what the old per-layer
-// Infer methods used to duplicate), and BackwardT through a nil tape
-// panics.
+// recording anything (this is the inference path), and BackwardT through a
+// nil tape panics.
 type Tape struct {
 	// FrozenParams makes BackwardT skip parameter-gradient computation
 	// entirely: only ∂loss/∂input flows. Shredder never updates the network
@@ -29,8 +28,8 @@ type Tape struct {
 	// RNG, when non-nil, supplies the tape's private randomness (dropout
 	// masks). Concurrent training runs give each tape its own seeded RNG so
 	// their random streams are independent and reproducible. When nil,
-	// layers fall back to their construction-time RNG (the legacy
-	// behaviour, which is not reentrant).
+	// layers fall back to their construction-time RNG (one generator per
+	// layer: not reentrant).
 	RNG *tensor.RNG
 
 	// Profiler, when non-nil, receives per-layer timing for every pass run
@@ -67,14 +66,6 @@ func (t *Tape) Reset() {
 		t.entries[i] = tapeEntry{} // drop references so buffers can be collected
 	}
 	t.entries = t.entries[:0]
-}
-
-// Len returns the number of recorded forward steps not yet consumed.
-func (t *Tape) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.entries)
 }
 
 // push records one forward step. A nil tape discards the state.

@@ -1,8 +1,9 @@
 package nn
 
-// Tests for the tape execution contexts: for every layer the tape path
-// (ForwardT/BackwardT) must be bitwise-identical to the legacy
-// Forward/Backward wrappers, frozen tapes must never write parameter
+// Tests for the tape execution contexts: for every layer a pass through a
+// tape reused after Reset (as model.Train holds one) must be
+// bitwise-identical to a pass through a fresh tape, frozen tapes must never
+// write parameter
 // gradients, tape misuse must panic loudly, and per-tape RNGs must give
 // concurrent dropout passes reproducible independent streams.
 
@@ -39,21 +40,26 @@ func tapeCases() []tapeCase {
 	}
 }
 
-// TestTapePathMatchesLegacy drives one instance of every layer through the
-// legacy API and an identical instance through an explicit tape, in
-// training mode, and requires bitwise-equal outputs, input gradients, and
-// parameter gradients.
+// TestTapePathMatchesLegacy (named for the struct-held tapes the reference
+// instance once ran on) drives one instance of every layer through a tape
+// that has already recorded a pass and been Reset, as the layers' own tapes
+// were, and an identical instance through a fresh tape, in training mode,
+// and requires bitwise-equal outputs, input gradients, and parameter
+// gradients.
 func TestTapePathMatchesLegacy(t *testing.T) {
 	grng := tensor.NewRNG(99)
 	for _, tc := range tapeCases() {
 		legacy, taped := tc.build(), tc.build()
 
-		wantOut := legacy.Forward(tc.x, true)
+		held := NewTape()
+		tc.build().ForwardT(held, tc.x, true)
+		held.Reset()
+		wantOut := legacy.ForwardT(held, tc.x, true)
 		w := grng.FillNormal(tensor.New(wantOut.Shape()...), 0, 1)
 		for _, p := range legacy.Params() {
 			p.ZeroGrad()
 		}
-		wantDx := legacy.Backward(w)
+		wantDx := legacy.BackwardT(held, w)
 
 		tape := NewTape()
 		gotOut := taped.ForwardT(tape, tc.x, true)
@@ -61,15 +67,15 @@ func TestTapePathMatchesLegacy(t *testing.T) {
 			t.Errorf("%s: tape forward output diverges from legacy", tc.name)
 			continue
 		}
-		if tape.Len() != 1 {
-			t.Errorf("%s: ForwardT recorded %d tape entries, want 1", tc.name, tape.Len())
+		if len(tape.entries) != 1 {
+			t.Errorf("%s: ForwardT recorded %d tape entries, want 1", tc.name, len(tape.entries))
 		}
 		gotDx := taped.BackwardT(tape, w)
 		if !tensor.Equal(gotDx, wantDx) {
 			t.Errorf("%s: tape input gradient diverges from legacy", tc.name)
 		}
-		if tape.Len() != 0 {
-			t.Errorf("%s: BackwardT left %d tape entries", tc.name, tape.Len())
+		if len(tape.entries) != 0 {
+			t.Errorf("%s: BackwardT left %d tape entries", tc.name, len(tape.entries))
 		}
 		lp, tp := legacy.Params(), taped.Params()
 		for i := range lp {
@@ -98,26 +104,30 @@ func tinyTapeNet() *Sequential {
 }
 
 // TestSequentialTapeMatchesLegacy checks the whole-network chain: a
-// training-mode forward/backward through an explicit tape must reproduce
-// the legacy path bitwise, including every parameter gradient.
+// training-mode forward/backward through a fresh tape must reproduce one
+// through a tape reused after Reset bitwise, including every parameter
+// gradient.
 func TestSequentialTapeMatchesLegacy(t *testing.T) {
 	rng := tensor.NewRNG(61)
 	x := rng.FillNormal(tensor.New(2, 1, 12, 12), 0, 1)
 
 	legacy, taped := tinyTapeNet(), tinyTapeNet()
 
-	wantOut := legacy.Forward(x, true)
+	held := NewTape()
+	tinyTapeNet().ForwardT(held, x, true)
+	held.Reset()
+	wantOut := legacy.ForwardT(held, x, true)
 	w := rng.FillNormal(tensor.New(wantOut.Shape()...), 0, 1)
 	legacy.ZeroGrad()
-	wantDx := legacy.Backward(w)
+	wantDx := legacy.BackwardT(held, w)
 
 	tape := NewTape()
 	gotOut := taped.ForwardT(tape, x, true)
 	if !tensor.Equal(gotOut, wantOut) {
 		t.Fatal("tape forward diverges from legacy forward")
 	}
-	if tape.Len() != taped.Len() {
-		t.Fatalf("tape has %d entries after forward, want %d", tape.Len(), taped.Len())
+	if len(tape.entries) != taped.Len() {
+		t.Fatalf("tape has %d entries after forward, want %d", len(tape.entries), taped.Len())
 	}
 	gotDx := taped.BackwardT(tape, w)
 	if !tensor.Equal(gotDx, wantDx) {
@@ -234,8 +244,8 @@ func TestTapeMisusePanics(t *testing.T) {
 	mustPanic(t, "out of order", func() { relu.BackwardT(tape, out) })
 }
 
-// TestLegacyBackwardBeforeForwardPanics pins the wrapper-level guard for
-// every layer type.
+// TestLegacyBackwardBeforeForwardPanics pins the empty-tape guard for every
+// layer type.
 func TestLegacyBackwardBeforeForwardPanics(t *testing.T) {
 	for _, tc := range tapeCases() {
 		l := tc.build()
@@ -245,7 +255,7 @@ func TestLegacyBackwardBeforeForwardPanics(t *testing.T) {
 					t.Errorf("%s: Backward before Forward did not panic", tc.name)
 				}
 			}()
-			l.Backward(tc.x)
+			l.BackwardT(NewTape(), tc.x)
 		}()
 	}
 }

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -133,42 +131,12 @@ func (r *EventRing) Total() uint64 {
 	return r.seq
 }
 
-// EventSource is one labelled event feed for a merged /debug/events
-// endpoint — the event-stream analogue of SnapshotSource. A failing Fetch
-// is reported inside the merged payload rather than failing it: a dead
-// backend must not blind the fleet's alert view.
-type EventSource struct {
-	Label string
-	Fetch func() ([]Event, error)
-}
-
-// HTTPEventSource builds an EventSource pulling a remote /debug/events
-// endpoint (any URL serving a JSON []Event) with a short timeout.
-func HTTPEventSource(label, url string) EventSource {
-	client := &http.Client{Timeout: 2 * time.Second}
-	return EventSource{Label: label, Fetch: func() ([]Event, error) {
-		resp, err := client.Get(url)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("obs: %s: status %s", url, resp.Status)
-		}
-		var events []Event
-		if err := json.NewDecoder(resp.Body).Decode(&events); err != nil {
-			return nil, err
-		}
-		return events, nil
-	}}
-}
-
 // MergedEvents folds the local ring and every source's events into one
 // time-ordered list: local events keep an empty Source, fetched events are
 // stamped with their source's label, and a failing source contributes a
 // single synthetic firing event for the objective "event-source" so the
 // outage itself is visible in the stream it broke. The merge never fails.
-func MergedEvents(local *EventRing, sources []EventSource) []Event {
+func MergedEvents(local *EventRing, sources []Source[[]Event]) []Event {
 	out := local.Snapshot()
 	for _, src := range sources {
 		if src.Fetch == nil {

@@ -28,16 +28,14 @@ type Debug struct {
 	// Events, when set, serves the SLO event ring at /debug/events.
 	Events *EventRing
 
-	// EventSources are extra labelled event feeds merged into
-	// /debug/events — the fan-out twin of Sources, how a gateway serves
-	// its whole fleet's alert stream from one endpoint.
-	EventSources []EventSource
-
-	// Sources are extra labelled metric feeds merged into /debug/metrics
-	// under "<label>." prefixes — how a gateway re-exports its whole
-	// backend fleet's metrics from one endpoint. Fetch failures surface as
-	// merge.failed.<label> counters instead of failing the request.
-	Sources []SnapshotSource
+	// Sources and EventSources are extra labelled feeds (merge.go) — how a
+	// gateway re-exports its whole backend fleet from one endpoint: metrics
+	// merged into /debug/metrics under "<label>." prefixes, a fetch failure
+	// surfacing as a merge.failed.<label> counter instead of failing the
+	// request; events merged into /debug/events, each stamped with its
+	// label (MergedEvents).
+	Sources      []Source[Snapshot]
+	EventSources []Source[[]Event]
 
 	// Extra mounts additional handlers on the debug mux by pattern
 	// (e.g. "/debug/audit") — how subsystem endpoints join the surface
@@ -64,7 +62,9 @@ var debugBuiltins = map[string]bool{
 
 // snapshot builds the /debug/metrics payload: the base registry's
 // cumulative state, the attached window's aggregate over it, and every
-// source's snapshot folded in under its label.
+// source's snapshot folded in under its label — a failing source as a
+// `merge.failed.<label>` counter: a dead backend must not blind the fleet
+// view.
 func (d Debug) snapshot(now time.Time) Snapshot {
 	snap := d.Metrics.Snapshot()
 	snap.Window = d.Windows.AdvanceWith(now, snap)
@@ -191,13 +191,6 @@ func (d Debug) Handler() http.Handler {
 	return mux
 }
 
-// Handler serves the debug surface for a registry and span ring — the
-// original two-source form, kept for callers that need neither profiling
-// nor span joining.
-func Handler(reg *Registry, spans *SpanRing) http.Handler {
-	return Debug{Metrics: reg, Spans: spans}.Handler()
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -210,7 +203,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 // DebugServer is a running debug HTTP listener.
 type DebugServer struct {
 	Addr string // bound address, e.g. "127.0.0.1:43123"
-	ln   net.Listener
 	srv  *http.Server
 }
 
@@ -221,14 +213,9 @@ func (d Debug) Serve(addr string) (*DebugServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug listen: %w", err)
 	}
-	ds := &DebugServer{Addr: ln.Addr().String(), ln: ln, srv: &http.Server{Handler: d.Handler()}}
+	ds := &DebugServer{Addr: ln.Addr().String(), srv: &http.Server{Handler: d.Handler()}}
 	go ds.srv.Serve(ln)
 	return ds, nil
-}
-
-// ServeDebug binds addr and serves Handler(reg, spans) until Close.
-func ServeDebug(addr string, reg *Registry, spans *SpanRing) (*DebugServer, error) {
-	return Debug{Metrics: reg, Spans: spans}.Serve(addr)
 }
 
 // Close stops the listener and closes open debug connections.

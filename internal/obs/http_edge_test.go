@@ -227,8 +227,8 @@ func TestDebugEventsEndpoint(t *testing.T) {
 	// merged — including a backend fetched over HTTP.
 	merged := httptest.NewServer(Debug{
 		Events: ring,
-		EventSources: []EventSource{
-			HTTPEventSource("backend.a", ts.URL+"/debug/events"),
+		EventSources: []Source[[]Event]{
+			HTTPSource[[]Event]("backend.a", ts.URL+"/debug/events"),
 		},
 	}.Handler())
 	defer merged.Close()

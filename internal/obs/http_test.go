@@ -21,7 +21,7 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 		Dur:    3 * time.Millisecond,
 		Stages: []Stage{{Name: "queue", Dur: time.Millisecond}, {Name: "compute", Dur: 2 * time.Millisecond}},
 	})
-	ts := httptest.NewServer(Handler(reg, ring))
+	ts := httptest.NewServer(Debug{Metrics: reg, Spans: ring}.Handler())
 	defer ts.Close()
 
 	get := func(path string) *http.Response {
@@ -84,7 +84,7 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 
 // TestServeDebugLifecycle binds a real listener, hits it, and closes it.
 func TestServeDebugLifecycle(t *testing.T) {
-	d, err := ServeDebug("127.0.0.1:0", NewRegistry(), NewSpanRing(4))
+	d, err := Debug{Metrics: NewRegistry(), Spans: NewSpanRing(4)}.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestServeDebugLifecycle(t *testing.T) {
 // TestHandlerWithNilBackends: the endpoints must serve empty documents, not
 // crash, when no registry or ring is attached.
 func TestHandlerWithNilBackends(t *testing.T) {
-	ts := httptest.NewServer(Handler(nil, nil))
+	ts := httptest.NewServer(Debug{}.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/debug/metrics")
 	if err != nil || resp.StatusCode != http.StatusOK {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -15,15 +16,51 @@ import (
 // and `backend.b.server.requests` sit side by side in one payload and
 // nothing is summed away.
 
-// SnapshotSource is one labelled metrics feed for a merged debug endpoint:
-// Fetch produces the source's current Snapshot (typically a registry read
-// or an HTTP pull from a backend's /debug/metrics). A failing Fetch is
-// reported in the merged payload as a `merge.failed.<label>` counter rather
-// than failing the whole merge — a dead backend must not blind the fleet
-// view.
-type SnapshotSource struct {
+// Source is one labelled feed of T for a merged debug endpoint — a
+// Snapshot for /debug/metrics, a []Event for /debug/events: Fetch produces
+// the source's current value (typically a registry read or an HTTP pull from
+// a backend's debug endpoint). A failing Fetch is reported inside the merged
+// payload rather than failing the merge; a nil Fetch is skipped.
+type Source[T any] struct {
 	Label string
-	Fetch func() (Snapshot, error)
+	Fetch func() (T, error)
+}
+
+// HTTPSource builds a Source that pulls url (any endpoint serving a JSON T)
+// with GetJSON's short timeout, so one slow backend cannot stall the merged
+// view for long.
+func HTTPSource[T any](label, url string) Source[T] {
+	return Source[T]{Label: label, Fetch: func() (v T, err error) {
+		err = GetJSON(nil, url, &v)
+		return v, err
+	}}
+}
+
+// ErrNotFound is GetJSON's error for a 404: the endpoint answered and does
+// not hold what was asked for.
+var ErrNotFound = errors.New("not found")
+
+var defaultClient = &http.Client{Timeout: 2 * time.Second}
+
+// GetJSON fetches url and decodes its JSON body into dst: the one "GET, 200?,
+// decode" of the debug surfaces' clients (the fleet fan-outs, the audit
+// sources, `shredder top`). A nil client means one with a 2-second timeout.
+func GetJSON(client *http.Client, url string, dst any) error {
+	if client == nil {
+		client = defaultClient
+	}
+	resp, err := client.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return json.NewDecoder(resp.Body).Decode(dst)
+	case http.StatusNotFound:
+		return fmt.Errorf("obs: %s: %w", url, ErrNotFound)
+	}
+	return fmt.Errorf("obs: %s: status %s", url, resp.Status)
 }
 
 // MergeSnapshot copies every metric of src into dst under the name prefix
@@ -62,45 +99,4 @@ func MergeSnapshot(dst *Snapshot, label string, src Snapshot) {
 		dst.Window.Histograms[prefix+name] = h
 	}
 	dst.Gauges[prefix+"window.seconds"] = src.Window.Seconds
-}
-
-// HTTPSnapshotSource builds a SnapshotSource that pulls a remote
-// /debug/metrics endpoint (any URL serving a JSON Snapshot) with a short
-// timeout, so one slow backend cannot stall the merged view for long.
-func HTTPSnapshotSource(label, url string) SnapshotSource {
-	client := &http.Client{Timeout: 2 * time.Second}
-	return SnapshotSource{Label: label, Fetch: func() (Snapshot, error) {
-		resp, err := client.Get(url)
-		if err != nil {
-			return Snapshot{}, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return Snapshot{}, fmt.Errorf("obs: %s: status %s", url, resp.Status)
-		}
-		var s Snapshot
-		if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-			return Snapshot{}, err
-		}
-		return s, nil
-	}}
-}
-
-// MergedSnapshot takes the base registry's snapshot and folds every
-// source's snapshot into it under the source's label. Fetch errors become
-// `merge.failed.<label>` counters in the result.
-func MergedSnapshot(base *Registry, sources []SnapshotSource) Snapshot {
-	snap := base.Snapshot()
-	for _, src := range sources {
-		if src.Fetch == nil {
-			continue
-		}
-		s, err := src.Fetch()
-		if err != nil {
-			snap.Counters["merge.failed."+src.Label] = 1
-			continue
-		}
-		MergeSnapshot(&snap, src.Label, s)
-	}
-	return snap
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"testing"
+	"time"
 )
 
 // TestMergeSnapshotPrefixesEverything merges two source snapshots into a
@@ -22,10 +23,10 @@ func TestMergeSnapshotPrefixesEverything(t *testing.T) {
 	b := NewRegistry()
 	b.Counter("server.requests").Add(11)
 
-	snap := MergedSnapshot(base, []SnapshotSource{
+	snap := Debug{Metrics: base, Sources: []Source[Snapshot]{
 		{Label: "backend.a", Fetch: func() (Snapshot, error) { return a.Snapshot(), nil }},
 		{Label: "backend.b", Fetch: func() (Snapshot, error) { return b.Snapshot(), nil }},
-	})
+	}}.snapshot(time.Now())
 	if snap.Counters["gateway.requests"] != 7 {
 		t.Fatalf("base metric lost: %+v", snap.Counters)
 	}
@@ -41,15 +42,15 @@ func TestMergeSnapshotPrefixesEverything(t *testing.T) {
 }
 
 // TestMergedSnapshotSurvivesFailedSource checks a dead backend turns into a
-// merge.failed counter instead of failing the merge.
+// merge.failed counter in the debug snapshot instead of failing the merge.
 func TestMergedSnapshotSurvivesFailedSource(t *testing.T) {
 	live := NewRegistry()
 	live.Counter("server.requests").Add(1)
-	snap := MergedSnapshot(NewRegistry(), []SnapshotSource{
+	snap := Debug{Metrics: NewRegistry(), Sources: []Source[Snapshot]{
 		{Label: "dead", Fetch: func() (Snapshot, error) { return Snapshot{}, errors.New("down") }},
 		{Label: "live", Fetch: func() (Snapshot, error) { return live.Snapshot(), nil }},
 		{Label: "nilfetch"},
-	})
+	}}.snapshot(time.Now())
 	if snap.Counters["merge.failed.dead"] != 1 {
 		t.Fatalf("failed source not reported: %+v", snap.Counters)
 	}
@@ -68,7 +69,7 @@ func TestDebugEndpointMergesSources(t *testing.T) {
 
 	d, err := Debug{
 		Metrics: own,
-		Sources: []SnapshotSource{
+		Sources: []Source[Snapshot]{
 			{Label: "backend.0", Fetch: func() (Snapshot, error) { return backend.Snapshot(), nil }},
 		},
 	}.Serve("127.0.0.1:0")

@@ -217,10 +217,10 @@ func TestWritePromMerged(t *testing.T) {
 	backend.Histogram("server.latency_seconds", 0.001, 0.01).Observe(0.002)
 	base := NewRegistry()
 	base.Counter("gateway.requests").Add(9)
-	snap := MergedSnapshot(base, []SnapshotSource{
+	snap := Debug{Metrics: base, Sources: []Source[Snapshot]{
 		{Label: "backend.a", Fetch: func() (Snapshot, error) { return backend.Snapshot(), nil }},
 		{Label: "backend.b", Fetch: func() (Snapshot, error) { return Snapshot{}, fmt.Errorf("down") }},
-	})
+	}}.snapshot(time.Now())
 
 	var b strings.Builder
 	if err := WriteProm(&b, snap); err != nil {

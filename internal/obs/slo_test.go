@@ -317,7 +317,7 @@ func TestEventRing(t *testing.T) {
 func TestMergedEvents(t *testing.T) {
 	local := NewEventRing(8)
 	local.Append(Event{UnixNanos: 30, Name: "local.obj", State: StateFiring})
-	sources := []EventSource{
+	sources := []Source[[]Event]{
 		{Label: "backend.a", Fetch: func() ([]Event, error) {
 			return []Event{
 				{UnixNanos: 10, Name: "lat", State: StateFiring},

@@ -179,13 +179,14 @@ func TestAdamTrainsTinyNetwork(t *testing.T) {
 	first := -1.0
 	var last float64
 	for epoch := 0; epoch < 60; epoch++ {
-		logits := net.Forward(x, true)
+		tape := nn.NewTape()
+		logits := net.ForwardT(tape, x, true)
 		loss, grad := nn.CrossEntropy(logits, labels)
 		if first < 0 {
 			first = loss
 		}
 		last = loss
-		net.Backward(grad)
+		net.BackwardT(tape, grad)
 		opt.Step()
 	}
 	if last > first/2 {

@@ -285,7 +285,7 @@ func TestGatewayAuditFanOut(t *testing.T) {
 	seqSplit, _, _ := fleetRig(t, 0)
 	backends := make([]*CloudServer, 2)
 	addrs := make([]string, 2)
-	sources := make([]audit.Source, 2)
+	bases := make([]string, 2)
 	for i := range backends {
 		aud := audit.New(audit.Options{MaxBatch: 2, MaxDelay: 2 * time.Millisecond})
 		srv := NewCloudServer(seqSplit, "cut", WithAudit(aud), WithDebugServer("127.0.0.1:0"))
@@ -295,10 +295,7 @@ func TestGatewayAuditFanOut(t *testing.T) {
 		}
 		t.Cleanup(func() { srv.Close() })
 		backends[i], addrs[i] = srv, addr
-		sources[i] = audit.HTTPSource{
-			Name: addr,
-			Base: "http://" + srv.DebugAddr() + "/debug/audit",
-		}
+		bases[i] = "http://" + srv.DebugAddr()
 	}
 
 	pool, err := NewPool(seqSplit, "cut", nil, 13, addrs)
@@ -307,8 +304,8 @@ func TestGatewayAuditFanOut(t *testing.T) {
 	}
 	defer pool.Close()
 	gw := NewGateway(pool,
-		WithGatewayDebugServer("127.0.0.1:0"),
-		WithBackendAuditSources(sources...))
+		WithDebugServer("127.0.0.1:0"),
+		WithBackends(bases...))
 	gwAddr, err := gw.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -349,5 +346,16 @@ func TestGatewayAuditFanOut(t *testing.T) {
 	}
 	if _, err := proof.VerifyAgainst(roots); err != nil {
 		t.Fatalf("proof does not verify against fleet root union: %v", err)
+	}
+	// The union names each root's backend as the metrics and events merges
+	// do: by its pool address.
+	var rows []audit.RootJSON
+	if err := obs.GetJSON(nil, base+"?view=roots", &rows); err != nil || len(rows) == 0 {
+		t.Fatalf("root union: %d rows, %v", len(rows), err)
+	}
+	for _, r := range rows {
+		if r.Backend != "backend."+addrs[0] && r.Backend != "backend."+addrs[1] {
+			t.Fatalf("root %d labelled %q, want backend.<pool address> of %v", r.Seq, r.Backend, addrs)
+		}
 	}
 }

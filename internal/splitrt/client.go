@@ -75,22 +75,43 @@ type EdgeClient struct {
 }
 
 // ClientOption configures an EdgeClient at Dial time.
-type ClientOption func(*EdgeClient)
+type ClientOption interface{ applyClient(*EdgeClient) }
+
+type clientOption func(*EdgeClient)
+
+func (f clientOption) applyClient(c *EdgeClient) { f(c) }
 
 // WithTimeout bounds every Infer call that arrives without a context
 // deadline (0 = no bound). The deadline covers the network round trip, not
 // the local forward pass.
 func WithTimeout(d time.Duration) ClientOption {
-	return func(c *EdgeClient) { c.timeout = d }
+	return clientOption(func(c *EdgeClient) { c.timeout = d })
 }
 
-// WithMetrics registers the client's metrics (client.requests,
-// client.redials, client.bytes_sent, client.bytes_received,
-// client.rtt_seconds, client.errors.*) in the given registry instead of a
-// private one, so they show up alongside other components in one snapshot.
-func WithMetrics(reg *obs.Registry) ClientOption {
-	return func(c *EdgeClient) { c.reg = reg }
+// RegistryOption is the one registry option, WithMetrics: a ClientOption, a
+// PoolOption and a GatewayOption.
+type RegistryOption interface {
+	ClientOption
+	PoolOption
+	GatewayOption
 }
+
+type registryOption struct{ reg *obs.Registry }
+
+func (o registryOption) applyClient(c *EdgeClient) { c.reg = o.reg }
+func (o registryOption) applyPool(p *Pool)         { p.reg = o.reg }
+func (o registryOption) applyGateway(g *Gateway)   { g.reg = o.reg }
+
+// WithMetrics registers the component's metrics in the given registry
+// instead of a private one, so they show up alongside other components in
+// one snapshot: a client's client.requests, client.redials,
+// client.bytes_sent, client.bytes_received, client.rtt_seconds and
+// client.errors.*; a pool's pool.requests, pool.reroutes, pool.hedges,
+// pool.hedge_wins, pool.ejections, pool.readmits and per-backend
+// pool.backend.<addr>.* series; a gateway's gateway.requests and
+// gateway.errors (by default the gateway registers in its pool's registry —
+// one snapshot covering the gateway and the whole fleet).
+func WithMetrics(reg *obs.Registry) RegistryOption { return registryOption{reg} }
 
 // WithSpans records one client-side span per Infer call into ring, with
 // the request's trace ID and the stages quantize / serialize / send / wait
@@ -99,7 +120,7 @@ func WithMetrics(reg *obs.Registry) ClientOption {
 // Recording costs a handful of time.Now calls and one span per request;
 // the wire path is the same with or without it.
 func WithSpans(ring *obs.SpanRing) ClientOption {
-	return func(c *EdgeClient) { c.spans = ring }
+	return clientOption(func(c *EdgeClient) { c.spans = ring })
 }
 
 // WithPrivacyTelemetry feeds every noise application to a
@@ -108,7 +129,7 @@ func WithSpans(ring *obs.SpanRing) ClientOption {
 // activation the noise lands on. A nil monitor is valid and disables the
 // telemetry.
 func WithPrivacyTelemetry(m *core.PrivacyMonitor) ClientOption {
-	return func(c *EdgeClient) { c.monitor = m }
+	return clientOption(func(c *EdgeClient) { c.monitor = m })
 }
 
 // WithReconnect makes the client transparently redial and re-handshake a
@@ -119,7 +140,7 @@ func WithPrivacyTelemetry(m *core.PrivacyMonitor) ClientOption {
 // does not start at the ceiling. Without this option a transport error is
 // returned to the caller after a single redial attempt on the next use.
 func WithReconnect(max int, base time.Duration) ClientOption {
-	return func(c *EdgeClient) {
+	return clientOption(func(c *EdgeClient) {
 		if max < 0 {
 			max = 0
 		}
@@ -128,7 +149,7 @@ func WithReconnect(max int, base time.Duration) ClientOption {
 		}
 		c.maxRedials = max
 		c.redialBase = base
-	}
+	})
 }
 
 // Stats reports cumulative wire traffic of the connection.
@@ -196,7 +217,7 @@ func Dial(addr string, split *core.Split, cutLayer string, src core.NoiseSource,
 		redialBase: 50 * time.Millisecond, redialMax: 2 * time.Second,
 	}
 	for _, o := range opts {
-		o(c)
+		o.applyClient(c)
 	}
 	c.m = newClientMetrics(c.reg)
 	if err := c.connect(); err != nil {

@@ -72,7 +72,7 @@ func TestConcurrentClientsHammerServer(t *testing.T) {
 // every forward pass, inside the panic/timeout guard, where a slow or
 // crashing forward pass would.
 func withFault(fn func(act *tensor.Tensor)) ServerOption {
-	return func(s *CloudServer) { s.fault = fn }
+	return serverOption(func(s *CloudServer) { s.fault = fn })
 }
 
 const trapValue = 666.0

@@ -49,7 +49,7 @@ func TestJoinedSpanEndToEnd(t *testing.T) {
 		}
 	}
 
-	joined := srv.JoinedSpans()
+	joined := srv.obs.joiner.Joined()
 	if len(joined) != n {
 		t.Fatalf("joined %d spans, want %d", len(joined), n)
 	}
@@ -115,7 +115,7 @@ func TestJoinedSpanEndToEnd(t *testing.T) {
 // profile shows at /debug/profile, and Close detaches the hook.
 func TestServerProfiling(t *testing.T) {
 	split, srv, addr := identityRig(t, WithProfiling(), WithDebugServer("127.0.0.1:0"))
-	prof := srv.Profiler()
+	prof := srv.obs.prof
 	if prof == nil {
 		t.Fatal("WithProfiling did not build a profiler")
 	}

@@ -23,8 +23,7 @@ func kindIndex(k ErrKind) int {
 
 // clientMetrics are the edge client's registered metrics. The client always
 // owns a set (backed by a private registry unless WithMetrics shares one),
-// so Stats is a thin wrapper over the same atomics at the same cost the old
-// bespoke counters had.
+// so Stats is a thin wrapper over the same atomics.
 type clientMetrics struct {
 	requests      *obs.Counter
 	redials       *obs.Counter

@@ -289,7 +289,7 @@ func TestDebugEndpointEndToEnd(t *testing.T) {
 	if dbg == "" {
 		t.Fatal("debug endpoint not started by Serve")
 	}
-	if srv.Metrics() == nil || srv.Spans() == nil {
+	if srv.Metrics() == nil || srv.obs.spans == nil {
 		t.Fatal("WithDebugServer should imply observability")
 	}
 

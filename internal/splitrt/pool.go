@@ -139,24 +139,20 @@ func (b *poolBackend) setState(s BackendState) {
 	b.stateGauge.Set(float64(s))
 }
 
-// PoolOption configures a Pool at NewPool time.
-type PoolOption func(*Pool)
+// PoolOption configures a Pool at NewPool time; WithMetrics is one too.
+type PoolOption interface{ applyPool(*Pool) }
 
-// WithPoolMetrics registers the pool's metrics (pool.requests,
-// pool.reroutes, pool.hedges, pool.hedge_wins, pool.ejections,
-// pool.readmits, and per-backend pool.backend.<addr>.* series) in the given
-// registry instead of a private one.
-func WithPoolMetrics(reg *obs.Registry) PoolOption {
-	return func(p *Pool) { p.reg = reg }
-}
+type poolOption func(*Pool)
+
+func (f poolOption) applyPool(p *Pool) { f(p) }
 
 // WithBalancer installs the balancing policy (default: round-robin).
 func WithBalancer(b Balancer) PoolOption {
-	return func(p *Pool) {
+	return poolOption(func(p *Pool) {
 		if b != nil {
 			p.balancer = b
 		}
-	}
+	})
 }
 
 // WithHedging arms hedged requests: when a call exceeds the q-quantile of
@@ -167,33 +163,33 @@ func WithBalancer(b Balancer) PoolOption {
 // backends' quantiles matters: a budget from pooled latencies would drift
 // up toward the slowest backend and never fire against it.
 func WithHedging(q float64, min time.Duration) PoolOption {
-	return func(p *Pool) {
+	return poolOption(func(p *Pool) {
 		p.hedgeQ = q
 		if min > 0 {
 			p.hedgeMin = min
 		}
-	}
+	})
 }
 
 // WithEjectAfter sets how many consecutive eject-worthy failures (transport
 // breaks, shutdowns, handler timeouts) remove a backend from rotation
 // (default 3, minimum 1).
 func WithEjectAfter(n int) PoolOption {
-	return func(p *Pool) {
+	return poolOption(func(p *Pool) {
 		if n >= 1 {
 			p.ejectAfter = int64(n)
 		}
-	}
+	})
 }
 
 // WithHealthInterval sets how often the background loop redials ejected
 // backends (default 1s; 0 keeps the default).
 func WithHealthInterval(d time.Duration) PoolOption {
-	return func(p *Pool) {
+	return poolOption(func(p *Pool) {
 		if d > 0 {
 			p.healthIvl = d
 		}
-	}
+	})
 }
 
 // WithPoolClientOptions forwards extra ClientOptions to every backend's
@@ -201,7 +197,7 @@ func WithHealthInterval(d time.Duration) PoolOption {
 // pool always dials backends with a nil noise collection — noise is the
 // pool's job, applied once before routing — and a small reconnect budget.
 func WithPoolClientOptions(opts ...ClientOption) PoolOption {
-	return func(p *Pool) { p.clientOpts = opts }
+	return poolOption(func(p *Pool) { p.clientOpts = append(p.clientOpts, opts...) })
 }
 
 // ErrNoBackends is returned when every backend is out of rotation (and any
@@ -233,7 +229,7 @@ func NewPool(split *core.Split, cutLayer string, src core.NoiseSource, seed int6
 		healthStop: make(chan struct{}), healthDone: make(chan struct{}),
 	}
 	for _, o := range opts {
-		o(p)
+		o.applyPool(p)
 	}
 	if p.reg == nil {
 		p.reg = obs.NewRegistry()
@@ -739,14 +735,6 @@ func (p *Pool) Stats() PoolStats {
 	return s
 }
 
-// Registry exposes the pool's metrics registry (the shared one when
-// WithPoolMetrics was used, otherwise the pool's private registry) so a
-// gateway can fold it into a merged debug snapshot.
-func (p *Pool) Registry() *obs.Registry { return p.reg }
-
 // Split returns the model partition the pool serves — the gateway needs it
 // to validate incoming requests.
 func (p *Pool) Split() *core.Split { return p.split }
-
-// CutLayer returns the cut-layer name of the served partition.
-func (p *Pool) CutLayer() string { return p.cutLayer }

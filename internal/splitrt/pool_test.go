@@ -484,7 +484,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := NewGateway(pool, WithGatewayDebugServer("127.0.0.1:0"))
+	gw := NewGateway(pool, WithDebugServer("127.0.0.1:0"))
 	gwAddr, err := gw.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -517,8 +517,8 @@ func TestGatewayEndToEnd(t *testing.T) {
 		t.Fatalf("gateway accepted a mismatched model: %v", err)
 	}
 
-	if gw.Registry().Counter("gateway.requests").Value() < 10 {
-		t.Fatalf("gateway requests not counted: %d", gw.Registry().Counter("gateway.requests").Value())
+	if gw.reg.Counter("gateway.requests").Value() < 10 {
+		t.Fatalf("gateway requests not counted: %d", gw.reg.Counter("gateway.requests").Value())
 	}
 	if gw.DebugAddr() == "" {
 		t.Fatal("gateway debug endpoint not serving")

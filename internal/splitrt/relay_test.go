@@ -309,7 +309,7 @@ func TestGatewayRefusesBadRequestsItself(t *testing.T) {
 	}
 	contradictory := append([]byte{0, 0, 0, 0}, hostileRequests()["quant against length"]...)
 	endFrame(contradictory)
-	errorsCounter := gw.Registry().Counter("gateway.errors")
+	errorsCounter := gw.reg.Counter("gateway.errors")
 	for name, c := range map[string]struct {
 		frame []byte
 		want  string

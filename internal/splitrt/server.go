@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"shredder/internal/audit"
@@ -28,7 +26,7 @@ import (
 // workspace, so every connection serves requests truly in parallel — there
 // is no inference lock. The server's mutex guards only the connection
 // registry and shutdown flag and is never held across an inference or a
-// network I/O call.
+// connection's I/O.
 //
 // With WithBatching, concurrent requests from *different* connections are
 // coalesced by an internal sched.Batcher into one [N, ...] forward pass
@@ -40,11 +38,11 @@ import (
 // one connection may pipeline several requests and receive the responses
 // out of order, matched by ID.
 type CloudServer struct {
+	endpoint // listener, connections, debug server, window/SLO: shared with Gateway
+
 	split    *core.Split
 	cutLayer string
 
-	idleTimeout    time.Duration
-	writeTimeout   time.Duration
 	handlerTimeout time.Duration
 	// fault, when set, runs before every forward pass, inside its
 	// panic/timeout guard — chaos, benchmarks and tests only. It is handed
@@ -53,49 +51,30 @@ type CloudServer struct {
 
 	batchOpts *sched.Options
 	batcher   *sched.Batcher[activation, *tensor.Tensor]
-	states    stateList // request states not in use (state.go)
 
-	dtype      nn.Dtype        // WithDtype: the plan's arithmetic (default float64)
-	plan       *nn.CompiledNet // the remote part at dtype: every forward pass runs it
-	compileErr error           // deferred to Serve so construction stays infallible
+	dtype nn.Dtype        // WithDtype: the plan's arithmetic (default float64)
+	plan  *nn.CompiledNet // the remote part at dtype: every forward pass runs it
 
 	auditor *audit.Auditor // nil = audit trail disabled
 
 	obs       *serverObs    // nil = observability disabled (hot path pays nil checks only)
-	debugAddr string        // "" = no debug HTTP endpoint
 	profiling bool          // WithProfiling: attach a per-layer profiler to the remote net
 	joinRing  *obs.SpanRing // WithSpanJoin: client-side ring to join against
-
-	windowOpts *obs.WindowOptions // WithWindows: sliding-window aggregation
-	sloIvl     time.Duration      // WithSLO: evaluation cadence (0 = window bucket)
-	sloObjs    []obs.Objective
-	windows    *obs.Windows
-	slo        *obs.SLO
-	sloErr     error  // deferred to Serve so construction stays infallible
-	stopObs    func() // stops the window/SLO ticker, set by Serve
-
-	mu       sync.Mutex // guards listener, conns, closed, debug — never held across inference
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	debug    *obs.DebugServer
-	wg       sync.WaitGroup
 }
 
-// ServerOption configures a CloudServer.
-type ServerOption func(*CloudServer)
+// ServerOption configures a CloudServer. The options of the front end it
+// shares with the Gateway (FrontOption: WithIdleTimeout, WithDebugServer,
+// WithWindows, WithSLO) are ServerOptions too.
+type ServerOption interface{ applyServer(*CloudServer) }
 
-// WithIdleTimeout closes a connection when no request arrives within d
-// (0 = wait forever). It bounds how long a stalled or dead peer can hold a
-// connection slot.
-func WithIdleTimeout(d time.Duration) ServerOption {
-	return func(s *CloudServer) { s.idleTimeout = d }
-}
+type serverOption func(*CloudServer)
+
+func (f serverOption) applyServer(s *CloudServer) { f(s) }
 
 // WithWriteTimeout bounds each response write by d (0 = no bound), so a
 // client that stops draining its socket cannot wedge its serving goroutine.
 func WithWriteTimeout(d time.Duration) ServerOption {
-	return func(s *CloudServer) { s.writeTimeout = d }
+	return serverOption(func(s *CloudServer) { s.writeTimeout = d })
 }
 
 // WithHandlerTimeout bounds each remote forward pass by d (0 = no bound);
@@ -104,7 +83,7 @@ func WithWriteTimeout(d time.Duration) ServerOption {
 // forward pass; every member of a timed-out batch receives the (retryable)
 // timeout error.
 func WithHandlerTimeout(d time.Duration) ServerOption {
-	return func(s *CloudServer) { s.handlerTimeout = d }
+	return serverOption(func(s *CloudServer) { s.handlerTimeout = d })
 }
 
 // WithLatencyInjection delays every forward pass by d before computing.
@@ -112,7 +91,7 @@ func WithHandlerTimeout(d time.Duration) ServerOption {
 // slow backend — e.g. proving a pool's hedged requests cap tail latency —
 // and must never be set on a production server.
 func WithLatencyInjection(d time.Duration) ServerOption {
-	return func(s *CloudServer) { s.fault = func(*tensor.Tensor) { time.Sleep(d) } }
+	return serverOption(func(s *CloudServer) { s.fault = func(*tensor.Tensor) { time.Sleep(d) } })
 }
 
 // WithDtype selects the arithmetic of the compiled plan (nn.CompileRange)
@@ -123,7 +102,7 @@ func WithLatencyInjection(d time.Duration) ServerOption {
 // dtype: a Float32 server never materializes a float64 activation for it,
 // batched or not. Compilation errors surface from Serve.
 func WithDtype(dt nn.Dtype) ServerOption {
-	return func(s *CloudServer) { s.dtype = dt }
+	return serverOption(func(s *CloudServer) { s.dtype = dt })
 }
 
 // WithBatching coalesces concurrent requests across connections into
@@ -133,7 +112,7 @@ func WithDtype(dt nn.Dtype) ServerOption {
 // in-flight batch — so enabling batching never costs latency when there is
 // no load to coalesce.
 func WithBatching(opts sched.Options) ServerOption {
-	return func(s *CloudServer) { s.batchOpts = &opts }
+	return serverOption(func(s *CloudServer) { s.batchOpts = &opts })
 }
 
 // WithObservability attaches a metrics registry and span ring to the
@@ -145,21 +124,12 @@ func WithBatching(opts sched.Options) ServerOption {
 // instances. Without this option (or WithDebugServer) the serving hot path
 // records nothing and pays only nil checks.
 func WithObservability(reg *obs.Registry, spans *obs.SpanRing) ServerOption {
-	return func(s *CloudServer) {
+	return serverOption(func(s *CloudServer) {
 		if spans == nil {
 			spans = obs.NewSpanRing(defaultSpanRing)
 		}
 		s.obs = newServerObs(reg, spans)
-	}
-}
-
-// WithDebugServer serves the obs debug endpoint (/debug/metrics,
-// /debug/spans, /debug/profile, /debug/pprof) on its own HTTP listener at
-// addr, started by Serve and stopped by Close. It implies WithObservability
-// when no registry was attached yet. Use DebugAddr to learn the bound
-// address (handy with ":0").
-func WithDebugServer(addr string) ServerOption {
-	return func(s *CloudServer) { s.debugAddr = addr }
+	})
 }
 
 // WithProfiling attaches an obs.Profiler to the split network for the
@@ -170,7 +140,7 @@ func WithDebugServer(addr string) ServerOption {
 // profiler observes the *network*, so a process sharing one nn.Sequential
 // between a server and other traffic profiles both.
 func WithProfiling() ServerOption {
-	return func(s *CloudServer) { s.profiling = true }
+	return serverOption(func(s *CloudServer) { s.profiling = true })
 }
 
 // WithAudit attaches a tamper-evident audit trail: every successfully
@@ -184,45 +154,7 @@ func WithProfiling() ServerOption {
 // request has finished — all emitted records are sealed and anchored
 // before Close returns — and closes its ledger.
 func WithAudit(a *audit.Auditor) ServerOption {
-	return func(s *CloudServer) { s.auditor = a }
-}
-
-// WithWindows attaches sliding-window aggregation to the server's
-// registry: /debug/metrics payloads gain a "window" field with per-window
-// counter rates and histogram p50/p95/p99, and Serve starts a background
-// ticker that ages old observations out on the bucket cadence (the zero
-// WindowOptions means 12 buckets of 5s — a one-minute window). It implies
-// WithObservability when none was configured. Windowing adds no
-// instrumentation to the serving hot path — aggregates are derived from
-// the cumulative registry at snapshot boundaries.
-func WithWindows(opt obs.WindowOptions) ServerOption {
-	return func(s *CloudServer) { s.windowOpts = &opt }
-}
-
-// WithSLO attaches a service-level-objective engine evaluating the given
-// objectives against the server's sliding window every interval (0 = the
-// window's bucket duration), emitting firing/resolved events into the
-// ring served at /debug/events and mirroring live state as slo.* metrics.
-// It implies WithWindows (and hence WithObservability) when none was
-// configured. Invalid objectives surface as an error from Serve.
-//
-// The canonical privacy objective watches the server-side view of the
-// fleet's realized noise level — the in-vivo 1/SNR relayed by
-// telemetry-enabled edge clients in their audit notes:
-//
-//	obs.Objective{
-//		Name:      "privacy.invivo",
-//		Metric:    core.MetricInVivo,
-//		Aggregate: obs.AggMean,
-//		Op:        obs.OpAtLeast,
-//		Target:    bench.PrivacyTarget,
-//		MinCount:  8,
-//	}
-func WithSLO(interval time.Duration, objectives ...obs.Objective) ServerOption {
-	return func(s *CloudServer) {
-		s.sloIvl = interval
-		s.sloObjs = append(s.sloObjs, objectives...)
-	}
+	return serverOption(func(s *CloudServer) { s.auditor = a })
 }
 
 // WithSpanJoin gives the server the client-side span ring to join against:
@@ -232,34 +164,26 @@ func WithSLO(interval time.Duration, objectives ...obs.Objective) ServerOption {
 // populated from client telemetry shipped by other means. It implies
 // WithObservability when none was configured.
 func WithSpanJoin(clientSpans *obs.SpanRing) ServerOption {
-	return func(s *CloudServer) { s.joinRing = clientSpans }
+	return serverOption(func(s *CloudServer) { s.joinRing = clientSpans })
 }
 
 // NewCloudServer creates a server for the given split. cutLayer is the
 // layer name clients must declare in their handshake.
 func NewCloudServer(split *core.Split, cutLayer string, opts ...ServerOption) *CloudServer {
-	s := &CloudServer{split: split, cutLayer: cutLayer, conns: map[net.Conn]struct{}{}}
-	s.states.handle = s.handle
+	s := &CloudServer{split: split, cutLayer: cutLayer,
+		endpoint: endpoint{role: "server", serves: hello{Network: split.Net.Name(), CutLayer: cutLayer}}}
+	s.states.handle, s.debugSurface, s.drain, s.released = s.handle, s.surface, s.drainBatcher, s.release
 	for _, o := range opts {
-		o(s)
+		o.applyServer(s)
 	}
-	s.plan, s.compileErr = split.RemotePlan(s.dtype)
-	if s.compileErr != nil {
-		s.compileErr = fmt.Errorf("splitrt: compile remote part at %v: %w", s.dtype, s.compileErr)
+	var err error
+	if s.plan, err = split.RemotePlan(s.dtype); err != nil {
+		s.fail(fmt.Errorf("splitrt: compile remote part at %v: %w", s.dtype, err))
 	}
-	if (s.debugAddr != "" || s.profiling || s.joinRing != nil ||
-		s.windowOpts != nil || len(s.sloObjs) > 0) && s.obs == nil {
+	if (s.debugAddr != "" || s.profiling || s.joinRing != nil || s.windowed) && s.obs == nil {
 		s.obs = newServerObs(obs.NewRegistry(), obs.NewSpanRing(defaultSpanRing))
 	}
-	if s.obs != nil && (s.windowOpts != nil || len(s.sloObjs) > 0) {
-		if s.windowOpts == nil {
-			s.windowOpts = &obs.WindowOptions{}
-		}
-		s.windows = obs.NewWindows(s.obs.reg, *s.windowOpts)
-		if len(s.sloObjs) > 0 {
-			s.slo, s.sloErr = obs.NewSLO(s.windows, nil, s.sloObjs...)
-		}
-	}
+	s.observe(s.Metrics()) // a window implied the registry above
 	if s.profiling {
 		s.obs.prof = obs.NewProfiler(s.obs.reg)
 		s.split.Net.SetProfiler(s.obs.prof)
@@ -274,6 +198,9 @@ func NewCloudServer(split *core.Split, cutLayer string, opts ...ServerOption) *C
 			s.batchOpts.Metrics = s.obs.reg
 		}
 		s.batcher = sched.New(s.runBatch, *s.batchOpts)
+		// Under batching every request is answered on its own goroutine, so
+		// several can be in the batcher at once and one connection can pipeline.
+		s.pipelined = true
 	}
 	return s
 }
@@ -287,54 +214,9 @@ func (s *CloudServer) Metrics() *obs.Registry {
 	return s.obs.reg
 }
 
-// Spans returns the server's span ring, or nil when observability is
-// disabled.
-func (s *CloudServer) Spans() *obs.SpanRing {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.spans
-}
-
-// Profiler returns the per-layer profiler, or nil when WithProfiling is
-// not configured.
-func (s *CloudServer) Profiler() *obs.Profiler {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.prof
-}
-
-// JoinedSpans returns the merged client↔server timelines (the
-// /debug/spans?join=1 payload), or nil when WithSpanJoin is not configured.
-func (s *CloudServer) JoinedSpans() []obs.JoinedSpan {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.joiner.Joined()
-}
-
 // Auditor returns the server's audit trail, or nil when WithAudit is
 // not configured.
 func (s *CloudServer) Auditor() *audit.Auditor { return s.auditor }
-
-// Windows returns the sliding-window aggregator, or nil when WithWindows
-// (or WithSLO) is not configured.
-func (s *CloudServer) Windows() *obs.Windows { return s.windows }
-
-// SLO returns the objective engine, or nil when WithSLO is not configured.
-func (s *CloudServer) SLO() *obs.SLO { return s.slo }
-
-// DebugAddr returns the bound address of the debug HTTP endpoint, or ""
-// when WithDebugServer was not configured or Serve has not started it yet.
-func (s *CloudServer) DebugAddr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.debug == nil {
-		return ""
-	}
-	return s.debug.Addr
-}
 
 // BatchStats returns the batching scheduler's counters; ok is false when
 // the server runs without WithBatching.
@@ -345,106 +227,19 @@ func (s *CloudServer) BatchStats() (stats sched.Stats, ok bool) {
 	return s.batcher.Stats(), true
 }
 
-// Serve starts listening on addr (e.g. "127.0.0.1:0") and returns the
-// bound address. Connections are served on background goroutines until
-// Close.
-func (s *CloudServer) Serve(addr string) (string, error) {
-	if s.compileErr != nil {
-		return "", s.compileErr
+// surface is what the server's debug endpoint shows.
+func (s *CloudServer) surface() obs.Debug {
+	dbg := obs.Debug{
+		Metrics: s.obs.reg, Spans: s.obs.spans,
+		Profile: s.obs.prof, Join: s.obs.joiner,
+		Windows: s.windows, Events: s.slo.Events(),
 	}
-	if s.sloErr != nil {
-		return "", fmt.Errorf("splitrt: %w", s.sloErr)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("splitrt: listen: %w", err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return "", fmt.Errorf("splitrt: server is closed")
-	}
-	s.listener = ln
-	startDebug := s.debugAddr != "" && s.debug == nil
-	s.mu.Unlock()
-	if startDebug {
-		dbg := obs.Debug{
-			Metrics: s.obs.reg, Spans: s.obs.spans,
-			Profile: s.obs.prof, Join: s.obs.joiner,
-			Windows: s.windows, Events: s.slo.Events(),
-		}
-		if s.auditor != nil {
-			dbg.Extra = map[string]http.Handler{
-				"/debug/audit": audit.Handler(audit.LocalSource{Auditor: s.auditor}),
-			}
-		}
-		d, err := dbg.Serve(s.debugAddr)
-		if err != nil {
-			s.mu.Lock()
-			s.listener = nil
-			s.mu.Unlock()
-			ln.Close()
-			return "", fmt.Errorf("splitrt: debug listen: %w", err)
-		}
-		s.mu.Lock()
-		s.debug = d
-		s.mu.Unlock()
-	}
-	s.mu.Lock()
-	if s.stopObs == nil {
-		// The SLO ticker advances the window as part of each evaluation, so
-		// one background goroutine keeps both fresh; without objectives the
-		// window runs its own ticker on the bucket cadence.
-		switch {
-		case s.slo != nil:
-			s.stopObs = s.slo.Start(s.sloIvl)
-		case s.windows != nil:
-			s.stopObs = s.windows.Start()
+	if s.auditor != nil {
+		dbg.Extra = map[string]http.Handler{
+			"/debug/audit": audit.Handler(audit.LocalSource{Auditor: s.auditor}),
 		}
 	}
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *CloudServer) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		// Register under the lock BEFORE serving so Close, which flips
-		// closed and then snapshots conns under the same lock, either sees
-		// this conn (and closes it) or has already flipped closed (and we
-		// drop it here). No conn can slip in after Close's snapshot.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.serveConn(conn)
-	}
-}
-
-func (s *CloudServer) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	// Under batching every request is answered on its own goroutine, so
-	// several can be in the batcher at once and one connection can pipeline.
-	serveFrames(&frameConn{conn: conn, idleTimeout: s.idleTimeout, writeTimeout: s.writeTimeout},
-		"server", hello{Network: s.split.Net.Name(), CutLayer: s.cutLayer}, s.batcher != nil, &s.states)
+	return dbg
 }
 
 // handle computes R(a′) for the request in st and leaves the response there.
@@ -747,53 +542,23 @@ func (s *CloudServer) infer(act activation) (*tensor.Tensor, error) {
 	}
 }
 
-// Close stops the listener, drains the batching scheduler (pending slots
-// are flushed as one final batch, so callers already in the pipeline get
-// real responses rather than errors; anything submitted afterwards fails
-// with the retryable shutdown kind), closes live connections and waits for
-// their serving goroutines to finish. It is idempotent: closing an already
-// closed server is a no-op returning nil.
-func (s *CloudServer) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.listener
-	s.listener = nil
-	debug := s.debug
-	s.debug = nil
-	stopObs := s.stopObs
-	s.stopObs = nil
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	if stopObs != nil {
-		stopObs()
-	}
-	if debug != nil {
-		debug.Close()
-	}
+// drainBatcher is the server's step of Close before connections are severed:
+// pending slots are flushed as one final batch, so callers already in the
+// pipeline get real responses on live sockets rather than errors; anything
+// submitted afterwards fails with the retryable shutdown kind.
+func (s *CloudServer) drainBatcher() {
 	if s.batcher != nil {
-		// Drain before severing connections so the final batch's
-		// responses still have live sockets to be written to.
 		s.batcher.Close()
 	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
+}
+
+// release is the server's step of Close after every serving goroutine has
+// returned.
+func (s *CloudServer) release() {
 	if s.auditor != nil {
-		// Every serving goroutine has returned, so every record is already
-		// appended; draining the auditor seals the in-progress batch and
-		// anchors every sealed batch before the ledger closes — a server
-		// killed mid-batch loses nothing it acknowledged.
+		// Every record is already appended; draining the auditor seals the
+		// in-progress batch and anchors every sealed batch before the ledger
+		// closes — a server killed mid-batch loses nothing it acknowledged.
 		s.auditor.Close()
 	}
 	if s.profiling {
@@ -801,5 +566,4 @@ func (s *CloudServer) Close() error {
 		// not keep paying the instrumented path after the server is gone.
 		s.split.Net.SetProfiler(nil)
 	}
-	return nil
 }

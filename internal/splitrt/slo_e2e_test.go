@@ -262,12 +262,15 @@ func TestGatewaySLOEventFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
+	// One base URL: the gateway derives the three routes and labels the
+	// backend by its pool address.
+	label := "backend." + addr
+	promLabel := strings.ReplaceAll(label, ".", "_") // the exposition keeps the colon
 	gw := NewGateway(pool,
-		WithGatewayDebugServer("127.0.0.1:0"),
-		WithGatewayWindows(obs.WindowOptions{Bucket: 25 * time.Millisecond, Buckets: 4}),
-		WithGatewaySLO(10*time.Millisecond, privacyFloor()),
-		WithBackendSources(obs.HTTPSnapshotSource("backend.a", backendBase+"/debug/metrics")),
-		WithBackendEventSources(obs.HTTPEventSource("backend.a", backendBase+"/debug/events")))
+		WithDebugServer("127.0.0.1:0"),
+		WithWindows(obs.WindowOptions{Bucket: 25 * time.Millisecond, Buckets: 4}),
+		WithSLO(10*time.Millisecond, privacyFloor()),
+		WithBackends(backendBase))
 	gwAddr, err := gw.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -284,13 +287,13 @@ func TestGatewaySLOEventFanOut(t *testing.T) {
 	defer client.Close()
 
 	// Degraded traffic through the gateway: the backend's SLO fires (its
-	// event reaches the gateway's merged stream labelled backend.a) and
+	// event reaches the gateway's merged stream under the backend's label) and
 	// the gateway's own fleet-level SLO fires locally.
 	local := driveUntilEvent(t, client, 10, gwBase, obs.StateFiring, "")
 	if local.Value >= 0.1 {
 		t.Fatalf("gateway-local firing event: %+v", local)
 	}
-	relayed := driveUntilEvent(t, client, 10, gwBase, obs.StateFiring, "backend.a")
+	relayed := driveUntilEvent(t, client, 10, gwBase, obs.StateFiring, label)
 	if relayed.Value >= 0.1 {
 		t.Fatalf("backend firing event: %+v", relayed)
 	}
@@ -305,14 +308,14 @@ func TestGatewaySLOEventFanOut(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	samples := promVerify(t, string(body))
-	if samples["backend_a_slo_privacy_invivo_firing"] != 1 {
+	if samples[promLabel+"_slo_privacy_invivo_firing"] != 1 {
 		t.Fatalf("merged prom lost the backend's firing gauge (%v)",
-			samples["backend_a_slo_privacy_invivo_firing"])
+			samples[promLabel+"_slo_privacy_invivo_firing"])
 	}
 	if samples["slo_privacy_invivo_firing"] != 1 {
 		t.Fatal("merged prom lost the gateway's own firing gauge")
 	}
-	if _, ok := samples["backend_a_window_seconds"]; !ok {
+	if _, ok := samples[promLabel+"_window_seconds"]; !ok {
 		t.Fatal("merged prom lost the backend's window span gauge")
 	}
 
@@ -323,7 +326,7 @@ func TestGatewaySLOEventFanOut(t *testing.T) {
 	for {
 		found := false
 		for _, e := range fetchEvents(t, gwBase) {
-			if e.Name == "event-source" && e.Source == "backend.a" && e.State == obs.StateFiring {
+			if e.Name == "event-source" && e.Source == label && e.State == obs.StateFiring {
 				found = true
 			}
 		}
