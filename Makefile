@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build cross test race bench-module fuzz-smoke bench bench-profile bench-pool bench-window
+.PHONY: ci fmt vet nogob build cross test race bench-module fuzz-smoke bench bench-profile bench-pool bench-window
 
-## ci: the full gate — formatting, vet, build, a cross-build for an
+## ci: the full gate — formatting, vet, no gob, build, a cross-build for an
 ## architecture without the assembly leaf, tests, the race suite over
 ## the concurrency-sensitive packages, the benchmark module (its own go.mod,
 ## so ./... does not reach it) and ten seconds of each fuzz target. Run
@@ -11,7 +11,7 @@ GO ?= go
 ## Speed is held by the benchmark (BENCHMARK.json, bench/), which compares;
 ## the bench-* targets below run benchmarks for a reader — what bench/ has no
 ## probe for — and compare nothing, so they are not part of the gate.
-ci: fmt vet build cross test race bench-module fuzz-smoke
+ci: fmt vet nogob build cross test race bench-module fuzz-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -19,6 +19,14 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+## nogob: encoding/gob left the module with the last two files written in it
+## (checkpoints and noise files are the artifact container of
+## internal/tensor/serialize.go, the wire is frames); no file may import it
+## again.
+nogob:
+	@out=$$(grep -rl '"encoding/gob"' --include='*.go' .); if [ -n "$$out" ]; then \
+		echo "encoding/gob imported by:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -54,15 +62,14 @@ bench-module:
 
 ## fuzz-smoke: run each fuzz target of a trust boundary — the wire's three
 ## frame targets and the packed payload a frame carries, and the two files a
-## cold start reads, weights and noise (each gob execution is slow, so
-## minimizing a find gets one second, not the minute that would swallow the
-## run) — for ten seconds from the package's seeds.
+## cold start reads, weights and noise — for ten seconds from the package's
+## seeds.
 fuzz-smoke:
 	for f in FuzzReadFrame FuzzDecodeRequest FuzzDecodeResponse; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/splitrt || exit 1; done
 	$(GO) test -run '^$$' -fuzz '^FuzzDequantizePacked$$' -fuzztime 10s ./internal/quantize
-	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/nn
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNoiseSource$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/nn
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNoiseSource$$' -fuzztime 10s ./internal/core
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkCloudServerThroughput|BenchmarkServeBatched' -benchtime 200x .

@@ -11,15 +11,15 @@
 // Usage:
 //
 //	shredder pretrain    -net lenet [-seed 1] [-cache dir]
-//	shredder train-noise -net lenet [-count 8] [-out noise.gob]
-//	shredder eval        -net lenet [-noise noise.gob]
+//	shredder train-noise -net lenet [-count 8] [-out noise.bin]
+//	shredder eval        -net lenet [-noise noise.bin]
 //	shredder cuts        -net svhn
-//	shredder attack      -net lenet -cut conv0 [-noise noise.gob]
+//	shredder attack      -net lenet -cut conv0 [-noise noise.bin]
 //	shredder serve       -net lenet -addr 127.0.0.1:7777 [-dtype float32] [-audit-ledger audit.bin]
 //	shredder gateway     -net lenet -backends host1:7777,host2:7777 -addr :9000
 //	shredder audit       verify -url http://host:port/debug/audit -trace <hex id>
 //	shredder top         -url http://host:port [-interval 2s] [-n 0]
-//	shredder infer       -net lenet -addr 127.0.0.1:7777 [-noise noise.gob] [-n 16]
+//	shredder infer       -net lenet -addr 127.0.0.1:7777 [-noise noise.bin] [-n 16]
 //	shredder profile     -net lenet [-n 50] [-csv profile.csv] [-dtype float32]
 package main
 
@@ -162,7 +162,7 @@ func cmdTrainNoise(args []string) error {
 	fs := flag.NewFlagSet("train-noise", flag.ExitOnError)
 	c := registerCommon(fs)
 	count := fs.Int("count", 8, "noise tensors in the collection")
-	out := fs.String("out", "noise.gob", "output file for the collection")
+	out := fs.String("out", "noise.bin", "output file for the collection")
 	scale := fs.Float64("scale", 0, "Laplace init scale b (0 = tuned default)")
 	lambda := fs.Float64("lambda", 0, "privacy knob λ (0 = tuned default)")
 	nepochs := fs.Float64("noise-epochs", 0, "noise-training epochs, fractional ok (0 = default)")

@@ -14,18 +14,23 @@ import (
 	"shredder/internal/splitrt"
 )
 
-// fleetColdStartObjects is runtime.MemStats.Mallocs over one start-up of the
-// fleet below, the minimum of five, read at the commit before the server and
-// the gateway came to share one front end.
-const fleetColdStartObjects = 5130
+// fleetColdStartObjects and fleetColdStartBytes are runtime.MemStats.Mallocs
+// and TotalAlloc over one start-up of the fleet below, the minimum of five,
+// read at the commit that took gob off the two files a start reads (with it:
+// 5130 objects, 5 019 000 bytes).
+const (
+	fleetColdStartObjects = 1118
+	fleetColdStartBytes   = 3876000
+)
 
 // The benchmark's fleet_svhn_q8 start-up — a System on a warm weight cache,
 // fitted noise, two float32 batched audited observed servers, a pool, a
 // gateway, an edge on the 8-bit wire and one classified sample — allocates no
-// more objects than it did, and leaves no goroutine behind once closed.
+// more objects and no more bytes than it did, and leaves no goroutine behind
+// once closed.
 // setup_s times this sequence at a few ms, inside the host's jitter; the
-// object count is the part of "the cold start does no more work" a test can
-// hold exactly.
+// counts are the part of "the cold start does no more work" a test can hold
+// exactly.
 func TestFleetColdStartObjectCount(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector makes sync.Pool drop entries: object counts are not the program's")
@@ -37,13 +42,13 @@ func TestFleetColdStartObjectCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm.LearnNoiseWith(2, NoiseOptions{Epochs: 0.5})
-	noisePath := filepath.Join(dir, "noise.gob")
+	noisePath := filepath.Join(dir, "noise.bin")
 	if err := warm.SaveNoise(noisePath); err != nil {
 		t.Fatal(err)
 	}
 	cfg.NoiseMode = core.ModeFitted
 
-	start := func() (objects uint64) {
+	start := func() (objects, bytes uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		sys, err := NewSystem("svhn", cfg)
@@ -90,19 +95,24 @@ func TestFleetColdStartObjectCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
 
 	goroutines := runtime.NumGoroutine()
-	least := ^uint64(0)
+	least, leastBytes := ^uint64(0), ^uint64(0)
 	for i := 0; i < 5; i++ {
-		least = min(least, start())
+		objects, bytes := start()
+		least, leastBytes = min(least, objects), min(leastBytes, bytes)
 	}
 	if limit := uint64(fleetColdStartObjects + fleetColdStartObjects/100); least > limit {
 		t.Errorf("fleet cold start allocated %d objects (least of five), want at most %d (%d + 1%%)",
 			least, limit, fleetColdStartObjects)
 	}
-	t.Logf("fleet cold start: %d objects", least)
+	if limit := uint64(fleetColdStartBytes + fleetColdStartBytes/100); leastBytes > limit {
+		t.Errorf("fleet cold start allocated %d bytes (least of five), want at most %d (%d + 1%%)",
+			leastBytes, limit, fleetColdStartBytes)
+	}
+	t.Logf("fleet cold start: %d objects, %d bytes", least, leastBytes)
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)

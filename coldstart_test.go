@@ -30,7 +30,7 @@ func TestColdStartRunsNoForwardPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm.LearnNoiseWith(2, NoiseOptions{Epochs: 0.5})
-	noisePath := filepath.Join(dir, "noise.gob")
+	noisePath := filepath.Join(dir, "noise.bin")
 	if err := warm.SaveNoise(noisePath); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestColdStartRendersOneSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm.LearnNoiseWith(2, NoiseOptions{Epochs: 0.05})
-	noisePath := filepath.Join(dir, "noise.gob")
+	noisePath := filepath.Join(dir, "noise.bin")
 	if err := warm.SaveNoise(noisePath); err != nil {
 		t.Fatal(err)
 	}
@@ -337,11 +337,11 @@ func TestStaleNormalisationSurfacesAtMaterialisation(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm.LearnNoiseWith(1, NoiseOptions{Epochs: 0.5})
-	noisePath := filepath.Join(dir, "noise.gob")
+	noisePath := filepath.Join(dir, "noise.bin")
 	if err := warm.SaveNoise(noisePath); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := filepath.Glob(filepath.Join(dir, "lenet-*.gob"))
+	entries, err := filepath.Glob(filepath.Join(dir, "lenet-*.ckpt"))
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("cache entries %v, %v", entries, err)
 	}

@@ -153,8 +153,16 @@ func (c *FittedCollection) MemoryBytes() int {
 	return n
 }
 
-// validate checks structural invariants after decoding.
+// validate checks structural invariants, before encoding and after
+// decoding; what it finds is an ErrCollectionCorrupt.
 func (c *FittedCollection) validate() error {
+	if err := c.inconsistency(); err != nil {
+		return fmt.Errorf("%w: %v", ErrCollectionCorrupt, err)
+	}
+	return nil
+}
+
+func (c *FittedCollection) inconsistency() error {
 	if c.Noise == nil {
 		return fmt.Errorf("fitted collection has no noise distribution")
 	}
@@ -163,6 +171,9 @@ func (c *FittedCollection) validate() error {
 	}
 	if !tensor.ShapeEq(c.Noise.Shape, c.Shape) {
 		return fmt.Errorf("noise distribution shape %v != collection shape %v", c.Noise.Shape, c.Shape)
+	}
+	if !allFinite(c.InVivo) {
+		return fmt.Errorf("an in vivo value is not a finite number")
 	}
 	if c.Weight != nil {
 		if err := c.Weight.Validate(); err != nil {

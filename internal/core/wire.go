@@ -1,113 +1,127 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"shredder/internal/noisedist"
 	"shredder/internal/tensor"
 )
 
-// Noise-file wire format.
+// The noise file: the artifact container of tensor/serialize.go (DESIGN §5k
+// has the byte-layout table). After the magic line,
 //
-// v1 (legacy): a bare gob stream of collectionWire{Shape, Members, InVivo}.
-// Every file written before the fitted modes existed is v1, and plain
-// additive stored collections are still written as v1 byte-for-byte, so
-// old readers keep working on the common case.
+//	name   mode: "stored", "fitted" or "fitted-mul"
+//	shape  the per-sample activation shape
+//	u32 n, n × f64   the members' recorded in vivo privacy
 //
-// v2: the magic line below followed by a gob stream of noiseWireV2. v2
-// carries everything v1 cannot: the mode tag, trained multiplicative
-// weights, and fitted distribution parameters (noisedist.Fitted), so a
-// fitted source round-trips without refitting. Decoding sniffs the magic
-// to pick the version; v1 files (which start with a gob type definition,
-// never with this ASCII line) are unambiguous.
-const noiseMagicV2 = "shredder-noise/2\n"
+// then, for a stored collection, u32 K and K members of volume f64 each,
+// u32 0 or K and as many multiplicative weights; for a fitted source, the
+// noise distribution and — fitted-mul — the weight distribution, each
+//
+//	u32 kind, u32 K, u32 knots
+//	K × (f64 loc, f64 scale)
+//	K × knots × f32    the quantile sketches
+//	K × volume × i32   the orders
+//
+// One format, one spelling: a file this decoder accepts re-encodes to the
+// same bytes, and a file of the gob formats that came before is refused.
+const noiseMagic = "shredder-noise/3\n"
 
 // Typed decode errors. Wrap/inspect with errors.Is.
 var (
 	// ErrCollectionCorrupt reports a noise file that could not be decoded:
-	// truncated, empty, or not a noise file at all.
+	// truncated, empty, self-contradictory, holding a value that is not a
+	// finite number, or not a noise file of this format at all.
 	ErrCollectionCorrupt = errors.New("core: corrupt noise collection file")
 	// ErrCollectionEmpty reports a structurally valid noise file with zero
 	// members — loading it would build a collection whose Sample panics,
 	// so the decoder rejects it up front.
 	ErrCollectionEmpty = errors.New("core: noise collection has no members")
-	// ErrNotStoredCollection reports a v2 fitted payload decoded through
+	// ErrNotStoredCollection reports a fitted payload decoded through
 	// DecodeCollection, which only yields stored collections; use
 	// DecodeNoiseSource for mode-agnostic loading.
 	ErrNotStoredCollection = errors.New("core: noise file holds a fitted source, not a stored collection")
 )
 
-// collectionWire is the legacy (v1) gob wire format.
-type collectionWire struct {
-	Shape   []int
-	Members []*tensor.Tensor
-	InVivo  []float64
+// beginNoise starts a noise file of the given mode with room for size more
+// bytes: everything up to the mode's own payload.
+func beginNoise(mode string, shape []int, inVivo []float64, size int) []byte {
+	b := make([]byte, 0, len(noiseMagic)+2+len(mode)+4+4*len(shape)+4+8*len(inVivo)+size)
+	b = append(b, noiseMagic...)
+	b = tensor.AppendName(b, mode)
+	b = tensor.AppendShape(b, shape)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(inVivo)))
+	return tensor.AppendFloats(b, inVivo)
 }
 
-// noiseWireV2 is the v2 gob payload, written after the magic line.
-type noiseWireV2 struct {
-	// Mode is ModeStored, ModeFitted, or ModeFittedMul.
-	Mode  string
-	Shape []int
-	// Members/Weights/InVivo carry a stored collection (Weights only for
-	// the multiplicative variant).
-	Members []*tensor.Tensor
-	Weights []*tensor.Tensor
-	InVivo  []float64
-	// Noise/Weight carry a fitted source's distribution parameters.
-	Noise  *noisedist.Fitted
-	Weight *noisedist.Fitted
+func appendTensors(b []byte, ts []*tensor.Tensor) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ts)))
+	for _, t := range ts {
+		b = tensor.AppendFloats(b, t.Data())
+	}
+	return b
 }
 
-// Encode writes the collection. Plain additive collections use the legacy
-// v1 format byte-for-byte (old readers still work); multiplicative
-// collections need v2 for their weight tensors.
+// Encode writes the collection, which must be one the decoder accepts.
 func (c *Collection) Encode(w io.Writer) error {
-	if c.Len() == 0 {
-		return fmt.Errorf("%w: refusing to encode", ErrCollectionEmpty)
+	if err := c.validate(); err != nil {
+		return fmt.Errorf("core: encode collection: %w", err)
 	}
-	if !c.Multiplicative() {
-		if err := gob.NewEncoder(w).Encode(collectionWire{c.Shape, c.Members, c.InVivo}); err != nil {
-			return fmt.Errorf("core: encode collection: %w", err)
-		}
-		return nil
-	}
-	return encodeV2(w, noiseWireV2{
-		Mode: ModeStored, Shape: c.Shape,
-		Members: c.Members, Weights: c.Weights, InVivo: c.InVivo,
-	})
+	vol := tensor.Volume(c.Shape)
+	b := beginNoise(ModeStored, c.Shape, c.InVivo, 8+8*vol*(len(c.Members)+len(c.Weights)))
+	b = appendTensors(b, c.Members)
+	b = appendTensors(b, c.Weights)
+	return writeNoise(w, b)
 }
 
-// Encode writes the fitted source in the v2 format: distribution
-// parameters only, no tensors beyond the order permutation.
+// Encode writes the fitted source: distribution parameters only, no tensors
+// beyond the order permutation.
 func (c *FittedCollection) Encode(w io.Writer) error {
 	if err := c.validate(); err != nil {
 		return fmt.Errorf("core: encode fitted collection: %w", err)
 	}
-	return encodeV2(w, noiseWireV2{
-		Mode: c.Mode(), Shape: c.Shape,
-		InVivo: c.InVivo, Noise: c.Noise, Weight: c.Weight,
-	})
+	b := beginNoise(c.Mode(), c.Shape, c.InVivo, c.MemoryBytes()+2*12)
+	b = appendFitted(b, c.Noise)
+	if c.Weight != nil {
+		b = appendFitted(b, c.Weight)
+	}
+	return writeNoise(w, b)
 }
 
-func encodeV2(w io.Writer, wire noiseWireV2) error {
-	if _, err := io.WriteString(w, noiseMagicV2); err != nil {
-		return fmt.Errorf("core: encode noise file: %w", err)
+// appendFitted appends a distribution that has passed Validate: its sketches
+// are there, and all of one length.
+func appendFitted(b []byte, f *noisedist.Fitted) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(f.Kind))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Comps)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Sketches[0])))
+	for _, c := range f.Comps {
+		b = tensor.AppendFloats(b, []float64{c.Loc, c.Scale})
 	}
-	if err := gob.NewEncoder(w).Encode(wire); err != nil {
+	for _, s := range f.Sketches {
+		for _, q := range s {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(q))
+		}
+	}
+	for _, o := range f.Orders {
+		for _, i := range o {
+			b = binary.LittleEndian.AppendUint32(b, uint32(i))
+		}
+	}
+	return b
+}
+
+func writeNoise(w io.Writer, b []byte) error {
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("core: encode noise file: %w", err)
 	}
 	return nil
 }
 
-// EncodeNoiseSource writes any noise source this package can decode again:
-// stored collections in their native (v1-compatible) format, fitted
-// sources in v2.
+// EncodeNoiseSource writes any noise source this package can decode again.
 func EncodeNoiseSource(w io.Writer, src NoiseSource) error {
 	switch s := src.(type) {
 	case *Collection:
@@ -119,10 +133,9 @@ func EncodeNoiseSource(w io.Writer, src NoiseSource) error {
 }
 
 // DecodeCollection reads a stored collection written by Collection.Encode.
-// It accepts v1 and v2 stored payloads and fails with typed errors:
-// ErrCollectionCorrupt for truncated/garbage input, ErrCollectionEmpty for
-// zero-member files (which previously decoded into a collection whose
-// Sample panicked), and ErrNotStoredCollection for fitted v2 payloads.
+// It fails with typed errors: ErrCollectionCorrupt for truncated/garbage
+// input, ErrCollectionEmpty for zero-member files and ErrNotStoredCollection
+// for fitted payloads.
 func DecodeCollection(r io.Reader) (*Collection, error) {
 	src, err := DecodeNoiseSource(r)
 	if err != nil {
@@ -135,76 +148,171 @@ func DecodeCollection(r io.Reader) (*Collection, error) {
 	return col, nil
 }
 
-// DecodeNoiseSource reads any noise file — legacy v1, v2 stored, or v2
-// fitted — and returns the matching source. The error is typed: inspect
-// with errors.Is(err, ErrCollectionCorrupt / ErrCollectionEmpty).
+// DecodeNoiseSource reads a noise file, stored or fitted, and returns the
+// matching source. The file is read once; every declared count is matched
+// against the bytes that remain before anything is allocated from it, so
+// what a decode allocates is bounded by the file's real length. The error is
+// typed: inspect with errors.Is(err, ErrCollectionCorrupt / ErrCollectionEmpty).
 func DecodeNoiseSource(r io.Reader) (NoiseSource, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(len(noiseMagicV2))
-	switch {
-	case err == nil && bytes.Equal(magic, []byte(noiseMagicV2)):
-		br.Discard(len(noiseMagicV2))
-		return decodeV2(br)
-	case err != nil && err != io.EOF && err != bufio.ErrBufferFull:
+	file, err := tensor.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCollectionCorrupt, err)
 	}
-	// Not the v2 magic (possibly a file shorter than it): legacy v1 gob.
-	var wire collectionWire
-	if err := gob.NewDecoder(br).Decode(&wire); err != nil {
+	rd := tensor.NewReader(file, noiseMagic)
+	if rd.Err() != nil {
+		return nil, fmt.Errorf("%w: %v (the noise file format changed: a file written before it is not read — re-run train-noise)",
+			ErrCollectionCorrupt, rd.Err())
+	}
+	mode := string(rd.Name())
+	shape, vol := rd.Shape()
+	inVivo := decodeFloats(rd, rd.Count(1, 8))
+	if rd.Err() != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCollectionCorrupt, rd.Err())
+	}
+	if vol <= 0 {
+		return nil, fmt.Errorf("%w: invalid shape %v", ErrCollectionCorrupt, shape)
+	}
+	var src interface {
+		NoiseSource
+		validate() error
+	}
+	switch mode {
+	case ModeStored:
+		c := &Collection{Shape: shape, InVivo: inVivo}
+		c.Members = decodeTensors(rd, shape, vol)
+		c.Weights = decodeTensors(rd, shape, vol)
+		src = c
+	case ModeFitted, ModeFittedMul:
+		fc := &FittedCollection{Shape: shape, InVivo: inVivo}
+		fc.Noise = decodeFitted(rd, shape, vol)
+		if mode == ModeFittedMul {
+			fc.Weight = decodeFitted(rd, shape, vol)
+		}
+		src = fc
+	default:
+		return nil, fmt.Errorf("%w: unknown mode %q", ErrCollectionCorrupt, mode)
+	}
+	// A read that failed left its source short: only a file read to its end,
+	// and ending there, is worth validating.
+	if err := rd.Close(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCollectionCorrupt, err)
 	}
-	c := &Collection{Shape: wire.Shape, Members: wire.Members, InVivo: wire.InVivo}
-	if err := validateStored(c); err != nil {
+	if err := src.validate(); err != nil {
 		return nil, err
 	}
-	return c, nil
+	return src, nil
 }
 
-func decodeV2(r io.Reader) (NoiseSource, error) {
-	var wire noiseWireV2
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCollectionCorrupt, err)
+// decodeFloats reads n float64 values; rd has vouched for their extent.
+func decodeFloats(rd *tensor.Reader, n int) []float64 {
+	p := rd.Take(n, 8)
+	if n == 0 || p == nil {
+		return nil
 	}
-	switch wire.Mode {
-	case ModeStored:
-		c := &Collection{Shape: wire.Shape, Members: wire.Members, Weights: wire.Weights, InVivo: wire.InVivo}
-		if err := validateStored(c); err != nil {
-			return nil, err
-		}
-		if len(c.Weights) > 0 && len(c.Weights) != len(c.Members) {
-			return nil, fmt.Errorf("%w: %d weights for %d members", ErrCollectionCorrupt, len(c.Weights), len(c.Members))
-		}
-		for i, w := range c.Weights {
-			if w == nil || !tensor.ShapeEq(w.Shape(), c.Shape) {
-				return nil, fmt.Errorf("%w: weight %d shape mismatch", ErrCollectionCorrupt, i)
-			}
-		}
-		return c, nil
-	case ModeFitted, ModeFittedMul:
-		fc := &FittedCollection{Shape: wire.Shape, Noise: wire.Noise, Weight: wire.Weight, InVivo: wire.InVivo}
-		if wire.Mode == ModeFittedMul && fc.Weight == nil {
-			return nil, fmt.Errorf("%w: fitted-mul payload without a weight distribution", ErrCollectionCorrupt)
-		}
-		if err := fc.validate(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCollectionCorrupt, err)
-		}
-		return fc, nil
-	}
-	return nil, fmt.Errorf("%w: unknown mode %q", ErrCollectionCorrupt, wire.Mode)
+	out := make([]float64, n)
+	tensor.DecodeFloats(out, p)
+	return out
 }
 
-// validateStored guards the invariants Sample/Draw rely on.
-func validateStored(c *Collection) error {
+// decodeTensors reads a count and that many tensors of the given shape,
+// each converted straight into its own storage.
+func decodeTensors(rd *tensor.Reader, shape []int, vol int) []*tensor.Tensor {
+	n := rd.Count(vol, 8)
+	if n == 0 {
+		return nil
+	}
+	ts := make([]*tensor.Tensor, n)
+	for i := range ts {
+		ts[i] = tensor.New(shape...)
+		tensor.DecodeFloats(ts[i].Data(), rd.Take(vol, 8))
+	}
+	return ts
+}
+
+// decodeFitted reads one fitted distribution over shape; nil once rd has
+// failed. Validation is the caller's (FittedCollection.validate).
+func decodeFitted(rd *tensor.Reader, shape []int, vol int) *noisedist.Fitted {
+	kind := rd.U32()
+	k, knots := rd.Count(1, 16), rd.Count(1, 4)
+	comps := rd.Take(k, 16)
+	if rd.Err() != nil {
+		return nil
+	}
+	f := &noisedist.Fitted{
+		Kind:     noisedist.Kind(kind),
+		Shape:    shape,
+		Comps:    make([]noisedist.Component, k),
+		Sketches: make([][]float32, k),
+		Orders:   make([][]int32, k),
+	}
+	for i := range f.Comps {
+		var c [2]float64
+		tensor.DecodeFloats(c[:], comps[16*i:])
+		f.Comps[i] = noisedist.Component{Loc: c[0], Scale: c[1]}
+	}
+	for i := range f.Sketches {
+		p := rd.Take(knots, 4)
+		if rd.Err() != nil {
+			return nil
+		}
+		f.Sketches[i] = make([]float32, knots)
+		for j := range f.Sketches[i] {
+			f.Sketches[i][j] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*j:]))
+		}
+	}
+	for i := range f.Orders {
+		p := rd.Take(vol, 4)
+		if rd.Err() != nil {
+			return nil
+		}
+		f.Orders[i] = make([]int32, vol)
+		for j := range f.Orders[i] {
+			f.Orders[i][j] = int32(binary.LittleEndian.Uint32(p[4*j:]))
+		}
+	}
+	return f
+}
+
+// validate guards the invariants Sample/Draw rely on, for a collection about
+// to be written as for one just read: members, a shape they all have, no
+// weights or one per member, and nothing that is not a finite number —
+// stored mode serves these values as they are, and the fitted modes sort
+// them.
+func (c *Collection) validate() error {
 	if len(c.Members) == 0 {
 		return ErrCollectionEmpty
 	}
 	if vol, ok := tensor.CheckedVolume(c.Shape); !ok || vol <= 0 {
 		return fmt.Errorf("%w: invalid shape %v", ErrCollectionCorrupt, c.Shape)
 	}
-	for i, m := range c.Members {
-		if m == nil || !tensor.ShapeEq(m.Shape(), c.Shape) {
-			return fmt.Errorf("%w: member %d shape mismatch with %v", ErrCollectionCorrupt, i, c.Shape)
+	if len(c.Weights) > 0 && len(c.Weights) != len(c.Members) {
+		return fmt.Errorf("%w: %d weights for %d members", ErrCollectionCorrupt, len(c.Weights), len(c.Members))
+	}
+	for _, ts := range []struct {
+		kind    string
+		tensors []*tensor.Tensor
+	}{{"member", c.Members}, {"weight", c.Weights}} {
+		for i, t := range ts.tensors {
+			if t == nil || !tensor.ShapeEq(t.Shape(), c.Shape) {
+				return fmt.Errorf("%w: %s %d shape mismatch with %v", ErrCollectionCorrupt, ts.kind, i, c.Shape)
+			}
+			if !allFinite(t.Data()) {
+				return fmt.Errorf("%w: %s %d holds a value that is not a finite number", ErrCollectionCorrupt, ts.kind, i)
+			}
 		}
 	}
+	if !allFinite(c.InVivo) {
+		return fmt.Errorf("%w: an in vivo value is not a finite number", ErrCollectionCorrupt)
+	}
 	return nil
+}
+
+// allFinite reports whether vals holds no NaN and no infinity.
+func allFinite(vals []float64) bool {
+	for _, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -16,8 +17,11 @@ import (
 	"shredder/internal/tensor"
 )
 
-// fixtureCollection mirrors testdata/legacy_v1.gob exactly: the committed
-// file was written by the v1 encoder over these values.
+// fixtureCollection mirrors testdata/stored_fixture.bin exactly. The file is
+// testdata/legacy_v1.gob — written by the first, gob encoder over these
+// values — decoded at the last commit that read gob and written once with
+// this encoder, so TestRefitPinned's digests run on the inputs they were
+// recorded on.
 func fixtureCollection() *Collection {
 	return &Collection{
 		Shape: []int{2, 2},
@@ -29,23 +33,39 @@ func fixtureCollection() *Collection {
 	}
 }
 
-// The committed legacy file must keep decoding: old noise files stay
-// loadable forever.
-func TestDecodeLegacyV1Fixture(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "legacy_v1.gob"))
+func readFixture(t testing.TB, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return raw
+}
+
+func encoded(t testing.TB, src NoiseSource) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeNoiseSource(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// The committed file decodes to the values it was written from, and those
+// values encode to the committed bytes: the format has one spelling, and a
+// change to it shows up here as a diff of a file.
+func TestStoredFixtureDecodes(t *testing.T) {
+	raw := readFixture(t, "stored_fixture.bin")
 	col, err := DecodeCollection(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fixtureCollection()
-	if !tensor.ShapeEq(col.Shape, want.Shape) || col.Len() != 2 {
-		t.Fatalf("decoded shape %v, %d members", col.Shape, col.Len())
+	if !tensor.ShapeEq(col.Shape, want.Shape) || col.Len() != 2 || col.Multiplicative() {
+		t.Fatalf("decoded shape %v, %d members, %d weights", col.Shape, col.Len(), len(col.Weights))
 	}
 	for i := range want.Members {
-		if !tensor.Equal(col.Members[i], want.Members[i]) {
+		if !tensor.Equal(col.Members[i], want.Members[i]) || col.InVivo[i] != want.InVivo[i] {
 			t.Fatalf("member %d mismatch", i)
 		}
 	}
@@ -60,35 +80,41 @@ func TestDecodeLegacyV1Fixture(t *testing.T) {
 	if _, ok := src.(*Collection); !ok || src.Mode() != ModeStored {
 		t.Fatalf("DecodeNoiseSource = %T mode %q", src, src.Mode())
 	}
+	if got := encoded(t, want); !bytes.Equal(got, raw) {
+		t.Fatalf("the fixture's values encode to %d bytes that are not the committed %d", len(got), len(raw))
+	}
 }
 
-// Plain additive collections must keep emitting the exact legacy bytes —
-// new writers stay readable by old decoders.
-func TestEncodeV1ByteCompatible(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "legacy_v1.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := fixtureCollection().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), raw) {
-		t.Fatalf("additive encode is not byte-identical to the legacy format (%d vs %d bytes)", buf.Len(), len(raw))
+// A file of either gob format that came before — the bare stream, or the
+// stream behind the /2 magic line — is refused with the typed error and the
+// advice to make a new one, and nothing is allocated past the sniff: the
+// read, and the error.
+func TestOldGobNoiseFilesRefused(t *testing.T) {
+	for _, name := range []string{"legacy_v1.gob", "legacy_v2_stored_mul.gob"} {
+		raw := readFixture(t, name)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeNoiseSource(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCollectionCorrupt) || !strings.Contains(err.Error(), "format changed") || !strings.Contains(err.Error(), "train-noise") {
+			t.Errorf("%s: err = %v, want ErrCollectionCorrupt naming the format change and train-noise", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(raw))+4<<10 {
+			t.Errorf("%s: refusing %d bytes allocated %d", name, len(raw), grew)
+		}
 	}
 }
 
 func TestDecodeCorruptInputs(t *testing.T) {
+	valid := readFixture(t, "stored_fixture.bin")
 	cases := map[string][]byte{
-		"empty":     {},
-		"garbage":   []byte("this is not a noise file at all, nor even gob"),
-		"short":     {0x01, 0x02},
-		"badmagic2": append([]byte(noiseMagicV2), []byte("trailing garbage not gob")...),
-	}
-	if raw, err := os.ReadFile(filepath.Join("testdata", "legacy_v1.gob")); err == nil {
-		cases["truncated"] = raw[:len(raw)/2]
-	} else {
-		t.Fatal(err)
+		"empty":       {},
+		"garbage":     []byte("this is not a noise file at all, nor even gob"),
+		"short":       {0x01, 0x02},
+		"magic alone": []byte(noiseMagic),
+		"badmagic":    append([]byte(noiseMagic), []byte("trailing garbage, no fields")...),
+		"truncated":   valid[:len(valid)/2],
+		"trailing":    append(append([]byte(nil), valid...), 0),
 	}
 	for name, data := range cases {
 		if _, err := DecodeCollection(bytes.NewReader(data)); !errors.Is(err, ErrCollectionCorrupt) {
@@ -97,26 +123,75 @@ func TestDecodeCorruptInputs(t *testing.T) {
 	}
 }
 
-// A structurally valid file with zero members used to decode into a
-// collection whose Sample panics; it must now fail up front, typed.
-func TestDecodeEmptyCollection(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(collectionWire{Shape: []int{2, 2}}); err != nil {
-		t.Fatal(err)
+// le32 appends little-endian u32 fields: the tests' way to spell a file the
+// encoder would refuse to write.
+func le32(b []byte, vs ...uint32) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint32(b, v)
 	}
-	if _, err := DecodeCollection(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCollectionEmpty) {
+	return b
+}
+
+// noiseHeader is a noise file up to its mode's payload: magic, mode, rank
+// and dimensions, in vivo values.
+func noiseHeader(mode string, dims []uint32, inVivo ...float64) []byte {
+	b := tensor.AppendName([]byte(noiseMagic), mode)
+	b = le32(le32(b, uint32(len(dims))), dims...)
+	return tensor.AppendFloats(le32(b, uint32(len(inVivo))), inVivo)
+}
+
+// A structurally valid file with zero members would decode into a
+// collection whose Sample panics; it must fail up front, typed.
+func TestDecodeEmptyCollection(t *testing.T) {
+	file := le32(noiseHeader(ModeStored, []uint32{2, 2}), 0, 0)
+	if _, err := DecodeCollection(bytes.NewReader(file)); !errors.Is(err, ErrCollectionEmpty) {
 		t.Fatalf("err = %v, want ErrCollectionEmpty", err)
 	}
 }
 
+// A member is as long as the shape says: a file whose one member carries
+// three values under a [2 2] shape does not end where its fields do.
 func TestDecodeMemberShapeMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	wire := collectionWire{Shape: []int{2, 2}, Members: []*tensor.Tensor{tensor.New(3)}}
-	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeCollection(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCollectionCorrupt) {
+	file := tensor.AppendFloats(le32(noiseHeader(ModeStored, []uint32{2, 2}), 1), []float64{1, 2, 3})
+	file = le32(file, 0)
+	if _, err := DecodeCollection(bytes.NewReader(file)); !errors.Is(err, ErrCollectionCorrupt) {
 		t.Fatalf("err = %v, want ErrCollectionCorrupt", err)
+	}
+}
+
+// The defect at the noise-file boundary: a member, weight or in vivo value
+// that is not a finite number used to decode cleanly — stored mode then
+// served NaN activations and the refit sorted NaNs. It is refused at decode,
+// refused at encode, and the fit returns its error.
+func TestNonFiniteNoiseRefused(t *testing.T) {
+	const marker = 12345.678
+	for name, set := range map[string]func(c *Collection, v float64){
+		"member":  func(c *Collection, v float64) { c.Members[1].Data()[5] = v },
+		"weight":  func(c *Collection, v float64) { c.Weights[0].Data()[0] = v },
+		"in vivo": func(c *Collection, v float64) { c.InVivo[1] = v },
+	} {
+		// Where the value sits in the file: encode it as a marker, find it.
+		marked := syntheticCollection(2, true)
+		set(marked, marker)
+		file := encoded(t, marked)
+		at := bytes.Index(file, tensor.AppendFloats(nil, []float64{marker}))
+		if at < 0 {
+			t.Fatalf("%s: marker not found", name)
+		}
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			binary.LittleEndian.PutUint64(file[at:], math.Float64bits(v))
+			if _, err := DecodeNoiseSource(bytes.NewReader(file)); !errors.Is(err, ErrCollectionCorrupt) {
+				t.Errorf("%s = %v: Decode error %v, want ErrCollectionCorrupt", name, v, err)
+			}
+			bad := syntheticCollection(2, true)
+			set(bad, v)
+			if err := bad.Encode(&bytes.Buffer{}); !errors.Is(err, ErrCollectionCorrupt) {
+				t.Errorf("%s = %v: Encode error %v, want ErrCollectionCorrupt", name, v, err)
+			}
+			if _, err := FitCollection(bad, noisedist.Laplace); err == nil && name != "in vivo" {
+				t.Errorf("%s = %v: FitCollection fitted it", name, v)
+			}
+		}
 	}
 }
 
@@ -183,16 +258,12 @@ func TestFittedRoundTripByteIdentical(t *testing.T) {
 	}
 }
 
-// Multiplicative stored collections need the v2 format and must round-trip
-// with their weights.
+// Multiplicative stored collections must round-trip with their weights.
 func TestStoredMultiplicativeRoundTrip(t *testing.T) {
 	col := syntheticCollection(2, true)
 	var buf bytes.Buffer
 	if err := col.Encode(&buf); err != nil {
 		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte(noiseMagicV2)) {
-		t.Fatal("multiplicative collection must use the v2 format")
 	}
 	got, err := DecodeCollection(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -227,24 +298,65 @@ func TestDecodeCollectionRejectsFittedPayload(t *testing.T) {
 	}
 }
 
-func TestDecodeV2BadPayloads(t *testing.T) {
-	encode := func(wire noiseWireV2) []byte {
-		var buf bytes.Buffer
-		if err := encodeV2(&buf, wire); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+// fittedFile assembles a fitted noise file over shape [3 4] from parts, so
+// a test can spell one the encoder refuses: dists are appended as given.
+func fittedFile(mode string, dists ...[]byte) []byte {
+	b := noiseHeader(mode, []uint32{3, 4})
+	for _, d := range dists {
+		b = append(b, d...)
 	}
+	return b
+}
+
+func TestDecodeBadPayloads(t *testing.T) {
 	fc, err := FitCollection(syntheticCollection(2, false), noisedist.Laplace)
 	if err != nil {
 		t.Fatal(err)
 	}
+	noise := appendFitted(nil, fc.Noise)
+	edited := func(edit func(f *noisedist.Fitted)) []byte {
+		f := *fc.Noise
+		f.Sketches = [][]float32{append([]float32(nil), f.Sketches[0]...), f.Sketches[1]}
+		f.Orders = [][]int32{f.Orders[0], append([]int32(nil), f.Orders[1]...)}
+		f.Comps = append([]noisedist.Component(nil), f.Comps...)
+		edit(&f)
+		return appendFitted(nil, &f)
+	}
 	cases := map[string][]byte{
-		"unknown mode":           encode(noiseWireV2{Mode: "psychedelic", Shape: []int{2}}),
-		"fitted-mul sans weight": encode(noiseWireV2{Mode: ModeFittedMul, Shape: []int{3, 4}, Noise: fc.Noise}),
-		"fitted sans noise":      encode(noiseWireV2{Mode: ModeFitted, Shape: []int{3, 4}}),
-		"fitted shape mismatch":  encode(noiseWireV2{Mode: ModeFitted, Shape: []int{5}, Noise: fc.Noise}),
-		"stored empty":           encode(noiseWireV2{Mode: ModeStored, Shape: []int{2}}),
+		"unknown mode":           noiseHeader("psychedelic", []uint32{2}),
+		"fitted-mul sans weight": fittedFile(ModeFittedMul, noise),
+		"fitted sans noise":      fittedFile(ModeFitted),
+		"fitted with two":        fittedFile(ModeFitted, noise, noise),
+		"fitted shape mismatch":  append(noiseHeader(ModeFitted, []uint32{5}), noise...),
+		"fitted zero components": fittedFile(ModeFitted, le32(nil, 0, 0)),
+		"unknown kind":           fittedFile(ModeFitted, edited(func(f *noisedist.Fitted) { f.Kind = 9 })),
+		"order not a permutation": fittedFile(ModeFitted, edited(func(f *noisedist.Fitted) {
+			f.Orders[1][3] = f.Orders[1][4]
+		})),
+		"order out of range": fittedFile(ModeFitted, edited(func(f *noisedist.Fitted) { f.Orders[1][0] = -1 })),
+		"sketch not monotone": fittedFile(ModeFitted, edited(func(f *noisedist.Fitted) {
+			f.Sketches[0][2] = f.Sketches[0][0] - 1
+		})),
+		"sketch NaN":     fittedFile(ModeFitted, edited(func(f *noisedist.Fitted) { f.Sketches[0][1] = float32(math.NaN()) })),
+		"sketch 1 knot":  fittedFile(ModeFitted, edited(func(f *noisedist.Fitted) { f.Sketches[0] = f.Sketches[0][:1] })),
+		"negative scale": fittedFile(ModeFitted, edited(func(f *noisedist.Fitted) { f.Comps[0].Scale = -1 })),
+		"NaN loc":        fittedFile(ModeFitted, edited(func(f *noisedist.Fitted) { f.Comps[1].Loc = math.NaN() })),
+		"stored empty":   le32(noiseHeader(ModeStored, []uint32{2}), 0, 0),
+		"stored one weight for two": tensor.AppendFloats(le32(tensor.AppendFloats(
+			le32(noiseHeader(ModeStored, []uint32{1}), 2), []float64{1, 2}), 1), []float64{3}),
+		"zero dimension": tensor.AppendFloats(le32(noiseHeader(ModeStored, []uint32{0}), 1, 0), nil),
+		"rank 9":         noiseHeader(ModeStored, []uint32{1, 1, 1, 1, 1, 1, 1, 1, 1}),
+		"negative dim":   noiseHeader(ModeStored, []uint32{0xfffffffd, 4}),
+		// (2³¹−1)⁴ wraps an int64; no product of the dimensions may stand in
+		// for the count the file does carry.
+		"wrapping dims": noiseHeader(ModeStored, []uint32{math.MaxInt32, math.MaxInt32, math.MaxInt32, math.MaxInt32}),
+		// 2²⁹+1 members of one float64: the byte count wraps a u32 to 8.
+		"count times size wraps": tensor.AppendFloats(le32(noiseHeader(ModeStored, []uint32{1}), 1<<29+1), []float64{1}),
+		"in vivo past the end":   le32(tensor.AppendName([]byte(noiseMagic), ModeStored), 1, 1, 0xffffffff),
+		"member one byte short": func() []byte {
+			file := encoded(t, fixtureCollection())
+			return file[:len(file)-5] // the weight count, and the member's last byte
+		}(),
 	}
 	for name, data := range cases {
 		_, err := DecodeNoiseSource(bytes.NewReader(data))
@@ -256,6 +368,81 @@ func TestDecodeV2BadPayloads(t *testing.T) {
 		}
 		if !errors.Is(err, ErrCollectionCorrupt) {
 			t.Fatalf("%s: err = %v, want ErrCollectionCorrupt", name, err)
+		}
+	}
+}
+
+// A file cut anywhere — inside a field or on a boundary between two — is
+// refused, typed; so is one with a byte after its last field.
+func TestDecodeEveryTruncation(t *testing.T) {
+	fitted, err := FitCollection(syntheticCollection(2, true), noisedist.Gaussian)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]NoiseSource{
+		"stored": fixtureCollection(), "stored-mul": syntheticCollection(2, true), "fitted-mul": fitted,
+	} {
+		file := encoded(t, src)
+		for n := 0; n < len(file); n++ {
+			if _, err := DecodeNoiseSource(bytes.NewReader(file[:n])); !errors.Is(err, ErrCollectionCorrupt) && !errors.Is(err, ErrCollectionEmpty) {
+				t.Fatalf("%s cut to %d of %d bytes: err = %v", name, n, len(file), err)
+			}
+		}
+		if _, err := DecodeNoiseSource(bytes.NewReader(append(file, 0))); !errors.Is(err, ErrCollectionCorrupt) {
+			t.Fatalf("%s with a trailing byte: err = %v", name, err)
+		}
+	}
+}
+
+// encode∘decode is the identity bit for bit — −0, denormals and the extreme
+// exponents included — and what the decoder accepts re-encodes to the bytes
+// it read.
+func TestNoiseRoundTripBitExact(t *testing.T) {
+	odd := []float64{math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1022, math.MaxFloat64, -math.MaxFloat64, 0x1.fffffffffffffp-1, -1.5, 3, 0x1p-1074 * 3, 1e-310}
+	col := &Collection{Shape: []int{3, 4}, InVivo: []float64{math.Copysign(0, -1), math.MaxFloat64}}
+	for i := 0; i < 2; i++ {
+		m, w := tensor.New(3, 4), tensor.New(3, 4)
+		for j := range odd {
+			m.Data()[j], w.Data()[j] = odd[(j+i)%len(odd)], odd[(j+5*i+1)%len(odd)]
+		}
+		col.Members, col.Weights = append(col.Members, m), append(col.Weights, w)
+	}
+	// The fit sums magnitudes: ±MaxFloat64 would make its scale infinite, and a
+	// sketch knot holds no more than a float32.
+	tame := &Collection{Shape: col.Shape, InVivo: col.InVivo}
+	for i := range col.Members {
+		m, w := col.Members[i].Clone(), col.Weights[i].Clone()
+		for j := range m.Data() {
+			m.Data()[j], w.Data()[j] = math.Max(-0x1p100, math.Min(0x1p100, m.Data()[j])), math.Max(-0x1p100, math.Min(0x1p100, w.Data()[j]))
+		}
+		tame.Members, tame.Weights = append(tame.Members, m), append(tame.Weights, w)
+	}
+	fitted, err := FitCollection(tame, noisedist.Laplace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]NoiseSource{"stored-mul": col, "fitted-mul": fitted} {
+		file := encoded(t, src)
+		got, err := DecodeNoiseSource(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again := encoded(t, got); !bytes.Equal(again, file) {
+			t.Errorf("%s: decode then encode changed the file", name)
+		}
+		if c, ok := got.(*Collection); ok {
+			for i := range col.Members {
+				for j := range odd {
+					if math.Float64bits(c.Members[i].Data()[j]) != math.Float64bits(col.Members[i].Data()[j]) ||
+						math.Float64bits(c.Weights[i].Data()[j]) != math.Float64bits(col.Weights[i].Data()[j]) {
+						t.Fatalf("stored member %d element %d changed bits", i, j)
+					}
+				}
+				if math.Float64bits(c.InVivo[i]) != math.Float64bits(col.InVivo[i]) {
+					t.Fatalf("in vivo %d changed bits", i)
+				}
+			}
 		}
 	}
 }
@@ -279,9 +466,9 @@ func TestEncodeNoiseSourceDispatch(t *testing.T) {
 
 // refitDigest is the SHA-256 of everything a stored collection refitted
 // under kind holds — what a fitted deployment writes and every fitted draw
-// is a function of. The fields are hashed, not the encoded file: gob numbers
-// its types in the order a process first meets them, so a file's bytes
-// depend on which tests ran before.
+// is a function of, after a trip through the file format. The digests were
+// recorded over the fields, not the file's bytes, when the file was gob
+// (whose bytes depended on which tests had run before), and so outlive it.
 func refitDigest(t *testing.T, col *Collection, kind noisedist.Kind) string {
 	t.Helper()
 	fc, err := FitCollection(col, kind)
@@ -325,11 +512,7 @@ func refitDigest(t *testing.T, col *Collection, kind noisedist.Kind) string {
 // were recorded with the three-sort fit (sort.Float64s twice and
 // sort.SliceStable per member) and must not move.
 func TestRefitPinned(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "legacy_v1.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := DecodeCollection(bytes.NewReader(raw))
+	legacy, err := DecodeCollection(bytes.NewReader(readFixture(t, "stored_fixture.bin")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,5 +539,46 @@ func TestRefitPinned(t *testing.T) {
 		if got := refitDigest(t, c.col, c.kind); got != c.want {
 			t.Errorf("%s: refit digest %s, want %s", c.name, got, c.want)
 		}
+	}
+}
+
+// BenchmarkDecodeNoiseSource times the noise-file read of a cold start at
+// the sizes the benchmark's workloads load: LeNet's deep cut, and SVHN's
+// shallow one stored and fitted.
+func BenchmarkDecodeNoiseSource(b *testing.B) {
+	collection := func(members, n int) *Collection {
+		rng := tensor.NewRNG(37)
+		c := &Collection{Shape: []int{n}}
+		for i := 0; i < members; i++ {
+			c.Members = append(c.Members, rng.FillLaplace(tensor.New(n), 0, 2.5))
+			c.InVivo = append(c.InVivo, float64(i))
+		}
+		return c
+	}
+	fitted, err := FitCollection(collection(2, 16384), noisedist.Laplace)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		src  NoiseSource
+	}{
+		{"stored_4x120", collection(4, 120)},
+		{"stored_2x16384", collection(2, 16384)},
+		{"fitted_2x16384", fitted},
+	} {
+		var file bytes.Buffer
+		if err := EncodeNoiseSource(&file, c.src); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(file.Len()))
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeNoiseSource(bytes.NewReader(file.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

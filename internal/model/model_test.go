@@ -2,10 +2,10 @@ package model
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -272,22 +272,20 @@ func TestDamagedCacheEntryIsAMiss(t *testing.T) {
 	if err := nn.Save(CifarNet().Build(tensor.NewRNG(1)), nn.InputNorm{Std: 1}, &wrongNet); err != nil {
 		t.Fatal(err)
 	}
-	// What a checkpoint was before it recorded the input normalisation.
-	params := map[string]*tensor.Tensor{}
-	for _, p := range good.Net.Params() {
-		params[p.Name] = p.Value
-	}
-	var noNorm bytes.Buffer
-	if err := gob.NewEncoder(&noNorm).Encode(struct {
-		Network string
-		Params  map[string]*tensor.Tensor
-	}{good.Net.Name(), params}); err != nil {
+	// A checkpoint of the gob format that came before this one.
+	oldGob, err := os.ReadFile(filepath.Join("..", "nn", "testdata", "old_gob_checkpoint.gob"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	// The entry itself with its std, the second float64 behind the magic
+	// line and the network name, zeroed.
+	zeroStd := append([]byte(nil), whole...)
+	clear(zeroStd[bytes.IndexByte(whole, '\n')+1+2+len(good.Net.Name())+8:][:8])
 	for name, damaged := range map[string][]byte{
-		"truncated":        whole[:len(whole)/2],
-		"wrong network":    wrongNet.Bytes(),
-		"no normalisation": noNorm.Bytes(),
+		"truncated":     whole[:len(whole)/2],
+		"wrong network": wrongNet.Bytes(),
+		"gob format":    oldGob,
+		"zero std":      zeroStd,
 	} {
 		if err := os.WriteFile(path, damaged, 0o644); err != nil {
 			t.Fatal(err)

@@ -262,7 +262,7 @@ func Evaluate(net *nn.Sequential, ds *data.Dataset, batchSize int) (float64, err
 // names everything the weights depend on: Split permutes all TrainN+TestN
 // samples, so the training set moves with TestN too.
 func cachePath(dir string, spec Spec, cfg TrainConfig) string {
-	return filepath.Join(dir, fmt.Sprintf("%s-n%d-t%d-e%d-b%d-lr%g-s%d.gob",
+	return filepath.Join(dir, fmt.Sprintf("%s-n%d-t%d-e%d-b%d-lr%g-s%d.ckpt",
 		spec.Name, cfg.TrainN, cfg.TestN, cfg.Epochs, cfg.BatchSize, cfg.LR, cfg.Seed))
 }
 
@@ -271,8 +271,8 @@ func cachePath(dir string, spec Spec, cfg TrainConfig) string {
 // weights and the input normalisation they were trained under, and leaves
 // Train and Test to Materialize, whenever something needs all of them
 // (TestSample needs neither). An entry that does not load — truncated,
-// another network's, or written before checkpoints recorded the
-// normalisation — is a miss: the network is trained, which materialises the
+// another network's, or of a checkpoint format that came before this one —
+// is a miss: the network is trained, which materialises the
 // splits, and the entry rewritten.
 func Open(spec Spec, cfg TrainConfig, dir string) (*Pretrained, error) {
 	pre, err := prepare(spec, cfg)

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"shredder/internal/nn"
+	"shredder/internal/tensor"
 )
 
 // weightDigest is the SHA-256 of every parameter of net, in layer order, as
@@ -27,7 +29,9 @@ func weightDigest(net *nn.Sequential) string {
 // TestTrainPinned holds pre-training to digests recorded when every layer
 // still kept a tape of its own and Train ran the struct-held-tape
 // Forward/Backward: one tape owned by train gives the same weights bit for
-// bit, Dropout's construction-time generator included (cifar).
+// bit, Dropout's construction-time generator included (cifar). A checkpoint
+// carries those weights bit for bit too: saved and loaded into a freshly
+// built network, they hash to the same digests.
 func TestTrainPinned(t *testing.T) {
 	for _, tc := range []struct {
 		spec Spec
@@ -45,6 +49,17 @@ func TestTrainPinned(t *testing.T) {
 		}
 		if got := weightDigest(pre.Net); got != tc.want {
 			t.Errorf("%s: trained weights digest %s, want %s", tc.spec.Name, got, tc.want)
+		}
+		var file bytes.Buffer
+		if err := nn.Save(pre.Net, nn.InputNorm{Mean: pre.Mean, Std: pre.Std}, &file); err != nil {
+			t.Fatal(err)
+		}
+		loaded := tc.spec.Build(tensor.NewRNG(99))
+		if _, err := nn.Load(loaded, &file); err != nil {
+			t.Fatal(err)
+		}
+		if got := weightDigest(loaded); got != tc.want {
+			t.Errorf("%s: weights loaded from a checkpoint digest %s, want %s", tc.spec.Name, got, tc.want)
 		}
 	}
 }

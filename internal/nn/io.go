@@ -1,7 +1,7 @@
 package nn
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -22,17 +22,16 @@ func (n InputNorm) valid() bool {
 	return n.Std > 0 && !math.IsInf(n.Std, 0) && !math.IsNaN(n.Mean) && !math.IsInf(n.Mean, 0)
 }
 
-// ErrNoInputNorm is what Load returns for a checkpoint that records no
-// usable input normalisation — one written before checkpoints carried it.
+// ErrNoInputNorm is what Load returns for a checkpoint whose input
+// normalisation is not usable: a zero, negative or non-finite std, a
+// non-finite mean.
 var ErrNoInputNorm = errors.New("nn: checkpoint records no input normalisation")
 
-// checkpoint is the gob wire format of a saved model: the network name, a
-// parameter map keyed by parameter name and the input normalisation.
-type checkpoint struct {
-	Network string
-	Params  map[string]*tensor.Tensor
-	Norm    InputNorm
-}
+// checkpointMagic opens a checkpoint: the artifact container of
+// tensor/serialize.go, then the network name, the normalisation (mean, std)
+// and a u32 parameter count; per parameter, in the network's own order, a
+// name, a shape and the values as raw float64 words.
+const checkpointMagic = "shredder-ckpt/3\n"
 
 // Save writes the network's parameters and the input normalisation it was
 // trained under to w. The topology is not saved; it is reconstructed by the
@@ -41,49 +40,91 @@ func Save(s *Sequential, norm InputNorm, w io.Writer) error {
 	if !norm.valid() {
 		return fmt.Errorf("nn: save %q: input normalisation (mean %v, std %v) is not usable", s.Name(), norm.Mean, norm.Std)
 	}
-	cp := checkpoint{Network: s.Name(), Params: map[string]*tensor.Tensor{}, Norm: norm}
-	for _, p := range s.Params() {
-		if _, dup := cp.Params[p.Name]; dup {
+	params := s.Params()
+	size, seen := len(checkpointMagic)+2+len(s.Name())+16+4, map[string]bool{}
+	for _, p := range params {
+		if seen[p.Name] {
 			return fmt.Errorf("nn: duplicate parameter name %q while saving %q", p.Name, s.Name())
 		}
-		cp.Params[p.Name] = p.Value
+		seen[p.Name] = true
+		size += 2 + len(p.Name) + 4 + 4*len(p.Value.Shape()) + 8*p.Value.Len()
 	}
-	if err := gob.NewEncoder(w).Encode(cp); err != nil {
+	b := append(make([]byte, 0, size), checkpointMagic...)
+	b = tensor.AppendName(b, s.Name())
+	b = tensor.AppendFloats(b, []float64{norm.Mean, norm.Std})
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(params)))
+	for _, p := range params {
+		b = tensor.AppendName(b, p.Name)
+		b = tensor.AppendShape(b, p.Value.Shape())
+		b = tensor.AppendFloats(b, p.Value.Data())
+	}
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("nn: save %q: %w", s.Name(), err)
 	}
 	return nil
 }
 
 // Load reads what Save wrote into an already-constructed network of the same
-// topology and returns the input normalisation. Every parameter must be
-// present with a matching shape, the saved network name must match, and the
-// normalisation must be there (ErrNoInputNorm). On an error the network is
-// left as it was.
+// topology and returns the input normalisation. The saved network name must
+// match, every parameter must be there under its name, in the network's
+// order and with its shape, the normalisation must be usable
+// (ErrNoInputNorm) and the file must end with the last parameter. On an
+// error the network is left as it was.
 func Load(s *Sequential, r io.Reader) (InputNorm, error) {
-	var cp checkpoint
-	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
+	file, err := tensor.ReadAll(r)
+	if err != nil {
 		return InputNorm{}, fmt.Errorf("nn: load %q: %w", s.Name(), err)
 	}
-	if cp.Network != s.Name() {
-		return InputNorm{}, fmt.Errorf("nn: checkpoint is for network %q, not %q", cp.Network, s.Name())
+	return load(s, file)
+}
+
+// load checks all of file — every name, shape and extent, against the
+// network and against the bytes there are — before it writes one value, and
+// then converts each payload straight into its parameter's storage.
+func load(s *Sequential, file []byte) (InputNorm, error) {
+	rd := tensor.NewReader(file, checkpointMagic)
+	if rd.Err() != nil {
+		return InputNorm{}, fmt.Errorf("nn: load %q: %w (the checkpoint format changed: a file written before it is not read — pre-train again)", s.Name(), rd.Err())
 	}
-	for _, p := range s.Params() {
-		saved, ok := cp.Params[p.Name]
-		if !ok {
-			return InputNorm{}, fmt.Errorf("nn: checkpoint missing parameter %q", p.Name)
+	network := rd.Name()
+	norm := InputNorm{Mean: rd.F64(), Std: rd.F64()}
+	count := rd.U32()
+	if rd.Err() != nil {
+		return InputNorm{}, fmt.Errorf("nn: load %q: %w", s.Name(), rd.Err())
+	}
+	if string(network) != s.Name() {
+		return InputNorm{}, fmt.Errorf("nn: checkpoint is for network %q, not %q", network, s.Name())
+	}
+	params := s.Params()
+	if int64(count) != int64(len(params)) {
+		return InputNorm{}, fmt.Errorf("nn: checkpoint holds %d parameters, network %q has %d", count, s.Name(), len(params))
+	}
+	payloads := make([][]byte, len(params))
+	for i, p := range params {
+		name := rd.Name()
+		shape, vol := rd.Shape()
+		if rd.Err() == nil && string(name) != p.Name {
+			return InputNorm{}, fmt.Errorf("nn: checkpoint parameter %d is %q, the model's is %q", i, name, p.Name)
 		}
-		if !tensor.ShapeEq(saved.Shape(), p.Value.Shape()) {
+		if rd.Err() == nil && !tensor.ShapeEq(shape, p.Value.Shape()) {
 			return InputNorm{}, fmt.Errorf("nn: parameter %q shape %v does not match model shape %v",
-				p.Name, saved.Shape(), p.Value.Shape())
+				p.Name, shape, p.Value.Shape())
+		}
+		payloads[i] = rd.Take(vol, 8)
+		if rd.Err() != nil {
+			return InputNorm{}, fmt.Errorf("nn: load %q: parameter %q: %w", s.Name(), p.Name, rd.Err())
 		}
 	}
-	if !cp.Norm.valid() {
-		return InputNorm{}, fmt.Errorf("%w (load %q: mean %v, std %v)", ErrNoInputNorm, s.Name(), cp.Norm.Mean, cp.Norm.Std)
+	if err := rd.Close(); err != nil {
+		return InputNorm{}, fmt.Errorf("nn: load %q: %w", s.Name(), err)
 	}
-	for _, p := range s.Params() {
-		p.Value.CopyFrom(cp.Params[p.Name])
+	if !norm.valid() {
+		return InputNorm{}, fmt.Errorf("%w (load %q: mean %v, std %v)", ErrNoInputNorm, s.Name(), norm.Mean, norm.Std)
 	}
-	return cp.Norm, nil
+	for i, p := range params {
+		tensor.DecodeFloats(p.Value.Data(), payloads[i])
+	}
+	return norm, nil
 }
 
 // SaveFile saves the network to path, creating parent-less files atomically
@@ -108,10 +149,9 @@ func SaveFile(s *Sequential, norm InputNorm, path string) error {
 
 // LoadFile loads a file written by SaveFile.
 func LoadFile(s *Sequential, path string) (InputNorm, error) {
-	f, err := os.Open(path)
+	file, err := os.ReadFile(path)
 	if err != nil {
 		return InputNorm{}, fmt.Errorf("nn: load file: %w", err)
 	}
-	defer f.Close()
-	return Load(s, f)
+	return load(s, file)
 }

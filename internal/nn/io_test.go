@@ -2,11 +2,13 @@ package nn
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"shredder/internal/tensor"
@@ -74,7 +76,7 @@ func TestLoadShapeMismatchFails(t *testing.T) {
 
 func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "model.gob")
+	path := filepath.Join(dir, "model.ckpt")
 	src := smallNet(5)
 	if err := SaveFile(src, testNorm, path); err != nil {
 		t.Fatalf("SaveFile: %v", err)
@@ -87,83 +89,95 @@ func TestSaveLoadFile(t *testing.T) {
 	if !tensor.AllClose(src.ForwardT(nil, x, false), dst.ForwardT(nil, x, false), 1e-12) {
 		t.Fatal("file round trip changed parameters")
 	}
-	if _, err := LoadFile(dst, filepath.Join(dir, "missing.gob")); err == nil {
+	if _, err := LoadFile(dst, filepath.Join(dir, "missing.ckpt")); err == nil {
 		t.Fatal("LoadFile of missing path should fail")
 	}
+}
+
+// rawParam is one parameter as a checkpoint spells it; a test fills it with
+// what Save would refuse to write.
+type rawParam struct {
+	name string
+	dims []uint32
+	data []float64
+}
+
+// rawCheckpoint assembles a checkpoint field by field.
+func rawCheckpoint(network string, norm InputNorm, params []rawParam) []byte {
+	b := tensor.AppendName([]byte(checkpointMagic), network)
+	b = tensor.AppendFloats(b, []float64{norm.Mean, norm.Std})
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(params)))
+	for _, p := range params {
+		b = tensor.AppendName(b, p.name)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(p.dims)))
+		for _, d := range p.dims {
+			b = binary.LittleEndian.AppendUint32(b, d)
+		}
+		b = tensor.AppendFloats(b, p.data)
+	}
+	return b
 }
 
 // loadSeeds are the weight files FuzzLoad starts from: a valid checkpoint of
 // smallNet and the ways one goes wrong.
 func loadSeeds(t testing.TB) map[string][]byte {
-	encode := func(v any) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	var valid bytes.Buffer
 	if err := Save(smallNet(1), testNorm, &valid); err != nil {
 		t.Fatal(err)
 	}
-	params := func() map[string]*tensor.Tensor {
-		m := map[string]*tensor.Tensor{}
+	// smallNet(1)'s parameters, with edit applied to the one called name.
+	params := func(name string, edit func(p *rawParam)) []rawParam {
+		var ps []rawParam
 		for _, p := range smallNet(1).Params() {
-			m[p.Name] = p.Value
+			rp := rawParam{name: p.Name, data: p.Value.Data()}
+			for _, d := range p.Value.Shape() {
+				rp.dims = append(rp.dims, uint32(d))
+			}
+			if p.Name == name {
+				edit(&rp)
+			}
+			ps = append(ps, rp)
 		}
-		return m
+		return ps
 	}
-	missing, reshaped := params(), params()
-	delete(missing, "fc.b")
-	reshaped["fc.b"] = tensor.New(1, 3)
-	// A tensor on the wire is its own gob message of {Shape, Data}: these
-	// two carry dimensions whose product still equals len(Data), the second
-	// by wrapping round: (2³²+1)(2³²−1) = 2⁶⁴−1, squared ≡ 1.
-	hostile := func(shape ...int) map[string]hostileTensor {
-		m := map[string]hostileTensor{}
-		for name, v := range params() {
-			m[name] = hostileTensor{v.Shape(), v.Data()}
-		}
-		m["fc.b"] = hostileTensor{shape, make([]float64, 3)}
-		return m
+	file := func(name string, edit func(p *rawParam)) []byte {
+		return rawCheckpoint("small", testNorm, params(name, edit))
 	}
-	type hostileCheckpoint struct {
-		Network string
-		Params  map[string]hostileTensor
-		Norm    InputNorm
+	intact := params("", nil)
+	old, err := os.ReadFile(filepath.Join("testdata", "old_gob_checkpoint.gob"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A checkpoint written before checkpoints recorded the normalisation.
-	type oldCheckpoint struct {
-		Network string
-		Params  map[string]*tensor.Tensor
+	seeds := map[string][]byte{
+		"valid":             valid.Bytes(),
+		"trailing byte":     append(append([]byte(nil), valid.Bytes()...), 0),
+		"old gob":           old,
+		"wrong network":     rawCheckpoint("other", testNorm, intact),
+		"missing param":     rawCheckpoint("small", testNorm, intact[:len(intact)-1]),
+		"extra param":       rawCheckpoint("small", testNorm, append(intact, intact[0])),
+		"duplicate param":   file("fc.b", func(p *rawParam) { *p = intact[2] }),
+		"renamed param":     file("fc.b", func(p *rawParam) { p.name = "fc.bias" }),
+		"swapped params":    rawCheckpoint("small", testNorm, []rawParam{intact[1], intact[0], intact[2], intact[3]}),
+		"wrong shape":       file("fc.b", func(p *rawParam) { p.dims = []uint32{1, 3} }),
+		"negative dim":      file("fc.b", func(p *rawParam) { p.dims = []uint32{0xffffffff, 0xfffffffd} }),
+		"overflow dim":      file("fc.b", func(p *rawParam) { p.dims = []uint32{math.MaxInt32, math.MaxInt32, math.MaxInt32, math.MaxInt32, 3} }),
+		"rank 9":            file("fc.b", func(p *rawParam) { p.dims = []uint32{1, 1, 1, 1, 1, 1, 1, 1, 3} }),
+		"one value short":   file("fc.b", func(p *rawParam) { p.data = p.data[:2] }),
+		"one value long":    file("fc.b", func(p *rawParam) { p.data = append(p.data[:3:3], 1) }),
+		"count past params": binary.LittleEndian.AppendUint32(tensor.AppendFloats(tensor.AppendName([]byte(checkpointMagic), "small"), []float64{0.25, 0.5}), 0xffffffff),
+		"zero std":          rawCheckpoint("small", InputNorm{Mean: 1}, intact),
+		"negative std":      rawCheckpoint("small", InputNorm{Std: -1}, intact),
+		"nan norm":          rawCheckpoint("small", InputNorm{Mean: math.NaN(), Std: math.Inf(1)}, intact),
 	}
-	return map[string][]byte{
-		"valid":         valid.Bytes(),
-		"truncated":     valid.Bytes()[:valid.Len()/2],
-		"wrong network": encode(checkpoint{Network: "other", Params: params(), Norm: testNorm}),
-		"missing param": encode(checkpoint{Network: "small", Params: missing, Norm: testNorm}),
-		"wrong shape":   encode(checkpoint{Network: "small", Params: reshaped, Norm: testNorm}),
-		"negative dim":  encode(hostileCheckpoint{"small", hostile(-1, -3), testNorm}),
-		"overflow dim":  encode(hostileCheckpoint{"small", hostile(1<<32+1, 1<<32-1, 1<<32+1, 1<<32-1, 3), testNorm}),
-		"no norm":       encode(oldCheckpoint{Network: "small", Params: params()}),
-		"zero std":      encode(checkpoint{Network: "small", Params: params(), Norm: InputNorm{Mean: 1}}),
-		"nan norm":      encode(checkpoint{Network: "small", Params: params(), Norm: InputNorm{Mean: math.NaN(), Std: math.Inf(1)}}),
+	// Cut at a field boundary of each kind, and inside the last payload.
+	for name, n := range map[string]int{
+		"magic": len(checkpointMagic), "network name": len(checkpointMagic) + 2 + len("small"),
+		"norm": len(checkpointMagic) + 2 + len("small") + 16, "count": len(checkpointMagic) + 2 + len("small") + 20,
+		"half": valid.Len() / 2, "last byte": valid.Len() - 1,
+	} {
+		seeds["cut after "+name] = valid.Bytes()[:n]
 	}
-}
-
-// hostileTensor gob-encodes as a tensor does, with whatever shape it holds.
-type hostileTensor struct {
-	Shape []int
-	Data  []float64
-}
-
-func (h hostileTensor) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(struct {
-		Shape []int
-		Data  []float64
-	}{h.Shape, h.Data})
-	return buf.Bytes(), err
+	return seeds
 }
 
 func TestLoadRefusesMalformedFiles(t *testing.T) {
@@ -173,8 +187,11 @@ func TestLoadRefusesMalformedFiles(t *testing.T) {
 		if (err == nil) != (name == "valid") {
 			t.Errorf("%s file: Load error = %v", name, err)
 		}
-		if noNorm := name == "no norm" || name == "zero std" || name == "nan norm"; errors.Is(err, ErrNoInputNorm) != noNorm {
+		if noNorm := name == "zero std" || name == "negative std" || name == "nan norm"; errors.Is(err, ErrNoInputNorm) != noNorm {
 			t.Errorf("%s file: Load error = %v, ErrNoInputNorm wanted: %v", name, err, noNorm)
+		}
+		if name == "old gob" && (!strings.Contains(err.Error(), "format changed") || !strings.Contains(err.Error(), "pre-train")) {
+			t.Errorf("%s file: Load error %q does not say the format changed and what to do", name, err)
 		}
 		if err == nil {
 			if norm != testNorm {
@@ -193,10 +210,61 @@ func TestLoadRefusesMalformedFiles(t *testing.T) {
 	}
 }
 
+// A checkpoint cut anywhere is refused and leaves the network as it was.
+func TestLoadEveryTruncation(t *testing.T) {
+	var valid bytes.Buffer
+	if err := Save(smallNet(1), testNorm, &valid); err != nil {
+		t.Fatal(err)
+	}
+	net, before := smallNet(2), smallNet(2)
+	for n := 0; n < valid.Len(); n++ {
+		if _, err := Load(net, bytes.NewReader(valid.Bytes()[:n])); err == nil {
+			t.Fatalf("a checkpoint cut to %d of %d bytes loaded", n, valid.Len())
+		}
+	}
+	for i, p := range net.Params() {
+		if !tensor.Equal(p.Value, before.Params()[i].Value) {
+			t.Errorf("refused every time, yet parameter %s changed", p.Name)
+		}
+	}
+}
+
+// Save∘Load is the identity bit for bit — −0, denormals, the extreme
+// exponents and non-finite values a diverged run leaves included — and a
+// loaded network saves to the bytes it was loaded from.
+func TestCheckpointRoundTripBitExact(t *testing.T) {
+	src := smallNet(1)
+	odd := []float64{math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1060, 0x1p-1022, math.MaxFloat64,
+		-math.MaxFloat64, math.Inf(-1), math.Float64frombits(0x7ff8000000000abc)}
+	for _, p := range src.Params() {
+		copy(p.Value.Data(), odd)
+	}
+	var file bytes.Buffer
+	if err := Save(src, testNorm, &file); err != nil {
+		t.Fatal(err)
+	}
+	dst := smallNet(2)
+	if _, err := Load(dst, bytes.NewReader(file.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range src.Params() {
+		for j, v := range p.Value.Data() {
+			if got := dst.Params()[i].Value.Data()[j]; math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("%s[%d]: %x loaded as %x", p.Name, j, math.Float64bits(v), math.Float64bits(got))
+			}
+		}
+	}
+	var again bytes.Buffer
+	if err := Save(dst, testNorm, &again); err != nil || !bytes.Equal(again.Bytes(), file.Bytes()) {
+		t.Fatalf("a loaded network does not save to the bytes it was loaded from (%v)", err)
+	}
+}
+
 // FuzzLoad: a weight file is read from disk, so any bytes may arrive. Load
 // must refuse them or load a complete set of well-shaped parameters and a
 // usable normalisation — never panic — and what it allocates is bounded by
-// the file's own size and one decoder chunk.
+// the file's own size: it is read once, and converted into storage the
+// network already has.
 func FuzzLoad(f *testing.F) {
 	for _, file := range loadSeeds(f) {
 		f.Add(file)
@@ -207,13 +275,7 @@ func FuzzLoad(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		norm, err := Load(net, bytes.NewReader(file))
 		runtime.ReadMemStats(&after)
-		// gob sizes a slice by its declared length only when that many
-		// elements can still follow, one byte each at the least: 8 bytes
-		// of float64 per input byte, doubled for slack. The fixed term is
-		// gob's own: it reads a message into a buffer of the declared
-		// length, up to a 10 MB chunk, before it finds the input shorter
-		// (testdata/fuzz/FuzzLoad/message_length_5gb is six bytes long).
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 12<<20+16*uint64(len(file)) {
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*uint64(len(file))+64<<10 {
 			t.Fatalf("%d-byte file made Load allocate %d bytes", len(file), grew)
 		}
 		if err != nil {
@@ -226,6 +288,10 @@ func FuzzLoad(f *testing.F) {
 			if want := smallNet(2).Params()[i].Value; !tensor.ShapeEq(p.Value.Shape(), want.Shape()) {
 				t.Fatalf("loaded parameter %s has shape %v, the model's is %v", p.Name, p.Value.Shape(), want.Shape())
 			}
+		}
+		var again bytes.Buffer
+		if err := Save(net, norm, &again); err != nil || !bytes.Equal(again.Bytes(), file) {
+			t.Fatalf("an accepted checkpoint does not save back to itself (%v)", err)
 		}
 	})
 }

@@ -217,15 +217,6 @@ type Fitted struct {
 	Orders [][]int32
 }
 
-// Fit builds a single-member Fitted from one trained tensor.
-func Fit(t *tensor.Tensor, k Kind) *Fitted {
-	f, err := FitMixture([]*tensor.Tensor{t}, k)
-	if err != nil {
-		panic(err) // single non-nil tensor cannot fail
-	}
-	return f
-}
-
 // FitMixture fits one component per member tensor: its quantile sketch,
 // its argsort, and its (loc, scale) MLE summary. The float64 member
 // values themselves are not retained — the sketch (fixed size) and the
@@ -247,6 +238,11 @@ func FitMixture(members []*tensor.Tensor, k Kind) (*Fitted, error) {
 		if m == nil || !tensor.ShapeEq(m.Shape(), shape) {
 			return nil, fmt.Errorf("noisedist: member %d shape mismatch", i)
 		}
+		for _, v := range m.Data() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("noisedist: member %d holds %v, not a finite number", i, v)
+			}
+		}
 	}
 	// One sort per member: its argsort is the Orders row, and the values
 	// gathered through it are what the median and the sketch read.
@@ -262,31 +258,62 @@ func FitMixture(members []*tensor.Tensor, k Kind) (*Fitted, error) {
 
 // argsort returns the stable ascending argsort of vals as int32 flat
 // indices — equal values keep their index order — and the values in that
-// order, sorted[j] = vals[order[j]]. Ordering (value, index) pairs is a
-// total order, so an unstable sort yields the stable result.
+// order, sorted[j] = vals[order[j]]. It is a least-significant-digit radix
+// sort of the (key, index) pairs on sortKey, eight passes of one byte each:
+// every pass is stable, so the result is the stable sort on the key, and the
+// key orders finite values as < does. vals must be finite (FitMixture has
+// checked).
 func argsort(vals []float64) (order []int32, sorted []float64) {
-	type entry struct {
-		v float64
-		i int32
-	}
-	entries := make([]entry, len(vals))
+	n := len(vals)
+	keys, idx := make([]uint64, n), make([]int32, n)
+	keysTo, idxTo := make([]uint64, n), make([]int32, n)
+	// All eight histograms in the one pass that computes the keys.
+	var count [8][256]int32
 	for i, v := range vals {
-		entries[i] = entry{v, int32(i)}
-	}
-	slices.SortFunc(entries, func(a, b entry) int {
-		if a.v < b.v {
-			return -1
+		k := sortKey(v)
+		keys[i], idx[i] = k, int32(i)
+		for d := range count {
+			count[d][byte(k>>(8*d))]++
 		}
-		if a.v > b.v {
-			return 1
-		}
-		return int(a.i - b.i)
-	})
-	order, sorted = make([]int32, len(vals)), make([]float64, len(vals))
-	for j, e := range entries {
-		order[j], sorted[j] = e.i, e.v
 	}
-	return order, sorted
+	for d := range count {
+		c, shift := &count[d], 8*d
+		// A byte every key agrees on (the high exponent bits of values of
+		// one magnitude) orders nothing: the pass would be a copy.
+		if n == 0 || int(c[byte(keys[0]>>shift)]) == n {
+			continue
+		}
+		var at int32
+		for b, k := range c {
+			c[b], at = at, at+k
+		}
+		for i, k := range keys {
+			to := c[byte(k>>shift)]
+			c[byte(k>>shift)]++
+			keysTo[to], idxTo[to] = k, idx[i]
+		}
+		keys, keysTo, idx, idxTo = keysTo, keys, idxTo, idx
+	}
+	sorted = make([]float64, n)
+	for j, i := range idx {
+		sorted[j] = vals[i]
+	}
+	return idx, sorted
+}
+
+// sortKey maps a finite float64 to a uint64 whose unsigned order is the
+// float's: a non-negative value sets the sign bit, a negative one inverts
+// every bit. −0 is keyed as +0, because < calls them equal: the pair must
+// tie and fall back on index order, as it does under a comparison sort.
+func sortKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	if v == 0 {
+		b = 0
+	}
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // Components returns the mixture size.
@@ -368,9 +395,9 @@ func (f *Fitted) MemoryBytes() int {
 	return b
 }
 
-// Validate checks structural invariants: a non-empty mixture with
-// finite parameters, one non-decreasing finite sketch and one
-// permutation of the shape's volume per member.
+// Validate checks structural invariants: a non-empty mixture of a known
+// kind with finite parameters, one non-decreasing finite sketch — all of one
+// length — and one permutation of the shape's volume per member.
 func (f *Fitted) Validate() error {
 	if f == nil {
 		return fmt.Errorf("noisedist: nil fitted distribution")
@@ -379,6 +406,9 @@ func (f *Fitted) Validate() error {
 	if !ok || vol <= 0 {
 		return fmt.Errorf("noisedist: invalid shape %v", f.Shape)
 	}
+	if f.Kind != Laplace && f.Kind != Gaussian {
+		return fmt.Errorf("noisedist: unknown distribution %v", f.Kind)
+	}
 	if len(f.Comps) == 0 {
 		return fmt.Errorf("noisedist: no fitted components")
 	}
@@ -386,12 +416,15 @@ func (f *Fitted) Validate() error {
 		return fmt.Errorf("noisedist: %d components with %d sketches and %d orders",
 			len(f.Comps), len(f.Sketches), len(f.Orders))
 	}
+	// One bit per element, for all components: a decoded file is validated
+	// within a thirty-second of what its orders already take.
+	seen := make([]uint64, (vol+63)/64)
 	for i, c := range f.Comps {
 		if !(c.Scale >= 0) || math.IsInf(c.Scale, 0) || math.IsNaN(c.Loc) || math.IsInf(c.Loc, 0) {
 			return fmt.Errorf("noisedist: component %d has invalid parameters (loc %v, scale %v)", i, c.Loc, c.Scale)
 		}
-		if len(f.Sketches[i]) < 2 {
-			return fmt.Errorf("noisedist: component %d sketch has %d knots", i, len(f.Sketches[i]))
+		if len(f.Sketches[i]) < 2 || len(f.Sketches[i]) != len(f.Sketches[0]) {
+			return fmt.Errorf("noisedist: component %d sketch has %d knots, component 0 has %d", i, len(f.Sketches[i]), len(f.Sketches[0]))
 		}
 		for j, q := range f.Sketches[i] {
 			if math.IsNaN(float64(q)) || math.IsInf(float64(q), 0) || (j > 0 && q < f.Sketches[i][j-1]) {
@@ -401,12 +434,12 @@ func (f *Fitted) Validate() error {
 		if len(f.Orders[i]) != vol {
 			return fmt.Errorf("noisedist: component %d order has %d entries for %d elements", i, len(f.Orders[i]), vol)
 		}
-		seen := make([]bool, vol)
+		clear(seen)
 		for _, o := range f.Orders[i] {
-			if o < 0 || int(o) >= vol || seen[o] {
+			if o < 0 || int(o) >= vol || seen[o/64]&(1<<(o%64)) != 0 {
 				return fmt.Errorf("noisedist: component %d order is not a permutation of [0,%d)", i, vol)
 			}
-			seen[o] = true
+			seen[o/64] |= 1 << (o % 64)
 		}
 	}
 	return nil

@@ -9,6 +9,15 @@ import (
 	"shredder/internal/tensor"
 )
 
+// Fit is FitMixture over the single finite tensor a test has just built.
+func Fit(t *tensor.Tensor, k Kind) *Fitted {
+	f, err := FitMixture([]*tensor.Tensor{t}, k)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 func TestParseKind(t *testing.T) {
 	for s, want := range map[string]Kind{
 		"": Laplace, "laplace": Laplace,
@@ -160,6 +169,14 @@ func TestFitMixture(t *testing.T) {
 	if _, err := FitMixture([]*tensor.Tensor{members[0], tensor.New(7)}, Laplace); err == nil {
 		t.Fatal("shape mismatch should fail")
 	}
+	// A diverged training run: no order of NaNs is a ranking.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		diverged := members[1].Clone()
+		diverged.Data()[4] = v
+		if _, err := FitMixture([]*tensor.Tensor{members[0], diverged}, Laplace); err == nil {
+			t.Fatalf("a member holding %v should fail", v)
+		}
+	}
 }
 
 func TestVarianceAnalytic(t *testing.T) {
@@ -219,6 +236,11 @@ func TestValidate(t *testing.T) {
 	bad5.Sketches = nil
 	if bad5.Validate() == nil {
 		t.Fatal("missing sketches should fail validation")
+	}
+	bad6 := *f
+	bad6.Kind = Kind(7)
+	if bad6.Validate() == nil {
+		t.Fatal("unknown kind should fail validation")
 	}
 	if (*Fitted)(nil).Validate() == nil {
 		t.Fatal("nil fitted should fail validation")
@@ -348,5 +370,127 @@ func TestFitMixtureMatchesThreeSortReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// comparisonArgsort is argsort as it was before the radix sort: (value,
+// index) pairs under slices.SortFunc. Ordering the pairs is a total order,
+// so the unstable sort yields the stable result. Kept as the radix sort's
+// oracle.
+func comparisonArgsort(vals []float64) (order []int32, sorted []float64) {
+	type entry struct {
+		v float64
+		i int32
+	}
+	entries := make([]entry, len(vals))
+	for i, v := range vals {
+		entries[i] = entry{v, int32(i)}
+	}
+	slices.SortFunc(entries, func(a, b entry) int {
+		if a.v < b.v {
+			return -1
+		}
+		if a.v > b.v {
+			return 1
+		}
+		return int(a.i - b.i)
+	})
+	order, sorted = make([]int32, len(vals)), make([]float64, len(vals))
+	for j, e := range entries {
+		order[j], sorted[j] = e.i, e.v
+	}
+	return order, sorted
+}
+
+// The radix argsort gives the comparison sort's order, and the values in
+// that order bit for bit, at every size the fit meets and on every input
+// that could tell the two apart.
+func TestArgsortEqualsComparisonSort(t *testing.T) {
+	rng := tensor.NewRNG(29)
+	shapes := map[string]func(n int) []float64{
+		"laplace":  func(n int) []float64 { return rng.FillLaplace(tensor.New(n), 0.25, 3).Data() },
+		"gaussian": func(n int) []float64 { return rng.FillNormal(tensor.New(n), -1, 0.5).Data() },
+		"all equal": func(n int) []float64 {
+			return tensor.New(n).Fill(-2.5).Data()
+		},
+		"runs of ties": func(n int) []float64 {
+			v := rng.FillLaplace(tensor.New(n), 0, 3).Data()
+			for i := range v {
+				v[i] = math.Round(v[i]) // a few dozen distinct values, −0 among them
+			}
+			return v
+		},
+		"signed zeros": func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				switch rng.Intn(4) {
+				case 0:
+					v[i] = math.Copysign(0, -1)
+				case 1:
+					v[i] = rng.Float64() - 0.5
+				}
+			}
+			return v
+		},
+		"denormals and extremes": func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = []float64{
+					math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1060, -0x3p-1060,
+					math.MaxFloat64, -math.MaxFloat64, 0x1p-1022, -0x1p1023, 1, 0,
+				}[rng.Intn(10)]
+			}
+			return v
+		},
+		"sorted": func(n int) []float64 {
+			v := rng.FillNormal(tensor.New(n), 0, 1).Data()
+			slices.Sort(v)
+			return v
+		},
+		"reversed": func(n int) []float64 {
+			v := rng.FillNormal(tensor.New(n), 0, 1).Data()
+			slices.Sort(v)
+			slices.Reverse(v)
+			return v
+		},
+	}
+	for name, fill := range shapes {
+		for _, n := range []int{0, 1, 2, 120, 4704, 16384} {
+			vals := fill(n)
+			order, sorted := argsort(vals)
+			wantOrder, wantSorted := comparisonArgsort(vals)
+			if !slices.Equal(order, wantOrder) {
+				t.Errorf("%s, n=%d: order differs from the comparison sort's", name, n)
+			}
+			for j := range wantSorted {
+				if math.Float64bits(sorted[j]) != math.Float64bits(wantSorted[j]) {
+					t.Errorf("%s, n=%d: sorted[%d] = %v, the comparison sort's %v", name, n, j, sorted[j], wantSorted[j])
+					break
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFitMixture times the refit a fitted-mode start pays per stored
+// collection, at the two cut sizes the benchmark's workloads load.
+func BenchmarkFitMixture(b *testing.B) {
+	for _, c := range []struct {
+		name       string
+		members, n int
+	}{{"2x16384", 2, 16384}, {"4x4704", 4, 4704}} {
+		rng := tensor.NewRNG(31)
+		members := make([]*tensor.Tensor, c.members)
+		for i := range members {
+			members[i] = rng.FillLaplace(tensor.New(c.n), 0, 2.5)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := FitMixture(members, Laplace); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

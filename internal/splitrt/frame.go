@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"shredder/internal/tensor"
 )
@@ -127,15 +126,6 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendFloats(b []byte, data []float64) []byte {
-	n := len(b)
-	b = slices.Grow(b, 8*len(data))[:n+8*len(data)]
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(b[n+8*i:], math.Float64bits(v))
-	}
-	return b
-}
-
 // rankOf is a shape's rank as a header byte. Shapes are the program's own,
 // so one the frame cannot declare is a bug.
 func rankOf(shape []int) byte {
@@ -205,7 +195,7 @@ func (r *request) appendFrame(b []byte) []byte {
 	b = appendString(b, mode)
 	switch {
 	case r.Activation != nil:
-		b = appendFloats(b, r.Activation.Data())
+		b = tensor.AppendFloats(b, r.Activation.Data())
 	case r.Quant != nil:
 		b = append(b, r.Quant.Packed...)
 	}
@@ -229,7 +219,7 @@ func (r *response) appendFrame(b []byte) []byte {
 	b = appendDims(b, shape)
 	b = appendString(b, r.Err)
 	if r.Logits != nil {
-		b = appendFloats(b, r.Logits.Data())
+		b = tensor.AppendFloats(b, r.Logits.Data())
 	}
 	return endFrame(b)
 }
@@ -319,10 +309,7 @@ func decodeFloats(dst *tensor.Tensor, s *frameShape, payload []byte) *tensor.Ten
 	if dst == nil || !tensor.ShapeEq(dst.Shape(), s.dims[:s.rank]) {
 		dst = tensor.New(s.dims[:s.rank]...)
 	}
-	data := dst.Data()
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
+	tensor.DecodeFloats(dst.Data(), payload)
 	return dst
 }
 

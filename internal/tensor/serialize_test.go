@@ -2,51 +2,130 @@ package tensor
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
+	"io"
+	"math"
 	"testing"
 )
 
+// The float codec the wire and the artifacts share is the identity bit for
+// bit: −0, denormals, the extreme exponents, NaN payloads.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rng := NewRNG(21)
-	orig := rng.FillNormal(New(3, 4, 5), 0, 1)
-	var buf bytes.Buffer
-	if err := orig.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
+	vals := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1060, 0x1p-1022,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.Float64frombits(0x7ff8dead0000beef), 1.5}
+	vals = append(vals, NewRNG(21).FillNormal(New(3, 4, 5), 0, 1).Data()...)
+	b := AppendFloats([]byte("prefix"), vals)
+	if len(b) != 6+8*len(vals) || string(b[:6]) != "prefix" {
+		t.Fatalf("AppendFloats wrote %d bytes for %d values", len(b)-6, len(vals))
 	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if !Equal(orig, got) {
-		t.Fatal("round trip changed tensor")
-	}
-	if !ShapeEq(got.Shape(), []int{3, 4, 5}) {
-		t.Fatalf("round trip shape = %v", got.Shape())
+	got := make([]float64, len(vals))
+	DecodeFloats(got, b[6:])
+	for i := range vals {
+		if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
+			t.Fatalf("value %d: %x came back as %x", i, math.Float64bits(vals[i]), math.Float64bits(got[i]))
+		}
 	}
 }
 
 func TestDecodeGarbageFails(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Fatal("Decode of garbage should fail")
+	const magic = "test-artifact/1\n"
+	for name, file := range map[string][]byte{
+		"empty": {}, "garbage": {1, 2, 3}, "magic cut short": []byte(magic[:7]), "another magic": []byte("test-artifact/2\nrest"),
+	} {
+		r := NewReader(file, magic)
+		if !errors.Is(r.Err(), ErrArtifact) || !errors.Is(r.Close(), ErrArtifact) {
+			t.Errorf("%s: Err = %v", name, r.Err())
+		}
+		if r.U32() != 0 || r.F64() != 0 || r.Name() != nil || r.Take(1, 1) != nil || r.Count(1, 8) != 0 {
+			t.Errorf("%s: a failed Reader still yields fields", name)
+		}
 	}
 }
 
-func TestGobEmbedding(t *testing.T) {
-	type msg struct {
-		Name string
-		Act  *Tensor
+// Every declared extent meets the bytes present in Take, before a product is
+// formed: a count that overflows, or wraps round to what the file does
+// carry, fails like one that is simply too long.
+func TestReaderMatchesExtentsAgainstBytesPresent(t *testing.T) {
+	const magic = "m\n"
+	file := func(fields ...byte) []byte { return append([]byte(magic), fields...) }
+	u32 := func(v uint32) []byte { return []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)} }
+
+	r := NewReader(file(append(u32(3), 1, 2, 3, 4, 5, 6)...), magic)
+	if n := r.Count(1, 2); n != 3 || r.Err() != nil {
+		t.Fatalf("Count(1, 2) = %d, %v; six bytes follow three items of two", n, r.Err())
 	}
-	rng := NewRNG(22)
-	in := msg{Name: "activation", Act: rng.FillLaplace(New(2, 6), 0, 0.5)}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatalf("gob encode: %v", err)
+	if p := r.Take(3, 2); len(p) != 6 || r.Close() != nil {
+		t.Fatalf("Take(3, 2) = %v, Close %v", p, r.Close())
 	}
-	var out msg
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("gob decode: %v", err)
+
+	for name, c := range map[string]struct {
+		fields []byte
+		read   func(r *Reader)
+	}{
+		"count past the end":   {append(u32(4), 1, 2, 3, 4, 5, 6), func(r *Reader) { r.Count(1, 2) }},
+		"count wraps to 8":     {append(u32(1<<29+1), 1, 2, 3, 4, 5, 6, 7, 8), func(r *Reader) { r.Count(1, 8) }},
+		"record overflows int": {append(u32(1), 1, 2, 3, 4, 5, 6, 7, 8), func(r *Reader) { r.Count(math.MaxInt/2, 8) }},
+		"take overflows int":   {[]byte{1, 2, 3, 4}, func(r *Reader) { r.Take(math.MaxInt/2, 4) }},
+		"take negative":        {[]byte{1, 2, 3, 4}, func(r *Reader) { r.Take(-1, 4) }},
+		"one byte short":       {[]byte{1, 2, 3}, func(r *Reader) { r.U32() }},
+		"name past the end":    {[]byte{5, 0, 'a', 'b'}, func(r *Reader) { r.Name() }},
+		"rank above the limit": {append(u32(MaxRank+1), make([]byte, 64)...), func(r *Reader) { r.Shape() }},
+		"dims past the end":    {append(u32(2), u32(3)...), func(r *Reader) { r.Shape() }},
+		"negative dimension":   {append(u32(1), u32(0xffffffff)...), func(r *Reader) { r.Shape() }},
+		"volume wraps": {bytes.Join([][]byte{u32(4), u32(math.MaxInt32), u32(math.MaxInt32), u32(math.MaxInt32), u32(math.MaxInt32)}, nil),
+			func(r *Reader) { r.Shape() }},
+		"trailing byte": {append(u32(7), 0), func(r *Reader) { r.U32() }},
+	} {
+		r := NewReader(file(c.fields...), magic)
+		c.read(r)
+		if err := r.Close(); !errors.Is(err, ErrArtifact) {
+			t.Errorf("%s: Close = %v, want ErrArtifact", name, err)
+		}
 	}
-	if out.Name != "activation" || !Equal(in.Act, out.Act) {
-		t.Fatal("gob embedding round trip failed")
+
+	r = NewReader(AppendShape(AppendName([]byte(magic), "conv0.w"), []int{2, 0, 5}), magic)
+	name := string(r.Name())
+	shape, vol := r.Shape()
+	if err := r.Close(); err != nil || name != "conv0.w" || !ShapeEq(shape, []int{2, 0, 5}) || vol != 0 {
+		t.Fatalf("read %q %v (volume %d), %v", name, shape, vol, err)
+	}
+}
+
+// slowReader hands out one byte at a time and knows no length.
+type slowReader struct{ b []byte }
+
+func (s *slowReader) Read(p []byte) (int, error) {
+	if len(s.b) == 0 {
+		return 0, io.EOF
+	}
+	p[0], s.b = s.b[0], s.b[1:]
+	return 1, nil
+}
+
+// lyingReader reports a length that is not what it holds.
+type lyingReader struct {
+	slowReader
+	claim int
+}
+
+func (l *lyingReader) Len() int { return l.claim }
+
+func TestReadAll(t *testing.T) {
+	want := NewRNG(3).FillNormal(New(700), 0, 1)
+	file := AppendFloats(nil, want.Data())
+	for name, r := range map[string]io.Reader{
+		"bytes.Reader": bytes.NewReader(file),
+		"bytes.Buffer": bytes.NewBuffer(append([]byte(nil), file...)),
+		"no length":    &slowReader{file},
+		"claims less":  &lyingReader{slowReader{file}, 10},
+		"claims more":  &lyingReader{slowReader{file}, 1 << 20},
+	} {
+		got, err := ReadAll(r)
+		if err != nil || !bytes.Equal(got, file) {
+			t.Errorf("%s: read %d bytes of %d, %v", name, len(got), len(file), err)
+		}
+	}
+	if got, err := ReadAll(bytes.NewReader(nil)); err != nil || len(got) != 0 {
+		t.Errorf("empty reader: %d bytes, %v", len(got), err)
 	}
 }

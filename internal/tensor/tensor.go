@@ -3,7 +3,8 @@
 // tensors with elementwise arithmetic, parallel matrix multiplication,
 // im2col/col2im convolution lowering, reductions, random initialization
 // (including the Laplace distribution Shredder uses for noise tensors), and
-// gob serialization for model checkpoints.
+// the little-endian artifact container checkpoints and noise files are
+// written in (serialize.go).
 //
 // The package is deliberately minimal: shapes are explicit []int, data is a
 // flat []float64 in row-major order, and there are no lazy views or

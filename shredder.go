@@ -524,9 +524,9 @@ func (s *System) ClassifyBaseline(pixels []float64) (int, error) {
 }
 
 // SaveNoise writes the deployed noise source to path: stored collections
-// in the legacy byte-compatible format, fitted sources as their compact
-// distribution parameters (sketches, orderings, and (loc, scale) pairs —
-// trained float64 tensors are not written in the fitted modes).
+// as their trained tensors, fitted sources as their compact distribution
+// parameters (sketches, orderings, and (loc, scale) pairs — trained float64
+// tensors are not written in the fitted modes).
 func (s *System) SaveNoise(path string) error {
 	if !s.HasNoise() {
 		return fmt.Errorf("shredder: no noise collection to save")
@@ -539,9 +539,9 @@ func (s *System) SaveNoise(path string) error {
 	return core.EncodeNoiseSource(f, s.noise)
 }
 
-// LoadNoise reads a noise file written by SaveNoise (any version). A
-// stored collection is deployed under the configured NoiseMode — fitted
-// modes refit it on load; a fitted file deploys directly in its own mode.
+// LoadNoise reads a noise file written by SaveNoise. A stored collection is
+// deployed under the configured NoiseMode — fitted modes refit it on load; a
+// fitted file deploys directly in its own mode.
 func (s *System) LoadNoise(path string) error {
 	f, err := os.Open(path)
 	if err != nil {

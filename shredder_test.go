@@ -141,7 +141,7 @@ func TestSaveLoadNoise(t *testing.T) {
 	sys := tinySystem(t)
 	sys.LearnNoiseWith(2, NoiseOptions{Epochs: 0.5})
 	dir := t.TempDir()
-	path := filepath.Join(dir, "noise.gob")
+	path := filepath.Join(dir, "noise.bin")
 	if err := sys.SaveNoise(path); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSaveLoadNoise(t *testing.T) {
 
 func TestSaveNoiseWithoutCollection(t *testing.T) {
 	sys := tinySystem(t)
-	if err := sys.SaveNoise(filepath.Join(t.TempDir(), "x.gob")); err == nil {
+	if err := sys.SaveNoise(filepath.Join(t.TempDir(), "x.bin")); err == nil {
 		t.Fatal("SaveNoise should fail with no collection")
 	}
 }
@@ -322,7 +322,7 @@ func TestWeightCache(t *testing.T) {
 	if la != lb {
 		t.Fatal("cached system disagrees with trained system")
 	}
-	if err := a.SaveWeights(filepath.Join(dir, "w.gob")); err != nil {
+	if err := a.SaveWeights(filepath.Join(dir, "w.ckpt")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -449,7 +449,7 @@ func TestFittedLifecycle(t *testing.T) {
 		t.Fatalf("fitted accuracy %d/%d collapsed", correct, n)
 	}
 
-	path := filepath.Join(t.TempDir(), "fitted.gob")
+	path := filepath.Join(t.TempDir(), "fitted.bin")
 	if err := sys.SaveNoise(path); err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestFittedLifecycle(t *testing.T) {
 	// stored-mode save of an equally sized collection.
 	storedSys := tinySystem(t)
 	storedSys.LearnNoiseWith(3, NoiseOptions{Scale: 2, Lambda: 0.01, PrivacyTarget: 4, Epochs: 2})
-	storedPath := filepath.Join(t.TempDir(), "stored.gob")
+	storedPath := filepath.Join(t.TempDir(), "stored.bin")
 	if err := storedSys.SaveNoise(storedPath); err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestFittedMulLifecycle(t *testing.T) {
 		t.Fatalf("mode %q, want fitted-mul", sys.NoiseMode())
 	}
 
-	path := filepath.Join(t.TempDir(), "mul.gob")
+	path := filepath.Join(t.TempDir(), "mul.bin")
 	if err := sys.SaveNoise(path); err != nil {
 		t.Fatal(err)
 	}
