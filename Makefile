@@ -48,12 +48,13 @@ test:
 ## rounds of the training tests (runs sharing one Split: its lazily compiled
 ## training plan, a Collect's activation cache); and of the root package the
 ## cold-start and lazy-materialisation tests (the first users of a System
-## share one sync.Once; the whole root package under -race is too slow for a
-## gate).
+## share one sync.Once) and the edge-step test (Classify, a ConnectEdge
+## client and a ConnectPool handle share one System's monitor) — the whole
+## root package under -race is too slow for a gate.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/splitrt/... ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/audit/... ./internal/model/... ./internal/data/... ./cmd/shredder/...
 	$(GO) test -race -count=3 -run 'TrainPlan|TrainNoise|Collect' ./internal/nn ./internal/core
-	$(GO) test -race -run 'ColdStart|Materiali' .
+	$(GO) test -race -run 'ColdStart|Materiali|EdgeStep' .
 
 ## bench-module: vet and test bench/, which builds against this module's
 ## splitrt API — a change that breaks it should fail here, not in the driver.

@@ -38,7 +38,8 @@ func (r GalleryReport) String() string {
 
 // GalleryAttack runs the identification attack over trials test samples
 // (using the whole test set as the adversary's gallery), with and without
-// the learned noise. LearnNoise must have been called.
+// the learned noise. LearnNoise or LoadNoise must have been called. Like
+// AttackResistance, the attack faces the *deployed* noise source.
 func (s *System) GalleryAttack(trials int) (GalleryReport, error) {
 	if !s.HasNoise() {
 		return GalleryReport{}, fmt.Errorf("shredder: GalleryAttack before LearnNoise/LoadNoise")
@@ -48,7 +49,7 @@ func (s *System) GalleryAttack(trials int) (GalleryReport, error) {
 		return GalleryReport{}, err
 	}
 	clean := attack.GalleryIdentify(s.split, pre.Test.Images, nil, trials, s.seed)
-	noisy := attack.GalleryIdentify(s.split, pre.Test.Images, s.collection, trials, s.seed)
+	noisy := attack.GalleryIdentify(s.split, pre.Test.Images, s.edge.Source, trials, s.seed)
 	return GalleryReport{Trials: clean.Trials, CleanTop1: clean.Top1, NoisyTop1: noisy.Top1}, nil
 }
 
@@ -70,7 +71,7 @@ func (s *System) AttackResistance(n, steps int) (AttackReport, error) {
 	if err != nil {
 		return AttackReport{}, err
 	}
-	clean, shredded := attack.Evaluate(s.split, pre.Test.Images, s.noise, n,
+	clean, shredded := attack.Evaluate(s.split, pre.Test.Images, s.edge.Source, n,
 		attack.Config{Steps: steps, Seed: s.seed})
 	rep := AttackReport{CleanMSE: clean, ShreddedMSE: shredded}
 	if clean > 0 {

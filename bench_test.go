@@ -375,7 +375,7 @@ func BenchmarkEndToEndPrivateInference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := spl.Local(batch.Images)
-		a.Slice(0).AddInPlace(col.Sample(rng))
+		col.DrawInto(nil, rng).ApplyInPlace(a)
 		spl.RemoteInfer(a)
 	}
 }
@@ -530,7 +530,7 @@ func BenchmarkAblationQuantizedWire(b *testing.B) {
 			a := spl.Local(bt.Images)
 			noisy := a.Clone()
 			for j := 0; j < noisy.Dim(0); j++ {
-				noisy.Slice(j).AddInPlace(col.Sample(rng))
+				col.DrawInto(nil, rng).ApplyInPlace(noisy.Slice(j))
 			}
 			if !fitted {
 				s, err := quantize.Fit(noisy, 8)

@@ -120,7 +120,7 @@ func Evaluate(split *core.Split, inputs *tensor.Tensor, src core.NoiseSource, n 
 		cleanMSE += clean.InputMSE
 
 		noisy := a.Clone()
-		src.Draw(rng).ApplyInPlace(noisy.Slice(0))
+		src.DrawInto(nil, rng).ApplyInPlace(noisy)
 		shredded := Invert(split, noisy, x, run)
 		shreddedMSE += shredded.InputMSE
 	}

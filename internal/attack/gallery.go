@@ -17,10 +17,11 @@ type GalleryResult struct {
 
 // GalleryIdentify runs the identification attack over the first trials
 // samples of inputs, using the whole batch as the adversary's gallery.
-// When col is non-nil the observations carry per-sample Shredder noise; the
-// gallery activations are always clean (the adversary computes them itself
-// with white-box access to L).
-func GalleryIdentify(split *core.Split, inputs *tensor.Tensor, col *core.Collection, trials int, seed int64) GalleryResult {
+// When src is non-nil every observation carries a draw of it, applied as the
+// edge applies it (weights included), so the adversary faces the source that
+// is deployed; the gallery activations are always clean (the adversary
+// computes them itself with white-box access to L).
+func GalleryIdentify(split *core.Split, inputs *tensor.Tensor, src core.NoiseSource, trials int, seed int64) GalleryResult {
 	n := inputs.Dim(0)
 	if trials > n {
 		trials = n
@@ -35,10 +36,11 @@ func GalleryIdentify(split *core.Split, inputs *tensor.Tensor, col *core.Collect
 	}
 
 	res := GalleryResult{Trials: trials}
+	var scratch core.DrawScratch // each draw is applied before the next
 	for i := 0; i < trials; i++ {
 		obs := gallery[i].Clone()
-		if col != nil {
-			obs.AddInPlace(col.Sample(rng))
+		if src != nil {
+			src.DrawInto(&scratch, rng).ApplyInPlace(obs)
 		}
 		best, bestDist := -1, 0.0
 		for j := 0; j < n; j++ {

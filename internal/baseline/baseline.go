@@ -58,63 +58,62 @@ type Result struct {
 	BaselineAcc float64
 	// LaplaceAcc is accuracy under the accuracy-agnostic mechanism.
 	LaplaceAcc float64
-	// ShredderAcc is accuracy under the learned collection.
+	// ShredderAcc is accuracy under the learned noise source.
 	ShredderAcc float64
 }
 
-// Compare evaluates the Laplace mechanism against a trained Shredder
-// collection on a test set, with the mechanism's scale calibrated so both
-// operate at the collection's in vivo privacy level.
-func Compare(split *core.Split, ds *data.Dataset, col *core.Collection, seed int64) Result {
+// Compare evaluates the Laplace mechanism against a Shredder noise source on
+// a test set, with the mechanism's scale calibrated so both operate at the
+// source's in vivo privacy level: the mean core.Draw.Power of one draw per
+// test sample, over the activation power E[a²].
+func Compare(split *core.Split, ds *data.Dataset, src core.NoiseSource, seed int64) Result {
 	rng := tensor.NewRNG(seed)
-	// Measure activation power and the collection's noise variance to
-	// find the matched Laplace scale.
-	var ea2 float64
 	batches := ds.Batches(64)
-	for _, b := range batches {
-		a := split.Local(b.Images)
-		ea2 += a.SqSum() / float64(a.Len())
-	}
-	ea2 /= float64(len(batches))
-	var noiseVar float64
-	for _, m := range col.Members {
-		noiseVar += m.Variance()
-	}
-	noiseVar /= float64(col.Len())
-	inVivo := noiseVar / ea2
-	mech := NewLaplaceMechanism(ScaleForInVivo(inVivo, ea2), seed+1)
-
-	var res Result
-	res.InVivo = inVivo
+	// First pass: the source's noise, drawn and applied as the edge does —
+	// accuracy with and without it, the activation power, and the power of
+	// the draws that were applied.
+	var ea2, power float64
+	var scratch core.DrawScratch // each draw is applied before the next
 	correctBase, correctLap, correctShred, n := 0, 0, 0, 0
 	for _, b := range batches {
 		a := split.Local(b.Images)
-		base := split.RemoteInfer(a)
-		lap := split.RemoteInfer(mech.Perturb(a))
+		ea2 += a.SqSum() / float64(a.Len())
 		noisy := a.Clone()
 		for i := 0; i < noisy.Dim(0); i++ {
-			noisy.Slice(i).AddInPlace(col.Sample(rng))
+			d := src.DrawInto(&scratch, rng)
+			power += d.Power(a.Slice(i))
+			d.ApplyInPlace(noisy.Slice(i))
 		}
-		shred := split.RemoteInfer(noisy)
-		for i, y := range b.Labels {
-			if base.Slice(i).Argmax() == y {
-				correctBase++
-			}
-			if lap.Slice(i).Argmax() == y {
-				correctLap++
-			}
-			if shred.Slice(i).Argmax() == y {
-				correctShred++
-			}
-			n++
-		}
+		correctBase += correct(split.RemoteInfer(a), b.Labels)
+		correctShred += correct(split.RemoteInfer(noisy), b.Labels)
+		n += len(b.Labels)
 	}
-	if n > 0 {
-		res.BaselineAcc = float64(correctBase) / float64(n)
-		res.LaplaceAcc = float64(correctLap) / float64(n)
-		res.ShredderAcc = float64(correctShred) / float64(n)
+	var res Result
+	if n == 0 {
+		return res
 	}
+	ea2 /= float64(len(batches))
+	res.InVivo = power / float64(n) / ea2
+	// Second pass: the Laplace mechanism at the matched scale.
+	mech := NewLaplaceMechanism(ScaleForInVivo(res.InVivo, ea2), seed+1)
+	for _, b := range batches {
+		correctLap += correct(split.RemoteInfer(mech.Perturb(split.Local(b.Images))), b.Labels)
+	}
+	res.BaselineAcc = float64(correctBase) / float64(n)
+	res.LaplaceAcc = float64(correctLap) / float64(n)
+	res.ShredderAcc = float64(correctShred) / float64(n)
 	return res
+}
+
+// correct counts the rows of logits whose argmax is their label.
+func correct(logits *tensor.Tensor, labels []int) int {
+	c := 0
+	for i, y := range labels {
+		if logits.Slice(i).Argmax() == y {
+			c++
+		}
+	}
+	return c
 }
 
 // AdvantagePct returns Shredder's accuracy advantage over the

@@ -16,7 +16,7 @@ import (
 //
 // A collection trained with NoiseConfig.Multiplicative additionally holds
 // one trained weight tensor per member (Weights parallel to Members) for
-// the a' = a⊙w + n variant; Draw then pairs each member's weight with its
+// the a' = a⊙w + n variant; DrawInto then pairs each member's weight with its
 // noise. FitCollection turns either kind into a FittedCollection that
 // samples fresh noise per query from fitted distributions.
 type Collection struct {
@@ -74,35 +74,20 @@ func (c *Collection) NoiseShape() []int { return c.Shape }
 // Mode reports ModeStored: the collection replays trained tensors.
 func (c *Collection) Mode() string { return ModeStored }
 
-// Draw samples one member uniformly and returns its tensors (NoiseSource).
-// For stored collections the draw shares the member tensors — callers must
-// not modify them. The random stream consumed is identical to
-// SampleIndexed's, so stored-mode behaviour is bit-for-bit unchanged by
-// the NoiseSource seam.
-func (c *Collection) Draw(rng *tensor.RNG) Draw {
-	i, n := c.SampleIndexed(rng)
-	d := Draw{Member: i, Noise: n}
-	if len(c.Weights) > 0 {
-		d.Weight = c.Weights[i]
-	}
-	return d
-}
-
-// Sample draws one noise tensor uniformly at random — the inference-time
-// sampling step of paper §2.5.
-func (c *Collection) Sample(rng *tensor.RNG) *tensor.Tensor {
-	_, n := c.SampleIndexed(rng)
-	return n
-}
-
-// SampleIndexed is Sample exposing which member was drawn, so telemetry can
-// attribute per-query measurements to collection members.
-func (c *Collection) SampleIndexed(rng *tensor.RNG) (int, *tensor.Tensor) {
+// DrawInto samples one member uniformly — the inference-time sampling step
+// of paper §2.5, one Intn per draw — and returns its tensors (NoiseSource).
+// The draw shares the member tensors, so callers must not modify them, and
+// the scratch is not used.
+func (c *Collection) DrawInto(_ *DrawScratch, rng *tensor.RNG) Draw {
 	if len(c.Members) == 0 {
 		panic("core: sampling from an empty collection")
 	}
-	i := rng.Intn(len(c.Members))
-	return i, c.Members[i]
+	d := Draw{Member: rng.Intn(len(c.Members))}
+	d.Noise = c.Members[d.Member]
+	if len(c.Weights) > 0 {
+		d.Weight = c.Weights[d.Member]
+	}
+	return d
 }
 
 // MeanInVivo returns the average recorded in vivo privacy of the members.

@@ -403,10 +403,17 @@ func TestCollectionSampleAndStats(t *testing.T) {
 	}
 	seen := map[*tensor.Tensor]bool{}
 	for i := 0; i < 100; i++ {
-		seen[c.Sample(rng)] = true
+		d := c.DrawInto(nil, rng)
+		if d.Noise != c.Members[d.Member] || d.Multiplicative() {
+			t.Fatalf("draw %d: member %d with tensor %p and weight %p", i, d.Member, d.Noise, d.Weight)
+		}
+		seen[d.Noise] = true
 	}
 	if len(seen) != 3 {
 		t.Fatalf("sampling hit %d of 3 members", len(seen))
+	}
+	if c.Mode() != ModeStored || !tensor.ShapeEq(c.NoiseShape(), c.Shape) {
+		t.Fatalf("Mode %q, NoiseShape %v", c.Mode(), c.NoiseShape())
 	}
 }
 

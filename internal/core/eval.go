@@ -46,29 +46,29 @@ func (c EvalConfig) withDefaults() EvalConfig {
 
 // Activations runs the local part over the whole dataset and returns the
 // batched activations [N, ...]. When a noise source is given, an
-// independently drawn perturbation is applied to every sample — the
-// paper's inference-time sampling (§2.5). Note that a single fixed noise
-// tensor is a constant shift and leaves mutual information unchanged; the
-// privacy comes from per-query draws. For a stored Collection the draws
-// consume the same random stream Sample always did, so measurements are
-// bit-for-bit unchanged by the NoiseSource seam.
+// independently drawn perturbation is applied to every sample, in row order
+// — the paper's inference-time sampling (§2.5). Note that a single fixed
+// noise tensor is a constant shift and leaves mutual information unchanged;
+// the privacy comes from per-query draws.
 func Activations(split *Split, ds *data.Dataset, src NoiseSource, batchSize int, rng *tensor.RNG) *tensor.Tensor {
-	shape := append([]int{ds.N()}, split.ActivationShape()...)
-	out := tensor.New(shape...)
-	row := 0
+	out := tensor.New(append([]int{ds.N()}, split.ActivationShape()...)...)
+	off := 0
 	for _, b := range ds.Batches(batchSize) {
-		a := split.Local(b.Images)
-		n := a.Dim(0)
-		for i := 0; i < n; i++ {
-			dst := out.Slice(row)
-			dst.CopyFrom(a.Slice(i))
-			if src != nil {
-				src.Draw(rng).ApplyInPlace(dst)
-			}
-			row++
+		off += copy(out.Data()[off:], split.Local(b.Images).Data())
+	}
+	return shred(out, src, rng)
+}
+
+// shred applies one draw of src to every row of acts in row order, in place,
+// and returns acts; a nil source leaves it as it is.
+func shred(acts *tensor.Tensor, src NoiseSource, rng *tensor.RNG) *tensor.Tensor {
+	if src != nil {
+		var scratch DrawScratch // each draw is applied before the next
+		for i := 0; i < acts.Dim(0); i++ {
+			src.DrawInto(&scratch, rng).ApplyInPlace(acts.Slice(i))
 		}
 	}
-	return out
+	return acts
 }
 
 // Evaluate measures baseline/noisy accuracy, in vivo privacy, and the
@@ -76,23 +76,29 @@ func Activations(split *Split, ds *data.Dataset, src NoiseSource, batchSize int,
 // on a test set. Additive sources report the classic 1/SNR =
 // Var(noise)/E[a²]; multiplicative draws report the realized perturbation
 // power E[(a′−a)²]/E[a²], since the weight scales the signal and the noise
-// variance alone no longer measures the distortion.
+// variance alone no longer measures the distortion. It draws as Edge.Step
+// does, without an Edge: it needs the clean and the noisy activation of one
+// sample side by side. L runs over the test set once — the accuracy pass
+// keeps its clean activations for the two MI estimates.
 func Evaluate(split *Split, ds *data.Dataset, src NoiseSource, cfg EvalConfig) EvalResult {
 	cfg = cfg.withDefaults()
 	rng := tensor.NewRNG(cfg.Seed)
 	var res EvalResult
 
-	correctBase, correctNoisy, n := 0, 0, 0
+	clean := tensor.New(append([]int{ds.N()}, split.ActivationShape()...)...)
+	correctBase, correctNoisy, n, off := 0, 0, 0, 0
 	var inVivoSum float64
-	batches := 0
-	for _, b := range ds.Batches(cfg.BatchSize) {
+	var scratch DrawScratch // a draw is applied, or measured, before the next
+	batches := ds.Batches(cfg.BatchSize)
+	for _, b := range batches {
 		a := split.Local(b.Images)
+		off += copy(clean.Data()[off:], a.Data())
 		base := split.RemoteInfer(a)
 		// Per-sample noise draws, as at real inference time (§2.5).
 		aPrime := a.Clone()
 		var lastDraw Draw
 		for i := 0; i < aPrime.Dim(0); i++ {
-			lastDraw = src.Draw(rng)
+			lastDraw = src.DrawInto(&scratch, rng)
 			lastDraw.ApplyInPlace(aPrime.Slice(i))
 		}
 		noisy := split.RemoteInfer(aPrime)
@@ -111,20 +117,17 @@ func Evaluate(split *Split, ds *data.Dataset, src NoiseSource, cfg EvalConfig) E
 		} else {
 			inVivoSum += privacy.InVivo(a, lastDraw.Noise)
 		}
-		batches++
 		n += len(b.Labels)
 	}
 	if n > 0 {
 		res.BaselineAcc = float64(correctBase) / float64(n)
 		res.NoisyAcc = float64(correctNoisy) / float64(n)
-	}
-	if batches > 0 {
-		res.InVivo = inVivoSum / float64(batches)
+		res.InVivo = inVivoSum / float64(len(batches))
 	}
 	res.AccLossPct = privacy.AccuracyLoss(res.BaselineAcc, res.NoisyAcc)
 
-	clean := Activations(split, ds, nil, cfg.BatchSize, rng)
-	shredded := Activations(split, ds, src, cfg.BatchSize, rng)
+	// A second set of N draws, at the stream positions after the first.
+	shredded := shred(clean.Clone(), src, rng)
 	res.OrigMI = privacy.MeasureMI(ds.Images, clean, cfg.MI)
 	miOpts := cfg.MI
 	miOpts.Seed++ // decorrelate subsampling between the two estimates

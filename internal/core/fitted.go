@@ -78,37 +78,18 @@ func (c *FittedCollection) Mode() string {
 // fit saw).
 func (c *FittedCollection) Components() int { return c.Noise.Components() }
 
-// Draw samples one fresh noise realization (and, in the multiplicative
-// mode, one fresh weight). Member is -1: the noise never existed before
-// this query and is attributable to the distribution, not a stored member.
-// The multiplicative pair is drawn from one member's distributions —
-// training co-adapts (w, n), and sampling them from different members
-// was measured to cost ~28 accuracy points at the full LeNet cut.
-func (c *FittedCollection) Draw(rng *tensor.RNG) Draw {
-	if c.Weight == nil {
-		return Draw{Member: -1, Noise: c.Noise.Sample(rng)}
-	}
-	m := 0
-	if k := c.Noise.Components(); k > 1 {
-		m = rng.Intn(k)
-	}
-	d := Draw{
-		Member: -1,
-		Noise:  tensor.New(c.Noise.Shape...),
-		Weight: tensor.New(c.Weight.Shape...),
-	}
-	c.Noise.SampleMemberInto(m, d.Noise, rng)
-	c.Weight.SampleMemberInto(m, d.Weight, rng)
-	return d
-}
-
-// DrawInto is Draw sampling into s's reusable buffers instead of fresh
-// tensors — the serving hot path's allocation-free variant. The
-// returned Draw aliases the scratch and is valid until the next
-// DrawInto on the same scratch.
+// DrawInto samples one fresh noise realization (and, in the multiplicative
+// mode, one fresh weight) into s's buffers: the returned Draw aliases the
+// scratch and is valid until the next DrawInto on it, and a warm scratch
+// makes the draw allocation-free. A nil scratch draws into fresh tensors.
+// Member is -1: the noise never existed before this query and is
+// attributable to the distribution, not a stored member. The multiplicative
+// pair is drawn from one member's distributions — training co-adapts (w, n),
+// and sampling them from different members was measured to cost ~28 accuracy
+// points at the full LeNet cut.
 func (c *FittedCollection) DrawInto(s *DrawScratch, rng *tensor.RNG) Draw {
 	if s == nil {
-		return c.Draw(rng)
+		s = &DrawScratch{}
 	}
 	if s.noise == nil || !tensor.ShapeEq(s.noise.Shape(), c.Noise.Shape) {
 		s.noise = tensor.New(c.Noise.Shape...)

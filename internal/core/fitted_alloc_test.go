@@ -9,8 +9,8 @@ import (
 
 // TestFittedDrawIntoZeroAlloc pins the serving-hot-path claim: once a
 // DrawScratch is warm, fitted draws (additive and multiplicative) allocate
-// nothing per query. The plain Draw path allocates a fresh tensor per
-// query by design — that contrast is what DrawReusing exists to remove.
+// nothing per query. A draw without a scratch allocates a fresh tensor per
+// query by design — that contrast is what the scratch exists to remove.
 func TestFittedDrawIntoZeroAlloc(t *testing.T) {
 	for _, mul := range []bool{false, true} {
 		name := "additive"
@@ -35,9 +35,9 @@ func TestFittedDrawIntoZeroAlloc(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("warm DrawReusing allocates %.1f objects per draw, want 0", allocs)
 			}
-			plain := testing.AllocsPerRun(50, func() { fc.Draw(rng) })
+			plain := testing.AllocsPerRun(50, func() { fc.DrawInto(nil, rng) })
 			if plain == 0 {
-				t.Error("plain Draw reported zero allocations — the scratch path would be pointless; is Draw sharing state?")
+				t.Error("a draw without a scratch reported zero allocations — the scratch would be pointless; is DrawInto sharing state?")
 			}
 		})
 	}

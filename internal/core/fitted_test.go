@@ -11,30 +11,6 @@ import (
 	"shredder/internal/tensor"
 )
 
-// Stored-mode behaviour must be bit-for-bit unchanged by the NoiseSource
-// seam: Draw consumes the same random stream SampleIndexed always did and
-// returns the same member.
-func TestCollectionDrawMatchesSampleIndexed(t *testing.T) {
-	col := syntheticCollection(5, false)
-	a, b := tensor.NewRNG(9), tensor.NewRNG(9)
-	for i := 0; i < 50; i++ {
-		d := col.Draw(a)
-		j, n := col.SampleIndexed(b)
-		if d.Member != j || d.Noise != n {
-			t.Fatalf("draw %d: member %d tensor %p, SampleIndexed %d %p", i, d.Member, d.Noise, j, n)
-		}
-		if d.Weight != nil || d.Multiplicative() {
-			t.Fatal("additive draw must not carry a weight")
-		}
-	}
-	if col.Mode() != ModeStored {
-		t.Fatalf("Mode = %q", col.Mode())
-	}
-	if !tensor.ShapeEq(col.NoiseShape(), col.Shape) {
-		t.Fatal("NoiseShape != Shape")
-	}
-}
-
 // MeanInVivo contract: empty collections report 0, never NaN.
 func TestMeanInVivoEmptyContract(t *testing.T) {
 	if v := (&Collection{}).MeanInVivo(); v != 0 || math.IsNaN(v) {
@@ -88,9 +64,9 @@ func TestFitCollectionFittedDraws(t *testing.T) {
 		t.Fatalf("mode %q components %d", fc.Mode(), fc.Components())
 	}
 	// Fixed seed → byte-identical draws, distinct seeds → fresh noise.
-	d1 := fc.Draw(tensor.NewRNG(3))
-	d2 := fc.Draw(tensor.NewRNG(3))
-	d3 := fc.Draw(tensor.NewRNG(4))
+	d1 := fc.DrawInto(nil, tensor.NewRNG(3))
+	d2 := fc.DrawInto(nil, tensor.NewRNG(3))
+	d3 := fc.DrawInto(nil, tensor.NewRNG(4))
 	if !tensor.Equal(d1.Noise, d2.Noise) {
 		t.Fatal("same seed drew different noise")
 	}
@@ -130,7 +106,7 @@ func TestFitCollectionMultiplicative(t *testing.T) {
 	if fc.Mode() != ModeFittedMul || fc.Weight == nil {
 		t.Fatalf("mode %q weight %v", fc.Mode(), fc.Weight)
 	}
-	d := fc.Draw(tensor.NewRNG(6))
+	d := fc.DrawInto(nil, tensor.NewRNG(6))
 	if !d.Multiplicative() || d.Weight == nil {
 		t.Fatal("fitted-mul draw must carry a weight")
 	}
@@ -216,7 +192,7 @@ func TestPrivacyMonitorFittedSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	m := NewPrivacyMonitorSource(reg, fc, 0.5, 1)
+	m := NewPrivacyMonitor(reg, fc, 0.5, 1)
 	if m == nil {
 		t.Fatal("monitor nil for fitted source")
 	}
@@ -224,8 +200,7 @@ func TestPrivacyMonitorFittedSource(t *testing.T) {
 	tensor.NewRNG(2).FillNormal(act, 1, 0.1)
 	rng := tensor.NewRNG(8)
 	for i := 0; i < 10; i++ {
-		d := fc.Draw(rng)
-		m.ObserveDraw(d, act)
+		m.Observe(fc.DrawInto(nil, rng), act)
 	}
 	if m.Queries() != 10 {
 		t.Fatalf("queries = %d", m.Queries())
@@ -246,15 +221,14 @@ func TestPrivacyMonitorFittedSource(t *testing.T) {
 		t.Fatalf("summary missing fitted block:\n%s", out)
 	}
 
-	// Stored sources still go through the legacy member path.
-	ms := NewPrivacyMonitorSource(obs.NewRegistry(), col, 0.5, 1)
-	d := col.Draw(tensor.NewRNG(1))
-	ms.ObserveDraw(d, act)
+	// Stored sources get the per-member monitor from the same constructor.
+	ms := NewPrivacyMonitor(obs.NewRegistry(), col, 0.5, 1)
+	ms.Observe(col.DrawInto(nil, tensor.NewRNG(1)), act)
 	if ms.Queries() != 1 {
 		t.Fatalf("stored queries = %d", ms.Queries())
 	}
 	// Unknown source types yield a disabled (nil) monitor.
-	if NewPrivacyMonitorSource(reg, fakeSource{}, 0, 1) != nil {
+	if NewPrivacyMonitor(reg, fakeSource{}, 0, 1) != nil {
 		t.Fatal("unknown source should yield nil monitor")
 	}
 }

@@ -19,15 +19,6 @@ func ShredderLoss(logits *tensor.Tensor, labels []int, noise *NoiseTensor, lambd
 	return total, ce, grad
 }
 
-// ShredderLossSoft is ShredderLoss with soft targets (the self-supervised
-// mode: targets are the unnoised model's own softmax outputs, so noise can
-// be learned without ground-truth labels).
-func ShredderLossSoft(logits, target *tensor.Tensor, noise *NoiseTensor, lambda float64) (total, ce float64, grad *tensor.Tensor) {
-	ce, grad = nn.SoftCrossEntropy(logits, target)
-	total = ce - lambda*noise.Values().AbsSum()
-	return total, ce, grad
-}
-
 // AddPrivacyGrad accumulates the gradient of the −λ·Σ|nᵢ| term into the
 // noise gradient: ∂(−λΣ|nᵢ|)/∂nᵢ = −λ·sign(nᵢ). This is the
 // anti-regularization update of the paper — the exact opposite of weight

@@ -17,20 +17,25 @@ const (
 // is the seam between noise *training* (which produces a Collection of
 // trained tensors) and noise *serving*: the stored Collection satisfies it
 // by replaying members, and FittedCollection satisfies it by sampling
-// fresh noise from distributions fitted to those members. Everything that
-// applies noise at inference time — the facade's Classify, the edge
-// client, the fleet pool, the evaluator — speaks this interface and is
-// agnostic to which mode is deployed.
+// fresh noise from distributions fitted to those members. Whatever applies
+// noise at inference time — the one Edge behind the facade's Classify, the
+// edge client and the fleet pool, and the measurement code (Evaluate, the
+// attacks, the baseline) — speaks this interface and is agnostic to which
+// mode is deployed.
 //
 // Implementations are safe for concurrent use as long as callers serialize
-// the RNG they pass in, exactly as Collection sampling always required.
+// the RNG and the scratch they pass in.
 type NoiseSource interface {
 	// NoiseShape is the per-sample activation shape the noise matches.
 	NoiseShape() []int
 	// Mode names the deployment mode (ModeStored, ModeFitted, ModeFittedMul).
 	Mode() string
-	// Draw produces one per-query noise realization from rng.
-	Draw(rng *tensor.RNG) Draw
+	// DrawInto produces one per-query noise realization from rng — the one
+	// way to draw. A source that samples fresh noise writes it into s's
+	// buffers, and the Draw is then valid until the next draw on s; a nil s
+	// draws into fresh tensors. A stored collection returns its members
+	// themselves (shared: not to be modified) and leaves s alone.
+	DrawInto(s *DrawScratch, rng *tensor.RNG) Draw
 	// MeanInVivo reports the average recorded in vivo privacy (1/SNR) of
 	// the underlying trained members; 0 when nothing was recorded.
 	MeanInVivo() float64
@@ -81,9 +86,27 @@ func (d Draw) ApplyInPlace(a *tensor.Tensor) *tensor.Tensor {
 // Multiplicative reports whether the draw carries a weight tensor.
 func (d Draw) Multiplicative() bool { return d.Weight != nil }
 
+// Power is the numerator of the draw's in vivo privacy on one clean
+// per-sample activation: Var(n) for an additive draw, and for a
+// multiplicative one the realized perturbation power E[(a⊙w + n − a)²] — the
+// weight scales the signal, so the noise variance alone no longer measures
+// the distortion.
+func (d Draw) Power(clean *tensor.Tensor) float64 {
+	if d.Weight == nil {
+		return d.Noise.Variance()
+	}
+	ad, wd, nd := clean.Data(), d.Weight.Data(), d.Noise.Data()
+	s := 0.0
+	for i := range ad {
+		p := ad[i]*(wd[i]-1) + nd[i]
+		s += p * p
+	}
+	return s / float64(len(ad))
+}
+
 // DrawScratch holds reusable per-draw buffers for sources that sample
-// fresh noise per query. A serving loop keeps one scratch per RNG (both
-// are guarded by the same mutex) and passes it to DrawReusing; the
+// fresh noise per query. Whoever draws in a loop keeps one scratch per RNG
+// (an Edge guards both with one mutex) and passes it to DrawInto; the
 // returned Draw's tensors alias the scratch, so they are valid only
 // until the next draw — apply the noise before drawing again. The zero
 // value is ready to use; buffers are allocated lazily on first draw and
@@ -94,19 +117,6 @@ type DrawScratch struct {
 	weight *tensor.Tensor
 }
 
-// scratchDrawer is the optional NoiseSource refinement for sources that
-// can sample into caller-owned buffers.
-type scratchDrawer interface {
-	DrawInto(s *DrawScratch, rng *tensor.RNG) Draw
-}
-
-// DrawReusing draws one realization from src, reusing s's buffers when
-// the source supports it. Stored collections return shared member
-// tensors (already allocation-free) and fall through to plain Draw; a
-// nil scratch also falls through.
-func DrawReusing(src NoiseSource, s *DrawScratch, rng *tensor.RNG) Draw {
-	if sd, ok := src.(scratchDrawer); ok && s != nil {
-		return sd.DrawInto(s, rng)
-	}
-	return src.Draw(rng)
-}
+// DrawReusing is src.DrawInto(s, rng) in the spelling the benchmark calls
+// (bench/layers.go), from before DrawInto was the interface's method.
+func DrawReusing(src NoiseSource, s *DrawScratch, rng *tensor.RNG) Draw { return src.DrawInto(s, rng) }

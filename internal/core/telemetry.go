@@ -3,17 +3,11 @@ package core
 import (
 	"fmt"
 	"io"
-	"math"
 	"sync/atomic"
 
 	"shredder/internal/obs"
 	"shredder/internal/tensor"
 )
-
-// floatBits/floatFromBits pack a float64 into the atomic word used for the
-// per-member last-observation field.
-func floatBits(f float64) uint64     { return math.Float64bits(f) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // DefPrivacyBuckets are the histogram bounds for in-vivo 1/SNR: the paper's
 // operating points run from ~1 (weak noise) to ~10+ (strong noise), so the
@@ -77,7 +71,6 @@ type PrivacyMonitor struct {
 	// by static distribution-parameter gauges and the realized 1/SNR is
 	// computed from each sampled draw's own noise (still in vivo).
 	fitted *FittedCollection
-	fitInv atomic.Uint64 // float64 bits of the last sampled fitted 1/SNR
 }
 
 // memberTelemetry is the per-collection-member slice of the monitor.
@@ -85,33 +78,56 @@ type memberTelemetry struct {
 	noiseVar float64
 	noiseL1  float64
 	samples  *obs.Counter
-	invivo   *obs.Gauge
-	lastInv  atomic.Uint64 // float64 bits of the last sampled 1/SNR
+	invivo   *obs.Gauge // last sampled 1/SNR
 }
 
-// NewPrivacyMonitor builds a monitor over a trained collection. target is
-// the 1/SNR floor below which alert counters fire (≤ 0 disables alerting,
-// e.g. for baselines without a PrivacyTarget); sampleEvery computes the
+// NewPrivacyMonitor builds the monitor of a noise source. target is the
+// 1/SNR floor below which alert counters fire (≤ 0 disables alerting, e.g.
+// for baselines without a PrivacyTarget); sampleEvery computes the
 // activation statistics on every N-th query (values < 1 are clamped to 1 —
-// sample every query). Returns nil (a valid, disabled monitor) when reg or
-// col is nil or the collection is empty.
-func NewPrivacyMonitor(reg *obs.Registry, col *Collection, target float64, sampleEvery int) *PrivacyMonitor {
-	if reg == nil || col == nil || col.Len() == 0 {
+// sample every query). A stored collection gets the per-member series above;
+// a fitted source gets the same query/sample/alert pipeline plus static
+// distribution-parameter gauges in place of member-balance gauges:
+//
+//	privacy.dist.components      gauge, mixture size (trained members fitted)
+//	privacy.dist.loc             gauge, mixture-mean location
+//	privacy.dist.scale           gauge, mixture-mean scale
+//	privacy.dist.noise_var       gauge, analytic element variance of a draw
+//	privacy.dist.weight.*        same three for the fitted weights (fitted-mul)
+//
+// Returns nil (a valid, disabled monitor) when reg or src is nil, the
+// collection is empty or the source is of an unknown type.
+func NewPrivacyMonitor(reg *obs.Registry, src NoiseSource, target float64, sampleEvery int) *PrivacyMonitor {
+	col, _ := src.(*Collection)
+	fc, _ := src.(*FittedCollection)
+	if reg == nil || ((col == nil || col.Len() == 0) && (fc == nil || fc.Noise == nil)) {
 		return nil
-	}
-	if sampleEvery < 1 {
-		sampleEvery = 1
 	}
 	m := &PrivacyMonitor{
 		target:  target,
-		every:   uint64(sampleEvery),
+		every:   uint64(max(sampleEvery, 1)),
 		queries: reg.Counter("privacy.queries"),
 		sampled: reg.Counter("privacy.sampled"),
 		alerts:  reg.Counter(MetricPrivacyAlerts),
 		invivo:  reg.Histogram(MetricInVivo, DefPrivacyBuckets...),
 		lastInv: reg.Gauge(MetricInVivoLast),
 		lastSNR: reg.Gauge("privacy.snr.last"),
+		fitted:  fc,
 	}
+	if fc != nil {
+		reg.Gauge("privacy.dist.components").Set(float64(fc.Components()))
+		reg.Gauge("privacy.dist.loc").Set(fc.Noise.MeanLoc())
+		reg.Gauge("privacy.dist.scale").Set(fc.Noise.MeanScale())
+		reg.Gauge("privacy.dist.noise_var").Set(fc.Noise.Variance())
+		if fc.Weight != nil {
+			reg.Gauge("privacy.dist.weight.loc").Set(fc.Weight.MeanLoc())
+			reg.Gauge("privacy.dist.weight.scale").Set(fc.Weight.MeanScale())
+			reg.Gauge("privacy.dist.weight.var").Set(fc.Weight.Variance())
+		}
+		return m
+	}
+	// Members are immutable after training: their variance and L1 are
+	// computed here, once.
 	m.members = make([]memberTelemetry, col.Len())
 	for i, v := range col.Members {
 		name := fmt.Sprintf("privacy.member.%02d", i)
@@ -125,77 +141,21 @@ func NewPrivacyMonitor(reg *obs.Registry, col *Collection, target float64, sampl
 	return m
 }
 
-// NewPrivacyMonitorSource builds a monitor over any noise source. Stored
-// collections get the classic per-member monitor; fitted sources get the
-// same query/sample/alert pipeline plus static distribution-parameter
-// gauges in place of member-balance gauges:
-//
-//	privacy.dist.components      gauge, mixture size (trained members fitted)
-//	privacy.dist.loc             gauge, mixture-mean location
-//	privacy.dist.scale           gauge, mixture-mean scale
-//	privacy.dist.noise_var       gauge, analytic element variance of a draw
-//	privacy.dist.weight.*        same three for the fitted weights (fitted-mul)
-//
-// Returns nil (a valid, disabled monitor) when reg or src is nil or the
-// source is of an unknown type.
-func NewPrivacyMonitorSource(reg *obs.Registry, src NoiseSource, target float64, sampleEvery int) *PrivacyMonitor {
-	switch s := src.(type) {
-	case *Collection:
-		return NewPrivacyMonitor(reg, s, target, sampleEvery)
-	case *FittedCollection:
-		if reg == nil || s == nil || s.Noise == nil {
-			return nil
-		}
-		if sampleEvery < 1 {
-			sampleEvery = 1
-		}
-		m := &PrivacyMonitor{
-			target:  target,
-			every:   uint64(sampleEvery),
-			queries: reg.Counter("privacy.queries"),
-			sampled: reg.Counter("privacy.sampled"),
-			alerts:  reg.Counter(MetricPrivacyAlerts),
-			invivo:  reg.Histogram(MetricInVivo, DefPrivacyBuckets...),
-			lastInv: reg.Gauge(MetricInVivoLast),
-			lastSNR: reg.Gauge("privacy.snr.last"),
-			fitted:  s,
-		}
-		reg.Gauge("privacy.dist.components").Set(float64(s.Components()))
-		reg.Gauge("privacy.dist.loc").Set(s.Noise.MeanLoc())
-		reg.Gauge("privacy.dist.scale").Set(s.Noise.MeanScale())
-		reg.Gauge("privacy.dist.noise_var").Set(s.Noise.Variance())
-		if s.Weight != nil {
-			reg.Gauge("privacy.dist.weight.loc").Set(s.Weight.MeanLoc())
-			reg.Gauge("privacy.dist.weight.scale").Set(s.Weight.MeanScale())
-			reg.Gauge("privacy.dist.weight.var").Set(s.Weight.Variance())
-		}
-		return m
-	}
-	return nil
-}
-
-// ObserveDraw records one noise application from any source. Stored
-// additive draws route through Observe unchanged (identical counters and
-// per-member gauges). Fresh or multiplicative draws compute the realized
-// in-vivo 1/SNR from the draw itself on every sampleEvery-th query:
-// Var(drawn noise)/E[a²] for additive draws, and the realized perturbation
-// power E[(a⊙w + n − a)²]/E[a²] for multiplicative ones. act must be the
-// *clean* activation — call before ApplyInPlace.
-func (m *PrivacyMonitor) ObserveDraw(d Draw, act *tensor.Tensor) {
-	m.ObserveDrawSampled(d, act)
-}
-
-// ObserveDrawSampled is ObserveDraw, additionally reporting the realized
-// in-vivo 1/SNR when this query was one the monitor sampled — the value
-// per-request audit records carry. sampled is false when the query was
-// only counted (not the monitor's sampling turn, zero activation, or a
-// nil monitor); invivo is then 0 and must not be recorded as evidence.
-func (m *PrivacyMonitor) ObserveDrawSampled(d Draw, act *tensor.Tensor) (invivo float64, sampled bool) {
+// Observe records one noise application: d is the draw about to be applied
+// and clean the activation it will land on — call it before ApplyInPlace,
+// the realized SNR is defined against the signal, not the noisy sum. Every
+// call counts the query and, for a stored member, its sampling balance;
+// every sampleEvery-th computes the realized in-vivo 1/SNR, Draw.Power over
+// E[a²]: Var(noise)/E[a²] for an additive draw (a stored member's variance is
+// the one computed at construction) and the realized perturbation power
+// E[(a⊙w + n − a)²]/E[a²] for a multiplicative one. sampled reports whether this query was one of
+// those — the value per-request audit records carry. It is false when the
+// query was only counted (not the monitor's sampling turn, a zero
+// activation, a draw without noise, or a nil monitor); invivo is then 0 and
+// must not be recorded as evidence.
+func (m *PrivacyMonitor) Observe(d Draw, clean *tensor.Tensor) (invivo float64, sampled bool) {
 	if m == nil {
 		return 0, false
-	}
-	if !d.Multiplicative() && d.Member >= 0 {
-		return m.ObserveSampled(d.Member, act)
 	}
 	m.queries.Inc()
 	var mt *memberTelemetry
@@ -206,103 +166,28 @@ func (m *PrivacyMonitor) ObserveDrawSampled(d Draw, act *tensor.Tensor) (invivo 
 	if m.tick.Add(1)%m.every != 0 {
 		return 0, false
 	}
-	n := act.Len()
+	n := clean.Len()
 	if n == 0 || d.Noise == nil {
 		return 0, false
 	}
-	ea2 := act.SqSum() / float64(n)
+	ea2 := clean.SqSum() / float64(n)
 	if !(ea2 > 0) {
 		return 0, false // all-zero activation: SNR undefined, skip the sample
 	}
 	var inv float64
-	if d.Multiplicative() {
-		inv = perturbPower(act, d.Weight, d.Noise) / ea2
+	if mt != nil && !d.Multiplicative() {
+		inv = mt.noiseVar / ea2 // a stored member's variance, computed once
 	} else {
-		inv = d.Noise.Variance() / ea2
+		inv = d.Power(clean) / ea2
 	}
 	m.sampled.Inc()
 	m.invivo.Observe(inv)
 	m.lastInv.Set(inv)
-	m.fitInv.Store(floatBits(inv))
 	if inv > 0 {
 		m.lastSNR.Set(1 / inv)
 	}
 	if mt != nil {
 		mt.invivo.Set(inv)
-		mt.lastInv.Store(floatBits(inv))
-	}
-	if m.target > 0 && inv < m.target {
-		m.alerts.Inc()
-	}
-	return inv, true
-}
-
-// perturbPower returns E[(a⊙w + n − a)²] for one per-sample activation —
-// the realized perturbation power of a multiplicative draw.
-func perturbPower(a, w, n *tensor.Tensor) float64 {
-	ad := a.Data()
-	var wd, nd []float64
-	if w != nil {
-		wd = w.Data()
-	}
-	if n != nil {
-		nd = n.Data()
-	}
-	s := 0.0
-	for i := range ad {
-		p := 0.0
-		if wd != nil {
-			p = ad[i] * (wd[i] - 1)
-		}
-		if nd != nil {
-			p += nd[i]
-		}
-		s += p * p
-	}
-	return s / float64(len(ad))
-}
-
-// Observe records one noise application: member is the index returned by
-// Collection.SampleIndexed and act the *clean* (pre-noise) activation the
-// noise is about to be added to. Call it before AddInPlace — the realized
-// SNR is defined against the signal, not the noisy sum. Only every N-th
-// call computes activation statistics; the rest cost two counter bumps.
-func (m *PrivacyMonitor) Observe(member int, act *tensor.Tensor) {
-	m.ObserveSampled(member, act)
-}
-
-// ObserveSampled is Observe, reporting the realized 1/SNR when this
-// query was one the monitor sampled (same contract as
-// ObserveDrawSampled).
-func (m *PrivacyMonitor) ObserveSampled(member int, act *tensor.Tensor) (invivo float64, sampled bool) {
-	if m == nil {
-		return 0, false
-	}
-	m.queries.Inc()
-	if member < 0 || member >= len(m.members) {
-		return 0, false
-	}
-	mt := &m.members[member]
-	mt.samples.Inc()
-	if m.tick.Add(1)%m.every != 0 {
-		return 0, false
-	}
-	n := act.Len()
-	if n == 0 {
-		return 0, false
-	}
-	ea2 := act.SqSum() / float64(n)
-	if !(ea2 > 0) {
-		return 0, false // all-zero activation: SNR undefined, skip the sample
-	}
-	inv := mt.noiseVar / ea2
-	m.sampled.Inc()
-	m.invivo.Observe(inv)
-	m.lastInv.Set(inv)
-	mt.invivo.Set(inv)
-	mt.lastInv.Store(floatBits(inv))
-	if mt.noiseVar > 0 {
-		m.lastSNR.Set(ea2 / mt.noiseVar)
 	}
 	if m.target > 0 && inv < m.target {
 		m.alerts.Inc()
@@ -354,8 +239,8 @@ func (m *PrivacyMonitor) WriteSummary(w io.Writer) {
 				f.Weight.MeanLoc(), f.Weight.MeanScale(), f.Weight.Variance())
 		}
 		last := "-"
-		if bits := m.fitInv.Load(); bits != 0 {
-			last = fmt.Sprintf("%.3f", floatFromBits(bits))
+		if v := m.lastInv.Value(); v != 0 {
+			last = fmt.Sprintf("%.3f", v)
 		}
 		fmt.Fprintf(w, "last sampled 1/SNR %s (fresh per-query draws; no member balance)\n", last)
 		return
@@ -369,8 +254,8 @@ func (m *PrivacyMonitor) WriteSummary(w io.Writer) {
 			share = 100 * float64(n) / float64(total)
 		}
 		last := "-"
-		if bits := mt.lastInv.Load(); bits != 0 {
-			last = fmt.Sprintf("%.3f", floatFromBits(bits))
+		if v := mt.invivo.Value(); v != 0 {
+			last = fmt.Sprintf("%.3f", v)
 		}
 		fmt.Fprintf(w, "%-8d %10d %6.1f%% %12.3f %12s\n", i, n, share, mt.noiseL1, last)
 	}

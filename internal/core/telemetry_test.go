@@ -28,6 +28,16 @@ func telemetryCollection() *Collection {
 	}
 }
 
+// member is the draw of col's i-th member; an index outside the collection
+// draws nothing.
+func member(col *Collection, i int) Draw {
+	d := Draw{Member: i}
+	if i >= 0 && i < col.Len() {
+		d.Noise = col.Members[i]
+	}
+	return d
+}
+
 // TestPrivacyMonitorObserve drives known activations through both members
 // and checks the realized 1/SNR, the per-member attribution, and that only
 // the weak member trips the alert counter.
@@ -41,9 +51,9 @@ func TestPrivacyMonitorObserve(t *testing.T) {
 	act := tensor.New(1, 2, 2).Fill(1) // E[a²] = 1
 
 	// Member 0: 1/SNR = Var(n)/E[a²] = 1 < target 2 — alert.
-	m.Observe(0, act)
+	m.Observe(member(col, 0), act)
 	// Member 1: 1/SNR = 100 — comfortably above the target.
-	m.Observe(1, act)
+	m.Observe(member(col, 1), act)
 
 	if m.Queries() != 2 || m.Alerts() != 1 {
 		t.Fatalf("queries=%d alerts=%d, want 2/1", m.Queries(), m.Alerts())
@@ -79,10 +89,11 @@ func TestPrivacyMonitorObserve(t *testing.T) {
 // all-zero-activation skip, and out-of-range member indices.
 func TestPrivacyMonitorSamplingAndEdges(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewPrivacyMonitor(reg, telemetryCollection(), 0, 2) // no target, sample every 2nd
+	col := telemetryCollection()
+	m := NewPrivacyMonitor(reg, col, 0, 2) // no target, sample every 2nd
 	act := tensor.New(1, 2, 2).Fill(1)
 	for i := 0; i < 4; i++ {
-		m.Observe(0, act)
+		m.Observe(member(col, 0), act)
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["privacy.queries"] != 4 || snap.Counters["privacy.sampled"] != 2 {
@@ -94,15 +105,15 @@ func TestPrivacyMonitorSamplingAndEdges(t *testing.T) {
 	}
 
 	// An all-zero activation has undefined SNR: counted, never sampled.
-	m2 := NewPrivacyMonitor(obs.NewRegistry(), telemetryCollection(), 2, 1)
-	m2.Observe(0, tensor.New(1, 2, 2))
+	m2 := NewPrivacyMonitor(obs.NewRegistry(), col, 2, 1)
+	m2.Observe(member(col, 0), tensor.New(1, 2, 2))
 	if m2.Queries() != 1 || m2.Alerts() != 0 {
 		t.Fatalf("zero activation: queries=%d alerts=%d", m2.Queries(), m2.Alerts())
 	}
 
 	// Out-of-range member indices must not panic or sample.
-	m2.Observe(-1, act)
-	m2.Observe(99, act)
+	m2.Observe(member(col, -1), act)
+	m2.Observe(member(col, 99), act)
 	if m2.Queries() != 3 {
 		t.Fatalf("out-of-range members not counted as queries: %d", m2.Queries())
 	}
@@ -122,7 +133,7 @@ func TestPrivacyMonitorDisabled(t *testing.T) {
 		t.Fatal("empty collection must yield a nil monitor")
 	}
 	var m *PrivacyMonitor
-	m.Observe(0, tensor.New(1, 2, 2).Fill(1))
+	m.Observe(member(col, 0), tensor.New(1, 2, 2).Fill(1))
 	if m.Queries() != 0 || m.Alerts() != 0 || m.Target() != 0 {
 		t.Fatal("nil monitor must read as zero")
 	}
@@ -136,7 +147,8 @@ func TestPrivacyMonitorDisabled(t *testing.T) {
 // TestPrivacyMonitorSummaryAndConcurrency checks the rendered summary and
 // hammers Observe from many goroutines (run under -race) with exact counts.
 func TestPrivacyMonitorSummaryAndConcurrency(t *testing.T) {
-	m := NewPrivacyMonitor(obs.NewRegistry(), telemetryCollection(), 2, 1)
+	col := telemetryCollection()
+	m := NewPrivacyMonitor(obs.NewRegistry(), col, 2, 1)
 	act := tensor.New(1, 2, 2).Fill(1)
 	const workers, per = 4, 250
 	var wg sync.WaitGroup
@@ -145,7 +157,7 @@ func TestPrivacyMonitorSummaryAndConcurrency(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				m.Observe((w+i)%2, act)
+				m.Observe(member(col, (w+i)%2), act)
 			}
 		}(w)
 	}

@@ -247,8 +247,8 @@ func TestFittedRoundTripByteIdentical(t *testing.T) {
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("mul=%v: fitted round-trip not byte-identical (%d vs %d bytes)", mul, first.Len(), second.Len())
 		}
-		a := fc.Draw(tensor.NewRNG(7))
-		b := got.Draw(tensor.NewRNG(7))
+		a := fc.DrawInto(nil, tensor.NewRNG(7))
+		b := got.DrawInto(nil, tensor.NewRNG(7))
 		if !tensor.Equal(a.Noise, b.Noise) {
 			t.Fatalf("mul=%v: decoded source draws different noise for the same seed", mul)
 		}
@@ -277,7 +277,7 @@ func TestStoredMultiplicativeRoundTrip(t *testing.T) {
 			t.Fatalf("member %d tensors mismatch", i)
 		}
 	}
-	d1, d2 := col.Draw(tensor.NewRNG(5)), got.Draw(tensor.NewRNG(5))
+	d1, d2 := col.DrawInto(nil, tensor.NewRNG(5)), got.DrawInto(nil, tensor.NewRNG(5))
 	if d1.Member != d2.Member || !tensor.Equal(d1.Noise, d2.Noise) || !tensor.Equal(d1.Weight, d2.Weight) {
 		t.Fatal("decoded collection draws differently")
 	}

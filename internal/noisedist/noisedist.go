@@ -445,20 +445,12 @@ func (f *Fitted) Validate() error {
 	return nil
 }
 
-// Sample draws one fresh noise tensor: pick a member uniformly, draw
-// stratified uniforms through its quantile sketch, and scatter them
-// through its order so the sampled tensor is rank-identical to the
-// trained one. Deterministic for a given RNG state; the RNG is not
-// goroutine-safe, so callers serialize access exactly as they do for
-// Collection sampling.
-func (f *Fitted) Sample(rng *tensor.RNG) *tensor.Tensor {
-	out := tensor.New(f.Shape...)
-	f.SampleInto(out, rng)
-	return out
-}
-
-// SampleInto is Sample writing into a caller-owned tensor (scratch reuse
-// for hot serving paths). dst must have the fitted shape's volume.
+// SampleInto draws one fresh noise tensor into dst, a caller-owned tensor
+// of the fitted shape's volume (a serving loop reuses one): pick a member
+// uniformly, draw stratified uniforms through its quantile sketch, and
+// scatter them through its order so the sampled tensor is rank-identical to
+// the trained one. Deterministic for a given RNG state; the RNG is not
+// goroutine-safe, so callers serialize access.
 //
 // Stratified uniforms u_j = (j + U_j)/n are born sorted, so no sort is
 // needed and a draw is O(n): evaluate the inverse CDF at each u_j and

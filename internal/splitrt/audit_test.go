@@ -209,7 +209,7 @@ func TestNoisedBytesOnTheWirePinned(t *testing.T) {
 		for call := 0; call < calls; call++ {
 			want = split.Local(x)
 			for i := 0; i < n; i++ {
-				d := noise.Draw(rng)
+				d := noise.DrawInto(nil, rng)
 				want.Slice(i).AddInPlace(d.Noise)
 				if n == 1 {
 					member = d.Member

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -15,29 +16,26 @@ import (
 	"shredder/internal/tensor"
 )
 
-// EdgeClient is the device side of split inference: it runs the local part
-// L, perturbs the activation with a per-query draw from a noise source
-// (stored collection or fitted distributions), and sends only the noisy
-// activation to the cloud. When the source is nil the client transmits raw
-// activations (the paper's "original execution" baseline).
+// EdgeClient is the device side of split inference: its core.Edge runs the
+// local part L and perturbs the activation with a per-query draw from a
+// noise source (stored collection or fitted distributions), and the client
+// sends only the noisy activation to the cloud. When the source is nil the
+// client transmits raw activations (the paper's "original execution"
+// baseline).
 //
 // The wire protocol is request/response over a single connection, so the
 // client serializes round trips internally: Infer/Classify are safe to
 // call from multiple goroutines (the local forward passes still run
-// concurrently; noise sampling and the wire exchange, packing included, are
-// serialized).
+// concurrently; the edge serializes its draws and the client the wire
+// exchange, packing included).
 // Stats is lock-free and safe to call from a concurrent poller at any time.
 type EdgeClient struct {
-	split *core.Split
-	noise core.NoiseSource
+	edge *core.Edge // L, the noise and its monitor: the step before the wire
 
-	// mu guards the RNG (tensor.RNG is not goroutine-safe), the draw
-	// scratch, the connection state (conn/broken), wireBits and the
-	// per-call storage below it. A call holds it from its noise draw to its
-	// response, so one call at a time uses that storage.
-	mu      sync.Mutex
-	rng     *tensor.RNG
-	scratch core.DrawScratch // reused by fitted sources: zero-alloc draws
+	// mu guards the connection state (conn/broken), wireBits and the
+	// per-call storage below it. A call holds it from taking that storage to
+	// its response, so one call at a time uses it.
+	mu sync.Mutex
 
 	// acts holds the edge activations no call is using: InferContext takes
 	// one for its local forward pass (which runs outside mu, so several may
@@ -50,8 +48,7 @@ type EdgeClient struct {
 
 	conn *frameConn
 
-	spans   *obs.SpanRing        // nil = client span recording disabled
-	monitor *core.PrivacyMonitor // nil = privacy telemetry disabled
+	spans *obs.SpanRing // nil = client span recording disabled
 
 	// Metrics live on the client, not the connection, so cumulative stats
 	// survive reconnects. Every handle is an atomic obs metric, so Stats
@@ -123,14 +120,24 @@ func WithSpans(ring *obs.SpanRing) ClientOption {
 	return clientOption(func(c *EdgeClient) { c.spans = ring })
 }
 
-// WithPrivacyTelemetry feeds every noise application to a
-// core.PrivacyMonitor: per-member sampling balance on each query and, at
-// the monitor's sampling rate, the realized in-vivo 1/SNR of the clean
-// activation the noise lands on. A nil monitor is valid and disables the
-// telemetry.
-func WithPrivacyTelemetry(m *core.PrivacyMonitor) ClientOption {
-	return clientOption(func(c *EdgeClient) { c.monitor = m })
+// TelemetryOption is the one privacy-monitor option, WithPrivacyTelemetry: a
+// ClientOption and a PoolOption — whichever role noises the activation.
+type TelemetryOption interface {
+	ClientOption
+	PoolOption
 }
+
+type telemetryOption struct{ m *core.PrivacyMonitor }
+
+func (o telemetryOption) applyClient(c *EdgeClient) { c.edge.Monitor = o.m }
+func (o telemetryOption) applyPool(p *Pool)         { p.edge.Monitor = o.m }
+
+// WithPrivacyTelemetry feeds every noise application of a client, or of a
+// pool, to a core.PrivacyMonitor: per-member sampling balance on each query
+// and, at the monitor's sampling rate, the realized in-vivo 1/SNR of the
+// clean activation the noise lands on — which then rides the request's audit
+// note. A nil monitor is valid and disables the telemetry.
+func WithPrivacyTelemetry(m *core.PrivacyMonitor) TelemetryOption { return telemetryOption{m} }
 
 // WithReconnect makes the client transparently redial and re-handshake a
 // broken connection up to max times per call, sleeping base, 2·base,
@@ -212,7 +219,7 @@ var errHandshakeRejected = errors.New("handshake rejected")
 // no-noise baseline.
 func Dial(addr string, split *core.Split, cutLayer string, src core.NoiseSource, seed int64, opts ...ClientOption) (*EdgeClient, error) {
 	c := &EdgeClient{
-		split: split, noise: src, rng: tensor.NewRNG(seed),
+		edge: core.NewEdge(split, src, seed),
 		addr: addr, cutLayer: cutLayer,
 		redialBase: 50 * time.Millisecond, redialMax: 2 * time.Second,
 	}
@@ -234,7 +241,7 @@ func (c *EdgeClient) connect() error {
 	}
 	conn := &frameConn{conn: raw, sent: c.m.sent, received: c.m.received,
 		poke: func() { raw.SetDeadline(time.Unix(1, 0)) }}
-	h := hello{Version: protoVersion, Network: c.split.Net.Name(), CutLayer: c.cutLayer}
+	h := hello{Version: protoVersion, Network: c.edge.Split.Net.Name(), CutLayer: c.cutLayer}
 	conn.wbuf = h.appendFrame(conn.wbuf)
 	if err := conn.flush(); err != nil {
 		conn.Close()
@@ -282,7 +289,7 @@ func (c *EdgeClient) reconnect(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(redialDelay(c.redialBase, c.redialMax, attempt-1, c.jitter())):
+			case <-time.After(redialDelay(c.redialBase, c.redialMax, attempt-1, jitter())):
 			}
 		}
 		if err = c.connect(); err == nil {
@@ -316,9 +323,9 @@ func redialDelay(base, max time.Duration, n int, j float64) time.Duration {
 	return d
 }
 
-// jitter draws a uniform value in [-1, 1] from the client RNG. The caller
-// must hold c.mu (the RNG is not goroutine-safe).
-func (c *EdgeClient) jitter() float64 { return 2*c.rng.Float64() - 1 }
+// jitter draws a uniform value in [-1, 1]. It is not the noise stream's: a
+// redial does not move the draws of the queries after it.
+func jitter() float64 { return 2*rand.Float64() - 1 }
 
 // Infer runs split inference on a batch [N, C, H, W] and returns the
 // logits computed by the cloud. Each sample gets an independently sampled
@@ -332,36 +339,15 @@ func (c *EdgeClient) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 // to the network round trip, and a broken connection is transparently
 // redialed with backoff when WithReconnect is configured.
 func (c *EdgeClient) InferContext(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	a := c.split.LocalInto(c.acts.take(), x) // reentrant: runs outside the lock
+	a, at := c.edge.Step(c.acts.take(), x) // the local pass is reentrant; the draws take the edge's own lock
 
 	c.mu.Lock()
-	var note *auditNote
-	if c.noise != nil {
-		// Member -2 = "not attributable": a multi-sample batch mixes draws,
-		// so no single member describes the request. Single-sample requests
-		// (the serving common case) carry the exact member.
-		note = &c.note
-		*note = auditNote{Mode: c.noise.Mode(), Member: -2}
-		n := a.Dim(0)
-		for i := 0; i < n; i++ {
-			d := core.DrawReusing(c.noise, &c.scratch, c.rng)
-			ai := a // a batch of one is its own sample: no view is built
-			if n > 1 {
-				ai = a.Slice(i)
-			}
-			// Telemetry sees the clean activation: realized SNR is defined
-			// against the signal the noise is about to cover.
-			inv, sampled := c.monitor.ObserveDrawSampled(d, ai)
-			if sampled {
-				note.InVivo, note.Sampled = inv, true
-			}
-			if n == 1 {
-				note.Member = int32(d.Member)
-			}
-			d.ApplyInPlace(ai)
-		}
+	req := request{Activation: a}
+	if at.Mode != "" {
+		c.note = at
+		req.Audit = &c.note
 	}
-	logits, err := c.relayLocked(ctx, request{Activation: a, Audit: note})
+	logits, err := c.relayLocked(ctx, req)
 	c.mu.Unlock()
 	c.acts.give(a)
 	return logits, err
@@ -621,13 +607,12 @@ func (c *EdgeClient) roundTrip(ctx context.Context, req request, st *stageTimes)
 }
 
 // sleepBackoff waits the jittered exponential-backoff step for the n-th
-// retry (n ≥ 1) of the current call, honouring the context. The caller
-// must hold c.mu (for the jitter RNG).
+// retry (n ≥ 1) of the current call, honouring the context.
 func (c *EdgeClient) sleepBackoff(ctx context.Context, n int) error {
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-time.After(redialDelay(c.redialBase, c.redialMax, n, c.jitter())):
+	case <-time.After(redialDelay(c.redialBase, c.redialMax, n, jitter())):
 		return nil
 	}
 }

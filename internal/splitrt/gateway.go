@@ -86,7 +86,7 @@ func NewGateway(pool *Pool, opts ...GatewayOption) *Gateway {
 	// backend call never blocks the connection's other requests (the pool is a
 	// concurrent fan-out, unlike a single client's lockstep exchange).
 	g := &Gateway{pool: pool, endpoint: endpoint{role: "gateway", pipelined: true,
-		serves: hello{Network: pool.split.Net.Name(), CutLayer: pool.cutLayer}}}
+		serves: hello{Network: pool.edge.Split.Net.Name(), CutLayer: pool.cutLayer}}}
 	g.states.handle, g.debugSurface = g.handle, g.surface
 	for _, o := range opts {
 		o.applyGateway(g)

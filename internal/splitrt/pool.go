@@ -34,20 +34,16 @@ import (
 //     one backend — in-flight calls finish, new calls reroute — and Close
 //     drains the whole pool.
 //
-// Like EdgeClient, the pool applies the noise source (when non-nil) to
-// each sample before anything leaves the process, so no backend ever sees a
-// raw activation regardless of routing, rerouting, or hedging.
+// Like EdgeClient, the pool runs its core.Edge over each request before
+// anything leaves the process, so no backend ever sees a raw activation
+// regardless of routing, rerouting, or hedging, and the request carries the
+// edge's attribution to the backend's audit ledger.
 //
 // All methods are safe for concurrent use.
 type Pool struct {
-	split    *core.Split
+	edge     *core.Edge // L, the noise and its monitor: the step before routing
 	cutLayer string
-	noise    core.NoiseSource
 	key      string // routing key: network "/" cut layer
-
-	mu      sync.Mutex // guards rng and scratch (noise sampling)
-	rng     *tensor.RNG
-	scratch core.DrawScratch // reused by fitted sources: zero-alloc draws
 
 	seed       int64
 	reg        *obs.Registry
@@ -215,15 +211,14 @@ var errBackendDraining = errors.New("splitrt: pool: backend draining")
 // NewPool dials every addr and assembles the fleet handle. Backends that
 // fail to dial start in the ejected state and are retried by the health
 // loop; NewPool fails only when no backend at all is reachable. The seed
-// derives both the pool's noise RNG and per-backend client seeds.
+// derives both the pool's noise draws and per-backend client seeds.
 func NewPool(split *core.Split, cutLayer string, src core.NoiseSource, seed int64, addrs []string, opts ...PoolOption) (*Pool, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("splitrt: pool: no backend addresses")
 	}
 	p := &Pool{
-		split: split, cutLayer: cutLayer, noise: src,
+		edge: core.NewEdge(split, src, seed), cutLayer: cutLayer,
 		key:  split.Net.Name() + "/" + cutLayer,
-		rng:  tensor.NewRNG(seed),
 		seed: seed, balancer: NewRoundRobin(),
 		hedgeMin: time.Millisecond, ejectAfter: 3, healthIvl: time.Second,
 		healthStop: make(chan struct{}), healthDone: make(chan struct{}),
@@ -273,7 +268,7 @@ func NewPool(split *core.Split, cutLayer string, src core.NoiseSource, seed int6
 // does not immediately cost an ejection, then the caller's extra options.
 func (p *Pool) dialBackend(addr string, seed int64) (*EdgeClient, error) {
 	opts := append([]ClientOption{WithReconnect(2, 25*time.Millisecond)}, p.clientOpts...)
-	return Dial(addr, p.split, p.cutLayer, nil, seed, opts...)
+	return Dial(addr, p.edge.Split, p.cutLayer, nil, seed, opts...)
 }
 
 // Infer runs split inference on a batch [N, ...] through the fleet.
@@ -281,19 +276,16 @@ func (p *Pool) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return p.InferContext(context.Background(), x)
 }
 
-// InferContext runs the local part, applies noise (when the pool holds a
-// noise source), and routes the protected activation through the fleet
-// with balancing, rerouting, and hedging.
+// InferContext runs the edge step — the local part, then noise when the pool
+// holds a source — and routes the protected activation, with its attribution,
+// through the fleet with balancing, rerouting, and hedging.
 func (p *Pool) InferContext(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	a := p.split.Local(x) // reentrant: outside any lock
-	if p.noise != nil {
-		p.mu.Lock()
-		for i := 0; i < a.Dim(0); i++ {
-			core.DrawReusing(p.noise, &p.scratch, p.rng).ApplyInPlace(a.Slice(i))
-		}
-		p.mu.Unlock()
+	a, at := p.edge.Step(nil, x)
+	req := request{Activation: a}
+	if at.Mode != "" {
+		req.Audit = &at
 	}
-	return p.InferActivation(ctx, a)
+	return p.relay(ctx, req)
 }
 
 // InferActivation routes an already-prepared cut-layer activation through
@@ -737,4 +729,4 @@ func (p *Pool) Stats() PoolStats {
 
 // Split returns the model partition the pool serves — the gateway needs it
 // to validate incoming requests.
-func (p *Pool) Split() *core.Split { return p.split }
+func (p *Pool) Split() *core.Split { return p.edge.Split }

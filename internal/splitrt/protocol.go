@@ -10,6 +10,7 @@ package splitrt
 import (
 	"fmt"
 
+	"shredder/internal/core"
 	"shredder/internal/tensor"
 )
 
@@ -61,15 +62,8 @@ type request struct {
 }
 
 // auditNote is the per-request privacy attribution an edge attaches for
-// the server's audit ledger. Member follows audit.Record's convention:
-// the stored-collection index, -1 for fresh fitted samples, -2 when the
-// batch mixed draws and no single member attributes it.
-type auditNote struct {
-	Mode    string
-	Member  int32
-	InVivo  float64
-	Sampled bool
-}
+// the server's audit ledger: what its core.Edge returned for the request.
+type auditNote = core.Attribution
 
 // quantPayload is the quantized wire representation of an activation
 // batch: level indices bit-packed at Bits bits each (little-endian bit

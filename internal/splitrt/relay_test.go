@@ -185,7 +185,7 @@ func TestRelayEquivalence(t *testing.T) {
 							t.Fatalf("%s: request %d: %v", where, i, err)
 						}
 						a := split.Local(x)
-						core.DrawReusing(noise, &scratch, mirror).ApplyInPlace(a.Slice(0))
+						noise.DrawInto(&scratch, mirror).ApplyInPlace(a)
 						if want := wireReference(t, plan, a, bits); !sameBits(got, want) {
 							t.Fatalf("%s: request %d: served logits differ from the in-process reference", where, i)
 						}

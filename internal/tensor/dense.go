@@ -37,18 +37,6 @@ func NewDense[F Float](shape ...int) *Dense[F] {
 	return &Dense[F]{shape: s, data: make([]F, n)}
 }
 
-// DenseFrom wraps an existing slice as a dtype-tagged buffer with the given
-// shape. The slice is used directly (not copied); its length must equal the
-// shape's volume.
-func DenseFrom[F Float](data []F, shape ...int) *Dense[F] {
-	if n := Volume(shape); n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)", len(data), shape, n))
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Dense[F]{shape: s, data: data}
-}
-
 // Shape returns the buffer's dimensions. The returned slice must not be
 // modified.
 func (d *Dense[F]) Shape() []int { return d.shape }
@@ -166,39 +154,6 @@ func ToDense[F Float](t *Tensor) *Dense[F] {
 		out.data[i] = F(v)
 	}
 	return out
-}
-
-// ToDenseInto converts a float64 tensor into an existing buffer of equal
-// volume (e.g. pooled scratch), overwriting every element.
-func ToDenseInto[F Float](dst *Dense[F], t *Tensor) {
-	if len(dst.data) != len(t.data) {
-		panic(fmt.Sprintf("tensor: ToDenseInto volume mismatch %v vs %v", dst.shape, t.shape))
-	}
-	for i, v := range t.data {
-		dst.data[i] = F(v)
-	}
-}
-
-// ToTensor converts the buffer back to a float64 tensor — the boundary
-// crossing from a compiled inference plan back to the float64 world (wire
-// responses, metrics, training).
-func (d *Dense[F]) ToTensor() *Tensor {
-	out := New(d.shape...)
-	for i, v := range d.data {
-		out.data[i] = float64(v)
-	}
-	return out
-}
-
-// AsDense64 wraps a float64 tensor as a Dense[float64] sharing its storage
-// (no copy): the zero-cost boundary for float64 compiled plans.
-func AsDense64(t *Tensor) *Dense[float64] {
-	return &Dense[float64]{shape: t.shape, data: t.data}
-}
-
-// AsTensor64 wraps a Dense[float64] as a Tensor sharing its storage.
-func AsTensor64(d *Dense[float64]) *Tensor {
-	return &Tensor{shape: d.shape, data: d.data}
 }
 
 // panicShape raises a uniform shape-mismatch panic for the Dense kernels.

@@ -236,30 +236,9 @@ func col2imKernel[F Float](dst, src []F, g ConvGeom) {
 	}
 }
 
-// MatMulDense computes dst = a·b over dtype-tagged buffers; shapes are
-// validated like MatMulInto.
-func MatMulDense[F Float](dst, a, b *Dense[F]) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
-		panicShape("MatMulDense", dst.shape, a.shape, b.shape)
-	}
-	matmulKernel(dst.data, a.data, b.data, m, k, n)
-}
-
-// MatMulT2Dense computes dst = a·bᵀ over dtype-tagged buffers.
-func MatMulT2Dense[F Float](dst, a, b *Dense[F]) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[0]
-	if b.shape[1] != k || dst.shape[0] != m || dst.shape[1] != n {
-		panicShape("MatMulT2Dense", dst.shape, a.shape, b.shape)
-	}
-	matmulT2Kernel(dst.data, a.data, b.data, m, k, n)
-}
-
 // MatMulT2BlockedDense computes dst = a·bᵀ with the register-blocked
-// kernel. Same shapes and, element for element, the same result as
-// MatMulT2Dense (see matmulT2BlockedKernel).
+// kernel: the shapes of MatMulT2Into and, element for element, the result
+// of matmulT2Kernel (see matmulT2BlockedKernel).
 func MatMulT2BlockedDense[F Float](dst, a, b *Dense[F]) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[0]

@@ -26,15 +26,15 @@ func maxAbsDiff32(a *Tensor32, b *Tensor) float64 {
 
 func TestKernelFloat64DelegationExact(t *testing.T) {
 	// The float64 Tensor API routes through the generic kernels; the
-	// Dense[float64] surface must agree bitwise with it.
+	// kernel at float64 must agree bitwise with it.
 	rng := NewRNG(11)
 	a := rng.FillNormal(New(9, 13), 0, 1)
 	b := rng.FillNormal(New(7, 13), 0, 1)
 	want := MatMulT2(a, b)
-	got := NewDense[float64](9, 7)
-	MatMulT2Dense(got, AsDense64(a), AsDense64(b))
-	if !Equal(AsTensor64(got), want) {
-		t.Fatal("MatMulT2Dense[float64] diverges from MatMulT2")
+	got := New(9, 7)
+	matmulT2Kernel(got.Data(), a.Data(), b.Data(), 9, 13, 7)
+	if !Equal(got, want) {
+		t.Fatal("matmulT2Kernel[float64] diverges from MatMulT2")
 	}
 }
 
@@ -44,7 +44,7 @@ func TestMatMulT2KernelFloat32Parity(t *testing.T) {
 	b := rng.FillNormal(New(12, 40), 0, 1)
 	want := MatMulT2(a, b)
 	got := NewDense[float32](8, 12)
-	MatMulT2Dense(got, toDense32(a), toDense32(b))
+	matmulT2Kernel(got.Data(), toDense32(a).Data(), toDense32(b).Data(), 8, 40, 12)
 	// 40-term dot products of unit-normal values: float32 error well under
 	// 1e-4 in absolute terms at these magnitudes.
 	if d := maxAbsDiff32(got, want); d > 1e-4 {
@@ -71,14 +71,14 @@ func TestBlockedMatMulT2Bitwise(t *testing.T) {
 
 		want64 := MatMulT2(a, b)
 		got64 := NewDense[float64](s.m, s.n)
-		MatMulT2BlockedDense(got64, AsDense64(a), AsDense64(b))
-		if !Equal(AsTensor64(got64), want64) {
+		MatMulT2BlockedDense(got64, ToDense[float64](a), ToDense[float64](b))
+		if !Equal(From(got64.Data(), s.m, s.n), want64) {
 			t.Fatalf("%+v: blocked f64 kernel differs from the legacy kernel", s)
 		}
 
 		a32, b32 := toDense32(a), toDense32(b)
 		want32, got32 := NewDense[float32](s.m, s.n), NewDense[float32](s.m, s.n)
-		MatMulT2Dense(want32, a32, b32)
+		matmulT2Kernel(want32.Data(), a32.Data(), b32.Data(), s.m, s.k, s.n)
 		MatMulT2BlockedDense(got32, a32, b32)
 		for i, v := range got32.Data() {
 			if v != want32.Data()[i] {
@@ -146,7 +146,7 @@ func TestMatMulKernelFloat32Parity(t *testing.T) {
 	b := rng.FillNormal(New(17, 9), 0, 1)
 	want := MatMul(a, b)
 	got := NewDense[float32](6, 9)
-	MatMulDense(got, toDense32(a), toDense32(b))
+	matmulKernel(got.Data(), toDense32(a).Data(), toDense32(b).Data(), 6, 17, 9)
 	if d := maxAbsDiff32(got, want); d > 1e-4 {
 		t.Fatalf("float32 matmul deviates by %g from float64", d)
 	}
@@ -161,7 +161,7 @@ func TestMatMulKernelParallelPathFloat32(t *testing.T) {
 	b := rng.FillNormal(New(k, n), 0, 1)
 	want := MatMul(a, b)
 	got := NewDense[float32](m, n)
-	MatMulDense(got, toDense32(a), toDense32(b))
+	matmulKernel(got.Data(), toDense32(a).Data(), toDense32(b).Data(), m, k, n)
 	if d := maxAbsDiff32(got, want); d > 1e-3 {
 		t.Fatalf("parallel float32 matmul deviates by %g", d)
 	}
@@ -199,7 +199,8 @@ func TestDenseReshapeSliceArgmax(t *testing.T) {
 	if d.Data()[12] != 42 {
 		t.Fatal("Slice does not share storage")
 	}
-	a := DenseFrom([]float32{1, 9, 3}, 3)
+	a := NewDense[float32](3)
+	copy(a.Data(), []float32{1, 9, 3})
 	if a.Argmax() != 1 {
 		t.Fatalf("argmax got %d", a.Argmax())
 	}
@@ -209,19 +210,18 @@ func TestDenseTensorRoundTrip(t *testing.T) {
 	rng := NewRNG(16)
 	src := rng.FillNormal(New(4, 5), 0, 3)
 	d32 := ToDense[float32](src)
-	back := d32.ToTensor()
-	if !back.SameShape(src) {
-		t.Fatalf("round-trip shape %v vs %v", back.Shape(), src.Shape())
+	if !ShapeEq(d32.Shape(), src.Shape()) {
+		t.Fatalf("converted shape %v vs %v", d32.Shape(), src.Shape())
 	}
-	for i, v := range back.Data() {
-		if v != float64(float32(src.Data()[i])) {
-			t.Fatalf("round-trip elem %d not the float32 rounding of the source", i)
+	for i, v := range d32.Data() {
+		if v != float32(src.Data()[i]) {
+			t.Fatalf("elem %d not the float32 rounding of the source", i)
 		}
 	}
-	// AsDense64/AsTensor64 are zero-copy views.
-	v64 := AsDense64(src)
-	v64.Data()[0] = 123
-	if src.Data()[0] != 123 {
-		t.Fatal("AsDense64 does not share storage")
+	// At float64 the conversion still copies: the result never aliases.
+	d64 := ToDense[float64](src)
+	d64.Data()[0] = 123
+	if src.Data()[0] == 123 {
+		t.Fatal("ToDense[float64] shares the source's storage")
 	}
 }

@@ -77,11 +77,6 @@ func From(data []float64, shape ...int) *Tensor {
 	return wrap(data, shape)
 }
 
-// Scalar returns a 1-element tensor holding v.
-func Scalar(v float64) *Tensor {
-	return From([]float64{v}, 1)
-}
-
 // Shape returns the tensor's dimensions. The returned slice must not be
 // modified.
 func (t *Tensor) Shape() []int { return t.shape }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"shredder/internal/audit"
 	"shredder/internal/core"
@@ -131,19 +130,18 @@ func (r Report) String() string {
 // System is a pre-trained benchmark network split at a cutting point, with
 // an optional learned noise collection.
 type System struct {
-	bench      model.Benchmark
-	pre        *model.Pretrained
-	split      *core.Split
-	cutName    string
-	cutLayer   string
-	collection *core.Collection     // trained members (nil after loading a fitted file)
-	noise      core.NoiseSource     // deployed source: the collection or its fit
-	noiseMode  string               // Config.NoiseMode, validated
-	noiseKind  noisedist.Kind       // Config.NoiseDist, parsed
-	monitor    *core.PrivacyMonitor // nil = privacy telemetry disabled
-	rngMu      sync.Mutex           // guards rng and scratch: neither is goroutine-safe
-	rng        *tensor.RNG
-	scratch    core.DrawScratch // reused fitted-draw buffers for the serving hot path
+	bench    model.Benchmark
+	pre      *model.Pretrained
+	split    *core.Split
+	cutName  string
+	cutLayer string
+	// edge is Classify's step before R. It also holds what the System
+	// deploys — Source, the learned collection or its fit (nil before
+	// LearnNoise/LoadNoise), and Monitor (nil = privacy telemetry disabled) —
+	// which ConnectEdge and ConnectPool hand to the edges of their own.
+	edge       *core.Edge
+	noiseMode  string         // Config.NoiseMode, validated
+	noiseKind  noisedist.Kind // Config.NoiseDist, parsed
 	seed       int64
 	dtype      nn.Dtype        // Config.Dtype parsed ("" = float64)
 	remotePlan *nn.CompiledNet // R at dtype, for Classify
@@ -224,8 +222,8 @@ func newSystem(bench model.Benchmark, cfg Config) (*System, error) {
 	sys := &System{
 		bench: bench, pre: pre, split: split,
 		cutName: cutName, cutLayer: cutLayer,
-		noiseMode: mode, noiseKind: kind,
-		rng: tensor.NewRNG(cfg.Seed + 77), seed: cfg.Seed,
+		edge:      core.NewEdge(split, nil, cfg.Seed+77),
+		noiseMode: mode, noiseKind: kind, seed: cfg.Seed,
 	}
 	// The serving dtype is the System's own: its plans serve Classify*, and
 	// ServeCloud hands the dtype to its servers. The Split's plans stay
@@ -279,13 +277,13 @@ func (s *System) AttachProfiler(p *obs.Profiler) {
 // the branch-only disabled path again.
 func (s *System) DetachProfiler() { s.pre.Net.SetProfiler(nil) }
 
-// EnablePrivacyTelemetry builds a core.PrivacyMonitor over the learned
-// collection and registers its privacy.* metrics in reg: per-member
+// EnablePrivacyTelemetry builds a core.PrivacyMonitor over the deployed
+// noise source and registers its privacy.* metrics in reg: per-member
 // sampling balance on every Classify, and the realized in-vivo 1/SNR
 // (against the benchmark's PrivacyTarget) on every sampleEvery-th query.
-// ConnectEdge clients created afterwards inherit the monitor unless their
-// options override it. Call after LearnNoise/LoadNoise and before serving
-// traffic.
+// ConnectEdge clients and ConnectPool fleets created afterwards inherit the
+// monitor unless their options override it. Call after LearnNoise/LoadNoise
+// and before serving traffic.
 func (s *System) EnablePrivacyTelemetry(reg *obs.Registry, sampleEvery int) error {
 	if reg == nil {
 		return fmt.Errorf("shredder: EnablePrivacyTelemetry needs a registry")
@@ -293,13 +291,13 @@ func (s *System) EnablePrivacyTelemetry(reg *obs.Registry, sampleEvery int) erro
 	if !s.HasNoise() {
 		return fmt.Errorf("shredder: EnablePrivacyTelemetry before LearnNoise/LoadNoise")
 	}
-	s.monitor = core.NewPrivacyMonitorSource(reg, s.noise, s.bench.PrivacyTarget, sampleEvery)
+	s.edge.Monitor = core.NewPrivacyMonitor(reg, s.edge.Source, s.bench.PrivacyTarget, sampleEvery)
 	return nil
 }
 
 // PrivacyMonitor returns the live privacy monitor, or nil when
 // EnablePrivacyTelemetry has not been called.
-func (s *System) PrivacyMonitor() *core.PrivacyMonitor { return s.monitor }
+func (s *System) PrivacyMonitor() *core.PrivacyMonitor { return s.edge.Monitor }
 
 // materialized returns the model with its Train and Test splits rendered.
 // The first call, from whichever goroutine, renders and normalises them
@@ -400,49 +398,41 @@ func (s *System) LearnNoiseWith(count int, opt NoiseOptions) {
 // installNoise deploys a trained collection under the configured noise
 // mode: as-is for stored, through FitCollection for the fitted modes.
 func (s *System) installNoise(col *core.Collection) error {
-	switch s.noiseMode {
-	case core.ModeFitted:
-		if col.Multiplicative() {
-			return fmt.Errorf("noise mode %s cannot deploy a multiplicative collection; use %s",
-				core.ModeFitted, core.ModeFittedMul)
-		}
-		fc, err := core.FitCollection(col, s.noiseKind)
-		if err != nil {
-			return err
-		}
-		s.collection, s.noise = col, fc
-	case core.ModeFittedMul:
-		if !col.Multiplicative() {
-			return fmt.Errorf("noise mode %s needs a multiplicative collection (train with NoiseOptions.Multiplicative)",
-				core.ModeFittedMul)
-		}
-		fc, err := core.FitCollection(col, s.noiseKind)
-		if err != nil {
-			return err
-		}
-		s.collection, s.noise = col, fc
-	default: // stored: additive or multiplicative members replay directly
-		s.collection, s.noise = col, col
+	switch {
+	case s.noiseMode == core.ModeStored: // additive or multiplicative members replay directly
+		s.edge.Source = col
+		return nil
+	case s.noiseMode == core.ModeFitted && col.Multiplicative():
+		return fmt.Errorf("noise mode %s cannot deploy a multiplicative collection; use %s",
+			core.ModeFitted, core.ModeFittedMul)
+	case s.noiseMode == core.ModeFittedMul && !col.Multiplicative():
+		return fmt.Errorf("noise mode %s needs a multiplicative collection (train with NoiseOptions.Multiplicative)",
+			core.ModeFittedMul)
 	}
+	fc, err := core.FitCollection(col, s.noiseKind)
+	if err != nil {
+		return err
+	}
+	s.edge.Source = fc
 	return nil
 }
 
 // HasNoise reports whether a noise source has been learned or loaded.
-func (s *System) HasNoise() bool { return s.noise != nil }
+func (s *System) HasNoise() bool { return s.edge.Source != nil }
 
 // NoiseMode returns the deployed noise mode ("stored", "fitted",
 // "fitted-mul") — the active source's mode once noise is learned or
 // loaded, the configured mode before that.
 func (s *System) NoiseMode() string {
-	if s.noise != nil {
-		return s.noise.Mode()
+	if s.HasNoise() {
+		return s.edge.Source.Mode()
 	}
 	return s.noiseMode
 }
 
 // NoiseSource returns the deployed noise source (nil before
 // LearnNoise/LoadNoise).
-func (s *System) NoiseSource() core.NoiseSource { return s.noise }
+func (s *System) NoiseSource() core.NoiseSource { return s.edge.Source }
 
 // Evaluate measures accuracy and mutual information on the test set.
 // LearnNoise (or LoadNoise) must have been called.
@@ -450,7 +440,7 @@ func (s *System) Evaluate() Report {
 	if !s.HasNoise() {
 		panic("shredder: Evaluate before LearnNoise/LoadNoise")
 	}
-	ev := core.Evaluate(s.split, s.mustMaterialize().Test, s.noise, core.EvalConfig{
+	ev := core.Evaluate(s.split, s.mustMaterialize().Test, s.edge.Source, core.EvalConfig{
 		MI:   mi.Options{K: 3, MaxSamples: 256, Seed: s.seed},
 		Seed: s.seed,
 	})
@@ -486,11 +476,11 @@ func (s *System) toBatch(pixels []float64) (*tensor.Tensor, error) {
 	return tensor.From(buf, append([]int{1}, shape...)...), nil
 }
 
-// Classify performs private split inference on one image: local layers,
-// plus a noise tensor sampled from the learned collection, then the remote
+// Classify performs private split inference on one image: the edge step —
+// local layers, plus a draw from the deployed noise source — then the remote
 // layers. Pixels must be in the normalized domain of TestSample outputs.
 // Classify is safe for concurrent use: the network passes run on the
-// reentrant inference path and the noise sampling is serialized.
+// reentrant inference path and the edge serializes the noise sampling.
 func (s *System) Classify(pixels []float64) (int, error) {
 	if !s.HasNoise() {
 		return 0, fmt.Errorf("shredder: Classify before LearnNoise/LoadNoise")
@@ -499,17 +489,7 @@ func (s *System) Classify(pixels []float64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	a := s.split.Local(x)
-	// Fitted sources draw into the system's reusable scratch buffers
-	// (core.DrawScratch) instead of allocating per query; the draw stays
-	// valid only until the next one, so it is consumed under the lock.
-	s.rngMu.Lock()
-	d := core.DrawReusing(s.noise, &s.scratch, s.rng)
-	// Telemetry observes the clean activation — realized SNR is defined
-	// against the signal the noise is about to cover.
-	s.monitor.ObserveDraw(d, a.Slice(0))
-	d.ApplyInPlace(a.Slice(0))
-	s.rngMu.Unlock()
+	a, _ := s.edge.Step(nil, x)
 	return s.remotePlan.Infer(a).Slice(0).Argmax(), nil
 }
 
@@ -536,7 +516,7 @@ func (s *System) SaveNoise(path string) error {
 		return err
 	}
 	defer f.Close()
-	return core.EncodeNoiseSource(f, s.noise)
+	return core.EncodeNoiseSource(f, s.edge.Source)
 }
 
 // LoadNoise reads a noise file written by SaveNoise. A stored collection is
@@ -562,7 +542,7 @@ func (s *System) LoadNoise(path string) error {
 			return fmt.Errorf("shredder: %w", err)
 		}
 	case *core.FittedCollection:
-		s.collection, s.noise, s.noiseMode = nil, v, v.Mode()
+		s.edge.Source, s.noiseMode = v, v.Mode()
 	default:
 		return fmt.Errorf("shredder: unsupported noise source %T", src)
 	}
@@ -629,12 +609,12 @@ type EdgeHandle struct {
 // only noisy activations (raw activations when no noise is learned).
 // opts configure request timeouts and reconnect-with-backoff behaviour.
 func (s *System) ConnectEdge(addr string, opts ...splitrt.ClientOption) (*EdgeHandle, error) {
-	if s.monitor != nil {
+	if m := s.edge.Monitor; m != nil {
 		// Inherit the system's privacy monitor; explicit options later in
 		// the slice still win.
-		opts = append([]splitrt.ClientOption{splitrt.WithPrivacyTelemetry(s.monitor)}, opts...)
+		opts = append([]splitrt.ClientOption{splitrt.WithPrivacyTelemetry(m)}, opts...)
 	}
-	client, err := splitrt.Dial(addr, s.split, s.cutLayer, s.noise, s.seed+99, opts...)
+	client, err := splitrt.Dial(addr, s.split, s.cutLayer, s.edge.Source, s.seed+99, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -651,11 +631,14 @@ type PoolHandle struct {
 // ConnectPool dials every backend address and returns a fleet handle:
 // requests balance over the healthy backends, failures reroute, ejected
 // backends are health-checked back in, and (with splitrt.WithHedging)
-// slow calls are hedged. The pool applies the system's noise collection
-// exactly as a single edge client would — the privacy boundary does not
-// move when the fleet grows.
+// slow calls are hedged. The pool applies the system's noise source, and
+// feeds the system's privacy monitor, exactly as a single edge client would
+// — the privacy boundary does not move when the fleet grows.
 func (s *System) ConnectPool(addrs []string, opts ...splitrt.PoolOption) (*PoolHandle, error) {
-	pool, err := splitrt.NewPool(s.split, s.cutLayer, s.noise, s.seed+99, addrs, opts...)
+	if m := s.edge.Monitor; m != nil { // inherited as ConnectEdge inherits it
+		opts = append([]splitrt.PoolOption{splitrt.WithPrivacyTelemetry(m)}, opts...)
+	}
+	pool, err := splitrt.NewPool(s.split, s.cutLayer, s.edge.Source, s.seed+99, addrs, opts...)
 	if err != nil {
 		return nil, err
 	}
