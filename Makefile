@@ -50,10 +50,16 @@ test:
 ## cold-start and lazy-materialisation tests (the first users of a System
 ## share one sync.Once) and the edge-step test (Classify, a ConnectEdge
 ## client and a ConnectPool handle share one System's monitor) — the whole
-## root package under -race is too slow for a gate.
+## root package under -race is too slow for a gate. Twenty rounds of the
+## buffer-reuse tests: proof-ring and span-ring slots keep their storage and
+## hand it to the next batch or span, and a relayed request's watch is poked
+## from another connection's goroutine (DESIGN §5l) — a buffer still read
+## after it was handed on is a data race the detector sees only when the two
+## accesses meet.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/splitrt/... ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/audit/... ./internal/model/... ./internal/data/... ./cmd/shredder/...
 	$(GO) test -race -count=3 -run 'TrainPlan|TrainNoise|Collect' ./internal/nn ./internal/core
+	$(GO) test -race -count=20 -run 'RingReuse|ProofReuse|SnapshotStable|RelayWatch' ./internal/audit ./internal/obs ./internal/splitrt
 	$(GO) test -race -run 'ColdStart|Materiali|EdgeStep' .
 
 ## bench-module: vet and test bench/, which builds against this module's

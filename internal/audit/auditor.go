@@ -78,17 +78,32 @@ func newCounters(reg *obs.Registry) counters {
 }
 
 // SealedBatch is one committed batch: the canonical record bytes, their
-// leaf hashes, and the Merkle root the ledger anchors under Seq.
+// leaf hashes, and the Merkle root the ledger anchors under Seq. It is also a
+// slot of the proof ring, and the slot owns its storage: a batch sealed into
+// a slot leaves its buffers there when it is evicted, and the records that
+// arrive next are written into them (sealLocked). Nothing of a slot may be
+// read outside the auditor's mutex; ProofByTrace copies out under it.
 type SealedBatch struct {
 	Seq       uint64
 	UnixNanos int64
-	Records   [][]byte
 	Leaves    [][32]byte
 	Root      [32]byte
 
-	// traces[i] is the trace ID of Records[i], kept so that evicting the
-	// batch from the proof ring never has to decode a record again.
-	traces []uint64
+	// The records' canonical bytes back to back, record i ending at ends[i],
+	// and traces[i] its trace ID — kept so that evicting the batch from the
+	// proof ring, or proving a record, never has to decode one again.
+	records []byte
+	ends    []int
+	traces  []uint64
+}
+
+// record returns the canonical bytes of record i, a view of the slot's arena.
+func (sb *SealedBatch) record(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = sb.ends[i-1]
+	}
+	return sb.records[start:sb.ends[i]]
 }
 
 // traceRef locates a record inside the sealed ring by batch and index.
@@ -97,9 +112,37 @@ type traceRef struct {
 	index int
 }
 
+// rootQueue is the FIFO of sealed roots waiting for the anchor goroutine: a
+// ring of values, so that what is queued is a copy taken under the auditor's
+// mutex and never a view of a proof-ring slot a later batch may reuse. It
+// grows to the longest backlog ever queued.
+type rootQueue struct {
+	buf     []AnchoredRoot
+	head, n int
+}
+
+func (q *rootQueue) push(r AnchoredRoot) {
+	if q.n == len(q.buf) {
+		grown := make([]AnchoredRoot, max(4, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)%len(q.buf)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = r
+	q.n++
+}
+
+func (q *rootQueue) pop() AnchoredRoot {
+	r := q.buf[q.head]
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return r
+}
+
 // Auditor accepts Records, seals them into Merkle batches, and anchors
 // batch roots through its Ledger on a background goroutine — the
-// serving hot path pays one Append (marshal + queue under a mutex);
+// serving hot path pays one Append (encode + queue under a mutex);
 // hashing happens at seal time and ledger I/O never blocks a request.
 //
 // The flush policy is internal/sched's: idle → seal immediately, full →
@@ -112,17 +155,19 @@ type Auditor struct {
 	gate sched.Gate
 
 	mu       sync.Mutex
-	pending  [][]byte // canonical bytes of the records not yet sealed
-	traces   []uint64 // their trace IDs, index for index
-	inFlight int      // sealed batches queued or being anchored
+	pending  SealedBatch // the records not yet sealed: records, ends and traces only
+	inFlight int         // sealed batches queued or being anchored
 	timerGen uint64
 	timer    *time.Timer
 	closed   bool
 	nextSeq  uint64
-	queue    []*SealedBatch
+	queue    rootQueue
 	cond     *sync.Cond
 
-	ring    []*SealedBatch
+	// ring holds the last KeepBatches sealed batches, batch Seq in slot
+	// Seq mod KeepBatches. It grows by one slot per seal until it is that long
+	// and from then on every seal evicts the slot it takes.
+	ring    []SealedBatch
 	byTrace map[uint64]traceRef
 
 	anchorDone sync.WaitGroup
@@ -145,33 +190,34 @@ func New(opts Options) *Auditor {
 // Append admits one record. It returns ErrClosed once Close has begun
 // and a marshal error for an unencodable record; otherwise the record
 // is guaranteed to reach a sealed, anchored batch even if the process
-// calls Close immediately after.
+// calls Close immediately after. The record is encoded straight into the
+// pending batch's buffer: a warm Append allocates nothing.
 func (a *Auditor) Append(r Record) error {
 	if !a.gate.Enter() {
 		return ErrClosed
 	}
 	defer a.gate.Leave()
-	raw, err := r.Marshal()
-	if err != nil {
-		return err
-	}
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.closed {
-		a.mu.Unlock()
 		return ErrClosed
 	}
+	p := &a.pending
+	var err error
+	if p.records, err = r.AppendTo(p.records); err != nil {
+		return err
+	}
+	p.ends = append(p.ends, len(p.records))
+	p.traces = append(p.traces, r.Trace)
 	a.m.records.Add(1)
-	a.pending = append(a.pending, raw)
-	a.traces = append(a.traces, r.Trace)
 	switch {
-	case len(a.pending) >= a.opts.MaxBatch:
+	case len(p.traces) >= a.opts.MaxBatch:
 		a.sealLocked(sealFull)
 	case a.inFlight == 0:
 		a.sealLocked(sealIdle)
 	default:
 		a.armTimerLocked()
 	}
-	a.mu.Unlock()
 	return nil
 }
 
@@ -193,7 +239,7 @@ func (a *Auditor) armTimerLocked() {
 	gen := a.timerGen
 	a.timer = time.AfterFunc(a.opts.MaxDelay, func() {
 		a.mu.Lock()
-		if a.closed || gen != a.timerGen || len(a.pending) == 0 {
+		if a.closed || gen != a.timerGen || len(a.pending.traces) == 0 {
 			a.mu.Unlock()
 			return
 		}
@@ -202,48 +248,50 @@ func (a *Auditor) armTimerLocked() {
 	})
 }
 
-// sealLocked takes the whole pending queue, hashes it into a
-// SealedBatch, indexes it for proof service, and hands it to the anchor
-// goroutine. Called with a.mu held.
+// sealLocked seals the pending records as the next batch: it takes the
+// batch's slot of the proof ring — evicting the batch sealed KeepBatches
+// ago, once the ring is that long — swaps the pending buffers into it, hashes
+// the records into the slot's own Leaves, indexes them for proof service and
+// queues a copy of the root for the anchor goroutine. The next records are
+// written into the buffers the evicted batch left behind, so a slot's
+// storage stays as large as the largest batch ever sealed there. Called with
+// a.mu held.
 func (a *Auditor) sealLocked(reason sealReason) {
-	records, traces := a.pending, a.traces
-	a.pending, a.traces = nil, nil
 	a.timerGen++
 	if a.timer != nil {
 		a.timer.Stop()
 		a.timer = nil
 	}
-	if len(records) == 0 {
+	p := &a.pending
+	if len(p.traces) == 0 {
 		return
 	}
-	sb := &SealedBatch{
-		Seq:       a.nextSeq,
-		UnixNanos: time.Now().UnixNano(),
-		Records:   records,
-		Leaves:    make([][32]byte, len(records)),
-		traces:    traces,
-	}
+	seq := a.nextSeq
 	a.nextSeq++
-	for i, raw := range records {
-		sb.Leaves[i] = LeafHash(raw)
-	}
-	sb.Root = MerkleRoot(sb.Leaves)
-
-	a.ring = append(a.ring, sb)
-	for i, trace := range traces {
-		a.byTrace[trace] = traceRef{seq: sb.Seq, index: i}
-	}
-	for len(a.ring) > a.opts.KeepBatches {
-		old := a.ring[0]
-		a.ring = a.ring[1:]
-		for i, trace := range old.traces {
+	i := int(seq % uint64(a.opts.KeepBatches))
+	if i == len(a.ring) {
+		a.ring = append(a.ring, SealedBatch{})
+	} else {
+		old := &a.ring[i]
+		for j, trace := range old.traces {
 			// A trace sealed again since then points at the later record.
-			if a.byTrace[trace] == (traceRef{seq: old.Seq, index: i}) {
+			if a.byTrace[trace] == (traceRef{seq: old.Seq, index: j}) {
 				delete(a.byTrace, trace)
 			}
 		}
 		a.m.evicted.Add(1)
 	}
+	sb := &a.ring[i]
+	sb.records, p.records = p.records, sb.records[:0]
+	sb.ends, p.ends = p.ends, sb.ends[:0]
+	sb.traces, p.traces = p.traces, sb.traces[:0]
+	sb.Seq, sb.UnixNanos = seq, time.Now().UnixNano()
+	sb.Leaves = sb.Leaves[:0]
+	for j, trace := range sb.traces {
+		sb.Leaves = append(sb.Leaves, LeafHash(sb.record(j)))
+		a.byTrace[trace] = traceRef{seq: seq, index: j}
+	}
+	sb.Root = MerkleRoot(sb.Leaves)
 
 	a.m.batches.Add(1)
 	switch reason {
@@ -257,7 +305,7 @@ func (a *Auditor) sealLocked(reason sealReason) {
 		a.m.closeSeal.Add(1)
 	}
 	a.inFlight++
-	a.queue = append(a.queue, sb)
+	a.queue.push(AnchoredRoot{Seq: seq, Count: len(sb.Leaves), Root: sb.Root, UnixNanos: sb.UnixNanos})
 	a.cond.Signal()
 }
 
@@ -268,24 +316,18 @@ func (a *Auditor) anchorLoop() {
 	defer a.anchorDone.Done()
 	for {
 		a.mu.Lock()
-		for len(a.queue) == 0 && !a.closed {
+		for a.queue.n == 0 && !a.closed {
 			a.cond.Wait()
 		}
-		if len(a.queue) == 0 {
+		if a.queue.n == 0 {
 			a.mu.Unlock()
 			return
 		}
-		sb := a.queue[0]
-		a.queue = a.queue[1:]
+		root := a.queue.pop()
 		a.mu.Unlock()
 
 		start := time.Now()
-		err := a.opts.Ledger.Anchor(AnchoredRoot{
-			Seq:       sb.Seq,
-			Count:     len(sb.Leaves),
-			Root:      sb.Root,
-			UnixNanos: sb.UnixNanos,
-		})
+		err := a.opts.Ledger.Anchor(root)
 		a.m.anchorSeconds.Observe(time.Since(start).Seconds())
 		if err != nil {
 			a.m.anchorFailures.Add(1)
@@ -295,7 +337,7 @@ func (a *Auditor) anchorLoop() {
 
 		a.mu.Lock()
 		a.inFlight--
-		if a.inFlight == 0 && len(a.pending) > 0 && !a.closed {
+		if a.inFlight == 0 && len(a.pending.traces) > 0 && !a.closed {
 			a.sealLocked(sealIdle)
 		}
 		a.mu.Unlock()
@@ -340,8 +382,8 @@ func (a *Auditor) Summarize() Summary {
 		Records:  a.m.records.Value(),
 		Batches:  a.m.batches.Value(),
 		Anchored: a.m.anchored.Value(),
-		Pending:  len(a.pending),
-		Queued:   len(a.queue),
+		Pending:  len(a.pending.traces),
+		Queued:   a.queue.n,
 		Kept:     len(a.ring),
 		Evicted:  a.m.evicted.Value(),
 	}
@@ -355,20 +397,12 @@ func (a *Auditor) ProofByTrace(trace uint64) (*InclusionProof, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ref, ok := a.byTrace[trace]
-	if !ok || len(a.ring) == 0 {
+	slot := int(ref.seq % uint64(a.opts.KeepBatches))
+	if !ok || slot >= len(a.ring) || a.ring[slot].Seq != ref.seq || ref.index >= len(a.ring[slot].traces) {
 		a.m.proofsMissed.Add(1)
 		return nil, false
 	}
-	first := a.ring[0].Seq
-	if ref.seq < first || ref.seq >= first+uint64(len(a.ring)) {
-		a.m.proofsMissed.Add(1)
-		return nil, false
-	}
-	sb := a.ring[ref.seq-first]
-	if sb.Seq != ref.seq || ref.index >= len(sb.Records) {
-		a.m.proofsMissed.Add(1)
-		return nil, false
-	}
+	sb := &a.ring[slot]
 	p := newInclusionProof(sb, ref.index)
 	a.m.proofsServed.Add(1)
 	return p, true

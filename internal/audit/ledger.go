@@ -105,7 +105,8 @@ type FileLedger struct {
 	mu     sync.Mutex
 	f      *os.File
 	roots  []AnchoredRoot
-	chain  [32]byte // chain value of the last entry (genesis: hash of header)
+	chain  [32]byte              // chain value of the last entry (genesis: hash of header)
+	entry  [ledgerEntrySize]byte // the entry being appended, encoded here under mu
 	closed bool
 	// Recovered counts trailing bytes truncated during open — nonzero
 	// means the previous process died mid-append.
@@ -229,8 +230,7 @@ func (l *FileLedger) Anchor(r AnchoredRoot) error {
 	if want := uint64(len(l.roots)); r.Seq != want {
 		return fmt.Errorf("%w: anchor seq %d, want %d", ErrLedgerCorrupt, r.Seq, want)
 	}
-	buf := make([]byte, 0, ledgerEntrySize)
-	buf = binary.BigEndian.AppendUint64(buf, r.Seq)
+	buf := binary.BigEndian.AppendUint64(l.entry[:0], r.Seq)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(r.Count))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(r.UnixNanos))
 	buf = append(buf, r.Root[:]...)

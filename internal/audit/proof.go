@@ -28,22 +28,21 @@ type InclusionProof struct {
 }
 
 // newInclusionProof assembles the proof for leaf index of a sealed
-// batch. Caller guarantees index is in range.
+// batch: everything in it is a copy, nothing points into the batch's buffers.
+// Caller guarantees index is in range and holds the auditor's mutex.
 func newInclusionProof(sb *SealedBatch, index int) *InclusionProof {
 	path := MerklePath(sb.Leaves, index)
 	p := &InclusionProof{
+		Trace:  fmt.Sprintf("%016x", sb.traces[index]),
 		Seq:    sb.Seq,
 		Index:  index,
 		Count:  len(sb.Leaves),
-		Record: hex.EncodeToString(sb.Records[index]),
+		Record: hex.EncodeToString(sb.record(index)),
 		Path:   make([]string, len(path)),
 		Root:   hex.EncodeToString(sb.Root[:]),
 	}
 	for i, h := range path {
 		p.Path[i] = hex.EncodeToString(h[:])
-	}
-	if r, err := UnmarshalRecord(sb.Records[index]); err == nil {
-		p.Trace = fmt.Sprintf("%016x", r.Trace)
 	}
 	return p
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"slices"
 )
 
 // Typed errors for record and proof validation. Callers match with
@@ -93,13 +94,18 @@ const maxRecordString = math.MaxUint16
 //	byte     Sampled
 //	uint64   InVivo (IEEE-754 bits)
 //	[32]byte ActDigest
-func (r Record) Marshal() ([]byte, error) {
+func (r Record) Marshal() ([]byte, error) { return r.AppendTo(nil) }
+
+// AppendTo appends the canonical encoding (Marshal) to buf and returns the
+// extended slice: a caller that keeps its buffer encodes without allocating.
+// An unencodable record leaves buf as it was.
+func (r Record) AppendTo(buf []byte) ([]byte, error) {
 	for _, s := range []string{r.Model, r.Cut, r.Mode} {
 		if len(s) > maxRecordString {
-			return nil, fmt.Errorf("%w: string field %d bytes exceeds %d", ErrRecordCorrupt, len(s), maxRecordString)
+			return buf, fmt.Errorf("%w: string field %d bytes exceeds %d", ErrRecordCorrupt, len(s), maxRecordString)
 		}
 	}
-	buf := make([]byte, 0, recordFixedLen+len(r.Model)+len(r.Cut)+len(r.Mode))
+	buf = slices.Grow(buf, recordFixedLen+len(r.Model)+len(r.Cut)+len(r.Mode))
 	buf = append(buf, recordVersion)
 	buf = binary.BigEndian.AppendUint64(buf, r.Trace)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(r.UnixNanos))

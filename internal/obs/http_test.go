@@ -20,7 +20,7 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 		Trace: NewTraceID(), Name: "serve", ID: 7, Start: time.Now(),
 		Dur:    3 * time.Millisecond,
 		Stages: []Stage{{Name: "queue", Dur: time.Millisecond}, {Name: "compute", Dur: 2 * time.Millisecond}},
-	})
+	}, nil, nil)
 	ts := httptest.NewServer(Debug{Metrics: reg, Spans: ring}.Handler())
 	defer ts.Close()
 
@@ -60,7 +60,7 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 	}
 
 	// ?n= limits to the newest spans.
-	ring.Record(Span{Name: "serve2"})
+	ring.Record(Span{Name: "serve2"}, nil, nil)
 	resp = get("/debug/spans?n=1")
 	spans = nil
 	if err := json.NewDecoder(resp.Body).Decode(&spans); err != nil {

@@ -147,11 +147,11 @@ func joinOne(cs, ss *Span) JoinedSpan {
 	}
 	if len(cs.Attrs)+len(ss.Attrs) > 0 {
 		j.Attrs = make(map[string]float64, len(cs.Attrs)+len(ss.Attrs))
-		for k, v := range ss.Attrs {
-			j.Attrs[k] = v
+		for _, kv := range ss.Attrs {
+			j.Attrs[kv.Key] = kv.Val
 		}
-		for k, v := range cs.Attrs {
-			j.Attrs[k] = v
+		for _, kv := range cs.Attrs {
+			j.Attrs[kv.Key] = kv.Val
 		}
 	}
 	// RTT-midpoint clock-offset estimate: the client's wait stage brackets

@@ -22,7 +22,7 @@ func joinFixture(trace TraceID, offset time.Duration) (client, server Span) {
 			{Name: "wait", Dur: 5 * time.Millisecond},
 			{Name: "decode", Dur: 1 * time.Millisecond},
 		},
-		Attrs: map[string]float64{"bits": 8, "shared": 1},
+		Attrs: Attrs{{"bits", 8}, {"shared", 1}},
 	}
 	// sendEnd = base+4ms, wait midpoint = base+6.5ms (client clock).
 	const srvDur = 3 * time.Millisecond
@@ -35,7 +35,7 @@ func joinFixture(trace TraceID, offset time.Duration) (client, server Span) {
 			{Name: "batch", Dur: 500 * time.Microsecond},
 			{Name: "compute", Dur: 2 * time.Millisecond},
 		},
-		Attrs: map[string]float64{"batch_size": 2, "shared": 99},
+		Attrs: Attrs{{"batch_size", 2}, {"shared", 99}},
 	}
 	return client, server
 }
@@ -292,8 +292,8 @@ func TestSpanJoiner(t *testing.T) {
 	}
 	cs, ss := joinFixture(17, 0)
 	j := &SpanJoiner{Client: NewSpanRing(4), Server: NewSpanRing(4)}
-	j.Client.Record(cs)
-	j.Server.Record(ss)
+	j.Client.Record(cs, nil, nil)
+	j.Server.Record(ss, nil, nil)
 	joined := j.Joined()
 	if len(joined) != 1 || joined[0].Trace != 17 {
 		t.Fatalf("joiner result: %+v", joined)

@@ -34,7 +34,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		t.Fatalf("nil registry snapshot: %+v", snap)
 	}
 	var ring *SpanRing
-	ring.Record(Span{Name: "x"})
+	ring.Record(Span{Name: "x"}, nil, nil)
 	if got := ring.Snapshot(); got != nil {
 		t.Fatalf("nil ring snapshot: %v", got)
 	}
@@ -139,7 +139,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 func TestSpanRingBounds(t *testing.T) {
 	ring := NewSpanRing(4)
 	for i := 0; i < 10; i++ {
-		ring.Record(Span{Name: fmt.Sprintf("s%d", i), Trace: NewTraceID()})
+		ring.Record(Span{Name: fmt.Sprintf("s%d", i), Trace: NewTraceID()}, nil, nil)
 	}
 	got := ring.Snapshot()
 	if len(got) != 4 {

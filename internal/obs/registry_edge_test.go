@@ -135,7 +135,7 @@ func TestSpanRingConcurrent(t *testing.T) {
 					Trace: NewTraceID(),
 					ID:    uint64(w)*1_000_000 + uint64(i) + 1,
 					Dur:   time.Microsecond,
-				})
+				}, nil, nil)
 			}
 		}(w)
 	}

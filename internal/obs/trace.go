@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,18 +62,53 @@ type Stage struct {
 	Dur  time.Duration `json:"dur_ns"`
 }
 
+// Attr is one scalar annotation of a span, such as the weight of the batch a
+// request rode in.
+type Attr struct {
+	Key string
+	Val float64
+}
+
+// Attrs is a span's annotations: a short list a caller can build on its stack
+// and a ring slot can keep a copy of. In JSON it is the object a
+// map[string]float64 would be, keys sorted.
+type Attrs []Attr
+
+// MarshalJSON encodes the list as a JSON object.
+func (a Attrs) MarshalJSON() ([]byte, error) {
+	m := make(map[string]float64, len(a))
+	for _, kv := range a {
+		m[kv.Key] = kv.Val
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON decodes a JSON object into the list, sorted by key.
+func (a *Attrs) UnmarshalJSON(data []byte) error {
+	var m map[string]float64
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	*a = (*a)[:0]
+	for k, v := range m {
+		*a = append(*a, Attr{k, v})
+	}
+	slices.SortFunc(*a, func(x, y Attr) int { return strings.Compare(x.Key, y.Key) })
+	return nil
+}
+
 // Span is the completed timeline of one operation. Stages partition (part
 // of) the duration into named phases; Attrs carry scalar annotations such
 // as the batch weight a request rode in.
 type Span struct {
-	Trace  TraceID            `json:"trace"`
-	Name   string             `json:"name"`
-	ID     uint64             `json:"id,omitempty"` // protocol request ID, when relevant
-	Start  time.Time          `json:"start"`
-	Dur    time.Duration      `json:"dur_ns"`
-	Err    string             `json:"err,omitempty"`
-	Stages []Stage            `json:"stages,omitempty"`
-	Attrs  map[string]float64 `json:"attrs,omitempty"`
+	Trace  TraceID       `json:"trace"`
+	Name   string        `json:"name"`
+	ID     uint64        `json:"id,omitempty"` // protocol request ID, when relevant
+	Start  time.Time     `json:"start"`
+	Dur    time.Duration `json:"dur_ns"`
+	Err    string        `json:"err,omitempty"`
+	Stages []Stage       `json:"stages,omitempty"`
+	Attrs  Attrs         `json:"attrs,omitempty"`
 }
 
 // StageDur returns the duration of the named stage (0 when absent).
@@ -84,9 +121,21 @@ func (s *Span) StageDur(name string) time.Duration {
 	return 0
 }
 
+// Attr returns the value of the named annotation (0 when absent).
+func (s *Span) Attr(key string) float64 {
+	for _, kv := range s.Attrs {
+		if kv.Key == key {
+			return kv.Val
+		}
+	}
+	return 0
+}
+
 // SpanRing is a bounded ring buffer of completed spans: recording is O(1)
 // and keeps only the most recent N, so a long-lived server can always show
-// its recent request timelines without unbounded memory. All methods are
+// its recent request timelines without unbounded memory. A slot owns the
+// storage of its stages and annotations: Record copies into it, so a warm
+// Record allocates nothing, and Snapshot copies out of it. All methods are
 // no-ops (or empty results) on a nil receiver.
 type SpanRing struct {
 	mu    sync.Mutex
@@ -105,13 +154,22 @@ func NewSpanRing(n int) *SpanRing {
 	return &SpanRing{buf: make([]Span, n)}
 }
 
-// Record adds one completed span, evicting the oldest when full.
-func (r *SpanRing) Record(s Span) {
+// Record adds one completed span, evicting the oldest when full. The span's
+// stages are s.Stages followed by stages, its annotations s.Attrs followed by
+// attrs, and the ring keeps its own copy of all four. A caller on a request
+// path passes them beside the span, as slices of arrays on its stack, and
+// allocates nothing; inside s they would escape to the heap with it, since
+// its strings are kept.
+func (r *SpanRing) Record(s Span, stages []Stage, attrs []Attr) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.buf[r.next] = s
+	slot := &r.buf[r.next]
+	keptStages, keptAttrs := slot.Stages[:0], slot.Attrs[:0]
+	*slot = s
+	slot.Stages = append(append(keptStages, s.Stages...), stages...)
+	slot.Attrs = append(append(keptAttrs, s.Attrs...), attrs...)
 	r.next = (r.next + 1) % len(r.buf)
 	if r.n < len(r.buf) {
 		r.n++
@@ -120,7 +178,8 @@ func (r *SpanRing) Record(s Span) {
 	r.mu.Unlock()
 }
 
-// Snapshot returns the retained spans, oldest first.
+// Snapshot returns copies of the retained spans, oldest first: nothing in
+// them changes when the ring records on.
 func (r *SpanRing) Snapshot() []Span {
 	if r == nil {
 		return nil
@@ -133,7 +192,9 @@ func (r *SpanRing) Snapshot() []Span {
 		start += len(r.buf)
 	}
 	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
+		s := r.buf[(start+i)%len(r.buf)]
+		s.Stages, s.Attrs = slices.Clone(s.Stages), slices.Clone(s.Attrs)
+		out = append(out, s)
 	}
 	return out
 }

@@ -136,11 +136,13 @@ type slot[Q, R any] struct {
 
 // flight is one dispatched batch. Flights are reused like slots, taken and
 // returned under the batcher's mutex: the queue a flight carried becomes the
-// next pending queue's storage, and launch is built once so that starting the
-// flight's goroutine allocates nothing.
+// next pending queue's storage, reqs and out are the lists run is handed, and
+// launch is built once so that starting the flight's goroutine allocates
+// nothing.
 type flight[Q, R any] struct {
 	batch  []*slot[Q, R]
 	reqs   []Q
+	out    []R
 	reason flushReason
 	launch func()
 }
@@ -202,7 +204,7 @@ func (r flushReason) String() string {
 // concurrent Submit callers.
 type Batcher[Q, R any] struct {
 	opts Options
-	run  func([]Q) ([]R, error)
+	run  func(reqs []Q, out []R) error
 
 	mu          sync.Mutex
 	pending     []*slot[Q, R]
@@ -219,12 +221,13 @@ type Batcher[Q, R any] struct {
 }
 
 // New creates a Batcher around run, which receives the coalesced requests
-// in arrival order and must return exactly one result per request (or an
-// error, which every member of the batch receives). run executes on a
-// dispatch goroutine and may be invoked concurrently with itself when
+// in arrival order and puts the result of reqs[i] in out[i] — out is as long
+// as reqs, zeroed, and belongs to the flight: run must not keep it — or
+// returns an error, which every member of the batch receives. run executes on
+// a dispatch goroutine and may be invoked concurrently with itself when
 // MaxDelay or MaxBatch forces a flush while another batch is in flight, so
 // it must be reentrant.
-func New[Q, R any](run func([]Q) ([]R, error), opts Options) *Batcher[Q, R] {
+func New[Q, R any](run func(reqs []Q, out []R) error, opts Options) *Batcher[Q, R] {
 	opts = opts.withDefaults()
 	return &Batcher[Q, R]{opts: opts, run: run, stats: newCounters(opts.Metrics)}
 }
@@ -350,6 +353,7 @@ func (b *Batcher[Q, R]) fly(f *flight[Q, R]) {
 		// Drop what the flight still points at before it waits for reuse.
 		clear(f.batch)
 		clear(f.reqs)
+		clear(f.out)
 		b.mu.Lock()
 		b.inFlight--
 		b.freeFlights = append(b.freeFlights, f)
@@ -391,16 +395,15 @@ func (b *Batcher[Q, R]) fly(f *flight[Q, R]) {
 		b.stats.closeFlush.Add(1)
 	}
 
-	f.reqs = f.reqs[:0]
+	f.reqs, f.out = f.reqs[:0], f.out[:0]
+	var none R
 	for _, s := range live {
 		f.reqs = append(f.reqs, s.req)
+		f.out = append(f.out, none)
 	}
 	started := time.Now()
-	out, err := b.runProtected(f.reqs)
+	err := b.runProtected(f.reqs, f.out)
 	finished := time.Now()
-	if err == nil && len(out) != len(live) {
-		err = fmt.Errorf("sched: run returned %d results for %d requests", len(out), len(live))
-	}
 	for i, s := range live {
 		if s.info != nil {
 			// Filled before the result send, whose channel receive is the
@@ -415,20 +418,20 @@ func (b *Batcher[Q, R]) fly(f *flight[Q, R]) {
 		if err != nil {
 			s.res <- result[R]{err: err}
 		} else {
-			s.res <- result[R]{val: out[i]}
+			s.res <- result[R]{val: f.out[i]}
 		}
 	}
 }
 
 // runProtected converts a panic in the user's run function into an error
 // so one bad batch cannot kill the process or strand its submitters.
-func (b *Batcher[Q, R]) runProtected(reqs []Q) (out []R, err error) {
+func (b *Batcher[Q, R]) runProtected(reqs []Q, out []R) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("sched: batch run panicked: %v", r)
+			err = fmt.Errorf("sched: batch run panicked: %v", r)
 		}
 	}()
-	return b.run(reqs)
+	return b.run(reqs, out)
 }
 
 // Close drains the batcher deterministically: it stops accepting new

@@ -18,16 +18,16 @@ import (
 	"time"
 
 	"shredder/internal/obs"
+	"shredder/internal/race"
 )
 
 // echoRun returns one result per request, tagging each so tests can verify
 // every submitter got exactly its own answer back.
-func echoRun(reqs []int) ([]int, error) {
-	out := make([]int, len(reqs))
+func echoRun(reqs, out []int) error {
 	for i, r := range reqs {
 		out[i] = r * 10
 	}
-	return out, nil
+	return nil
 }
 
 func TestIdleBatcherFlushesImmediately(t *testing.T) {
@@ -58,10 +58,10 @@ func TestIdleBatcherFlushesImmediately(t *testing.T) {
 func blockingBatcher(opts Options) (b *Batcher[int, int], release chan struct{}, started chan struct{}) {
 	release = make(chan struct{})
 	started = make(chan struct{}, 64)
-	run := func(reqs []int) ([]int, error) {
+	run := func(reqs, out []int) error {
 		started <- struct{}{}
 		<-release
-		return echoRun(reqs)
+		return echoRun(reqs, out)
 	}
 	return New(run, opts), release, started
 }
@@ -144,11 +144,11 @@ func TestMaxDelayBoundsQueueingBehindSlowFlight(t *testing.T) {
 func TestOversizedSubmissionRunsAlone(t *testing.T) {
 	var sizes []int
 	var mu sync.Mutex
-	run := func(reqs []int) ([]int, error) {
+	run := func(reqs, out []int) error {
 		mu.Lock()
 		sizes = append(sizes, len(reqs))
 		mu.Unlock()
-		return echoRun(reqs)
+		return echoRun(reqs, out)
 	}
 	b := New(run, Options{MaxBatch: 4, MaxDelay: time.Minute})
 	defer b.Close()
@@ -179,13 +179,13 @@ func TestCancelMidQueueDoesNotPoisonBatch(t *testing.T) {
 	var got atomic.Value // []int: the batch the cancelled slot would have ridden in
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	run := func(reqs []int) ([]int, error) {
+	run := func(reqs, out []int) error {
 		started <- struct{}{}
 		if len(reqs) > 1 || reqs[0] != 1 {
 			got.Store(append([]int(nil), reqs...))
 		}
 		<-release
-		return echoRun(reqs)
+		return echoRun(reqs, out)
 	}
 	b := New(run, Options{MaxBatch: 3, MaxDelay: time.Minute})
 	defer b.Close()
@@ -254,7 +254,7 @@ func TestCancelMidFlightReturnsPromptly(t *testing.T) {
 
 func TestRunErrorReachesEveryMember(t *testing.T) {
 	boom := errors.New("boom")
-	b := New(func(reqs []int) ([]int, error) { return nil, boom }, Options{MaxBatch: 2, MaxDelay: time.Minute})
+	b := New(func(reqs, out []int) error { return boom }, Options{MaxBatch: 2, MaxDelay: time.Minute})
 	defer b.Close()
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
@@ -272,12 +272,12 @@ func TestRunErrorReachesEveryMember(t *testing.T) {
 
 func TestRunPanicBecomesErrorAndBatcherSurvives(t *testing.T) {
 	calls := 0
-	b := New(func(reqs []int) ([]int, error) {
+	b := New(func(reqs, out []int) error {
 		calls++
 		if calls == 1 {
 			panic("kaboom")
 		}
-		return echoRun(reqs)
+		return echoRun(reqs, out)
 	}, Options{})
 	defer b.Close()
 	if _, err := b.Submit(context.Background(), 1, 1); err == nil || !strings.Contains(err.Error(), "kaboom") {
@@ -288,11 +288,57 @@ func TestRunPanicBecomesErrorAndBatcherSurvives(t *testing.T) {
 	}
 }
 
-func TestRunWrongLengthIsAnError(t *testing.T) {
-	b := New(func(reqs []int) ([]int, error) { return make([]int, len(reqs)+1), nil }, Options{})
+// TestRunIsHandedAZeroedResultList: the result list belongs to the flight and
+// flights are reused, so a run that fills only part of it must still see — and
+// deliver — zero values for the rest, never what an earlier batch left there.
+func TestRunIsHandedAZeroedResultList(t *testing.T) {
+	b := New(func(reqs, out []int) error {
+		if len(out) != len(reqs) {
+			t.Errorf("run handed %d result slots for %d requests", len(out), len(reqs))
+		}
+		for i, r := range reqs {
+			if out[i] != 0 {
+				t.Errorf("result slot %d arrived holding %d", i, out[i])
+			}
+			if r%2 == 1 {
+				out[i] = r * 10
+			}
+		}
+		return nil
+	}, Options{})
 	defer b.Close()
-	if _, err := b.Submit(context.Background(), 1, 1); err == nil || !strings.Contains(err.Error(), "results") {
-		t.Fatalf("length mismatch not surfaced: %v", err)
+	for v := 1; v <= 6; v++ {
+		want := 0
+		if v%2 == 1 {
+			want = v * 10
+		}
+		if got, err := b.Submit(context.Background(), v, 1); err != nil || got != want {
+			t.Fatalf("submission %d got %d, %v; want %d", v, got, err, want)
+		}
+	}
+}
+
+// TestWarmSubmitAllocatesNothing: slot, result channel, flight, request list
+// and result list all belong to the batcher, so a submission on an idle,
+// warmed batcher — all a server behind a lockstep client ever sees — builds
+// nothing, SubmitInfo included.
+func TestWarmSubmitAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	b := New(echoRun, Options{})
+	defer b.Close()
+	var info SubmitInfo
+	submit := func() {
+		if got, err := b.SubmitTraced(context.Background(), 4, 1, &info); err != nil || got != 40 {
+			t.Fatalf("got %d, %v", got, err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		submit()
+	}
+	if n := testing.AllocsPerRun(200, submit); n != 0 {
+		t.Fatalf("a warm submission allocates %v times", n)
 	}
 }
 
@@ -430,12 +476,12 @@ func waitFor(t *testing.T, cond func() bool) {
 func TestCancelledSubmitterSlotIsNotRecycledEarly(t *testing.T) {
 	started := make(chan int, 4)
 	release := map[int]chan struct{}{1: make(chan struct{}), 2: make(chan struct{})}
-	run := func(reqs []int) ([]int, error) {
+	run := func(reqs, out []int) error {
 		started <- reqs[0]
 		if gate := release[reqs[0]]; gate != nil {
 			<-gate
 		}
-		return echoRun(reqs)
+		return echoRun(reqs, out)
 	}
 	// MaxBatch 1: every submission flies at once, beside the blocked flights.
 	b := New(run, Options{MaxBatch: 1, MaxDelay: time.Minute})
@@ -509,10 +555,10 @@ func TestCancelledSubmitterSlotIsNotRecycledEarly(t *testing.T) {
 func TestSubmitTracedFillsInfoAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	var entered, returned time.Time // the run's own clock readings
-	timed := func(reqs []int) ([]int, error) {
+	timed := func(reqs, out []int) error {
 		entered = time.Now()
 		defer func() { returned = time.Now() }()
-		return echoRun(reqs)
+		return echoRun(reqs, out)
 	}
 	b := New(timed, Options{MaxBatch: 4, MaxDelay: time.Millisecond, Metrics: reg})
 	defer b.Close()

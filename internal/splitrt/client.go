@@ -397,27 +397,31 @@ func (c *EdgeClient) relayLocked(ctx context.Context, req request) (*tensor.Tens
 	}
 	logits, err := c.exchange(ctx, req, st)
 	if st != nil {
+		// Stages and annotations are built on the stack and handed over beside
+		// the span: the ring copies them into the slot it records it in.
+		stages := [5]obs.Stage{
+			{Name: "quantize", Dur: st.quantize},
+			{Name: "serialize", Dur: st.serialize},
+			{Name: "send", Dur: st.send},
+			{Name: "wait", Dur: st.wait},
+			{Name: "decode", Dur: st.decode},
+		}
+		attrs := [1]obs.Attr{{Key: "server_elapsed_ns", Val: float64(st.srvElapsed)}}
 		span := obs.Span{
 			Trace: obs.TraceID(req.Trace),
 			Name:  "infer",
 			ID:    req.ID,
 			Start: spanStart,
 			Dur:   time.Since(spanStart),
-			Stages: []obs.Stage{
-				{Name: "quantize", Dur: st.quantize},
-				{Name: "serialize", Dur: st.serialize},
-				{Name: "send", Dur: st.send},
-				{Name: "wait", Dur: st.wait},
-				{Name: "decode", Dur: st.decode},
-			},
 		}
 		if err != nil {
 			span.Err = err.Error()
 		}
+		elapsed := attrs[:0]
 		if st.srvElapsed > 0 {
-			span.Attrs = map[string]float64{"server_elapsed_ns": float64(st.srvElapsed)}
+			elapsed = attrs[:]
 		}
-		c.spans.Record(span)
+		c.spans.Record(span, stages[:], elapsed)
 	}
 	return logits, err
 }
@@ -536,17 +540,29 @@ func (c *EdgeClient) roundTrip(ctx context.Context, req request, st *stageTimes)
 		c.m.transportErrs.Inc()
 		return nil, fmt.Errorf("splitrt: clear deadline: %w", err)
 	}
-	if ctx.Done() != nil {
-		// An explicit cancellation (not just a deadline) must be able to
-		// interrupt a blocked read: poke the connection's deadline into
-		// the past so the transport call fails immediately and the loop above
-		// surfaces ctx.Err(). This is what lets a hedged duplicate request be
-		// abandoned the instant the other attempt wins.
+	// An explicit cancellation (not just a deadline) must be able to interrupt
+	// a blocked read: the connection's deadline is poked into the past so the
+	// transport call fails immediately and the loop above surfaces ctx.Err().
+	// This is what lets a hedged duplicate request be abandoned the instant
+	// the other attempt wins. A poke that has started may land late: the
+	// connection, its target, then serves no later request.
+	switch w := req.watch; {
+	case w != nil:
+		// The accepting connection this request came in on does the poking
+		// (relayWatch): nothing to register, nothing to tear down.
+		w.arm(c.conn)
+		defer func() {
+			if !w.disarm() {
+				c.broken = true
+			}
+		}()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	case ctx.Done() != nil:
 		stop := context.AfterFunc(ctx, c.conn.poke)
 		defer func() {
 			if !stop() {
-				// The poke has started and may land late: this connection,
-				// its target, serves no later request.
 				c.broken = true
 			}
 		}()

@@ -3,9 +3,12 @@ package splitrt
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -131,9 +134,10 @@ func (c *frameConn) sendResponse(resp *response) error {
 // into a request state from the host's free list, which goes back there once
 // the response is written (reqState.answer). Pipelined, every request is
 // answered on its own goroutine — several can be in flight on one connection
-// and responses may overtake each other, matched by ID — and ctx is cancelled
-// when the reader exits, abandoning whatever of this connection is still
-// queued. In lockstep a request is over once answered, so the next one finds
+// and responses may overtake each other, matched by ID — and when the reader
+// exits for any reason but an idle timeout, what is still in flight is
+// abandoned: ctx is cancelled and a backend call a request is blocked in is
+// interrupted. In lockstep a request is over once answered, so the next one finds
 // its state on top of the list. It returns when the peer hangs up, idles out,
 // sends something that is not a frame, or cannot be written to; the caller
 // closes the connection.
@@ -166,21 +170,69 @@ func serveFrames(c *frameConn, host string, serves hello, pipelined bool, states
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var inflight sync.WaitGroup
-	defer inflight.Wait()
+	var flying inflight
+	defer flying.wg.Wait()
 	for {
 		body, err := c.readFrame(maxFrameBody)
 		if err != nil || body[0] != kindRequest {
+			// A peer that idled out gets the answers it is still owed before
+			// the connection goes. One that hung up, broke the framing, or whose
+			// host is closing has nobody left to answer: what is in flight is
+			// abandoned — the context first, then every armed watch.
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				cancel()
+				flying.abandon()
+			}
 			return
 		}
 		st := states.take()
-		st.conn, st.ctx, st.done = c, ctx, &inflight
+		st.conn, st.ctx = c, ctx
 		st.decode(body)
 		if pipelined {
-			inflight.Add(1)
+			st.flying = &flying
+			flying.add(st)
 			go st.run()
 		} else if !st.answer() {
 			return
 		}
 	}
+}
+
+// inflight is what one pipelined connection has handed to answering
+// goroutines: a count to wait for, and the states whose handle has not
+// returned yet, so that the end of the connection can reach a backend call one
+// of them is blocked in. It grows to the most requests the connection ever had
+// in flight.
+type inflight struct {
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	states []*reqState
+}
+
+func (f *inflight) add(st *reqState) {
+	f.wg.Add(1)
+	f.mu.Lock()
+	f.states = append(f.states, st)
+	f.mu.Unlock()
+}
+
+// remove takes st out of reach of abandon: its handle has returned.
+func (f *inflight) remove(st *reqState) {
+	f.mu.Lock()
+	if i := slices.Index(f.states, st); i >= 0 {
+		last := len(f.states) - 1
+		f.states[i], f.states[last] = f.states[last], nil
+		f.states = f.states[:last]
+	}
+	f.mu.Unlock()
+}
+
+// abandon fires the watch of every state still being handled. The caller
+// has cancelled the connection's context.
+func (f *inflight) abandon() {
+	f.mu.Lock()
+	for _, st := range f.states {
+		st.watch.fire()
+	}
+	f.mu.Unlock()
 }

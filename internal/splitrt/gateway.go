@@ -154,7 +154,10 @@ func (g *Gateway) handle(ctx context.Context, st *reqState) {
 		// no two attempts share a destination for the logits.
 		st.forfeit = true
 	} else {
-		req.logitsInto = st.logits
+		// One attempt at a time, under this connection's context: the
+		// backend's logits land in the state's tensor, and the state's watch
+		// is how the end of this connection interrupts the call.
+		req.logitsInto, req.watch = st.logits, &st.watch
 	}
 	// The request carries the edge's trace and audit note to whichever
 	// backend serves it: the record there is found by the edge's own trace.

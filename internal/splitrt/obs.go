@@ -142,25 +142,28 @@ func (o *serverObs) finish(req *request, resp *response, t0 time.Time, si *sched
 	} else {
 		o.ok.Inc()
 	}
+	// Stages and annotations are built here, on the stack, and handed over
+	// beside the span: the ring copies them into the slot it records it in.
+	var stageBuf [3]obs.Stage
+	var attrBuf [2]obs.Attr
+	stages, attrs := stageBuf[:0], attrBuf[:0]
 	switch {
 	case si != nil && si.BatchSize > 0:
 		o.queue.Observe(si.QueueDelay().Seconds())
 		o.compute.Observe(si.RunTime().Seconds())
 		o.occupancy.Set(float64(si.BatchWeight))
-		span.Stages = []obs.Stage{
-			{Name: "queue", Dur: si.QueueDelay()},
-			{Name: "batch", Dur: si.BatchDelay()},
-			{Name: "compute", Dur: si.RunTime()},
-		}
-		span.Attrs = map[string]float64{
-			"batch_size":   float64(si.BatchSize),
-			"batch_weight": float64(si.BatchWeight),
-		}
+		stages = append(stages,
+			obs.Stage{Name: "queue", Dur: si.QueueDelay()},
+			obs.Stage{Name: "batch", Dur: si.BatchDelay()},
+			obs.Stage{Name: "compute", Dur: si.RunTime()})
+		attrs = append(attrs,
+			obs.Attr{Key: "batch_size", Val: float64(si.BatchSize)},
+			obs.Attr{Key: "batch_weight", Val: float64(si.BatchWeight)})
 	case !computeStart.IsZero():
 		d := now.Sub(computeStart)
 		o.compute.Observe(d.Seconds())
 		o.occupancy.Set(1)
-		span.Stages = []obs.Stage{{Name: "compute", Dur: d}}
+		stages = append(stages, obs.Stage{Name: "compute", Dur: d})
 	}
-	o.spans.Record(span)
+	o.spans.Record(span, stages, attrs)
 }

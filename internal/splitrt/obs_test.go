@@ -374,7 +374,7 @@ func TestDebugEndpointEndToEnd(t *testing.T) {
 			t.Fatalf("span missing %q stage: %+v", name, traced.Stages)
 		}
 	}
-	if traced.Attrs["batch_size"] < 1 {
+	if traced.Attr("batch_size") < 1 {
 		t.Fatalf("span attrs: %+v", traced.Attrs)
 	}
 }

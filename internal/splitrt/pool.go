@@ -524,9 +524,10 @@ func (p *Pool) callMaybeHedged(ctx context.Context, b *poolBackend, req request,
 	if budget <= 0 {
 		return p.callOne(ctx, b, req)
 	}
-	// Two attempts may now decode a response each: neither into a tensor
-	// the caller handed over for one.
-	req.logitsInto = nil
+	// Two attempts may now decode a response each, under a context of their
+	// own: neither into a tensor the caller handed over for one, nor under a
+	// watch that answers for the caller's context only.
+	req.logitsInto, req.watch = nil, nil
 	type attempt struct {
 		out    *tensor.Tensor
 		err    error

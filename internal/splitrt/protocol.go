@@ -59,6 +59,11 @@ type request struct {
 	// owns for the response's logits to be decoded into, when it has their
 	// shape. One attempt at a time may hold it — a hedged call passes none.
 	logitsInto *tensor.Tensor
+	// watch is set by the sending side, never sent: the caller vouches that,
+	// deadline aside, the call's context is cancelled only by an accepting
+	// connection that then fires this watch, so the call need not register a
+	// cancellation callback of its own. One attempt at a time may hold it.
+	watch *relayWatch
 }
 
 // auditNote is the per-request privacy attribution an edge attaches for

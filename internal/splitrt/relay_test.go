@@ -628,29 +628,44 @@ func TestPoolPickAllocatesNothing(t *testing.T) {
 // gatewayRelayAllocCeiling bounds one warm 8-bit InferActivation through
 // the whole fleet path — edge client, gateway, pool, and a batched float32
 // audited server with observability on, the fleet benchmark's server —
-// every goroutine of the process counted. DESIGN §5l lists what is left: the
-// caller's logits, the audit record and its sealed batch, the server's span,
-// the pool client's cancellation watcher and the batch's result list.
-// Measured: 14.
-const gatewayRelayAllocCeiling = 15
+// every goroutine of the process counted, every ring wrapped. What is left is
+// the caller's logits, header and data (DESIGN §5l): the audit record is
+// encoded into the pending batch's buffer and sealed into a proof-ring slot
+// that keeps its storage, the server's span is copied into a span-ring slot
+// that keeps its own, the batch's result list is the flight's, and the end of
+// the accepting connection reaches the pool client's blocked read through the
+// request state's watch. Measured: 2.
+const gatewayRelayAllocCeiling = 3
 
 func TestWarmGatewayRelayAllocationCeiling(t *testing.T) {
-	warmFleetServerAllocations(t, true, gatewayRelayAllocCeiling)
+	warmFleetServerAllocations(t, true, 1, gatewayRelayAllocCeiling)
 }
 
 // batchedServeAllocCeiling is the same request sent straight to that server,
-// without gateway and pool: no second hop, no cancellation watcher (the
-// caller's context cannot be cancelled). Measured: 12.
-const batchedServeAllocCeiling = 13
+// without gateway and pool. Measured: 2, the caller's logits.
+const batchedServeAllocCeiling = 3
 
 func TestWarmBatchedAuditedServeAllocationCeiling(t *testing.T) {
-	warmFleetServerAllocations(t, false, batchedServeAllocCeiling)
+	warmFleetServerAllocations(t, false, 1, batchedServeAllocCeiling)
+}
+
+// TestRelayWatchFourConnectionsAllocateLikeOne: the gateway's relay keeps
+// nothing per edge connection that the next connection's request has to
+// rebuild — four edge connections taking turns through one gateway (and so
+// through the same two-deep chain of pool client and backend connection)
+// allocate per request what one connection does.
+func TestRelayWatchFourConnectionsAllocateLikeOne(t *testing.T) {
+	one := warmFleetServerAllocations(t, true, 1, gatewayRelayAllocCeiling)
+	four := warmFleetServerAllocations(t, true, 4, gatewayRelayAllocCeiling)
+	if four != one {
+		t.Fatalf("a warm relayed request allocates %v times with four edge connections interleaving, %v with one", four, one)
+	}
 }
 
 // warmFleetServerAllocations counts the allocations of one warm 8-bit
 // InferActivation against the fleet benchmark's server, direct or through a
-// gateway and its pool.
-func warmFleetServerAllocations(t *testing.T, fronted bool, ceiling float64) {
+// gateway and its pool, from clients connections taking turns.
+func warmFleetServerAllocations(t *testing.T, fronted bool, clients int, ceiling float64) float64 {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -663,23 +678,36 @@ func warmFleetServerAllocations(t *testing.T, fronted bool, ceiling float64) {
 	if fronted {
 		_, _, addr = front(t, split, cutLayer, []string{addr})
 	}
-	client, err := Dial(addr, split, cutLayer, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if err := client.SetWireQuantization(8); err != nil {
-		t.Fatal(err)
+	edges := make([]*EdgeClient, clients)
+	for i := range edges {
+		client, err := Dial(addr, split, cutLayer, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		if err := client.SetWireQuantization(8); err != nil {
+			t.Fatal(err)
+		}
+		edges[i] = client
 	}
 	act := split.Local(pre.Test.Batches(1)[0].Images)
 	ctx := context.Background()
-	n := testing.AllocsPerRun(200, func() {
-		if _, err := client.InferActivation(ctx, act); err != nil {
-			t.Error(err)
+	turn := 0
+	infer := func() {
+		turn++
+		if _, err := edges[turn%clients].InferActivation(ctx, act); err != nil {
+			t.Fatal(err)
 		}
-	})
-	t.Logf("%v allocations per warm round trip (through a gateway: %v)", n, fronted)
+	}
+	// Warm means every ring has wrapped: the proof ring keeps 256 batches and
+	// the span ring 256 spans, and a slot builds its buffers on first use.
+	for i := 0; i < 2*defaultSpanRing+8; i++ {
+		infer()
+	}
+	n := testing.AllocsPerRun(200, infer)
+	t.Logf("%v allocations per warm round trip (through a gateway: %v, edge connections: %d)", n, fronted, clients)
 	if n > ceiling {
 		t.Fatalf("a warm round trip allocates %v times, ceiling %v", n, ceiling)
 	}
+	return n
 }

@@ -447,13 +447,12 @@ func classify(err error) ErrKind {
 // plan would have), and every layer treats batch members independently on the
 // inference path, so the per-request logits are bitwise identical to
 // per-sample serving's. A batch of one — all an idle server ever sees — runs
-// straight from and into its request's tensors.
-func (s *CloudServer) runBatch(acts []activation) ([]*tensor.Tensor, error) {
-	out := make([]*tensor.Tensor, len(acts))
+// straight from and into its request's tensors. out is the flight's.
+func (s *CloudServer) runBatch(acts []activation, out []*tensor.Tensor) error {
 	if len(acts) == 1 {
 		var err error
 		out[0], err = s.infer(acts[0])
-		return out, err
+		return err
 	}
 	var stacked activation
 	for _, a := range acts {
@@ -482,7 +481,7 @@ func (s *CloudServer) runBatch(acts []activation) ([]*tensor.Tensor, error) {
 	}
 	logits, err := s.infer(stacked)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	outShape := logits.Shape()[1:]
 	outVol := tensor.Volume(outShape)
@@ -496,7 +495,7 @@ func (s *CloudServer) runBatch(acts []activation) ([]*tensor.Tensor, error) {
 		out[i] = o
 		row += a.n
 	}
-	return out, nil
+	return nil
 }
 
 // forward runs one remote forward pass; a panic (a bad payload that slipped

@@ -41,14 +41,58 @@ type reqState struct {
 
 	forfeit bool
 
+	// watch is how the end of the accepting connection reaches a backend call
+	// this request is blocked in (a gateway lends it to the pool's client as
+	// request.watch): part of the state, so relaying registers nothing per call.
+	watch relayWatch
+
 	// What answering needs beside the request. run answers on a goroutine of
 	// its own, as a pipelined connection asks; it is built once per state, so
-	// starting that goroutine allocates nothing.
-	list *stateList
-	conn *frameConn
-	ctx  context.Context
-	done *sync.WaitGroup
-	run  func()
+	// starting that goroutine allocates nothing. flying is that connection's
+	// set of requests being answered, nil in lockstep.
+	list   *stateList
+	conn   *frameConn
+	ctx    context.Context
+	flying *inflight
+	run    func()
+}
+
+// relayWatch stands in for context.AfterFunc(ctx, conn.poke) on a call whose
+// context is an accepting connection's: roundTrip arms it with the backend
+// connection it is about to block on, and the accepting connection, when it
+// ends, cancels that context and then fires the watch of every request it
+// still has in flight (inflight.abandon) — a poke for each one that is armed.
+// A watch armed after that cancellation is not fired: whoever arms one checks
+// the context next.
+type relayWatch struct {
+	mu    sync.Mutex
+	conn  *frameConn // the backend connection the request is blocked on; nil = not armed
+	poked bool       // conn was poked while armed: it serves no later request
+}
+
+func (w *relayWatch) arm(c *frameConn) {
+	w.mu.Lock()
+	w.conn = c
+	w.mu.Unlock()
+}
+
+// disarm ends the arming and reports, as the stop of a context.AfterFunc
+// does, whether the connection was left alone.
+func (w *relayWatch) disarm() (clean bool) {
+	w.mu.Lock()
+	clean = !w.poked
+	w.conn, w.poked = nil, false
+	w.mu.Unlock()
+	return clean
+}
+
+func (w *relayWatch) fire() {
+	w.mu.Lock()
+	if w.conn != nil && !w.poked {
+		w.conn.poke()
+		w.poked = true
+	}
+	w.mu.Unlock()
 }
 
 // decode reads a request frame into the state, over what the last request
@@ -71,8 +115,11 @@ func (st *reqState) decode(body []byte) {
 // written to.
 func (st *reqState) answer() bool {
 	st.list.handle(st.ctx, st)
+	if st.flying != nil {
+		st.flying.remove(st)
+	}
 	ok := st.conn.sendResponse(&st.resp) == nil
-	st.conn, st.ctx, st.done = nil, nil, nil // an idle state keeps no connection alive
+	st.conn, st.ctx, st.flying = nil, nil, nil // an idle state keeps no connection alive
 	if !st.forfeit {
 		st.list.give(st)
 	}
@@ -122,8 +169,8 @@ func (l *stateList) take() *reqState {
 	}
 	st := &reqState{list: l}
 	st.run = func() {
-		conn, done := st.conn, st.done // answer may hand st to the next request
-		defer done.Done()
+		conn, flying := st.conn, st.flying // answer may hand st to the next request
+		defer flying.wg.Done()
 		if !st.answer() {
 			// The peer is unreachable; unblock the reader so the connection
 			// tears down instead of lingering until the idle deadline.
