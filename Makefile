@@ -68,13 +68,14 @@ bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 ## fuzz-smoke: run each fuzz target of a trust boundary — the wire's three
-## frame targets and the packed payload a frame carries, and the two files a
-## cold start reads, weights and noise — for ten seconds from the package's
-## seeds.
+## frame targets, the coded payload a request frame carries and the packed
+## levels it decodes to, and the two files a cold start reads, weights and
+## noise — for ten seconds from the package's seeds.
 fuzz-smoke:
 	for f in FuzzReadFrame FuzzDecodeRequest FuzzDecodeResponse; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/splitrt || exit 1; done
-	$(GO) test -run '^$$' -fuzz '^FuzzDequantizePacked$$' -fuzztime 10s ./internal/quantize
+	for f in FuzzDecodeCoded FuzzDequantizePacked; do \
+		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/quantize || exit 1; done
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/nn
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNoiseSource$$' -fuzztime 10s ./internal/core
 

@@ -47,11 +47,34 @@ func NewScheme(bits int, lo, hi float64) (Scheme, error) {
 }
 
 // Fit chooses a clipping range covering the central mass of the samples:
-// [µ−kσ, µ+kσ] with k = 4, clamped to the observed min/max.
+// [µ−kσ, µ+kσ] with k = 4, clamped to the observed min/max. It reads the
+// sample twice — sum, min and max, then the squared deviations — and gives
+// the bits of the tensor's Mean, Std, Min and Max, which read it five times.
+// An empty sample has no range and panics, as Min does.
 func Fit(sample *tensor.Tensor, bits int) (Scheme, error) {
-	mean, std := sample.Mean(), sample.Std()
-	lo := math.Max(sample.Min(), mean-4*std)
-	hi := math.Min(sample.Max(), mean+4*std)
+	d := sample.Data()
+	if len(d) == 0 {
+		panic("quantize: Fit of an empty sample")
+	}
+	sum, minV, maxV := 0.0, d[0], d[0]
+	for _, v := range d {
+		sum += v
+		if v < minV {
+			minV = v
+		}
+		if v > maxV {
+			maxV = v
+		}
+	}
+	mean := sum / float64(len(d))
+	dev := 0.0
+	for _, v := range d {
+		dv := v - mean
+		dev += dv * dv
+	}
+	std := math.Sqrt(dev / float64(len(d)))
+	lo := math.Max(minV, mean-4*std)
+	hi := math.Min(maxV, mean+4*std)
 	if hi <= lo {
 		hi = lo + 1e-9
 	}

@@ -305,8 +305,9 @@ func TestReconnectAfterBrokenConnection(t *testing.T) {
 }
 
 // TestPackedQuantizedWireMatchesWireBytes asserts the bytes that actually
-// cross the wire under quantized transport are dominated by the bit-packed
-// payload Scheme.WireBytes promises, not 2 bytes per uint16 level.
+// cross the wire under quantized transport are bounded by the bit-packed
+// payload Scheme.WireBytes promises — coded, the payload is at most one byte
+// longer — not 2 bytes per uint16 level.
 func TestPackedQuantizedWireMatchesWireBytes(t *testing.T) {
 	split, pre, cutLayer, addr := rig(t)
 	client, err := Dial(addr, split, cutLayer, nil, 7)
@@ -325,14 +326,10 @@ func TestPackedQuantizedWireMatchesWireBytes(t *testing.T) {
 	scheme, _ := quantize.NewScheme(bits, 0, 1)
 	vals := 16 * tensor.Volume(split.ActivationShape())
 	payload := scheme.WireBytes(vals)
-	sent := client.Stats().BytesSent
-	if sent < payload {
-		t.Fatalf("impossible: sent %d bytes < packed payload %d", sent, payload)
-	}
-	// Everything beyond the packed levels is protocol overhead: the hello
-	// frame and one request header with the scheme and shape in it. A few
-	// hundred bytes, whatever the payload.
-	if sent > payload+256 {
+	// Everything beyond the payload is protocol overhead: the hello frame
+	// and one request header with the scheme and shape in it. A few hundred
+	// bytes, whatever the payload.
+	if sent := client.Stats().BytesSent; sent > payload+1+256 {
 		t.Fatalf("wire traffic %d far exceeds WireBytes %d: levels are not packed", sent, payload)
 	}
 }

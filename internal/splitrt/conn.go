@@ -66,7 +66,9 @@ func (c *frameConn) readPrefix(max int) (int, error) {
 // readBody reads the n body bytes that follow a prefix into the
 // connection's read buffer and returns them; they are valid until the next
 // read. A buffer that is too small grows by at most readChunk beyond what
-// has arrived.
+// has arrived, and by a sixteenth of the frame more than the frame needs:
+// coded payloads vary in length, and a buffer sized to each new longest
+// frame would grow again at the next.
 func (c *frameConn) readBody(n int) ([]byte, error) {
 	buf := c.rbuf[:0]
 	for len(buf) < n {
@@ -74,7 +76,7 @@ func (c *frameConn) readBody(n int) ([]byte, error) {
 		if cap(buf) < n {
 			step = min(step, readChunk)
 			if cap(buf)-len(buf) < step {
-				grown := make([]byte, len(buf), len(buf)+step)
+				grown := make([]byte, len(buf), len(buf)+min(step+n/16, readChunk))
 				copy(grown, buf)
 				buf = grown
 			}

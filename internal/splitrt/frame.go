@@ -13,21 +13,24 @@ package splitrt
 // The encoder uses the same rule to drop the header's trailing zero bytes.
 // The header's rank field counts the u32 dimensions that follow it; strings
 // are u16-length-prefixed; the payload is whatever remains — raw float64
-// values, or quantize.Pack bytes unchanged.
+// values, or a packed payload in quantize.AppendCoded's coded form.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
+	"shredder/internal/quantize"
 	"shredder/internal/tensor"
 )
 
 const (
 	// protoVersion rides the hello frame; a server answers any other
-	// version with a rejecting ack.
-	protoVersion = 1
+	// version with a rejecting ack. Version 2 carries a quantized payload
+	// coded (quantize.AppendCoded) where version 1 carried it packed.
+	protoVersion = 2
 
 	// maxFrameBody bounds the length prefix a reader accepts (and a writer
 	// emits): 64 MiB is a batch of 512 activations at the largest cut in
@@ -79,7 +82,7 @@ const (
 // Header flag bits.
 const (
 	flagPayload byte = 1 << iota // a tensor follows: dimensions, then values after the strings
-	flagQuant                    // request: the payload is quantize.Pack bytes
+	flagQuant                    // request: the payload is coded packed levels
 	flagAudit                    // request: an audit note is attached
 	flagSampled                  // request: the note's in-vivo value was sampled
 )
@@ -197,7 +200,7 @@ func (r *request) appendFrame(b []byte) []byte {
 	case r.Activation != nil:
 		b = tensor.AppendFloats(b, r.Activation.Data())
 	case r.Quant != nil:
-		b = append(b, r.Quant.Packed...)
+		b = append(b, r.Quant.Coded...)
 	}
 	return endFrame(b)
 }
@@ -350,7 +353,7 @@ func decodeAck(body []byte) (helloAck, error) {
 // decodeRequest decodes a request frame into req. ID and Trace are set as
 // soon as the header is open, so the caller can still answer a request
 // whose payload it must refuse. What req already holds is reused where it
-// fits (a tensor of the same shape, a Packed slice of enough capacity), which
+// fits (a tensor of the same shape, a Coded slice of enough capacity), which
 // is how a request state serves one request after another without
 // allocating; the payload is copied, never aliased: body is the read buffer
 // and the request outlives it.
@@ -400,8 +403,11 @@ func decodeRequest(body []byte, req *request) error {
 	if bits < 1 || bits > 16 {
 		return badFrame("quantization at %d bits", bits)
 	}
-	if len(payload) != (shape.vol*bits+7)/8 {
-		return badFrame("%d payload bytes for shape %v at %d bits", len(payload), shape.list(), bits)
+	// The packed length the shape declares is held against the coded bytes
+	// before a decode step sizes anything from it.
+	packed := (shape.vol*bits + 7) / 8
+	if err := quantize.CheckCoded(payload, packed); err != nil {
+		return badFrame("%d payload bytes for shape %v at %d bits: %v", len(payload), shape.list(), bits, err)
 	}
 	q := req.Quant
 	if q == nil {
@@ -416,7 +422,10 @@ func decodeRequest(body []byte, req *request) error {
 	q.Lo = math.Float64frombits(binary.LittleEndian.Uint64(h[reqLoOff:]))
 	q.Hi = math.Float64frombits(binary.LittleEndian.Uint64(h[reqHiOff:]))
 	q.Shape = append(q.Shape[:0], shape.dims[:shape.rank]...)
-	q.Packed = append(q.Packed[:0], payload...)
+	// Room for the longest coded form of the shape, the stored one: a
+	// state's buffer grows once, however well later payloads code.
+	q.Coded = append(slices.Grow(q.Coded[:0], packed+1), payload...)
+	q.Packed = q.Packed[:0] // the server's decode step fills it
 	req.Activation, req.Quant = nil, q
 	return nil
 }

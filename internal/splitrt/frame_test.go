@@ -20,6 +20,7 @@ import (
 
 	"shredder/internal/core"
 	"shredder/internal/model"
+	"shredder/internal/quantize"
 	"shredder/internal/race"
 	"shredder/internal/tensor"
 )
@@ -37,11 +38,20 @@ func denseRequest() *request {
 	}
 }
 
+// codedQuant is a quantized payload as an edge sends it: the packed levels'
+// coded form, which is all the frame carries.
+func codedQuant(bits int, lo, hi float64, shape []int, packed []byte) *quantPayload {
+	return &quantPayload{Bits: bits, Lo: lo, Hi: hi, Shape: shape, Coded: quantize.AppendCoded(nil, packed, nil)}
+}
+
+// quantRequest is too short for a code to pay: it goes in the stored form.
 func quantRequest() *request {
-	return &request{
-		ID: 42, Trace: 7,
-		Quant: &quantPayload{Bits: 6, Lo: -0.5, Hi: 3.75, Shape: []int{1, 3, 3}, Packed: []byte{1, 2, 3, 4, 5, 6, 7}},
-	}
+	return &request{ID: 42, Trace: 7, Quant: codedQuant(6, -0.5, 3.75, []int{1, 3, 3}, []byte{1, 2, 3, 4, 5, 6, 7})}
+}
+
+// codedRequest carries Laplace-shaped 8-bit levels, Huffman-coded.
+func codedRequest() *request {
+	return &request{ID: 43, Trace: 8, Quant: codedLaplace(), Audit: &auditNote{Mode: "stored", Member: 1, InVivo: 4.5}}
 }
 
 func okResponse() *response {
@@ -91,7 +101,7 @@ func sameRequest(a, b *request) bool {
 	}
 	if p, q := a.Quant, b.Quant; p != nil && (p.Bits != q.Bits ||
 		math.Float64bits(p.Lo) != math.Float64bits(q.Lo) || math.Float64bits(p.Hi) != math.Float64bits(q.Hi) ||
-		!tensor.ShapeEq(p.Shape, q.Shape) || !bytes.Equal(p.Packed, q.Packed)) {
+		!tensor.ShapeEq(p.Shape, q.Shape) || !bytes.Equal(p.Coded, q.Coded)) {
 		return false
 	}
 	if m, n := a.Audit, b.Audit; m != nil && (m.Mode != n.Mode || m.Member != n.Member ||
@@ -103,7 +113,7 @@ func sameRequest(a, b *request) bool {
 
 func TestFrameRoundTrip(t *testing.T) {
 	for name, req := range map[string]*request{
-		"dense": denseRequest(), "quant": quantRequest(), "empty": {ID: 1},
+		"dense": denseRequest(), "quant": quantRequest(), "coded": codedRequest(), "empty": {ID: 1},
 	} {
 		var got request
 		if err := decodeRequest(frameBodyOf(t, req.appendFrame(nil)), &got); err != nil {
@@ -220,6 +230,18 @@ func TestFrameHeaderCompatibility(t *testing.T) {
 	}
 	if _, err := peer.readFrame(maxFrameBody); err == nil {
 		t.Fatal("server kept the connection of a rejected hello open")
+	}
+
+	// A version 1 peer sends quantized payloads packed, not coded: it is
+	// turned away at the hello, before it can send one.
+	conn, err = net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ack, err = newTestPeer(conn).hello(hello{Version: 1, Network: "obsnet", CutLayer: "cut"})
+	if err != nil || ack.OK || !strings.Contains(ack.Err, "protocol version 2, client speaks 1") {
+		t.Fatalf("hello of version 1: ack %+v, err %v", ack, err)
 	}
 }
 
@@ -387,7 +409,7 @@ func TestReadBufferGrowsOnlyAsBytesArrive(t *testing.T) {
 // before, and decoding into a destination that has held such a message
 // before, allocate nothing.
 func TestFrameCodecAllocatesNothingWarm(t *testing.T) {
-	dense, quant, resp := denseRequest(), quantRequest(), okResponse()
+	dense, quant, resp := denseRequest(), codedRequest(), okResponse()
 	var buf []byte
 	for name, enc := range map[string]func(){
 		"dense request": func() { buf = dense.appendFrame(buf) },
@@ -501,8 +523,17 @@ func FuzzReadFrame(f *testing.F) {
 // FuzzDecodeRequest: any body either decodes into a request that is
 // consistent with itself and re-encodes to an equivalent frame, or is
 // refused with errBadFrame. Nothing it decodes is sized by more than the
-// body's own length.
+// body's own length, and no packed length it declares is more than its
+// coded bytes can hold. Beside the committed corpus it starts from coded
+// requests: a stored one, a Huffman-coded one, and that one with its code
+// broken, which the frame decoder passes on for the server's decode step to
+// refuse.
 func FuzzDecodeRequest(f *testing.F) {
+	broken := codedRequest()
+	broken.Quant.Coded[1+128/2] ^= 0x0f // value 128's code length: the code is no longer complete
+	for _, req := range []*request{quantRequest(), codedRequest(), broken} {
+		f.Add(req.appendFrame(nil)[4:])
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req request
 		if err := decodeRequest(body, &req); err != nil {
@@ -514,8 +545,9 @@ func FuzzDecodeRequest(f *testing.F) {
 		if req.Activation != nil && 8*req.Activation.Len() > len(body) {
 			t.Fatalf("%d-byte body decoded to %d values", len(body), req.Activation.Len())
 		}
-		if q := req.Quant; q != nil && (len(q.Packed) > len(body) || q.Bits < 1 || q.Bits > 16) {
-			t.Fatalf("%d-byte body decoded to %d packed bytes at %d bits", len(body), len(q.Packed), q.Bits)
+		if q := req.Quant; q != nil && (len(q.Coded) > len(body) || q.Bits < 1 || q.Bits > 16 ||
+			(tensor.Volume(q.Shape)*q.Bits+7)/8 > 8*len(q.Coded)) {
+			t.Fatalf("%d-byte body decoded to %d coded bytes of shape %v at %d bits", len(body), len(q.Coded), q.Shape, q.Bits)
 		}
 		var again request
 		if err := decodeRequest(req.appendFrame(nil)[4:], &again); err != nil {

@@ -73,12 +73,17 @@ type auditNote = core.Attribution
 // quantPayload is the quantized wire representation of an activation
 // batch: level indices bit-packed at Bits bits each (little-endian bit
 // order, Volume(Shape) values — see quantize.Pack) plus the scheme needed
-// to unpack and dequantize them. The frame carries Packed unchanged, so
-// the bytes on the wire are exactly Scheme.WireBytes.
+// to unpack and dequantize them. The frame carries Coded, the packed bytes
+// under quantize.AppendCoded's per-payload Huffman code: at most
+// Scheme.WireBytes plus one byte, and for the Laplace-shaped levels of a
+// noised activation some 14 % less. Packed is the edge's input to the
+// coder and, on a server, what its decode step writes; a gateway relays
+// Coded untouched and never fills Packed.
 type quantPayload struct {
 	Bits   int
 	Lo, Hi float64
 	Shape  []int
+	Coded  []byte
 	Packed []byte
 }
 

@@ -32,12 +32,17 @@ import (
 // real arithmetic in it, where float32 and float64 plans give different
 // bits, and the cut the allocation pins are measured at.
 func lenetSplit(t *testing.T) (*core.Split, *model.Pretrained, string) {
+	return lenetSplitAt(t, "conv2")
+}
+
+// lenetSplitAt is lenetSplit at another of LeNet's cuts.
+func lenetSplitAt(t *testing.T, cut string) (*core.Split, *model.Pretrained, string) {
 	t.Helper()
 	pre, err := model.Train(model.LeNet(), model.TrainConfig{TrainN: 64, TestN: 16, Epochs: 1, Seed: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cutLayer, err := pre.Spec.CutLayer("conv2")
+	cutLayer, err := pre.Spec.CutLayer(cut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +309,7 @@ func TestGatewayRefusesBadRequestsItself(t *testing.T) {
 		t.Fatalf("handshake failed: %v %+v", err, ack)
 	}
 	quant := func(lo, hi float64, shape ...int) []byte {
-		q := &quantPayload{Bits: 8, Lo: lo, Hi: hi, Shape: shape, Packed: make([]byte, tensor.Volume(shape))}
+		q := codedQuant(8, lo, hi, shape, make([]byte, tensor.Volume(shape)))
 		return (&request{ID: 3, Trace: 9, Quant: q}).appendFrame(nil)
 	}
 	contradictory := append([]byte{0, 0, 0, 0}, hostileRequests()["quant against length"]...)
@@ -669,7 +674,9 @@ func warmFleetServerAllocations(t *testing.T, fronted bool, clients int, ceiling
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	split, pre, cutLayer := lenetSplit(t)
+	// At conv0 an 8-bit activation is long enough for its code to pay: the
+	// request goes out coded, as the fleet benchmark's do.
+	split, pre, cutLayer := lenetSplitAt(t, "conv0")
 	_, addr := serve(t, split, cutLayer,
 		WithDtype(nn.Float32),
 		WithBatching(sched.Options{MaxBatch: 8, MaxDelay: time.Millisecond}),
@@ -705,6 +712,9 @@ func warmFleetServerAllocations(t *testing.T, fronted bool, clients int, ceiling
 		infer()
 	}
 	n := testing.AllocsPerRun(200, infer)
+	if form := edges[0].quant.Coded[0]; form != 1 {
+		t.Fatalf("the payload went out in form %d, not Huffman-coded", form)
+	}
 	t.Logf("%v allocations per warm round trip (through a gateway: %v, edge connections: %d)", n, fronted, clients)
 	if n > ceiling {
 		t.Fatalf("a warm round trip allocates %v times, ceiling %v", n, ceiling)

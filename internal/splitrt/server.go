@@ -401,9 +401,17 @@ func (s *CloudServer) decode(st *reqState) (act activation, kind ErrKind, msg st
 		return act, ErrUnknown, ""
 	}
 	// decodeRequest has held the payload's length against the shape, so the
-	// tensors sized from it here are no larger than what the peer sent.
+	// buffers sized from it here are no larger than the peer's bytes could
+	// fill. The packed levels land in the state's own buffer, where the
+	// audit digest reads them.
 	act.n = q.Shape[0]
+	if st.dec == nil {
+		st.dec = new(quantize.Decoder)
+	}
 	var err error
+	if q.Packed, err = st.dec.AppendDecoded(q.Packed[:0], q.Coded, int(scheme.WireBytes(tensor.Volume(q.Shape)))); err != nil {
+		return act, ErrBadRequest, fmt.Sprintf("bad quantized payload: %v", err)
+	}
 	if s.dtype == nn.Float32 {
 		if st.f32 == nil || !tensor.ShapeEq(st.f32.Shape(), q.Shape) {
 			st.f32 = tensor.NewDense[float32](q.Shape...)

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"shredder/internal/audit"
+	"shredder/internal/quantize"
 	"shredder/internal/sched"
 	"shredder/internal/tensor"
 )
@@ -32,6 +33,7 @@ type reqState struct {
 	quant quantPayload
 	dims  [maxRank]int
 	note  auditNote
+	dec   *quantize.Decoder // decodes quant.Coded into quant.Packed: a server's, built on its first coded payload
 
 	f64    *tensor.Tensor   // the activation: a dense payload as decoded, or a packed one dequantized for a float64 plan
 	f32    *tensor.Tensor32 // a packed payload dequantized for a float32 plan
