@@ -34,15 +34,15 @@ const (
 	oneValue    = 1 << (maxCodeLen - 1) // … of the one incomplete code taken: a lone value of length 1
 )
 
-// Histogram counts the byte values of a packed payload: AppendPacked adds
-// the bytes it writes, AppendCoded builds its code from the counts.
-type Histogram [256]uint32
+// histogram counts the byte values of a packed payload: AppendCoded builds
+// its code from the counts.
+type histogram [256]uint32
 
 // count adds b's bytes to h. Four tables take every fourth byte each, so a
 // run of one value — the common case at the centre of a noised activation —
 // does not chain every increment through one counter.
-func (h *Histogram) count(b []byte) {
-	var t [3]Histogram
+func (h *histogram) count(b []byte) {
+	var t [3]histogram
 	i := 0
 	for ; i+4 <= len(b); i += 4 {
 		h[b[i]]++
@@ -66,16 +66,12 @@ type code struct {
 }
 
 // AppendCoded appends the coded form of packed to dst, which may be a buffer
-// kept from an earlier call. h holds packed's byte counts, as AppendPacked
-// leaves them; nil counts them here.
-func AppendCoded(dst, packed []byte, h *Histogram) []byte {
-	if h == nil {
-		var own Histogram
-		own.count(packed)
-		h = &own
-	}
+// kept from an earlier call.
+func AppendCoded(dst, packed []byte) []byte {
+	var h histogram
+	h.count(packed)
 	var c code
-	size := codedHeader + int((c.build(h)+7)/8)
+	size := codedHeader + int((c.build(&h)+7)/8)
 	if size >= 1+len(packed) {
 		return append(append(dst, formStored), packed...)
 	}
@@ -127,16 +123,13 @@ type Decoder struct {
 // network: a code the encoder cannot have written — lengths past maxCodeLen,
 // an oversubscribed or incomplete code, a stream that ends early or runs on,
 // padding that is not zero — is ErrBadPayload, and dst is returned as it was.
+// Nothing is sized from n before the length table has been checked.
 func (d *Decoder) AppendDecoded(dst, coded []byte, n int) ([]byte, error) {
 	if err := CheckCoded(coded, n); err != nil {
 		return dst, err
 	}
-	start := len(dst)
-	grown := slices.Grow(dst, n)[:start+n]
-	out := grown[start:]
 	if coded[0] == formStored {
-		copy(out, coded[1:])
-		return grown, nil
+		return append(dst, coded[1:]...), nil
 	}
 	var c code
 	for i, b := range coded[1:codedHeader] {
@@ -146,7 +139,9 @@ func (d *Decoder) AppendDecoded(dst, coded []byte, n int) ([]byte, error) {
 		return dst, err
 	}
 	c.assign()
-	if err := c.read(out, coded[codedHeader:], &d.t); err != nil {
+	start := len(dst)
+	grown := slices.Grow(dst, n)[:start+n]
+	if err := c.read(grown[start:], coded[codedHeader:], &d.t); err != nil {
 		return dst, err
 	}
 	return grown, nil
@@ -157,7 +152,7 @@ func (d *Decoder) AppendDecoded(dst, coded []byte, n int) ([]byte, error) {
 // Katajainen's minimum-redundancy ones; where some exceed maxCodeLen they are
 // cut to it and the code is made complete again by lengthening the longest
 // codes below it, the rarest values taking the longest codes.
-func (c *code) build(h *Histogram) (bits uint64) {
+func (c *code) build(h *histogram) (bits uint64) {
 	var keys [256]uint64 // count<<8 | value, of the values that occur
 	n := 0
 	for v, k := range h {
@@ -166,7 +161,7 @@ func (c *code) build(h *Histogram) (bits uint64) {
 			n++
 		}
 	}
-	sortByCount(keys[:n]) // rarest first; ties by value, so the code is one function of h
+	slices.Sort(keys[:n]) // rarest first; ties by value, so the code is one function of h
 	c.lens = [256]uint8{}
 	if n == 1 {
 		c.lens[byte(keys[0])] = 1
@@ -207,31 +202,6 @@ func (c *code) build(h *Histogram) (bits uint64) {
 		bits += uint64(k) * uint64(c.lens[v])
 	}
 	return bits
-}
-
-// sortByCount sorts keys, gathered in ascending value, by count: a stable
-// radix sort on the count's bytes, least significant first, that skips a
-// byte every key shares — two passes for any payload under 64 KiB.
-func sortByCount(keys []uint64) {
-	var tmp [256]uint64
-	for shift := 8; shift < 8+32 && len(keys) > 1; shift += 8 {
-		var at [257]int // at[d+1] counts digit d, then at[d] is where digit d starts
-		for _, k := range keys {
-			at[int(byte(k>>shift))+1]++
-		}
-		if at[int(byte(keys[0]>>shift))+1] == len(keys) {
-			continue
-		}
-		for d := 1; d < len(at); d++ {
-			at[d] += at[d-1]
-		}
-		for _, k := range keys {
-			d := byte(k >> shift)
-			tmp[at[d]] = k
-			at[d]++
-		}
-		copy(keys, tmp[:len(keys)])
-	}
 }
 
 // minimumRedundancy turns weights in ascending order into the depths of a

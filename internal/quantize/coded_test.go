@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"slices"
+	"runtime"
 	"testing"
 
 	"shredder/internal/race"
@@ -49,7 +49,7 @@ func codedInputs(t testing.TB, bits int) map[string][]byte {
 func TestCodedRoundTrip(t *testing.T) {
 	for bits := 1; bits <= 16; bits++ {
 		for name, packed := range codedInputs(t, bits) {
-			coded := AppendCoded([]byte("hdr"), packed, nil)
+			coded := AppendCoded([]byte("hdr"), packed)
 			if !bytes.Equal(coded[:3], []byte("hdr")) {
 				t.Fatalf("bits=%d %s: the prefix was overwritten", bits, name)
 			}
@@ -72,10 +72,8 @@ func TestCodedRoundTrip(t *testing.T) {
 // coded, not stored, and within a few percent of its order-0 entropy.
 func TestCodedShrinksLaplaceLevels(t *testing.T) {
 	packed := codedInputs(t, 8)["laplace"]
-	var h Histogram
-	for _, b := range packed {
-		h[b]++
-	}
+	var h histogram
+	h.count(packed)
 	entropy := 0.0
 	for _, k := range h {
 		if k > 0 {
@@ -83,7 +81,7 @@ func TestCodedShrinksLaplaceLevels(t *testing.T) {
 			entropy -= float64(k) * math.Log2(p)
 		}
 	}
-	coded := AppendCoded(nil, packed, &h)
+	coded := AppendCoded(nil, packed)
 	if coded[0] != formCoded {
 		t.Fatalf("form %d, want the coded form", coded[0])
 	}
@@ -92,27 +90,8 @@ func TestCodedShrinksLaplaceLevels(t *testing.T) {
 		t.Fatalf("%v stream bits for %v bits of entropy", stream, entropy)
 	}
 	t.Logf("%d packed bytes → %d coded (entropy %.0f bytes)", len(packed), len(coded), entropy/8)
-	if got := codedInputs(t, 8)["uniform"]; AppendCoded(nil, got, nil)[0] != formStored {
+	if got := codedInputs(t, 8)["uniform"]; AppendCoded(nil, got)[0] != formStored {
 		t.Fatal("uniform bytes must take the stored escape")
-	}
-}
-
-// TestSortByCount holds the radix sort to the order a comparison sort gives:
-// by count, then by value.
-func TestSortByCount(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	for _, limit := range []int{3, 300, 70000, 1 << 30} {
-		var keys []uint64
-		for v := range 256 {
-			if rng.Intn(4) > 0 {
-				keys = append(keys, uint64(rng.Intn(limit)+1)<<8|uint64(v))
-			}
-		}
-		want := slices.Clone(keys)
-		slices.Sort(want)
-		if sortByCount(keys); !slices.Equal(keys, want) {
-			t.Fatalf("counts below %d: radix order differs from the sorted one", limit)
-		}
 	}
 }
 
@@ -127,10 +106,8 @@ func TestCodeIsLengthLimited(t *testing.T) {
 		a, b = b, a+b
 	}
 	var c code
-	var h Histogram
-	for _, v := range packed {
-		h[v]++
-	}
+	var h histogram
+	h.count(packed)
 	c.build(&h)
 	if err := c.check(); err != nil {
 		t.Fatalf("the limited code is not one the decoder takes: %v", err)
@@ -140,7 +117,7 @@ func TestCodeIsLengthLimited(t *testing.T) {
 			t.Fatalf("value %d has a %d-bit code", v, l)
 		}
 	}
-	got, err := new(Decoder).AppendDecoded(nil, AppendCoded(nil, packed, &h), len(packed))
+	got, err := new(Decoder).AppendDecoded(nil, AppendCoded(nil, packed), len(packed))
 	if err != nil || !bytes.Equal(got, packed) {
 		t.Fatalf("length-limited round trip: %v", err)
 	}
@@ -150,7 +127,7 @@ func TestCodeIsLengthLimited(t *testing.T) {
 func validCoded() (coded, packed []byte) {
 	// Codes of 1, 2, 3 and 3 bits: 546 bits, the stream padded with 6 zero bits.
 	packed = bytes.Repeat([]byte{3, 3, 3, 3, 7, 7, 9, 200}, 39)
-	return AppendCoded(nil, packed, nil), packed
+	return AppendCoded(nil, packed), packed
 }
 
 // lone is a coded payload whose table gives value 0 the length l and no other
@@ -208,9 +185,31 @@ func TestDecodeCodedRejects(t *testing.T) {
 	}
 }
 
+// TestRefusedCodeSizesNothing: a coded payload claims a packed length up to
+// eight times its bytes, and one whose length table is refused is turned
+// away before anything is sized from that claim.
+func TestRefusedCodeSizesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	packed := make([]byte, 1<<20)
+	coded := AppendCoded(nil, packed) // one value: a 1-bit code per byte
+	coded[1] = 2                      // value 0's code is 2 bits: the code is incomplete
+	var d Decoder
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := d.AppendDecoded(nil, coded, len(packed))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadPayload) || got != nil {
+		t.Fatalf("a broken length table: %d bytes, error %v", len(got), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(len(coded)) {
+		t.Fatalf("refusing %d coded bytes that claim %d allocated %d bytes", len(coded), len(packed), grew)
+	}
+}
+
 // TestCodedAllocatesNothingWarm pins the coder at zero allocations into
-// buffers that have held such a payload before, AppendPacked's histogram and
-// all.
+// buffers that have held such a payload before.
 func TestCodedAllocatesNothingWarm(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -220,16 +219,14 @@ func TestCodedAllocatesNothingWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h Histogram
-	packed := s.AppendPacked(nil, x.Data(), &h)
-	coded := AppendCoded(nil, packed, &h)
+	packed := s.AppendPacked(nil, x.Data())
+	coded := AppendCoded(nil, packed)
 	if coded[0] != formCoded {
 		t.Fatal("a Laplace payload was stored, not coded")
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		h = Histogram{}
-		packed = s.AppendPacked(packed[:0], x.Data(), &h)
-		coded = AppendCoded(coded[:0], packed, &h)
+		packed = s.AppendPacked(packed[:0], x.Data())
+		coded = AppendCoded(coded[:0], packed)
 	}); n != 0 {
 		t.Errorf("a warm encode: %v allocations", n)
 	}
@@ -300,7 +297,7 @@ func TestFitMatchesFivePassReference(t *testing.T) {
 func FuzzDecodeCoded(f *testing.F) {
 	for _, bits := range []int{1, 4, 8, 12, 16} {
 		for _, packed := range codedInputs(f, bits) {
-			f.Add(AppendCoded(nil, packed, nil), len(packed))
+			f.Add(AppendCoded(nil, packed), len(packed))
 		}
 	}
 	coded, packed := validCoded()
@@ -327,7 +324,7 @@ func FuzzDecodeCoded(f *testing.F) {
 		if len(got) != n || n > 8*len(coded) {
 			t.Fatalf("%d coded bytes decoded to %d, %d claimed", len(coded), len(got), n)
 		}
-		again, err := new(Decoder).AppendDecoded(nil, AppendCoded(nil, got, nil), n)
+		again, err := new(Decoder).AppendDecoded(nil, AppendCoded(nil, got), n)
 		if err != nil || !bytes.Equal(again, got) {
 			t.Fatalf("an accepted payload does not round-trip: %v", err)
 		}
@@ -337,8 +334,8 @@ func FuzzDecodeCoded(f *testing.F) {
 var fitSink Scheme
 
 // BenchmarkFit and BenchmarkCoded time the edge's wire work on one 16 384-value
-// Laplace-shaped activation: the fit, the fused pack with and without the
-// histogram sweep, the coder, and the server's decoder.
+// Laplace-shaped activation: the fit, the fused pack, the coder (its count of
+// the bytes included), and the server's decoder.
 func BenchmarkFit(b *testing.B) {
 	x := laplace(tensor.NewRNG(7), 16384)
 	b.ResetTimer()
@@ -357,23 +354,16 @@ func BenchmarkCoded(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var h Histogram
-	packed := s.AppendPacked(nil, x.Data(), &h)
-	coded := AppendCoded(nil, packed, &h)
+	packed := s.AppendPacked(nil, x.Data())
+	coded := AppendCoded(nil, packed)
 	b.Run("pack", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			packed = s.AppendPacked(packed[:0], x.Data(), nil)
-		}
-	})
-	b.Run("pack+count", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			h = Histogram{}
-			packed = s.AppendPacked(packed[:0], x.Data(), &h)
+			packed = s.AppendPacked(packed[:0], x.Data())
 		}
 	})
 	b.Run("encode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			coded = AppendCoded(coded[:0], packed, &h)
+			coded = AppendCoded(coded[:0], packed)
 		}
 	})
 	out := make([]byte, 0, len(packed))

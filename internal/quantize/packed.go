@@ -3,7 +3,6 @@ package quantize
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"shredder/internal/tensor"
@@ -23,9 +22,7 @@ var ErrBadPayload = errors.New("quantize: packed payload does not match its shap
 
 // level is Quantize's value→level rule without math.Round: for t in (0,
 // maxLevel) the nearest level, halves away from zero, is t truncated plus
-// one when the exact remainder reaches a half — read off the sign of the
-// remainder less a half, not branched on: which way a noised value rounds
-// is a coin toss no predictor learns.
+// one when the exact remainder reaches a half.
 func level(v, lo, step, maxLevel float64) uint32 {
 	t := (v - lo) / step
 	if !(t > 0) { // below the range, or NaN
@@ -35,23 +32,22 @@ func level(v, lo, step, maxLevel float64) uint32 {
 		return uint32(maxLevel)
 	}
 	q := uint32(t)
-	return q + 1 - uint32(math.Float64bits(t-float64(q)-0.5)>>63)
+	if t-float64(q) >= 0.5 {
+		q++
+	}
+	return q
 }
 
 // AppendPacked quantizes x and appends the packed levels to dst, which may
 // be a buffer kept from an earlier call: the bytes AppendCoded codes for the
-// wire. A non-nil h counts the bytes appended, swept while they are still in
-// cache.
-func (s Scheme) AppendPacked(dst []byte, x []float64, h *Histogram) []byte {
+// wire.
+func (s Scheme) AppendPacked(dst []byte, x []float64) []byte {
 	if s.Bits < 1 || s.Bits > 16 {
 		panic(fmt.Errorf("%w: pack bits %d", ErrBadBits, s.Bits))
 	}
 	start, need := len(dst), (len(x)*s.Bits+7)/8
 	dst = slices.Grow(dst, need)[:start+need]
 	out := dst[start:]
-	if h != nil {
-		defer h.count(out)
-	}
 	step, maxLevel := s.step(), float64(s.Levels()-1)
 	if s.Bits == 8 {
 		for i, v := range x {
@@ -79,7 +75,7 @@ func (s Scheme) AppendPacked(dst []byte, x []float64, h *Histogram) []byte {
 
 // QuantizePacked is AppendPacked into a fresh buffer of exactly WireBytes.
 func (s Scheme) QuantizePacked(x *tensor.Tensor) []byte {
-	return s.AppendPacked(make([]byte, 0, s.WireBytes(x.Len())), x.Data(), nil)
+	return s.AppendPacked(make([]byte, 0, s.WireBytes(x.Len())), x.Data())
 }
 
 // DequantizeInto reconstructs len(dst) values from a packed payload straight

@@ -61,18 +61,10 @@ func TestFusedKernelsMatchReference(t *testing.T) {
 
 				// Appended after a prefix into a buffer full of ones: every
 				// byte of the payload must be written, none or-ed into.
-				// The histogram it counts is the payload's, prefix aside.
 				dirty := bytes.Repeat([]byte{0xff}, len(want)+8)
-				var h, wantH Histogram
-				got := s.AppendPacked(append(dirty[:0], "hdr"...), x.Data(), &h)
+				got := s.AppendPacked(append(dirty[:0], "hdr"...), x.Data())
 				if !bytes.Equal(got[:3], []byte("hdr")) || !bytes.Equal(got[3:], want) {
 					t.Fatalf("bits=%d %+v n=%d: AppendPacked differs from Pack(Quantize(x))", bits, s, n)
-				}
-				for _, b := range want {
-					wantH[b]++
-				}
-				if h != wantH {
-					t.Fatalf("bits=%d %+v n=%d: AppendPacked counted another histogram", bits, s, n)
 				}
 				if !bytes.Equal(s.QuantizePacked(x), want) {
 					t.Fatalf("bits=%d %+v n=%d: QuantizePacked differs from Pack(Quantize(x))", bits, s, n)
@@ -167,8 +159,8 @@ func TestFusedKernelsAllocateNothingWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := s.AppendPacked(nil, x.Data(), nil)
-		if n := testing.AllocsPerRun(100, func() { buf = s.AppendPacked(buf[:0], x.Data(), nil) }); n != 0 {
+		buf := s.AppendPacked(nil, x.Data())
+		if n := testing.AllocsPerRun(100, func() { buf = s.AppendPacked(buf[:0], x.Data()) }); n != 0 {
 			t.Errorf("bits=%d: AppendPacked into a warm buffer: %v allocations", bits, n)
 		}
 		d64, d32 := make([]float64, x.Len()), make([]float32, x.Len())

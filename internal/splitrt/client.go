@@ -429,10 +429,9 @@ func (c *EdgeClient) relayLocked(ctx context.Context, req request) (*tensor.Tens
 }
 
 // pack swaps req's dense activation for its coded form at the client's wire
-// width, in the buffers the client keeps for it: the levels are packed, their
-// bytes counted while still in cache, then coded. The shape is the
-// activation's own, only read. The caller holds c.mu: one request uses the
-// buffers at a time.
+// width, in the buffers the client keeps for it: the levels are packed, then
+// coded. The shape is the activation's own, only read. The caller holds c.mu:
+// one request uses the buffers at a time.
 func (c *EdgeClient) pack(req *request) error {
 	a := req.Activation
 	scheme, err := quantize.Fit(a, c.wireBits)
@@ -441,9 +440,8 @@ func (c *EdgeClient) pack(req *request) error {
 	}
 	q := &c.quant
 	q.Bits, q.Lo, q.Hi, q.Shape = scheme.Bits, scheme.Lo, scheme.Hi, a.Shape()
-	var h quantize.Histogram
-	q.Packed = scheme.AppendPacked(q.Packed[:0], a.Data(), &h)
-	q.Coded = quantize.AppendCoded(q.Coded[:0], q.Packed, &h)
+	q.Packed = scheme.AppendPacked(q.Packed[:0], a.Data())
+	q.Coded = quantize.AppendCoded(q.Coded[:0], q.Packed)
 	req.Activation, req.Quant = nil, q
 	return nil
 }

@@ -94,6 +94,27 @@ func TestGatewayRelaysCodedBytes(t *testing.T) {
 	}
 }
 
+// TestRequestStateKeepsOnlyCodedBytes: a request whose shape declares far
+// more packed bytes than its coded payload has — one byte value codes at one
+// bit a byte — leaves the request state a gateway decodes it into holding a
+// copy of the bytes that arrived, not room for the length the shape announces.
+func TestRequestStateKeepsOnlyCodedBytes(t *testing.T) {
+	shape := []int{1, 64, 32, 32}
+	q := codedQuant(8, 0, 1, shape, make([]byte, tensor.Volume(shape)))
+	if q.Coded[0] != 1 || 4*len(q.Coded) > tensor.Volume(shape) {
+		t.Fatalf("%d packed bytes of one value coded to %d in form %d", tensor.Volume(shape), len(q.Coded), q.Coded[0])
+	}
+	st := new(stateList).take()
+	st.decode(frameBodyOf(t, (&request{ID: 5, Quant: q}).appendFrame(nil)))
+	if st.req.malformed != "" {
+		t.Fatal(st.req.malformed)
+	}
+	if got, want := cap(st.quant.Coded), cap(append([]byte(nil), q.Coded...)); got > want {
+		t.Fatalf("%d coded bytes declaring %d packed left a %d-byte buffer; a copy takes %d",
+			len(q.Coded), tensor.Volume(shape), got, want)
+	}
+}
+
 // TestAuditedCodedDigestPinned: the activation digest of an audited 8-bit
 // request is the one recorded when the wire carried the packed bytes
 // themselves. The server digests the levels it decoded, so ledgers written

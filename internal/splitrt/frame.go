@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"shredder/internal/quantize"
 	"shredder/internal/tensor"
@@ -422,9 +421,7 @@ func decodeRequest(body []byte, req *request) error {
 	q.Lo = math.Float64frombits(binary.LittleEndian.Uint64(h[reqLoOff:]))
 	q.Hi = math.Float64frombits(binary.LittleEndian.Uint64(h[reqHiOff:]))
 	q.Shape = append(q.Shape[:0], shape.dims[:shape.rank]...)
-	// Room for the longest coded form of the shape, the stored one: a
-	// state's buffer grows once, however well later payloads code.
-	q.Coded = append(slices.Grow(q.Coded[:0], packed+1), payload...)
+	q.Coded = append(q.Coded[:0], payload...)
 	q.Packed = q.Packed[:0] // the server's decode step fills it
 	req.Activation, req.Quant = nil, q
 	return nil

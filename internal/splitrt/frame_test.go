@@ -41,7 +41,7 @@ func denseRequest() *request {
 // codedQuant is a quantized payload as an edge sends it: the packed levels'
 // coded form, which is all the frame carries.
 func codedQuant(bits int, lo, hi float64, shape []int, packed []byte) *quantPayload {
-	return &quantPayload{Bits: bits, Lo: lo, Hi: hi, Shape: shape, Coded: quantize.AppendCoded(nil, packed, nil)}
+	return &quantPayload{Bits: bits, Lo: lo, Hi: hi, Shape: shape, Coded: quantize.AppendCoded(nil, packed)}
 }
 
 // quantRequest is too short for a code to pay: it goes in the stored form.

@@ -643,7 +643,9 @@ func TestPoolPickAllocatesNothing(t *testing.T) {
 const gatewayRelayAllocCeiling = 3
 
 func TestWarmGatewayRelayAllocationCeiling(t *testing.T) {
-	warmFleetServerAllocations(t, true, 1, gatewayRelayAllocCeiling)
+	for _, cut := range fleetCuts {
+		t.Run(cut.layer, func(t *testing.T) { warmFleetServerAllocations(t, cut, true, 1, gatewayRelayAllocCeiling) })
+	}
 }
 
 // batchedServeAllocCeiling is the same request sent straight to that server,
@@ -651,7 +653,9 @@ func TestWarmGatewayRelayAllocationCeiling(t *testing.T) {
 const batchedServeAllocCeiling = 3
 
 func TestWarmBatchedAuditedServeAllocationCeiling(t *testing.T) {
-	warmFleetServerAllocations(t, false, 1, batchedServeAllocCeiling)
+	for _, cut := range fleetCuts {
+		t.Run(cut.layer, func(t *testing.T) { warmFleetServerAllocations(t, cut, false, 1, batchedServeAllocCeiling) })
+	}
 }
 
 // TestRelayWatchFourConnectionsAllocateLikeOne: the gateway's relay keeps
@@ -660,23 +664,33 @@ func TestWarmBatchedAuditedServeAllocationCeiling(t *testing.T) {
 // through the same two-deep chain of pool client and backend connection)
 // allocate per request what one connection does.
 func TestRelayWatchFourConnectionsAllocateLikeOne(t *testing.T) {
-	one := warmFleetServerAllocations(t, true, 1, gatewayRelayAllocCeiling)
-	four := warmFleetServerAllocations(t, true, 4, gatewayRelayAllocCeiling)
+	cut := fleetCuts[len(fleetCuts)-1]
+	one := warmFleetServerAllocations(t, cut, true, 1, gatewayRelayAllocCeiling)
+	four := warmFleetServerAllocations(t, cut, true, 4, gatewayRelayAllocCeiling)
 	if four != one {
 		t.Fatalf("a warm relayed request allocates %v times with four edge connections interleaving, %v with one", four, one)
 	}
 }
 
+// fleetCut is a LeNet cut the fleet allocation ceilings hold at, with the
+// form its 8-bit payload goes out in: at conv2 the activation is too short for
+// a code to pay and goes stored, at conv0 it goes coded, as the fleet
+// benchmark's does. The server decodes the two forms by different paths.
+type fleetCut struct {
+	layer string
+	form  byte
+}
+
+var fleetCuts = []fleetCut{{"conv2", 0}, {"conv0", 1}}
+
 // warmFleetServerAllocations counts the allocations of one warm 8-bit
-// InferActivation against the fleet benchmark's server, direct or through a
-// gateway and its pool, from clients connections taking turns.
-func warmFleetServerAllocations(t *testing.T, fronted bool, clients int, ceiling float64) float64 {
+// InferActivation at cut against the fleet benchmark's server, direct or
+// through a gateway and its pool, from clients connections taking turns.
+func warmFleetServerAllocations(t *testing.T, cut fleetCut, fronted bool, clients int, ceiling float64) float64 {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	// At conv0 an 8-bit activation is long enough for its code to pay: the
-	// request goes out coded, as the fleet benchmark's do.
-	split, pre, cutLayer := lenetSplitAt(t, "conv0")
+	split, pre, cutLayer := lenetSplitAt(t, cut.layer)
 	_, addr := serve(t, split, cutLayer,
 		WithDtype(nn.Float32),
 		WithBatching(sched.Options{MaxBatch: 8, MaxDelay: time.Millisecond}),
@@ -712,10 +726,10 @@ func warmFleetServerAllocations(t *testing.T, fronted bool, clients int, ceiling
 		infer()
 	}
 	n := testing.AllocsPerRun(200, infer)
-	if form := edges[0].quant.Coded[0]; form != 1 {
-		t.Fatalf("the payload went out in form %d, not Huffman-coded", form)
+	if form := edges[0].quant.Coded[0]; form != cut.form {
+		t.Fatalf("at %s the payload went out in form %d, want %d", cut.layer, form, cut.form)
 	}
-	t.Logf("%v allocations per warm round trip (through a gateway: %v, edge connections: %d)", n, fronted, clients)
+	t.Logf("%v allocations per warm round trip at %s (through a gateway: %v, edge connections: %d)", n, cut.layer, fronted, clients)
 	if n > ceiling {
 		t.Fatalf("a warm round trip allocates %v times, ceiling %v", n, ceiling)
 	}
