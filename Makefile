@@ -55,11 +55,12 @@ test:
 ## hand it to the next batch or span, and a relayed request's watch is poked
 ## from another connection's goroutine (DESIGN §5l) — a buffer still read
 ## after it was handed on is a data race the detector sees only when the two
-## accesses meet.
+## accesses meet; and of the kept MaxDelay timer, whose goroutine takes its
+## owner's lock from outside every request (sched.Flusher).
 race:
 	$(GO) test -race ./internal/sched/... ./internal/splitrt/... ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/audit/... ./internal/model/... ./internal/data/... ./cmd/shredder/...
 	$(GO) test -race -count=3 -run 'TrainPlan|TrainNoise|Collect' ./internal/nn ./internal/core
-	$(GO) test -race -count=20 -run 'RingReuse|ProofReuse|SnapshotStable|RelayWatch' ./internal/audit ./internal/obs ./internal/splitrt
+	$(GO) test -race -count=20 -run 'RingReuse|ProofReuse|SnapshotStable|RelayWatch|StaleFire|WarmQueued' ./internal/sched ./internal/audit ./internal/obs ./internal/splitrt
 	$(GO) test -race -run 'ColdStart|Materiali|EdgeStep' .
 
 ## bench-module: vet and test bench/, which builds against this module's
@@ -69,8 +70,9 @@ bench-module:
 
 ## fuzz-smoke: run each fuzz target of a trust boundary — the wire's three
 ## frame targets, the coded payload a request frame carries and the packed
-## levels it decodes to, and the two files a cold start reads, weights and
-## noise — for ten seconds from the package's seeds.
+## levels it decodes to, the two files a cold start reads, weights and
+## noise, and the audit record and inclusion proof a client replays — for
+## ten seconds from the package's seeds.
 fuzz-smoke:
 	for f in FuzzReadFrame FuzzDecodeRequest FuzzDecodeResponse; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/splitrt || exit 1; done
@@ -78,6 +80,8 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/quantize || exit 1; done
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/nn
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNoiseSource$$' -fuzztime 10s ./internal/core
+	for f in FuzzUnmarshalRecord FuzzVerifyProof; do \
+		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/audit || exit 1; done
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkCloudServerThroughput|BenchmarkServeBatched' -benchtime 200x .

@@ -49,12 +49,12 @@ func (o Options) withDefaults() Options {
 
 // counters holds the Auditor's obs metrics (all nil-safe).
 type counters struct {
-	records, batches             *obs.Counter
-	full, idle, timer, closeSeal *obs.Counter
-	anchored, anchorFailures     *obs.Counter
-	proofsServed, proofsMissed   *obs.Counter
-	evicted                      *obs.Counter
-	anchorSeconds                *obs.Histogram
+	records, batches           *obs.Counter
+	seals                      [sched.NumReasons]*obs.Counter // "audit.seal.<reason>"
+	anchored, anchorFailures   *obs.Counter
+	proofsServed, proofsMissed *obs.Counter
+	evicted                    *obs.Counter
+	anchorSeconds              *obs.Histogram
 }
 
 func newCounters(reg *obs.Registry) counters {
@@ -62,12 +62,10 @@ func newCounters(reg *obs.Registry) counters {
 		reg = obs.NewRegistry()
 	}
 	return counters{
-		records:        reg.Counter("audit.records"),
-		batches:        reg.Counter("audit.batches"),
-		full:           reg.Counter("audit.seal.full"),
-		idle:           reg.Counter("audit.seal.idle"),
-		timer:          reg.Counter("audit.seal.timer"),
-		closeSeal:      reg.Counter("audit.seal.close"),
+		records: reg.Counter("audit.records"),
+		batches: reg.Counter("audit.batches"),
+		seals: [sched.NumReasons]*obs.Counter{reg.Counter("audit.seal.full"), reg.Counter("audit.seal.idle"),
+			reg.Counter("audit.seal.timer"), reg.Counter("audit.seal.close")},
 		anchored:       reg.Counter("audit.anchored"),
 		anchorFailures: reg.Counter("audit.anchor.failures"),
 		proofsServed:   reg.Counter("audit.proofs.served"),
@@ -145,29 +143,23 @@ func (q *rootQueue) pop() AnchoredRoot {
 // serving hot path pays one Append (encode + queue under a mutex);
 // hashing happens at seal time and ledger I/O never blocks a request.
 //
-// The flush policy is internal/sched's: idle → seal immediately, full →
-// seal at MaxBatch, timer → seal after MaxDelay behind a busy anchor,
-// close → deterministic final drain. A sched.Gate guards Append against
+// When to seal is sched.Flusher's rule, a sealed batch its flight and a
+// finished anchor its landing. A sched.Gate guards Append against
 // Close, so once Close begins no new record is admitted and every
 // admitted record is sealed and anchored before Close returns.
 type Auditor struct {
 	opts Options
 	gate sched.Gate
 
-	mu       sync.Mutex
-	pending  SealedBatch // the records not yet sealed: records, ends and traces only
-	inFlight int         // sealed batches queued or being anchored
-	timerGen uint64
-	timer    *time.Timer
-	closed   bool
-	nextSeq  uint64
-	queue    rootQueue
-	cond     *sync.Cond
+	mu      sync.Mutex
+	flusher sched.Flusher // its flights are the sealed batches queued or being anchored
+	pending SealedBatch   // the records not yet sealed: records, ends and traces only
+	queue   rootQueue
+	cond    *sync.Cond
 
-	// ring holds the last KeepBatches sealed batches, batch Seq in slot
-	// Seq mod KeepBatches. It grows by one slot per seal until it is that long
-	// and from then on every seal evicts the slot it takes.
-	ring    []SealedBatch
+	// ring holds the last KeepBatches sealed batches, batch Seq as value Seq.
+	// Once it is that long every seal evicts the batch whose slot it takes.
+	ring    obs.Ring[SealedBatch]
 	byTrace map[uint64]traceRef
 
 	anchorDone sync.WaitGroup
@@ -176,11 +168,15 @@ type Auditor struct {
 
 // New starts an Auditor and its anchor goroutine.
 func New(opts Options) *Auditor {
+	opts = opts.withDefaults()
 	a := &Auditor{
-		opts:    opts.withDefaults(),
+		opts:    opts,
+		ring:    obs.MakeRing[SealedBatch](opts.KeepBatches),
 		byTrace: make(map[uint64]traceRef),
 		m:       newCounters(opts.Metrics),
 	}
+	a.flusher = sched.Flusher{MaxWeight: opts.MaxBatch, MaxDelay: opts.MaxDelay,
+		Lock: &a.mu, Launch: a.sealLocked, Tasks: &a.anchorDone}
 	a.cond = sync.NewCond(&a.mu)
 	a.anchorDone.Add(1)
 	go a.anchorLoop()
@@ -199,7 +195,7 @@ func (a *Auditor) Append(r Record) error {
 	defer a.gate.Leave()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.closed {
+	if a.flusher.Closed() {
 		return ErrClosed
 	}
 	p := &a.pending
@@ -210,78 +206,33 @@ func (a *Auditor) Append(r Record) error {
 	p.ends = append(p.ends, len(p.records))
 	p.traces = append(p.traces, r.Trace)
 	a.m.records.Add(1)
-	switch {
-	case len(p.traces) >= a.opts.MaxBatch:
-		a.sealLocked(sealFull)
-	case a.inFlight == 0:
-		a.sealLocked(sealIdle)
-	default:
-		a.armTimerLocked()
-	}
+	a.flusher.Queued(len(p.traces))
 	return nil
 }
 
-type sealReason int
-
-const (
-	sealFull sealReason = iota
-	sealIdle
-	sealTimer
-	sealClose
-)
-
-// armTimerLocked starts the MaxDelay clock for the current pending
-// epoch if it is not already running.
-func (a *Auditor) armTimerLocked() {
-	if a.timer != nil {
-		return
-	}
-	gen := a.timerGen
-	a.timer = time.AfterFunc(a.opts.MaxDelay, func() {
-		a.mu.Lock()
-		if a.closed || gen != a.timerGen || len(a.pending.traces) == 0 {
-			a.mu.Unlock()
-			return
-		}
-		a.sealLocked(sealTimer)
-		a.mu.Unlock()
-	})
-}
-
-// sealLocked seals the pending records as the next batch: it takes the
-// batch's slot of the proof ring — evicting the batch sealed KeepBatches
-// ago, once the ring is that long — swaps the pending buffers into it, hashes
-// the records into the slot's own Leaves, indexes them for proof service and
-// queues a copy of the root for the anchor goroutine. The next records are
-// written into the buffers the evicted batch left behind, so a slot's
-// storage stays as large as the largest batch ever sealed there. Called with
-// a.mu held.
-func (a *Auditor) sealLocked(reason sealReason) {
-	a.timerGen++
-	if a.timer != nil {
-		a.timer.Stop()
-		a.timer = nil
-	}
+// sealLocked seals the pending records as the next batch, the flusher's
+// Launch: it takes the batch's slot of the proof ring — evicting the batch
+// sealed KeepBatches ago, once the ring is that long — swaps the pending
+// buffers into it, hashes the records into the slot's own Leaves, indexes
+// them for proof service and queues a copy of the root for the anchor
+// goroutine. The next records are written into the buffers the evicted batch
+// left behind, so a slot's storage stays as large as the largest batch ever
+// sealed there. Called with a.mu held.
+func (a *Auditor) sealLocked(reason sched.Reason) bool {
 	p := &a.pending
 	if len(p.traces) == 0 {
-		return
+		return false
 	}
-	seq := a.nextSeq
-	a.nextSeq++
-	i := int(seq % uint64(a.opts.KeepBatches))
-	if i == len(a.ring) {
-		a.ring = append(a.ring, SealedBatch{})
-	} else {
-		old := &a.ring[i]
-		for j, trace := range old.traces {
+	sb, seq := a.ring.Push()
+	if seq >= uint64(a.opts.KeepBatches) {
+		for j, trace := range sb.traces {
 			// A trace sealed again since then points at the later record.
-			if a.byTrace[trace] == (traceRef{seq: old.Seq, index: j}) {
+			if a.byTrace[trace] == (traceRef{seq: sb.Seq, index: j}) {
 				delete(a.byTrace, trace)
 			}
 		}
 		a.m.evicted.Add(1)
 	}
-	sb := &a.ring[i]
 	sb.records, p.records = p.records, sb.records[:0]
 	sb.ends, p.ends = p.ends, sb.ends[:0]
 	sb.traces, p.traces = p.traces, sb.traces[:0]
@@ -294,19 +245,10 @@ func (a *Auditor) sealLocked(reason sealReason) {
 	sb.Root = MerkleRoot(sb.Leaves)
 
 	a.m.batches.Add(1)
-	switch reason {
-	case sealFull:
-		a.m.full.Add(1)
-	case sealIdle:
-		a.m.idle.Add(1)
-	case sealTimer:
-		a.m.timer.Add(1)
-	case sealClose:
-		a.m.closeSeal.Add(1)
-	}
-	a.inFlight++
+	a.m.seals[reason].Add(1)
 	a.queue.push(AnchoredRoot{Seq: seq, Count: len(sb.Leaves), Root: sb.Root, UnixNanos: sb.UnixNanos})
 	a.cond.Signal()
+	return true
 }
 
 // anchorLoop is the single goroutine that drains sealed batches into
@@ -316,7 +258,7 @@ func (a *Auditor) anchorLoop() {
 	defer a.anchorDone.Done()
 	for {
 		a.mu.Lock()
-		for a.queue.n == 0 && !a.closed {
+		for a.queue.n == 0 && !a.flusher.Closed() {
 			a.cond.Wait()
 		}
 		if a.queue.n == 0 {
@@ -336,10 +278,7 @@ func (a *Auditor) anchorLoop() {
 		}
 
 		a.mu.Lock()
-		a.inFlight--
-		if a.inFlight == 0 && len(a.pending.traces) > 0 && !a.closed {
-			a.sealLocked(sealIdle)
-		}
+		a.flusher.Landed(len(a.pending.traces))
 		a.mu.Unlock()
 	}
 }
@@ -350,11 +289,8 @@ func (a *Auditor) anchorLoop() {
 func (a *Auditor) Close() error {
 	a.gate.Drain()
 	a.mu.Lock()
-	if !a.closed {
-		a.sealLocked(sealClose)
-		a.closed = true
-		a.cond.Broadcast()
-	}
+	a.flusher.Close()
+	a.cond.Broadcast()
 	a.mu.Unlock()
 	a.anchorDone.Wait()
 	return a.opts.Ledger.Close()
@@ -384,7 +320,7 @@ func (a *Auditor) Summarize() Summary {
 		Anchored: a.m.anchored.Value(),
 		Pending:  len(a.pending.traces),
 		Queued:   a.queue.n,
-		Kept:     len(a.ring),
+		Kept:     a.ring.Len(),
 		Evicted:  a.m.evicted.Value(),
 	}
 }
@@ -397,12 +333,11 @@ func (a *Auditor) ProofByTrace(trace uint64) (*InclusionProof, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ref, ok := a.byTrace[trace]
-	slot := int(ref.seq % uint64(a.opts.KeepBatches))
-	if !ok || slot >= len(a.ring) || a.ring[slot].Seq != ref.seq || ref.index >= len(a.ring[slot].traces) {
+	sb := a.ring.At(ref.seq)
+	if !ok || sb == nil || ref.index >= len(sb.traces) {
 		a.m.proofsMissed.Add(1)
 		return nil, false
 	}
-	sb := &a.ring[slot]
 	p := newInclusionProof(sb, ref.index)
 	a.m.proofsServed.Add(1)
 	return p, true
@@ -412,9 +347,7 @@ func (a *Auditor) ProofByTrace(trace uint64) (*InclusionProof, bool) {
 // hook for "make proofs available now".
 func (a *Auditor) Flush() {
 	a.mu.Lock()
-	if !a.closed {
-		a.sealLocked(sealTimer)
-	}
+	a.flusher.Flush(sched.Timer)
 	a.mu.Unlock()
 }
 

@@ -8,7 +8,7 @@
 // against the anchored root — neither operator nor client can silently
 // rewrite what noise a query received.
 //
-// The batcher reuses the internal/sched idiom (MaxBatch/MaxDelay,
+// The auditor seals on sched.Flusher's rule (MaxBatch/MaxDelay,
 // idle-flush, deterministic Close drain); the Merkle construction is
 // the certificate-transparency one (RFC 6962): domain-separated leaf
 // and node hashes, trees split at the largest power of two.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"shredder/internal/race"
+	"shredder/internal/sched"
 )
 
 // heldLedger anchors nothing, allocates nothing and, while held is non-nil,
@@ -64,7 +65,7 @@ func TestWarmAppendAllocatesNothing(t *testing.T) {
 	settle := func() {
 		for {
 			a.mu.Lock()
-			busy := a.inFlight
+			busy := a.flusher.InFlight()
 			a.mu.Unlock()
 			if busy == 0 {
 				return
@@ -288,5 +289,64 @@ func TestRingReuseSlowLedgerAnchorsEveryRoot(t *testing.T) {
 		if _, err := p.VerifyAgainst(roots); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
+	}
+}
+
+// TestWarmQueuedAppendAllocatesNothing: on a warm auditor, an Append queued
+// behind a busy anchor — which arms the MaxDelay timer — and the seal that
+// sends it out once the anchor lands build nothing: the timer is the
+// auditor's, Reset for each arm.
+func TestWarmQueuedAppendAllocatesNothing(t *testing.T) {
+	const keep = 4
+	ledger := new(heldLedger)
+	a := New(Options{MaxBatch: 64, KeepBatches: keep, MaxDelay: time.Hour, Ledger: ledger})
+	defer a.Close()
+	next := 0
+	add := func() {
+		if err := a.Append(testRecord(next)); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	settle := func() {
+		for {
+			a.mu.Lock()
+			busy := a.flusher.InFlight()
+			a.mu.Unlock()
+			if busy == 0 {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	// One cycle: a record sealed alone with the anchor held, then — counted —
+	// a second queued behind it, the anchor let go, and the second sealed and
+	// anchored.
+	cycle := func() uint64 {
+		gate := make(chan struct{})
+		ledger.held.Store(&gate)
+		add()
+		return mallocs(func() {
+			add()
+			ledger.held.Store(nil)
+			close(gate)
+			settle()
+		})
+	}
+	for i := 0; i < 2*(keep+1); i++ {
+		cycle()
+	}
+	var warm uint64
+	for i := 0; i < 2*(keep+1); i++ {
+		warm += cycle()
+	}
+	if s := a.Summarize(); s.Records != int64(next) || s.Batches != int64(next) || s.Evicted == 0 {
+		t.Fatalf("every record should have sealed alone in a wrapped ring: %+v after %d appends", s, next)
+	}
+	if a.m.seals[sched.Timer].Value() != 0 {
+		t.Fatal("a queued record went out on the timer, not when the anchor landed")
+	}
+	if warm != 0 && !race.Enabled {
+		t.Fatalf("%d warm cycles of an Append queued behind a busy anchor allocate %d times", 2*(keep+1), warm)
 	}
 }

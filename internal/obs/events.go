@@ -53,26 +53,18 @@ func (e Event) String() string {
 		src, e.Name, e.State, e.Value, e.Op, e.Target, e.Window)
 }
 
-// EventRing is a bounded ring of SLO events: appends never block or grow,
-// old events fall off the front, and Seq keeps consumers able to detect
-// both loss and novelty. All methods are safe for concurrent use and
-// no-ops on a nil ring.
+// EventRing is a bounded ring of SLO events: appends never block, old
+// events fall off the front, and Seq keeps consumers able to detect both
+// loss and novelty. All methods are safe for concurrent use and no-ops on a
+// nil ring.
 type EventRing struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int // insertion index
-	count int
-	seq   uint64
+	mu   sync.Mutex
+	ring Ring[Event] // event k has Seq k+1
 }
 
 // NewEventRing creates a ring holding the last n events (n < 1 is clamped
 // to 1).
-func NewEventRing(n int) *EventRing {
-	if n < 1 {
-		n = 1
-	}
-	return &EventRing{buf: make([]Event, n)}
-}
+func NewEventRing(n int) *EventRing { return &EventRing{ring: MakeRing[Event](n)} }
 
 // Append stamps the event with the next sequence number and stores it,
 // evicting the oldest when full. Returns the stamped event (zero Event on
@@ -83,41 +75,29 @@ func (r *EventRing) Append(e Event) Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.seq++
-	e.Seq = r.seq
-	r.buf[r.next] = e
-	r.next = (r.next + 1) % len(r.buf)
-	if r.count < len(r.buf) {
-		r.count++
-	}
+	slot, k := r.ring.Push()
+	e.Seq = k + 1
+	*slot = e
 	return e
 }
 
 // Snapshot returns the retained events, oldest first. A nil ring returns
 // nil.
-func (r *EventRing) Snapshot() []Event {
+func (r *EventRing) Snapshot() []Event { return r.Since(0) }
+
+// Since returns the retained events with Seq > after, oldest first — the
+// incremental poll a dashboard uses. A nil ring returns nil.
+func (r *EventRing) Since(after uint64) []Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, r.count)
-	start := r.next - r.count
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < r.count; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
+	out := make([]Event, 0, r.ring.Len())
+	for k := max(after, r.ring.Oldest()); k < r.ring.Total(); k++ {
+		out = append(out, *r.ring.At(k))
 	}
 	return out
-}
-
-// Since returns the retained events with Seq > after, oldest first — the
-// incremental poll a dashboard uses.
-func (r *EventRing) Since(after uint64) []Event {
-	all := r.Snapshot()
-	i := sort.Search(len(all), func(i int) bool { return all[i].Seq > after })
-	return all[i:]
 }
 
 // Total returns how many events were ever appended (including evicted
@@ -128,7 +108,7 @@ func (r *EventRing) Total() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.seq
+	return r.ring.Total()
 }
 
 // MergedEvents folds the local ring and every source's events into one

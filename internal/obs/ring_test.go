@@ -1,8 +1,8 @@
 package obs
 
-// The span ring's slots keep the storage of their stages and annotations
-// (SpanRing.Record): what a warm Record allocates, and that a snapshot does
-// not see the slots move on.
+// Ring's numbering, eviction and growth; and the span ring's slots, which
+// keep the storage of their stages and annotations (SpanRing.Record): what a
+// warm Record allocates, and that a snapshot does not see the slots move on.
 
 import (
 	"sync"
@@ -11,6 +11,46 @@ import (
 
 	"shredder/internal/race"
 )
+
+// TestRingNumbersEvictsAndGrows: value k lives in slot k mod n; At answers
+// for the last n values only, nil for evicted and future ones; the ring
+// grows as values arrive, to n slots and no further; and a slot a value
+// takes still holds the value it evicts.
+func TestRingNumbersEvictsAndGrows(t *testing.T) {
+	const n = 5
+	r := MakeRing[[]int](n)
+	if r.Len() != 0 || r.At(0) != nil || cap(r.slots) != 0 {
+		t.Fatalf("an empty ring holds something: len %d, cap %d", r.Len(), cap(r.slots))
+	}
+	for k := uint64(0); k < 3*n+2; k++ {
+		slot, got := r.Push()
+		if got != k {
+			t.Fatalf("push %d numbered %d", k, got)
+		}
+		if k >= n && (len(*slot) != 1 || (*slot)[0] != int(k-n)) {
+			t.Fatalf("value %d's slot holds %v, want value %d it evicts", k, *slot, k-n)
+		}
+		*slot = append((*slot)[:0], int(k))
+		if want := min(int(k)+1, n); r.Len() != want || cap(r.slots) > n {
+			t.Fatalf("after value %d: %d values in %d slots, want %d in at most %d", k, r.Len(), cap(r.slots), want, n)
+		}
+		if r.Total() != k+1 || r.Oldest() != k+1-uint64(r.Len()) {
+			t.Fatalf("after value %d: total %d, oldest %d", k, r.Total(), r.Oldest())
+		}
+		for j := uint64(0); j <= k+n; j++ {
+			v := r.At(j)
+			if held := j <= k && j+n > k; (v != nil) != held {
+				t.Fatalf("after value %d: At(%d) = %v, want held %v", k, j, v, held)
+			}
+			if v != nil && (*v)[0] != int(j) {
+				t.Fatalf("after value %d: At(%d) holds value %d", k, j, (*v)[0])
+			}
+		}
+	}
+	if clamped := MakeRing[int](0); clamped.n != 1 {
+		t.Fatalf("a ring of 0 slots has %d", clamped.n)
+	}
+}
 
 // ringSpan is a span whose stages and annotations follow from its ID.
 func ringSpan(id uint64) (Span, [3]Stage, [2]Attr) {

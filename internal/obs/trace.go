@@ -138,21 +138,13 @@ func (s *Span) Attr(key string) float64 {
 // Record allocates nothing, and Snapshot copies out of it. All methods are
 // no-ops (or empty results) on a nil receiver.
 type SpanRing struct {
-	mu    sync.Mutex
-	buf   []Span
-	next  int
-	n     int
-	total uint64
+	mu   sync.Mutex
+	ring Ring[Span]
 }
 
 // NewSpanRing creates a ring holding the last n completed spans (n < 1 is
 // clamped to 1).
-func NewSpanRing(n int) *SpanRing {
-	if n < 1 {
-		n = 1
-	}
-	return &SpanRing{buf: make([]Span, n)}
-}
+func NewSpanRing(n int) *SpanRing { return &SpanRing{ring: MakeRing[Span](n)} }
 
 // Record adds one completed span, evicting the oldest when full. The span's
 // stages are s.Stages followed by stages, its annotations s.Attrs followed by
@@ -165,16 +157,11 @@ func (r *SpanRing) Record(s Span, stages []Stage, attrs []Attr) {
 		return
 	}
 	r.mu.Lock()
-	slot := &r.buf[r.next]
+	slot, _ := r.ring.Push()
 	keptStages, keptAttrs := slot.Stages[:0], slot.Attrs[:0]
 	*slot = s
 	slot.Stages = append(append(keptStages, s.Stages...), stages...)
 	slot.Attrs = append(append(keptAttrs, s.Attrs...), attrs...)
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	r.total++
 	r.mu.Unlock()
 }
 
@@ -186,13 +173,9 @@ func (r *SpanRing) Snapshot() []Span {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Span, 0, r.n)
-	start := r.next - r.n
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < r.n; i++ {
-		s := r.buf[(start+i)%len(r.buf)]
+	out := make([]Span, 0, r.ring.Len())
+	for k := r.ring.Oldest(); k < r.ring.Total(); k++ {
+		s := *r.ring.At(k)
 		s.Stages, s.Attrs = slices.Clone(s.Stages), slices.Clone(s.Attrs)
 		out = append(out, s)
 	}
@@ -206,5 +189,5 @@ func (r *SpanRing) Total() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.ring.Total()
 }

@@ -23,12 +23,9 @@ import (
 type Windows struct {
 	reg    *Registry
 	bucket time.Duration
-	n      int
 
 	mu    sync.Mutex
-	ring  []windowCell // capacity n+1: n bucket spans need n+1 boundary samples
-	start int          // index of the oldest cell
-	count int          // cells in use
+	cells Ring[windowCell] // n+1 slots: n bucket spans need n+1 boundary samples
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -78,8 +75,7 @@ func NewWindows(reg *Registry, opt WindowOptions) *Windows {
 	return &Windows{
 		reg:    reg,
 		bucket: opt.Bucket,
-		n:      opt.Buckets,
-		ring:   make([]windowCell, opt.Buckets+1),
+		cells:  MakeRing[windowCell](opt.Buckets + 1),
 		stopCh: make(chan struct{}),
 	}
 }
@@ -117,22 +113,16 @@ func (w *Windows) AdvanceWith(now time.Time, cur Snapshot) *WindowSnapshot {
 func (w *Windows) advance(now time.Time, cur Snapshot) *WindowSnapshot {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.count == 0 {
-		w.ring[0] = windowCell{at: now, snap: cur}
-		w.start, w.count = 0, 1
-	} else if newest := w.ring[(w.start+w.count-1)%len(w.ring)]; now.Sub(newest.at) >= w.bucket {
-		// A bucket boundary passed: rotate the ring. Sub-bucket calls fall
-		// through — the aggregate below always uses the live snapshot as its
-		// leading edge, so they still see fresh data without rotating.
-		if w.count == len(w.ring) {
-			w.start = (w.start + 1) % len(w.ring) // evict the oldest bucket
-		} else {
-			w.count++
-		}
-		w.ring[(w.start+w.count-1)%len(w.ring)] = windowCell{at: now, snap: cur}
+	// The newest cell; nil before the first sample (Total()-1 wraps).
+	if newest := w.cells.At(w.cells.Total() - 1); newest == nil || now.Sub(newest.at) >= w.bucket {
+		// A bucket boundary passed: rotate the ring, evicting the oldest
+		// bucket once it is full. Sub-bucket calls fall through — the
+		// aggregate below always uses the live snapshot as its leading edge,
+		// so they still see fresh data without rotating.
+		cell, _ := w.cells.Push()
+		*cell = windowCell{at: now, snap: cur}
 	}
-	oldest := w.ring[w.start]
-	return diffSnapshots(oldest, windowCell{at: now, snap: cur})
+	return diffSnapshots(*w.cells.At(w.cells.Oldest()), windowCell{at: now, snap: cur})
 }
 
 // Snapshot returns the current window aggregate without touching the ring —
@@ -146,10 +136,10 @@ func (w *Windows) Snapshot() *WindowSnapshot {
 	now := time.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.count == 0 {
+	if w.cells.Len() == 0 {
 		return nil
 	}
-	return diffSnapshots(w.ring[w.start], windowCell{at: now, snap: cur})
+	return diffSnapshots(*w.cells.At(w.cells.Oldest()), windowCell{at: now, snap: cur})
 }
 
 // Start advances the window on its bucket cadence from a background

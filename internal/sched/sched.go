@@ -3,20 +3,13 @@
 // submit single items, the Batcher groups them, one call processes the
 // whole group, and each submitter gets back exactly its own result.
 //
-// The flush policy is built for serving rather than throughput alone:
-//
-//   - When the batcher is idle (no batch in flight), a submission flushes
-//     immediately — an unloaded server adds no queueing latency.
-//   - While a batch is in flight, arrivals accumulate; the completed
-//     flight triggers the next flush, so coalescing emerges naturally
-//     from load instead of from a fixed delay.
-//   - MaxBatch caps how much weight one flush may carry; reaching it
-//     flushes at once, even with a flight outstanding.
-//   - MaxDelay bounds how long a queued item may wait behind a slow
-//     in-flight batch before it is flushed concurrently anyway.
+// The flush policy, Flusher, is built for serving rather than throughput
+// alone: an idle batcher flushes at once, arrivals behind a flight go out
+// when it lands, MaxBatch flushes a full queue at once and MaxDelay bounds
+// the wait behind a slow flight.
 //
 // A submitter whose context is cancelled abandons its slot: it returns
-// ctx.Err() immediately and the flusher drops the slot at dispatch time,
+// ctx.Err() immediately and its flight drops the slot at dispatch time,
 // without poisoning the rest of the batch.
 package sched
 
@@ -84,9 +77,8 @@ type Stats struct {
 type counters struct {
 	submitted, cancelled *obs.Counter
 	batches, weight      *obs.Counter
-	full, idle, timer    *obs.Counter
-	closeFlush           *obs.Counter
-	dispatched           *obs.Counter // live slots handed to run
+	reasons              [NumReasons]*obs.Counter // "sched.flush.<reason>"
+	dispatched           *obs.Counter             // live slots handed to run
 	queueDelayNs         *obs.Counter
 	occupancy            *obs.Gauge // weight of the most recent batch
 }
@@ -100,13 +92,11 @@ func newCounters(reg *obs.Registry) counters {
 		cancelled:    reg.Counter("sched.cancelled"),
 		batches:      reg.Counter("sched.batches"),
 		weight:       reg.Counter("sched.weight"),
-		full:         reg.Counter("sched.flush.full"),
-		idle:         reg.Counter("sched.flush.idle"),
-		timer:        reg.Counter("sched.flush.timer"),
-		closeFlush:   reg.Counter("sched.flush.close"),
 		dispatched:   reg.Counter("sched.dispatched"),
 		queueDelayNs: reg.Counter("sched.queue_delay_ns"),
 		occupancy:    reg.Gauge("sched.occupancy"),
+		reasons: [NumReasons]*obs.Counter{reg.Counter("sched.flush.full"), reg.Counter("sched.flush.idle"),
+			reg.Counter("sched.flush.timer"), reg.Counter("sched.flush.close")},
 	}
 }
 
@@ -143,7 +133,7 @@ type flight[Q, R any] struct {
 	batch  []*slot[Q, R]
 	reqs   []Q
 	out    []R
-	reason flushReason
+	reason Reason
 	launch func()
 }
 
@@ -173,32 +163,6 @@ func (i *SubmitInfo) BatchDelay() time.Duration { return i.Started.Sub(i.Dispatc
 // RunTime is how long the batched run took.
 func (i *SubmitInfo) RunTime() time.Duration { return i.Finished.Sub(i.Started) }
 
-// flush reasons, recorded per dispatched batch.
-type flushReason int
-
-const (
-	flushFull flushReason = iota
-	flushIdle
-	flushTimer
-	flushClose
-)
-
-// String names the reason for SubmitInfo and metrics.
-func (r flushReason) String() string {
-	switch r {
-	case flushFull:
-		return "full"
-	case flushIdle:
-		return "idle"
-	case flushTimer:
-		return "timer"
-	case flushClose:
-		return "close"
-	default:
-		return "unknown"
-	}
-}
-
 // Batcher coalesces concurrent submissions into batches and runs them
 // through a single user-supplied function. It is safe for any number of
 // concurrent Submit callers.
@@ -207,12 +171,9 @@ type Batcher[Q, R any] struct {
 	run  func(reqs []Q, out []R) error
 
 	mu          sync.Mutex
+	flusher     Flusher
 	pending     []*slot[Q, R]
 	pendingW    int
-	inFlight    int
-	timerGen    uint64 // invalidates stale MaxDelay timers
-	timer       *time.Timer
-	closed      bool
 	freeSlots   []*slot[Q, R]
 	freeFlights []*flight[Q, R]
 
@@ -229,7 +190,10 @@ type Batcher[Q, R any] struct {
 // it must be reentrant.
 func New[Q, R any](run func(reqs []Q, out []R) error, opts Options) *Batcher[Q, R] {
 	opts = opts.withDefaults()
-	return &Batcher[Q, R]{opts: opts, run: run, stats: newCounters(opts.Metrics)}
+	b := &Batcher[Q, R]{opts: opts, run: run, stats: newCounters(opts.Metrics)}
+	b.flusher = Flusher{MaxWeight: opts.MaxBatch, MaxDelay: opts.MaxDelay,
+		Lock: &b.mu, Launch: b.dispatchLocked, Tasks: &b.flights}
+	return b
 }
 
 // Submit queues one request of the given weight (clamped to ≥1; weight is
@@ -256,7 +220,7 @@ func (b *Batcher[Q, R]) SubmitTraced(ctx context.Context, req Q, weight int, inf
 	enq := time.Now()
 
 	b.mu.Lock()
-	if b.closed {
+	if b.flusher.Closed() {
 		b.mu.Unlock()
 		return zero, ErrClosed
 	}
@@ -270,14 +234,7 @@ func (b *Batcher[Q, R]) SubmitTraced(ctx context.Context, req Q, weight int, inf
 	b.stats.submitted.Add(1)
 	b.pending = append(b.pending, s)
 	b.pendingW += weight
-	switch {
-	case b.pendingW >= b.opts.MaxBatch:
-		b.dispatchLocked(flushFull)
-	case b.inFlight == 0:
-		b.dispatchLocked(flushIdle)
-	default:
-		b.armTimerLocked()
-	}
+	b.flusher.Queued(b.pendingW)
 	b.mu.Unlock()
 
 	select {
@@ -294,37 +251,14 @@ func (b *Batcher[Q, R]) SubmitTraced(ctx context.Context, req Q, weight int, inf
 	}
 }
 
-// armTimerLocked starts the MaxDelay clock for the current pending epoch
-// if it is not already running.
-func (b *Batcher[Q, R]) armTimerLocked() {
-	if b.timer != nil {
-		return
-	}
-	gen := b.timerGen
-	b.timer = time.AfterFunc(b.opts.MaxDelay, func() {
-		b.mu.Lock()
-		if b.closed || gen != b.timerGen || len(b.pending) == 0 {
-			b.mu.Unlock()
-			return
-		}
-		b.dispatchLocked(flushTimer)
-		b.mu.Unlock()
-	})
-}
-
 // dispatchLocked takes the whole pending queue and launches a flight for
-// it. Called with b.mu held; the flight itself runs on its own goroutine.
-// flights.Add happens under the mutex so Close cannot miss a flight that a
-// concurrent Submit is about to launch.
-func (b *Batcher[Q, R]) dispatchLocked(reason flushReason) {
+// it, the flusher's Launch. Called with b.mu held; the flight itself runs on
+// its own goroutine. flights.Add happens under the mutex so Close cannot miss
+// a flight that a concurrent Submit is about to launch.
+func (b *Batcher[Q, R]) dispatchLocked(reason Reason) bool {
 	b.pendingW = 0
-	b.timerGen++
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
 	if len(b.pending) == 0 {
-		return
+		return false
 	}
 	var f *flight[Q, R]
 	if n := len(b.freeFlights); n > 0 {
@@ -342,9 +276,9 @@ func (b *Batcher[Q, R]) dispatchLocked(reason flushReason) {
 			s.info.Dispatched = now
 		}
 	}
-	b.inFlight++
 	b.flights.Add(1)
 	go f.launch()
+	return true
 }
 
 // fly filters abandoned slots, runs the batch, and demultiplexes results.
@@ -355,13 +289,8 @@ func (b *Batcher[Q, R]) fly(f *flight[Q, R]) {
 		clear(f.reqs)
 		clear(f.out)
 		b.mu.Lock()
-		b.inFlight--
 		b.freeFlights = append(b.freeFlights, f)
-		// The flight that just finished is the natural trigger for the
-		// next one: anything queued behind it goes out immediately.
-		if b.inFlight == 0 && len(b.pending) > 0 && !b.closed {
-			b.dispatchLocked(flushIdle)
-		}
+		b.flusher.Landed(len(b.pending))
 		b.mu.Unlock()
 		b.flights.Done()
 	}()
@@ -384,16 +313,7 @@ func (b *Batcher[Q, R]) fly(f *flight[Q, R]) {
 	b.stats.batches.Add(1)
 	b.stats.weight.Add(int64(weight))
 	b.stats.occupancy.Set(float64(weight))
-	switch f.reason {
-	case flushFull:
-		b.stats.full.Add(1)
-	case flushIdle:
-		b.stats.idle.Add(1)
-	case flushTimer:
-		b.stats.timer.Add(1)
-	case flushClose:
-		b.stats.closeFlush.Add(1)
-	}
+	b.stats.reasons[f.reason].Add(1)
 
 	f.reqs, f.out = f.reqs[:0], f.out[:0]
 	var none R
@@ -441,10 +361,7 @@ func (b *Batcher[Q, R]) runProtected(reqs []Q, out []R) (err error) {
 // and safe to call concurrently.
 func (b *Batcher[Q, R]) Close() {
 	b.mu.Lock()
-	if !b.closed {
-		b.closed = true
-		b.dispatchLocked(flushClose)
-	}
+	b.flusher.Close()
 	b.mu.Unlock()
 	b.flights.Wait()
 }
@@ -459,10 +376,10 @@ func (b *Batcher[Q, R]) Stats() Stats {
 		Cancelled:  b.stats.cancelled.Value(),
 		Batches:    b.stats.batches.Value(),
 		Weight:     b.stats.weight.Value(),
-		FlushFull:  b.stats.full.Value(),
-		FlushIdle:  b.stats.idle.Value(),
-		FlushTimer: b.stats.timer.Value(),
-		FlushClose: b.stats.closeFlush.Value(),
+		FlushFull:  b.stats.reasons[Full].Value(),
+		FlushIdle:  b.stats.reasons[Idle].Value(),
+		FlushTimer: b.stats.reasons[Timer].Value(),
+		FlushClose: b.stats.reasons[Close].Value(),
 	}
 	if s.Batches > 0 {
 		s.MeanOccupancy = float64(s.Weight) / float64(s.Batches)

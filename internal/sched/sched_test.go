@@ -494,7 +494,7 @@ func TestCancelledSubmitterSlotIsNotRecycledEarly(t *testing.T) {
 	flying := func() (n int) {
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		return b.inFlight
+		return b.flusher.InFlight()
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
