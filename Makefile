@@ -41,8 +41,11 @@ cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/nn/...
 
+## test: the tier-1 suite in a shuffled order, so a test that passes only
+## after another one fails here (a failing package prints its -test.shuffle
+## seed, to replay the order).
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 ## race: the race suite over the concurrency-sensitive packages; three more
 ## rounds of the training tests (runs sharing one Split: its lazily compiled

@@ -30,10 +30,9 @@ import (
 // packed copy of the weights as NewSplit found them and equal the tape path's
 // forward pass bit for bit, so they are not a second set of numbers: the
 // frozen local part of noise training, evaluation, the attacks and the
-// serving edge all see what RemoteT's forward pass would compute. Noise
+// serving edge all see what the tape's forward pass would compute. Noise
 // training and the inversion attack differentiate through the halves' training
-// plans, compiled on first use; RemoteT/RemoteBackwardT walk the tape, the
-// oracle those plans are pinned to.
+// plans, compiled on first use; the tests pin those plans to the tape.
 type Split struct {
 	// Net is the intact pre-trained network; Split never mutates weights,
 	// and nothing else may once the Split exists: the plans would keep
@@ -78,8 +77,7 @@ func (l *lazyTrainPlan) get(of *nn.CompiledNet) (*nn.TrainPlan, error) {
 
 // RemoteTrainPlan returns the training plan of R — forward in training mode
 // and ∂loss/∂a′, which is ∂loss/∂n — compiling it on first use. Every
-// TrainNoise over the Split shares it. A network whose remote part holds a
-// BatchNorm2D has none.
+// TrainNoise over the Split shares it.
 func (s *Split) RemoteTrainPlan() (*nn.TrainPlan, error) { return s.trainR.get(s.f64.remote) }
 
 // LocalTrainPlan is RemoteTrainPlan for L: the plan the inversion attack
@@ -179,26 +177,10 @@ func (s *Split) Local(x *tensor.Tensor) *tensor.Tensor { return s.f64.local.Infe
 // activation of an earlier request, once nothing reads it any more.
 func (s *Split) LocalInto(dst, x *tensor.Tensor) *tensor.Tensor { return s.f64.local.InferInto(dst, x) }
 
-// RemoteT computes y = R(a') recording backward state on tape: with
-// RemoteBackwardT, the explicit-tape form of what RemoteTrainPlan computes,
-// kept as its oracle.
-func (s *Split) RemoteT(tape *nn.Tape, a *tensor.Tensor, train bool) *tensor.Tensor {
-	return s.Net.ForwardRangeT(tape, a, s.CutIndex+1, s.Net.Len(), train)
-}
-
 // RemoteInfer computes y = R(a') through the compiled cloud plan: no layer
 // state is touched, so any number of goroutines may run remote inference
 // over one shared Split concurrently.
 func (s *Split) RemoteInfer(a *tensor.Tensor) *tensor.Tensor { return s.f64.remote.Infer(a) }
-
-// RemoteBackwardT backpropagates an output gradient through R, consuming
-// the matching RemoteT's tape, and returns ∂loss/∂a′ — which is exactly
-// ∂loss/∂n, the quantity the paper derives in §2.1. On a frozen tape no
-// parameter gradients are written, so concurrent backward passes over one
-// shared Split are race-free.
-func (s *Split) RemoteBackwardT(tape *nn.Tape, grad *tensor.Tensor) *tensor.Tensor {
-	return s.Net.BackwardRangeT(tape, grad, s.CutIndex+1, s.Net.Len())
-}
 
 // Forward runs the entire intact network (no noise) — the baseline path —
 // through the compiled whole-network plan. Safe for concurrent use.

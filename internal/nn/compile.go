@@ -20,7 +20,7 @@ import (
 // Sequential.ForwardRangeT is training's forward pass and the oracle the
 // plan is tested against.
 //
-// Compilation performs three transformations the layer-at-a-time path
+// Compilation performs two transformations the layer-at-a-time path
 // cannot:
 //
 //   - Weight binding happens once. Every parameter is converted to the
@@ -33,14 +33,6 @@ import (
 //     is compiled once per dtype and its ranges are sliced from that plan
 //     (CompiledNet.Slice).
 //
-//   - BatchNorm folding. A BatchNorm2D directly following a Conv2D is
-//     absorbed into the convolution step as a per-channel epilogue affine.
-//     The epilogue evaluates the exact expression normalizeRunning uses —
-//     g·(z−mean)·inv + b, with inv precomputed in float64 — so at Float64
-//     the fused plan is bitwise identical to the unfused (NoFusion) plan
-//     (folding weights as W′ = s·W would not be: IEEE multiplication does
-//     not distribute over the later dot product).
-//
 //   - Conv/Linear + ReLU fusion. The activation is applied in the epilogue
 //     of the producing step, so the intermediate pre-activation tensor is
 //     never materialized and the extra memory pass disappears.
@@ -50,10 +42,10 @@ import (
 // TestPlanEqualsOracleBitwise). The plan's convolutions and linear layers
 // run the direct kernel over packed weights (tensor.Packed), scalar or
 // vector, but every accumulator of its leaf belongs to a different output and
-// each output is still summed over p in the legacy kernel's order; bias,
-// folded BatchNorm and ReLU evaluate the layers' own expressions. Training,
-// noise learning and cached-weight reproducibility therefore see the same
-// numbers whichever path computed them. A Float32 plan stays within ~1e-4 of
+// each output is still summed over p in the legacy kernel's order; bias and
+// ReLU evaluate the layers' own expressions. Training, noise learning and
+// cached-weight reproducibility therefore see the same numbers whichever path
+// computed them. A Float32 plan stays within ~1e-4 of
 // float64 with classification decisions pinned identical.
 //
 // Execution: every step treats batch members independently, so a plan runs
@@ -73,20 +65,6 @@ import (
 // in place. It is all a warm single-sample Infer allocates, and InferInto,
 // handed the result of the call before, allocates not even that.
 
-// CompileOption configures Compile/CompileRange.
-type CompileOption func(*compileConfig)
-
-type compileConfig struct {
-	noFuse bool
-}
-
-// NoFusion disables BN folding and conv/linear+ReLU fusion: every layer
-// becomes its own step. The plan still runs at the target dtype. This exists
-// to isolate the dtype win from the fusion win in benchmarks.
-func NoFusion() CompileOption {
-	return func(c *compileConfig) { c.noFuse = true }
-}
-
 // CompiledNet is an executable inference plan for a contiguous layer range
 // of a Sequential at a fixed dtype. It reads its own copy of the parameters,
 // taken at compile time and never written afterwards, so any number of
@@ -94,7 +72,6 @@ func NoFusion() CompileOption {
 // workspace.
 type CompiledNet struct {
 	src      *Sequential
-	cfg      compileConfig
 	from, to int
 	dtype    Dtype
 	p64      *plan[float64] // exactly one of p64, p32 is set
@@ -103,32 +80,24 @@ type CompiledNet struct {
 
 // Compile lowers the whole network into an inference plan at the given
 // dtype.
-func Compile(s *Sequential, dt Dtype, opts ...CompileOption) (*CompiledNet, error) {
-	return CompileRange(s, 0, s.Len(), dt, opts...)
+func Compile(s *Sequential, dt Dtype) (*CompiledNet, error) {
+	return CompileRange(s, 0, s.Len(), dt)
 }
 
 // CompileRange lowers layers [from, to) into an inference plan at the given
 // dtype — the split-execution form, on its own: a caller that also wants the
 // whole network, as core.Split does, compiles that and Slices the ranges.
-func CompileRange(s *Sequential, from, to int, dt Dtype, opts ...CompileOption) (*CompiledNet, error) {
+func CompileRange(s *Sequential, from, to int, dt Dtype) (*CompiledNet, error) {
 	if from < 0 || to > s.Len() || from > to {
 		return nil, fmt.Errorf("nn: CompileRange [%d,%d) out of bounds for %d layers", from, to, s.Len())
 	}
-	var cfg compileConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return compileRange(s, from, to, dt, cfg)
-}
-
-func compileRange(s *Sequential, from, to int, dt Dtype, cfg compileConfig) (*CompiledNet, error) {
-	c := &CompiledNet{src: s, cfg: cfg, from: from, to: to, dtype: dt}
+	c := &CompiledNet{src: s, from: from, to: to, dtype: dt}
 	var err error
 	switch dt {
 	case Float64:
-		c.p64, err = buildPlan[float64](s, from, to, cfg, dt)
+		c.p64, err = buildPlan[float64](s, from, to, dt)
 	case Float32:
-		c.p32, err = buildPlan[float32](s, from, to, cfg, dt)
+		c.p32, err = buildPlan[float32](s, from, to, dt)
 	default:
 		err = fmt.Errorf("nn: cannot compile for dtype %v", dt)
 	}
@@ -142,20 +111,20 @@ func compileRange(s *Sequential, from, to int, dt Dtype, cfg compileConfig) (*Co
 // fused step straddles from or to it shares c's steps — the packed weights
 // are immutable — and owns only its layout cache and workspace pool, so it
 // costs no copy and serves c's snapshot. A boundary inside a fused group
-// (Conv2D | ReLU) has no steps to share: that range is compiled afresh, with
-// c's options, from the network's weights as they are now.
+// (Conv2D | ReLU) has no steps to share: that range is compiled afresh from
+// the network's weights as they are now.
 func (c *CompiledNet) Slice(from, to int) (*CompiledNet, error) {
 	if from < c.from || to > c.to || from > to {
 		return nil, fmt.Errorf("nn: Slice [%d,%d) of a plan over [%d,%d)", from, to, c.from, c.to)
 	}
-	out := &CompiledNet{src: c.src, cfg: c.cfg, from: from, to: to, dtype: c.dtype}
+	out := &CompiledNet{src: c.src, from: from, to: to, dtype: c.dtype}
 	if c.p32 != nil {
 		out.p32 = c.p32.slice(from, to)
 	} else {
 		out.p64 = c.p64.slice(from, to)
 	}
 	if out.p32 == nil && out.p64 == nil {
-		return compileRange(c.src, from, to, c.dtype, c.cfg)
+		return CompileRange(c.src, from, to, c.dtype)
 	}
 	return out, nil
 }
@@ -419,7 +388,7 @@ func inferInto[F, In tensor.Float](p *plan[F], out *tensor.Tensor, x []In, shape
 	l := p.layoutFor(shape[1:])
 	out = fitResult(out, n, l.out)
 	od := out.Data()
-	prof := p.src.activeProfiler(nil)
+	prof := p.src.activeProfiler()
 	if n == 1 || prof != nil || runtime.GOMAXPROCS(0) == 1 {
 		// ParallelChunks would run this inline too, but only after the
 		// closure handed to it was built.
@@ -457,36 +426,24 @@ func fitResult(out *tensor.Tensor, n int, per []int) *tensor.Tensor {
 	return tensor.New(append(append(buf[:0], n), per...)...)
 }
 
-// params returns a copy of a parameter tensor's values at element type F.
-func params[F tensor.Float](t *tensor.Tensor) []F { return tensor.ToDense[F](t).Data() }
-
 // buildPlan lowers layers [from, to) to steps at element type F. The fusion
 // scan is greedy over the canonical producer chains:
-// Conv2D (+BatchNorm2D) (+ReLU) and Linear (+ReLU). Dropout is identity at
-// inference and compiles to nothing.
-func buildPlan[F tensor.Float](s *Sequential, from, to int, cfg compileConfig, dt Dtype) (*plan[F], error) {
+// Conv2D (+ReLU) and Linear (+ReLU). Dropout is identity at inference and
+// compiles to nothing.
+func buildPlan[F tensor.Float](s *Sequential, from, to int, dt Dtype) (*plan[F], error) {
 	p := &plan[F]{src: s, elemSize: int64(dt.Size())}
 	tag := "[" + dt.Short() + "]"
 	layers := s.Layers()
-	// next is the layer at j if fusion may absorb it, else nil.
-	next := func(j int) Layer {
-		if cfg.noFuse || j >= to {
-			return nil
+	// fused packs the producer at i with its bias b, converted to F,
+	// absorbing a ReLU that follows it inside the range.
+	fused := func(i int, w, b *tensor.Tensor) (*tensor.Packed[F], string, int) {
+		ep, lbl, end := tensor.Epilogue[F]{Bias: tensor.ToDense[F](b).Data()}, layers[i].Name(), i+1
+		if end < to {
+			if r, ok := layers[end].(*ReLU); ok {
+				ep.ReLU, lbl, end = true, lbl+"+"+r.Name(), end+1
+			}
 		}
-		return layers[j]
-	}
-	// fused packs the producer at i with the epilogue ep, absorbing a ReLU
-	// at j, the first layer not yet consumed.
-	fused := func(i, j int, w *tensor.Tensor, ep tensor.Epilogue[F]) (k *tensor.Packed[F], lbl string, end int) {
-		if _, ok := next(j).(*ReLU); ok {
-			ep.ReLU = true
-			j++
-		}
-		names := make([]string, 0, 3)
-		for _, l := range layers[i:j] {
-			names = append(names, l.Name())
-		}
-		return tensor.Pack(w, ep), strings.Join(names, "+") + tag, j
+		return tensor.Pack(w, ep), lbl + tag, end
 	}
 	add := func(st step[F], i, j int) int {
 		p.steps = append(p.steps, st)
@@ -497,32 +454,19 @@ func buildPlan[F tensor.Float](s *Sequential, from, to int, cfg compileConfig, d
 	for i < to {
 		switch l := layers[i].(type) {
 		case *Conv2D:
-			ep, j := tensor.Epilogue[F]{Bias: params[F](l.B.Value)}, i+1
-			if bn, ok := next(j).(*BatchNorm2D); ok && bn.C == l.OutC {
-				// The fold's epilogue is the standalone step's expression,
-				// y = g·(z−mean)·inv + b, so the fused Float64 plan is
-				// bitwise identical to the NoFusion plan.
-				st := newBatchNormStep[F](bn, "")
-				ep.Scale, ep.Mean, ep.Inv, ep.Shift = st.g, st.mean, st.inv, st.b
-				j++
-			}
-			k, lbl, j := fused(i, j, l.W.Value, ep)
+			k, lbl, j := fused(i, l.W.Value, l.B.Value)
 			i = add(&convStep[F]{lbl: lbl, src: l, k: k}, i, j)
 		case *Linear:
-			k, lbl, j := fused(i, i+1, l.W.Value, tensor.Epilogue[F]{Bias: params[F](l.B.Value)})
+			k, lbl, j := fused(i, l.W.Value, l.B.Value)
 			i = add(&linearStep[F]{lbl: lbl, src: l, k: k}, i, j)
 		case *ReLU:
 			i = add(&reluStep[F]{lbl: l.Name() + tag}, i, i+1)
 		case *MaxPool2D:
 			i = add(&maxPoolStep[F]{lbl: l.Name() + tag, src: l}, i, i+1)
-		case *AvgPool2D:
-			i = add(&avgPoolStep[F]{lbl: l.Name() + tag, src: l}, i, i+1)
 		case *LocalResponseNorm:
 			i = add(&lrnStep[F]{lbl: l.Name() + tag, src: l}, i, i+1)
 		case *Flatten:
 			i = add(&flattenStep[F]{lbl: l.Name() + tag}, i, i+1)
-		case *BatchNorm2D:
-			i = add(newBatchNormStep[F](l, l.Name()+tag), i, i+1)
 		case *Dropout:
 			// Identity at inference: compiles to nothing.
 			i++
@@ -538,9 +482,9 @@ func buildPlan[F tensor.Float](s *Sequential, from, to int, cfg compileConfig, d
 }
 
 // convStep is a convolution through the direct kernel over packed weights,
-// with the fused epilogue — bias add, optional folded-BatchNorm affine,
-// optional ReLU — applied to the leaf's accumulators, so neither im2col's
-// column matrix nor the pre-activation tensor is ever materialized.
+// with the fused epilogue — bias add, optional ReLU — applied to the leaf's
+// accumulators, so neither im2col's column matrix nor the pre-activation
+// tensor is ever materialized.
 type convStep[F tensor.Float] struct {
 	lbl string
 	src *Conv2D
@@ -581,7 +525,7 @@ func (st *linearStep[F]) sample(_ *stepLayout, x, y []F, ws *workspace[F]) {
 }
 
 // reluStep is a standalone max(0, x) for positions where fusion did not
-// apply (after pooling, or under NoFusion).
+// apply (after pooling).
 type reluStep[F tensor.Float] struct{ lbl string }
 
 func (st *reluStep[F]) label() string { return st.lbl }
@@ -629,41 +573,6 @@ func (st *maxPoolStep[F]) sample(sl *stepLayout, x, y []F, _ *workspace[F]) {
 					}
 				}
 				outPlane[oy*ow+ox] = best
-			}
-		}
-	}
-}
-
-// avgPoolStep is the window-mean sweep.
-type avgPoolStep[F tensor.Float] struct {
-	lbl string
-	src *AvgPool2D
-}
-
-func (st *avgPoolStep[F]) label() string { return st.lbl }
-
-func (st *avgPoolStep[F]) resolve(in []int) stepLayout {
-	return stepLayout{out: st.src.OutShape(in)}
-}
-
-func (st *avgPoolStep[F]) sample(sl *stepLayout, x, y []F, _ *workspace[F]) {
-	a := st.src
-	c, h, w := sl.in[0], sl.in[1], sl.in[2]
-	oh, ow := sl.out[1], sl.out[2]
-	inv := 1 / F(a.K*a.K)
-	for ch := 0; ch < c; ch++ {
-		in := x[ch*h*w:]
-		outPlane := y[ch*oh*ow:]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				y0, x0 := oy*a.Stride, ox*a.Stride
-				var s F
-				for ky := 0; ky < a.K; ky++ {
-					for kx := 0; kx < a.K; kx++ {
-						s += in[(y0+ky)*w+(x0+kx)]
-					}
-				}
-				outPlane[oy*ow+ox] = s * inv
 			}
 		}
 	}
@@ -718,50 +627,6 @@ func (st *flattenStep[F]) resolve(in []int) stepLayout {
 
 func (st *flattenStep[F]) sample(*stepLayout, []F, []F, *workspace[F]) {}
 
-// batchNormStep is an inference-mode BatchNorm (running-stats affine): a
-// step of its own where folding did not apply — BN not directly after a
-// Conv2D, or under NoFusion — and the holder of a convStep's folded
-// constants otherwise. inv is derived in float64 at compile time, matching
-// normalizeRunning.
-type batchNormStep[F tensor.Float] struct {
-	lbl             string
-	c               int
-	g, b, mean, inv []F
-}
-
-func newBatchNormStep[F tensor.Float](bn *BatchNorm2D, lbl string) *batchNormStep[F] {
-	st := &batchNormStep[F]{
-		lbl: lbl, c: bn.C,
-		g: params[F](bn.Gamma.Value), b: params[F](bn.Beta.Value),
-		mean: make([]F, bn.C), inv: make([]F, bn.C),
-	}
-	for c := 0; c < bn.C; c++ {
-		st.mean[c] = F(bn.runningMean[c])
-		st.inv[c] = F(1 / math.Sqrt(bn.runningVar[c]+bn.Eps))
-	}
-	return st
-}
-
-func (st *batchNormStep[F]) label() string { return st.lbl }
-
-func (st *batchNormStep[F]) resolve(in []int) stepLayout {
-	if len(in) != 3 || in[0] != st.c {
-		panic(fmt.Sprintf("nn: compiled %s expects per-sample shape [%d,H,W], got %v", st.lbl, st.c, in))
-	}
-	return stepLayout{out: in}
-}
-
-func (st *batchNormStep[F]) sample(sl *stepLayout, x, y []F, _ *workspace[F]) {
-	hw := sl.inVol / st.c
-	for c := 0; c < st.c; c++ {
-		inv, mean := st.inv[c], st.mean[c]
-		g, b := st.g[c], st.b[c]
-		for p := c * hw; p < (c+1)*hw; p++ {
-			y[p] = g*(x[p]-mean)*inv + b
-		}
-	}
-}
-
 // What follows is the training plan: the differentiable counterpart of a
 // Float64 inference plan for a range whose weights are frozen. Shredder never
 // updates θ, so a noise-training step — and the inversion attack's — needs
@@ -788,10 +653,6 @@ func (st *batchNormStep[F]) sample(sl *stepLayout, x, y []F, _ *workspace[F]) {
 // gradient equals BackwardRangeT's on a frozen tape bit for bit, under either
 // leaf (TestTrainPlanEqualsTapeBitwise). Every other step repeats its layer's
 // backward expression on one sample.
-//
-// BatchNorm2D in training mode normalises by the statistics of the batch: it
-// couples the samples every other step treats independently, and a range
-// containing one has no training plan.
 
 // TrainPlan is the training plan of a CompiledNet's layer range. It is
 // immutable and safe for concurrent use: each run works through its own
@@ -823,11 +684,6 @@ func (c *CompiledNet) TrainPlan() (*TrainPlan, error) {
 		return nil, fmt.Errorf("nn: a %v plan has no training plan: training is float64", c.dtype)
 	}
 	layers := c.src.Layers()
-	for _, l := range layers[c.from:c.to] {
-		if _, ok := l.(*BatchNorm2D); ok { // a step of its own or folded into a convolution's
-			return nil, fmt.Errorf("nn: %s normalises by batch statistics in training mode: no training plan", l.Name())
-		}
-	}
 	tp := &TrainPlan{p: c.p64}
 	at := c.from
 	// dropouts lowers the layers between two inference steps: Dropout is all
@@ -1001,7 +857,7 @@ func (ps *TrainPass) BackwardInto(dst, grad *tensor.Tensor) *tensor.Tensor {
 // in sequence and every step reports once, its time summed over the batch,
 // through the attach point the inference plan and the tape use.
 func (ps *TrainPass) run(body func(lo, hi int), backward bool) {
-	prof := ps.tp.p.src.activeProfiler(nil)
+	prof := ps.tp.p.src.activeProfiler()
 	if prof == nil {
 		tensor.ParallelChunks(ps.n, body)
 		return
@@ -1119,8 +975,6 @@ func (tp *TrainPlan) backwardSample(l *trainLayout, ws *workspace[float64], x, o
 			reluBackward(gx, g, y)
 		case *maxPoolStep[float64]:
 			st.backward(&sl.stepLayout, in, g, gx)
-		case *avgPoolStep[float64]:
-			st.backward(&sl.stepLayout, g, gx)
 		case *lrnStep[float64]:
 			st.backward(&sl.stepLayout, in, g, gx, ws.scratch)
 		default:
@@ -1168,30 +1022,6 @@ func (st *maxPoolStep[F]) backward(sl *stepLayout, x, g, gx []F) {
 					}
 				}
 				dplane[bi] += gplane[oy*ow+ox]
-			}
-		}
-	}
-}
-
-// backward is AvgPool2D.BackwardT on one sample: every output's gradient,
-// scaled, is added to its window, outputs ascending.
-func (st *avgPoolStep[F]) backward(sl *stepLayout, g, gx []F) {
-	a := st.src
-	c, h, w := sl.in[0], sl.in[1], sl.in[2]
-	oh, ow := sl.out[1], sl.out[2]
-	inv := 1 / F(a.K*a.K)
-	clear(gx)
-	for ch := 0; ch < c; ch++ {
-		dplane, gplane := gx[ch*h*w:], g[ch*oh*ow:]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				gv := gplane[oy*ow+ox] * inv
-				y0, x0 := oy*a.Stride, ox*a.Stride
-				for ky := 0; ky < a.K; ky++ {
-					for kx := 0; kx < a.K; kx++ {
-						dplane[(y0+ky)*w+(x0+kx)] += gv
-					}
-				}
 			}
 		}
 	}

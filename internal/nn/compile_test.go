@@ -60,35 +60,23 @@ func TestLabelMatches(t *testing.T) {
 	}
 }
 
-// convBNNet builds conv→bn→relu→pool→flatten→fc with the given conv
-// geometry, and populates the BN running statistics with non-trivial values
-// so folding has something real to fold.
-func convBNNet(t *testing.T, inC, outC, k, stride, pad int, rng *tensor.RNG) *Sequential {
-	t.Helper()
-	conv := NewConv2D("conv0", inC, outC, k, k, stride, pad, rng)
-	bn := NewBatchNorm2D("bn0", outC)
-	for c := 0; c < outC; c++ {
-		bn.runningMean[c] = rng.Normal(0, 0.3)
-		bn.runningVar[c] = 0.5 + rng.Float64()
-		bn.Gamma.Value.Data()[c] = 0.5 + rng.Float64()
-		bn.Beta.Value.Data()[c] = rng.Normal(0, 0.1)
-	}
-	return NewSequential("convbn",
-		conv, bn, NewReLU("relu0"), NewFlatten("flat"),
+// convReLUNet builds conv→relu→flatten with the given conv geometry: a plan
+// of one fused Conv+ReLU step and a view.
+func convReLUNet(inC, outC, k, stride, pad int, rng *tensor.RNG) *Sequential {
+	return NewSequential("convrelu",
+		NewConv2D("conv0", inC, outC, k, k, stride, pad, rng), NewReLU("relu0"), NewFlatten("flat"),
 	)
 }
 
-// TestFoldedConvBNBitwiseFloat64 is the BN-folding property test: for a
-// sweep of stride/pad/channel combinations, the folded+fused Float64 plan
-// must equal the unfused Conv→BN→ReLU plan bitwise — the fold and fusion
-// transformations are exact, they only reorganize where the same arithmetic
-// happens — and both must equal the tape path's nil-tape forward, the
-// oracle, bit for bit. Under both leaves of the direct kernel.
-func TestFoldedConvBNBitwiseFloat64(t *testing.T) {
-	UnderEachLeaf(t, testFoldedConvBNBitwiseFloat64)
+// TestFusedConvReLUBitwiseFloat64: for a sweep of stride/pad/channel
+// combinations, the fused Conv+ReLU Float64 plan must equal the tape path's
+// nil-tape forward, the oracle, bit for bit — fusion only moves where the
+// same arithmetic happens. Under both leaves of the direct kernel.
+func TestFusedConvReLUBitwiseFloat64(t *testing.T) {
+	UnderEachLeaf(t, testFusedConvReLUBitwiseFloat64)
 }
 
-func testFoldedConvBNBitwiseFloat64(t *testing.T) {
+func testFusedConvReLUBitwiseFloat64(t *testing.T) {
 	combos := []struct{ inC, outC, k, stride, pad int }{
 		{1, 4, 3, 1, 0},
 		{1, 4, 3, 1, 1},
@@ -99,41 +87,25 @@ func testFoldedConvBNBitwiseFloat64(t *testing.T) {
 	}
 	for _, cb := range combos {
 		rng := tensor.NewRNG(int64(100*cb.inC + 10*cb.outC + cb.k + cb.stride + cb.pad))
-		net := convBNNet(t, cb.inC, cb.outC, cb.k, cb.stride, cb.pad, rng)
+		net := convReLUNet(cb.inC, cb.outC, cb.k, cb.stride, cb.pad, rng)
 		x := rng.FillNormal(tensor.New(3, cb.inC, 11, 11), 0, 1)
 
 		cn, err := Compile(net, Float64)
 		if err != nil {
 			t.Fatalf("%+v: compile: %v", cb, err)
 		}
-		if len(cn.Labels()) != 2 || cn.Labels()[0] != "conv0+bn0+relu0[f64]" {
+		if len(cn.Labels()) != 2 || cn.Labels()[0] != "conv0+relu0[f64]" {
 			t.Fatalf("%+v: unexpected plan %v", cb, cn.Labels())
 		}
-		unfused, err := Compile(net, Float64, NoFusion())
-		if err != nil {
-			t.Fatalf("%+v: compile unfused: %v", cb, err)
-		}
-		got := cn.Infer(x)
-		want := unfused.Infer(x)
-		if !got.SameShape(want) {
-			t.Fatalf("%+v: shape %v want %v", cb, got.Shape(), want.Shape())
-		}
-		for i, v := range got.Data() {
-			if v != want.Data()[i] {
-				t.Fatalf("%+v: folded f64 plan differs from unfused at %d: %v vs %v",
-					cb, i, v, want.Data()[i])
-			}
-		}
-		if oracle := net.ForwardT(nil, x, false); !tensor.BitEqual(got, oracle) {
+		if got, oracle := cn.Infer(x), net.ForwardT(nil, x, false); !tensor.BitEqual(got, oracle) {
 			t.Fatalf("%+v: f64 plan differs from the nil-tape forward pass", cb)
 		}
 	}
 }
 
-// TestFoldedConvBNFloat32Epsilon checks the same fold at Float32 stays
-// within the documented epsilon of the float64 reference across the combo
-// sweep.
-func TestFoldedConvBNFloat32Epsilon(t *testing.T) {
+// TestFusedConvReLUFloat32Epsilon checks the same fused step at Float32 stays
+// within the documented epsilon of the float64 oracle across the combo sweep.
+func TestFusedConvReLUFloat32Epsilon(t *testing.T) {
 	combos := []struct{ inC, outC, k, stride, pad int }{
 		{1, 4, 3, 1, 1},
 		{3, 8, 3, 2, 1},
@@ -141,7 +113,7 @@ func TestFoldedConvBNFloat32Epsilon(t *testing.T) {
 	}
 	for _, cb := range combos {
 		rng := tensor.NewRNG(int64(7*cb.inC + 3*cb.outC + cb.k))
-		net := convBNNet(t, cb.inC, cb.outC, cb.k, cb.stride, cb.pad, rng)
+		net := convReLUNet(cb.inC, cb.outC, cb.k, cb.stride, cb.pad, rng)
 		x := rng.FillNormal(tensor.New(3, cb.inC, 11, 11), 0, 1)
 
 		want := net.ForwardT(nil, x, false)
@@ -157,43 +129,7 @@ func TestFoldedConvBNFloat32Epsilon(t *testing.T) {
 			}
 		}
 		if maxDiff > 1e-4 {
-			t.Fatalf("%+v: float32 fold deviates by %g", cb, maxDiff)
-		}
-	}
-}
-
-// TestNoFusionPlanMatchesFused: disabling fusion changes the step structure
-// but not the Float64 result (still bitwise — the standalone BN step uses
-// the same expression as the fold epilogue).
-func TestNoFusionPlanMatchesFused(t *testing.T) {
-	UnderEachLeaf(t, testNoFusionPlanMatchesFused)
-}
-
-func testNoFusionPlanMatchesFused(t *testing.T) {
-	rng := tensor.NewRNG(5)
-	net := convBNNet(t, 3, 6, 3, 1, 1, rng)
-	x := rng.FillNormal(tensor.New(2, 3, 9, 9), 0, 1)
-
-	fused, err := Compile(net, Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unfused, err := Compile(net, Float64, NoFusion())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(unfused.Labels()) <= len(fused.Labels()) {
-		t.Fatalf("NoFusion did not expand the plan: %v vs %v", unfused.Labels(), fused.Labels())
-	}
-	for _, lbl := range unfused.Labels() {
-		if strings.Contains(lbl, "+") {
-			t.Fatalf("NoFusion plan contains fused step %q", lbl)
-		}
-	}
-	a, b := fused.Infer(x), unfused.Infer(x)
-	for i, v := range a.Data() {
-		if v != b.Data()[i] {
-			t.Fatalf("fused and unfused f64 plans differ at %d", i)
+			t.Fatalf("%+v: float32 fused step deviates by %g", cb, maxDiff)
 		}
 	}
 }

@@ -22,9 +22,6 @@ func inferCases(rng *tensor.RNG) []struct {
 } {
 	img := rng.FillNormal(tensor.New(2, 3, 8, 8), 0, 1)
 	flat := rng.FillNormal(tensor.New(2, 192), 0, 1)
-	bn := NewBatchNorm2D("bn", 3)
-	// Give batch norm non-trivial running stats via a training pass.
-	bn.ForwardT(nil, rng.FillNormal(tensor.New(4, 3, 8, 8), 0.5, 2), true)
 	return []struct {
 		name  string
 		layer Layer
@@ -36,8 +33,6 @@ func inferCases(rng *tensor.RNG) []struct {
 		{"flatten", NewFlatten("flat"), img},
 		{"dropout", NewDropout("drop", 0.5, rng), img},
 		{"maxpool", NewMaxPool2D("mp", 2, 2), img},
-		{"avgpool", NewAvgPool2D("ap", 2, 2), img},
-		{"batchnorm", bn, img},
 		{"lrn", NewLocalResponseNorm("lrn", 3, 0, 0, 0), img},
 	}
 }
@@ -84,20 +79,16 @@ func TestSequentialInferConcurrent(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	net := NewSequential("tiny",
 		NewConv2D("conv0", 1, 4, 3, 3, 1, 1, rng),
-		NewBatchNorm2D("bn0", 4),
 		NewReLU("relu0"),
 		NewMaxPool2D("pool0", 2, 2),
 		NewLocalResponseNorm("lrn0", 3, 0, 0, 0),
 		NewConv2D("conv1", 4, 6, 3, 3, 1, 1, rng),
 		NewReLU("relu1"),
-		NewAvgPool2D("pool1", 2, 2),
+		NewMaxPool2D("pool1", 2, 2),
 		NewFlatten("flat"),
 		NewDropout("drop", 0.3, rng),
 		NewLinear("fc", 54, 10, rng),
 	)
-	// Populate batch-norm running stats, then freeze for inference.
-	net.ForwardT(nil, rng.FillNormal(tensor.New(4, 1, 12, 12), 0, 1), true)
-
 	x := rng.FillNormal(tensor.New(2, 1, 12, 12), 0, 1)
 	want := net.ForwardT(nil, x, false)
 

@@ -114,21 +114,6 @@ func TestMaxPoolForwardAndRouting(t *testing.T) {
 	}
 }
 
-func TestAvgPoolForward(t *testing.T) {
-	p := NewAvgPool2D("pool", 2, 2)
-	x := tensor.From([]float64{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		1, 1, 1, 1,
-		1, 1, 1, 1,
-	}, 1, 1, 4, 4)
-	out := p.ForwardT(nil, x, false)
-	want := tensor.From([]float64{3.5, 5.5, 1, 1}, 1, 1, 2, 2)
-	if !tensor.Equal(out, want) {
-		t.Fatalf("avgpool = %v, want %v", out, want)
-	}
-}
-
 func TestDropoutTrainVsEval(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	d := NewDropout("drop", 0.5, rng)
@@ -324,7 +309,7 @@ func TestParamCountAndZeroGrad(t *testing.T) {
 
 func TestBackwardBeforeForwardPanics(t *testing.T) {
 	for _, l := range []Layer{
-		NewReLU("r"), NewMaxPool2D("p", 2, 2), NewAvgPool2D("a", 2, 2),
+		NewReLU("r"), NewMaxPool2D("p", 2, 2),
 		NewFlatten("f"), NewLocalResponseNorm("l", 3, 1, 1, 0.5),
 	} {
 		func() {

@@ -78,20 +78,14 @@ func CrossEntropyInto(grad, logits *tensor.Tensor, labels []int) (loss float64) 
 	return loss * invN
 }
 
-// SoftCrossEntropy computes the mean cross-entropy against a full target
+// SoftCrossEntropyInto computes the mean cross-entropy against a full target
 // distribution of shape [N, M] (soft labels), used by the self-supervised
 // noise-training mode where targets are the unnoised model's own softmax
-// outputs. Returns loss and gradient w.r.t. the logits.
-func SoftCrossEntropy(logits, target *tensor.Tensor) (loss float64, grad *tensor.Tensor) {
-	grad = tensor.New(logits.Dim(0), logits.Dim(1))
-	return SoftCrossEntropyInto(grad, logits, target), grad
-}
-
-// SoftCrossEntropyInto is SoftCrossEntropy writing the gradient into grad,
-// which must have logits' shape.
+// outputs. It returns the loss and writes the gradient w.r.t. the logits into
+// grad, which must have logits' shape.
 func SoftCrossEntropyInto(grad, logits, target *tensor.Tensor) (loss float64) {
 	if !logits.SameShape(target) {
-		panic(fmt.Sprintf("nn: SoftCrossEntropy shape mismatch %v vs %v", logits.Shape(), target.Shape()))
+		panic(fmt.Sprintf("nn: SoftCrossEntropyInto shape mismatch %v vs %v", logits.Shape(), target.Shape()))
 	}
 	gd, td := SoftmaxInto(grad, logits).Data(), target.Data()
 	invN := 1 / float64(logits.Dim(0))

@@ -109,101 +109,3 @@ func (m *MaxPool2D) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
 	}
 	return dx
 }
-
-// AvgPool2D applies average pooling over [N, C, H, W] inputs.
-type AvgPool2D struct {
-	name      string
-	K, Stride int
-}
-
-// NewAvgPool2D constructs an average-pooling layer with a square window.
-func NewAvgPool2D(name string, k, stride int) *AvgPool2D {
-	if k <= 0 || stride <= 0 {
-		panic("nn: pooling kernel and stride must be positive")
-	}
-	return &AvgPool2D{name: name, K: k, Stride: stride}
-}
-
-// Name implements Layer.
-func (a *AvgPool2D) Name() string { return a.name }
-
-// Params implements Layer.
-func (a *AvgPool2D) Params() []*Param { return nil }
-
-// OutShape implements Layer.
-func (a *AvgPool2D) OutShape(in []int) []int {
-	if len(in) != 3 {
-		panic(fmt.Sprintf("nn: %s expects [C,H,W] per-sample shape, got %v", a.name, in))
-	}
-	oh := (in[1]-a.K)/a.Stride + 1
-	ow := (in[2]-a.K)/a.Stride + 1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: %s window %d/stride %d larger than input %v", a.name, a.K, a.Stride, in))
-	}
-	return []int{in[0], oh, ow}
-}
-
-// ForwardT implements Layer, taping only the input shape.
-func (a *AvgPool2D) ForwardT(tape *Tape, x *tensor.Tensor, train bool) *tensor.Tensor {
-	checkBatched(a.name, x)
-	n, c := x.Dim(0), x.Dim(1)
-	h, w := x.Dim(2), x.Dim(3)
-	os := a.OutShape([]int{c, h, w})
-	oh, ow := os[1], os[2]
-	out := tensor.New(n, c, oh, ow)
-	inv := 1 / float64(a.K*a.K)
-	xd, od := x.Data(), out.Data()
-	tensor.ParallelFor(n, func(i int) {
-		for ch := 0; ch < c; ch++ {
-			in := xd[(i*c+ch)*h*w:]
-			outPlane := od[(i*c+ch)*oh*ow:]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					y0, x0 := oy*a.Stride, ox*a.Stride
-					s := 0.0
-					for ky := 0; ky < a.K; ky++ {
-						for kx := 0; kx < a.K; kx++ {
-							s += in[(y0+ky)*w+(x0+kx)]
-						}
-					}
-					outPlane[oy*ow+ox] = s * inv
-				}
-			}
-		}
-	})
-	tape.push(a, append([]int(nil), x.Shape()...))
-	return out
-}
-
-// BackwardT implements Layer.
-func (a *AvgPool2D) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
-	shape := tape.pop(a).([]int)
-	n, c := shape[0], shape[1]
-	h, w := shape[2], shape[3]
-	oh := (h-a.K)/a.Stride + 1
-	ow := (w-a.K)/a.Stride + 1
-	if grad.Len() != n*c*oh*ow {
-		panic("nn: AvgPool2D backward grad size mismatch")
-	}
-	dx := tensor.New(shape...)
-	inv := 1 / float64(a.K*a.K)
-	dd, gd := dx.Data(), grad.Data()
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			dplane := dd[(i*c+ch)*h*w:]
-			gplane := gd[(i*c+ch)*oh*ow:]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					gv := gplane[oy*ow+ox] * inv
-					y0, x0 := oy*a.Stride, ox*a.Stride
-					for ky := 0; ky < a.K; ky++ {
-						for kx := 0; kx < a.K; kx++ {
-							dplane[(y0+ky)*w+(x0+kx)] += gv
-						}
-					}
-				}
-			}
-		}
-	}
-	return dx
-}

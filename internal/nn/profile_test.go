@@ -92,32 +92,3 @@ func TestSequentialProfilerInferAndDetach(t *testing.T) {
 		t.Fatalf("detached profiler still observed: %+v", got)
 	}
 }
-
-// TestTapeProfilerOverridesNetwork gives one tape its own profiler and
-// checks that tape's pass reports there — and only there — while nil-tape
-// traffic keeps reporting to the network-level profiler.
-func TestTapeProfilerOverridesNetwork(t *testing.T) {
-	net := NewSequential("prof", NewReLU("a"))
-	x := tensor.New(1, 1, 2, 2).Fill(1)
-	netRec, tapeRec := &recordingProfiler{}, &recordingProfiler{}
-	net.SetProfiler(netRec)
-	defer net.SetProfiler(nil)
-
-	tape := NewTape()
-	tape.Profiler = tapeRec
-	net.ForwardT(tape, x, true)
-	if got := tapeRec.take(); len(got) != 1 || got[0].layer != "a" {
-		t.Fatalf("tape profiler events: %+v", got)
-	}
-	if got := netRec.take(); len(got) != 0 {
-		t.Fatalf("network profiler saw the tape's pass: %+v", got)
-	}
-
-	net.ForwardT(nil, x, false)
-	if got := netRec.take(); len(got) != 1 {
-		t.Fatalf("network profiler missed nil-tape traffic: %+v", got)
-	}
-	if got := tapeRec.take(); len(got) != 0 {
-		t.Fatalf("tape profiler saw foreign traffic: %+v", got)
-	}
-}

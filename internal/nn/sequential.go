@@ -61,9 +61,9 @@ func (s *Sequential) Index(name string) int {
 
 // SetProfiler installs (or, with nil, removes) a network-level profiler.
 // Every subsequent ForwardRangeT/BackwardRangeT pass and every compiled
-// plan's Infer reports per-layer wall time and scratch bytes to it. Attaching is safe while other goroutines are mid-pass: they see
-// the old value until their next range call. A tape-level profiler
-// (Tape.Profiler) overrides the network-level one for that tape's passes.
+// plan's Infer and training pass reports per-layer wall time and scratch
+// bytes to it. Attaching is safe while other goroutines are mid-pass: they
+// see the old value until their next range call.
 func (s *Sequential) SetProfiler(p Profiler) {
 	if p == nil {
 		s.prof.Store(nil)
@@ -72,12 +72,9 @@ func (s *Sequential) SetProfiler(p Profiler) {
 	s.prof.Store(&profilerBox{p: p})
 }
 
-// activeProfiler resolves the profiler for one range call: the tape's, or
-// the network's, or nil. Exactly one atomic load on the disabled path.
-func (s *Sequential) activeProfiler(tape *Tape) Profiler {
-	if p := tape.profiler(); p != nil {
-		return p
-	}
+// activeProfiler returns the network's profiler, or nil: exactly one atomic
+// load on the disabled path.
+func (s *Sequential) activeProfiler() Profiler {
 	if b := s.prof.Load(); b != nil {
 		return b.p
 	}
@@ -121,7 +118,7 @@ func (s *Sequential) ForwardRangeT(tape *Tape, x *tensor.Tensor, from, to int, t
 	if from < 0 || to > len(s.layers) || from > to {
 		panic(fmt.Sprintf("nn: ForwardRangeT [%d,%d) out of bounds for %d layers", from, to, len(s.layers)))
 	}
-	if p := s.activeProfiler(tape); p != nil {
+	if p := s.activeProfiler(); p != nil {
 		for _, l := range s.layers[from:to] {
 			t0 := time.Now()
 			x = l.ForwardT(tape, x, train)
@@ -150,7 +147,7 @@ func (s *Sequential) BackwardRangeT(tape *Tape, grad *tensor.Tensor, from, to in
 	if from < 0 || to > len(s.layers) || from > to {
 		panic(fmt.Sprintf("nn: BackwardRangeT [%d,%d) out of bounds for %d layers", from, to, len(s.layers)))
 	}
-	if p := s.activeProfiler(tape); p != nil {
+	if p := s.activeProfiler(); p != nil {
 		for i := to - 1; i >= from; i-- {
 			t0 := time.Now()
 			grad = s.layers[i].BackwardT(tape, grad)

@@ -22,8 +22,7 @@ type Tape struct {
 	// entirely: only ∂loss/∂input flows. Shredder never updates the network
 	// weights, so its noise training and the inversion attack both run with
 	// frozen parameters, saving the dW/db GEMMs and making backward passes
-	// free of writes to shared layer state (BatchNorm2D also skips its
-	// running-statistics update under FrozenParams).
+	// free of writes to shared layer state.
 	FrozenParams bool
 	// RNG, when non-nil, supplies the tape's private randomness (dropout
 	// masks). Concurrent training runs give each tape its own seeded RNG so
@@ -31,12 +30,6 @@ type Tape struct {
 	// layers fall back to their construction-time RNG (one generator per
 	// layer: not reentrant).
 	RNG *tensor.RNG
-
-	// Profiler, when non-nil, receives per-layer timing for every pass run
-	// through this tape. It takes precedence over any network-level profiler
-	// installed with Sequential.SetProfiler, so one training run can be
-	// profiled in isolation while a shared network serves other traffic.
-	Profiler Profiler
 
 	entries []tapeEntry
 }
@@ -96,14 +89,6 @@ func (t *Tape) pop(l Layer) any {
 
 // frozen reports whether parameter gradients should be skipped.
 func (t *Tape) frozen() bool { return t != nil && t.FrozenParams }
-
-// profiler returns the tape's profiler, nil-tape safe.
-func (t *Tape) profiler() Profiler {
-	if t == nil {
-		return nil
-	}
-	return t.Profiler
-}
 
 // rng returns the tape's RNG, or fallback when the tape carries none.
 func (t *Tape) rng(fallback *tensor.RNG) *tensor.RNG {

@@ -34,8 +34,6 @@ func tapeCases() []tapeCase {
 		{"flatten", func() Layer { return NewFlatten("flat") }, img},
 		{"dropout", func() Layer { return NewDropout("drop", 0.4, tensor.NewRNG(43)) }, img},
 		{"maxpool", func() Layer { return NewMaxPool2D("mp", 2, 2) }, img},
-		{"avgpool", func() Layer { return NewAvgPool2D("ap", 2, 2) }, img},
-		{"batchnorm", func() Layer { return NewBatchNorm2D("bn", 3) }, img},
 		{"lrn", func() Layer { return NewLocalResponseNorm("lrn", 3, 0, 0, 0) }, img},
 	}
 }
@@ -90,13 +88,12 @@ func TestTapePathMatchesLegacy(t *testing.T) {
 func tinyTapeNet() *Sequential {
 	return NewSequential("tiny",
 		NewConv2D("conv0", 1, 4, 3, 3, 1, 1, tensor.NewRNG(51)),
-		NewBatchNorm2D("bn0", 4),
 		NewReLU("relu0"),
 		NewMaxPool2D("pool0", 2, 2),
 		NewLocalResponseNorm("lrn0", 3, 0, 0, 0),
 		NewConv2D("conv1", 4, 6, 3, 3, 1, 1, tensor.NewRNG(52)),
 		NewReLU("relu1"),
-		NewAvgPool2D("pool1", 2, 2),
+		NewMaxPool2D("pool1", 2, 2),
 		NewFlatten("flat"),
 		NewDropout("drop", 0.3, tensor.NewRNG(53)),
 		NewLinear("fc", 54, 10, tensor.NewRNG(54)),
@@ -143,8 +140,7 @@ func TestSequentialTapeMatchesLegacy(t *testing.T) {
 
 // TestFrozenTapeSequential checks Shredder's training mode end to end: a
 // frozen tape yields the same input gradient as a recording tape while
-// leaving every parameter gradient and batch-norm running statistic
-// untouched.
+// leaving every parameter gradient untouched.
 func TestFrozenTapeSequential(t *testing.T) {
 	rng := tensor.NewRNG(62)
 	x := rng.FillNormal(tensor.New(2, 1, 12, 12), 0, 1)
@@ -155,10 +151,6 @@ func TestFrozenTapeSequential(t *testing.T) {
 	out := plain.ForwardT(tape, x, true)
 	w := rng.FillNormal(tensor.New(out.Shape()...), 0, 1)
 	wantDx := plain.BackwardT(tape, w)
-
-	bn := frozen.Layer(1).(*BatchNorm2D)
-	meanBefore := append([]float64(nil), bn.runningMean...)
-	varBefore := append([]float64(nil), bn.runningVar...)
 
 	ft := NewFrozenTape()
 	if fout := frozen.ForwardT(ft, x, true); !tensor.Equal(fout, out) {
@@ -172,11 +164,6 @@ func TestFrozenTapeSequential(t *testing.T) {
 			if v != 0 {
 				t.Fatalf("frozen tape wrote parameter gradient %s", p.Name)
 			}
-		}
-	}
-	for c := range meanBefore {
-		if bn.runningMean[c] != meanBefore[c] || bn.runningVar[c] != varBefore[c] {
-			t.Fatal("frozen tape mutated batch-norm running statistics")
 		}
 	}
 }

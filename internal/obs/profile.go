@@ -21,8 +21,7 @@ var DefProfileBuckets = []float64{
 // Profiler accumulates per-layer compute cost: forward/backward call counts,
 // wall time, and scratch-tensor bytes, keyed by layer name in first-seen
 // (execution) order. It implements nn's Profiler interface structurally, so
-// it plugs into Sequential.SetProfiler / Tape.Profiler without nn importing
-// obs. When built over a non-nil Registry it also feeds per-layer latency
+// it plugs into Sequential.SetProfiler without nn importing obs. When built over a non-nil Registry it also feeds per-layer latency
 // histograms (profile.forward_seconds.<layer>, profile.backward_seconds.
 // <layer>) so quantiles show up in /debug/metrics alongside the table.
 //

@@ -103,14 +103,10 @@ func leafGo[F Float](acc *[accLen]F, n int, x []F, xs int, off []int32, w []F, w
 }
 
 // Epilogue is what a packed layer applies to each raw sum z of output j
-// before storing it: z += Bias[j]; then, when Scale is set, the affine of a
-// folded inference BatchNorm, z = Scale[j]·(z−Mean[j])·Inv[j] + Shift[j] —
-// the expression of the standalone step, so folding moves no bit; then
-// max(0, z) under ReLU.
+// before storing it: z += Bias[j], then max(0, z) under ReLU.
 type Epilogue[F Float] struct {
-	Bias                    []F
-	Scale, Mean, Inv, Shift []F // all nil, or all of the layer's width
-	ReLU                    bool
+	Bias []F
+	ReLU bool
 }
 
 // Packed is one convolution or linear layer ready for the direct kernel. It
@@ -125,8 +121,7 @@ type Packed[F Float] struct {
 // Pack converts the row-major weights w [n, k] to F and lays them out in
 // panels. The epilogue's slices are kept, not copied.
 func Pack[F Float](w *Tensor, ep Epilogue[F]) *Packed[F] {
-	if w.Rank() != 2 || w.Len() == 0 || len(ep.Bias) != w.shape[0] || (ep.Scale != nil &&
-		(len(ep.Scale) != w.shape[0] || len(ep.Mean) != w.shape[0] || len(ep.Inv) != w.shape[0] || len(ep.Shift) != w.shape[0])) {
+	if w.Rank() != 2 || w.Len() == 0 || len(ep.Bias) != w.shape[0] {
 		panic(fmt.Sprintf("tensor: Pack weights %v with an epilogue of %d outputs", w.shape, len(ep.Bias)))
 	}
 	n, k := w.shape[0], w.shape[1]
@@ -173,12 +168,8 @@ func (p *Packed[F]) ReLU() bool { return p.ep.ReLU }
 
 // finish applies the epilogue to the raw sum z of output j.
 func (p *Packed[F]) finish(j int, z F) F {
-	e := &p.ep
-	z += e.Bias[j]
-	if e.Scale != nil {
-		z = e.Scale[j]*(z-e.Mean[j])*e.Inv[j] + e.Shift[j]
-	}
-	if e.ReLU && !(z > 0) {
+	z += p.ep.Bias[j]
+	if p.ep.ReLU && !(z > 0) {
 		z = 0
 	}
 	return z

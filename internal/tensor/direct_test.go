@@ -32,21 +32,14 @@ func sameBits[F Float](a, b F) bool {
 	return a == b && math.Signbit(float64(a)) == math.Signbit(float64(b))
 }
 
-// testEpilogue draws an epilogue for n outputs: always a bias, the affine
-// and the ReLU by the low bits of variant.
+// testEpilogue draws an epilogue for n outputs: always a bias, the ReLU by
+// the low bit of variant.
 func testEpilogue[F Float](rng *RNG, n, variant int) Epilogue[F] {
-	draw := func() []F {
-		v := make([]F, n)
-		for i := range v {
-			v[i] = F(rng.Normal(0, 1))
-		}
-		return v
+	bias := make([]F, n)
+	for i := range bias {
+		bias[i] = F(rng.Normal(0, 1))
 	}
-	ep := Epilogue[F]{Bias: draw(), ReLU: variant&1 != 0}
-	if variant&2 != 0 {
-		ep.Scale, ep.Mean, ep.Inv, ep.Shift = draw(), draw(), draw(), draw()
-	}
-	return ep
+	return Epilogue[F]{Bias: bias, ReLU: variant&1 != 0}
 }
 
 // referenceConv is what the compiled plan computed before the direct kernel:
@@ -62,9 +55,6 @@ func referenceConv[F Float](x []F, w *Tensor, ep Epilogue[F], g ConvGeom) []F {
 	for pos := 0; pos < positions; pos++ {
 		for j := 0; j < n; j++ {
 			z := prod[pos*n+j] + ep.Bias[j]
-			if ep.Scale != nil {
-				z = ep.Scale[j]*(z-ep.Mean[j])*ep.Inv[j] + ep.Shift[j]
-			}
 			if ep.ReLU && !(z > 0) {
 				z = 0
 			}

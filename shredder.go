@@ -54,7 +54,7 @@ type Config struct {
 	Progress io.Writer
 	// Dtype selects the serving arithmetic of Classify, ClassifyBaseline
 	// and ServeCloud. Every inference runs a compiled plan (nn.Compile:
-	// BatchNorm folded, conv+bias+ReLU fused, no per-request allocation
+	// conv+bias+ReLU fused, no per-request allocation
 	// beyond its result); "" or "float64" is the float64 plan, whose
 	// results equal the training path's forward pass bit for bit, and
 	// "float32" (also "f32", "fp32", "single") the single-precision plan,
