@@ -29,7 +29,9 @@ func weightDigest(net *nn.Sequential) string {
 // TestTrainPinned holds pre-training to digests recorded when every layer
 // still kept a tape of its own and Train ran the struct-held-tape
 // Forward/Backward: one tape owned by train gives the same weights bit for
-// bit, Dropout's construction-time generator included (cifar). A checkpoint
+// bit, Dropout's construction-time generator included (cifar, alexnet; svhn
+// and alexnet were recorded on that tape before it left production, alexnet
+// bringing LRN). A checkpoint
 // carries those weights bit for bit too: saved and loaded into a freshly
 // built network, they hash to the same digests.
 func TestTrainPinned(t *testing.T) {
@@ -42,6 +44,10 @@ func TestTrainPinned(t *testing.T) {
 			"2bee40ca9a4c54620608a464fe782ab5aec91f9ddb220afcd34241300de82564"},
 		{CifarNet(), TrainConfig{TrainN: 48, TestN: 8, Epochs: 2, BatchSize: 16, Seed: 12},
 			"75468b330d67b6f39736a4acae7f6e0d34714b4842921f43906e91a6f896d810"},
+		{SvhnNet(), TrainConfig{TrainN: 32, TestN: 8, Epochs: 1, BatchSize: 16, Seed: 13},
+			"909af32ad18008ba796e7ae497d79bead5f21dd3d1bfe62ddcdd12964971f8e5"},
+		{AlexNet(), TrainConfig{TrainN: 32, TestN: 8, Epochs: 1, BatchSize: 16, Seed: 14},
+			"ccfda67b39eac72f1d7d76adff5e227dd691f32067e4857b596e3999a3e27942"},
 	} {
 		pre, err := Train(tc.spec, tc.cfg)
 		if err != nil {
