@@ -49,9 +49,10 @@ test:
 
 ## race: the race suite over the concurrency-sensitive packages; three more
 ## rounds of the training tests (runs sharing one Split: its lazily compiled
-## training plan, a Collect's activation cache); and of the root package the
-## cold-start and lazy-materialisation tests (the first users of a System
-## share one sync.Once) and the edge-step test (Classify, a ConnectEdge
+## training plan, a Collect's activation cache; pre-training, whose backward
+## fans out and writes every sample's weight gradients); and of the root
+## package the cold-start and lazy-materialisation tests (the first users of
+## a System share one sync.Once) and the edge-step test (Classify, a ConnectEdge
 ## client and a ConnectPool handle share one System's monitor) — the whole
 ## root package under -race is too slow for a gate. Twenty rounds of the
 ## buffer-reuse tests: proof-ring and span-ring slots keep their storage and
@@ -63,6 +64,7 @@ test:
 race:
 	$(GO) test -race ./internal/sched/... ./internal/splitrt/... ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/audit/... ./internal/model/... ./internal/data/... ./cmd/shredder/...
 	$(GO) test -race -count=3 -run 'TrainPlan|TrainNoise|Collect' ./internal/nn ./internal/core
+	$(GO) test -race -count=3 -run 'Train' ./internal/model
 	$(GO) test -race -count=20 -run 'RingReuse|ProofReuse|SnapshotStable|RelayWatch|StaleFire|WarmQueued' ./internal/sched ./internal/audit ./internal/obs ./internal/splitrt
 	$(GO) test -race -run 'ColdStart|Materiali|EdgeStep' .
 
@@ -74,8 +76,9 @@ bench-module:
 ## fuzz-smoke: run each fuzz target of a trust boundary — the wire's three
 ## frame targets, the coded payload a request frame carries and the packed
 ## levels it decodes to, the two files a cold start reads, weights and
-## noise, and the audit record and inclusion proof a client replays — for
-## ten seconds from the package's seeds.
+## noise, the audit record and inclusion proof a client replays, and the
+## ledger file an audited server reopens — for ten seconds from the
+## package's seeds.
 fuzz-smoke:
 	for f in FuzzReadFrame FuzzDecodeRequest FuzzDecodeResponse; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/splitrt || exit 1; done
@@ -83,7 +86,7 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/quantize || exit 1; done
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/nn
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNoiseSource$$' -fuzztime 10s ./internal/core
-	for f in FuzzUnmarshalRecord FuzzVerifyProof; do \
+	for f in FuzzUnmarshalRecord FuzzVerifyProof FuzzOpenFileLedger; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/audit || exit 1; done
 
 bench:

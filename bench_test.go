@@ -311,31 +311,43 @@ func BenchmarkMatMul128(b *testing.B) {
 	b.SetBytes(int64(128 * 128 * 128 * 8))
 }
 
-func BenchmarkConv2DForward(b *testing.B) {
+// convPlan compiles a one-convolution network: 16→32 channels, 3×3, over
+// a batch of eight 16×16 inputs.
+func convPlan(b *testing.B) (*nn.CompiledNet, *tensor.Tensor) {
 	rng := tensor.NewRNG(1)
-	conv := nn.NewConv2D("c", 16, 32, 3, 3, 1, 1, rng)
-	x := rng.FillNormal(tensor.New(8, 16, 16, 16), 0, 1)
+	net := nn.NewSequential("c", nn.NewConv2D("c", 16, 32, 3, 3, 1, 1, rng))
+	plan, err := nn.Compile(net, nn.Float64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return plan, rng.FillNormal(tensor.New(8, 16, 16, 16), 0, 1)
+}
+
+func BenchmarkConv2DForward(b *testing.B) {
+	plan, x := convPlan(b)
+	out := plan.Infer(x)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		conv.ForwardT(nil, x, false)
+		plan.InferInto(out, x)
 	}
 }
 
+// BenchmarkConv2DBackward times both halves of a convolution's backward pass
+// on its training plan: the input gradient and the weight gradients.
 func BenchmarkConv2DBackward(b *testing.B) {
-	rng := tensor.NewRNG(1)
-	conv := nn.NewConv2D("c", 16, 32, 3, 3, 1, 1, rng)
-	x := rng.FillNormal(tensor.New(8, 16, 16, 16), 0, 1)
-	tape := nn.NewTape()
-	out := conv.ForwardT(tape, x, true)
-	g := rng.FillNormal(tensor.New(out.Shape()...), 0, 1)
+	plan, x := convPlan(b)
+	tp, err := plan.TrainPlan()
+	if err != nil {
+		b.Fatal(err)
+	}
+	pass := tp.NewPass(nil)
+	out := pass.ForwardInto(nil, x)
+	g := tensor.NewRNG(2).FillNormal(tensor.New(out.Shape()...), 0, 1)
+	dx := pass.BackwardInto(nil, g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A backward pass consumes its forward pass's tape entry.
-		b.StopTimer()
-		tape.Reset()
-		conv.ForwardT(tape, x, true)
-		b.StartTimer()
-		conv.BackwardT(tape, g)
+		pass.BackwardInto(dx, g)
+		pass.BackwardParams(g)
 	}
 }
 

@@ -1,12 +1,15 @@
 package audit
 
-// Fuzz targets for the two things a client hands the audit trail back:
-// canonical record bytes, and an inclusion proof over them.
+// Fuzz targets for the two things a client hands the audit trail back —
+// canonical record bytes, and an inclusion proof over them — and for the one
+// file a server reads back at start-up, its ledger.
 
 import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -128,4 +131,76 @@ func unhex(t *testing.T, s string) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// anchorFile writes roots into a fresh ledger file at path and returns its
+// bytes.
+func anchorFile(t testing.TB, path string, roots []AnchoredRoot) []byte {
+	l, err := OpenFileLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.NoSync = true
+	for _, r := range roots {
+		if err := l.Anchor(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// FuzzOpenFileLedger: any bytes in a ledger file either open or are refused
+// with ErrLedgerCorrupt, and never panic. A file that opens replays roots
+// that re-verify: anchored afresh into an empty ledger they write the file's
+// complete entries byte for byte — header, sequence, hash chain and CRCs —
+// and the partial entry after them, if any, is what Recovered reports.
+func FuzzOpenFileLedger(f *testing.F) {
+	var roots []AnchoredRoot
+	for i := 0; i < 3; i++ {
+		r := AnchoredRoot{Seq: uint64(i), Count: i + 1, UnixNanos: int64(1e18) + int64(i)}
+		r.Root[0], r.Root[31] = byte(i), 0xa5
+		roots = append(roots, r)
+	}
+	good := anchorFile(f, filepath.Join(f.TempDir(), "seed"), roots)
+	f.Add(good)
+	f.Add(good[:len(good)-5])                // torn last entry
+	f.Add(good[:len(ledgerMagic)])           // header only
+	f.Add([]byte{})                          // a new file
+	f.Add(append([]byte(nil), good[:10]...)) // torn header
+	flipped := append([]byte(nil), good...)
+	flipped[len(ledgerMagic)+100] ^= 1 // inside the second entry
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "ledger")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenFileLedger(path)
+		if err != nil {
+			if !errors.Is(err, ErrLedgerCorrupt) {
+				t.Fatalf("refused with %v, not ErrLedgerCorrupt", err)
+			}
+			return
+		}
+		replayed, recovered := l.Roots(), l.Recovered
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		kept := b[:len(b)-recovered]
+		if len(b) == 0 {
+			kept = []byte(ledgerMagic) // the header a new file is given
+		}
+		if again := anchorFile(t, filepath.Join(dir, "again"), replayed); !bytes.Equal(again, kept) {
+			t.Fatalf("%d replayed roots (%d bytes recovered) re-anchor to %d bytes, not the %d the file kept",
+				len(replayed), recovered, len(again), len(kept))
+		}
+	})
 }

@@ -55,12 +55,6 @@ type opaqueLayer struct{}
 func (opaqueLayer) Name() string           { return "opaque" }
 func (opaqueLayer) Params() []*nn.Param    { return nil }
 func (opaqueLayer) OutShape(s []int) []int { return s }
-func (opaqueLayer) ForwardT(_ *nn.Tape, x *tensor.Tensor, _ bool) *tensor.Tensor {
-	return x
-}
-func (opaqueLayer) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor       { return x }
-func (opaqueLayer) BackwardT(_ *nn.Tape, g *tensor.Tensor) *tensor.Tensor { return g }
-func (opaqueLayer) Backward(g *tensor.Tensor) *tensor.Tensor              { return g }
 
 // TestNewSplitRejectsUncompilableLayer: every inference through a Split is
 // a compiled plan, so a layer the compiler cannot lower — on either side of
@@ -80,16 +74,16 @@ func TestNewSplitRejectsUncompilableLayer(t *testing.T) {
 }
 
 // TestSplitCompositionEqualsFullForward: on every zoo network at every cut
-// the registry names, Local∘RemoteInfer, Forward, the tape path's nil-tape
-// forward pass and RemoteT agree bit for bit, and the cached activation shape
-// is the one Local produces.
+// the registry names, Local∘RemoteInfer, Forward and a plan of the whole
+// network compiled apart from the Split agree bit for bit, and the cached
+// activation shape is the one Local produces.
 func TestSplitCompositionEqualsFullForward(t *testing.T) {
 	for _, spec := range model.All() {
 		rng := tensor.NewRNG(31)
 		net := spec.Build(rng)
 		for _, batch := range []int{1, 3} {
 			x := rng.FillNormal(tensor.New(append([]int{batch}, spec.Dataset.SampleShape()...)...), 0, 1)
-			oracle := net.ForwardT(nil, x, false)
+			oracle := inferAlone(t, net, x)
 			for _, cp := range spec.CutPoints {
 				split, err := NewSplit(net, cp.Layer, spec.Dataset.SampleShape())
 				if err != nil {
@@ -102,10 +96,9 @@ func TestSplitCompositionEqualsFullForward(t *testing.T) {
 				for name, got := range map[string]*tensor.Tensor{
 					"Local∘RemoteInfer": split.RemoteInfer(a),
 					"Forward":           split.Forward(x),
-					"Local∘RemoteT":     split.RemoteT(nil, a, false),
 				} {
 					if !tensor.BitEqual(got, oracle) {
-						t.Fatalf("%s/%s batch %d: %s differs from the nil-tape forward pass", spec.Name, cp.Name, batch, name)
+						t.Fatalf("%s/%s batch %d: %s differs from the network's own plan", spec.Name, cp.Name, batch, name)
 					}
 				}
 			}
@@ -123,7 +116,7 @@ func TestSplitCompilesEachDtypeOnce(t *testing.T) {
 	rng := tensor.NewRNG(32)
 	net := spec.Build(rng)
 	x := rng.FillNormal(tensor.New(append([]int{2}, spec.Dataset.SampleShape()...)...), 0, 1)
-	oracle := net.ForwardT(nil, x, false)
+	oracle := inferAlone(t, net, x)
 	for _, cut := range []string{"relu2", "conv0"} { // the default cut; conv0 | relu0
 		split, err := NewSplit(net, cut, spec.Dataset.SampleShape())
 		if err != nil {
@@ -222,10 +215,10 @@ func TestAddPrivacyGradSigns(t *testing.T) {
 	}
 }
 
-// The gradient the trainer computes (through R, summed over batch, plus the
-// privacy term) must match finite differences of the full Shredder loss
-// with respect to the noise — this is the paper's §2.1 chain-rule claim,
-// verified end to end.
+// The gradient the trainer computes (through R's training plan, the pass
+// TrainNoise runs, summed over batch, plus the privacy term) must match
+// finite differences of the full Shredder loss with respect to the noise —
+// this is the paper's §2.1 chain-rule claim, verified end to end.
 func TestNoiseGradientMatchesFiniteDifference(t *testing.T) {
 	split, pre := testSplit(t, 22)
 	b := pre.Test.Batches(6)[0]
@@ -240,11 +233,14 @@ func TestNoiseGradientMatchesFiniteDifference(t *testing.T) {
 		return total
 	}
 
-	a := split.Local(b.Images)
-	tape := nn.NewFrozenTape()
-	logits := split.RemoteT(tape, noise.Apply(a), true)
+	plan, err := split.RemoteTrainPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := plan.NewPass(nil)
+	logits := pass.ForwardInto(nil, noise.Apply(split.Local(b.Images)))
 	_, _, grad := ShredderLoss(logits, b.Labels, noise, lambda)
-	dAprime := split.RemoteBackwardT(tape, grad)
+	dAprime := pass.BackwardInto(nil, grad)
 	noise.Param.ZeroGrad()
 	noise.AccumulateGrad(dAprime)
 	AddPrivacyGrad(noise, lambda)
@@ -498,4 +494,15 @@ func TestActivationsShapeAndNoise(t *testing.T) {
 	if tensor.AllClose(clean, noisy, 1e-9) {
 		t.Fatal("noisy activations should differ from clean")
 	}
+}
+
+// inferAlone runs net on x through a float64 plan of its own, compiled apart
+// from any Split.
+func inferAlone(t *testing.T, net *nn.Sequential, x *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	plan, err := nn.Compile(net, nn.Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.Infer(x)
 }

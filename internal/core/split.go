@@ -27,17 +27,17 @@ import (
 // Every inference through a Split — Local, RemoteInfer, Forward — runs a
 // compiled float64 plan: NewSplit compiles the whole network once and slices
 // the two halves from it (nn.CompiledNet.Slice). The plans hold their own
-// packed copy of the weights as NewSplit found them and equal the tape path's
-// forward pass bit for bit, so they are not a second set of numbers: the
-// frozen local part of noise training, evaluation, the attacks and the
-// serving edge all see what the tape's forward pass would compute. Noise
-// training and the inversion attack differentiate through the halves' training
-// plans, compiled on first use; the tests pin those plans to the tape.
+// packed copy of the weights as NewSplit found them and equal the forward
+// pass pre-training ran bit for bit, so they are not a second set of numbers:
+// the frozen local part of noise training, evaluation, the attacks and the
+// serving edge all see what the weights were trained to compute. Noise
+// training and the inversion attack differentiate through the halves'
+// training plans, compiled on first use; nn's tests pin every plan to its
+// tape oracle.
 type Split struct {
 	// Net is the intact pre-trained network; Split never mutates weights,
 	// and nothing else may once the Split exists: the plans would keep
-	// serving the weights they were compiled from while the tape path read
-	// the new ones.
+	// serving the weights they were compiled from.
 	Net *nn.Sequential
 	// CutIndex is the index of the last local layer.
 	CutIndex int
@@ -188,9 +188,9 @@ func (s *Split) Forward(x *tensor.Tensor) *tensor.Tensor { return s.f64.full.Inf
 
 // zeroParamGrads clears any parameter gradients left on the network (e.g.
 // by pre-training), serialized so concurrent trainers do not race on the
-// shared gradient buffers. Frozen-tape training never writes parameter
-// gradients, so clearing on entry keeps the invariant "weights and their
-// gradients are untouched by noise training".
+// shared gradient buffers. A training plan's BackwardInto never writes
+// parameter gradients, so clearing on entry keeps the invariant "weights and
+// their gradients are untouched by noise training".
 func (s *Split) zeroParamGrads() {
 	s.gradMu.Lock()
 	defer s.gradMu.Unlock()

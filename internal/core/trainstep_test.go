@@ -84,24 +84,29 @@ func TestTrainNoiseEmptyDatasetPanics(t *testing.T) {
 	TrainNoise(split, syntheticSet(rng, []int{1, 2, 2}, 2, 0), NoiseConfig{})
 }
 
-// tapeStep is the step TrainNoise ran before R had a training plan, kept as
-// the benchmark's reference: Local recomputed, a fresh a′, RemoteT and
-// RemoteBackwardT on a frozen tape, a fresh loss gradient.
-func tapeStep(r *noiseRun, tape *nn.Tape, opt *optim.Adam, images *tensor.Tensor, labels []int) {
+// freshStep is a step of TrainNoise without what the run keeps between
+// steps: Local recomputed, a fresh a′, a fresh pass over R's training plan
+// with fresh result tensors, a fresh loss gradient — the benchmark's
+// reference.
+func freshStep(r *noiseRun, opt *optim.Adam, images *tensor.Tensor, labels []int) {
 	a := r.split.Local(images)
-	tape.Reset()
-	logits := r.split.RemoteT(tape, r.noise.Apply(a), true)
+	plan, err := r.split.RemoteTrainPlan()
+	if err != nil {
+		panic(err)
+	}
+	pass := plan.NewPass(tensor.NewRNG(1))
+	logits := pass.ForwardInto(nil, r.noise.Apply(a))
 	_, _, grad := ShredderLoss(logits, labels, r.noise, 0.01)
-	dA := r.split.RemoteBackwardT(tape, grad)
+	dA := pass.BackwardInto(nil, grad)
 	r.noise.Param.ZeroGrad()
 	r.noise.AccumulateGrad(dA)
 	AddPrivacyGrad(r.noise, 0.01)
 	opt.Step()
 }
 
-// BenchmarkTrainStep times one additive 32-sample step on the training plan
-// beside the tape step it replaced, at the benchmark's three training
-// geometries (run with -benchmem): the table of DESIGN §5m.
+// BenchmarkTrainStep times one additive 32-sample step of a run beside a
+// fresh step that keeps nothing between steps, at the benchmark's three
+// training geometries (run with -benchmem).
 func BenchmarkTrainStep(b *testing.B) {
 	for _, tc := range []struct {
 		spec model.Spec
@@ -109,15 +114,15 @@ func BenchmarkTrainStep(b *testing.B) {
 	}{{model.LeNet(), "conv0"}, {model.LeNet(), "conv2"}, {model.SvhnNet(), "conv0"}} {
 		r, idx := stepRig(b, tc.spec, tc.cut, NoiseConfig{Lambda: 0.01, Epochs: 2})
 		name := tc.spec.Name + "." + tc.cut
-		b.Run(name+"/tape", func(b *testing.B) {
+		b.Run(name+"/fresh", func(b *testing.B) {
 			images := tensor.New(append([]int{len(idx)}, r.set.ds.SampleShape()...)...)
 			gatherRows(images, r.set.ds.Images, idx)
 			labels := make([]int, len(idx))
-			tape, opt := nn.NewFrozenTape(), optim.NewAdam([]*nn.Param{r.noise.Param}, 0.01)
+			opt := optim.NewAdam([]*nn.Param{r.noise.Param}, 0.01)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tapeStep(r, tape, opt, images, labels)
+				freshStep(r, opt, images, labels)
 			}
 		})
 		b.Run(name+"/plan", func(b *testing.B) {

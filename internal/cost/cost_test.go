@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"shredder/internal/model"
+	"shredder/internal/nn"
 	"shredder/internal/tensor"
 )
 
@@ -91,7 +92,11 @@ func TestProfileMatchesForwardShapes(t *testing.T) {
 	x := ds.Images
 	var cur = x
 	for i := 0; i < net.Len(); i++ {
-		cur = net.Layer(i).ForwardT(nil, cur, false)
+		plan, err := nn.CompileRange(net, i, i+1, nn.Float64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur = plan.Infer(cur)
 		if cur.Len() != prof[i].OutVals {
 			t.Fatalf("layer %s: forward size %d != profiled %d", net.Layer(i).Name(), cur.Len(), prof[i].OutVals)
 		}

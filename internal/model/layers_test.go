@@ -13,16 +13,17 @@ import (
 	"testing"
 )
 
-// TestEveryLayerTypeIsBuilt: every exported nn type with a ForwardT method
-// is constructed — an nn.New<T>( call — somewhere in the module's non-test
-// code outside internal/nn. A layer type only tests build is surface to
-// delete, not to keep compiling, lowering and training.
+// TestEveryLayerTypeIsBuilt: every exported nn type with an OutShape method
+// — every layer, and Sequential — is constructed — an nn.New<T>( call —
+// somewhere in the module's non-test code outside internal/nn. A layer type
+// only tests build is surface to delete, not to keep compiling, lowering and
+// training.
 func TestEveryLayerTypeIsBuilt(t *testing.T) {
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
 	nnDir := filepath.Join(root, "internal", "nn")
 
-	// The exported receiver types of ForwardT in nn's non-test files.
+	// The exported receiver types of OutShape in nn's non-test files.
 	layers := map[string]bool{}
 	ents, err := os.ReadDir(nnDir)
 	if err != nil {
@@ -38,7 +39,7 @@ func TestEveryLayerTypeIsBuilt(t *testing.T) {
 		}
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || fn.Name.Name != "ForwardT" {
+			if !ok || fn.Recv == nil || fn.Name.Name != "OutShape" {
 				continue
 			}
 			typ := fn.Recv.List[0].Type
@@ -51,7 +52,7 @@ func TestEveryLayerTypeIsBuilt(t *testing.T) {
 		}
 	}
 	if len(layers) == 0 {
-		t.Fatal("found no ForwardT method in internal/nn")
+		t.Fatal("found no OutShape method in internal/nn")
 	}
 
 	// Every nn.New<T>( call in the module's other non-test files. A directory
@@ -119,7 +120,7 @@ func TestEveryLayerTypeIsBuilt(t *testing.T) {
 	}
 	sort.Strings(unbuilt)
 	for _, name := range unbuilt {
-		t.Errorf("nn.%s has a ForwardT but no non-test code outside internal/nn calls nn.New%s: delete it", name, name)
+		t.Errorf("nn.%s has an OutShape but no non-test code outside internal/nn calls nn.New%s: delete it", name, name)
 	}
 }
 

@@ -27,7 +27,11 @@ func TestAllSpecsBuildAndRun(t *testing.T) {
 			}
 			// A forward pass on a real batch must produce finite logits.
 			ds := spec.Dataset.Generate(4, 2)
-			logits := net.ForwardT(nil, ds.Images, false)
+			plan, err := nn.Compile(net, nn.Float64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logits := plan.Infer(ds.Images)
 			if !logits.AllFinite() {
 				t.Fatalf("%s produced non-finite logits", spec.Name)
 			}
@@ -165,8 +169,8 @@ func TestTrainCachedRoundTrip(t *testing.T) {
 	}
 	// Second run must load identical weights (same forward outputs).
 	x := first.Test.Images.Slice(0).Reshape(1, 1, 28, 28)
-	a := first.Net.ForwardT(nil, x, false)
-	b := second.Net.ForwardT(nil, x, false)
+	a := infer(t, first.Net, x)
+	b := infer(t, second.Net, x)
 	if !tensor.AllClose(a, b, 1e-12) {
 		t.Fatal("cached weights differ from trained weights")
 	}
@@ -448,4 +452,14 @@ func TestSvhnConv6OutputIsSmall(t *testing.T) {
 	if s0, s6 := sizeAt(shallow), sizeAt(deep); s6*10 > s0 {
 		t.Fatalf("conv6 output (%d) should be ≪ conv0 output (%d)", s6, s0)
 	}
+}
+
+// infer runs net on x through a float64 plan compiled for the call.
+func infer(t *testing.T, net *nn.Sequential, x *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	plan, err := nn.Compile(net, nn.Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.Infer(x)
 }

@@ -204,19 +204,28 @@ func (p *Pretrained) train() (*Pretrained, error) {
 	}
 	cfg, net := p.Config, p.Net
 	opt := optim.NewAdam(net.Params(), cfg.LR)
-	// No RNG on the tape: Dropout draws from the generator it was built with.
-	tape := nn.NewTape()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		shuffled := p.Train.Shuffle(cfg.Seed + int64(3000+epoch))
 		var epochLoss float64
 		batches := shuffled.Batches(cfg.BatchSize)
 		for _, b := range batches {
+			// A plan packs the weights it is compiled from, and every step
+			// changes them: each step compiles its own. Its pass has no RNG,
+			// so Dropout draws from the generator it was built with.
+			plan, err := nn.Compile(net, nn.Float64)
+			if err != nil {
+				return nil, fmt.Errorf("model: train %s: %w", net.Name(), err)
+			}
+			tp, err := plan.TrainPlan()
+			if err != nil {
+				return nil, err
+			}
+			pass := tp.NewPass(nil)
 			net.ZeroGrad()
-			tape.Reset()
-			logits := net.ForwardT(tape, b.Images, true)
+			logits := pass.ForwardInto(nil, b.Images)
 			loss, grad := nn.CrossEntropy(logits, b.Labels)
 			epochLoss += loss
-			net.BackwardT(tape, grad)
+			pass.BackwardParams(grad)
 			opt.Step()
 		}
 		if cfg.Progress != nil {

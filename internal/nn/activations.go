@@ -5,8 +5,8 @@ import (
 )
 
 // ReLU applies max(0, x) elementwise. The backward pass gates the gradient
-// by the sign of the forward input, recovered from the taped output (out>0
-// exactly where in>0), so the tape costs no extra storage.
+// by the sign of the forward input, recovered from the output (out>0 exactly
+// where in>0), so a training plan keeps nothing extra for it.
 type ReLU struct {
 	name string
 }
@@ -22,35 +22,6 @@ func (r *ReLU) Params() []*Param { return nil }
 
 // OutShape implements Layer.
 func (r *ReLU) OutShape(in []int) []int { return in }
-
-// ForwardT implements Layer.
-func (r *ReLU) ForwardT(tape *Tape, x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
-	xd, od := x.Data(), out.Data()
-	for i, v := range xd {
-		if v > 0 {
-			od[i] = v
-		}
-	}
-	tape.push(r, out)
-	return out
-}
-
-// BackwardT implements Layer.
-func (r *ReLU) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
-	fwd := tape.pop(r).(*tensor.Tensor)
-	if grad.Len() != fwd.Len() {
-		panic("nn: ReLU backward grad size mismatch")
-	}
-	out := tensor.New(grad.Shape()...)
-	gd, od, fd := grad.Data(), out.Data(), fwd.Data()
-	for i, v := range fd {
-		if v > 0 {
-			od[i] = gd[i]
-		}
-	}
-	return out
-}
 
 // Flatten reshapes [N, ...] to [N, D]. It exists so that cutting points can
 // fall on either side of the features/classifier boundary the paper uses.
@@ -70,24 +41,11 @@ func (f *Flatten) Params() []*Param { return nil }
 // OutShape implements Layer.
 func (f *Flatten) OutShape(in []int) []int { return []int{tensor.Volume(in)} }
 
-// ForwardT implements Layer: a reshape, taping the original shape.
-func (f *Flatten) ForwardT(tape *Tape, x *tensor.Tensor, train bool) *tensor.Tensor {
-	checkBatched(f.name, x)
-	tape.push(f, append([]int(nil), x.Shape()...))
-	return x.Reshape(x.Dim(0), -1)
-}
-
-// BackwardT implements Layer.
-func (f *Flatten) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
-	shape := tape.pop(f).([]int)
-	return grad.Reshape(shape...)
-}
-
 // Dropout zeroes a fraction p of activations during training and scales the
 // survivors by 1/(1-p) (inverted dropout); it is the identity at inference.
-// Training-mode randomness comes from the tape's RNG when it carries one
-// (so concurrent training runs draw independent reproducible streams), and
-// from the layer's construction RNG otherwise.
+// Training-mode masks come from the RNG a training pass was given (so
+// concurrent training runs draw independent reproducible streams), and from
+// the layer's construction RNG when it was given none.
 type Dropout struct {
 	name string
 	P    float64
@@ -110,43 +68,3 @@ func (d *Dropout) Params() []*Param { return nil }
 
 // OutShape implements Layer.
 func (d *Dropout) OutShape(in []int) []int { return in }
-
-// ForwardT implements Layer. A nil mask on the tape marks an identity
-// (inference-mode) pass.
-func (d *Dropout) ForwardT(tape *Tape, x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.P == 0 {
-		tape.push(d, (*tensor.Tensor)(nil))
-		return x
-	}
-	rng := tape.rng(d.rng)
-	out := tensor.New(x.Shape()...)
-	mask := tensor.GetScratch(x.Shape()...)
-	md := mask.Data()
-	keep := 1 / (1 - d.P)
-	xd, od := x.Data(), out.Data()
-	for i := range xd {
-		if rng.Float64() < d.P {
-			md[i] = 0
-		} else {
-			md[i] = keep
-			od[i] = xd[i] * keep
-		}
-	}
-	tape.push(d, mask)
-	return out
-}
-
-// BackwardT implements Layer.
-func (d *Dropout) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
-	mask := tape.pop(d).(*tensor.Tensor)
-	if mask == nil { // inference-mode forward: identity
-		return grad
-	}
-	out := tensor.New(grad.Shape()...)
-	gd, od, md := grad.Data(), out.Data(), mask.Data()
-	for i := range gd {
-		od[i] = gd[i] * md[i]
-	}
-	tensor.PutScratch(mask)
-	return out
-}

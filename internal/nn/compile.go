@@ -12,16 +12,18 @@ import (
 	"shredder/internal/tensor"
 )
 
-// This file is the inference compiler: it lowers a (range of a) Sequential
-// into a flat list of dtype-parameterized steps that run without tape,
-// without per-layer dispatch, without allocating, and — where layers
-// compose — fused. Every inference in the repository runs such a plan
-// (core.Split compiles the edge half, the cloud half and the whole net);
-// Sequential.ForwardRangeT is training's forward pass and the oracle the
-// plan is tested against.
+// This file is the compiler every pass runs through: it lowers a (range of
+// a) Sequential into a flat list of dtype-parameterized steps that run
+// without per-layer dispatch, without allocating, and — where layers compose
+// — fused. Every inference in the repository runs such a plan (core.Split
+// compiles the edge half, the cloud half and the whole net), and every
+// training step runs a Float64 plan's training plan (below): noise training
+// and the inversion attack for the gradient with respect to a range's input,
+// pre-training for the gradient with respect to its weights. The tape-based
+// autograd these replaced is kept in the package tests as the oracle they
+// are pinned to (oracle_test.go).
 //
-// Compilation performs two transformations the layer-at-a-time path
-// cannot:
+// Compilation performs two transformations a layer-at-a-time pass cannot:
 //
 //   - Weight binding happens once. Every parameter is converted to the
 //     plan's dtype at compile time and the weights of Conv2D and Linear are
@@ -37,16 +39,16 @@ import (
 //     of the producing step, so the intermediate pre-activation tensor is
 //     never materialized and the extra memory pass disappears.
 //
-// Equality policy: a Float64 plan equals Sequential.ForwardRangeT(nil, …)
+// Equality policy: a Float64 plan equals the oracle's inference forward pass
 // bit for bit, on every zoo network, range and batch size (pinned by
 // TestPlanEqualsOracleBitwise). The plan's convolutions and linear layers
 // run the direct kernel over packed weights (tensor.Packed), scalar or
 // vector, but every accumulator of its leaf belongs to a different output and
-// each output is still summed over p in the legacy kernel's order; bias and
-// ReLU evaluate the layers' own expressions. Training, noise learning and
-// cached-weight reproducibility therefore see the same numbers whichever path
-// computed them. A Float32 plan stays within ~1e-4 of
-// float64 with classification decisions pinned identical.
+// each output is still summed over p in the reference kernel's order; bias
+// and ReLU evaluate the layers' own expressions. Pre-training, noise learning
+// and cached-weight reproducibility therefore see the numbers the oracle
+// computes. A Float32 plan stays within ~1e-4 of float64 with classification
+// decisions pinned identical.
 //
 // Execution: every step treats batch members independently, so a plan runs
 // sample-major — one sample through all steps, then the next — against a
@@ -179,7 +181,7 @@ func (c *CompiledNet) Infer32Into(dst *tensor.Tensor, x *tensor.Tensor32) *tenso
 }
 
 // LabelMatches reports whether a profiler label produced by a compiled plan
-// (or the tape path) refers to the named layer. Fused steps carry labels
+// refers to the named layer. Fused steps carry labels
 // like "conv2+relu2[f32]": the '+'-joined constituent layer names with a
 // dtype suffix.
 func LabelMatches(label, layer string) bool {
@@ -378,8 +380,8 @@ func inferSample[F, In tensor.Float](p *plan[F], ws *workspace[F], l *layout, x 
 // runs inline on the caller's goroutine with no closure built; a batch fans
 // out in chunks, one workspace each. Under a profiler the samples run in
 // sequence so each step reports once per call — its time summed over the
-// batch — through the same attach point the tape path uses, so `shredder
-// profile` sees compiled and tape passes through one interface.
+// batch — through the network's attach point, which a training plan's passes
+// report through too.
 func inferInto[F, In tensor.Float](p *plan[F], out *tensor.Tensor, x []In, shape []int) *tensor.Tensor {
 	if len(shape) < 2 {
 		panic(fmt.Sprintf("nn: compiled plan expects a batched input [N, ...], got shape %v", shape))
@@ -541,8 +543,8 @@ func (st *reluStep[F]) sample(_ *stepLayout, x, y []F, _ *workspace[F]) {
 	}
 }
 
-// maxPoolStep is the window-max sweep, without the argmax routing table the
-// tape path builds for backward.
+// maxPoolStep is the window-max sweep, without an argmax routing table: a
+// training plan's backward finds the maximum again.
 type maxPoolStep[F tensor.Float] struct {
 	lbl string
 	src *MaxPool2D
@@ -580,7 +582,7 @@ func (st *maxPoolStep[F]) sample(sl *stepLayout, x, y []F, _ *workspace[F]) {
 
 // lrnStep is the cross-channel local response normalization sweep. The
 // x^(-β) power runs through math.Pow in float64 at both dtypes — exactly
-// what the tape path does at Float64, and well inside the float32 epsilon
+// what the oracle does at Float64, and well inside the float32 epsilon
 // budget at Float32.
 type lrnStep[F tensor.Float] struct {
 	lbl string
@@ -628,31 +630,39 @@ func (st *flattenStep[F]) resolve(in []int) stepLayout {
 func (st *flattenStep[F]) sample(*stepLayout, []F, []F, *workspace[F]) {}
 
 // What follows is the training plan: the differentiable counterpart of a
-// Float64 inference plan for a range whose weights are frozen. Shredder never
-// updates θ, so a noise-training step — and the inversion attack's — needs
-// the range's forward pass in training mode and ∂loss/∂(its input), nothing
-// else: no weight gradient, and so no activation kept for one.
+// Float64 inference plan. Shredder never updates θ, so a noise-training step —
+// and the inversion attack's — needs the range's forward pass in training
+// mode and ∂loss/∂(its input), nothing else: BackwardInto. Pre-training is
+// the one caller that also asks for ∂loss/∂θ: BackwardParams.
 //
 // Forward runs the inference plan's own steps, unchanged — the same packed
-// weights, the same bits as ForwardRangeT — but each step writes its output
-// to its own slot of a per-sample arena instead of a ping-pong buffer, so the
-// backward pass finds what it needs in a step's input and output: the sign a
-// ReLU gates by (in the fused output), the window a max-pool's maximum came
-// from and an LRN's denominators (recomputed from the input by the forward
-// sweep's own expressions, so the same bits). Dropout is the one step an
-// inference plan does not have, and its mask the one thing kept beside the
-// activations; the masks of the whole batch are drawn serially from the
-// pass's RNG before the samples fan out, in the tape's order (layer by layer,
-// sample-major), so a run's random stream does not depend on the schedule.
+// weights, the same bits as the oracle's training-mode forward pass — but
+// each step writes its output to its own slot of a per-sample arena instead
+// of a ping-pong buffer, so the backward pass finds what it needs in a step's
+// input and output: the sign a ReLU gates by (in the fused output), the
+// window a max-pool's maximum came from and an LRN's denominators (recomputed
+// from the input by the forward sweep's own expressions, so the same bits).
+// Dropout is the one step an inference plan does not have, and its mask the
+// one thing kept beside the activations; the masks of the whole batch are
+// drawn serially from the pass's RNG — or each Dropout's own — before the
+// samples fan out, in the oracle's order (layer by layer, sample-major), so a
+// run's random stream does not depend on the schedule.
 //
-// Backward computes dX only. A convolution's or linear layer's backward-data
-// product runs the direct kernel over the weights packed once transposed
+// Backward. A convolution's or linear layer's backward-data product runs the
+// direct kernel over the weights packed once transposed
 // (tensor.PackTransposed): every column gradient is the leaf's sum over the
 // output channels ascending and overlapping taps are scatter-added in
-// col2im's order, which is Conv2D.BackwardT's association — the input
-// gradient equals BackwardRangeT's on a frozen tape bit for bit, under either
-// leaf (TestTrainPlanEqualsTapeBitwise). Every other step repeats its layer's
-// backward expression on one sample.
+// col2im's order, which is the oracle's association. Every other step
+// repeats its layer's backward expression on one sample. The weight
+// gradients follow the oracle's association too: a convolution's dW of one
+// sample is Gᵀ·cols through MatMulT1's kernel (tensor.ConvBackTaps.WeightGrad)
+// and its db the output gradient summed over positions ascending, both
+// written to the sample's own row as the samples fan out, then added into
+// Param.Grad in sample order; a linear layer's dW is Σ_i g_i ⊗ x_i summed
+// over the samples ascending, a zero of g skipped as matmulT1Rows skips it,
+// then added once, and its db takes every g_i in turn. Outputs, input
+// gradients and weight gradients equal the oracle's bit for bit, under
+// either leaf (TestTrainPlanEqualsTapeBitwise).
 
 // TrainPlan is the training plan of a CompiledNet's layer range. It is
 // immutable and safe for concurrent use: each run works through its own
@@ -671,7 +681,7 @@ type trainStep struct {
 	// fused ReLU gates the gradient first.
 	kT   *tensor.Packed[float64]
 	relu bool
-	drop float64 // Dropout: the probability of a zero
+	drop *Dropout
 }
 
 // TrainPlan compiles the training plan of c's range from the network's
@@ -691,7 +701,7 @@ func (c *CompiledNet) TrainPlan() (*TrainPlan, error) {
 	dropouts := func(to int) {
 		for ; at < to; at++ {
 			if d := layers[at].(*Dropout); d.P > 0 {
-				tp.steps = append(tp.steps, trainStep{label: d.Name() + "[f64]", drop: d.P})
+				tp.steps = append(tp.steps, trainStep{label: d.Name() + "[f64]", drop: d})
 			}
 		}
 	}
@@ -718,6 +728,7 @@ type trainStepLayout struct {
 	x, y int                  // the step's input (−1: the plan's) and output (the last step's: the result row)
 	mask int                  // Dropout
 	back *tensor.ConvBackTaps // convolutions
+	dw   int                  // conv and linear steps: offset of the step's weight gradients in a sample's row
 }
 
 // trainLayout is a training plan's geometry for one per-sample input shape.
@@ -729,6 +740,8 @@ type trainLayout struct {
 	arena         int // one sample's arena, elements
 	grad          int // largest gradient, elements
 	scratch       int // largest kernel scratch, forward or backward
+	dw            int // one sample's row of weight gradients, elements
+	dwScratch     int // largest scratch of a weight gradient
 }
 
 // layoutFor is plan.layoutFor for the training steps.
@@ -768,6 +781,10 @@ func (tp *TrainPlan) layoutFor(sample []int) *trainLayout {
 		case *convStep[float64]:
 			sl.back = sl.taps.Geom.BackTaps(st.src.OutC)
 			sl.scratch = max(sl.scratch, sl.back.Scratch)
+			sl.dw, l.dw = l.dw, l.dw+st.src.W.Value.Len()+st.src.OutC
+			l.dwScratch = max(l.dwScratch, sl.back.WeightScratch)
+		case *linearStep[float64]:
+			sl.dw, l.dw = l.dw, l.dw+st.src.Out // the gated output gradient
 		}
 		l.scratch = max(l.scratch, sl.scratch)
 	}
@@ -781,23 +798,28 @@ func (tp *TrainPlan) layoutFor(sample []int) *trainLayout {
 // flight and the RNG its dropout masks come from. A pass belongs to one
 // goroutine; any number of passes share a plan. Handed result tensors of the
 // right shape, ForwardInto and BackwardInto allocate nothing once the arena
-// has grown to the run's batch size.
+// has grown to the run's batch size; BackwardParams allocates nothing once
+// its weight-gradient rows have.
 type TrainPass struct {
 	tp    *TrainPlan
 	rng   *tensor.RNG
 	l     *trainLayout
 	n     int
-	x, gy []float64 // the batch ForwardInto was given; the gradient BackwardInto was
-	out   []float64 // ForwardInto's result; BackwardInto's
-	dx    []float64
+	x, gy []float64 // the batch ForwardInto was given; the gradient a backward pass was
+	out   []float64 // ForwardInto's result
+	dx    []float64 // BackwardInto's result; nil under BackwardParams
+	dw    []float64 // BackwardParams' weight gradients, one row per sample
+	sum   []float64 // a linear layer's row of dW, summed over the samples
 	arena []float64
 	durs  []time.Duration // per-step wall time, under a profiler
 	// The chunk bodies, built once, so a fan-out builds no closure.
 	forward, backward func(lo, hi int)
 }
 
-// NewPass returns a pass drawing its dropout masks from rng, which may be nil
-// for a range without Dropout.
+// NewPass returns a pass drawing its dropout masks from rng. A nil rng draws
+// each Dropout's masks from the generator the layer was built with, as
+// pre-training does; such passes share those generators, so they must not
+// run at once.
 func (tp *TrainPlan) NewPass(rng *tensor.RNG) *TrainPass {
 	ps := &TrainPass{tp: tp, rng: rng}
 	ps.forward = func(lo, hi int) { ps.chunk(lo, hi, false) }
@@ -806,10 +828,10 @@ func (tp *TrainPlan) NewPass(rng *tensor.RNG) *TrainPass {
 }
 
 // ForwardInto runs the range in training mode on a batch x [N, ...] and
-// returns its output [N, ...] — ForwardRangeT(tape, x, from, to, true), bit
+// returns its output [N, ...] — the oracle's training-mode forward pass, bit
 // for bit — in dst, under InferInto's rule: a nil or wrong-shaped dst is
 // replaced. Neither the result nor x may be written before the matching
-// BackwardInto has returned: the backward pass reads both.
+// backward pass has returned: it reads both.
 func (ps *TrainPass) ForwardInto(dst, x *tensor.Tensor) *tensor.Tensor {
 	shape := x.Shape()
 	if len(shape) < 2 {
@@ -821,15 +843,18 @@ func (ps *TrainPass) ForwardInto(dst, x *tensor.Tensor) *tensor.Tensor {
 	dst = fitResult(dst, ps.n, l.out)
 	ps.out = dst.Data()
 	for k, ts := range ps.tp.steps {
-		if ts.st != nil {
+		if ts.drop == nil {
 			continue
 		}
-		sl, keep := &l.steps[k], 1/(1-ts.drop)
+		sl, keep, rng := &l.steps[k], 1/(1-ts.drop.P), ps.rng
+		if rng == nil {
+			rng = ts.drop.rng
+		}
 		for i := 0; i < ps.n; i++ {
 			mask := ps.arena[i*l.arena+sl.mask:][:sl.outVol]
 			for j := range mask {
 				mask[j] = keep
-				if ps.rng.Float64() < ts.drop {
+				if rng.Float64() < ts.drop.P {
 					mask[j] = 0
 				}
 			}
@@ -841,21 +866,42 @@ func (ps *TrainPass) ForwardInto(dst, x *tensor.Tensor) *tensor.Tensor {
 
 // BackwardInto propagates grad, the gradient of a loss with respect to the
 // last ForwardInto's result, and returns the gradient with respect to that
-// call's input — BackwardRangeT on a frozen tape, bit for bit — in dst, under
-// the same rule. grad is only read.
+// call's input — the oracle's on a frozen tape, bit for bit — in dst, under
+// the same rule. grad is only read. The weights' gradients are neither
+// computed nor written: this is the pass of a run against frozen weights.
 func (ps *TrainPass) BackwardInto(dst, grad *tensor.Tensor) *tensor.Tensor {
-	if ps.l == nil || grad.Len() != ps.n*ps.l.outVol {
-		panic(fmt.Sprintf("nn: training plan got gradient %v, which no forward pass's output matches", grad.Shape()))
-	}
+	ps.check(grad)
 	dst = fitResult(dst, ps.n, ps.l.in)
 	ps.gy, ps.dx = grad.Data(), dst.Data()
 	ps.run(ps.backward, true)
 	return dst
 }
 
+// BackwardParams propagates grad like BackwardInto and adds the gradient with
+// respect to every weight of the range into its Param.Grad — what the
+// oracle's recording tape adds, bit for bit: a convolution's
+// per-sample gradients in sample order, a linear layer's summed over the
+// samples first. It computes no gradient with respect to the input. The
+// plan's packed weights are those it was compiled from: after a step that
+// changes the weights, compile again.
+func (ps *TrainPass) BackwardParams(grad *tensor.Tensor) {
+	ps.check(grad)
+	ps.gy, ps.dx = grad.Data(), nil
+	ps.dw = grow(ps.dw, ps.n*ps.l.dw)
+	ps.run(ps.backward, true)
+	ps.addGrads()
+}
+
+// check panics unless grad matches the last forward pass's output.
+func (ps *TrainPass) check(grad *tensor.Tensor) {
+	if ps.l == nil || grad.Len() != ps.n*ps.l.outVol {
+		panic(fmt.Sprintf("nn: training plan got gradient %v, which no forward pass's output matches", grad.Shape()))
+	}
+}
+
 // run fans a chunk body out over the batch. Under a profiler the samples run
 // in sequence and every step reports once, its time summed over the batch,
-// through the attach point the inference plan and the tape use.
+// through the attach point the inference plan uses.
 func (ps *TrainPass) run(body func(lo, hi int), backward bool) {
 	prof := ps.tp.p.src.activeProfiler()
 	if prof == nil {
@@ -878,17 +924,76 @@ func (ps *TrainPass) run(body func(lo, hi int), backward bool) {
 // inference plan's pool, whose activation buffers carry the gradients.
 func (ps *TrainPass) chunk(lo, hi int, backward bool) {
 	l, p := ps.l, ps.tp.p
-	ws := p.workspaceFor(l.grad, l.scratch)
+	scratch := l.scratch
+	if backward && ps.dx == nil {
+		scratch = max(scratch, l.dwScratch)
+	}
+	ws := p.workspaceFor(l.grad, scratch)
 	for i := lo; i < hi; i++ {
 		x, out := ps.x[i*l.inVol:(i+1)*l.inVol], ps.out[i*l.outVol:(i+1)*l.outVol]
 		arena := ps.arena[i*l.arena : (i+1)*l.arena]
-		if backward {
-			ps.tp.backwardSample(l, ws, x, out, arena, ps.gy[i*l.outVol:(i+1)*l.outVol], ps.dx[i*l.inVol:(i+1)*l.inVol], ps.durs)
-		} else {
+		switch {
+		case !backward:
 			ps.tp.forwardSample(l, ws, x, out, arena, ps.durs)
+		case ps.dx != nil:
+			ps.tp.backwardSample(l, ws, x, out, arena, ps.gy[i*l.outVol:(i+1)*l.outVol], ps.dx[i*l.inVol:(i+1)*l.inVol], nil, ps.durs)
+		default:
+			ps.tp.backwardSample(l, ws, x, out, arena, ps.gy[i*l.outVol:(i+1)*l.outVol], nil, ps.dw[i*l.dw:(i+1)*l.dw], ps.durs)
 		}
 	}
 	p.pool.Put(ws)
+}
+
+// addGrads adds the weight gradients of BackwardParams' rows into the
+// parameters, as the oracle does: a convolution's row of each sample in sample
+// order; for a linear layer, dW = Σ g_i ⊗ x_i over the samples ascending, a
+// zero of g skipped as matmulT1Rows skips it, is added once, and its bias takes
+// every g_i in turn.
+func (ps *TrainPass) addGrads() {
+	l := ps.l
+	for k, ts := range ps.tp.steps {
+		sl := &l.steps[k]
+		switch st := ts.st.(type) {
+		case *convStep[float64]:
+			dw, db := st.src.W.Grad.Data(), st.src.B.Grad.Data()
+			for i := 0; i < ps.n; i++ {
+				row := ps.dw[i*l.dw+sl.dw:][:len(dw)+len(db)]
+				for j, v := range row[:len(dw)] {
+					dw[j] += v
+				}
+				for j, v := range row[len(dw):] {
+					db[j] += v
+				}
+			}
+		case *linearStep[float64]:
+			in, out := sl.inVol, sl.outVol
+			dw, db := st.src.W.Grad.Data(), st.src.B.Grad.Data()
+			ps.sum = grow(ps.sum, in)
+			sum := ps.sum[:in]
+			for o := 0; o < out; o++ {
+				clear(sum)
+				for i := 0; i < ps.n; i++ {
+					g := ps.dw[i*l.dw+sl.dw+o]
+					if g == 0 {
+						continue
+					}
+					x := ps.x[i*l.inVol:]
+					if sl.x >= 0 {
+						x = ps.arena[i*l.arena+sl.x:]
+					}
+					for j, v := range x[:in] {
+						sum[j] += g * v
+					}
+				}
+				for j, v := range sum {
+					dw[o*in+j] += v
+				}
+				for i := 0; i < ps.n; i++ {
+					db[o] += ps.dw[i*l.dw+sl.dw+o]
+				}
+			}
+		}
+	}
 }
 
 // forwardSample runs one sample x through every step, each output to its
@@ -930,8 +1035,10 @@ func (tp *TrainPlan) forwardSample(l *trainLayout, ws *workspace[float64], x, ou
 
 // backwardSample walks one sample's steps in reverse from the output gradient
 // gy to dx. The gradient in flight lives in the workspace's two activation
-// buffers, so a step may gate it in place.
-func (tp *TrainPlan) backwardSample(l *trainLayout, ws *workspace[float64], x, out, arena, gy, dx []float64, durs []time.Duration) {
+// buffers, so a step may gate it in place. With a row dw, a convolution or
+// linear layer first writes its weight gradients there, and a nil dx stops
+// the walk short of the input gradient.
+func (tp *TrainPlan) backwardSample(l *trainLayout, ws *workspace[float64], x, out, arena, gy, dx, dw []float64, durs []time.Duration) {
 	if l.last < 0 {
 		copy(dx, gy)
 		return
@@ -962,23 +1069,34 @@ func (tp *TrainPlan) backwardSample(l *trainLayout, ws *workspace[float64], x, o
 		if ts.relu {
 			reluBackward(g, g, y)
 		}
-		switch st := ts.st.(type) {
-		case nil:
-			for j, m := range arena[sl.mask : sl.mask+sl.outVol] {
-				gx[j] = g[j] * m
+		if dw != nil {
+			switch st := ts.st.(type) {
+			case *convStep[float64]:
+				n := st.src.W.Value.Len()
+				sl.back.WeightGrad(dw[sl.dw:sl.dw+n], dw[sl.dw+n:sl.dw+n+st.src.OutC], g, in, ws.scratch)
+			case *linearStep[float64]:
+				copy(dw[sl.dw:sl.dw+sl.outVol], g)
 			}
-		case *convStep[float64]:
-			ts.kT.ConvBackward(gx, g, ws.scratch, sl.back)
-		case *linearStep[float64]:
-			ts.kT.Linear(gx, g, ws.scratch)
-		case *reluStep[float64]:
-			reluBackward(gx, g, y)
-		case *maxPoolStep[float64]:
-			st.backward(&sl.stepLayout, in, g, gx)
-		case *lrnStep[float64]:
-			st.backward(&sl.stepLayout, in, g, gx, ws.scratch)
-		default:
-			panic(fmt.Sprintf("nn: training plan has no backward for %s", ts.label))
+		}
+		if gx != nil {
+			switch st := ts.st.(type) {
+			case nil:
+				for j, m := range arena[sl.mask : sl.mask+sl.outVol] {
+					gx[j] = g[j] * m
+				}
+			case *convStep[float64]:
+				ts.kT.ConvBackward(gx, g, ws.scratch, sl.back)
+			case *linearStep[float64]:
+				ts.kT.Linear(gx, g, ws.scratch)
+			case *reluStep[float64]:
+				reluBackward(gx, g, y)
+			case *maxPoolStep[float64]:
+				st.backward(&sl.stepLayout, in, g, gx)
+			case *lrnStep[float64]:
+				st.backward(&sl.stepLayout, in, g, gx, ws.scratch)
+			default:
+				panic(fmt.Sprintf("nn: training plan has no backward for %s", ts.label))
+			}
 		}
 		if durs != nil {
 			durs[k] += time.Since(t0)
@@ -987,7 +1105,7 @@ func (tp *TrainPlan) backwardSample(l *trainLayout, ws *workspace[float64], x, o
 	}
 }
 
-// reluBackward is ReLU.BackwardT: gx = g where the forward output y is
+// reluBackward is ReLU's backward pass: gx = g where the forward output y is
 // positive, +0 elsewhere. gx may be g.
 func reluBackward(gx, g, y []float64) {
 	for j, v := range y {
@@ -999,7 +1117,7 @@ func reluBackward(gx, g, y []float64) {
 	}
 }
 
-// backward is MaxPool2D.BackwardT on one sample: every output's gradient is
+// backward is MaxPool2D's backward pass on one sample: every output's gradient is
 // added to the input element its maximum came from — found again as the
 // forward sweep found it, the first of the window's largest — outputs
 // ascending.
@@ -1027,7 +1145,8 @@ func (st *maxPoolStep[F]) backward(sl *stepLayout, x, g, gx []F) {
 	}
 }
 
-// backward is LocalResponseNorm.BackwardT on one sample, x the step's input.
+// backward is LocalResponseNorm's backward pass on one sample, x the step's
+// input.
 // Per position it recomputes each channel's denominator base s by the forward
 // sweep's expression, then the cross term's factor t_c = g_c·x_c·s_c^(−β−1)
 // once per channel — the layer recomputes it for every window it falls in —

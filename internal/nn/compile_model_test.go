@@ -23,7 +23,7 @@ func zooInput(spec model.Spec, batch int) (*nn.Sequential, *tensor.Tensor) {
 	return net, x
 }
 
-func mustCompile(t *testing.T, net *nn.Sequential, from, to int, dt nn.Dtype) *nn.CompiledNet {
+func mustCompile(t testing.TB, net *nn.Sequential, from, to int, dt nn.Dtype) *nn.CompiledNet {
 	t.Helper()
 	cn, err := nn.CompileRange(net, from, to, dt)
 	if err != nil {

@@ -1,26 +1,52 @@
 package nn_test
 
 import (
-	"fmt"
 	"testing"
 
 	"shredder/internal/model"
 	"shredder/internal/nn"
+	"shredder/internal/optim"
 	"shredder/internal/race"
 	"shredder/internal/tensor"
 )
 
-// trainStepWant is one step of a training plan's oracle.
-type trainStepWant struct{ x, y, grad, dx *tensor.Tensor }
+// trainStepWant is one step of a training plan's oracle: the input, the
+// output, the output gradient drawn, the input gradient, and every parameter
+// gradient of the range after the step added to a drawn starting value.
+type trainStepWant struct {
+	x, y, grad, dx *tensor.Tensor
+	dw             []*tensor.Tensor
+}
+
+// rangeParams returns the parameters of layers [from, to).
+func rangeParams(net *nn.Sequential, from, to int) []*nn.Param {
+	var ps []*nn.Param
+	for _, l := range net.Layers()[from:to] {
+		ps = append(ps, l.Params()...)
+	}
+	return ps
+}
+
+// drawGrads fills every gradient of ps with draws from a generator seeded
+// with seed: a backward pass adds to what is there, so what it adds to is
+// pinned too.
+func drawGrads(ps []*nn.Param, seed int64) {
+	rng := tensor.NewRNG(seed)
+	for _, p := range ps {
+		rng.FillNormal(p.Grad, 0, 1)
+	}
+}
 
 // tapeSteps is the oracle of a training plan: for each batch size in turn,
 // ForwardRangeT in training mode and BackwardRangeT of a drawn gradient on
-// one frozen tape, whose dropout stream starts at seed and runs on from step
-// to step as a run's does.
+// one recording tape, whose dropout stream starts at seed and runs on from
+// step to step as a run's does. Its input gradient is the frozen tape's: the
+// tape computes it the same way whether or not it adds weight gradients.
 func tapeSteps(net *nn.Sequential, in []int, from, to int, seed int64, batches []int) []trainStepWant {
-	tape := nn.NewFrozenTape()
+	tape := nn.NewTape()
 	tape.RNG = tensor.NewRNG(seed)
 	rng := tensor.NewRNG(seed + 1)
+	params := rangeParams(net, from, to)
 	steps := make([]trainStepWant, len(batches))
 	for i, batch := range batches {
 		w := &steps[i]
@@ -28,20 +54,27 @@ func tapeSteps(net *nn.Sequential, in []int, from, to int, seed int64, batches [
 		tape.Reset()
 		w.y = net.ForwardRangeT(tape, w.x, from, to, true)
 		w.grad = rng.FillNormal(tensor.New(w.y.Shape()...), 0, 1)
+		drawGrads(params, seed+int64(i))
 		w.dx = net.BackwardRangeT(tape, w.grad, from, to)
+		for _, p := range params {
+			w.dw = append(w.dw, p.Grad.Clone())
+		}
 	}
 	return steps
 }
 
 // TestTrainPlanEqualsTapeBitwise: for every zoo network, every cut the
 // registry names and batch sizes 1, 3 and 32, the training plan of the local
-// range (the inversion attack's) and of the remote range (noise training's)
-// gives the frozen tape's training-mode output and input gradient bit for
-// bit, under the vector leaf and under the Go one — Dropout masks, drawn
-// before the samples fan out, included (cifar, alexnet). The steps of a range
-// go through one pass, so its reuse across batch sizes is pinned too. Under
-// the race detector, which is after the fan-out and not the arithmetic, the
-// 32-sample step is left out: the tape's side of it takes minutes there.
+// range (the inversion attack's), of the remote range (noise training's) and
+// of the whole network (pre-training's) gives the tape's training-mode
+// output, input gradient and weight gradients bit for bit, under the vector
+// leaf and under the Go one — Dropout masks, drawn before the samples fan
+// out, included (cifar, alexnet). BackwardInto leaves every weight gradient
+// as it was; BackwardParams adds to each what the recording tape adds. The
+// steps of a range go through one pass, so its reuse across batch sizes is
+// pinned too. Under the race detector, which is after the fan-out and not the
+// arithmetic, the 32-sample step is left out: the tape's side of it takes
+// minutes there.
 func TestTrainPlanEqualsTapeBitwise(t *testing.T) {
 	batches := []int{3, 1, 32, 3}
 	if race.Enabled {
@@ -49,28 +82,37 @@ func TestTrainPlanEqualsTapeBitwise(t *testing.T) {
 	}
 	for _, spec := range model.All() {
 		t.Run(spec.Name, func(t *testing.T) {
-			oracle := map[string][]trainStepWant{} // the tape does not run the leaf
+			oracle := map[[2]int][]trainStepWant{} // the tape does not run the leaf
 			nn.UnderEachLeaf(t, func(t *testing.T) {
 				net, _ := zooInput(spec, 1)
+				ranges := [][2]int{{0, net.Len()}}
 				for _, cp := range spec.CutPoints {
 					cut := net.Index(cp.Layer) + 1
-					for _, r := range [][2]int{{0, cut}, {cut, net.Len()}} {
-						const seed = 51
-						key := fmt.Sprint(cp.Name, r)
-						if oracle[key] == nil {
-							oracle[key] = tapeSteps(net, net.OutShapeAt(spec.Dataset.SampleShape(), r[0]), r[0], r[1], seed, batches)
+					ranges = append(ranges, [2]int{0, cut}, [2]int{cut, net.Len()})
+				}
+				for _, r := range ranges {
+					const seed = 51
+					if oracle[r] == nil {
+						oracle[r] = tapeSteps(net, net.OutShapeAt(spec.Dataset.SampleShape(), r[0]), r[0], r[1], seed, batches)
+					}
+					tp, err := mustCompile(t, net, r[0], r[1], nn.Float64).TrainPlan()
+					if err != nil {
+						t.Fatal(err)
+					}
+					params := rangeParams(net, r[0], r[1])
+					pass := tp.NewPass(tensor.NewRNG(seed))
+					for i, w := range oracle[r] {
+						if y := pass.ForwardInto(nil, w.x); !tensor.BitEqual(y, w.y) {
+							t.Fatalf("layers %v step %d (batch %d): output differs from the tape's", r, i, batches[i])
 						}
-						tp, err := mustCompile(t, net, r[0], r[1], nn.Float64).TrainPlan()
-						if err != nil {
-							t.Fatal(err)
+						drawGrads(params, seed+int64(i))
+						if dx := pass.BackwardInto(nil, w.grad); !tensor.BitEqual(dx, w.dx) {
+							t.Fatalf("layers %v step %d (batch %d): input gradient differs from the tape's", r, i, batches[i])
 						}
-						pass := tp.NewPass(tensor.NewRNG(seed))
-						for i, w := range oracle[key] {
-							if y := pass.ForwardInto(nil, w.x); !tensor.BitEqual(y, w.y) {
-								t.Fatalf("cut %s layers %v step %d (batch %d): output differs from the tape's", cp.Name, r, i, batches[i])
-							}
-							if dx := pass.BackwardInto(nil, w.grad); !tensor.BitEqual(dx, w.dx) {
-								t.Fatalf("cut %s layers %v step %d (batch %d): input gradient differs from the tape's", cp.Name, r, i, batches[i])
+						pass.BackwardParams(w.grad)
+						for j, p := range params {
+							if !tensor.BitEqual(p.Grad, w.dw[j]) {
+								t.Fatalf("layers %v step %d (batch %d): %s gradient differs from the tape's", r, i, batches[i], p.Name)
 							}
 						}
 					}
@@ -90,5 +132,44 @@ func TestTrainPlanRefusals(t *testing.T) {
 	)
 	if _, err := mustCompile(t, net, 2, 3, nn.Float32).TrainPlan(); err == nil {
 		t.Error("a float32 plan handed out a training plan")
+	}
+}
+
+// BenchmarkPretrainStep times one 32-sample pre-training step — forward,
+// cross-entropy, every weight gradient, an Adam step — on the recording tape
+// and as model.Train runs it, on a training plan compiled for the step, at
+// LeNet and the CIFAR network.
+func BenchmarkPretrainStep(b *testing.B) {
+	for _, spec := range []model.Spec{model.LeNet(), model.CifarNet()} {
+		ds := spec.Dataset.Generate(32, 1)
+		b.Run(spec.Name+"/oracle", func(b *testing.B) {
+			net := spec.Build(tensor.NewRNG(1))
+			opt := optim.NewAdam(net.Params(), 1e-3)
+			tape := nn.NewTape()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				net.ZeroGrad()
+				tape.Reset()
+				_, grad := nn.CrossEntropy(net.ForwardT(tape, ds.Images, true), ds.Labels)
+				net.BackwardT(tape, grad)
+				opt.Step()
+			}
+		})
+		b.Run(spec.Name+"/plan", func(b *testing.B) {
+			net := spec.Build(tensor.NewRNG(1))
+			opt := optim.NewAdam(net.Params(), 1e-3)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tp, err := mustCompile(b, net, 0, net.Len(), nn.Float64).TrainPlan()
+				if err != nil {
+					b.Fatal(err)
+				}
+				pass := tp.NewPass(nil)
+				net.ZeroGrad()
+				_, grad := nn.CrossEntropy(pass.ForwardInto(nil, ds.Images), ds.Labels)
+				pass.BackwardParams(grad)
+				opt.Step()
+			}
+		})
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Dtype selects the element type a compiled inference plan runs on. Float64
-// is the reference precision everything else in the system uses (training,
-// noise learning, the tape-based autograd); Float32 is the reduced-precision
+// is the reference precision everything else in the system uses (training
+// plans: pre-training, noise learning); Float32 is the reduced-precision
 // inference dtype: half the memory traffic per element, with activations
 // within a documented epsilon of the float64 path and identical
 // classification decisions (see DESIGN.md §5f).
@@ -16,8 +16,8 @@ type Dtype int
 const (
 	// Float64 runs the compiled plan at reference precision — the default
 	// (zero value) everywhere a dtype is optional. Its outputs are bitwise
-	// identical to the tape path's forward pass, Sequential.ForwardRangeT
-	// (see the equality policy in compile.go).
+	// identical to a training plan's forward pass in inference mode (see the
+	// equality policy in compile.go).
 	Float64 Dtype = iota
 	// Float32 runs the compiled plan at reduced precision: weights are
 	// converted once at compile time and every intermediate buffer holds

@@ -12,7 +12,7 @@ import (
 // gradient is BackwardT(w), and checks both the input gradient and every
 // parameter gradient. A frozen tape must give the same input gradient
 // bitwise and leave every parameter gradient untouched.
-func gradCheckLayer(t *testing.T, l Layer, x *tensor.Tensor, eps, tol float64, seed int64) {
+func gradCheckLayer(t *testing.T, l tapeLayer, x *tensor.Tensor, eps, tol float64, seed int64) {
 	t.Helper()
 	rng := tensor.NewRNG(seed)
 
@@ -250,6 +250,68 @@ func TestSequentialGradCheck(t *testing.T) {
 			num := (lp - lm) / (2 * eps)
 			if math.Abs(num-p.Grad.Data()[i]) > 1e-4*math.Max(1, math.Abs(num)) {
 				t.Fatalf("param %s grad[%d]: analytic %v vs numeric %v", p.Name, i, p.Grad.Data()[i], num)
+			}
+		}
+	}
+}
+
+// TestTrainPlanWeightGradCheck: the weight and bias gradients a training
+// plan's BackwardParams adds — the ones pre-training steps on — match central
+// finite differences of the loss, every element of every parameter, through a
+// net with each kind of step between its weights: padded and unpadded
+// convolutions, fused and standalone ReLU, LRN, max pooling, a flatten and
+// two linear layers.
+func TestTrainPlanWeightGradCheck(t *testing.T) {
+	rng := tensor.NewRNG(112)
+	net := NewSequential("tiny",
+		NewConv2D("conv0", 2, 3, 3, 3, 1, 1, rng), // 3×6×6
+		NewReLU("relu0"),
+		NewLocalResponseNorm("lrn0", 3, 2, 0.5, 0.75),
+		NewMaxPool2D("pool0", 2, 2),               // 3×3×3
+		NewConv2D("conv1", 3, 4, 2, 2, 1, 0, rng), // 4×2×2
+		NewReLU("relu1"),
+		NewFlatten("flat"),
+		NewLinear("fc0", 16, 5, rng),
+		NewReLU("relu2"),
+		NewLinear("fc1", 5, 3, rng),
+	)
+	x := rng.FillNormal(tensor.New(2, 2, 6, 6), 0, 1)
+	labels := []int{2, 0}
+	compile := func() *CompiledNet {
+		plan, err := Compile(net, Float64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	// A plan is a snapshot of the weights: every probe compiles its own.
+	lossOf := func() float64 {
+		loss, _ := CrossEntropy(compile().Infer(x), labels)
+		return loss
+	}
+
+	tp, err := compile().TrainPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := tp.NewPass(nil)
+	_, grad := CrossEntropy(pass.ForwardInto(nil, x), labels)
+	net.ZeroGrad()
+	pass.BackwardParams(grad)
+
+	const eps = 1e-5
+	for _, p := range net.Params() {
+		pd := p.Value.Data()
+		for i := range pd {
+			orig := pd[i]
+			pd[i] = orig + eps
+			lp := lossOf()
+			pd[i] = orig - eps
+			lm := lossOf()
+			pd[i] = orig
+			num := (lp - lm) / (2 * eps)
+			if ana := p.Grad.Data()[i]; math.Abs(num-ana) > 1e-5*math.Max(1, math.Abs(num)) {
+				t.Fatalf("param %s grad[%d]: analytic %v vs numeric %v", p.Name, i, ana, num)
 			}
 		}
 	}

@@ -17,14 +17,14 @@ import (
 // input, paired with the input each expects.
 func inferCases(rng *tensor.RNG) []struct {
 	name  string
-	layer Layer
+	layer tapeLayer
 	x     *tensor.Tensor
 } {
 	img := rng.FillNormal(tensor.New(2, 3, 8, 8), 0, 1)
 	flat := rng.FillNormal(tensor.New(2, 192), 0, 1)
 	return []struct {
 		name  string
-		layer Layer
+		layer tapeLayer
 		x     *tensor.Tensor
 	}{
 		{"conv", NewConv2D("conv", 3, 4, 3, 3, 1, 1, rng), img},

@@ -1,31 +1,29 @@
 // Package nn implements the neural-network substrate of the Shredder
-// reproduction: layers with exact analytic forward and backward passes
-// (convolution, linear, ReLU, pooling, dropout, local response
-// normalization), a Sequential container, softmax cross-entropy loss,
-// weight initialization, and checkpoint I/O.
+// reproduction: the layers (convolution, linear, ReLU, max pooling, dropout,
+// local response normalization), a Sequential container, softmax
+// cross-entropy loss, weight initialization, checkpoint I/O, and the compiler
+// every pass runs through.
 //
-// Execution is tape-based: a forward pass records the state its backward
-// pass needs on an explicit per-call Tape instead of on the layer structs,
-// so one shared network supports any number of concurrent forward and
-// forward/backward passes (one Tape per in-flight pass). A nil tape is the
-// inference path; a FrozenParams tape skips parameter gradients for
-// training against a frozen network — Shredder's only training mode.
+// A layer is a description — its name, its parameters, its shape rule — and
+// nothing executes on it directly. Compile lowers a range of a network into
+// an inference plan (compile.go); a Float64 plan's TrainPlan is its
+// differentiable counterpart, whose passes give the gradient with respect to
+// the range's input and, on request, with respect to its weights. Both are
+// immutable once built, so one shared network serves any number of
+// concurrent passes, each in its own workspace.
 //
-// Every layer computes gradients with respect to both its parameters and its
-// input. The input gradient is what makes Shredder possible: the noise
-// tensor is trained purely through ∂loss/∂(input of the remote network),
-// exactly as derived in §2.1 of the paper. All backward passes are verified
-// against central finite differences in the package tests.
+// Shredder trains its noise against frozen weights: a noise-training or
+// inversion step asks only for ∂loss/∂(input of the range), which is what
+// makes Shredder possible — the noise tensor is trained purely through it,
+// exactly as derived in §2.1 of the paper. Pre-training is the one caller
+// that asks for the weight gradients too. Both are verified against central
+// finite differences in the package tests.
 //
-// Tensors flow through layers in batched form: [N, C, H, W] for spatial
-// layers and [N, D] for dense layers, where N is the batch size.
+// Tensors enter a plan in batched form: [N, C, H, W] for spatial layers and
+// [N, D] for dense layers, where N is the batch size.
 package nn
 
-import (
-	"fmt"
-
-	"shredder/internal/tensor"
-)
+import "shredder/internal/tensor"
 
 // Param is a trainable parameter: a value tensor and its accumulated
 // gradient. Optimizers update Value from Grad and zero Grad between steps.
@@ -43,27 +41,11 @@ func NewParam(name string, value *tensor.Tensor) *Param {
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// Layer is one differentiable stage of a network.
-//
-// ForwardT and BackwardT are the primary execution surface: all
-// intermediate state flows through the explicit *Tape, so a shared layer
-// supports any number of concurrent in-flight passes (one tape per pass).
-// ForwardT with a nil tape is the reentrant inference path — it records
-// nothing and is safe for unbounded concurrent use. BackwardT consumes the
-// tape entry its matching ForwardT pushed, returns ∂loss/∂input, and
-// accumulates parameter gradients unless the tape is in FrozenParams mode.
+// Layer is one stage of a network: what the compiler lowers.
 type Layer interface {
 	// Name identifies the layer within a model (e.g. "conv2"); cutting
 	// points are addressed by layer name.
 	Name() string
-	// ForwardT computes the layer output for a batch, recording backward
-	// state on tape. A nil tape discards the state (inference mode); any
-	// number of goroutines may run nil-tape ForwardT on a shared layer.
-	ForwardT(tape *Tape, x *tensor.Tensor, train bool) *tensor.Tensor
-	// BackwardT consumes ∂loss/∂output of the matching ForwardT on tape
-	// and returns ∂loss/∂input, accumulating parameter gradients unless
-	// tape.FrozenParams is set.
-	BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's trainable parameters (nil if none).
 	Params() []*Param
 	// OutShape maps a per-sample input shape (without the batch dim) to the
@@ -80,11 +62,4 @@ func ParamCount(layers []Layer) int {
 		}
 	}
 	return n
-}
-
-// checkBatched panics unless x has at least rank 2 ([N, ...]).
-func checkBatched(layer string, x *tensor.Tensor) {
-	if x.Rank() < 2 {
-		panic(fmt.Sprintf("nn: %s expects batched input [N,...], got shape %v", layer, x.Shape()))
-	}
 }

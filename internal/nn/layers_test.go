@@ -308,7 +308,7 @@ func TestParamCountAndZeroGrad(t *testing.T) {
 }
 
 func TestBackwardBeforeForwardPanics(t *testing.T) {
-	for _, l := range []Layer{
+	for _, l := range []tapeLayer{
 		NewReLU("r"), NewMaxPool2D("p", 2, 2),
 		NewFlatten("f"), NewLocalResponseNorm("l", 3, 1, 1, 0.5),
 	} {

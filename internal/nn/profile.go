@@ -7,11 +7,13 @@ import "time"
 // profiler that feeds registry histograms, and nn stays free of any
 // observability dependency (the coupling is structural, like io.Writer).
 //
-// ObserveLayer is called once per layer per ForwardRangeT/BackwardRangeT
-// step with the layer's name, direction, wall time, and the size in bytes
-// of the scratch tensor the step produced (the layer's output for forward,
-// the propagated gradient for backward). Implementations must be safe for
-// concurrent use: a shared network may run many passes in flight.
+// ObserveLayer is called once per step of a compiled plan per pass — an
+// inference plan's Infer, a training pass's forward or backward — with the
+// step's label (its layer names, '+'-joined where fused, and its dtype: see
+// LabelMatches), the direction, the step's wall time summed over the batch,
+// and the size in bytes of the scratch tensor it produced (its output for
+// forward, the propagated gradient for backward). Implementations must be
+// safe for concurrent use: a shared network may run many passes in flight.
 type Profiler interface {
 	ObserveLayer(layer string, backward bool, d time.Duration, scratchBytes int64)
 }

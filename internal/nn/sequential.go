@@ -3,9 +3,6 @@ package nn
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
-
-	"shredder/internal/tensor"
 )
 
 // Sequential is an ordered stack of layers forming a feed-forward network.
@@ -60,10 +57,10 @@ func (s *Sequential) Index(name string) int {
 }
 
 // SetProfiler installs (or, with nil, removes) a network-level profiler.
-// Every subsequent ForwardRangeT/BackwardRangeT pass and every compiled
-// plan's Infer and training pass reports per-layer wall time and scratch
-// bytes to it. Attaching is safe while other goroutines are mid-pass: they
-// see the old value until their next range call.
+// Every subsequent pass of a plan compiled from the network — an Infer, a
+// training pass's forward or backward — reports per-step wall time and
+// scratch bytes to it. Attaching is safe while other goroutines are
+// mid-pass: they see the old value from their next pass on.
 func (s *Sequential) SetProfiler(p Profiler) {
 	if p == nil {
 		s.prof.Store(nil)
@@ -98,67 +95,6 @@ func (s *Sequential) ZeroGrad() {
 	for _, p := range s.Params() {
 		p.ZeroGrad()
 	}
-}
-
-// ForwardT runs the full network on a batch, recording backward state on
-// tape. With a nil tape nothing is recorded and any number of goroutines may
-// run it concurrently over one shared network: that form is the oracle the
-// compiled inference plans (compile.go) are tested against, bit for bit.
-// Serving code does not call it — every inference runs a plan.
-func (s *Sequential) ForwardT(tape *Tape, x *tensor.Tensor, train bool) *tensor.Tensor {
-	return s.ForwardRangeT(tape, x, 0, len(s.layers), train)
-}
-
-// ForwardRangeT runs layers [from, to) on a batch, recording backward state
-// on tape. It is how split execution runs the local part L (layers
-// [0,cut)) and remote part R (layers [cut, len)) — each in-flight pass
-// carries its own tape, so one shared network serves many concurrent
-// forward (and forward/backward) passes.
-func (s *Sequential) ForwardRangeT(tape *Tape, x *tensor.Tensor, from, to int, train bool) *tensor.Tensor {
-	if from < 0 || to > len(s.layers) || from > to {
-		panic(fmt.Sprintf("nn: ForwardRangeT [%d,%d) out of bounds for %d layers", from, to, len(s.layers)))
-	}
-	if p := s.activeProfiler(); p != nil {
-		for _, l := range s.layers[from:to] {
-			t0 := time.Now()
-			x = l.ForwardT(tape, x, train)
-			p.ObserveLayer(l.Name(), false, time.Since(t0), int64(x.Len())*8)
-		}
-		return x
-	}
-	for _, l := range s.layers[from:to] {
-		x = l.ForwardT(tape, x, train)
-	}
-	return x
-}
-
-// BackwardT propagates the output gradient through the whole network in
-// reverse, consuming the tape, and returns the input gradient.
-func (s *Sequential) BackwardT(tape *Tape, grad *tensor.Tensor) *tensor.Tensor {
-	return s.BackwardRangeT(tape, grad, 0, len(s.layers))
-}
-
-// BackwardRangeT propagates the gradient through layers [from, to) in
-// reverse, consuming the matching ForwardRangeT's tape entries, and returns
-// ∂loss/∂(input of layer from). Shredder's noise training backpropagates
-// over the remote part only: the returned gradient with respect to R's
-// input *is* ∂loss/∂n, since a' = a + n.
-func (s *Sequential) BackwardRangeT(tape *Tape, grad *tensor.Tensor, from, to int) *tensor.Tensor {
-	if from < 0 || to > len(s.layers) || from > to {
-		panic(fmt.Sprintf("nn: BackwardRangeT [%d,%d) out of bounds for %d layers", from, to, len(s.layers)))
-	}
-	if p := s.activeProfiler(); p != nil {
-		for i := to - 1; i >= from; i-- {
-			t0 := time.Now()
-			grad = s.layers[i].BackwardT(tape, grad)
-			p.ObserveLayer(s.layers[i].Name(), true, time.Since(t0), int64(grad.Len())*8)
-		}
-		return grad
-	}
-	for i := to - 1; i >= from; i-- {
-		grad = s.layers[i].BackwardT(tape, grad)
-	}
-	return grad
 }
 
 // OutShape threads a per-sample input shape through every layer and

@@ -19,7 +19,7 @@ import (
 // starts from an identical, independent instance.
 type tapeCase struct {
 	name  string
-	build func() Layer
+	build func() tapeLayer
 	x     *tensor.Tensor
 }
 
@@ -28,13 +28,13 @@ func tapeCases() []tapeCase {
 	img := rng.FillNormal(tensor.New(2, 3, 8, 8), 0, 1)
 	flat := rng.FillNormal(tensor.New(2, 192), 0, 1)
 	return []tapeCase{
-		{"conv", func() Layer { return NewConv2D("conv", 3, 4, 3, 3, 1, 1, tensor.NewRNG(41)) }, img},
-		{"linear", func() Layer { return NewLinear("lin", 192, 10, tensor.NewRNG(42)) }, flat},
-		{"relu", func() Layer { return NewReLU("relu") }, img},
-		{"flatten", func() Layer { return NewFlatten("flat") }, img},
-		{"dropout", func() Layer { return NewDropout("drop", 0.4, tensor.NewRNG(43)) }, img},
-		{"maxpool", func() Layer { return NewMaxPool2D("mp", 2, 2) }, img},
-		{"lrn", func() Layer { return NewLocalResponseNorm("lrn", 3, 0, 0, 0) }, img},
+		{"conv", func() tapeLayer { return NewConv2D("conv", 3, 4, 3, 3, 1, 1, tensor.NewRNG(41)) }, img},
+		{"linear", func() tapeLayer { return NewLinear("lin", 192, 10, tensor.NewRNG(42)) }, flat},
+		{"relu", func() tapeLayer { return NewReLU("relu") }, img},
+		{"flatten", func() tapeLayer { return NewFlatten("flat") }, img},
+		{"dropout", func() tapeLayer { return NewDropout("drop", 0.4, tensor.NewRNG(43)) }, img},
+		{"maxpool", func() tapeLayer { return NewMaxPool2D("mp", 2, 2) }, img},
+		{"lrn", func() tapeLayer { return NewLocalResponseNorm("lrn", 3, 0, 0, 0) }, img},
 	}
 }
 

@@ -37,27 +37,9 @@ type Debug struct {
 	Sources      []Source[Snapshot]
 	EventSources []Source[[]Event]
 
-	// Extra mounts additional handlers on the debug mux by pattern
-	// (e.g. "/debug/audit") — how subsystem endpoints join the surface
-	// without obs importing them. A pattern that collides with a built-in
-	// route panics in Handler.
-	Extra map[string]http.Handler
-}
-
-// debugBuiltins are the routes Handler always mounts; Extra patterns must
-// not collide with them.
-var debugBuiltins = map[string]bool{
-	"/":                    true,
-	"/debug/metrics":       true,
-	"/debug/spans":         true,
-	"/debug/profile":       true,
-	"/debug/events":        true,
-	"/debug/vars":          true,
-	"/debug/pprof/":        true,
-	"/debug/pprof/cmdline": true,
-	"/debug/pprof/profile": true,
-	"/debug/pprof/symbol":  true,
-	"/debug/pprof/trace":   true,
+	// Audit, when set, serves /debug/audit: the audit ledger's proofs (the
+	// audit package's Handler, which obs does not import).
+	Audit http.Handler
 }
 
 // snapshot builds the /debug/metrics payload: the base registry's
@@ -90,6 +72,7 @@ func (d Debug) snapshot(now time.Time) Snapshot {
 //	/debug/spans?join=1         client and server spans joined per trace ID
 //	/debug/profile              cumulative per-layer compute profile (?format=csv|text)
 //	/debug/events               SLO transition events (JSON, ?after=seq)
+//	/debug/audit                the Audit handler, when there is one
 //	/debug/vars                 the process's expvar map (memstats, cmdline)
 //	/debug/pprof/*              the standard pprof profiles
 //
@@ -163,13 +146,10 @@ func (d Debug) Handler() http.Handler {
 			writeJSON(w, out)
 		}
 	})
-	extra := ""
-	for _, pattern := range sortedKeys(d.Extra) {
-		if debugBuiltins[pattern] {
-			panic(fmt.Sprintf("obs: Debug.Extra pattern %q collides with a built-in debug route", pattern))
-		}
-		mux.Handle(pattern, d.Extra[pattern])
-		extra += pattern + "\n"
+	audit := ""
+	if d.Audit != nil {
+		mux.Handle("/debug/audit", d.Audit)
+		audit = "/debug/audit\n"
 	}
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -186,7 +166,7 @@ func (d Debug) Handler() http.Handler {
 			"/debug/profile        per-layer compute profile (JSON, ?format=csv|text)\n"+
 			"/debug/events         SLO transition events (JSON, ?after=seq)\n"+
 			"/debug/vars           expvar\n"+
-			"/debug/pprof/         profiles\n"+extra)
+			"/debug/pprof/         profiles\n"+audit)
 	})
 	return mux
 }

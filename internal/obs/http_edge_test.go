@@ -106,33 +106,12 @@ func TestDebugNilFieldsServeEmpty(t *testing.T) {
 	}
 }
 
-// TestDebugExtraCollisionPanics: mounting an Extra handler on a built-in
-// route is a programming error surfaced as a panic with a clear message.
-func TestDebugExtraCollisionPanics(t *testing.T) {
-	d := Debug{Extra: map[string]http.Handler{
-		"/debug/metrics": http.NotFoundHandler(),
-	}}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("colliding Extra pattern did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "/debug/metrics") || !strings.Contains(msg, "collides") {
-			t.Fatalf("panic message %v should name the colliding pattern", r)
-		}
-	}()
-	d.Handler()
-}
-
-// TestDebugExtraMounts: non-colliding Extra patterns serve and appear on
+// TestDebugAuditMounts: an Audit handler serves /debug/audit and appears on
 // the index page.
-func TestDebugExtraMounts(t *testing.T) {
-	d := Debug{Extra: map[string]http.Handler{
-		"/debug/audit": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Write([]byte("audit ok"))
-		}),
-	}}
+func TestDebugAuditMounts(t *testing.T) {
+	d := Debug{Audit: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("audit ok"))
+	})}
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/debug/audit")
@@ -142,7 +121,7 @@ func TestDebugExtraMounts(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if string(body) != "audit ok" {
-		t.Fatalf("extra handler body %q", body)
+		t.Fatalf("audit handler body %q", body)
 	}
 	resp, err = http.Get(ts.URL + "/")
 	if err != nil {
@@ -151,7 +130,7 @@ func TestDebugExtraMounts(t *testing.T) {
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if !strings.Contains(string(body), "/debug/audit") {
-		t.Fatal("index page should list Extra mounts")
+		t.Fatal("index page should list /debug/audit")
 	}
 }
 

@@ -179,14 +179,22 @@ func TestAdamTrainsTinyNetwork(t *testing.T) {
 	first := -1.0
 	var last float64
 	for epoch := 0; epoch < 60; epoch++ {
-		tape := nn.NewTape()
-		logits := net.ForwardT(tape, x, true)
+		plan, err := nn.Compile(net, nn.Float64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp, err := plan.TrainPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pass := tp.NewPass(nil)
+		logits := pass.ForwardInto(nil, x)
 		loss, grad := nn.CrossEntropy(logits, labels)
 		if first < 0 {
 			first = loss
 		}
 		last = loss
-		net.BackwardT(tape, grad)
+		pass.BackwardParams(grad)
 		opt.Step()
 	}
 	if last > first/2 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"strings"
 	"time"
 
@@ -122,7 +121,7 @@ func (g *Gateway) surface() obs.Debug {
 		proofs = append(proofs, audit.HTTPSource{Name: label, Base: base + "/debug/audit"})
 	}
 	if len(proofs) > 0 {
-		dbg.Extra = map[string]http.Handler{"/debug/audit": audit.Handler(proofs...)}
+		dbg.Audit = audit.Handler(proofs...)
 	}
 	return dbg
 }

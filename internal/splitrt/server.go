@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"strconv"
 	"time"
 
@@ -235,9 +234,7 @@ func (s *CloudServer) surface() obs.Debug {
 		Windows: s.windows, Events: s.slo.Events(),
 	}
 	if s.auditor != nil {
-		dbg.Extra = map[string]http.Handler{
-			"/debug/audit": audit.Handler(audit.LocalSource{Auditor: s.auditor}),
-		}
+		dbg.Audit = audit.Handler(audit.LocalSource{Auditor: s.auditor})
 	}
 	return dbg
 }

@@ -269,8 +269,8 @@ func TestQuantizedTransportAccuracyAndVolume(t *testing.T) {
 }
 
 // TestCompiledServingDecisionParity pins what each serving dtype returns
-// over the wire: the default (float64-plan) server reproduces the tape
-// path's in-process forward pass bit for bit, and a Float32 server yields
+// over the wire: the default (float64-plan) server reproduces the Split's
+// in-process forward pass bit for bit, and a Float32 server yields
 // identical classification decisions — over dense transport and over the
 // quantized fast path that dequantizes straight into float32.
 func TestCompiledServingDecisionParity(t *testing.T) {
@@ -296,7 +296,7 @@ func TestCompiledServingDecisionParity(t *testing.T) {
 	c32 := dial(addr32, 22)
 
 	b := pre.Test.Batches(16)[0]
-	want := split.Net.ForwardT(nil, b.Images, false)
+	want := split.Forward(b.Images)
 	got64, err := c64.Infer(b.Images)
 	if err != nil {
 		t.Fatal(err)

@@ -32,19 +32,11 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
-// Im2Col lowers a single image of shape [C,H,W] (flat, row-major) into a
-// matrix of shape [OutH*OutW, C*KH*KW] where each row is the unrolled
-// receptive field of one output position. Convolution then becomes
-// cols · Wᵀ, which is how the nn package implements Conv2D.
-func Im2Col(img *Tensor, g ConvGeom) *Tensor {
-	cols := New(g.OutH()*g.OutW(), g.InC*g.KH*g.KW)
-	Im2ColInto(cols, img, g)
-	return cols
-}
-
-// Im2ColInto is Im2Col writing into a caller-provided column matrix of
-// shape [OutH*OutW, C*KH*KW]. Every element of cols is overwritten, so a
-// non-zeroed scratch buffer (GetScratch) is a valid destination.
+// Im2ColInto lowers a single image of shape [C,H,W] (flat, row-major) into a
+// column matrix of shape [OutH*OutW, C*KH*KW] where each row is the unrolled
+// receptive field of one output position: convolution is then cols · Wᵀ.
+// Every element of cols is overwritten, so a buffer of any content is a
+// valid destination.
 func Im2ColInto(cols, img *Tensor, g ConvGeom) {
 	if img.Len() != g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: Im2Col input has %d elems, geometry wants %d", img.Len(), g.InC*g.InH*g.InW))
@@ -55,18 +47,4 @@ func Im2ColInto(cols, img *Tensor, g ConvGeom) {
 			cols.Len(), outH*outW*g.InC*g.KH*g.KW))
 	}
 	im2colKernel(cols.data, img.data, g)
-}
-
-// Col2Im scatters a column matrix (as produced by Im2Col) back into an
-// image of shape [C,H,W], accumulating overlapping contributions. It is the
-// adjoint of Im2Col and implements the input-gradient pass of convolution.
-func Col2Im(cols *Tensor, g ConvGeom) *Tensor {
-	outH, outW := g.OutH(), g.OutW()
-	rowLen := g.InC * g.KH * g.KW
-	if cols.Len() != outH*outW*rowLen {
-		panic(fmt.Sprintf("tensor: Col2Im input has %d elems, geometry wants %d", cols.Len(), outH*outW*rowLen))
-	}
-	img := New(g.InC, g.InH, g.InW)
-	col2imKernel(img.data, cols.data, g)
-	return img
 }

@@ -294,7 +294,10 @@ type ConvBackTaps struct {
 	// Scratch is the number of scratch elements ConvBackward needs: the
 	// leaf's accumulators and one output row of column gradients.
 	Scratch int
-	off     []int32 // output channel → offset of its plane in the output gradient
+	// WeightScratch is the number of scratch elements WeightGrad needs: the
+	// column matrix and the transposed output gradient.
+	WeightScratch int
+	off           []int32 // output channel → offset of its plane in the output gradient
 }
 
 // BackTaps resolves g, which must be valid, for a convolution of outC filters.
@@ -303,7 +306,8 @@ func (g ConvGeom) BackTaps(outC int) *ConvBackTaps {
 	if outC*positions > math.MaxInt32 {
 		panic(fmt.Sprintf("tensor: conv geometry %+v × %d filters is too large for the direct kernel", g, outC))
 	}
-	t := &ConvBackTaps{Geom: g, Scratch: accLen + g.OutW()*g.InC*g.KH*g.KW, off: make([]int32, outC)}
+	ckk := g.InC * g.KH * g.KW
+	t := &ConvBackTaps{Geom: g, Scratch: accLen + g.OutW()*ckk, WeightScratch: positions * (ckk + outC), off: make([]int32, outC)}
 	for oc := range t.off {
 		t.off[oc] = int32(oc * positions)
 	}
@@ -317,7 +321,7 @@ func (g ConvGeom) BackTaps(outC int) *ConvBackTaps {
 // no lane ever adds two of col2im's terms — and each output row's column
 // gradients are scatter-added by scatterRow, rows ascending, before the next
 // row is computed, so an element of dx gathers its terms in ascending (oy, ox)
-// as col2imKernel adds them. scratch holds at least t.Scratch elements of any
+// as col2im adds them. scratch holds at least t.Scratch elements of any
 // content. Every element of dx is written.
 func (p *Packed[F]) ConvBackward(dx, gy, scratch []F, t *ConvBackTaps) {
 	g := t.Geom
@@ -355,6 +359,34 @@ func (p *Packed[F]) ConvBackward(dx, gy, scratch []F, t *ConvBackTaps) {
 		}
 		scatterRow(dx, strip, g, oy)
 	}
+}
+
+// WeightGrad computes one sample's gradients of a convolution's weights and
+// bias from its input x [C,H,W] and output gradient gy [OutC, OutH·OutW]:
+// dw [OutC, C·KH·KW] = Gᵀ·cols, cols being x's im2col and G [positions, OutC]
+// gy transposed, by MatMulT1's kernel, and db [OutC], every row of gy summed
+// positions ascending — Conv2D's tape gradient of one sample, bit for bit. It
+// runs on the calling goroutine. scratch holds at least t.WeightScratch
+// elements of any content; every element of dw and db is written.
+func (t *ConvBackTaps) WeightGrad(dw, db, gy, x, scratch []float64) {
+	g := t.Geom
+	outC, positions, ckk := len(t.off), g.OutH()*g.OutW(), g.InC*g.KH*g.KW
+	if len(dw) != outC*ckk || len(db) != outC || len(gy) != outC*positions || len(x) != g.InC*g.InH*g.InW || len(scratch) < t.WeightScratch {
+		panic(fmt.Sprintf("tensor: ConvBackTaps.WeightGrad got %d+%d←%d,%d elems (scratch %d) for %d filters over %+v",
+			len(dw), len(db), len(gy), len(x), len(scratch), outC, g))
+	}
+	cols, G := scratch[:positions*ckk], scratch[positions*ckk:t.WeightScratch]
+	im2colKernel(cols, x, g)
+	for oc := range db {
+		s := 0.0
+		for pos, v := range gy[oc*positions : (oc+1)*positions] {
+			G[pos*outC+oc] = v
+			s += v
+		}
+		db[oc] = s
+	}
+	clear(dw)
+	matmulT1Rows(dw, G, cols, positions, outC, ckk, 0, outC)
 }
 
 // scatterRow adds the column gradients of output row oy, strip [C·KH·KW][OutW],

@@ -1,12 +1,13 @@
 package tensor
 
-// This file is the dtype-parameterized kernel layer of the training tape:
-// matrix multiplication in its three transposition variants and
-// im2col/col2im convolution lowering, each written once, generically over
-// the element type F. The exported float64 Tensor API (MatMul*, Im2Col*,
-// Col2Im) delegates to these kernels. Compiled inference plans run the direct
-// kernel of direct.go, which these are the reference for: matmulT2Kernel's
-// per-output summation order is the one every plan is pinned to.
+// This file is the dtype-parameterized reference kernel layer: matrix
+// multiplication in its three transposition variants and im2col convolution
+// lowering, each written once, generically over the element type F. The
+// exported float64 Tensor API (MatMul*, Im2ColInto) delegates to these
+// kernels. Compiled plans run the direct kernel of direct.go, which these are
+// the reference for: matmulT2Kernel's per-output summation order is the one
+// every plan is pinned to, and matmulT1Rows is what a training plan's
+// convolution weight gradient runs (ConvBackTaps.WeightGrad).
 //
 // float32 and float64 have distinct gcshapes, so the compiler stencils a
 // separate, fully specialized instantiation per dtype: the inner loops
@@ -89,8 +90,8 @@ func matmulT1Rows[F Float](dst, a, b []F, k, m, n, lo, hi int) {
 
 // matmulT2Kernel computes dst = a·bᵀ for a [m,k], b [n,k], dst [m,n].
 // Every element of dst is overwritten, so non-zeroed scratch is a valid
-// destination. This is the kernel behind the tape path's linear layer and
-// im2col-lowered convolution (cols · Wᵀ).
+// destination. This is the kernel behind the linear layer and im2col-lowered
+// convolution (cols · Wᵀ) of nn's tape oracle.
 func matmulT2Kernel[F Float](dst, a, b []F, m, k, n int) {
 	if serialMatmul(m, n) {
 		matmulT2Rows(dst, a, b, k, n, 0, m)
@@ -193,40 +194,6 @@ func im2colKernel[F Float](dst, src []F, g ConvGeom) {
 							row[p] = 0
 						} else {
 							row[p] = plane[base+ix]
-						}
-						p++
-					}
-				}
-			}
-		}
-	}
-}
-
-// col2imKernel scatters a column matrix (as produced by im2colKernel) back
-// into an image [C,H,W], accumulating overlapping contributions into dst,
-// which must be zeroed by the caller. It is the adjoint of im2colKernel.
-func col2imKernel[F Float](dst, src []F, g ConvGeom) {
-	outH, outW := g.OutH(), g.OutW()
-	rowLen := g.InC * g.KH * g.KW
-	for oy := 0; oy < outH; oy++ {
-		iy0 := oy*g.Stride - g.Pad
-		for ox := 0; ox < outW; ox++ {
-			ix0 := ox*g.Stride - g.Pad
-			row := src[(oy*outW+ox)*rowLen:]
-			p := 0
-			for c := 0; c < g.InC; c++ {
-				plane := dst[c*g.InH*g.InW:]
-				for ky := 0; ky < g.KH; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= g.InH {
-						p += g.KW
-						continue
-					}
-					base := iy * g.InW
-					for kx := 0; kx < g.KW; kx++ {
-						ix := ix0 + kx
-						if ix >= 0 && ix < g.InW {
-							plane[base+ix] += row[p]
 						}
 						p++
 					}

@@ -101,11 +101,10 @@ func TestSerialKernelsDoNotAllocate(t *testing.T) {
 	at := rng.FillNormal(New(9, 6), 0, 1)
 	dst := New(6, 5)
 	for name, fn := range map[string]func(){
-		"matmul":        func() { MatMulInto(dst, a, b) },
+		"matmul":        func() { matmulKernel(dst.Data(), a.Data(), b.Data(), 6, 9, 5) },
 		"matmulT1":      func() { matmulT1Kernel(dst.Data(), at.Data(), b.Data(), 9, 6, 5) },
 		"matmulT2":      func() { MatMulT2Into(dst, a, bt) },
 		"matmulT2Block": func() { matmulT2BlockedKernel(dst.Data(), a.Data(), bt.Data(), 6, 9, 5) },
-		"scratch":       func() { PutScratch(GetScratch(6, 5)) },
 	} {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("%s allocates %v times per call on the serial path", name, n)
@@ -128,7 +127,7 @@ func TestParallelKernelsAllocateOnlyTheirClosure(t *testing.T) {
 	at := rng.FillNormal(New(k, m), 0, 1)
 	dst := New(m, n)
 	for name, fn := range map[string]func(){
-		"matmul":        func() { MatMulInto(dst, a, b) },
+		"matmul":        func() { matmulKernel(dst.Data(), a.Data(), b.Data(), m, k, n) },
 		"matmulT1":      func() { matmulT1Kernel(dst.Data(), at.Data(), b.Data(), k, m, n) },
 		"matmulT2":      func() { MatMulT2Into(dst, a, bt) },
 		"matmulT2Block": func() { matmulT2BlockedKernel(dst.Data(), a.Data(), bt.Data(), m, k, n) },
@@ -171,7 +170,7 @@ func TestIm2ColKernelFloat32Parity(t *testing.T) {
 	rng := NewRNG(15)
 	img := rng.FillNormal(New(3, 6, 6), 0, 1)
 	g := ConvGeom{InC: 3, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 2, Pad: 1}
-	want := Im2Col(img, g)
+	want := im2col(img, g)
 	cols := NewDense[float32](g.OutH()*g.OutW(), 3*3*3)
 	im2colKernel(cols.Data(), toDense32(img).Data(), g)
 	// im2col only moves values (and writes zeros); the only error is the

@@ -24,23 +24,8 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	matmulInto(out.data, a.data, b.data, m, k, n)
+	matmulKernel(out.data, a.data, b.data, m, k, n)
 	return out
-}
-
-// MatMulInto computes a·b into dst, which must have shape [m,n]. It avoids
-// allocating in inner training loops.
-func MatMulInto(dst, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch dst %v = %v x %v", dst.shape, a.shape, b.shape))
-	}
-	matmulInto(dst.data, a.data, b.data, m, k, n)
-}
-
-func matmulInto(dst, a, b []float64, m, k, n int) {
-	matmulKernel(dst, a, b, m, k, n)
 }
 
 // MatMulT1 returns aᵀ·b for a of shape [k,m] and b of shape [k,n]: the
@@ -86,21 +71,6 @@ func MatMulT2Into(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulT2Into shape mismatch dst %v = %v x %vᵀ", dst.shape, a.shape, b.shape))
 	}
 	matmulT2Kernel(dst.data, a.data, b.data, m, k, n)
-}
-
-// Transpose returns the transpose of a rank-2 tensor.
-func Transpose(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: Transpose requires a rank-2 tensor")
-	}
-	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = a.data[i*n+j]
-		}
-	}
-	return out
 }
 
 // ParallelChunks splits [0,n) into at most GOMAXPROCS contiguous chunks and

@@ -59,17 +59,6 @@ func TestMatMulParallelPathMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulInto(t *testing.T) {
-	rng := NewRNG(3)
-	a := rng.FillNormal(New(4, 5), 0, 1)
-	b := rng.FillNormal(New(5, 6), 0, 1)
-	dst := rng.FillNormal(New(4, 6), 0, 1) // pre-filled garbage must be overwritten
-	MatMulInto(dst, a, b)
-	if !AllClose(dst, naiveMatMul(a, b), 1e-9) {
-		t.Fatal("MatMulInto mismatch")
-	}
-}
-
 func TestMatMulDimMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -84,9 +73,9 @@ func TestMatMulT1MatchesTransposed(t *testing.T) {
 	a := rng.FillNormal(New(7, 3), 0, 1) // [k,m]
 	b := rng.FillNormal(New(7, 5), 0, 1) // [k,n]
 	got := MatMulT1(a, b)
-	want := MatMul(Transpose(a), b)
+	want := MatMul(transpose(a), b)
 	if !AllClose(got, want, 1e-9) {
-		t.Fatal("MatMulT1 != Transpose(a)·b")
+		t.Fatal("MatMulT1 != transpose(a)·b")
 	}
 }
 
@@ -95,17 +84,9 @@ func TestMatMulT2MatchesTransposed(t *testing.T) {
 	a := rng.FillNormal(New(4, 6), 0, 1) // [m,k]
 	b := rng.FillNormal(New(9, 6), 0, 1) // [n,k]
 	got := MatMulT2(a, b)
-	want := MatMul(a, Transpose(b))
+	want := MatMul(a, transpose(b))
 	if !AllClose(got, want, 1e-9) {
-		t.Fatal("MatMulT2 != a·Transpose(b)")
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	rng := NewRNG(6)
-	a := rng.FillNormal(New(5, 8), 0, 1)
-	if !Equal(Transpose(Transpose(a)), a) {
-		t.Fatal("Transpose(Transpose(a)) != a")
+		t.Fatal("MatMulT2 != a·transpose(b)")
 	}
 }
 
@@ -117,8 +98,8 @@ func TestMatMulTransposeProperty(t *testing.T) {
 		m, k, n := 1+r.Intn(6), 1+r.Intn(6), 1+r.Intn(6)
 		a := r.FillNormal(New(m, k), 0, 1)
 		b := r.FillNormal(New(k, n), 0, 1)
-		lhs := Transpose(MatMul(a, b))
-		rhs := MatMul(Transpose(b), Transpose(a))
+		lhs := transpose(MatMul(a, b))
+		rhs := MatMul(transpose(b), transpose(a))
 		return AllClose(lhs, rhs, 1e-9)
 	}
 	cfg := &quick.Config{MaxCount: 30, Values: nil}
@@ -190,5 +171,30 @@ func TestRNGDeterminism(t *testing.T) {
 	c := NewRNG(8).FillLaplace(New(64), 0, 1)
 	if Equal(a, c) {
 		t.Fatal("different seeds should differ")
+	}
+}
+
+// transpose returns the transpose of a rank-2 tensor.
+func transpose(a *Tensor) *Tensor {
+	m, n := a.shape[0], a.shape[1]
+	out := New(n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			out.data[j*m+i] = a.data[i*n+j]
+		}
+	}
+	return out
+}
+
+func TestMatMulT2IntoMatchesMatMulT2(t *testing.T) {
+	rng := NewRNG(4)
+	a := rng.FillNormal(New(7, 11), 0, 1)
+	b := rng.FillNormal(New(5, 11), 0, 1)
+	want := MatMulT2(a, b)
+	dst := New(7, 5)
+	dst.Fill(-3)
+	MatMulT2Into(dst, a, b)
+	if !AllClose(dst, want, 0) {
+		t.Fatal("MatMulT2Into diverges from MatMulT2")
 	}
 }

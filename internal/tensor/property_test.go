@@ -113,7 +113,7 @@ func TestPropertyLaplaceMedianIsMu(t *testing.T) {
 }
 
 func TestPropertyIm2ColLinear(t *testing.T) {
-	// Im2Col is a linear operator: Im2Col(x+y) == Im2Col(x) + Im2Col(y).
+	// Im2Col is a linear operator: im2col(x+y) == im2col(x) + im2col(y).
 	f := func(seed int64) bool {
 		r := NewRNG(seed)
 		g := ConvGeom{InC: 1 + r.Intn(2), InH: 4 + r.Intn(4), InW: 4 + r.Intn(4),
@@ -123,8 +123,8 @@ func TestPropertyIm2ColLinear(t *testing.T) {
 		}
 		x := r.FillNormal(New(g.InC, g.InH, g.InW), 0, 1)
 		y := r.FillNormal(New(g.InC, g.InH, g.InW), 0, 1)
-		lhs := Im2Col(Add(x, y), g)
-		rhs := Add(Im2Col(x, g), Im2Col(y, g))
+		lhs := im2col(Add(x, y), g)
+		rhs := Add(im2col(x, g), im2col(y, g))
 		return AllClose(lhs, rhs, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -1,7 +1,8 @@
 // Package tensor implements the dense numeric arrays that every other part
 // of the Shredder reproduction is built on: contiguous row-major float64
 // tensors with elementwise arithmetic, parallel matrix multiplication,
-// im2col/col2im convolution lowering, reductions, random initialization
+// im2col lowering and the direct convolution kernel of compiled plans,
+// reductions, random initialization
 // (including the Laplace distribution Shredder uses for noise tensors), and
 // the little-endian artifact container checkpoints and noise files are
 // written in (serialize.go).
