@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet nogob build cross test race bench-module fuzz-smoke bench bench-profile bench-pool bench-window
+.PHONY: ci fmt vet nogob build cross test race bench-module fuzz-smoke bench bench-profile bench-pool bench-coldstart bench-window
 
 ## ci: the full gate — formatting, vet, no gob, build, a cross-build for an
 ## architecture without the assembly leaf, tests, the race suite over
@@ -101,6 +101,13 @@ bench-profile:
 ## backend should stay below the injected latency).
 bench-pool:
 	$(GO) test -run '^$$' -bench BenchmarkPoolServe -benchtime 50x .
+
+## bench-coldstart: time a cold start on a warm weight cache — NewSystem,
+## LoadNoise, ServeCloud, ConnectEdge, the first Classify — at LeNet conv2
+## (stored noise) and SVHN conv0 (fitted noise); run it on two checkouts in
+## turn to compare a start-up change in alternating pairs.
+bench-coldstart:
+	$(GO) test -run '^$$' -bench BenchmarkColdStart -benchtime 100x .
 
 ## bench-window: run the sliding-window overhead benchmark (windows derive
 ## from snapshots, they add no per-observation work).

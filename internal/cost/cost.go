@@ -70,10 +70,10 @@ func KiloMACxMB(macs, bytes int64) float64 {
 	return float64(macs) / 1e3 * float64(bytes) / 1e6
 }
 
-// CutCosts evaluates every cutting point of a spec against a freshly built
-// network (costs depend only on topology, not weights).
+// CutCosts evaluates every cutting point of a spec against its network built
+// with shapes only (costs depend only on topology, not weights).
 func CutCosts(spec model.Spec) ([]CutCost, error) {
-	net := spec.Build(tensor.NewRNG(1))
+	net := spec.Build(nil)
 	profile := Profile(net, spec.Dataset.SampleShape())
 	out := make([]CutCost, 0, len(spec.CutPoints))
 	for _, cp := range spec.CutPoints {

@@ -230,6 +230,71 @@ func TestCacheHitRunsNoForwardPass(t *testing.T) {
 	}
 }
 
+// recording returns spec with a Build that appends the RNG of every call to
+// *rngs before building.
+func recording(spec Spec, rngs *[]*tensor.RNG) Spec {
+	build := spec.Build
+	spec.Build = func(rng *tensor.RNG) *nn.Sequential {
+		*rngs = append(*rngs, rng)
+		return build(rng)
+	}
+	return spec
+}
+
+// A cache hit builds the network's shapes only and loads the saved weights
+// into them; the seeded initialisation is drawn only on a miss — an absent
+// entry or one that does not load — which trains from it to Train's weights.
+func TestCacheHitBuildsShapeOnly(t *testing.T) {
+	cfg := TrainConfig{TrainN: 64, TestN: 16, Epochs: 1, BatchSize: 16, Seed: 6}
+	want, err := Train(LeNet(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameWeights := func(what string, net *nn.Sequential) {
+		t.Helper()
+		for i, p := range want.Net.Params() {
+			if !tensor.BitEqual(net.Params()[i].Value, p.Value) {
+				t.Fatalf("%s: parameter %s differs from Train's", what, p.Name)
+			}
+		}
+	}
+	dir := t.TempDir()
+	open := func() (*Pretrained, []*tensor.RNG) {
+		t.Helper()
+		var rngs []*tensor.RNG
+		pre, err := Open(recording(LeNet(), &rngs), cfg, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pre, rngs
+	}
+	miss := func(what string) {
+		t.Helper()
+		pre, rngs := open()
+		if len(rngs) == 0 || rngs[len(rngs)-1] == nil {
+			t.Fatalf("%s: the network was not built seeded (Build got %v)", what, rngs)
+		}
+		sameWeights(what, pre.Net)
+	}
+	miss("absent entry")
+
+	pre, rngs := open()
+	if len(rngs) != 1 || rngs[0] != nil {
+		t.Fatalf("cache hit: Build got %v, want one call with a nil RNG", rngs)
+	}
+	sameWeights("cache hit", pre.Net)
+
+	path := cachePath(dir, LeNet(), want.Config)
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, whole[:len(whole)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	miss("damaged entry")
+}
+
 // Split permutes all TrainN+TestN samples, so the training set — and the
 // weights — depend on TestN, BatchSize and LR as much as on TrainN.
 func TestCacheKeyCoversWhatWeightsDependOn(t *testing.T) {

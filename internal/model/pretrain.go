@@ -171,8 +171,9 @@ func (p *Pretrained) TestAccuracy() float64 {
 	return p.acc
 }
 
-// prepare builds the untrained network of spec and the recipes of its
-// dataset split — integers, no pixels: what a cache hit shares with Train.
+// prepare returns spec's Pretrained without a network: the configuration
+// with its defaults and the recipes of its dataset split — integers, no
+// pixels: what a cache hit shares with Train.
 func prepare(spec Spec, cfg TrainConfig) (*Pretrained, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -183,8 +184,7 @@ func prepare(spec Spec, cfg TrainConfig) (*Pretrained, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pretrained{Spec: spec, Net: spec.Build(tensor.NewRNG(cfg.Seed)), Config: cfg,
-		trainRecipe: train, testRecipe: test}, nil
+	return &Pretrained{Spec: spec, Config: cfg, trainRecipe: train, testRecipe: test}, nil
 }
 
 // Train generates the benchmark's dataset and trains the network with Adam
@@ -197,8 +197,10 @@ func Train(spec Spec, cfg TrainConfig) (*Pretrained, error) {
 	return pre.train()
 }
 
-// train materialises the splits and trains p.Net, untrained so far, on them.
+// train builds p.Net with the seeded initialisation, materialises the splits
+// and trains the network on them.
 func (p *Pretrained) train() (*Pretrained, error) {
+	p.Net = p.Spec.Build(tensor.NewRNG(p.Config.Seed))
 	if err := p.Materialize(); err != nil {
 		return nil, err
 	}
@@ -279,9 +281,11 @@ func cachePath(dir string, spec Spec, cfg TrainConfig) string {
 // when dir holds its checkpoint from a previous identical run: it reads the
 // weights and the input normalisation they were trained under, and leaves
 // Train and Test to Materialize, whenever something needs all of them
-// (TestSample needs neither). An entry that does not load — truncated,
-// another network's, or of a checkpoint format that came before this one —
-// is a miss: the network is trained, which materialises the
+// (TestSample needs neither). A hit builds the network's shapes and loads
+// into them: the seeded initialisation, which every loaded weight would
+// overwrite, is not drawn. An entry that does not load — truncated, another
+// network's, or of a checkpoint format that came before this one — is a
+// miss: the network is built seeded and trained, which materialises the
 // splits, and the entry rewritten.
 func Open(spec Spec, cfg TrainConfig, dir string) (*Pretrained, error) {
 	pre, err := prepare(spec, cfg)
@@ -289,12 +293,12 @@ func Open(spec Spec, cfg TrainConfig, dir string) (*Pretrained, error) {
 		return nil, err
 	}
 	path := cachePath(dir, spec, pre.Config)
+	pre.Net = spec.Build(nil)
 	norm, err := nn.LoadFile(pre.Net, path)
 	if err == nil {
 		pre.Mean, pre.Std = norm.Mean, norm.Std
 		return pre, nil
 	}
-	// Load is all-or-nothing: pre.Net is still the seeded initialisation.
 	if cfg.Progress != nil && !errors.Is(err, fs.ErrNotExist) {
 		fmt.Fprintf(cfg.Progress, "%s: weight cache entry %s is unusable (%v); retraining\n", spec.Name, path, err)
 	}

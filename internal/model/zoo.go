@@ -33,7 +33,9 @@ type Spec struct {
 	Name string
 	// Dataset is the generator for the network's input distribution.
 	Dataset data.Generator
-	// Build constructs the network with fresh weights from the RNG.
+	// Build constructs the network with fresh weights from the RNG; a nil
+	// RNG builds its shapes only, every weight zero, for a checkpoint to
+	// fill.
 	Build func(rng *tensor.RNG) *nn.Sequential
 	// CutPoints lists the usable cutting points, shallow to deep.
 	CutPoints []CutPoint

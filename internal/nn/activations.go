@@ -52,7 +52,10 @@ type Dropout struct {
 	rng  *tensor.RNG
 }
 
-// NewDropout constructs a dropout layer with drop probability p.
+// NewDropout constructs a dropout layer with drop probability p whose masks
+// come from rng when a training pass has none. A nil rng builds the layer
+// without a generator of its own, as a shape-only network has: only passes
+// given an RNG can train through it.
 func NewDropout(name string, p float64, rng *tensor.RNG) *Dropout {
 	if p < 0 || p >= 1 {
 		panic("nn: dropout probability must be in [0,1)")

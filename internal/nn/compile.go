@@ -819,8 +819,16 @@ type TrainPass struct {
 // NewPass returns a pass drawing its dropout masks from rng. A nil rng draws
 // each Dropout's masks from the generator the layer was built with, as
 // pre-training does; such passes share those generators, so they must not
-// run at once.
+// run at once. It panics when rng is nil and a Dropout of the range was built
+// without a generator.
 func (tp *TrainPlan) NewPass(rng *tensor.RNG) *TrainPass {
+	if rng == nil {
+		for _, ts := range tp.steps {
+			if ts.drop != nil && ts.drop.rng == nil {
+				panic(fmt.Sprintf("nn: dropout %s was built without an RNG: pass an RNG to NewPass", ts.drop.Name()))
+			}
+		}
+	}
 	ps := &TrainPass{tp: tp, rng: rng}
 	ps.forward = func(lo, hi int) { ps.chunk(lo, hi, false) }
 	ps.backward = func(lo, hi int) { ps.chunk(lo, hi, true) }

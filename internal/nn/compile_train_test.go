@@ -1,6 +1,7 @@
 package nn_test
 
 import (
+	"strings"
 	"testing"
 
 	"shredder/internal/model"
@@ -146,6 +147,36 @@ func TestTrainPlanRefusals(t *testing.T) {
 	if _, err := mustCompile(t, net, 2, 3, nn.Float32).TrainPlan(); err == nil {
 		t.Error("a float32 plan handed out a training plan")
 	}
+}
+
+// A network built with no RNG has Dropouts without a generator of their
+// own: a pass given none either refuses up front, naming the layer, or — on
+// a range holding no Dropout — runs; a pass given one trains through them.
+func TestNewPassRefusesDropoutWithoutGenerator(t *testing.T) {
+	spec := model.AlexNet()
+	net := spec.Build(nil)
+	tp, err := mustCompile(t, net, 0, net.Len(), nn.Float64).TrainPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "dropout drop ") || !strings.Contains(msg, "pass an RNG to NewPass") {
+				t.Errorf("NewPass(nil) over a generator-less Dropout: panic %q, want one naming drop and asking for an RNG", msg)
+			}
+		}()
+		tp.NewPass(nil)
+	}()
+	x := spec.Dataset.Generate(2, 1).Images
+	if y := tp.NewPass(tensor.NewRNG(1)).ForwardInto(nil, x); y.Shape()[0] != 2 {
+		t.Fatalf("forward pass with an RNG: shape %v", y.Shape())
+	}
+	conv, err := mustCompile(t, net, 0, net.Index("conv0")+1, nn.Float64).TrainPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv.NewPass(nil).ForwardInto(nil, x)
 }
 
 // BenchmarkPretrainStep times one 32-sample pre-training step — forward,
