@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet nogob build cross test race bench-module fuzz-smoke bench bench-profile bench-pool bench-coldstart bench-window
+.PHONY: ci fmt vet nogob build cross test race bench-module fuzz-smoke deadsurface bench bench-profile bench-pool bench-coldstart bench-window
 
 ## ci: the full gate — formatting, vet, no gob, build, a cross-build for an
 ## architecture without the assembly leaf, tests, the race suite over
@@ -46,6 +46,13 @@ cross:
 ## seed, to replay the order).
 test:
 	$(GO) test -shuffle=on ./...
+
+## deadsurface: run the dead-surface gate alone and print what it sees — the
+## identifiers no non-test file references, internal/tools/deadsurface/allow.txt
+## by category, and the identifiers only bench/ calls. `test` runs the same
+## gate, so a new unlisted hit fails `ci` there.
+deadsurface:
+	$(GO) test -count=1 -run '^TestDeadSurface$$' -v ./internal/tools/deadsurface
 
 ## race: the race suite over the concurrency-sensitive packages; three more
 ## rounds of the training tests (runs sharing one Split: its lazily compiled

@@ -36,6 +36,8 @@ func TestTelemetryFlags(t *testing.T) {
 			window: &obs.WindowOptions{Bucket: time.Second, Buckets: 20}, options: 1},
 		{name: "window at the default bucket", args: []string{"-window", "1m"},
 			window: &obs.WindowOptions{Bucket: 5 * time.Second, Buckets: 12}, options: 1},
+		{name: "window shorter than a bucket is one bucket", args: []string{"-window", "2s"},
+			window: &obs.WindowOptions{Bucket: 5 * time.Second, Buckets: 1}, options: 1},
 		{name: "zero bucket leaves both to the defaults", args: []string{"-window", "20s", "-window-bucket", "0"},
 			window: &obs.WindowOptions{}, options: 1},
 		{name: "privacy floor implies a window", args: []string{"-slo-privacy", "0.25"},

@@ -260,7 +260,7 @@ func (t *telemetryFlags) interpret(privacyTarget float64, objectives []obs.Objec
 	}
 	window := &obs.WindowOptions{Bucket: t.windowBucket}
 	if t.window > 0 && t.windowBucket > 0 {
-		window.Buckets = int(t.window / t.windowBucket)
+		window.Buckets = max(1, int(t.window/t.windowBucket))
 	}
 	return window, objectives
 }

@@ -12,8 +12,6 @@
 package attack
 
 import (
-	"math"
-
 	"shredder/internal/core"
 	"shredder/internal/nn"
 	"shredder/internal/optim"
@@ -125,13 +123,4 @@ func Evaluate(split *core.Split, inputs *tensor.Tensor, src core.NoiseSource, n 
 		shreddedMSE += shredded.InputMSE
 	}
 	return cleanMSE / float64(n), shreddedMSE / float64(n)
-}
-
-// PSNR converts an MSE against inputs with the given dynamic range into
-// peak signal-to-noise ratio in dB (higher = better reconstruction).
-func PSNR(mse, dynamicRange float64) float64 {
-	if mse <= 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(dynamicRange*dynamicRange/mse)
 }

@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"math"
 	"testing"
 
 	"shredder/internal/core"
@@ -52,7 +51,7 @@ func TestNoiseDegradesInversion(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	col := &core.Collection{}
 	for i := 0; i < 4; i++ {
-		col.Add(core.NewNoiseTensor(split.ActivationShape(), 0, 3, rng), 1)
+		col.AddMember(core.NewNoiseTensor(split.ActivationShape(), 0, 3, rng), nil, 1)
 	}
 	clean, shredded := Evaluate(split, pre.Test.Images, col, 2, Config{Steps: 200, Seed: 4})
 	if shredded <= clean {
@@ -130,15 +129,6 @@ func TestInvertWithoutTrueInput(t *testing.T) {
 	}
 }
 
-func TestPSNR(t *testing.T) {
-	if got := PSNR(0.01, 1); math.Abs(got-20) > 1e-9 {
-		t.Fatalf("PSNR(0.01, 1) = %v, want 20", got)
-	}
-	if !math.IsInf(PSNR(0, 1), 1) {
-		t.Fatal("zero MSE should be infinite PSNR")
-	}
-}
-
 func TestGalleryIdentifyCleanIsPerfect(t *testing.T) {
 	split, pre := attackRig(t)
 	res := GalleryIdentify(split, pre.Test.Images.Slice(0).Reshape(1, 1, 28, 28), nil, 1, 1)
@@ -156,7 +146,7 @@ func TestGalleryIdentifyNoiseReducesTop1(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	col := &core.Collection{}
 	for i := 0; i < 6; i++ {
-		col.Add(core.NewNoiseTensor(split.ActivationShape(), 0, 5, rng), 1)
+		col.AddMember(core.NewNoiseTensor(split.ActivationShape(), 0, 5, rng), nil, 1)
 	}
 	clean := GalleryIdentify(split, pre.Test.Images, nil, 30, 8)
 	noisy := GalleryIdentify(split, pre.Test.Images, col, 30, 8)

@@ -31,11 +31,6 @@ type Collection struct {
 	InVivo []float64
 }
 
-// Add appends a trained additive noise tensor to the collection.
-func (c *Collection) Add(n *NoiseTensor, inVivo float64) {
-	c.AddMember(n, nil, inVivo)
-}
-
 // AddMember appends a trained member: its noise tensor and, for the
 // multiplicative variant, its weight tensor (nil for additive members).
 // Mixing additive and multiplicative members in one collection panics.

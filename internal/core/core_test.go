@@ -228,7 +228,7 @@ func TestNoiseGradientMatchesFiniteDifference(t *testing.T) {
 
 	lossOf := func() float64 {
 		a := split.Local(b.Images)
-		logits := split.RemoteInfer(noise.Apply(a))
+		logits := split.RemoteInfer(AddBroadcast(a, noise.Values()))
 		total, _, _ := ShredderLoss(logits, b.Labels, noise, lambda)
 		return total
 	}
@@ -238,7 +238,7 @@ func TestNoiseGradientMatchesFiniteDifference(t *testing.T) {
 		t.Fatal(err)
 	}
 	pass := plan.NewPass(nil)
-	logits := pass.ForwardInto(nil, noise.Apply(split.Local(b.Images)))
+	logits := pass.ForwardInto(nil, AddBroadcast(split.Local(b.Images), noise.Values()))
 	_, _, grad := ShredderLoss(logits, b.Labels, noise, lambda)
 	dAprime := pass.BackwardInto(nil, grad)
 	noise.Param.ZeroGrad()
@@ -389,7 +389,7 @@ func TestCollectionSampleAndStats(t *testing.T) {
 	c := &Collection{}
 	for i := 0; i < 3; i++ {
 		n := NewNoiseTensor([]int{4}, 0, 1, rng)
-		c.Add(n, float64(i+1))
+		c.AddMember(n, nil, float64(i+1))
 	}
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d", c.Len())
@@ -416,20 +416,20 @@ func TestCollectionSampleAndStats(t *testing.T) {
 func TestCollectionShapeMismatchPanics(t *testing.T) {
 	rng := tensor.NewRNG(12)
 	c := &Collection{}
-	c.Add(NewNoiseTensor([]int{4}, 0, 1, rng), 1)
+	c.AddMember(NewNoiseTensor([]int{4}, 0, 1, rng), nil, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.Add(NewNoiseTensor([]int{5}, 0, 1, rng), 1)
+	c.AddMember(NewNoiseTensor([]int{5}, 0, 1, rng), nil, 1)
 }
 
 func TestCollectionEncodeDecode(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	c := &Collection{}
-	c.Add(NewNoiseTensor([]int{3, 2}, 0, 1, rng), 0.5)
-	c.Add(NewNoiseTensor([]int{3, 2}, 0, 1, rng), 0.7)
+	c.AddMember(NewNoiseTensor([]int{3, 2}, 0, 1, rng), nil, 0.5)
+	c.AddMember(NewNoiseTensor([]int{3, 2}, 0, 1, rng), nil, 0.7)
 	var buf bytes.Buffer
 	if err := c.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -489,7 +489,7 @@ func TestActivationsShapeAndNoise(t *testing.T) {
 		t.Fatalf("activations shape %v, want %v", clean.Shape(), wantShape)
 	}
 	col := &Collection{}
-	col.Add(NewNoiseTensor(split.ActivationShape(), 0, 3, rng), 1)
+	col.AddMember(NewNoiseTensor(split.ActivationShape(), 0, 3, rng), nil, 1)
 	noisy := Activations(split, pre.Test, col, 16, rng)
 	if tensor.AllClose(clean, noisy, 1e-9) {
 		t.Fatal("noisy activations should differ from clean")

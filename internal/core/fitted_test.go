@@ -121,13 +121,13 @@ func TestMulAddBroadcast(t *testing.T) {
 	a := tensor.From([]float64{1, 2, 3, 4}, 2, 2)
 	w := tensor.From([]float64{2, 3}, 2)
 	n := tensor.From([]float64{10, 20}, 2)
-	out := MulAddBroadcast(a, w, n)
+	out := mulAddBroadcastInto(tensor.New(2, 2), a, w, n)
 	want := tensor.From([]float64{12, 26, 16, 32}, 2, 2)
 	if !tensor.Equal(out, want) {
-		t.Fatalf("MulAddBroadcast = %v", out)
+		t.Fatalf("mulAddBroadcastInto = %v", out)
 	}
 	if !tensor.Equal(a, tensor.From([]float64{1, 2, 3, 4}, 2, 2)) {
-		t.Fatal("MulAddBroadcast must not modify input")
+		t.Fatal("mulAddBroadcastInto must not modify input")
 	}
 }
 

@@ -29,12 +29,6 @@ func NewNoiseTensor(shape []int, mu, scale float64, rng *tensor.RNG) *NoiseTenso
 // Values returns the noise values (per-sample activation shape).
 func (n *NoiseTensor) Values() *tensor.Tensor { return n.Param.Value }
 
-// Apply returns a + n for a batched activation a of shape [N, ...shape],
-// broadcasting the noise over the batch. The input is not modified.
-func (n *NoiseTensor) Apply(a *tensor.Tensor) *tensor.Tensor {
-	return AddBroadcast(a, n.Param.Value)
-}
-
 // AddBroadcast returns a + noise for a batched activation a of shape
 // [N, ...shape] and a per-sample noise tensor, broadcasting the noise over
 // the batch. The input is not modified.
@@ -69,16 +63,10 @@ func NewWeightTensor(shape []int, mu, std float64, rng *tensor.RNG) *NoiseTensor
 	return &NoiseTensor{Param: nn.NewParam("weight", v), Mu: mu, Scale: std}
 }
 
-// MulAddBroadcast returns a⊙w + noise for a batched activation a of shape
-// [N, ...shape], broadcasting the per-sample weight and noise tensors over
-// the batch — the multiplicative Shredder variant's forward transform. The
-// input is not modified.
-func MulAddBroadcast(a, w, noise *tensor.Tensor) *tensor.Tensor {
-	return mulAddBroadcastInto(tensor.New(a.Shape()...), a, w, noise)
-}
-
-// mulAddBroadcastInto is MulAddBroadcast writing into dst, a tensor of a's
-// size; it returns dst.
+// mulAddBroadcastInto writes a⊙w + noise into dst, a tensor of a's size, for
+// a batched activation a of shape [N, ...shape], broadcasting the per-sample
+// weight and noise tensors over the batch — the multiplicative Shredder
+// variant's forward transform. It returns dst; a is not modified.
 func mulAddBroadcastInto(dst, a, w, noise *tensor.Tensor) *tensor.Tensor {
 	per := noise.Len()
 	if w.Len() != per {
@@ -132,9 +120,4 @@ func (n *NoiseTensor) AccumulateGrad(dAprime *tensor.Tensor) {
 			gd[j] += row[j]
 		}
 	}
-}
-
-// Clone returns an independent deep copy (gradient not copied).
-func (n *NoiseTensor) Clone() *NoiseTensor {
-	return &NoiseTensor{Param: nn.NewParam("noise", n.Param.Value.Clone()), Mu: n.Mu, Scale: n.Scale}
 }

@@ -68,7 +68,7 @@ func (d Draw) ApplyInPlace(a *tensor.Tensor) *tensor.Tensor {
 			panic(fmt.Sprintf("core: draw of %d values applied to activation of %d", t.Len(), len(ad)))
 		}
 	}
-	// Two passes, as MulInPlace then AddInPlace: one fused loop could be
+	// Two passes, the product then the sum: one fused loop could be
 	// contracted into a multiply-add on some targets and change the bits.
 	if d.Weight != nil {
 		for i, w := range d.Weight.Data() {

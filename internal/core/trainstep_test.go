@@ -95,7 +95,7 @@ func freshStep(r *noiseRun, opt *optim.Adam, images *tensor.Tensor, labels []int
 		panic(err)
 	}
 	pass := plan.NewPass(tensor.NewRNG(1))
-	logits := pass.ForwardInto(nil, r.noise.Apply(a))
+	logits := pass.ForwardInto(nil, AddBroadcast(a, r.noise.Values()))
 	_, _, grad := ShredderLoss(logits, labels, r.noise, 0.01)
 	dA := pass.BackwardInto(nil, grad)
 	r.noise.Param.ZeroGrad()

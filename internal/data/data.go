@@ -10,7 +10,6 @@
 package data
 
 import (
-	"fmt"
 	"math"
 
 	"shredder/internal/tensor"
@@ -50,18 +49,6 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return &Dataset{Name: d.Name, Classes: d.Classes, Images: img, Labels: labels}
 }
 
-// Split partitions the dataset into a training set of trainN samples and a
-// test set of the remainder, after a seeded shuffle. Pre-training splits the
-// recipe instead (Recipe.Split) and never builds the whole dataset; this
-// gather is what that path is tested against.
-func (d *Dataset) Split(trainN int, seed int64) (train, test *Dataset) {
-	if trainN < 0 || trainN > d.N() {
-		panic(fmt.Sprintf("data: Split trainN=%d out of range for %d samples", trainN, d.N()))
-	}
-	perm := tensor.NewRNG(seed).Perm(d.N())
-	return d.Subset(perm[:trainN]), d.Subset(perm[trainN:])
-}
-
 // Shuffle returns a shuffled copy of the dataset.
 func (d *Dataset) Shuffle(seed int64) *Dataset {
 	return d.Subset(tensor.NewRNG(seed).Perm(d.N()))
@@ -90,15 +77,6 @@ func (d *Dataset) Batches(size int) []Batch {
 		out = append(out, Batch{Images: img, Labels: append([]int(nil), d.Labels[lo:hi]...)})
 	}
 	return out
-}
-
-// ClassCounts returns a histogram of labels, for balance checks.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, y := range d.Labels {
-		counts[y]++
-	}
-	return counts
 }
 
 // Normalize shifts and scales all pixels in place to zero mean and unit

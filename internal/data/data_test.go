@@ -56,7 +56,7 @@ func TestGeneratorsBalancedLabels(t *testing.T) {
 	for _, g := range allGenerators() {
 		n := g.Classes() * 12
 		ds := g.Generate(n, 5)
-		for cls, count := range ds.ClassCounts() {
+		for cls, count := range classCounts(ds) {
 			if count != 12 {
 				t.Fatalf("%s: class %d has %d samples, want 12", g.Name(), cls, count)
 			}
@@ -106,24 +106,17 @@ func TestClassesAreDistinguishable(t *testing.T) {
 }
 
 func TestSplitPartition(t *testing.T) {
-	ds := Objects{}.Generate(50, 3)
-	train, test := ds.Split(30, 11)
+	g := Objects{}
+	train, test, err := NewRecipe(g, 50, 3).Split(30, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if train.N() != 30 || test.N() != 20 {
 		t.Fatalf("split sizes %d/%d", train.N(), test.N())
 	}
-	if train.Classes != ds.Classes || test.Name != ds.Name {
+	if tr, te := train.Materialize(), test.Materialize(); tr.Classes != g.Classes() || te.Name != g.Name() {
 		t.Fatal("split must preserve metadata")
 	}
-}
-
-func TestSplitOutOfRangePanics(t *testing.T) {
-	ds := Digits{}.Generate(10, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ds.Split(11, 1)
 }
 
 func TestBatches(t *testing.T) {
@@ -186,26 +179,11 @@ func TestShuffleIsPermutation(t *testing.T) {
 	if sh.N() != ds.N() {
 		t.Fatal("shuffle changed size")
 	}
-	a, b := ds.ClassCounts(), sh.ClassCounts()
+	a, b := classCounts(ds), classCounts(sh)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("shuffle changed class histogram")
 		}
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"digits", "objects", "housenumbers", "tinyscenes"} {
-		g, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%s): %v", name, err)
-		}
-		if g.Name() != name {
-			t.Fatalf("ByName(%s) returned %s", name, g.Name())
-		}
-	}
-	if _, err := ByName("mnist"); err == nil {
-		t.Fatal("ByName should fail on unknown dataset")
 	}
 }
 
@@ -270,13 +248,29 @@ func TestDatasetDigestPinned(t *testing.T) {
 	}
 }
 
+// classCounts returns a histogram of d's labels.
+func classCounts(d *Dataset) []int {
+	counts := make([]int, d.Classes)
+	for _, y := range d.Labels {
+		counts[y]++
+	}
+	return counts
+}
+
+// gatherSplit is the split a recipe is held to: a seeded shuffle of the whole
+// dataset, its first trainN samples for training and the rest for test.
+func gatherSplit(d *Dataset, trainN int, seed int64) (train, test *Dataset) {
+	perm := tensor.NewRNG(seed).Perm(d.N())
+	return d.Subset(perm[:trainN]), d.Subset(perm[trainN:])
+}
+
 // A split recipe rendered into place is the dataset the gather path builds —
-// generate everything, then copy each split out (Dataset.Split, kept as the
-// reference) — and one sample rendered alone is its row of that dataset.
+// generate everything, then copy each split out (gatherSplit) — and one
+// sample rendered alone is its row of that dataset.
 func TestRecipeEqualsGenerateThenSplit(t *testing.T) {
 	const trainN, testN, seed = 14, 9, 3
 	for _, g := range allGenerators() {
-		wantTrain, wantTest := g.Generate(trainN+testN, seed).Split(trainN, seed+1)
+		wantTrain, wantTest := gatherSplit(g.Generate(trainN+testN, seed), trainN, seed+1)
 		trainR, testR, err := NewRecipe(g, trainN+testN, seed).Split(trainN, seed+1)
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,6 @@
 package data
 
 import (
-	"fmt"
-
 	"shredder/internal/tensor"
 )
 
@@ -218,19 +216,4 @@ func (TinyScenes) Render(img *tensor.Tensor, label int, rng *tensor.RNG) {
 		place(rng.Uniform(24, 40), rng.Uniform(24, 40), rng.Uniform(13, 20))
 	}
 	cv.sensorNoise(rng, 0.05)
-}
-
-// ByName returns the generator for a dataset family name.
-func ByName(name string) (Generator, error) {
-	switch name {
-	case "digits":
-		return Digits{}, nil
-	case "objects":
-		return Objects{}, nil
-	case "housenumbers":
-		return HouseNumbers{}, nil
-	case "tinyscenes":
-		return TinyScenes{}, nil
-	}
-	return nil, fmt.Errorf("data: unknown dataset %q (have digits, objects, housenumbers, tinyscenes)", name)
 }

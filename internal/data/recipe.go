@@ -40,8 +40,7 @@ func (r *Recipe) N() int { return len(r.labels) }
 func (r *Recipe) Label(i int) int { return r.labels[i] }
 
 // Split partitions the recipe into a training recipe of trainN samples and a
-// test recipe of the remainder, after a seeded shuffle — Dataset.Split
-// without the images.
+// test recipe of the remainder, after a seeded shuffle of the sample order.
 func (r *Recipe) Split(trainN int, seed int64) (train, test *Recipe, err error) {
 	if trainN < 0 || trainN > r.N() {
 		return nil, nil, fmt.Errorf("data: split of %d training samples out of range for %d samples", trainN, r.N())

@@ -1,9 +1,9 @@
 // Package mi implements the mutual-information machinery behind Shredder's
 // "ex vivo" privacy metric (1/MI): Kozachenko–Leonenko k-nearest-neighbour
-// differential entropy, Shannon mutual information assembled from entropies
-// (the estimator family the paper uses via the ITE toolbox), the KSG
-// estimator, a closed-form Gaussian reference, and a histogram estimator.
-// All results are reported in bits.
+// differential entropy, and Shannon mutual information assembled from joint
+// entropies against a permutation baseline (the estimator family the paper
+// uses via the ITE toolbox), with a closed-form Gaussian reference and a
+// histogram estimator to test it against. All results are reported in bits.
 //
 // The estimators operate on sample matrices of shape [N, D]. For the very
 // high-dimensional tensors that arise at AlexNet scale, Flatten and

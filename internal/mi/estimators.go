@@ -105,49 +105,6 @@ func KLEntropy(s Samples, o Options) float64 {
 	return nats * log2e
 }
 
-// MutualInformation estimates I(X;Y) in bits as H(X) + H(Y) − H(X,Y) with
-// Kozachenko–Leonenko entropies — the Shannon-MI-from-entropies construction
-// the paper uses via the ITE toolbox ("Shannon Mutual Information with KL
-// Divergence"). X and Y must be paired samples with equal N.
-//
-// Differential MI of high-dimensional continuous vectors can be large
-// (hundreds to thousands of bits), matching the magnitudes in the paper's
-// Table 1. Values can also be negative for weakly dependent data at small N
-// (estimator bias); callers that need a privacy ratio should clamp at zero.
-func MutualInformation(x, y Samples, o Options) float64 {
-	o = o.withDefaults()
-	// Prepare once so the joint uses the same subsample/projection/jitter
-	// as the marginals: prepare the pair jointly by concatenating first and
-	// splitting the options' budget across both blocks.
-	if x.N != y.N {
-		panic(fmt.Sprintf("mi: paired sample count mismatch %d vs %d", x.N, y.N))
-	}
-	// Subsample pairs jointly.
-	rng := tensor.NewRNG(o.Seed + 7)
-	if o.MaxSamples > 0 && x.N > o.MaxSamples {
-		idx := rng.Perm(x.N)[:o.MaxSamples]
-		x = subsetRows(x, idx)
-		y = subsetRows(y, idx)
-	}
-	if o.MaxDim > 0 {
-		if x.D > o.MaxDim {
-			x = RandomProject(x, o.MaxDim, o.Seed+11)
-		}
-		if y.D > o.MaxDim {
-			y = RandomProject(y, o.MaxDim, o.Seed+13)
-		}
-	}
-	if o.Jitter > 0 {
-		x = jitter(x, o.Jitter, o.Seed+17)
-		y = jitter(y, o.Jitter, o.Seed+19)
-	}
-	joint := Concat(x, y)
-	hx := klEntropyRaw(x, o.K)
-	hy := klEntropyRaw(y, o.K)
-	hxy := klEntropyRaw(joint, o.K)
-	return hx + hy - hxy
-}
-
 // klEntropyRaw is KLEntropy without preprocessing.
 func klEntropyRaw(s Samples, k int) float64 {
 	if s.N <= k {
@@ -227,50 +184,4 @@ func MutualInformationCalibrated(x, y Samples, o Options) float64 {
 	hJoint := klEntropyRaw(Concat(x, y), o.K)
 	hBase := klEntropyRaw(Concat(x, yPerm), o.K)
 	return hBase - hJoint
-}
-
-// KSG estimates I(X;Y) in bits with the Kraskov–Stögbauer–Grassberger
-// estimator (algorithm 1):
-//
-//	I ≈ ψ(k) + ψ(N) − ⟨ψ(n_x+1) + ψ(n_y+1)⟩      (nats)
-//
-// where n_x, n_y count neighbours within the joint k-NN max-norm radius in
-// each marginal. KSG is better behaved than the 3-entropy construction for
-// low-dimensional data; the experiments use it for cross-validation of MI
-// trends.
-func KSG(x, y Samples, o Options) float64 {
-	o = o.withDefaults()
-	if x.N != y.N {
-		panic(fmt.Sprintf("mi: paired sample count mismatch %d vs %d", x.N, y.N))
-	}
-	rng := tensor.NewRNG(o.Seed + 23)
-	if o.MaxSamples > 0 && x.N > o.MaxSamples {
-		idx := rng.Perm(x.N)[:o.MaxSamples]
-		x = subsetRows(x, idx)
-		y = subsetRows(y, idx)
-	}
-	if o.MaxDim > 0 {
-		if x.D > o.MaxDim {
-			x = RandomProject(x, o.MaxDim, o.Seed+29)
-		}
-		if y.D > o.MaxDim {
-			y = RandomProject(y, o.MaxDim, o.Seed+31)
-		}
-	}
-	if o.Jitter > 0 {
-		x = jitter(x, o.Jitter, o.Seed+37)
-		y = jitter(y, o.Jitter, o.Seed+41)
-	}
-	joint := Concat(x, y)
-	r := chebyshevKthNN(joint, o.K)
-	nx := countWithin(joint, 0, x.D, r)
-	ny := countWithin(joint, x.D, x.D+y.D, r)
-	n := x.N
-	avg := 0.0
-	for i := 0; i < n; i++ {
-		avg += Digamma(float64(nx[i]+1)) + Digamma(float64(ny[i]+1))
-	}
-	avg /= float64(n)
-	nats := Digamma(float64(o.K)) + Digamma(float64(n)) - avg
-	return nats * log2e
 }

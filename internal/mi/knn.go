@@ -58,18 +58,6 @@ func euclidean2(a, b []float64) float64 {
 	return s
 }
 
-// chebyshev returns the max-norm distance between rows (used by KSG).
-func chebyshev(a, b []float64) float64 {
-	m := 0.0
-	for i := range a {
-		d := math.Abs(a[i] - b[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // kthNNDistances returns, for every point, its distance to the k-th nearest
 // other point under the Euclidean norm. Brute force O(N²D), parallel over
 // query points — exact, which matters more than speed at the sample counts
@@ -99,64 +87,6 @@ func kthNNDistances(s Samples, k int) []float64 {
 			}
 		}
 		out[i] = math.Sqrt(best[k-1])
-	})
-	return out
-}
-
-// chebyshevKthNN returns per-point k-th NN distances under the max norm.
-func chebyshevKthNN(s Samples, k int) []float64 {
-	if k <= 0 || k >= s.N {
-		panic(fmt.Sprintf("mi: k=%d out of range for %d samples", k, s.N))
-	}
-	out := make([]float64, s.N)
-	tensor.ParallelFor(s.N, func(i int) {
-		ri := s.Row(i)
-		best := make([]float64, k)
-		for j := range best {
-			best[j] = math.Inf(1)
-		}
-		for j := 0; j < s.N; j++ {
-			if j == i {
-				continue
-			}
-			d := chebyshev(ri, s.Row(j))
-			if d < best[k-1] {
-				p := sort.SearchFloat64s(best, d)
-				copy(best[p+1:], best[p:k-1])
-				best[p] = d
-			}
-		}
-		out[i] = best[k-1]
-	})
-	return out
-}
-
-// countWithin returns, for each point, how many other points lie strictly
-// within radius r_i under the max norm over the given coordinate range
-// [lo, hi) of the sample dimensions. Used by the KSG estimator's marginal
-// counts.
-func countWithin(s Samples, lo, hi int, r []float64) []int {
-	out := make([]int, s.N)
-	tensor.ParallelFor(s.N, func(i int) {
-		ri := s.Row(i)[lo:hi]
-		c := 0
-		for j := 0; j < s.N; j++ {
-			if j == i {
-				continue
-			}
-			rj := s.Row(j)[lo:hi]
-			m := 0.0
-			for t := range ri {
-				d := math.Abs(ri[t] - rj[t])
-				if d > m {
-					m = d
-				}
-			}
-			if m < r[i] {
-				c++
-			}
-		}
-		out[i] = c
 	})
 	return out
 }

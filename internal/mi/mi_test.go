@@ -91,62 +91,6 @@ func correlatedPairs(n int, rho float64, seed int64) (Samples, Samples) {
 	return NewSamples(x, n, 1), NewSamples(y, n, 1)
 }
 
-func TestMutualInformationGaussianReference(t *testing.T) {
-	for _, rho := range []float64{0.5, 0.9} {
-		x, y := correlatedPairs(1500, rho, 5)
-		got := MutualInformation(x, y, Options{K: 3})
-		want := GaussianMI(rho)
-		if math.Abs(got-want) > 0.25 {
-			t.Fatalf("I at rho=%v: got %v, want ~%v", rho, got, want)
-		}
-	}
-}
-
-func TestMutualInformationIndependentNearZero(t *testing.T) {
-	x := gaussianSamples(1200, 2, 1, 6)
-	y := gaussianSamples(1200, 2, 1, 7)
-	got := MutualInformation(x, y, Options{K: 3})
-	if math.Abs(got) > 0.3 {
-		t.Fatalf("I(independent) = %v, want ~0", got)
-	}
-}
-
-func TestKSGGaussianReference(t *testing.T) {
-	for _, rho := range []float64{0.0, 0.6, 0.9} {
-		x, y := correlatedPairs(1500, rho, 8)
-		got := KSG(x, y, Options{K: 3})
-		want := 0.0
-		if rho != 0 {
-			want = GaussianMI(rho)
-		}
-		if math.Abs(got-want) > 0.2 {
-			t.Fatalf("KSG at rho=%v: got %v, want ~%v", rho, got, want)
-		}
-	}
-}
-
-func TestMIDecreasesWithAddedNoise(t *testing.T) {
-	// The core behaviour Shredder relies on: I(x, x+noise) falls as the
-	// noise variance grows.
-	rng := tensor.NewRNG(9)
-	n, d := 800, 4
-	x := gaussianSamples(n, d, 1, 10)
-	miAt := func(sigma float64) float64 {
-		y := make([]float64, n*d)
-		copy(y, x.X)
-		for i := range y {
-			y[i] += rng.Normal(0, sigma)
-		}
-		return MutualInformation(x, NewSamples(y, n, d), Options{K: 3})
-	}
-	clean := miAt(0.01)
-	noisy := miAt(1)
-	noisier := miAt(5)
-	if !(clean > noisy && noisy > noisier) {
-		t.Fatalf("MI not monotone in noise: %v, %v, %v", clean, noisy, noisier)
-	}
-}
-
 func TestCalibratedMIGaussianReference(t *testing.T) {
 	x, y := correlatedPairs(1500, 0.9, 20)
 	got := MutualInformationCalibrated(x, y, Options{K: 3, Seed: 1})
@@ -261,7 +205,7 @@ func TestOptionsSubsamplingCapsWork(t *testing.T) {
 	x := gaussianSamples(500, 8, 1, 15)
 	y := gaussianSamples(500, 8, 1, 16)
 	// Must not panic and must produce a finite value with tight caps.
-	got := MutualInformation(x, y, Options{K: 3, MaxSamples: 100, MaxDim: 4, Seed: 1})
+	got := MutualInformationCalibrated(x, y, Options{K: 3, MaxSamples: 100, MaxDim: 4, Seed: 1})
 	if math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Fatalf("capped MI = %v", got)
 	}
@@ -271,8 +215,8 @@ func TestMIDeterministicGivenSeed(t *testing.T) {
 	x := gaussianSamples(300, 6, 1, 17)
 	y := gaussianSamples(300, 6, 1, 18)
 	o := Options{K: 3, MaxSamples: 150, MaxDim: 3, Seed: 42}
-	a := MutualInformation(x, y, o)
-	b := MutualInformation(x, y, o)
+	a := MutualInformationCalibrated(x, y, o)
+	b := MutualInformationCalibrated(x, y, o)
 	if a != b {
 		t.Fatalf("same options, different results: %v vs %v", a, b)
 	}

@@ -167,12 +167,10 @@ func (c *CompiledNet) InferInto(dst, x *tensor.Tensor) *tensor.Tensor {
 	return inferInto(c.p64, dst, x.Data(), x.Shape())
 }
 
-// Infer32 runs the plan on a float32 batch — the zero-conversion entry for
-// payloads dequantized directly to float32 (quantize.DequantizeInto). For a
-// Float64 plan the input is widened sample by sample.
-func (c *CompiledNet) Infer32(x *tensor.Tensor32) *tensor.Tensor { return c.Infer32Into(nil, x) }
-
-// Infer32Into is Infer32 with InferInto's destination rule.
+// Infer32Into runs the plan on a float32 batch — the zero-conversion entry
+// for payloads dequantized directly to float32 (quantize.DequantizeInto) —
+// with InferInto's destination rule. For a Float64 plan the input is widened
+// sample by sample.
 func (c *CompiledNet) Infer32Into(dst *tensor.Tensor, x *tensor.Tensor32) *tensor.Tensor {
 	if c.p32 != nil {
 		return inferInto(c.p32, dst, x.Data(), x.Shape())

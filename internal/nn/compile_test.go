@@ -195,10 +195,10 @@ func TestCompiledInfer32DirectEntry(t *testing.T) {
 	}
 	x := rng.FillNormal(tensor.New(2, 6), 0, 1)
 	viaF64 := cn.Infer(x)
-	via32 := cn.Infer32(tensor.ToDense[float32](x))
+	via32 := cn.Infer32Into(nil, tensor.ToDense[float32](x))
 	for i, v := range via32.Data() {
 		if v != viaF64.Data()[i] {
-			t.Fatalf("Infer32 and Infer disagree at %d: %v vs %v", i, v, viaF64.Data()[i])
+			t.Fatalf("Infer32Into and Infer disagree at %d: %v vs %v", i, v, viaF64.Data()[i])
 		}
 	}
 	// Float64 plans widen the input instead of failing.
@@ -206,8 +206,8 @@ func TestCompiledInfer32DirectEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := cn64.Infer32(tensor.ToDense[float32](x)); out.Len() != 6 {
-		t.Fatalf("f64 Infer32 returned %v", out.Shape())
+	if out := cn64.Infer32Into(nil, tensor.ToDense[float32](x)); out.Len() != 6 {
+		t.Fatalf("f64 Infer32Into returned %v", out.Shape())
 	}
 }
 

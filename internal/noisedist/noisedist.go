@@ -26,7 +26,6 @@ package noisedist
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"shredder/internal/tensor"
 )
@@ -84,19 +83,9 @@ func (c Component) variance(k Kind) float64 {
 	return c.Scale * c.Scale
 }
 
-// FitValues computes the maximum-likelihood Component of kind k over vals.
-// The input slice is not modified.
-func FitValues(vals []float64, k Kind) Component {
-	var sorted []float64
-	if k != Gaussian {
-		sorted = append([]float64(nil), vals...)
-		slices.Sort(sorted)
-	}
-	return component(vals, sorted, k)
-}
-
-// component is FitValues given vals in ascending order as well (the
-// Gaussian fit does not read sorted). Sums run over vals in its own order.
+// component computes the maximum-likelihood Component of kind k over vals,
+// given vals in ascending order as well (the Gaussian fit does not read
+// sorted). Sums run over vals in its own order.
 func component(vals, sorted []float64, k Kind) Component {
 	if len(vals) == 0 {
 		return Component{}

@@ -43,6 +43,13 @@ func TestParseKind(t *testing.T) {
 	}
 }
 
+// fit is component over vals and a sorted copy of them.
+func fit(vals []float64, k Kind) Component {
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	return component(vals, sorted, k)
+}
+
 // The MLE fits must recover the parameters of large synthetic samples.
 func TestFitValuesRecoversParameters(t *testing.T) {
 	rng := tensor.NewRNG(1)
@@ -53,22 +60,22 @@ func TestFitValuesRecoversParameters(t *testing.T) {
 		lap[i] = rng.Laplace(1.5, 2.0)
 		gau[i] = rng.Normal(-0.5, 3.0)
 	}
-	cl := FitValues(lap, Laplace)
+	cl := fit(lap, Laplace)
 	if math.Abs(cl.Loc-1.5) > 0.1 || math.Abs(cl.Scale-2.0) > 0.1 {
 		t.Fatalf("Laplace fit (%.3f, %.3f), want (1.5, 2.0)", cl.Loc, cl.Scale)
 	}
-	cg := FitValues(gau, Gaussian)
+	cg := fit(gau, Gaussian)
 	if math.Abs(cg.Loc+0.5) > 0.1 || math.Abs(cg.Scale-3.0) > 0.1 {
 		t.Fatalf("Gaussian fit (%.3f, %.3f), want (-0.5, 3.0)", cg.Loc, cg.Scale)
 	}
-	if got := FitValues(nil, Laplace); got != (Component{}) {
+	if got := fit(nil, Laplace); got != (Component{}) {
 		t.Fatalf("empty fit = %+v", got)
 	}
 }
 
 func TestFitValuesExact(t *testing.T) {
 	vals := []float64{-2, 0, 1, 3}
-	cl := FitValues(vals, Laplace)
+	cl := fit(vals, Laplace)
 	if cl.Loc != 0.5 { // even length: mean of middle two
 		t.Fatalf("Laplace loc = %v, want 0.5", cl.Loc)
 	}
@@ -76,7 +83,7 @@ func TestFitValuesExact(t *testing.T) {
 	if math.Abs(cl.Scale-wantScale) > 1e-12 {
 		t.Fatalf("Laplace scale = %v, want %v", cl.Scale, wantScale)
 	}
-	cg := FitValues(vals, Gaussian)
+	cg := fit(vals, Gaussian)
 	if cg.Loc != 0.5 {
 		t.Fatalf("Gaussian loc = %v, want 0.5", cg.Loc)
 	}

@@ -93,35 +93,3 @@ func CSVHook(w io.Writer) Hook {
 			ev.InVivo, ev.BatchAcc, ev.Lambda, ev.Elapsed.Seconds())
 	}
 }
-
-// MetricsHook mirrors the latest event into registry gauges under the given
-// prefix (default "train") and counts events, so a live /debug/metrics poll
-// shows training progress next to the serving metrics.
-func MetricsHook(r *Registry, prefix string) Hook {
-	if r == nil {
-		return nil
-	}
-	if prefix == "" {
-		prefix = "train"
-	}
-	events := r.Counter(prefix + ".events")
-	iter := r.Gauge(prefix + ".iteration")
-	epoch := r.Gauge(prefix + ".epoch")
-	loss := r.Gauge(prefix + ".loss")
-	ce := r.Gauge(prefix + ".ce")
-	l1 := r.Gauge(prefix + ".noise_l1")
-	invivo := r.Gauge(prefix + ".invivo")
-	acc := r.Gauge(prefix + ".batch_acc")
-	lambda := r.Gauge(prefix + ".lambda")
-	return func(ev TrainingEvent) {
-		events.Inc()
-		iter.Set(float64(ev.Iteration))
-		epoch.Set(ev.Epoch)
-		loss.Set(ev.Loss)
-		ce.Set(ev.CE)
-		l1.Set(ev.NoiseL1)
-		invivo.Set(ev.InVivo)
-		acc.Set(ev.BatchAcc)
-		lambda.Set(ev.Lambda)
-	}
-}

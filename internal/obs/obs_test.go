@@ -223,15 +223,4 @@ func TestHooks(t *testing.T) {
 	if Hooks(nil, nil) != nil {
 		t.Fatal("all-nil Hooks must collapse to nil")
 	}
-
-	reg := NewRegistry()
-	mh := MetricsHook(reg, "")
-	mh.Emit(ev)
-	snap := reg.Snapshot()
-	if snap.Counters["train.events"] != 1 || snap.Gauges["train.loss"] != -1.25 || snap.Gauges["train.noise_l1"] != 321.5 {
-		t.Fatalf("metrics hook snapshot: %+v", snap)
-	}
-	if MetricsHook(nil, "x") != nil {
-		t.Fatal("MetricsHook(nil) must be nil")
-	}
 }

@@ -201,30 +201,6 @@ func (s *SLO) Events() *EventRing {
 	return s.events
 }
 
-// Objectives returns the configured objectives (nil on a nil SLO).
-func (s *SLO) Objectives() []Objective {
-	if s == nil {
-		return nil
-	}
-	return s.objectives
-}
-
-// Firing returns the names of currently breaching objectives.
-func (s *SLO) Firing() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for i, f := range s.firing {
-		if f {
-			out = append(out, s.objectives[i].Name)
-		}
-	}
-	return out
-}
-
 // Evaluate advances the window to now and judges every objective,
 // appending an Event per state transition. It returns the emitted
 // transitions (usually none). Nil-safe.

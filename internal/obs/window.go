@@ -58,12 +58,6 @@ func (o WindowOptions) withDefaults() WindowOptions {
 	return o
 }
 
-// Span returns the window's nominal duration (Bucket × Buckets).
-func (o WindowOptions) Span() time.Duration {
-	o = o.withDefaults()
-	return o.Bucket * time.Duration(o.Buckets)
-}
-
 // NewWindows builds a sliding window over reg. Returns nil (a valid,
 // disabled window: every method no-ops and Snapshot returns nil) when reg
 // is nil, so callers wire `win.Advance(...)` unconditionally.

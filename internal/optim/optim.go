@@ -1,8 +1,6 @@
-// Package optim implements the gradient-descent optimizers and schedules
-// used both to pre-train the benchmark networks and to train Shredder noise
-// tensors: SGD with momentum and weight decay, Adam (the optimizer the
-// paper uses for noise learning, §3.2), and step/exponential decay
-// schedules for learning rate and for Shredder's λ privacy knob.
+// Package optim implements Adam (the optimizer the paper uses for noise
+// learning, §3.2), which both pre-trains the benchmark networks and trains
+// Shredder's noise tensors.
 package optim
 
 import (
@@ -11,64 +9,6 @@ import (
 	"shredder/internal/nn"
 	"shredder/internal/tensor"
 )
-
-// Optimizer updates parameters from their accumulated gradients and then
-// clears the gradients.
-type Optimizer interface {
-	// Step applies one update to every parameter and zeroes the gradients.
-	Step()
-	// SetLR changes the learning rate for subsequent steps.
-	SetLR(lr float64)
-	// LR returns the current learning rate.
-	LR() float64
-}
-
-// SGD is stochastic gradient descent with optional momentum and decoupled
-// weight decay.
-type SGD struct {
-	params    []*nn.Param
-	lr        float64
-	Momentum  float64
-	WeightDec float64
-	velocity  []*tensor.Tensor
-}
-
-// NewSGD constructs an SGD optimizer over params.
-func NewSGD(params []*nn.Param, lr, momentum, weightDecay float64) *SGD {
-	s := &SGD{params: params, lr: lr, Momentum: momentum, WeightDec: weightDecay}
-	if momentum != 0 {
-		s.velocity = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			s.velocity[i] = tensor.New(p.Value.Shape()...)
-		}
-	}
-	return s
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		g := p.Grad
-		if s.WeightDec != 0 {
-			g.AddScaled(s.WeightDec, p.Value)
-		}
-		if s.velocity != nil {
-			v := s.velocity[i]
-			v.Scale(s.Momentum)
-			v.AddScaled(1, g)
-			p.Value.AddScaled(-s.lr, v)
-		} else {
-			p.Value.AddScaled(-s.lr, g)
-		}
-		p.ZeroGrad()
-	}
-}
-
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// LR implements Optimizer.
-func (s *SGD) LR() float64 { return s.lr }
 
 // Adam is the Adam optimizer (Kingma & Ba 2015) with bias correction.
 type Adam struct {
@@ -93,7 +33,7 @@ func NewAdam(params []*nn.Param, lr float64) *Adam {
 	return a
 }
 
-// Step implements Optimizer.
+// Step applies one update to every parameter and zeroes the gradients.
 func (a *Adam) Step() {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
@@ -110,26 +50,5 @@ func (a *Adam) Step() {
 			pd[j] -= a.lr * mhat / (math.Sqrt(vhat) + a.Eps)
 		}
 		p.ZeroGrad()
-	}
-}
-
-// SetLR implements Optimizer.
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
-
-// LR implements Optimizer.
-func (a *Adam) LR() float64 { return a.lr }
-
-// StepDecay returns a schedule that multiplies base by factor every
-// interval steps: lr(t) = base · factorᶠˡᵒᵒʳ⁽ᵗ/ᵢⁿᵗᵉʳᵛᵃˡ⁾.
-func StepDecay(base, factor float64, interval int) func(step int) float64 {
-	return func(step int) float64 {
-		return base * math.Pow(factor, float64(step/interval))
-	}
-}
-
-// ExpDecay returns a schedule lr(t) = base · e^(−rate·t).
-func ExpDecay(base, rate float64) func(step int) float64 {
-	return func(step int) float64 {
-		return base * math.Exp(-rate*float64(step))
 	}
 }

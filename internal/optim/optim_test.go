@@ -18,51 +18,9 @@ func quadGrad(p *nn.Param) {
 	p.Grad.CopyFrom(p.Value)
 }
 
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	p := quadParam([]float64{5, -3, 2})
-	opt := NewSGD([]*nn.Param{p}, 0.1, 0, 0)
-	for i := 0; i < 200; i++ {
-		quadGrad(p)
-		opt.Step()
-	}
-	if p.Value.MaxAbs() > 1e-6 {
-		t.Fatalf("SGD did not converge: %v", p.Value)
-	}
-}
-
-func TestSGDMomentumFasterThanPlain(t *testing.T) {
-	plain := quadParam([]float64{10})
-	mom := quadParam([]float64{10})
-	optP := NewSGD([]*nn.Param{plain}, 0.01, 0, 0)
-	optM := NewSGD([]*nn.Param{mom}, 0.01, 0.9, 0)
-	for i := 0; i < 100; i++ {
-		quadGrad(plain)
-		optP.Step()
-		quadGrad(mom)
-		optM.Step()
-	}
-	if mom.Value.MaxAbs() >= plain.Value.MaxAbs() {
-		t.Fatalf("momentum (%v) should beat plain SGD (%v) on a quadratic",
-			mom.Value.MaxAbs(), plain.Value.MaxAbs())
-	}
-}
-
-func TestSGDWeightDecayShrinksParams(t *testing.T) {
-	p := quadParam([]float64{1})
-	opt := NewSGD([]*nn.Param{p}, 0.1, 0, 0.5)
-	// Zero task gradient; only decay acts.
-	for i := 0; i < 10; i++ {
-		p.ZeroGrad()
-		opt.Step()
-	}
-	if v := p.Value.At(0); v >= 1 || v <= 0 {
-		t.Fatalf("decayed value = %v, want in (0,1)", v)
-	}
-}
-
-func TestSGDZeroesGradAfterStep(t *testing.T) {
+func TestAdamZeroesGradAfterStep(t *testing.T) {
 	p := quadParam([]float64{1, 2})
-	opt := NewSGD([]*nn.Param{p}, 0.1, 0.9, 0)
+	opt := NewAdam([]*nn.Param{p}, 0.1)
 	quadGrad(p)
 	opt.Step()
 	if p.Grad.AbsSum() != 0 {
@@ -109,46 +67,6 @@ func TestAdamHandlesSparseScaleDifferences(t *testing.T) {
 	}
 	if math.Abs(p.Value.At(1)) > 0.5 {
 		t.Fatalf("small-scale coordinate did not move enough: %v", p.Value)
-	}
-}
-
-func TestSetLRTakesEffect(t *testing.T) {
-	p := quadParam([]float64{1})
-	opt := NewSGD([]*nn.Param{p}, 0.1, 0, 0)
-	opt.SetLR(0)
-	quadGrad(p)
-	opt.Step()
-	if p.Value.At(0) != 1 {
-		t.Fatal("lr=0 should freeze the parameter")
-	}
-	if opt.LR() != 0 {
-		t.Fatal("LR() should reflect SetLR")
-	}
-}
-
-func TestStepDecaySchedule(t *testing.T) {
-	sched := StepDecay(1.0, 0.5, 10)
-	if sched(0) != 1.0 || sched(9) != 1.0 {
-		t.Fatal("no decay before first interval")
-	}
-	if sched(10) != 0.5 {
-		t.Fatalf("sched(10) = %v", sched(10))
-	}
-	if sched(25) != 0.25 {
-		t.Fatalf("sched(25) = %v", sched(25))
-	}
-}
-
-func TestExpDecaySchedule(t *testing.T) {
-	sched := ExpDecay(2.0, 0.1)
-	if sched(0) != 2.0 {
-		t.Fatalf("sched(0) = %v", sched(0))
-	}
-	if got, want := sched(10), 2.0*math.Exp(-1); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("sched(10) = %v, want %v", got, want)
-	}
-	if sched(100) >= sched(10) {
-		t.Fatal("exp decay must be monotone decreasing")
 	}
 }
 

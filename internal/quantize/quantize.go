@@ -139,10 +139,6 @@ func (s Scheme) RoundTrip(x *tensor.Tensor) *tensor.Tensor {
 	return s.Dequantize(s.Quantize(x), x.Shape()...)
 }
 
-// MaxError returns the worst-case reconstruction error for in-range
-// values: half the step size.
-func (s Scheme) MaxError() float64 { return s.step() / 2 }
-
 // WireBytes returns the transmitted size of n values under this scheme
 // (levels packed at Bits bits each, rounded up to whole bytes).
 func (s Scheme) WireBytes(n int) int64 {
@@ -210,11 +206,4 @@ func Unpack(packed []byte, bits, n int) ([]uint16, error) {
 		bitPos += bits
 	}
 	return out, nil
-}
-
-// MSE returns the mean squared reconstruction error of a round trip.
-func (s Scheme) MSE(x *tensor.Tensor) float64 {
-	rt := s.RoundTrip(x)
-	d := tensor.Sub(rt, x)
-	return d.SqSum() / float64(d.Len())
 }

@@ -77,8 +77,8 @@ func TestRoundTripExtremes(t *testing.T) {
 			}
 			in := x.Data()[i]
 			if in >= c.lo && in <= c.hi {
-				if err := math.Abs(v - in); err > s.MaxError()*(1+1e-9) {
-					t.Fatalf("%s: in-range error %v exceeds MaxError %v", c.name, err, s.MaxError())
+				if err := math.Abs(v - in); err > s.step()/2*(1+1e-9) {
+					t.Fatalf("%s: in-range error %v exceeds half a step %v", c.name, err, s.step()/2)
 				}
 			}
 		}
@@ -144,7 +144,7 @@ func TestRoundTripWithinMaxError(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	x := rng.FillUniform(tensor.New(1000), -2, 2)
 	rt := s.RoundTrip(x)
-	maxErr := s.MaxError()
+	maxErr := s.step() / 2
 	for i, v := range x.Data() {
 		if math.Abs(rt.Data()[i]-v) > maxErr+1e-12 {
 			t.Fatalf("value %v reconstructed as %v (max err %v)", v, rt.Data()[i], maxErr)
@@ -170,13 +170,19 @@ func TestEndpointsExactlyRepresentable(t *testing.T) {
 	}
 }
 
+// roundTripMSE returns the mean squared reconstruction error of a round trip.
+func roundTripMSE(s Scheme, x *tensor.Tensor) float64 {
+	d := tensor.Sub(s.RoundTrip(x), x)
+	return d.SqSum() / float64(d.Len())
+}
+
 func TestMoreBitsLessError(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	x := rng.FillNormal(tensor.New(5000), 0, 1)
 	prev := math.Inf(1)
 	for _, bits := range []int{2, 4, 8, 12} {
 		s, _ := NewScheme(bits, -4, 4)
-		mse := s.MSE(x)
+		mse := roundTripMSE(s, x)
 		if mse >= prev {
 			t.Fatalf("%d bits MSE %v not below previous %v", bits, mse, prev)
 		}
@@ -195,7 +201,7 @@ func TestFitCoversSamples(t *testing.T) {
 		t.Fatalf("fit lo %v does not cover sample mass", s.Lo)
 	}
 	// Reconstruction error should be small relative to the data scale.
-	if mse := s.MSE(x); mse > 0.01 {
+	if mse := roundTripMSE(s, x); mse > 0.01 {
 		t.Fatalf("8-bit fit MSE %v too large", mse)
 	}
 }

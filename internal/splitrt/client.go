@@ -180,10 +180,6 @@ func (c *EdgeClient) Stats() Stats {
 	}
 }
 
-// Spans returns the client's span ring, or nil when WithSpans is not
-// configured.
-func (c *EdgeClient) Spans() *obs.SpanRing { return c.spans }
-
 // LastTrace returns the trace ID of the client's most recent request —
 // the key a caller hands to /debug/audit (or `shredder audit verify`)
 // to fetch the inclusion proof showing its query's noise was recorded.

@@ -35,7 +35,7 @@ func TestJoinedSpanEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if client.Spans() != clientRing {
+	if client.spans != clientRing {
 		t.Fatal("client did not adopt the span ring")
 	}
 	if err := client.SetWireQuantization(8); err != nil {

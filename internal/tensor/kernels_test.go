@@ -183,28 +183,6 @@ func TestIm2ColKernelFloat32Parity(t *testing.T) {
 	}
 }
 
-func TestDenseReshapeSliceArgmax(t *testing.T) {
-	d := NewDense[float32](2, 3, 4)
-	if d.Len() != 24 || d.Rank() != 3 || d.Dim(2) != 4 {
-		t.Fatalf("dense shape bookkeeping broken: %v", d.Shape())
-	}
-	r := d.Reshape(6, -1)
-	if !ShapeEq(r.Shape(), []int{6, 4}) {
-		t.Fatalf("reshape got %v", r.Shape())
-	}
-	// Slice shares storage.
-	s := d.Slice(1)
-	s.Data()[0] = 42
-	if d.Data()[12] != 42 {
-		t.Fatal("Slice does not share storage")
-	}
-	a := NewDense[float32](3)
-	copy(a.Data(), []float32{1, 9, 3})
-	if a.Argmax() != 1 {
-		t.Fatalf("argmax got %d", a.Argmax())
-	}
-}
-
 func TestDenseTensorRoundTrip(t *testing.T) {
 	rng := NewRNG(16)
 	src := rng.FillNormal(New(4, 5), 0, 3)

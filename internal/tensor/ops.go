@@ -32,39 +32,11 @@ func Sub(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Mul returns a * b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor {
-	checkSame("Mul", a, b)
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] * b.data[i]
-	}
-	return out
-}
-
 // AddInPlace accumulates b into t.
 func (t *Tensor) AddInPlace(b *Tensor) *Tensor {
 	checkSame("AddInPlace", t, b)
 	for i := range t.data {
 		t.data[i] += b.data[i]
-	}
-	return t
-}
-
-// SubInPlace subtracts b from t in place.
-func (t *Tensor) SubInPlace(b *Tensor) *Tensor {
-	checkSame("SubInPlace", t, b)
-	for i := range t.data {
-		t.data[i] -= b.data[i]
-	}
-	return t
-}
-
-// MulInPlace multiplies t by b elementwise in place.
-func (t *Tensor) MulInPlace(b *Tensor) *Tensor {
-	checkSame("MulInPlace", t, b)
-	for i := range t.data {
-		t.data[i] *= b.data[i]
 	}
 	return t
 }
@@ -85,30 +57,12 @@ func (t *Tensor) Shift(s float64) *Tensor {
 	return t
 }
 
-// AddScaled accumulates s*b into t in place (axpy).
-func (t *Tensor) AddScaled(s float64, b *Tensor) *Tensor {
-	checkSame("AddScaled", t, b)
-	for i := range t.data {
-		t.data[i] += s * b.data[i]
-	}
-	return t
-}
-
 // Apply replaces every element x with f(x) in place.
 func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 	for i := range t.data {
 		t.data[i] = f(t.data[i])
 	}
 	return t
-}
-
-// Map returns a new tensor with f applied to every element.
-func Map(a *Tensor, f func(float64) float64) *Tensor {
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = f(a.data[i])
-	}
-	return out
 }
 
 // Sum returns the sum of all elements.
@@ -215,33 +169,6 @@ func Dot(a, b *Tensor) float64 {
 		s += a.data[i] * b.data[i]
 	}
 	return s
-}
-
-// Sign replaces each element with its sign (-1, 0, +1) in place.
-func (t *Tensor) Sign() *Tensor {
-	for i, v := range t.data {
-		switch {
-		case v > 0:
-			t.data[i] = 1
-		case v < 0:
-			t.data[i] = -1
-		default:
-			t.data[i] = 0
-		}
-	}
-	return t
-}
-
-// Clamp limits each element to [lo, hi] in place.
-func (t *Tensor) Clamp(lo, hi float64) *Tensor {
-	for i, v := range t.data {
-		if v < lo {
-			t.data[i] = lo
-		} else if v > hi {
-			t.data[i] = hi
-		}
-	}
-	return t
 }
 
 // AllFinite reports whether every element is finite (no NaN/Inf) — used by

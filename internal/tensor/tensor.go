@@ -190,15 +190,6 @@ func (t *Tensor) CopyFrom(o *Tensor) *Tensor {
 	return t
 }
 
-// Row returns row i of a rank-2 tensor as a shared-storage rank-1 tensor.
-func (t *Tensor) Row(i int) *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: Row requires a rank-2 tensor")
-	}
-	w := t.shape[1]
-	return wrap(t.data[i*w:(i+1)*w], t.shape[1:])
-}
-
 // Slice returns the i-th sub-tensor along the first axis, sharing storage.
 // For a tensor of shape [N, ...rest] it returns shape [...rest].
 func (t *Tensor) Slice(i int) *Tensor {

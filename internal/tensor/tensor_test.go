@@ -105,9 +105,10 @@ func TestSliceAndRow(t *testing.T) {
 	if !ShapeEq(s.Shape(), []int{3}) || s.At(0) != 4 {
 		t.Fatalf("Slice(1) = %v", s)
 	}
-	r := a.Row(0)
-	if r.At(2) != 3 {
-		t.Fatalf("Row(0) = %v", r)
+	// A rank-2 tensor's slice is its row.
+	r := a.Slice(0)
+	if !ShapeEq(r.Shape(), []int{3}) || r.At(2) != 3 {
+		t.Fatalf("Slice(0) = %v", r)
 	}
 	// shared storage
 	s.Set(40, 0)
@@ -125,9 +126,6 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Sub(b, a); !Equal(got, From([]float64{3, 3, 3}, 3)) {
 		t.Fatalf("Sub = %v", got)
 	}
-	if got := Mul(a, b); !Equal(got, From([]float64{4, 10, 18}, 3)) {
-		t.Fatalf("Mul = %v", got)
-	}
 	if got := Dot(a, b); got != 32 {
 		t.Fatalf("Dot = %v, want 32", got)
 	}
@@ -141,10 +139,6 @@ func TestInPlaceOps(t *testing.T) {
 	want := From([]float64{3, 5, 7}, 3)
 	if !Equal(a, want) {
 		t.Fatalf("chained in-place ops = %v, want %v", a, want)
-	}
-	a.AddScaled(10, From([]float64{1, 0, 1}, 3))
-	if !Equal(a, From([]float64{13, 5, 17}, 3)) {
-		t.Fatalf("AddScaled = %v", a)
 	}
 }
 
@@ -192,17 +186,8 @@ func TestVarianceStd(t *testing.T) {
 	}
 }
 
-func TestSignClampFinite(t *testing.T) {
+func TestAllFinite(t *testing.T) {
 	a := From([]float64{-2, 0, 3}, 3)
-	a.Clone().Sign()
-	s := a.Clone().Sign()
-	if !Equal(s, From([]float64{-1, 0, 1}, 3)) {
-		t.Fatalf("Sign = %v", s)
-	}
-	c := a.Clone().Clamp(-1, 1)
-	if !Equal(c, From([]float64{-1, 0, 1}, 3)) {
-		t.Fatalf("Clamp = %v", c)
-	}
 	if !a.AllFinite() {
 		t.Fatal("finite tensor reported non-finite")
 	}
@@ -216,12 +201,8 @@ func TestSignClampFinite(t *testing.T) {
 	}
 }
 
-func TestApplyAndMap(t *testing.T) {
+func TestApply(t *testing.T) {
 	a := From([]float64{1, 4, 9}, 3)
-	b := Map(a, math.Sqrt)
-	if !AllClose(b, From([]float64{1, 2, 3}, 3), 1e-12) {
-		t.Fatalf("Map sqrt = %v", b)
-	}
 	a.Apply(func(x float64) float64 { return -x })
 	if !Equal(a, From([]float64{-1, -4, -9}, 3)) {
 		t.Fatalf("Apply = %v", a)

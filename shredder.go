@@ -682,10 +682,6 @@ func (h *EdgeHandle) SetWireQuantization(bits int) error {
 // BytesSent returns the cumulative bytes the edge has sent to the cloud.
 func (h *EdgeHandle) BytesSent() int64 { return h.client.Stats().BytesSent }
 
-// Spans returns the client-side span ring (splitrt.WithSpans), or nil when
-// span recording is not configured.
-func (h *EdgeHandle) Spans() *obs.SpanRing { return h.client.Spans() }
-
 // LastTrace returns the trace ID of the most recent request — the key
 // `shredder audit verify` takes to fetch this query's inclusion proof
 // from an audited server's /debug/audit endpoint.
