@@ -190,8 +190,9 @@ func (c *EdgeClient) LastTrace() obs.TraceID {
 // SetWireQuantization switches the activation transport to linear
 // quantization with the given bit width (0 restores dense float transport).
 // Levels are bit-packed and the packed bytes Huffman-coded, so the payload
-// is at most bits/64 of the dense float64 frame's (plus one byte) and, for
-// the Laplace-shaped levels noise gives, some 14 % below that. Being
+// takes at most bits bits a value (plus one byte) where a dense one takes
+// 58 in the narrow form and 64 raw, and, for the Laplace-shaped levels
+// noise gives, some 14 % less than that. Being
 // deterministic post-processing, it can only decrease the information the
 // cloud receives.
 func (c *EdgeClient) SetWireQuantization(bits int) error {

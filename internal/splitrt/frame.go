@@ -12,8 +12,9 @@ package splitrt
 // header from a newer peer is skipped past and a shorter one reads as zeros.
 // The encoder uses the same rule to drop the header's trailing zero bytes.
 // The header's rank field counts the u32 dimensions that follow it; strings
-// are u16-length-prefixed; the payload is whatever remains — raw float64
-// values, or a packed payload in quantize.AppendCoded's coded form.
+// are u16-length-prefixed; the payload is whatever remains — dense float64
+// values, in tensor.AppendNarrow's narrow form when that is shorter and raw
+// otherwise, or a packed payload in quantize.AppendCoded's coded form.
 
 import (
 	"encoding/binary"
@@ -28,8 +29,9 @@ import (
 const (
 	// protoVersion rides the hello frame; a server answers any other
 	// version with a rejecting ack. Version 2 carries a quantized payload
-	// coded (quantize.AppendCoded) where version 1 carried it packed.
-	protoVersion = 2
+	// coded (quantize.AppendCoded) where version 1 carried it packed;
+	// version 3 may carry a dense payload narrow (flagNarrow).
+	protoVersion = 3
 
 	// maxFrameBody bounds the length prefix a reader accepts (and a writer
 	// emits): 64 MiB is a batch of 512 activations at the largest cut in
@@ -84,6 +86,7 @@ const (
 	flagQuant                    // request: the payload is coded packed levels
 	flagAudit                    // request: an audit note is attached
 	flagSampled                  // request: the note's in-vivo value was sampled
+	flagNarrow                   // the dense payload is in tensor.AppendNarrow's narrow form
 )
 
 // errBadFrame is what every decode failure wraps: the bytes are not a
@@ -197,7 +200,7 @@ func (r *request) appendFrame(b []byte) []byte {
 	b = appendString(b, mode)
 	switch {
 	case r.Activation != nil:
-		b = tensor.AppendFloats(b, r.Activation.Data())
+		b = appendDense(b, r.Activation.Data())
 	case r.Quant != nil:
 		b = append(b, r.Quant.Coded...)
 	}
@@ -221,9 +224,22 @@ func (r *response) appendFrame(b []byte) []byte {
 	b = appendDims(b, shape)
 	b = appendString(b, r.Err)
 	if r.Logits != nil {
-		b = tensor.AppendFloats(b, r.Logits.Data())
+		b = appendDense(b, r.Logits.Data())
 	}
 	return endFrame(b)
+}
+
+// appendDense appends a dense payload to a frame whose header declares one,
+// narrow when tensor.AppendNarrow takes it — and then flagged so in the
+// header, whose flags byte the payload flag has kept from being trimmed —
+// and raw otherwise. Request and response flags sit at one offset.
+func appendDense(b []byte, data []float64) []byte {
+	b, narrow := tensor.AppendNarrow(b, data)
+	if !narrow {
+		return tensor.AppendFloats(b, data)
+	}
+	b[frameHeaderOff+reqFlagsOff] |= flagNarrow
+	return b
 }
 
 // openFrame checks a body's kind and copies its header into hdr, which the
@@ -304,15 +320,27 @@ func (s *frameShape) list() []int {
 	return append([]int(nil), s.dims[:s.rank]...)
 }
 
-// decodeFloats copies a dense payload into dst when dst already has the
-// payload's shape, and into a fresh tensor otherwise. The payload length
-// must have been checked against the shape.
-func decodeFloats(dst *tensor.Tensor, s *frameShape, payload []byte) *tensor.Tensor {
+// decodeFloats decodes a dense payload, narrow or raw as the header's flags
+// say, into dst when dst already has the payload's shape, and into a fresh
+// tensor otherwise; what names the payload ("dense shape", "logits of
+// shape") in an error. The payload's length is held against the shape first.
+func decodeFloats(dst *tensor.Tensor, s *frameShape, flags byte, payload []byte, what string) (*tensor.Tensor, error) {
+	want := 8 * s.vol
+	if flags&flagNarrow != 0 {
+		want = tensor.NarrowLen(s.vol)
+	}
+	if len(payload) != want {
+		return dst, badFrame("%d payload bytes for %s %v", len(payload), what, s.list())
+	}
 	if dst == nil || !tensor.ShapeEq(dst.Shape(), s.dims[:s.rank]) {
 		dst = tensor.New(s.dims[:s.rank]...)
 	}
-	tensor.DecodeFloats(dst.Data(), payload)
-	return dst
+	if flags&flagNarrow == 0 {
+		tensor.DecodeFloats(dst.Data(), payload)
+	} else if err := tensor.DecodeNarrow(dst.Data(), payload); err != nil {
+		return dst, badFrame("%s %v: %v", what, s.list(), err)
+	}
+	return dst, nil
 }
 
 func decodeHello(body []byte) (hello, error) {
@@ -392,11 +420,12 @@ func decodeRequest(body []byte, req *request) error {
 		return nil
 	}
 	if flags&flagQuant == 0 {
-		if len(payload) != 8*shape.vol {
-			return badFrame("%d payload bytes for dense shape %v", len(payload), shape.list())
-		}
-		req.Activation, req.Quant = decodeFloats(req.Activation, &shape, payload), nil
-		return nil
+		req.Quant = nil
+		req.Activation, err = decodeFloats(req.Activation, &shape, flags, payload, "dense shape")
+		return err
+	}
+	if flags&flagNarrow != 0 {
+		return badFrame("a quantized payload declared narrow")
 	}
 	bits := int(h[reqBitsOff])
 	if bits < 1 || bits > 16 {
@@ -449,16 +478,14 @@ func decodeResponse(body []byte, resp *response) error {
 		return err
 	}
 	setString(&resp.Err, msg)
-	if h[respFlagsOff]&flagPayload == 0 {
+	flags := h[respFlagsOff]
+	if flags&flagPayload == 0 {
 		if len(payload) != 0 {
 			return badFrame("%d payload bytes on a response that declares none", len(payload))
 		}
 		resp.Logits = nil
 		return nil
 	}
-	if len(payload) != 8*shape.vol {
-		return badFrame("%d payload bytes for logits of shape %v", len(payload), shape.list())
-	}
-	resp.Logits = decodeFloats(resp.Logits, &shape, payload)
-	return nil
+	resp.Logits, err = decodeFloats(resp.Logits, &shape, flags, payload, "logits of shape")
+	return err
 }

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -42,6 +43,14 @@ func denseRequest() *request {
 // coded form, which is all the frame carries.
 func codedQuant(bits int, lo, hi float64, shape []int, packed []byte) *quantPayload {
 	return &quantPayload{Bits: bits, Lo: lo, Hi: hi, Shape: shape, Coded: quantize.AppendCoded(nil, packed)}
+}
+
+// narrowRequest carries a dense activation the narrow form takes: finite
+// values whose exponents lie within 31 of each other, and zeros.
+func narrowRequest() *request {
+	act := tensor.NewRNG(3).FillNormal(tensor.New(2, 3, 5), 0, 1)
+	act.Data()[7], act.Data()[8] = 0, math.Copysign(0, -1)
+	return &request{ID: 44, Trace: 9, Activation: act, Audit: &auditNote{Mode: "fitted", Member: -1}}
 }
 
 // quantRequest is too short for a code to pay: it goes in the stored form.
@@ -113,7 +122,7 @@ func sameRequest(a, b *request) bool {
 
 func TestFrameRoundTrip(t *testing.T) {
 	for name, req := range map[string]*request{
-		"dense": denseRequest(), "quant": quantRequest(), "coded": codedRequest(), "empty": {ID: 1},
+		"dense": denseRequest(), "narrow": narrowRequest(), "quant": quantRequest(), "coded": codedRequest(), "empty": {ID: 1},
 	} {
 		var got request
 		if err := decodeRequest(frameBodyOf(t, req.appendFrame(nil)), &got); err != nil {
@@ -232,16 +241,44 @@ func TestFrameHeaderCompatibility(t *testing.T) {
 		t.Fatal("server kept the connection of a rejected hello open")
 	}
 
-	// A version 1 peer sends quantized payloads packed, not coded: it is
-	// turned away at the hello, before it can send one.
-	conn, err = net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	// A version 1 peer sends quantized payloads packed, not coded, and a
+	// version 2 peer reads no narrow dense payload: each is turned away at
+	// the hello, before a payload crosses.
+	for _, v := range []uint16{1, 2} {
+		conn, err = net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		ack, err = newTestPeer(conn).hello(hello{Version: v, Network: "obsnet", CutLayer: "cut"})
+		if want := fmt.Sprintf("protocol version 3, client speaks %d", v); err != nil || ack.OK || !strings.Contains(ack.Err, want) {
+			t.Fatalf("hello of version %d: ack %+v, err %v", v, ack, err)
+		}
 	}
-	defer conn.Close()
-	ack, err = newTestPeer(conn).hello(hello{Version: 1, Network: "obsnet", CutLayer: "cut"})
-	if err != nil || ack.OK || !strings.Contains(ack.Err, "protocol version 2, client speaks 1") {
-		t.Fatalf("hello of version 1: ack %+v, err %v", ack, err)
+}
+
+// TestDensePayloadGoesNarrow: a dense payload the narrow form holds goes
+// out narrow and flagged so, requests and responses alike, and one it does
+// not hold (Inf and NaN here) goes raw and unflagged.
+func TestDensePayloadGoesNarrow(t *testing.T) {
+	for name, c := range map[string]struct {
+		frame  []byte
+		values int
+		narrow bool
+	}{
+		"narrow request": {narrowRequest().appendFrame(nil), 30, true},
+		"raw request":    {denseRequest().appendFrame(nil), 24, false},
+		"logits":         {okResponse().appendFrame(nil), 10, true},
+	} {
+		if got := c.frame[frameHeaderOff+reqFlagsOff]&flagNarrow != 0; got != c.narrow {
+			t.Errorf("%s: narrow flag %v, want %v", name, got, c.narrow)
+		}
+		if !c.narrow {
+			continue
+		}
+		if err := tensor.DecodeNarrow(make([]float64, c.values), c.frame[len(c.frame)-tensor.NarrowLen(c.values):]); err != nil {
+			t.Errorf("%s: the frame does not end in the narrow form of %d values: %v", name, c.values, err)
+		}
 	}
 }
 
@@ -292,13 +329,17 @@ func hostileRequests() map[string][]byte {
 				binary.LittleEndian.PutUint32(dims[4*i:], math.MaxInt32)
 			}
 		}),
-		"dims past frame":      mutate(&request{ID: 1}, func(h, _ []byte) { h[reqRankOff] = 4 }),
-		"dim past int32":       mutate(dense, func(_, dims []byte) { binary.LittleEndian.PutUint32(dims, math.MaxUint32) }),
-		"dims against length":  mutate(dense, func(_, dims []byte) { binary.LittleEndian.PutUint32(dims, 3) }),
-		"quant bits 0":         mutate(quant, func(h, _ []byte) { h[reqBitsOff] = 0 }),
-		"quant bits 17":        mutate(quant, func(h, _ []byte) { h[reqBitsOff] = 17 }),
-		"quant against length": mutate(quant, func(_, dims []byte) { binary.LittleEndian.PutUint32(dims[4:], 4) }),
-		"payload undeclared":   mutate(dense, func(h, _ []byte) { h[reqFlagsOff] &^= flagPayload }),
+		"dims past frame":       mutate(&request{ID: 1}, func(h, _ []byte) { h[reqRankOff] = 4 }),
+		"dim past int32":        mutate(dense, func(_, dims []byte) { binary.LittleEndian.PutUint32(dims, math.MaxUint32) }),
+		"dims against length":   mutate(dense, func(_, dims []byte) { binary.LittleEndian.PutUint32(dims, 3) }),
+		"quant bits 0":          mutate(quant, func(h, _ []byte) { h[reqBitsOff] = 0 }),
+		"quant bits 17":         mutate(quant, func(h, _ []byte) { h[reqBitsOff] = 17 }),
+		"quant against length":  mutate(quant, func(_, dims []byte) { binary.LittleEndian.PutUint32(dims[4:], 4) }),
+		"payload undeclared":    mutate(dense, func(h, _ []byte) { h[reqFlagsOff] &^= flagPayload }),
+		"raw declared narrow":   mutate(dense, func(h, _ []byte) { h[reqFlagsOff] |= flagNarrow }),
+		"narrow declared raw":   mutate(narrowRequest(), func(h, _ []byte) { h[reqFlagsOff] &^= flagNarrow }),
+		"quant declared narrow": mutate(quant, func(h, _ []byte) { h[reqFlagsOff] |= flagNarrow }),
+		"narrow emin not least": zeroNarrowEmin2(&request{ID: 3, Activation: tensor.New(1, 2, 3)}, 6)[4:],
 		"string past frame": func() []byte {
 			b := (&request{ID: 1}).appendFrame(nil)[4:]
 			binary.LittleEndian.PutUint16(b[len(b)-2:], 500)
@@ -307,6 +348,7 @@ func hostileRequests() map[string][]byte {
 		"header past frame": {kindRequest, 0xff, 0xff, 1, 2, 3},
 		"response kind":     okResponse().appendFrame(nil)[4:],
 		"truncated":         dense.appendFrame(nil)[4:60],
+		"narrow truncated":  narrowRequest().appendFrame(nil)[4:120],
 		"two bytes":         {kindRequest, 0},
 	}
 }
@@ -327,6 +369,16 @@ func TestDecodeRefusesContradictoryFrames(t *testing.T) {
 	if err := decodeResponse(denseRequest().appendFrame(nil)[4:], &got); !errors.Is(err, errBadFrame) {
 		t.Errorf("request where a response was expected: error %v, want errBadFrame", err)
 	}
+}
+
+// zeroNarrowEmin2 is the frame of a request (or a response) whose dense
+// payload is values zeros, with its narrow payload's emin raised from 1 to
+// 2: no code names an exponent, so an emin other than 1 is not the form's
+// one spelling.
+func zeroNarrowEmin2(m interface{ appendFrame([]byte) []byte }, values int) []byte {
+	frame := m.appendFrame(nil)
+	binary.LittleEndian.PutUint16(frame[len(frame)-tensor.NarrowLen(values):], 2)
+	return frame
 }
 
 // TestServerAnswersContradictoryFrame sends a whole frame whose dimensions
@@ -409,12 +461,13 @@ func TestReadBufferGrowsOnlyAsBytesArrive(t *testing.T) {
 // before, and decoding into a destination that has held such a message
 // before, allocate nothing.
 func TestFrameCodecAllocatesNothingWarm(t *testing.T) {
-	dense, quant, resp := denseRequest(), codedRequest(), okResponse()
+	dense, narrow, quant, resp := denseRequest(), narrowRequest(), codedRequest(), okResponse()
 	var buf []byte
 	for name, enc := range map[string]func(){
-		"dense request": func() { buf = dense.appendFrame(buf) },
-		"quant request": func() { buf = quant.appendFrame(buf) },
-		"response":      func() { buf = resp.appendFrame(buf) },
+		"dense request":  func() { buf = dense.appendFrame(buf) },
+		"narrow request": func() { buf = narrow.appendFrame(buf) },
+		"quant request":  func() { buf = quant.appendFrame(buf) },
+		"response":       func() { buf = resp.appendFrame(buf) },
 	} {
 		enc()
 		if n := testing.AllocsPerRun(100, enc); n != 0 {
@@ -423,14 +476,16 @@ func TestFrameCodecAllocatesNothingWarm(t *testing.T) {
 	}
 
 	denseBody := append([]byte(nil), dense.appendFrame(nil)[4:]...)
+	narrowBody := append([]byte(nil), narrow.appendFrame(nil)[4:]...)
 	quantBody := append([]byte(nil), quant.appendFrame(nil)[4:]...)
 	respBody := append([]byte(nil), resp.appendFrame(nil)[4:]...)
-	var dstDense, dstQuant request
+	var dstDense, dstNarrow, dstQuant request
 	var dstResp response
 	for name, dec := range map[string]func() error{
-		"dense request": func() error { return decodeRequest(denseBody, &dstDense) },
-		"quant request": func() error { return decodeRequest(quantBody, &dstQuant) },
-		"response":      func() error { return decodeResponse(respBody, &dstResp) },
+		"dense request":  func() error { return decodeRequest(denseBody, &dstDense) },
+		"narrow request": func() error { return decodeRequest(narrowBody, &dstNarrow) },
+		"quant request":  func() error { return decodeRequest(quantBody, &dstQuant) },
+		"response":       func() error { return decodeResponse(respBody, &dstResp) },
 	} {
 		if err := dec(); err != nil {
 			t.Fatalf("decoding a %s: %v", name, err)
@@ -439,7 +494,7 @@ func TestFrameCodecAllocatesNothingWarm(t *testing.T) {
 			t.Errorf("decoding a %s into a reused destination: %v allocations", name, n)
 		}
 	}
-	if !sameRequest(&dstDense, dense) || !sameRequest(&dstQuant, quant) || !sameBits(dstResp.Logits, resp.Logits) {
+	if !sameRequest(&dstDense, dense) || !sameRequest(&dstNarrow, narrow) || !sameRequest(&dstQuant, quant) || !sameBits(dstResp.Logits, resp.Logits) {
 		t.Fatal("reused destinations hold the wrong values")
 	}
 }
@@ -527,13 +582,16 @@ func FuzzReadFrame(f *testing.F) {
 // coded bytes can hold. Beside the committed corpus it starts from coded
 // requests: a stored one, a Huffman-coded one, and that one with its code
 // broken, which the frame decoder passes on for the server's decode step to
-// refuse.
+// refuse; and narrow dense ones: good, cut short, and not in the form's one
+// spelling.
 func FuzzDecodeRequest(f *testing.F) {
 	broken := codedRequest()
 	broken.Quant.Coded[1+128/2] ^= 0x0f // value 128's code length: the code is no longer complete
-	for _, req := range []*request{quantRequest(), codedRequest(), broken} {
+	for _, req := range []*request{quantRequest(), codedRequest(), broken, narrowRequest()} {
 		f.Add(req.appendFrame(nil)[4:])
 	}
+	f.Add(narrowRequest().appendFrame(nil)[4:120])
+	f.Add(zeroNarrowEmin2(&request{ID: 3, Activation: tensor.New(1, 2, 3)}, 6)[4:])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req request
 		if err := decodeRequest(body, &req); err != nil {
@@ -542,7 +600,8 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 			return
 		}
-		if req.Activation != nil && 8*req.Activation.Len() > len(body) {
+		// A value takes 58 bits in the narrow form, 64 raw.
+		if req.Activation != nil && 7*req.Activation.Len() > len(body) {
 			t.Fatalf("%d-byte body decoded to %d values", len(body), req.Activation.Len())
 		}
 		if q := req.Quant; q != nil && (len(q.Coded) > len(body) || q.Bits < 1 || q.Bits > 16 ||
@@ -560,8 +619,12 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 // FuzzDecodeResponse is FuzzDecodeRequest for the client's side of the
-// boundary.
+// boundary, with the narrow seeds in responses.
 func FuzzDecodeResponse(f *testing.F) {
+	ok := okResponse().appendFrame(nil)[4:]
+	f.Add(ok)
+	f.Add(ok[:len(ok)-3])
+	f.Add(zeroNarrowEmin2(&response{ID: 2, Logits: tensor.New(1, 10)}, 10)[4:])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var resp response
 		if err := decodeResponse(body, &resp); err != nil {
@@ -570,7 +633,7 @@ func FuzzDecodeResponse(f *testing.F) {
 			}
 			return
 		}
-		if resp.Logits != nil && 8*resp.Logits.Len() > len(body) {
+		if resp.Logits != nil && 7*resp.Logits.Len() > len(body) {
 			t.Fatalf("%d-byte body decoded to %d values", len(body), resp.Logits.Len())
 		}
 		var again response

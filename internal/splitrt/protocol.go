@@ -75,7 +75,8 @@ type auditNote = core.Attribution
 // order, Volume(Shape) values — see quantize.Pack) plus the scheme needed
 // to unpack and dequantize them. The frame carries Coded, the packed bytes
 // under quantize.AppendCoded's per-payload Huffman code: at most
-// Scheme.WireBytes plus one byte, and for the Laplace-shaped levels of a
+// Scheme.WireBytes plus one byte — Bits bits a value, where a dense payload
+// takes 58 narrow and 64 raw — and for the Laplace-shaped levels of a
 // noised activation some 14 % less. Packed is the edge's input to the
 // coder and, on a server, what its decode step writes; a gateway relays
 // Coded untouched and never fills Packed.

@@ -221,6 +221,47 @@ func TestRelayEquivalence(t *testing.T) {
 	}
 }
 
+// denseFleetDigest is the activation digest an audited server recorded for
+// TestDenseFleetPathPinned's request when dense payloads crossed the wire
+// raw (protocol version 2): the narrow form changes the bytes in flight, not
+// the values the server sees and commits to.
+const denseFleetDigest = "fc0ad9dc9f5a8bcdceedb1a408baeb012a22ebb2646a76926307a41e6baa1599"
+
+// TestDenseFleetPathPinned sends one dense, noised request through a
+// gateway and its pool to an audited server: it crosses both hops in fewer
+// bytes than raw floats take, its logits are bit-equal to the in-process
+// pass, and its audit record commits to the digest pinned above.
+func TestDenseFleetPathPinned(t *testing.T) {
+	split, pre, cutLayer := lenetSplit(t)
+	noise := &core.Collection{Shape: split.ActivationShape(), InVivo: []float64{1}}
+	noise.Members = append(noise.Members, tensor.NewRNG(9).FillNormal(tensor.New(split.ActivationShape()...), 0, 0.5))
+	srv, addr := serve(t, split, cutLayer, WithAudit(audit.New(audit.Options{})))
+	_, _, gwAddr := front(t, split, cutLayer, []string{addr})
+	const seed = 77
+	client, err := Dial(gwAddr, split, cutLayer, noise, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	x := pre.Test.Batches(1)[0].Images
+	sent := client.Stats().BytesSent
+	got, err := client.Infer(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := split.Local(x)
+	noise.DrawInto(nil, tensor.NewRNG(seed)).ApplyInPlace(a)
+	if raw := 8 * int64(a.Len()); client.Stats().BytesSent-sent >= raw {
+		t.Errorf("the request took %d bytes, raw floats alone take %d", client.Stats().BytesSent-sent, raw)
+	}
+	if !sameBits(got, split.RemoteInfer(a)) {
+		t.Fatal("logits through the fleet differ from the in-process pass")
+	}
+	if rec := auditRecordOf(t, client.LastTrace(), srv); fmt.Sprintf("%x", rec.ActDigest) != denseFleetDigest {
+		t.Fatalf("activation digest %x, want %s", rec.ActDigest, denseFleetDigest)
+	}
+}
+
 // TestBatchStacksMixedPayloads holds a float32 batching server's first
 // flight until dense, 4-bit and 8-bit requests have queued behind it, so
 // that they are stacked into one forward pass: each must still get the
