@@ -84,15 +84,17 @@ bench-module:
 ## frame targets, the coded payload a request frame carries and the packed
 ## levels it decodes to, the two files a cold start reads, weights and
 ## noise, the audit record and inclusion proof a client replays, and the
-## ledger file an audited server reopens, and the narrow float form a dense
-## frame payload takes — for ten seconds from the package's seeds.
+## ledger file an audited server reopens, and the narrow and coded narrow
+## float forms a dense frame payload takes — for ten seconds from the
+## package's seeds.
 fuzz-smoke:
 	for f in FuzzReadFrame FuzzDecodeRequest FuzzDecodeResponse; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/splitrt || exit 1; done
 	for f in FuzzDecodeCoded FuzzDequantizePacked; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/quantize || exit 1; done
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/nn
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNarrow$$' -fuzztime 10s ./internal/tensor
+	for f in FuzzDecodeNarrow FuzzDecodeCodedNarrow; do \
+		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/tensor || exit 1; done
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNoiseSource$$' -fuzztime 10s ./internal/core
 	for f in FuzzUnmarshalRecord FuzzVerifyProof FuzzOpenFileLedger; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/audit || exit 1; done

@@ -57,7 +57,7 @@ func TestCodedRoundTrip(t *testing.T) {
 			if len(coded) > len(packed)+1 {
 				t.Fatalf("bits=%d %s: %d packed bytes coded to %d", bits, name, len(packed), len(coded))
 			}
-			got, err := new(Decoder).AppendDecoded([]byte("hdr"), coded, len(packed))
+			got, err := AppendDecoded(new(tensor.HuffmanDecoder), []byte("hdr"), coded, len(packed))
 			if err != nil {
 				t.Fatalf("bits=%d %s: %v", bits, name, err)
 			}
@@ -96,8 +96,8 @@ func TestCodedShrinksLaplaceLevels(t *testing.T) {
 }
 
 // TestCodeIsLengthLimited drives the length limit: counts in a Fibonacci
-// run give a Huffman tree as deep as it can be, far past maxCodeLen, and
-// the code cut to maxCodeLen still round-trips.
+// run give a Huffman tree as deep as it can be, far past the coder's limit
+// of 12 bits, and the code cut to 12 bits still round-trips.
 func TestCodeIsLengthLimited(t *testing.T) {
 	var packed []byte
 	a, b := 1, 1
@@ -105,19 +105,20 @@ func TestCodeIsLengthLimited(t *testing.T) {
 		packed = append(packed, bytes.Repeat([]byte{byte(v)}, a)...)
 		a, b = b, a+b
 	}
-	var c code
-	var h histogram
-	h.count(packed)
-	c.build(&h)
-	if err := c.check(); err != nil {
+	coded := AppendCoded(nil, packed)
+	if coded[0] != formCoded {
+		t.Fatal("a Fibonacci payload was stored, not coded")
+	}
+	var c tensor.HuffmanCode
+	if err := c.ReadTable(coded[1:codedHeader]); err != nil {
 		t.Fatalf("the limited code is not one the decoder takes: %v", err)
 	}
-	for v, l := range c.lens[:24] {
-		if l < 1 || l > maxCodeLen {
+	for v := range 24 {
+		if l := coded[1+v/2] >> (4 * (v % 2)) & 15; l < 1 || l > 12 {
 			t.Fatalf("value %d has a %d-bit code", v, l)
 		}
 	}
-	got, err := new(Decoder).AppendDecoded(nil, AppendCoded(nil, packed), len(packed))
+	got, err := AppendDecoded(new(tensor.HuffmanDecoder), nil, coded, len(packed))
 	if err != nil || !bytes.Equal(got, packed) {
 		t.Fatalf("length-limited round trip: %v", err)
 	}
@@ -175,7 +176,7 @@ func hostileCoded() map[string]struct {
 func TestDecodeCodedRejects(t *testing.T) {
 	for name, c := range hostileCoded() {
 		dst := []byte("kept")
-		got, err := new(Decoder).AppendDecoded(dst, c.coded, c.n)
+		got, err := AppendDecoded(new(tensor.HuffmanDecoder), dst, c.coded, c.n)
 		if !errors.Is(err, ErrBadPayload) {
 			t.Errorf("%s: error %v, want ErrBadPayload", name, err)
 		}
@@ -195,10 +196,10 @@ func TestRefusedCodeSizesNothing(t *testing.T) {
 	packed := make([]byte, 1<<20)
 	coded := AppendCoded(nil, packed) // one value: a 1-bit code per byte
 	coded[1] = 2                      // value 0's code is 2 bits: the code is incomplete
-	var d Decoder
+	var d tensor.HuffmanDecoder
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got, err := d.AppendDecoded(nil, coded, len(packed))
+	got, err := AppendDecoded(&d, nil, coded, len(packed))
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrBadPayload) || got != nil {
 		t.Fatalf("a broken length table: %d bytes, error %v", len(got), err)
@@ -231,10 +232,10 @@ func TestCodedAllocatesNothingWarm(t *testing.T) {
 		t.Errorf("a warm encode: %v allocations", n)
 	}
 	out := make([]byte, 0, len(packed))
-	var d Decoder
+	var d tensor.HuffmanDecoder
 	if n := testing.AllocsPerRun(50, func() {
 		var err error
-		if out, err = d.AppendDecoded(out[:0], coded, len(packed)); err != nil {
+		if out, err = AppendDecoded(&d, out[:0], coded, len(packed)); err != nil {
 			t.Error(err)
 		}
 	}); n != 0 {
@@ -308,7 +309,7 @@ func FuzzDecodeCoded(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, coded []byte, n int) {
 		checked := CheckCoded(coded, n)
-		got, err := new(Decoder).AppendDecoded(nil, coded, n)
+		got, err := AppendDecoded(new(tensor.HuffmanDecoder), nil, coded, n)
 		if err != nil {
 			if !errors.Is(err, ErrBadPayload) {
 				t.Fatalf("untyped error %v", err)
@@ -324,7 +325,7 @@ func FuzzDecodeCoded(f *testing.F) {
 		if len(got) != n || n > 8*len(coded) {
 			t.Fatalf("%d coded bytes decoded to %d, %d claimed", len(coded), len(got), n)
 		}
-		again, err := new(Decoder).AppendDecoded(nil, AppendCoded(nil, got), n)
+		again, err := AppendDecoded(new(tensor.HuffmanDecoder), nil, AppendCoded(nil, got), n)
 		if err != nil || !bytes.Equal(again, got) {
 			t.Fatalf("an accepted payload does not round-trip: %v", err)
 		}
@@ -367,10 +368,10 @@ func BenchmarkCoded(b *testing.B) {
 		}
 	})
 	out := make([]byte, 0, len(packed))
-	var d Decoder
+	var d tensor.HuffmanDecoder
 	b.Run("decode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			out, _ = d.AppendDecoded(out[:0], coded, len(packed))
+			out, _ = AppendDecoded(&d, out[:0], coded, len(packed))
 		}
 	})
 	b.ReportMetric(float64(len(coded)), "coded_B")

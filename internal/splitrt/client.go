@@ -590,7 +590,7 @@ func (c *EdgeClient) roundTrip(ctx context.Context, req request, st *stageTimes)
 		}
 		var body []byte
 		if body, err = c.conn.readBody(n); err == nil {
-			err = decodeResponse(body, &resp)
+			err = decodeResponse(body, &resp, &c.conn.dec)
 		}
 	}
 	if err != nil {

@@ -13,8 +13,8 @@ package splitrt
 // The encoder uses the same rule to drop the header's trailing zero bytes.
 // The header's rank field counts the u32 dimensions that follow it; strings
 // are u16-length-prefixed; the payload is whatever remains — dense float64
-// values, in tensor.AppendNarrow's narrow form when that is shorter and raw
-// otherwise, or a packed payload in quantize.AppendCoded's coded form.
+// values, in the shortest of tensor.AppendDense's raw, narrow and coded
+// narrow forms, or a packed payload in quantize.AppendCoded's coded form.
 
 import (
 	"encoding/binary"
@@ -30,8 +30,9 @@ const (
 	// protoVersion rides the hello frame; a server answers any other
 	// version with a rejecting ack. Version 2 carries a quantized payload
 	// coded (quantize.AppendCoded) where version 1 carried it packed;
-	// version 3 may carry a dense payload narrow (flagNarrow).
-	protoVersion = 3
+	// version 3 may carry a dense payload narrow (flagNarrow), version 4
+	// coded narrow (flagCodedNarrow) as well.
+	protoVersion = 4
 
 	// maxFrameBody bounds the length prefix a reader accepts (and a writer
 	// emits): 64 MiB is a batch of 512 activations at the largest cut in
@@ -82,11 +83,12 @@ const (
 
 // Header flag bits.
 const (
-	flagPayload byte = 1 << iota // a tensor follows: dimensions, then values after the strings
-	flagQuant                    // request: the payload is coded packed levels
-	flagAudit                    // request: an audit note is attached
-	flagSampled                  // request: the note's in-vivo value was sampled
-	flagNarrow                   // the dense payload is in tensor.AppendNarrow's narrow form
+	flagPayload     byte = 1 << iota // a tensor follows: dimensions, then values after the strings
+	flagQuant                        // request: the payload is coded packed levels
+	flagAudit                        // request: an audit note is attached
+	flagSampled                      // request: the note's in-vivo value was sampled
+	flagNarrow                       // the dense payload is in tensor.AppendNarrow's narrow form
+	flagCodedNarrow                  // the dense payload is in tensor.AppendDense's coded narrow form
 )
 
 // errBadFrame is what every decode failure wraps: the bytes are not a
@@ -230,15 +232,17 @@ func (r *response) appendFrame(b []byte) []byte {
 }
 
 // appendDense appends a dense payload to a frame whose header declares one,
-// narrow when tensor.AppendNarrow takes it — and then flagged so in the
-// header, whose flags byte the payload flag has kept from being trimmed —
-// and raw otherwise. Request and response flags sit at one offset.
+// in the form tensor.AppendDense picks, and flags a narrow or coded narrow
+// one so in the header, whose flags byte the payload flag has kept from
+// being trimmed. Request and response flags sit at one offset.
 func appendDense(b []byte, data []float64) []byte {
-	b, narrow := tensor.AppendNarrow(b, data)
-	if !narrow {
-		return tensor.AppendFloats(b, data)
+	b, form := tensor.AppendDense(b, data)
+	switch form {
+	case tensor.FormNarrow:
+		b[frameHeaderOff+reqFlagsOff] |= flagNarrow
+	case tensor.FormCodedNarrow:
+		b[frameHeaderOff+reqFlagsOff] |= flagCodedNarrow
 	}
-	b[frameHeaderOff+reqFlagsOff] |= flagNarrow
 	return b
 }
 
@@ -320,24 +324,28 @@ func (s *frameShape) list() []int {
 	return append([]int(nil), s.dims[:s.rank]...)
 }
 
-// decodeFloats decodes a dense payload, narrow or raw as the header's flags
-// say, into dst when dst already has the payload's shape, and into a fresh
-// tensor otherwise; what names the payload ("dense shape", "logits of
-// shape") in an error. The payload's length is held against the shape first.
-func decodeFloats(dst *tensor.Tensor, s *frameShape, flags byte, payload []byte, what string) (*tensor.Tensor, error) {
-	want := 8 * s.vol
-	if flags&flagNarrow != 0 {
-		want = tensor.NarrowLen(s.vol)
+// decodeFloats decodes a dense payload, in the form the header's flags say,
+// into dst when dst already has the payload's shape, and into a fresh tensor
+// otherwise, decoding a coded narrow one with dec; what names the payload
+// ("dense shape", "logits of shape") in an error. The payload's length is
+// held against the shape first.
+func decodeFloats(dst *tensor.Tensor, s *frameShape, flags byte, payload []byte, what string, dec *tensor.HuffmanDecoder) (*tensor.Tensor, error) {
+	form := tensor.FormRaw
+	switch flags & (flagNarrow | flagCodedNarrow) {
+	case flagNarrow:
+		form = tensor.FormNarrow
+	case flagCodedNarrow:
+		form = tensor.FormCodedNarrow
+	case flagNarrow | flagCodedNarrow:
+		return dst, badFrame("%s %v declared narrow and coded narrow", what, s.list())
 	}
-	if len(payload) != want {
+	if !tensor.DenseFits(form, s.vol, len(payload)) {
 		return dst, badFrame("%d payload bytes for %s %v", len(payload), what, s.list())
 	}
 	if dst == nil || !tensor.ShapeEq(dst.Shape(), s.dims[:s.rank]) {
 		dst = tensor.New(s.dims[:s.rank]...)
 	}
-	if flags&flagNarrow == 0 {
-		tensor.DecodeFloats(dst.Data(), payload)
-	} else if err := tensor.DecodeNarrow(dst.Data(), payload); err != nil {
+	if err := tensor.DecodeDense(dst.Data(), payload, form, dec); err != nil {
 		return dst, badFrame("%s %v: %v", what, s.list(), err)
 	}
 	return dst, nil
@@ -383,8 +391,8 @@ func decodeAck(body []byte) (helloAck, error) {
 // fits (a tensor of the same shape, a Coded slice of enough capacity), which
 // is how a request state serves one request after another without
 // allocating; the payload is copied, never aliased: body is the read buffer
-// and the request outlives it.
-func decodeRequest(body []byte, req *request) error {
+// and the request outlives it. A coded narrow payload is decoded with dec.
+func decodeRequest(body []byte, req *request, dec *tensor.HuffmanDecoder) error {
 	var h [requestHeaderLen]byte
 	rest, err := openFrame(body, kindRequest, h[:])
 	if err != nil {
@@ -421,10 +429,10 @@ func decodeRequest(body []byte, req *request) error {
 	}
 	if flags&flagQuant == 0 {
 		req.Quant = nil
-		req.Activation, err = decodeFloats(req.Activation, &shape, flags, payload, "dense shape")
+		req.Activation, err = decodeFloats(req.Activation, &shape, flags, payload, "dense shape", dec)
 		return err
 	}
-	if flags&flagNarrow != 0 {
+	if flags&(flagNarrow|flagCodedNarrow) != 0 {
 		return badFrame("a quantized payload declared narrow")
 	}
 	bits := int(h[reqBitsOff])
@@ -457,8 +465,8 @@ func decodeRequest(body []byte, req *request) error {
 }
 
 // decodeResponse decodes a response frame into resp, with decodeRequest's
-// reuse and copy rules.
-func decodeResponse(body []byte, resp *response) error {
+// reuse and copy rules and its use of dec.
+func decodeResponse(body []byte, resp *response, dec *tensor.HuffmanDecoder) error {
 	var h [responseHeaderLen]byte
 	rest, err := openFrame(body, kindResponse, h[:])
 	if err != nil {
@@ -486,6 +494,6 @@ func decodeResponse(body []byte, resp *response) error {
 		resp.Logits = nil
 		return nil
 	}
-	resp.Logits, err = decodeFloats(resp.Logits, &shape, flags, payload, "logits of shape")
+	resp.Logits, err = decodeFloats(resp.Logits, &shape, flags, payload, "logits of shape", dec)
 	return err
 }

@@ -53,6 +53,35 @@ func narrowRequest() *request {
 	return &request{ID: 44, Trace: 9, Activation: act, Audit: &auditNote{Mode: "fitted", Member: -1}}
 }
 
+// codedNarrowRequest is a ReLU-like activation, half of it exact zeros: its
+// exponent codes pay for their code, so it goes in the coded narrow form.
+func codedNarrowRequest() *request {
+	act := tensor.NewRNG(4).FillNormal(tensor.New(1, 4, 8, 8), 0, 1)
+	for i, v := range act.Data() {
+		act.Data()[i] = max(v, 0)
+	}
+	return &request{ID: 45, Trace: 10, Activation: act, Audit: &auditNote{Mode: "stored", Member: 1}}
+}
+
+// codedNarrowResponse carries 256 such logits: a response takes the coded
+// narrow form too, once it is long enough for its code to pay.
+func codedNarrowResponse() *response {
+	logits := codedNarrowRequest().Activation.Reshape(2, 128)
+	return &response{ID: 46, Trace: 11, Logits: logits}
+}
+
+// codedNarrowEdit is the frame body of m, whose payload is coded narrow,
+// edited by f. The payload ends the frame: its length table is the last 16
+// bytes, and the code stream ends just before them.
+func codedNarrowEdit(m interface{ appendFrame([]byte) []byte }, f func(frame []byte)) []byte {
+	frame := m.appendFrame(nil)
+	if frame[frameHeaderOff+reqFlagsOff]&flagCodedNarrow == 0 {
+		panic("the message is not in the coded narrow form")
+	}
+	f(frame)
+	return frame[4:]
+}
+
 // quantRequest is too short for a code to pay: it goes in the stored form.
 func quantRequest() *request {
 	return &request{ID: 42, Trace: 7, Quant: codedQuant(6, -0.5, 3.75, []int{1, 3, 3}, []byte{1, 2, 3, 4, 5, 6, 7})}
@@ -122,19 +151,20 @@ func sameRequest(a, b *request) bool {
 
 func TestFrameRoundTrip(t *testing.T) {
 	for name, req := range map[string]*request{
-		"dense": denseRequest(), "narrow": narrowRequest(), "quant": quantRequest(), "coded": codedRequest(), "empty": {ID: 1},
+		"dense": denseRequest(), "narrow": narrowRequest(), "coded narrow": codedNarrowRequest(),
+		"quant": quantRequest(), "coded": codedRequest(), "empty": {ID: 1},
 	} {
 		var got request
-		if err := decodeRequest(frameBodyOf(t, req.appendFrame(nil)), &got); err != nil {
+		if err := decodeRequest(frameBodyOf(t, req.appendFrame(nil)), &got, new(tensor.HuffmanDecoder)); err != nil {
 			t.Fatalf("%s request: %v", name, err)
 		}
 		if !sameRequest(&got, req) {
 			t.Fatalf("%s request changed on the wire:\n got %+v\nwant %+v", name, got, *req)
 		}
 	}
-	for name, resp := range map[string]*response{"ok": okResponse(), "err": errResponse()} {
+	for name, resp := range map[string]*response{"ok": okResponse(), "coded narrow": codedNarrowResponse(), "err": errResponse()} {
 		var got response
-		if err := decodeResponse(frameBodyOf(t, resp.appendFrame(nil)), &got); err != nil {
+		if err := decodeResponse(frameBodyOf(t, resp.appendFrame(nil)), &got, new(tensor.HuffmanDecoder)); err != nil {
 			t.Fatalf("%s response: %v", name, err)
 		}
 		if !sameBits(got.Logits, resp.Logits) {
@@ -183,7 +213,7 @@ func TestFrameHeaderCompatibility(t *testing.T) {
 	req := denseRequest()
 	var got request
 	longer := withHeaderLen(req.appendFrame(nil), requestHeaderLen, requestHeaderLen+24)
-	if err := decodeRequest(frameBodyOf(t, longer), &got); err != nil {
+	if err := decodeRequest(frameBodyOf(t, longer), &got, new(tensor.HuffmanDecoder)); err != nil {
 		t.Fatalf("request with a longer header: %v", err)
 	}
 	if !sameRequest(&got, req) {
@@ -194,7 +224,7 @@ func TestFrameHeaderCompatibility(t *testing.T) {
 	// the rank.
 	got = request{}
 	shorter := withHeaderLen(req.appendFrame(nil), requestHeaderLen, reqMemberOff)
-	if err := decodeRequest(frameBodyOf(t, shorter), &got); err != nil {
+	if err := decodeRequest(frameBodyOf(t, shorter), &got, new(tensor.HuffmanDecoder)); err != nil {
 		t.Fatalf("request with a shorter header: %v", err)
 	}
 	if got.ID != req.ID || !sameBits(got.Activation, req.Activation) {
@@ -206,14 +236,14 @@ func TestFrameHeaderCompatibility(t *testing.T) {
 
 	resp := okResponse()
 	var gotResp response
-	if err := decodeResponse(frameBodyOf(t, withHeaderLen(resp.appendFrame(nil), responseHeaderLen, responseHeaderLen+5)), &gotResp); err != nil {
+	if err := decodeResponse(frameBodyOf(t, withHeaderLen(resp.appendFrame(nil), responseHeaderLen, responseHeaderLen+5)), &gotResp, new(tensor.HuffmanDecoder)); err != nil {
 		t.Fatalf("response with a longer header: %v", err)
 	}
 	if gotResp.SrvElapsedNs != resp.SrvElapsedNs || !sameBits(gotResp.Logits, resp.Logits) {
 		t.Fatalf("longer header disturbed the known fields: %+v", gotResp)
 	}
 	gotResp = response{}
-	if err := decodeResponse(frameBodyOf(t, withHeaderLen(resp.appendFrame(nil), responseHeaderLen, respRecvOff)), &gotResp); err != nil {
+	if err := decodeResponse(frameBodyOf(t, withHeaderLen(resp.appendFrame(nil), responseHeaderLen, respRecvOff)), &gotResp, new(tensor.HuffmanDecoder)); err != nil {
 		t.Fatalf("response with a shorter header: %v", err)
 	}
 	if gotResp.ID != resp.ID || gotResp.SrvRecvUnixNanos != 0 || gotResp.SrvElapsedNs != 0 || !sameBits(gotResp.Logits, resp.Logits) {
@@ -241,17 +271,17 @@ func TestFrameHeaderCompatibility(t *testing.T) {
 		t.Fatal("server kept the connection of a rejected hello open")
 	}
 
-	// A version 1 peer sends quantized payloads packed, not coded, and a
-	// version 2 peer reads no narrow dense payload: each is turned away at
-	// the hello, before a payload crosses.
-	for _, v := range []uint16{1, 2} {
+	// A version 1 peer sends quantized payloads packed, not coded, a version
+	// 2 peer reads no narrow dense payload and a version 3 peer no coded
+	// narrow one: each is turned away at the hello, before a payload crosses.
+	for _, v := range []uint16{1, 2, 3} {
 		conn, err = net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
 		ack, err = newTestPeer(conn).hello(hello{Version: v, Network: "obsnet", CutLayer: "cut"})
-		if want := fmt.Sprintf("protocol version 3, client speaks %d", v); err != nil || ack.OK || !strings.Contains(ack.Err, want) {
+		if want := fmt.Sprintf("protocol version 4, client speaks %d", v); err != nil || ack.OK || !strings.Contains(ack.Err, want) {
 			t.Fatalf("hello of version %d: ack %+v, err %v", v, ack, err)
 		}
 	}
@@ -278,6 +308,34 @@ func TestDensePayloadGoesNarrow(t *testing.T) {
 		}
 		if err := tensor.DecodeNarrow(make([]float64, c.values), c.frame[len(c.frame)-tensor.NarrowLen(c.values):]); err != nil {
 			t.Errorf("%s: the frame does not end in the narrow form of %d values: %v", name, c.values, err)
+		}
+	}
+}
+
+// TestDensePayloadTakesShortestForm: a payload whose exponent codes pay for
+// their code goes out coded narrow and flagged so, requests and responses
+// alike, in fewer bytes than the narrow form; ten logits stay narrow.
+func TestDensePayloadTakesShortestForm(t *testing.T) {
+	for name, c := range map[string]struct {
+		frame  []byte
+		values int
+		coded  bool
+	}{
+		"coded narrow request":  {codedNarrowRequest().appendFrame(nil), 256, true},
+		"coded narrow response": {codedNarrowResponse().appendFrame(nil), 256, true},
+		"logits":                {okResponse().appendFrame(nil), 10, false},
+	} {
+		flags := c.frame[frameHeaderOff+reqFlagsOff]
+		if got := flags&flagCodedNarrow != 0; got != c.coded || (c.coded && flags&flagNarrow != 0) {
+			t.Errorf("%s: flags %#x, coded narrow %v", name, flags, c.coded)
+		}
+		if !c.coded {
+			continue
+		}
+		narrow := tensor.NarrowLen(c.values)
+		b, form := tensor.AppendDense(nil, codedNarrowRequest().Activation.Data())
+		if form != tensor.FormCodedNarrow || len(b) >= narrow || !bytes.HasSuffix(c.frame, b) {
+			t.Errorf("%s: the frame does not end in the coded narrow form of %d values, %d bytes against %d narrow", name, c.values, len(b), narrow)
 		}
 	}
 }
@@ -340,6 +398,13 @@ func hostileRequests() map[string][]byte {
 		"narrow declared raw":   mutate(narrowRequest(), func(h, _ []byte) { h[reqFlagsOff] &^= flagNarrow }),
 		"quant declared narrow": mutate(quant, func(h, _ []byte) { h[reqFlagsOff] |= flagNarrow }),
 		"narrow emin not least": zeroNarrowEmin2(&request{ID: 3, Activation: tensor.New(1, 2, 3)}, 6)[4:],
+		"coded declared narrow": mutate(codedNarrowRequest(), func(h, _ []byte) { h[reqFlagsOff] ^= flagNarrow | flagCodedNarrow }),
+		"narrow declared coded": mutate(narrowRequest(), func(h, _ []byte) { h[reqFlagsOff] ^= flagNarrow | flagCodedNarrow }),
+		"narrow and coded":      mutate(codedNarrowRequest(), func(h, _ []byte) { h[reqFlagsOff] |= flagNarrow }),
+		"quant declared coded":  mutate(quant, func(h, _ []byte) { h[reqFlagsOff] |= flagCodedNarrow }),
+		"coded truncated":       codedNarrowRequest().appendFrame(nil)[4 : len(codedNarrowRequest().appendFrame(nil))-1],
+		"coded oversubscribed":  codedNarrowEdit(codedNarrowRequest(), func(f []byte) { f[len(f)-16] = 0x11 }),
+		"coded padding bit":     codedNarrowEdit(codedNarrowRequest(), func(f []byte) { f[len(f)-17] |= 1 }),
 		"string past frame": func() []byte {
 			b := (&request{ID: 1}).appendFrame(nil)[4:]
 			binary.LittleEndian.PutUint16(b[len(b)-2:], 500)
@@ -356,17 +421,17 @@ func hostileRequests() map[string][]byte {
 func TestDecodeRefusesContradictoryFrames(t *testing.T) {
 	for name, body := range hostileRequests() {
 		var req request
-		if err := decodeRequest(body, &req); !errors.Is(err, errBadFrame) {
+		if err := decodeRequest(body, &req, new(tensor.HuffmanDecoder)); !errors.Is(err, errBadFrame) {
 			t.Errorf("request %q: error %v, want errBadFrame", name, err)
 		}
 	}
 	resp := withHeaderLen(okResponse().appendFrame(nil), responseHeaderLen, responseHeaderLen)
 	binary.LittleEndian.PutUint32(resp[frameHeaderOff+responseHeaderLen:], 7)
 	var got response
-	if err := decodeResponse(resp[4:], &got); !errors.Is(err, errBadFrame) {
+	if err := decodeResponse(resp[4:], &got, new(tensor.HuffmanDecoder)); !errors.Is(err, errBadFrame) {
 		t.Errorf("response with dims against length: error %v, want errBadFrame", err)
 	}
-	if err := decodeResponse(denseRequest().appendFrame(nil)[4:], &got); !errors.Is(err, errBadFrame) {
+	if err := decodeResponse(denseRequest().appendFrame(nil)[4:], &got, new(tensor.HuffmanDecoder)); !errors.Is(err, errBadFrame) {
 		t.Errorf("request where a response was expected: error %v, want errBadFrame", err)
 	}
 }
@@ -461,13 +526,14 @@ func TestReadBufferGrowsOnlyAsBytesArrive(t *testing.T) {
 // before, and decoding into a destination that has held such a message
 // before, allocate nothing.
 func TestFrameCodecAllocatesNothingWarm(t *testing.T) {
-	dense, narrow, quant, resp := denseRequest(), narrowRequest(), codedRequest(), okResponse()
+	dense, narrow, coded, quant, resp := denseRequest(), narrowRequest(), codedNarrowRequest(), codedRequest(), okResponse()
 	var buf []byte
 	for name, enc := range map[string]func(){
-		"dense request":  func() { buf = dense.appendFrame(buf) },
-		"narrow request": func() { buf = narrow.appendFrame(buf) },
-		"quant request":  func() { buf = quant.appendFrame(buf) },
-		"response":       func() { buf = resp.appendFrame(buf) },
+		"dense request":        func() { buf = dense.appendFrame(buf) },
+		"narrow request":       func() { buf = narrow.appendFrame(buf) },
+		"coded narrow request": func() { buf = coded.appendFrame(buf) },
+		"quant request":        func() { buf = quant.appendFrame(buf) },
+		"response":             func() { buf = resp.appendFrame(buf) },
 	} {
 		enc()
 		if n := testing.AllocsPerRun(100, enc); n != 0 {
@@ -477,15 +543,18 @@ func TestFrameCodecAllocatesNothingWarm(t *testing.T) {
 
 	denseBody := append([]byte(nil), dense.appendFrame(nil)[4:]...)
 	narrowBody := append([]byte(nil), narrow.appendFrame(nil)[4:]...)
+	codedBody := append([]byte(nil), coded.appendFrame(nil)[4:]...)
 	quantBody := append([]byte(nil), quant.appendFrame(nil)[4:]...)
 	respBody := append([]byte(nil), resp.appendFrame(nil)[4:]...)
-	var dstDense, dstNarrow, dstQuant request
+	var dstDense, dstNarrow, dstCoded, dstQuant request
 	var dstResp response
+	var hd tensor.HuffmanDecoder // a request state's: it keeps its table and code scratch
 	for name, dec := range map[string]func() error{
-		"dense request":  func() error { return decodeRequest(denseBody, &dstDense) },
-		"narrow request": func() error { return decodeRequest(narrowBody, &dstNarrow) },
-		"quant request":  func() error { return decodeRequest(quantBody, &dstQuant) },
-		"response":       func() error { return decodeResponse(respBody, &dstResp) },
+		"dense request":        func() error { return decodeRequest(denseBody, &dstDense, &hd) },
+		"narrow request":       func() error { return decodeRequest(narrowBody, &dstNarrow, &hd) },
+		"coded narrow request": func() error { return decodeRequest(codedBody, &dstCoded, &hd) },
+		"quant request":        func() error { return decodeRequest(quantBody, &dstQuant, &hd) },
+		"response":             func() error { return decodeResponse(respBody, &dstResp, &hd) },
 	} {
 		if err := dec(); err != nil {
 			t.Fatalf("decoding a %s: %v", name, err)
@@ -494,7 +563,7 @@ func TestFrameCodecAllocatesNothingWarm(t *testing.T) {
 			t.Errorf("decoding a %s into a reused destination: %v allocations", name, n)
 		}
 	}
-	if !sameRequest(&dstDense, dense) || !sameRequest(&dstNarrow, narrow) || !sameRequest(&dstQuant, quant) || !sameBits(dstResp.Logits, resp.Logits) {
+	if !sameRequest(&dstDense, dense) || !sameRequest(&dstNarrow, narrow) || !sameRequest(&dstCoded, coded) || !sameRequest(&dstQuant, quant) || !sameBits(dstResp.Logits, resp.Logits) {
 		t.Fatal("reused destinations hold the wrong values")
 	}
 }
@@ -582,26 +651,32 @@ func FuzzReadFrame(f *testing.F) {
 // coded bytes can hold. Beside the committed corpus it starts from coded
 // requests: a stored one, a Huffman-coded one, and that one with its code
 // broken, which the frame decoder passes on for the server's decode step to
-// refuse; and narrow dense ones: good, cut short, and not in the form's one
-// spelling.
+// refuse; narrow dense ones: good, cut short, and not in the form's one
+// spelling; and coded narrow ones: good, cut short, with an oversubscribed
+// code, and with a padding bit set.
 func FuzzDecodeRequest(f *testing.F) {
 	broken := codedRequest()
 	broken.Quant.Coded[1+128/2] ^= 0x0f // value 128's code length: the code is no longer complete
-	for _, req := range []*request{quantRequest(), codedRequest(), broken, narrowRequest()} {
+	for _, req := range []*request{quantRequest(), codedRequest(), broken, narrowRequest(), codedNarrowRequest()} {
 		f.Add(req.appendFrame(nil)[4:])
 	}
 	f.Add(narrowRequest().appendFrame(nil)[4:120])
 	f.Add(zeroNarrowEmin2(&request{ID: 3, Activation: tensor.New(1, 2, 3)}, 6)[4:])
+	hostile := hostileRequests()
+	for _, name := range []string{"coded truncated", "coded oversubscribed", "coded padding bit"} {
+		f.Add(hostile[name])
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req request
-		if err := decodeRequest(body, &req); err != nil {
+		if err := decodeRequest(body, &req, new(tensor.HuffmanDecoder)); err != nil {
 			if !errors.Is(err, errBadFrame) {
 				t.Fatalf("untyped decode error %v", err)
 			}
 			return
 		}
-		// A value takes 58 bits in the narrow form, 64 raw.
-		if req.Activation != nil && 7*req.Activation.Len() > len(body) {
+		// A value takes 54 bits at least in the coded narrow form — its
+		// mantissa, sign and one bit of code — 58 narrow, 64 raw.
+		if req.Activation != nil && 27*req.Activation.Len() > 4*len(body) {
 			t.Fatalf("%d-byte body decoded to %d values", len(body), req.Activation.Len())
 		}
 		if q := req.Quant; q != nil && (len(q.Coded) > len(body) || q.Bits < 1 || q.Bits > 16 ||
@@ -609,7 +684,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("%d-byte body decoded to %d coded bytes of shape %v at %d bits", len(body), len(q.Coded), q.Shape, q.Bits)
 		}
 		var again request
-		if err := decodeRequest(req.appendFrame(nil)[4:], &again); err != nil {
+		if err := decodeRequest(req.appendFrame(nil)[4:], &again, new(tensor.HuffmanDecoder)); err != nil {
 			t.Fatalf("re-encoded request does not decode: %v", err)
 		}
 		if !sameRequest(&again, &req) {
@@ -619,25 +694,30 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 // FuzzDecodeResponse is FuzzDecodeRequest for the client's side of the
-// boundary, with the narrow seeds in responses.
+// boundary, with the narrow and coded narrow seeds in responses.
 func FuzzDecodeResponse(f *testing.F) {
 	ok := okResponse().appendFrame(nil)[4:]
 	f.Add(ok)
 	f.Add(ok[:len(ok)-3])
 	f.Add(zeroNarrowEmin2(&response{ID: 2, Logits: tensor.New(1, 10)}, 10)[4:])
+	coded := codedNarrowResponse().appendFrame(nil)[4:]
+	f.Add(coded)
+	f.Add(coded[:len(coded)-1])
+	f.Add(codedNarrowEdit(codedNarrowResponse(), func(f []byte) { f[len(f)-16] = 0x11 }))
+	f.Add(codedNarrowEdit(codedNarrowResponse(), func(f []byte) { f[len(f)-17] |= 1 }))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var resp response
-		if err := decodeResponse(body, &resp); err != nil {
+		if err := decodeResponse(body, &resp, new(tensor.HuffmanDecoder)); err != nil {
 			if !errors.Is(err, errBadFrame) {
 				t.Fatalf("untyped decode error %v", err)
 			}
 			return
 		}
-		if resp.Logits != nil && 7*resp.Logits.Len() > len(body) {
+		if resp.Logits != nil && 27*resp.Logits.Len() > 4*len(body) {
 			t.Fatalf("%d-byte body decoded to %d values", len(body), resp.Logits.Len())
 		}
 		var again response
-		if err := decodeResponse(resp.appendFrame(nil)[4:], &again); err != nil {
+		if err := decodeResponse(resp.appendFrame(nil)[4:], &again, new(tensor.HuffmanDecoder)); err != nil {
 			t.Fatalf("re-encoded response does not decode: %v", err)
 		}
 		if !sameBits(again.Logits, resp.Logits) {
@@ -694,7 +774,7 @@ func (p *testPeer) readRequest() (request, error) {
 	var req request
 	body, err := p.readFrame(maxFrameBody)
 	if err == nil {
-		err = decodeRequest(body, &req)
+		err = decodeRequest(body, &req, new(tensor.HuffmanDecoder))
 	}
 	return req, err
 }
@@ -703,7 +783,7 @@ func (p *testPeer) readResponse() (response, error) {
 	var resp response
 	body, err := p.readFrame(maxFrameBody)
 	if err == nil {
-		err = decodeResponse(body, &resp)
+		err = decodeResponse(body, &resp, new(tensor.HuffmanDecoder))
 	}
 	return resp, err
 }

@@ -402,11 +402,8 @@ func (s *CloudServer) decode(st *reqState) (act activation, kind ErrKind, msg st
 	// fill. The packed levels land in the state's own buffer, where the
 	// audit digest reads them.
 	act.n = q.Shape[0]
-	if st.dec == nil {
-		st.dec = new(quantize.Decoder)
-	}
 	var err error
-	if q.Packed, err = st.dec.AppendDecoded(q.Packed[:0], q.Coded, int(scheme.WireBytes(tensor.Volume(q.Shape)))); err != nil {
+	if q.Packed, err = quantize.AppendDecoded(&st.dec, q.Packed[:0], q.Coded, int(scheme.WireBytes(tensor.Volume(q.Shape)))); err != nil {
 		return act, ErrBadRequest, fmt.Sprintf("bad quantized payload: %v", err)
 	}
 	if s.dtype == nn.Float32 {

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"shredder/internal/audit"
-	"shredder/internal/quantize"
 	"shredder/internal/sched"
 	"shredder/internal/tensor"
 )
@@ -33,7 +32,7 @@ type reqState struct {
 	quant quantPayload
 	dims  [maxRank]int
 	note  auditNote
-	dec   *quantize.Decoder // decodes quant.Coded into quant.Packed: a server's, built on its first coded payload
+	dec   tensor.HuffmanDecoder // decodes a coded narrow activation, and a server's quant.Coded into quant.Packed
 
 	f64    *tensor.Tensor   // the activation: a dense payload as decoded, or a packed one dequantized for a float64 plan
 	f32    *tensor.Tensor32 // a packed payload dequantized for a float32 plan
@@ -104,7 +103,7 @@ func (st *reqState) decode(body []byte) {
 	st.forfeit = false
 	st.quant.Shape = st.dims[:0]
 	st.req = request{Activation: st.f64, Quant: &st.quant, Audit: &st.note}
-	if err := decodeRequest(body, &st.req); err != nil {
+	if err := decodeRequest(body, &st.req, &st.dec); err != nil {
 		st.req.Activation, st.req.Quant, st.req.malformed = nil, nil, err.Error()
 	}
 	if st.req.Activation != nil {

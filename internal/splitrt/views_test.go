@@ -79,7 +79,7 @@ func (tp *tap) serve(t *testing.T, client net.Conn) {
 		act := tapForward
 		if frame[4] == kindRequest {
 			var req request
-			if err := decodeRequest(frame[4:], &req); err != nil {
+			if err := decodeRequest(frame[4:], &req, new(tensor.HuffmanDecoder)); err != nil {
 				t.Errorf("tap: %v", err)
 				return
 			}

@@ -185,14 +185,7 @@ func DecodeNarrow(dst []float64, src []byte) error {
 	if (seen&^1 == 0 && emin != 1) || (seen&^1 != 0 && seen&2 == 0) {
 		return ErrNarrow
 	}
-	// sign<<63 | exponent<<52 for each sign and code.
-	var top [64]uint64
-	for c := uint64(1); c < 32; c++ {
-		top[c] = (emin + c - 1) << 52
-	}
-	for c := range 32 {
-		top[32+c] = 1<<63 | top[c]
-	}
+	top := narrowTops(emin)
 	full := n &^ 3
 	for i := 0; i < full; i += 4 {
 		// Eight bytes from each value's six: the last value's two extra
@@ -214,6 +207,17 @@ func DecodeNarrow(dst []float64, src []byte) error {
 	return nil
 }
 
+// narrowTops is sign<<63 | exponent<<52 for each sign<<5 | code, under emin.
+func narrowTops(emin uint64) (top [64]uint64) {
+	for c := uint64(1); c < 32; c++ {
+		top[c] = (emin + c - 1) << 52
+	}
+	for c := range 32 {
+		top[32+c] = 1<<63 | top[c]
+	}
+	return top
+}
+
 // narrowValue is the value whose low 48 mantissa bits are those of low and
 // whose head is the low 10 bits of h.
 func narrowValue(top *[64]uint64, low, h uint64) float64 {
@@ -232,6 +236,260 @@ func headWord(heads []byte, g int) uint64 {
 		word |= uint64(c) << (8 * k)
 	}
 	return word
+}
+
+// The coded narrow form: the narrow form with its exponent codes under a
+// canonical Huffman code built for the payload (HuffmanCode, over the 32
+// codes). A noised activation's exponent codes carry under 3 of their 5 bits.
+// The layout, little-endian:
+//
+//	[u16 emin][6n bytes: mantissa bits 0–47][⌈5n/8⌉ bytes: 5-bit tails]
+//	[code stream][16 bytes: the code's length table]
+//
+// Tail i is sign<<4 | mantissa bits 48–51, at bits 5i…5i+4 of the tail bytes
+// read as one little-endian bit string, and the bits after the last tail are
+// zero; the stream holds the n exponent codes in order, zero-padded to a
+// whole byte. emin, the mantissa bytes and the codes are the narrow form's.
+// The table comes last so that every field before the stream sits at an
+// offset n alone gives. AppendDense takes the form only when it is shorter
+// than the narrow one; that makes the form one spelling too:
+// DecodeCodedNarrow accepts exactly what AppendDense writes in it.
+
+// codedNarrowLen is the length of n values in the coded narrow form whose
+// code stream takes bits bits.
+func codedNarrowLen(n int, bits uint64) int { return 2 + 6*n + (5*n+7)/8 + int((bits+7)/8) + 16 }
+
+// DenseForm is one of the three forms AppendDense writes a dense payload in.
+type DenseForm uint8
+
+const (
+	FormRaw         DenseForm = iota // AppendFloats' raw float64 words
+	FormNarrow                       // AppendNarrow's narrow form
+	FormCodedNarrow                  // the coded narrow form
+)
+
+// AppendDense appends data to b in the shortest of the raw, narrow and
+// coded narrow forms and reports which it took. A payload the coded form
+// can be shorter for (35 values or more) takes one pass that writes that
+// form's fields and counts the exponent codes; should its code not pay
+// after all, the narrow form is written over it.
+func AppendDense(b []byte, data []float64) ([]byte, DenseForm) {
+	n := len(data)
+	if codedNarrowLen(n, uint64(n)) >= NarrowLen(n) { // every code takes a bit at least
+		if b, ok := AppendNarrow(b, data); ok {
+			return b, FormNarrow
+		}
+		return AppendFloats(b, data), FormRaw
+	}
+	off := len(b)
+	var counts [4][32]uint32
+	b, codes, ok := appendCodedFields(b, data, &counts)
+	if !ok {
+		return AppendFloats(b, data), FormRaw
+	}
+	for v := range counts[0] {
+		counts[0][v] += counts[1][v] + counts[2][v] + counts[3][v]
+	}
+	var c HuffmanCode
+	bits := c.Build(counts[0][:])
+	if codedNarrowLen(n, bits) >= NarrowLen(n) {
+		b, _ = AppendNarrow(b[:off], data)
+		return b, FormNarrow
+	}
+	size := int((bits + 7) / 8)
+	c.Encode(b[len(b):len(b)+size+8], codes)
+	return c.AppendTable(b[:len(b)+size], 32), FormCodedNarrow
+}
+
+// appendCodedFields appends to b the fields of data's coded narrow form
+// that come before the code stream — emin, the mantissa bytes and the tails
+// — and returns the exponent codes, one a byte, which it gathers past the
+// room the form can take, and counts: value i's in counts[i%4], so that a
+// run of one code does not chain every increment through one counter. It
+// refuses what AppendNarrow refuses, returning b's len(b) bytes as they were.
+// data holds eight values or more.
+func appendCodedFields(b []byte, data []float64, counts *[4][32]uint32) ([]byte, []byte, bool) {
+	n := len(data)
+	emin := leastExponent(data)
+	if emin > narrowMaxEmin {
+		return b, nil, false
+	}
+	emin = max(emin, 1) // 1 when every exponent is 0
+	off, size := len(b), 2+6*n+(5*n+7)/8
+	// The codes go past the longest the form can be, the narrow form's
+	// length, and eight bytes of slack: every store below is a whole word.
+	room := NarrowLen(n) + 8
+	b = slices.Grow(b, room+n+8)[:off+size]
+	codes := b[off+room : off+room+n+8]
+	binary.LittleEndian.PutUint16(b[off:], uint16(emin))
+	low, tails := b[off+2:off+room], b[off+2+6*n:off+room]
+	base := int64(emin-1) << 4
+	var over uint64 // as in AppendNarrow
+	full := n &^ 7
+	for i := 0; i < full; i += 8 {
+		d := data[i : i+8 : i+8]
+		l := low[6*i : 6*i+50]
+		var t, k uint64
+		for h := 0; h < 8; h += 4 {
+			x0, x1, x2, x3 := math.Float64bits(d[h]), math.Float64bits(d[h+1]), math.Float64bits(d[h+2]), math.Float64bits(d[h+3])
+			// Each word's top two bytes land on the next value, which
+			// overwrites them, or, for the last value, on the first tails.
+			binary.LittleEndian.PutUint64(l[6*h:], x0)
+			binary.LittleEndian.PutUint64(l[6*h+6:], x1)
+			binary.LittleEndian.PutUint64(l[6*h+12:], x2)
+			binary.LittleEndian.PutUint64(l[6*h+18:], x3)
+			c0, c1, c2, c3 := narrowCode(x0, base), narrowCode(x1, base), narrowCode(x2, base), narrowCode(x3, base)
+			over |= c0 | c1 | c2 | c3
+			counts[0][c0>>4&31]++
+			counts[1][c1>>4&31]++
+			counts[2][c2>>4&31]++
+			counts[3][c3>>4&31]++
+			t |= (codedTail(x0, c0) | codedTail(x1, c1)<<5 | codedTail(x2, c2)<<10 | codedTail(x3, c3)<<15) << (5 * h)
+			k |= (c0>>4&31 | (c1>>4&31)<<8 | (c2>>4&31)<<16 | (c3>>4&31)<<24) << (8 * h)
+		}
+		binary.LittleEndian.PutUint64(tails[5*i/8:], t)
+		binary.LittleEndian.PutUint64(codes[i:], k)
+	}
+	if full < n {
+		var t, k uint64
+		for j, v := range data[full:] {
+			x := math.Float64bits(v)
+			binary.LittleEndian.PutUint64(low[6*(full+j):], x)
+			c := narrowCode(x, base)
+			over |= c
+			counts[j&3][c>>4&31]++
+			t |= codedTail(x, c) << (5 * j)
+			k |= (c >> 4 & 31) << (8 * j)
+		}
+		binary.LittleEndian.PutUint64(tails[5*full/8:], t)
+		binary.LittleEndian.PutUint64(codes[full:], k)
+	}
+	if over >= 32<<4 {
+		return b[:off], nil, false
+	}
+	// Restore the two tail bytes the last value's store ran over.
+	var first uint64
+	for j, v := range data[:8] {
+		x := math.Float64bits(v)
+		first |= codedTail(x, narrowCode(x, base)) << (5 * j)
+	}
+	tails[0], tails[1] = byte(first), byte(first>>8)
+	return b, codes[:n], true
+}
+
+// codedTail is the 5-bit tail of value x, whose code and mantissa bits are
+// c: sign<<4 | mantissa bits 48–51.
+func codedTail(x, c uint64) uint64 { return x>>59&0x10 | c&0xF }
+
+// DecodeCodedNarrow fills dst from src, the coded narrow form of len(dst)
+// values, decoding with d, and returns ErrNarrow, leaving dst untouched,
+// when src is not exactly what AppendDense writes in that form for some
+// len(dst) values: a wrong length, a length table no encoder writes or not
+// the one the decoded codes give, a code stream that breaks off or runs on,
+// an emin that is not the least exponent present, a nonzero bit after the
+// last tail, or a payload the narrow form would hold in as many bytes.
+func DecodeCodedNarrow(dst []float64, src []byte, d *HuffmanDecoder) error {
+	n := len(dst)
+	if !DenseFits(FormCodedNarrow, n, len(src)) {
+		return ErrNarrow
+	}
+	emin := uint64(binary.LittleEndian.Uint16(src))
+	tails := src[2+6*n : 2+6*n+(5*n+7)/8]
+	if emin < 1 || emin > narrowMaxEmin || (n%8 != 0 && tails[len(tails)-1]>>(5*n%8) != 0) {
+		return ErrNarrow
+	}
+	var c HuffmanCode
+	if c.ReadTable(src[len(src)-16:]) != nil {
+		return ErrNarrow
+	}
+	d.codes = slices.Grow(d.codes[:0], n)[:n]
+	if c.Decode(d.codes, src[2+6*n+len(tails):len(src)-16], d) != nil {
+		return ErrNarrow
+	}
+	var t [4][32]uint32
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		k := binary.LittleEndian.Uint64(d.codes[i:])
+		t[0][k&31]++
+		t[1][k>>8&31]++
+		t[2][k>>16&31]++
+		t[3][k>>24&31]++
+		t[0][k>>32&31]++
+		t[1][k>>40&31]++
+		t[2][k>>48&31]++
+		t[3][k>>56&31]++
+	}
+	for _, k := range d.codes[i:] {
+		t[0][k&31]++
+	}
+	var counts [32]uint32
+	var seen uint32
+	for v := range counts {
+		if counts[v] = t[0][v] + t[1][v] + t[2][v] + t[3][v]; counts[v] > 0 {
+			seen |= 1 << v
+		}
+	}
+	var want HuffmanCode
+	want.Build(counts[:])
+	if (seen&^1 == 0 && emin != 1) || (seen&^1 != 0 && seen&2 == 0) || want.lens != c.lens {
+		return ErrNarrow
+	}
+	top := narrowTops(emin)
+	full := n &^ 7
+	for i := 0; i < full; i += 8 {
+		s := src[2+6*i : 2+6*i+50]
+		t, k := headWord(tails, i/8), binary.LittleEndian.Uint64(d.codes[i:])
+		dd := dst[i : i+8 : i+8]
+		dd[0] = narrowValue(&top, binary.LittleEndian.Uint64(s), codedHead(t, k))
+		dd[1] = narrowValue(&top, binary.LittleEndian.Uint64(s[6:]), codedHead(t>>5, k>>8))
+		dd[2] = narrowValue(&top, binary.LittleEndian.Uint64(s[12:]), codedHead(t>>10, k>>16))
+		dd[3] = narrowValue(&top, binary.LittleEndian.Uint64(s[18:]), codedHead(t>>15, k>>24))
+		dd[4] = narrowValue(&top, binary.LittleEndian.Uint64(s[24:]), codedHead(t>>20, k>>32))
+		dd[5] = narrowValue(&top, binary.LittleEndian.Uint64(s[30:]), codedHead(t>>25, k>>40))
+		dd[6] = narrowValue(&top, binary.LittleEndian.Uint64(s[36:]), codedHead(t>>30, k>>48))
+		dd[7] = narrowValue(&top, binary.LittleEndian.Uint64(s[42:]), codedHead(t>>35, k>>56))
+	}
+	if full < n {
+		t := headWord(tails, full/8)
+		for j, k := range d.codes[full:] {
+			dst[full+j] = narrowValue(&top, binary.LittleEndian.Uint64(src[2+6*(full+j):]), codedHead(t>>(5*j), uint64(k)))
+		}
+	}
+	return nil
+}
+
+// codedHead is the narrow form's head of the value whose tail is the low 5
+// bits of t and whose exponent code is the low byte of k.
+func codedHead(t, k uint64) uint64 { return t&0x10<<5 | k&0xFF<<4 | t&0xF }
+
+// DenseFits reports whether size bytes can be n values in form: the bound
+// a receiver holds a payload to before it sizes anything from n. A coded
+// narrow payload has its fixed fields, at least one bit a code, and fewer
+// bytes than the narrow form.
+func DenseFits(form DenseForm, n, size int) bool {
+	switch form {
+	case FormRaw:
+		return size == 8*n
+	case FormNarrow:
+		return n >= 4 && size == NarrowLen(n)
+	case FormCodedNarrow:
+		return size >= codedNarrowLen(n, uint64(n)) && size < NarrowLen(n)
+	}
+	return false
+}
+
+// DecodeDense fills dst from src, len(dst) values in form, decoding a coded
+// narrow payload with d. src holds 8·len(dst) bytes in the raw form, which
+// has no refusal.
+func DecodeDense(dst []float64, src []byte, form DenseForm, d *HuffmanDecoder) error {
+	switch form {
+	case FormNarrow:
+		return DecodeNarrow(dst, src)
+	case FormCodedNarrow:
+		return DecodeCodedNarrow(dst, src, d)
+	}
+	DecodeFloats(dst, src)
+	return nil
 }
 
 // AppendName appends s behind its u16 length. Names are the program's own

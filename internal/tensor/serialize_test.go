@@ -270,8 +270,10 @@ func FuzzDecodeNarrow(f *testing.F) {
 
 // BenchmarkNarrowFloats times the narrow form's encoder and decoder on
 // 16 384 normal values — the volume of cloud_svhn's conv0 activation — beside
-// raw floats, into warm buffers (0 allocations). The budget: encode plus
-// decode within 110 µs at -cpu 1 on a 2-vCPU x86-64 host.
+// the coded narrow form's (AppendDense, which also counts and picks) and raw
+// floats, into warm buffers (0 allocations). The budgets, at -cpu 1 on a
+// 2-vCPU x86-64 host: narrow encode plus decode within 110 µs; coded within
+// 60 µs more than narrow.
 //
 //	go test ./internal/tensor -run '^$' -bench BenchmarkNarrowFloats -benchmem -cpu 1
 func BenchmarkNarrowFloats(b *testing.B) {
@@ -280,6 +282,10 @@ func BenchmarkNarrowFloats(b *testing.B) {
 	narrow, ok := AppendNarrow(nil, data)
 	if !ok {
 		b.Fatal("payload does not take the narrow form")
+	}
+	coded, form := AppendDense(nil, data)
+	if form != FormCodedNarrow {
+		b.Fatal("payload does not take the coded narrow form")
 	}
 	raw := AppendFloats(nil, data)
 	buf := make([]byte, 0, len(raw)+8)
@@ -293,6 +299,21 @@ func BenchmarkNarrowFloats(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := DecodeNarrow(dst, narrow); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode-coded", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf, _ = AppendDense(buf[:0], data)
+		}
+	})
+	var d HuffmanDecoder
+	b.Run("decode-coded", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := DecodeCodedNarrow(dst, coded, &d); err != nil {
 				b.Fatal(err)
 			}
 		}

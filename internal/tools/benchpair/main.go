@@ -1,9 +1,11 @@
 // Command benchpair measures a change against a base commit with the
 // repository's benchmark, in alternating pairs, and writes what it saw to
-// BENCH_<pr>.json; or compares two such files.
+// BENCH_<pr>.json; or measures the base against itself, a same-binary
+// control, to BENCH_<pr>_control.json; or compares two such files.
 //
 //	go run ./internal/tools/benchpair -base <ref> -n 10 -pr <n>
-//	go run ./internal/tools/benchpair -compare BENCH_a.json BENCH_b.json
+//	go run ./internal/tools/benchpair -control -base <ref> -n 10 -pr <n>
+//	go run ./internal/tools/benchpair -compare [-aa BENCH_<n>_control.json] BENCH_a.json BENCH_b.json
 //
 // The base is <ref> exported by git archive to .bench_build/base; the change
 // is the working tree the command runs in. Each pair runs
@@ -14,6 +16,13 @@
 // metrics, the traced one the per-layer ones. Per workload and metric the
 // file holds each side's median, quartiles and n, and in how many pairs the
 // change was the better side. Nothing under bench/ is read but run.sh.
+//
+// A control runs the one export on both sides: what its per-layer deltas
+// show is the host, not a change, and -compare -aa prints them beside a
+// change's. A file marked "backfilled" holds only the medians a CHANGES.md
+// entry stated for a PR measured before this tool existed (no quartiles,
+// and pairs won only where the entry gave them); -compare reads it like
+// any other.
 package main
 
 import (
@@ -68,6 +77,10 @@ type Report struct {
 	Pairs     int                  `json:"pairs"`
 	Seconds   int                  `json:"seconds"`
 	Workloads map[string]*Workload `json:"workloads"`
+	// Control marks a same-binary control: the base against itself.
+	Control bool `json:"control,omitempty"`
+	// Backfilled marks a file written from a CHANGES.md entry's medians.
+	Backfilled bool `json:"backfilled,omitempty"`
 }
 
 // Host is where the pairs ran.
@@ -115,17 +128,19 @@ func main() {
 	base := flag.String("base", "", "git `ref` of the base to measure the working tree against")
 	n := flag.Int("n", 10, "alternating `pairs` of runs per workload")
 	pr := flag.Int("pr", 0, "`number` the report file is named after: BENCH_<number>.json")
+	control := flag.Bool("control", false, "measure the base against itself, to BENCH_<number>_control.json")
 	compare := flag.Bool("compare", false, "print the delta table of two report files named as arguments")
+	aa := flag.String("aa", "", "with -compare, a control `file` whose per-layer deltas are printed beside the change's")
 	flag.Parse()
 	c, err := readContract("BENCHMARK.json")
 	if err == nil {
 		switch {
 		case *compare && flag.NArg() == 2:
-			err = compareFiles(os.Stdout, c, flag.Arg(0), flag.Arg(1))
+			err = compareFiles(os.Stdout, c, flag.Arg(0), flag.Arg(1), *aa)
 		case !*compare && flag.NArg() == 0 && *base != "" && *n > 0 && *pr > 0:
-			err = measure(c, *base, *n, *pr)
+			err = measure(c, *base, *n, *pr, *control)
 		default:
-			err = fmt.Errorf("usage: benchpair -base <ref> -n <pairs> -pr <number> | benchpair -compare a.json b.json")
+			err = fmt.Errorf("usage: benchpair [-control] -base <ref> -n <pairs> -pr <number> | benchpair -compare [-aa control.json] a.json b.json")
 		}
 	}
 	if err != nil {
@@ -143,8 +158,9 @@ func readContract(path string) (*contract, error) {
 	return c, json.Unmarshal(b, c)
 }
 
-// measure runs the pairs and writes BENCH_<pr>.json.
-func measure(c *contract, ref string, pairs, pr int) error {
+// measure runs the pairs and writes BENCH_<pr>.json, or, as a control, the
+// base against itself to BENCH_<pr>_control.json.
+func measure(c *contract, ref string, pairs, pr int, control bool) error {
 	baseDir := filepath.Join(".bench_build", "base")
 	if err := os.RemoveAll(baseDir); err != nil {
 		return err
@@ -161,13 +177,19 @@ func measure(c *contract, ref string, pairs, pr int) error {
 	if err := extract.Run(); err != nil {
 		return fmt.Errorf("extracting %s: %w", ref, err)
 	}
-	r := &Report{PR: pr, Pairs: pairs, Seconds: c.RunSeconds, Workloads: map[string]*Workload{}}
+	r := &Report{PR: pr, Pairs: pairs, Seconds: c.RunSeconds, Workloads: map[string]*Workload{}, Control: control}
 	r.Host.Name, _ = os.Hostname()
 	r.Host.OS, r.Host.Arch, r.Host.CPUs = runtime.GOOS, runtime.GOARCH, runtime.NumCPU()
 	r.GoVersion = output("go", "version")
 	r.Base = output("git", "rev-parse", ref)
 	r.Change = output("git", "describe", "--always", "--dirty", "--abbrev=40")
 	trees := [2]string{baseDir, "."}
+	name := fmt.Sprintf("BENCH_%d.json", pr)
+	if control {
+		trees[1] = baseDir
+		r.Change = r.Base
+		name = fmt.Sprintf("BENCH_%d_control.json", pr)
+	}
 	for p := 0; p < pairs; p++ {
 		for _, w := range c.Workloads {
 			wl := r.Workloads[w.Name]
@@ -195,11 +217,10 @@ func measure(c *contract, ref string, pairs, pr int) error {
 	if err != nil {
 		return err
 	}
-	name := fmt.Sprintf("BENCH_%d.json", pr)
 	if err := os.WriteFile(name, append(b, '\n'), 0o644); err != nil {
 		return err
 	}
-	printTable(os.Stdout, c, r, r, true)
+	printTable(os.Stdout, c, r, r, true, nil)
 	return nil
 }
 
@@ -308,36 +329,58 @@ func summary(xs []float64) Summary {
 	return Summary{Median: mid, Q1: at(0.25), Q3: at(0.75), N: n}
 }
 
-// compareFiles prints the delta table from report a to report b.
-func compareFiles(w io.Writer, c *contract, a, b string) error {
-	var ra, rb Report
-	for _, f := range []struct {
-		path string
-		r    *Report
-	}{{a, &ra}, {b, &rb}} {
-		data, err := os.ReadFile(f.path)
-		if err != nil {
+// compareFiles prints the delta table from report a to report b, with the
+// per-layer deltas of the control report aa beside it when aa is named.
+func compareFiles(w io.Writer, c *contract, a, b, aa string) error {
+	ra, err := readReport(a)
+	if err != nil {
+		return err
+	}
+	rb, err := readReport(b)
+	if err != nil {
+		return err
+	}
+	var control *Report
+	if aa != "" {
+		if control, err = readReport(aa); err != nil {
 			return err
 		}
-		if err := json.Unmarshal(data, f.r); err != nil {
-			return fmt.Errorf("%s: %w", f.path, err)
+		if !control.Control {
+			return fmt.Errorf("%s is not a control: it does not run the base against itself", aa)
 		}
 	}
-	printTable(w, c, &ra, &rb, false)
+	printTable(w, c, ra, rb, false, control)
 	return nil
+}
+
+func readReport(path string) (*Report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	r := new(Report)
+	if err := json.Unmarshal(data, r); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return r, nil
 }
 
 // printTable prints, per workload and metric, the median before and after
 // and the change in percent. A gated metric (BENCHMARK.json's end-to-end
 // list) shows its bound and whether the change is worse by more; a timing
-// shows the pairs b's change won. Before is a's change side, or with paired
-// set, b's own base side.
-func printTable(w io.Writer, c *contract, a, b *Report, paired bool) {
+// shows the pairs b's change won, and, given a control, the control's own
+// delta, what the host alone moved it by. Before is a's change side, or with
+// paired set, b's own base side.
+func printTable(w io.Writer, c *contract, a, b *Report, paired bool, control *Report) {
 	gated := map[string]bool{}
 	for _, spec := range c.EndToEnd {
 		gated[spec.Name] = true
 	}
-	fmt.Fprintf(w, "%-14s %-32s %14s %14s %8s  %s\n", "workload", "metric", "before", "after", "delta", "verdict")
+	aaHead := ""
+	if control != nil {
+		aaHead = fmt.Sprintf("  %8s", "a/a")
+	}
+	fmt.Fprintf(w, "%-14s %-32s %14s %14s %8s%s  %s\n", "workload", "metric", "before", "after", "delta", aaHead, "verdict")
 	for _, wname := range sortedKeys(b.Workloads) {
 		wb, wa := b.Workloads[wname], a.Workloads[wname]
 		if wa == nil {
@@ -352,11 +395,19 @@ func printTable(w io.Writer, c *contract, a, b *Report, paired bool) {
 			if paired {
 				before = mb.Base.Median
 			}
-			delta := 0.0
-			if before != 0 {
-				delta = 100 * (after - before) / math.Abs(before)
+			delta := percent(before, after)
+			aaCol := ""
+			if control != nil {
+				aaCol = fmt.Sprintf("  %8s", "")
+				if wc := control.Workloads[wname]; wc != nil && wc.Metrics[name] != nil && !gated[name] {
+					mc := wc.Metrics[name]
+					aaCol = fmt.Sprintf("  %+7.2f%%", percent(mc.Base.Median, mc.Change.Median))
+				}
 			}
-			verdict := fmt.Sprintf("%d/%d", mb.PairsWon, min(mb.Base.N, mb.Change.N))
+			verdict := "-" // a backfilled median without its pairs
+			if n := min(mb.Base.N, mb.Change.N); n > 0 {
+				verdict = fmt.Sprintf("%d/%d", mb.PairsWon, n)
+			}
 			if gated[name] {
 				worse := delta / 100
 				if mb.Better == "higher" {
@@ -367,9 +418,18 @@ func printTable(w io.Writer, c *contract, a, b *Report, paired bool) {
 					verdict = fmt.Sprintf("bound %g%%: WORSE", 100*mb.Bound)
 				}
 			}
-			fmt.Fprintf(w, "%-14s %-32s %14.6g %14.6g %+7.2f%%  %s\n", wname, name, before, after, delta, verdict)
+			fmt.Fprintf(w, "%-14s %-32s %14.6g %14.6g %+7.2f%%%s  %s\n", wname, name, before, after, delta, aaCol, verdict)
 		}
 	}
+}
+
+// percent is the change from before to after in percent of before, 0 when
+// before is.
+func percent(before, after float64) float64 {
+	if before == 0 {
+		return 0
+	}
+	return 100 * (after - before) / math.Abs(before)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

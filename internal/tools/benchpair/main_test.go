@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -49,10 +52,77 @@ func TestPairsFromLastLines(t *testing.T) {
 	c := &contract{EndToEnd: specs[:1], PerLayer: specs[1:]}
 	r := &Report{Workloads: map[string]*Workload{"edge": wl}}
 	var out bytes.Buffer
-	printTable(&out, c, r, r, true)
+	printTable(&out, c, r, r, true, nil)
 	for _, want := range []string{"wire_bytes_per_req", "-5.00%", "bound 1%: ok", "mi_loss_pct", "1/2"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("table lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// report is a one-workload report whose metrics have the given base and
+// change medians.
+func report(medians map[string][2]float64) *Report {
+	wl := &Workload{Metrics: map[string]*Metric{}}
+	for name, m := range medians {
+		wl.Metrics[name] = &Metric{Better: "lower", Bound: 0.01,
+			Base: Summary{Median: m[0], N: 10}, Change: Summary{Median: m[1], N: 10}, PairsWon: 7}
+	}
+	return &Report{Workloads: map[string]*Workload{"cloud": wl}}
+}
+
+// A control's per-layer deltas print beside the change's, in their own
+// column; an end-to-end metric, judged by its bound, gets none. -compare
+// takes as control only a file that says it is one, and reads a backfilled
+// file, which holds medians alone.
+func TestCompareWithControl(t *testing.T) {
+	c := &contract{EndToEnd: []metricSpec{{Name: "wire_bytes_per_req", Better: "lower", Bound: 0.01}},
+		PerLayer: []metricSpec{{Name: "quantize.pack_us", Better: "lower"}}}
+	change := report(map[string][2]float64{"wire_bytes_per_req": {100, 90}, "quantize.pack_us": {10, 12}})
+	control := report(map[string][2]float64{"wire_bytes_per_req": {100, 100}, "quantize.pack_us": {10, 11.5}})
+	control.Control = true
+	var out bytes.Buffer
+	printTable(&out, c, change, change, true, control)
+	lines := strings.Split(out.String(), "\n")
+	if !strings.Contains(lines[0], "a/a") {
+		t.Fatalf("no a/a column:\n%s", out.String())
+	}
+	for _, l := range lines[1:] {
+		switch {
+		case strings.Contains(l, "quantize.pack_us"):
+			if !strings.Contains(l, "+20.00%") || !strings.Contains(l, "+15.00%") {
+				t.Errorf("per-layer row lacks the change's +20%% or the control's +15%%: %q", l)
+			}
+		case strings.Contains(l, "wire_bytes_per_req"):
+			if strings.Contains(l, "+0.00%") || !strings.Contains(l, "bound 1%: ok") {
+				t.Errorf("gated row: %q", l)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	write := func(name string, r *Report) string {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	backfilled := report(map[string][2]float64{"wire_bytes_per_req": {131238, 118947}})
+	backfilled.Backfilled = true
+	a, b := write("BENCH_43.json", backfilled), write("BENCH_45.json", change)
+	out.Reset()
+	if err := compareFiles(&out, c, a, b, write("BENCH_45_control.json", control)); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "118947") || !strings.Contains(out.String(), "a/a") {
+		t.Errorf("a backfilled file against a measured one:\n%s", out.String())
+	}
+	if err := compareFiles(&out, c, a, b, b); err == nil {
+		t.Error("a change report was taken as a control")
 	}
 }
