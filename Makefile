@@ -86,7 +86,9 @@ bench-module:
 ## noise, the audit record and inclusion proof a client replays, and the
 ## ledger file an audited server reopens, and the narrow and coded narrow
 ## float forms a dense frame payload takes — for ten seconds from the
-## package's seeds.
+## package's seeds. `test` holds this list to the module: a fuzz target no
+## line here runs, or a line naming one that is gone, fails
+## internal/tools/fuzzlist.
 fuzz-smoke:
 	for f in FuzzReadFrame FuzzDecodeRequest FuzzDecodeResponse; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/splitrt || exit 1; done

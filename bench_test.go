@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"shredder/internal/attack"
-	"shredder/internal/baseline"
 	"shredder/internal/core"
 	"shredder/internal/data"
 	"shredder/internal/experiments"
@@ -115,7 +114,8 @@ func BenchmarkFig4Dynamics(b *testing.B) {
 		}
 		last = res
 	}
-	b.ReportMetric(last.FinalGap(), "invivogap")
+	s, g := last.Shredder[len(last.Shredder)-1], last.Regular[len(last.Regular)-1]
+	b.ReportMetric(s.InVivo-g.InVivo, "invivogap")
 }
 
 // ---------------------------------------------------------------------------
@@ -505,23 +505,6 @@ func BenchmarkAblationInversionAttack(b *testing.B) {
 		ratio = shredded / clean
 	}
 	b.ReportMetric(ratio, "mse_ratio")
-}
-
-// Comparison against the paper's Figure-1 "accuracy-agnostic noise
-// addition" region: a fresh-per-query Laplace mechanism calibrated to the
-// same noise power as the learned collection. Metric: Shredder's accuracy
-// advantage in percentage points at matched 1/SNR.
-func BenchmarkBaselineVsAgnosticNoise(b *testing.B) {
-	pre, spl := lenetSplit(b)
-	col := core.Collect(spl, pre.Train, core.NoiseConfig{
-		Scale: 2.5, Lambda: 0.005, PrivacyTarget: 5, Epochs: 3, Seed: 1,
-	}, 3, 1)
-	var adv float64
-	for i := 0; i < b.N; i++ {
-		res := baseline.Compare(spl, pre.Test, col, int64(i+1))
-		adv = res.AdvantagePct()
-	}
-	b.ReportMetric(adv, "advantage_pts")
 }
 
 // Ablation: 8-bit wire quantization of the noisy activation. Metrics: the

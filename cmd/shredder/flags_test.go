@@ -115,6 +115,27 @@ func TestGatewayBackendDebugNeedsDebugAddr(t *testing.T) {
 	}
 }
 
+// TestCountBelowOneRefused: a collection of no noise tensors used to
+// pre-train the model and then panic in the trainer; eval and train-noise
+// refuse it, naming the flag, before a system is built — the unknown network
+// here would otherwise be the error.
+func TestCountBelowOneRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cmd  func([]string) error
+		args []string
+	}{
+		{"eval -count 0", cmdEval, []string{"-net", "nosuch", "-count", "0"}},
+		{"eval -count -3 with a noise file", cmdEval, []string{"-net", "nosuch", "-count", "-3", "-noise", "noise.bin"}},
+		{"train-noise -count 0", cmdTrainNoise, []string{"-net", "nosuch", "-count", "0", "-quiet"}},
+		{"train-noise -count -1", cmdTrainNoise, []string{"-net", "nosuch", "-count", "-1", "-quiet"}},
+	} {
+		if err := tc.cmd(tc.args); err == nil || !strings.Contains(err.Error(), "-count") {
+			t.Errorf("%s: %v, want an error naming -count", tc.name, err)
+		}
+	}
+}
+
 // TestInferAccuracyCountsClassified: asked for more samples than the test set
 // holds, infer classifies the set and reports accuracy over what it
 // classified, not over what it was asked for.

@@ -171,6 +171,9 @@ func cmdTrainNoise(args []string) error {
 	quiet := fs.Bool("quiet", false, "suppress per-iteration progress lines")
 	csvPath := fs.String("csv", "", "append per-evaluation training events to this CSV file")
 	fs.Parse(args)
+	if err := checkCount(*count); err != nil {
+		return err
+	}
 	sys, err := c.system()
 	if err != nil {
 		return err
@@ -208,19 +211,37 @@ func cmdEval(args []string) error {
 	noise := fs.String("noise", "", "noise collection file (default: train 8 fresh tensors)")
 	count := fs.Int("count", 8, "collection size when training fresh noise")
 	fs.Parse(args)
+	if err := checkCount(*count); err != nil {
+		return err
+	}
 	sys, err := c.system()
 	if err != nil {
 		return err
 	}
-	if *noise != "" {
-		if err := sys.LoadNoise(*noise); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprintf(os.Stderr, "no -noise file: training %d fresh noise tensors...\n", *count)
-		sys.LearnNoise(*count)
+	if err := loadOrLearnNoise(sys, *noise, *count); err != nil {
+		return err
 	}
 	fmt.Println(sys.Evaluate())
+	return nil
+}
+
+// checkCount refuses a collection of fewer than one noise tensor, before
+// anything is pre-trained.
+func checkCount(count int) error {
+	if count < 1 {
+		return fmt.Errorf("-count %d: a collection needs at least one noise tensor", count)
+	}
+	return nil
+}
+
+// loadOrLearnNoise gives sys the collection in file, or, without one, count
+// freshly trained noise tensors.
+func loadOrLearnNoise(sys *shredder.System, file string, count int) error {
+	if file != "" {
+		return sys.LoadNoise(file)
+	}
+	fmt.Fprintf(os.Stderr, "no -noise file: training %d fresh noise tensors...\n", count)
+	sys.LearnNoise(count)
 	return nil
 }
 
@@ -731,13 +752,8 @@ func cmdAttack(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *noise != "" {
-		if err := sys.LoadNoise(*noise); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprintln(os.Stderr, "no -noise file: training 4 fresh noise tensors...")
-		sys.LearnNoise(4)
+	if err := loadOrLearnNoise(sys, *noise, 4); err != nil {
+		return err
 	}
 	inv, err := sys.AttackResistance(*samples, *steps)
 	if err != nil {

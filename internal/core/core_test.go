@@ -12,6 +12,20 @@ import (
 	"shredder/internal/tensor"
 )
 
+// ShredderLoss evaluates the paper's Eq. 3 loss
+//
+//	loss = CE(R(a+n), y) − λ·Σᵢ|nᵢ|
+//
+// for a batch, returning the total loss, the cross-entropy component, and
+// the gradient with respect to the logits. The gradient of the privacy
+// term with respect to the noise, −λ·sign(n), is applied separately by
+// AddPrivacyGrad because it does not flow through the network.
+func ShredderLoss(logits *tensor.Tensor, labels []int, noise *NoiseTensor, lambda float64) (total, ce float64, grad *tensor.Tensor) {
+	ce, grad = nn.CrossEntropy(logits, labels)
+	total = ce - lambda*noise.Values().AbsSum()
+	return total, ce, grad
+}
+
 // testSplit returns a tiny pre-trained LeNet split at its last conv, with
 // its train/test data. Cached across tests via sync-free package state is
 // avoided; runs are fast enough to repeat.

@@ -83,12 +83,3 @@ func (r *Fig4Result) Render(w io.Writer) {
 			s.Iteration, s.InVivo, g.InVivo, 100*s.BatchAcc, 100*g.BatchAcc)
 	}
 }
-
-// FinalGap summarizes the headline observation of Figure 4a: the final
-// in vivo privacy of Shredder training minus that of regular training.
-func (r *Fig4Result) FinalGap() float64 {
-	if len(r.Shredder) == 0 || len(r.Regular) == 0 {
-		return 0
-	}
-	return r.Shredder[len(r.Shredder)-1].InVivo - r.Regular[len(r.Regular)-1].InVivo
-}

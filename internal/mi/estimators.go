@@ -38,31 +38,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// prepare applies subsampling, projection and jitter per Options.
-func prepare(s Samples, o Options, seedOffset int64) Samples {
-	rng := tensor.NewRNG(o.Seed + seedOffset)
-	if o.MaxSamples > 0 && s.N > o.MaxSamples {
-		idx := rng.Perm(s.N)[:o.MaxSamples]
-		x := make([]float64, o.MaxSamples*s.D)
-		for i, j := range idx {
-			copy(x[i*s.D:], s.Row(j))
-		}
-		s = NewSamples(x, o.MaxSamples, s.D)
-	}
-	if o.MaxDim > 0 && s.D > o.MaxDim {
-		s = RandomProject(s, o.MaxDim, rng.Int63())
-	}
-	if o.Jitter > 0 {
-		x := make([]float64, len(s.X))
-		copy(x, s.X)
-		for i := range x {
-			x[i] += rng.Normal(0, o.Jitter)
-		}
-		s = NewSamples(x, s.N, s.D)
-	}
-	return s
-}
-
 // RandomProject maps samples to dim dimensions with a seeded Gaussian
 // projection matrix scaled by 1/√dim.
 func RandomProject(s Samples, dim int, seed int64) Samples {
@@ -79,33 +54,12 @@ func logUnitBallVolume(d int) float64 {
 	return float64(d)/2*math.Log(math.Pi) - lg
 }
 
-// KLEntropy estimates the differential entropy H(X) in bits with the
-// Kozachenko–Leonenko k-NN estimator:
+// klEntropyRaw estimates the differential entropy H(X) in bits of samples
+// already preprocessed, with the Kozachenko–Leonenko k-NN estimator:
 //
 //	H ≈ ψ(N) − ψ(k) + ln V_d + (d/N)·Σᵢ ln εᵢ        (nats)
 //
 // where εᵢ is the distance from sample i to its k-th nearest neighbour.
-func KLEntropy(s Samples, o Options) float64 {
-	o = o.withDefaults()
-	s = prepare(s, o, 1)
-	if s.N <= o.K {
-		panic(fmt.Sprintf("mi: need more than K=%d samples, have %d", o.K, s.N))
-	}
-	eps := kthNNDistances(s, o.K)
-	sumLog := 0.0
-	for _, e := range eps {
-		if e <= 0 {
-			e = 1e-300
-		}
-		sumLog += math.Log(e)
-	}
-	n := float64(s.N)
-	d := float64(s.D)
-	nats := Digamma(n) - Digamma(float64(o.K)) + logUnitBallVolume(s.D) + d/n*sumLog
-	return nats * log2e
-}
-
-// klEntropyRaw is KLEntropy without preprocessing.
 func klEntropyRaw(s Samples, k int) float64 {
 	if s.N <= k {
 		panic(fmt.Sprintf("mi: need more than K=%d samples, have %d", k, s.N))

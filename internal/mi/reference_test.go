@@ -3,7 +3,45 @@ package mi
 import (
 	"fmt"
 	"math"
+
+	"shredder/internal/tensor"
 )
+
+// What the k-NN estimators are tested through and against: the entropy
+// estimator with its preprocessing, closed forms, and an independent
+// histogram estimator.
+
+// KLEntropy is the Kozachenko–Leonenko entropy (klEntropyRaw) of s after the
+// estimator's own preprocessing, in bits.
+func KLEntropy(s Samples, o Options) float64 {
+	o = o.withDefaults()
+	return klEntropyRaw(prepare(s, o, 1), o.K)
+}
+
+// prepare applies subsampling, projection and jitter per Options.
+func prepare(s Samples, o Options, seedOffset int64) Samples {
+	rng := tensor.NewRNG(o.Seed + seedOffset)
+	if o.MaxSamples > 0 && s.N > o.MaxSamples {
+		idx := rng.Perm(s.N)[:o.MaxSamples]
+		x := make([]float64, o.MaxSamples*s.D)
+		for i, j := range idx {
+			copy(x[i*s.D:], s.Row(j))
+		}
+		s = NewSamples(x, o.MaxSamples, s.D)
+	}
+	if o.MaxDim > 0 && s.D > o.MaxDim {
+		s = RandomProject(s, o.MaxDim, rng.Int63())
+	}
+	if o.Jitter > 0 {
+		x := make([]float64, len(s.X))
+		copy(x, s.X)
+		for i := range x {
+			x[i] += rng.Normal(0, o.Jitter)
+		}
+		s = NewSamples(x, s.N, s.D)
+	}
+	return s
+}
 
 // GaussianMI returns the closed-form mutual information, in bits, of a
 // bivariate Gaussian with correlation rho: I = −½·log₂(1−ρ²). It is the

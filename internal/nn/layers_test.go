@@ -183,6 +183,11 @@ func TestLRNReducesMagnitude(t *testing.T) {
 	}
 }
 
+// Softmax is SoftmaxInto into a fresh tensor.
+func Softmax(logits *tensor.Tensor) *tensor.Tensor {
+	return SoftmaxInto(tensor.New(logits.Dim(0), logits.Dim(1)), logits)
+}
+
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := tensor.NewRNG(10)
 	logits := rng.FillNormal(tensor.New(6, 10), 0, 5)

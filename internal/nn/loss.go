@@ -7,17 +7,10 @@ import (
 	"shredder/internal/tensor"
 )
 
-// Softmax returns row-wise softmax probabilities for logits of shape
-// [N, M], computed with the max-subtraction trick for numerical stability.
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	if logits.Rank() != 2 {
-		panic("nn: Softmax expects [N, M] logits")
-	}
-	return SoftmaxInto(tensor.New(logits.Dim(0), logits.Dim(1)), logits)
-}
-
-// SoftmaxInto is Softmax writing into dst, which must have logits' shape and
-// may be logits itself; it returns dst.
+// SoftmaxInto writes the row-wise softmax probabilities of logits of shape
+// [N, M] into dst, computed with the max-subtraction trick for numerical
+// stability. dst must have logits' shape and may be logits itself; it
+// returns dst.
 func SoftmaxInto(dst, logits *tensor.Tensor) *tensor.Tensor {
 	if logits.Rank() != 2 || !dst.SameShape(logits) {
 		panic(fmt.Sprintf("nn: SoftmaxInto %v from logits %v, want one [N, M] shape", dst.Shape(), logits.Shape()))

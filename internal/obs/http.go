@@ -16,8 +16,7 @@ import (
 type Debug struct {
 	Metrics *Registry
 	Spans   *SpanRing
-	Profile *Profiler   // /debug/profile per-layer table
-	Join    *SpanJoiner // /debug/spans?join=1 joined timelines
+	Profile *Profiler // /debug/profile per-layer table
 
 	// Windows, when set, attaches the sliding-window aggregate to every
 	// /debug/metrics payload (the snapshot's "window" field / the prom
@@ -69,7 +68,6 @@ func (d Debug) snapshot(now time.Time) Snapshot {
 //	/debug/metrics              JSON Snapshot of every registered metric
 //	/debug/metrics?format=prom  the same snapshot as Prometheus text exposition
 //	/debug/spans                JSON list of recent completed spans (?n= limits, newest kept)
-//	/debug/spans?join=1         client and server spans joined per trace ID
 //	/debug/profile              cumulative per-layer compute profile (?format=csv|text)
 //	/debug/events               SLO transition events (JSON, ?after=seq)
 //	/debug/audit                the Audit handler, when there is one
@@ -109,14 +107,6 @@ func (d Debug) Handler() http.Handler {
 		writeJSON(w, out)
 	})
 	mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("join") == "1" {
-			out := d.Join.Joined()
-			if out == nil {
-				out = []JoinedSpan{}
-			}
-			writeJSON(w, out)
-			return
-		}
 		out := d.Spans.Snapshot()
 		if q := r.URL.Query().Get("n"); q != "" {
 			if n, err := strconv.Atoi(q); err == nil && n >= 0 && n < len(out) {
@@ -162,7 +152,6 @@ func (d Debug) Handler() http.Handler {
 		fmt.Fprint(w, "shredder debug endpoint\n\n"+
 			"/debug/metrics        metrics snapshot (JSON, ?format=prom for Prometheus text)\n"+
 			"/debug/spans          recent request spans (JSON, ?n=N)\n"+
-			"/debug/spans?join=1   joined client+server timelines (JSON)\n"+
 			"/debug/profile        per-layer compute profile (JSON, ?format=csv|text)\n"+
 			"/debug/events         SLO transition events (JSON, ?after=seq)\n"+
 			"/debug/vars           expvar\n"+

@@ -31,7 +31,6 @@ func TestDebugContentTypes(t *testing.T) {
 		{"/debug/metrics", "application/json"},
 		{"/debug/metrics?format=prom", "text/plain; version=0.0.4; charset=utf-8"},
 		{"/debug/spans", "application/json"},
-		{"/debug/spans?join=1", "application/json"},
 		{"/debug/profile", "application/json"},
 		{"/debug/profile?format=csv", "text/csv; charset=utf-8"},
 		{"/debug/profile?format=text", "text/plain; charset=utf-8"},
@@ -69,7 +68,6 @@ func TestDebugNilFieldsServeEmpty(t *testing.T) {
 	}{
 		{"/debug/metrics?format=prom", ""}, // empty exposition is valid
 		{"/debug/spans", "[]"},
-		{"/debug/spans?join=1", "[]"},
 		{"/debug/profile", "[]"},
 		{"/debug/events", "[]"},
 		{"/debug/events?after=3", "[]"},

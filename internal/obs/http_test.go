@@ -55,7 +55,7 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(spans) != 1 || spans[0].Name != "serve" || spans[0].StageDur("compute") != 2*time.Millisecond {
+	if len(spans) != 1 || spans[0].Name != "serve" || len(spans[0].Stages) != 2 || spans[0].Stages[1] != (Stage{Name: "compute", Dur: 2 * time.Millisecond}) {
 		t.Fatalf("spans endpoint: %+v", spans)
 	}
 

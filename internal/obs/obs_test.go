@@ -179,17 +179,6 @@ func TestTraceIDs(t *testing.T) {
 	}
 }
 
-// TestSpanStageDur covers stage lookup on present and absent names.
-func TestSpanStageDur(t *testing.T) {
-	s := Span{Stages: []Stage{{Name: "queue", Dur: time.Millisecond}, {Name: "compute", Dur: time.Second}}}
-	if s.StageDur("compute") != time.Second || s.StageDur("queue") != time.Millisecond {
-		t.Fatal("wrong stage durations")
-	}
-	if s.StageDur("missing") != 0 {
-		t.Fatal("missing stage must read 0")
-	}
-}
-
 // TestHooks covers fan-out, the progress line, and CSV output.
 func TestHooks(t *testing.T) {
 	ev := TrainingEvent{

@@ -111,16 +111,6 @@ type Span struct {
 	Attrs  Attrs         `json:"attrs,omitempty"`
 }
 
-// StageDur returns the duration of the named stage (0 when absent).
-func (s *Span) StageDur(name string) time.Duration {
-	for _, st := range s.Stages {
-		if st.Name == name {
-			return st.Dur
-		}
-	}
-	return 0
-}
-
 // Attr returns the value of the named annotation (0 when absent).
 func (s *Span) Attr(key string) float64 {
 	for _, kv := range s.Attrs {

@@ -48,8 +48,6 @@ type EdgeClient struct {
 
 	conn *frameConn
 
-	spans *obs.SpanRing // nil = client span recording disabled
-
 	// Metrics live on the client, not the connection, so cumulative stats
 	// survive reconnects. Every handle is an atomic obs metric, so Stats
 	// and a shared registry's Snapshot are always coherent reads — there is
@@ -62,7 +60,6 @@ type EdgeClient struct {
 	wireBits int          // 0 = dense float transport
 	quant    quantPayload // the request on the wire, packed and coded; the buffers are kept between requests
 	note     auditNote    // the request's privacy attribution
-	stages   stageTimes   // the request's stage clock, when spans are on
 
 	timeout    time.Duration // per-call bound when the context has no deadline
 	maxRedials int           // reconnect attempts per broken call
@@ -109,16 +106,6 @@ func (o registryOption) applyGateway(g *Gateway)   { g.reg = o.reg }
 // gateway.errors (by default the gateway registers in its pool's registry —
 // one snapshot covering the gateway and the whole fleet).
 func WithMetrics(reg *obs.Registry) RegistryOption { return registryOption{reg} }
-
-// WithSpans records one client-side span per Infer call into ring, with
-// the request's trace ID and the stages quantize / serialize / send / wait
-// / decode. Join the ring against a server's span ring (obs.JoinSpans or
-// splitrt.WithSpanJoin) to get the full seven-stage edge↔cloud timeline.
-// Recording costs a handful of time.Now calls and one span per request;
-// the wire path is the same with or without it.
-func WithSpans(ring *obs.SpanRing) ClientOption {
-	return clientOption(func(c *EdgeClient) { c.spans = ring })
-}
 
 // TelemetryOption is the one privacy-monitor option, WithPrivacyTelemetry: a
 // ClientOption and a PoolOption — whichever role noises the activation.
@@ -383,46 +370,7 @@ func (c *EdgeClient) relayLocked(ctx context.Context, req request) (*tensor.Tens
 		req.Trace = uint64(obs.NewTraceID())
 	}
 	atomic.StoreUint64(&c.lastTrace, req.Trace)
-
-	// st non-nil turns on per-stage timing for this call; the span covers
-	// quantize through decode (the wire-side work, i.e. the RTT portion —
-	// a local forward pass before it is not part of it).
-	var st *stageTimes
-	var spanStart time.Time
-	if c.spans != nil {
-		st = &c.stages
-		*st = stageTimes{}
-		spanStart = time.Now()
-	}
-	logits, err := c.exchange(ctx, req, st)
-	if st != nil {
-		// Stages and annotations are built on the stack and handed over beside
-		// the span: the ring copies them into the slot it records it in.
-		stages := [5]obs.Stage{
-			{Name: "quantize", Dur: st.quantize},
-			{Name: "serialize", Dur: st.serialize},
-			{Name: "send", Dur: st.send},
-			{Name: "wait", Dur: st.wait},
-			{Name: "decode", Dur: st.decode},
-		}
-		attrs := [1]obs.Attr{{Key: "server_elapsed_ns", Val: float64(st.srvElapsed)}}
-		span := obs.Span{
-			Trace: obs.TraceID(req.Trace),
-			Name:  "infer",
-			ID:    req.ID,
-			Start: spanStart,
-			Dur:   time.Since(spanStart),
-		}
-		if err != nil {
-			span.Err = err.Error()
-		}
-		elapsed := attrs[:0]
-		if st.srvElapsed > 0 {
-			elapsed = attrs[:]
-		}
-		c.spans.Record(span, stages[:], elapsed)
-	}
-	return logits, err
+	return c.exchange(ctx, req)
 }
 
 // pack swaps req's dense activation for its coded form at the client's wire
@@ -443,29 +391,14 @@ func (c *EdgeClient) pack(req *request) error {
 	return nil
 }
 
-// stageTimes collects the per-stage wall times of one traced Infer call.
-// Retried calls keep the stages of the final attempt.
-type stageTimes struct {
-	quantize   time.Duration
-	serialize  time.Duration
-	send       time.Duration
-	wait       time.Duration
-	decode     time.Duration
-	srvElapsed time.Duration
-}
-
 // exchange packs the request for the wire and runs the request/response
 // loop (with retries and redials). The caller holds c.mu: the wire exchange
 // (and any redialing) owns the connection state for the duration of the
 // call, one request/response in flight at a time.
-func (c *EdgeClient) exchange(ctx context.Context, req request, st *stageTimes) (*tensor.Tensor, error) {
+func (c *EdgeClient) exchange(ctx context.Context, req request) (*tensor.Tensor, error) {
 	if c.wireBits > 0 && req.Activation != nil {
-		t0 := time.Now()
 		if err := c.pack(&req); err != nil {
 			return nil, err
-		}
-		if st != nil {
-			st.quantize = time.Since(t0)
 		}
 	}
 	var lastErr error
@@ -482,7 +415,7 @@ func (c *EdgeClient) exchange(ctx context.Context, req request, st *stageTimes) 
 				return nil, err
 			}
 		}
-		logits, err := c.roundTrip(ctx, req, st)
+		logits, err := c.roundTrip(ctx, req)
 		if err == nil {
 			return logits, nil
 		}
@@ -522,9 +455,8 @@ func (c *EdgeClient) exchange(ctx context.Context, req request, st *stageTimes) 
 // connection broken; protocol failures (remote error string, ID mismatch)
 // do not. Every attempt fills the connection's write buffer with the
 // request frame, flushes it in one write, blocks for the response's length
-// prefix, then reads and decodes the body; a non-nil st stamps those four
-// boundaries as the serialize / send / wait / decode stages.
-func (c *EdgeClient) roundTrip(ctx context.Context, req request, st *stageTimes) (*tensor.Tensor, error) {
+// prefix, then reads and decodes the body.
+func (c *EdgeClient) roundTrip(ctx context.Context, req request) (*tensor.Tensor, error) {
 	deadline, ok := ctx.Deadline()
 	if !ok && c.timeout > 0 {
 		deadline = time.Now().Add(c.timeout)
@@ -570,40 +502,20 @@ func (c *EdgeClient) roundTrip(ctx context.Context, req request, st *stageTimes)
 	}
 	start := time.Now()
 	c.conn.wbuf = req.appendFrame(c.conn.wbuf)
-	var sendStart, sendEnd, firstByte time.Time
-	if st != nil {
-		sendStart = time.Now()
-	}
 	if err := c.conn.flush(); err != nil {
 		c.broken = true
 		c.m.transportErrs.Inc()
 		return nil, fmt.Errorf("splitrt: send: %w", err)
 	}
-	if st != nil {
-		sendEnd = time.Now()
-	}
 	resp := response{Logits: req.logitsInto}
-	n, err := c.conn.readPrefix(maxFrameBody)
+	body, err := c.conn.readFrame(maxFrameBody)
 	if err == nil {
-		if st != nil {
-			firstByte = time.Now()
-		}
-		var body []byte
-		if body, err = c.conn.readBody(n); err == nil {
-			err = decodeResponse(body, &resp, &c.conn.dec)
-		}
+		err = decodeResponse(body, &resp, &c.conn.dec)
 	}
 	if err != nil {
 		c.broken = true
 		c.m.transportErrs.Inc()
 		return nil, fmt.Errorf("splitrt: recv: %w", err)
-	}
-	if st != nil {
-		st.serialize = sendStart.Sub(start)
-		st.send = sendEnd.Sub(sendStart)
-		st.wait = firstByte.Sub(sendEnd)
-		st.decode = time.Since(firstByte)
-		st.srvElapsed = time.Duration(resp.SrvElapsedNs)
 	}
 	c.m.rtt.Observe(time.Since(start).Seconds())
 	if resp.ID != req.ID {

@@ -50,22 +50,7 @@ func (c *frameConn) Close() error { return c.conn.Close() }
 
 func (c *frameConn) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
 
-// readPrefix blocks for the next frame's length prefix and returns the body
-// length it announces, refusing anything that cannot be a frame.
-func (c *frameConn) readPrefix(max int) (int, error) {
-	n, err := io.ReadFull(c.conn, c.prefix[:])
-	c.received.Add(int64(n))
-	if err != nil {
-		return 0, err
-	}
-	size := binary.LittleEndian.Uint32(c.prefix[:])
-	if size < 3 || size > uint32(max) {
-		return 0, badFrame("length prefix %d outside [3, %d]", size, max)
-	}
-	return int(size), nil
-}
-
-// readBody reads the n body bytes that follow a prefix into the
+// readBody reads the n body bytes that follow a length prefix into the
 // connection's read buffer and returns them; they are valid until the next
 // read. A buffer that is too small grows by at most readChunk beyond what
 // has arrived, and by a sixteenth of the frame more than the frame needs:
@@ -94,18 +79,25 @@ func (c *frameConn) readBody(n int) ([]byte, error) {
 	return buf, nil
 }
 
-// readFrame arms the idle deadline and reads one whole frame body.
+// readFrame arms the idle deadline, blocks for the next frame's length
+// prefix, refusing anything that cannot be a frame, and reads the body it
+// announces.
 func (c *frameConn) readFrame(max int) ([]byte, error) {
 	if c.idleTimeout > 0 {
 		if err := c.conn.SetReadDeadline(time.Now().Add(c.idleTimeout)); err != nil {
 			return nil, err
 		}
 	}
-	n, err := c.readPrefix(max)
+	n, err := io.ReadFull(c.conn, c.prefix[:])
+	c.received.Add(int64(n))
 	if err != nil {
 		return nil, err
 	}
-	return c.readBody(n)
+	size := binary.LittleEndian.Uint32(c.prefix[:])
+	if size < 3 || size > uint32(max) {
+		return nil, badFrame("length prefix %d outside [3, %d]", size, max)
+	}
+	return c.readBody(int(size))
 }
 
 // flush arms the write deadline and puts the frame in wbuf on the wire in

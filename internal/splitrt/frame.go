@@ -71,14 +71,11 @@ const (
 	reqHiOff         = reqLoOff + 8
 	requestHeaderLen = reqHiOff + 8
 
-	// response: ID u64, Trace u64, flags u8, ErrKind u8, rank u8,
-	// SrvRecvUnixNanos i64, SrvElapsedNs i64.
+	// response: ID u64, Trace u64, flags u8, ErrKind u8, rank u8.
 	respFlagsOff      = 16
 	respKindOff       = 17
 	respRankOff       = 18
-	respRecvOff       = 19
-	respElapsedOff    = respRecvOff + 8
-	responseHeaderLen = respElapsedOff + 8
+	responseHeaderLen = respRankOff + 1
 )
 
 // Header flag bits.
@@ -220,8 +217,6 @@ func (r *response) appendFrame(b []byte) []byte {
 		shape = r.Logits.Shape()
 		h[respFlagsOff], h[respRankOff] = flagPayload, rankOf(shape)
 	}
-	binary.LittleEndian.PutUint64(h[respRecvOff:], uint64(r.SrvRecvUnixNanos))
-	binary.LittleEndian.PutUint64(h[respElapsedOff:], uint64(r.SrvElapsedNs))
 	b = endHeader(b)
 	b = appendDims(b, shape)
 	b = appendString(b, r.Err)
@@ -475,8 +470,6 @@ func decodeResponse(body []byte, resp *response, dec *tensor.HuffmanDecoder) err
 	resp.ID = binary.LittleEndian.Uint64(h[:])
 	resp.Trace = binary.LittleEndian.Uint64(h[8:])
 	resp.Kind = ErrKind(h[respKindOff])
-	resp.SrvRecvUnixNanos = int64(binary.LittleEndian.Uint64(h[respRecvOff:]))
-	resp.SrvElapsedNs = int64(binary.LittleEndian.Uint64(h[respElapsedOff:]))
 	shape, rest, err := cutShape(h[respRankOff], rest)
 	if err != nil {
 		return err

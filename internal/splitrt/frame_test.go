@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -97,7 +98,27 @@ func okResponse() *response {
 	for i := range logits.Data() {
 		logits.Data()[i] = 0.125 * float64(i)
 	}
-	return &response{ID: 41, Trace: 0xfeedfacecafe, Logits: logits, SrvRecvUnixNanos: 1_700_000_000_123_456_789, SrvElapsedNs: 4321}
+	return &response{ID: 41, Trace: 0xfeedfacecafe, Logits: logits}
+}
+
+// Frames of okResponse and errResponse as an encoder that wrote two timing
+// fields after the rank wrote them: server receive time (Unix ns) and time
+// held (ns), 8 bytes each, the header trimmed of trailing zeros as always.
+// The timing fields were 1_700_000_000_123_456_789 and 4321 in the first,
+// 1_700_000_000_987_654_321 and 250_000 in the second.
+const (
+	timedOKFrame  = "75000000041d002900000000000000fecacefaedfe000011000215cd853dfe9c9717e11002000000050000000000fc03000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000004000020a30d080030f400801"
+	timedErrFrame = "45000000041e0009000000000000000300000000000000000200b1680871fe9c971790d0032200696e666572656e63652065786365656465642068616e646c65722074696d656f7574"
+)
+
+// timedFrame decodes one of the hex frames above.
+func timedFrame(t testing.TB, h string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func errResponse() *response {
@@ -239,15 +260,41 @@ func TestFrameHeaderCompatibility(t *testing.T) {
 	if err := decodeResponse(frameBodyOf(t, withHeaderLen(resp.appendFrame(nil), responseHeaderLen, responseHeaderLen+5)), &gotResp, new(tensor.HuffmanDecoder)); err != nil {
 		t.Fatalf("response with a longer header: %v", err)
 	}
-	if gotResp.SrvElapsedNs != resp.SrvElapsedNs || !sameBits(gotResp.Logits, resp.Logits) {
+	if gotResp.ID != resp.ID || gotResp.Trace != resp.Trace || !sameBits(gotResp.Logits, resp.Logits) {
 		t.Fatalf("longer header disturbed the known fields: %+v", gotResp)
 	}
-	gotResp = response{}
-	if err := decodeResponse(frameBodyOf(t, withHeaderLen(resp.appendFrame(nil), responseHeaderLen, respRecvOff)), &gotResp, new(tensor.HuffmanDecoder)); err != nil {
-		t.Fatalf("response with a shorter header: %v", err)
+
+	// A peer whose responses carry two timing fields after the rank, as
+	// written, and with the header restored to its full 35 bytes.
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		want  *response
+	}{
+		{"ok", timedFrame(t, timedOKFrame), okResponse()},
+		{"err", timedFrame(t, timedErrFrame), errResponse()},
+	} {
+		for _, frame := range [][]byte{c.frame, withHeaderLen(c.frame, responseHeaderLen+16, responseHeaderLen+16)} {
+			gotResp = response{}
+			if err := decodeResponse(frameBodyOf(t, frame), &gotResp, new(tensor.HuffmanDecoder)); err != nil {
+				t.Fatalf("%s response with timing fields: %v", c.name, err)
+			}
+			if !sameBits(gotResp.Logits, c.want.Logits) {
+				t.Fatalf("%s response with timing fields: logits %v", c.name, gotResp.Logits)
+			}
+			want := *c.want
+			gotResp.Logits, want.Logits = nil, nil
+			if gotResp != want {
+				t.Fatalf("%s response with timing fields:\n got %+v\nwant %+v", c.name, gotResp, want)
+			}
+		}
 	}
-	if gotResp.ID != resp.ID || gotResp.SrvRecvUnixNanos != 0 || gotResp.SrvElapsedNs != 0 || !sameBits(gotResp.Logits, resp.Logits) {
-		t.Fatalf("shorter response header decoded wrong: %+v", gotResp)
+	// Nor does this encoder write them: no response header runs past the
+	// rank.
+	for _, r := range []*response{okResponse(), codedNarrowResponse(), errResponse(), {ID: math.MaxUint64, Trace: math.MaxUint64, Logits: tensor.New(1, 1, 1, 1, 1, 1, 1, 1), Kind: ErrInternal}} {
+		if n := binary.LittleEndian.Uint16(r.appendFrame(nil)[5:]); n > responseHeaderLen {
+			t.Fatalf("response header of %d bytes, more than %d", n, responseHeaderLen)
+		}
 	}
 
 	// The encoder leans on the same rule: a request with nothing in its
@@ -705,6 +752,7 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(coded[:len(coded)-1])
 	f.Add(codedNarrowEdit(codedNarrowResponse(), func(f []byte) { f[len(f)-16] = 0x11 }))
 	f.Add(codedNarrowEdit(codedNarrowResponse(), func(f []byte) { f[len(f)-17] |= 1 }))
+	f.Add(timedFrame(f, timedOKFrame)[4:])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var resp response
 		if err := decodeResponse(body, &resp, new(tensor.HuffmanDecoder)); err != nil {

@@ -135,7 +135,6 @@ func (g *Gateway) surface() obs.Debug {
 func (g *Gateway) handle(ctx context.Context, st *reqState) {
 	req, resp := &st.req, &st.resp
 	g.requests.Inc()
-	recv := time.Now()
 	*resp = response{ID: req.ID, Trace: req.Trace}
 	if _, kind, msg := checkRequest(g.pool.Split(), req); kind != ErrUnknown {
 		g.failures.Inc()
@@ -167,8 +166,6 @@ func (g *Gateway) handle(ctx context.Context, st *reqState) {
 		return
 	}
 	st.logits, resp.Logits = logits, logits
-	resp.SrvRecvUnixNanos = recv.UnixNano()
-	resp.SrvElapsedNs = int64(time.Since(recv))
 	if n := req.Audit; n != nil && n.Sampled {
 		// Every relayed request's sampled in-vivo 1/SNR lands in the
 		// gateway's own privacy histogram, so a fleet-level privacy SLO

@@ -69,8 +69,7 @@ type serverObs struct {
 	invivo    *obs.Histogram // server-side view of relayed in-vivo 1/SNR
 	invivoG   *obs.Gauge
 
-	prof   *obs.Profiler   // per-layer profiler (WithProfiling), nil otherwise
-	joiner *obs.SpanJoiner // client↔server span joining (WithSpanJoin), nil otherwise
+	prof *obs.Profiler // per-layer profiler (WithProfiling), nil otherwise
 }
 
 func newServerObs(reg *obs.Registry, spans *obs.SpanRing) *serverObs {
@@ -121,10 +120,6 @@ func (o *serverObs) finish(req *request, resp *response, t0 time.Time, si *sched
 		return
 	}
 	now := time.Now()
-	// Server-side timing metadata travels back on the response so the edge
-	// can annotate its spans without a second exchange.
-	resp.SrvRecvUnixNanos = t0.UnixNano()
-	resp.SrvElapsedNs = int64(now.Sub(t0))
 	o.latency.Observe(now.Sub(t0).Seconds())
 	span := obs.Span{
 		Trace: obs.TraceID(req.Trace),

@@ -2,8 +2,9 @@ package splitrt
 
 // Suite for the observability layer at the wire: trace IDs echoed through
 // the protocol, per-error-kind counters on both ends of a failing request, race-free
-// Stats polling during traffic and forced redials, and an end-to-end pass
-// over the live debug HTTP endpoint.
+// Stats polling during traffic and forced redials, an end-to-end pass over
+// the live debug HTTP endpoint, and server-side per-layer profiling behind
+// WithProfiling.
 
 import (
 	"context"
@@ -360,7 +361,7 @@ func TestDebugEndpointEndToEnd(t *testing.T) {
 	if traced.Trace == 0 {
 		t.Fatal("span lost its wire-propagated trace ID")
 	}
-	if len(traced.Stages) != 3 || traced.StageDur("compute") <= 0 {
+	if len(traced.Stages) != 3 || traced.Stages[2].Name != "compute" || traced.Stages[2].Dur <= 0 {
 		t.Fatalf("span stages do not reconstruct the timeline: %+v", traced.Stages)
 	}
 	for _, name := range []string{"queue", "batch", "compute"} {
@@ -376,5 +377,77 @@ func TestDebugEndpointEndToEnd(t *testing.T) {
 	}
 	if traced.Attr("batch_size") < 1 {
 		t.Fatalf("span attrs: %+v", traced.Attrs)
+	}
+}
+
+// TestServerProfiling serves with WithProfiling and checks the remote
+// part's layers accumulate per-layer timings (and registry histograms), the
+// profile shows at /debug/profile, and Close detaches the hook.
+func TestServerProfiling(t *testing.T) {
+	split, srv, addr := identityRig(t, WithProfiling(), WithDebugServer("127.0.0.1:0"))
+	prof := srv.obs.prof
+	if prof == nil {
+		t.Fatal("WithProfiling did not build a profiler")
+	}
+	client, err := Dial(addr, split, "cut", nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	x := tensor.New(1, 1, 2, 2).Fill(1)
+	const n = 3
+	for i := 0; i < n; i++ {
+		if _, err := client.Infer(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The profiler hooks the whole shared network, so in this in-process
+	// test it sees both the client's local pass ("cut[f64]") and the
+	// server's remote pass — both compiled plans, hence the dtype tag.
+	const postLabel = "post[f64]"
+	var post obs.LayerProfile
+	for _, lp := range prof.Table() {
+		if lp.Layer == postLabel {
+			post = lp
+		}
+	}
+	if post.Layer == "" {
+		t.Fatalf("remote layer missing from profile: %+v", prof.Table())
+	}
+	if post.ForwardCalls != n || post.ScratchBytes != n*4*8 {
+		t.Fatalf("post layer accumulation: %+v", post)
+	}
+	if h := srv.Metrics().Snapshot().Histograms["profile.forward_seconds."+postLabel]; h.Count != n {
+		t.Fatalf("per-layer histogram count %d, want %d", h.Count, n)
+	}
+
+	resp, err := http.Get("http://" + srv.DebugAddr() + "/debug/profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var overHTTP []obs.LayerProfile
+	if err := json.NewDecoder(resp.Body).Decode(&overHTTP); err != nil {
+		t.Fatal(err)
+	}
+	served := false
+	for _, lp := range overHTTP {
+		if lp.Layer == postLabel && lp.ForwardCalls == n {
+			served = true
+		}
+	}
+	if !served {
+		t.Fatalf("/debug/profile payload: %+v", overHTTP)
+	}
+
+	// Close must detach the profiler from the shared network: later passes
+	// (e.g. another server over the same split) record nothing here.
+	srv.Close()
+	split.Forward(tensor.New(1, 1, 2, 2).Fill(1))
+	for _, lp := range prof.Table() {
+		if lp.Layer == postLabel && lp.ForwardCalls != n {
+			t.Fatalf("profiler still attached after Close: %d calls", lp.ForwardCalls)
+		}
 	}
 }

@@ -39,8 +39,8 @@ type helloAck struct {
 // the answers (EdgeClient itself stays lockstep: one request in flight per
 // connection).
 // Trace is minted by the client (obs.NewTraceID) and echoed verbatim on
-// the response, so a request's client-side and server-side telemetry can
-// be joined into one timeline. Zero means "untraced".
+// the response; the server keys the request's span and audit record by it,
+// so the trace a client holds (LastTrace) finds both. Zero means "untraced".
 // Audit, when non-nil, carries the edge's privacy attribution for the
 // server's tamper-evident audit trail (see internal/audit): which noise
 // mode and member perturbed this activation and the realized in-vivo
@@ -135,19 +135,12 @@ func (k ErrKind) String() string {
 
 // response returns the remote network's logits for a request, or a typed
 // error (Kind classifies Err so clients retry only what can succeed).
-//
-// SrvRecvUnixNanos and SrvElapsedNs are server-side timing metadata for
-// end-to-end span joining: the server's receive timestamp (its own clock,
-// Unix nanoseconds) and how long it held the request. They are set only
-// when the server runs with observability and are 0 otherwise.
 type response struct {
-	ID               uint64
-	Trace            uint64 // echo of the request's trace ID
-	Logits           *tensor.Tensor
-	Err              string
-	Kind             ErrKind
-	SrvRecvUnixNanos int64 // server receive time, server clock (0 = not reported)
-	SrvElapsedNs     int64 // server-side handling duration (0 = not reported)
+	ID     uint64
+	Trace  uint64 // echo of the request's trace ID
+	Logits *tensor.Tensor
+	Err    string
+	Kind   ErrKind
 }
 
 // RemoteError is the client-side representation of a protocol-level

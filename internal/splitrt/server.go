@@ -56,9 +56,8 @@ type CloudServer struct {
 
 	auditor *audit.Auditor // nil = audit trail disabled
 
-	obs       *serverObs    // nil = observability disabled (hot path pays nil checks only)
-	profiling bool          // WithProfiling: attach a per-layer profiler to the remote net
-	joinRing  *obs.SpanRing // WithSpanJoin: client-side ring to join against
+	obs       *serverObs // nil = observability disabled (hot path pays nil checks only)
+	profiling bool       // WithProfiling: attach a per-layer profiler to the remote net
 }
 
 // ServerOption configures a CloudServer. The options of the front end it
@@ -156,16 +155,6 @@ func WithAudit(a *audit.Auditor) ServerOption {
 	return serverOption(func(s *CloudServer) { s.auditor = a })
 }
 
-// WithSpanJoin gives the server the client-side span ring to join against:
-// /debug/spans?join=1 then serves merged seven-stage client↔server
-// timelines for requests present in both rings. Pair it with an EdgeClient
-// created with WithSpans(ring) in the same process, or feed a ring
-// populated from client telemetry shipped by other means. It implies
-// WithObservability when none was configured.
-func WithSpanJoin(clientSpans *obs.SpanRing) ServerOption {
-	return serverOption(func(s *CloudServer) { s.joinRing = clientSpans })
-}
-
 // NewCloudServer creates a server for the given split. cutLayer is the
 // layer name clients must declare in their handshake.
 func NewCloudServer(split *core.Split, cutLayer string, opts ...ServerOption) *CloudServer {
@@ -179,16 +168,13 @@ func NewCloudServer(split *core.Split, cutLayer string, opts ...ServerOption) *C
 	if s.plan, err = split.RemotePlan(s.dtype); err != nil {
 		s.fail(fmt.Errorf("splitrt: compile remote part at %v: %w", s.dtype, err))
 	}
-	if (s.debugAddr != "" || s.profiling || s.joinRing != nil || s.windowed) && s.obs == nil {
+	if (s.debugAddr != "" || s.profiling || s.windowed) && s.obs == nil {
 		s.obs = newServerObs(obs.NewRegistry(), obs.NewSpanRing(defaultSpanRing))
 	}
 	s.observe(s.Metrics()) // a window implied the registry above
 	if s.profiling {
 		s.obs.prof = obs.NewProfiler(s.obs.reg)
 		s.split.Net.SetProfiler(s.obs.prof)
-	}
-	if s.joinRing != nil {
-		s.obs.joiner = &obs.SpanJoiner{Client: s.joinRing, Server: s.obs.spans}
 	}
 	if s.batchOpts != nil {
 		if s.obs != nil {
@@ -230,7 +216,7 @@ func (s *CloudServer) BatchStats() (stats sched.Stats, ok bool) {
 func (s *CloudServer) surface() obs.Debug {
 	dbg := obs.Debug{
 		Metrics: s.obs.reg, Spans: s.obs.spans,
-		Profile: s.obs.prof, Join: s.obs.joiner,
+		Profile: s.obs.prof,
 		Windows: s.windows, Events: s.slo.Events(),
 	}
 	if s.auditor != nil {
