@@ -22,7 +22,7 @@ vet:
 
 ## nogob: encoding/gob left the module with the last two files written in it
 ## (checkpoints and noise files are the artifact container of
-## internal/tensor/serialize.go, the wire is frames); no file may import it
+## internal/wire/artifact.go, the wire is frames); no file may import it
 ## again.
 nogob:
 	@out=$$(grep -rl '"encoding/gob"' --include='*.go' .); if [ -n "$$out" ]; then \
@@ -69,7 +69,7 @@ deadsurface:
 ## accesses meet; and of the kept MaxDelay timer, whose goroutine takes its
 ## owner's lock from outside every request (sched.Flusher).
 race:
-	$(GO) test -race ./internal/sched/... ./internal/splitrt/... ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/audit/... ./internal/model/... ./internal/data/... ./cmd/shredder/...
+	$(GO) test -race ./internal/sched/... ./internal/splitrt/... ./internal/wire/... ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/audit/... ./internal/model/... ./internal/data/... ./cmd/shredder/...
 	$(GO) test -race -count=3 -run 'TrainPlan|TrainNoise|Collect' ./internal/nn ./internal/core
 	$(GO) test -race -count=3 -run 'Train' ./internal/model
 	$(GO) test -race -count=20 -run 'RingReuse|ProofReuse|SnapshotStable|RelayWatch|StaleFire|WarmQueued' ./internal/sched ./internal/audit ./internal/obs ./internal/splitrt
@@ -81,22 +81,20 @@ bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 ## fuzz-smoke: run each fuzz target of a trust boundary — the wire's three
-## frame targets, the coded payload a request frame carries and the packed
-## levels it decodes to, the two files a cold start reads, weights and
-## noise, the audit record and inclusion proof a client replays, and the
-## ledger file an audited server reopens, and the narrow and coded narrow
-## float forms a dense frame payload takes — for ten seconds from the
+## frame targets, every lossless payload form a frame carries (wire's one
+## target: raw, narrow and coded narrow floats, the q8 coded stage) and the
+## packed levels a q8 payload decodes to, the two files a cold start reads,
+## weights and noise, the audit record and inclusion proof a client replays,
+## and the ledger file an audited server reopens — for ten seconds from the
 ## package's seeds. `test` holds this list to the module: a fuzz target no
 ## line here runs, or a line naming one that is gone, fails
 ## internal/tools/fuzzlist.
 fuzz-smoke:
 	for f in FuzzReadFrame FuzzDecodeRequest FuzzDecodeResponse; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/splitrt || exit 1; done
-	for f in FuzzDecodeCoded FuzzDequantizePacked; do \
-		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/quantize || exit 1; done
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDequantizePacked$$' -fuzztime 10s ./internal/quantize
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/nn
-	for f in FuzzDecodeNarrow FuzzDecodeCodedNarrow; do \
-		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/tensor || exit 1; done
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNoiseSource$$' -fuzztime 10s ./internal/core
 	for f in FuzzUnmarshalRecord FuzzVerifyProof FuzzOpenFileLedger; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/audit || exit 1; done

@@ -536,7 +536,11 @@ func BenchmarkAblationQuantizedWire(b *testing.B) {
 				fitted = true
 			}
 			full := spl.RemoteInfer(noisy)
-			quant := spl.RemoteInfer(scheme.RoundTrip(noisy))
+			served, err := scheme.DequantizePacked(scheme.QuantizePacked(noisy), noisy.Shape()...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			quant := spl.RemoteInfer(served)
 			for j, y := range bt.Labels {
 				if full.Slice(j).Argmax() == y {
 					correctF++

@@ -195,14 +195,6 @@ func (m *PrivacyMonitor) Observe(d Draw, clean *tensor.Tensor) (invivo float64, 
 	return inv, true
 }
 
-// Target returns the alert threshold (0 when alerting is disabled).
-func (m *PrivacyMonitor) Target() float64 {
-	if m == nil {
-		return 0
-	}
-	return m.target
-}
-
 // Queries returns how many noise applications were observed.
 func (m *PrivacyMonitor) Queries() int64 {
 	if m == nil {

@@ -134,7 +134,7 @@ func TestPrivacyMonitorDisabled(t *testing.T) {
 	}
 	var m *PrivacyMonitor
 	m.Observe(member(col, 0), tensor.New(1, 2, 2).Fill(1))
-	if m.Queries() != 0 || m.Alerts() != 0 || m.Target() != 0 {
+	if m.Queries() != 0 || m.Alerts() != 0 {
 		t.Fatal("nil monitor must read as zero")
 	}
 	var buf bytes.Buffer

@@ -9,9 +9,10 @@ import (
 
 	"shredder/internal/noisedist"
 	"shredder/internal/tensor"
+	"shredder/internal/wire"
 )
 
-// The noise file: the artifact container of tensor/serialize.go (DESIGN §5k
+// The noise file: the artifact container of package wire (DESIGN §5k
 // has the byte-layout table). After the magic line,
 //
 //	name   mode: "stored", "fitted" or "fitted-mul"
@@ -52,16 +53,16 @@ var (
 func beginNoise(mode string, shape []int, inVivo []float64, size int) []byte {
 	b := make([]byte, 0, len(noiseMagic)+2+len(mode)+4+4*len(shape)+4+8*len(inVivo)+size)
 	b = append(b, noiseMagic...)
-	b = tensor.AppendName(b, mode)
-	b = tensor.AppendShape(b, shape)
+	b = wire.AppendName(b, mode)
+	b = wire.AppendShape(b, shape)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(inVivo)))
-	return tensor.AppendFloats(b, inVivo)
+	return wire.AppendFloats(b, inVivo)
 }
 
 func appendTensors(b []byte, ts []*tensor.Tensor) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(ts)))
 	for _, t := range ts {
-		b = tensor.AppendFloats(b, t.Data())
+		b = wire.AppendFloats(b, t.Data())
 	}
 	return b
 }
@@ -99,7 +100,7 @@ func appendFitted(b []byte, f *noisedist.Fitted) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Comps)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Sketches[0])))
 	for _, c := range f.Comps {
-		b = tensor.AppendFloats(b, []float64{c.Loc, c.Scale})
+		b = wire.AppendFloats(b, []float64{c.Loc, c.Scale})
 	}
 	for _, s := range f.Sketches {
 		for _, q := range s {
@@ -154,11 +155,11 @@ func DecodeCollection(r io.Reader) (*Collection, error) {
 // what a decode allocates is bounded by the file's real length. The error is
 // typed: inspect with errors.Is(err, ErrCollectionCorrupt / ErrCollectionEmpty).
 func DecodeNoiseSource(r io.Reader) (NoiseSource, error) {
-	file, err := tensor.ReadAll(r)
+	file, err := wire.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCollectionCorrupt, err)
 	}
-	rd := tensor.NewReader(file, noiseMagic)
+	rd := wire.NewReader(file, noiseMagic)
 	if rd.Err() != nil {
 		return nil, fmt.Errorf("%w: %v (the noise file format changed: a file written before it is not read — re-run train-noise)",
 			ErrCollectionCorrupt, rd.Err())
@@ -204,19 +205,19 @@ func DecodeNoiseSource(r io.Reader) (NoiseSource, error) {
 }
 
 // decodeFloats reads n float64 values; rd has vouched for their extent.
-func decodeFloats(rd *tensor.Reader, n int) []float64 {
+func decodeFloats(rd *wire.Reader, n int) []float64 {
 	p := rd.Take(n, 8)
 	if n == 0 || p == nil {
 		return nil
 	}
 	out := make([]float64, n)
-	tensor.DecodeFloats(out, p)
+	wire.DecodeFloats(out, p)
 	return out
 }
 
 // decodeTensors reads a count and that many tensors of the given shape,
 // each converted straight into its own storage.
-func decodeTensors(rd *tensor.Reader, shape []int, vol int) []*tensor.Tensor {
+func decodeTensors(rd *wire.Reader, shape []int, vol int) []*tensor.Tensor {
 	n := rd.Count(vol, 8)
 	if n == 0 {
 		return nil
@@ -224,14 +225,14 @@ func decodeTensors(rd *tensor.Reader, shape []int, vol int) []*tensor.Tensor {
 	ts := make([]*tensor.Tensor, n)
 	for i := range ts {
 		ts[i] = tensor.New(shape...)
-		tensor.DecodeFloats(ts[i].Data(), rd.Take(vol, 8))
+		wire.DecodeFloats(ts[i].Data(), rd.Take(vol, 8))
 	}
 	return ts
 }
 
 // decodeFitted reads one fitted distribution over shape; nil once rd has
 // failed. Validation is the caller's (FittedCollection.validate).
-func decodeFitted(rd *tensor.Reader, shape []int, vol int) *noisedist.Fitted {
+func decodeFitted(rd *wire.Reader, shape []int, vol int) *noisedist.Fitted {
 	kind := rd.U32()
 	k, knots := rd.Count(1, 16), rd.Count(1, 4)
 	comps := rd.Take(k, 16)
@@ -247,7 +248,7 @@ func decodeFitted(rd *tensor.Reader, shape []int, vol int) *noisedist.Fitted {
 	}
 	for i := range f.Comps {
 		var c [2]float64
-		tensor.DecodeFloats(c[:], comps[16*i:])
+		wire.DecodeFloats(c[:], comps[16*i:])
 		f.Comps[i] = noisedist.Component{Loc: c[0], Scale: c[1]}
 	}
 	for i := range f.Sketches {
@@ -282,7 +283,7 @@ func (c *Collection) validate() error {
 	if len(c.Members) == 0 {
 		return ErrCollectionEmpty
 	}
-	if vol, ok := tensor.CheckedVolume(c.Shape); !ok || vol <= 0 {
+	if vol, ok := wire.CheckedVolume(c.Shape, math.MaxInt); !ok || vol <= 0 {
 		return fmt.Errorf("%w: invalid shape %v", ErrCollectionCorrupt, c.Shape)
 	}
 	if len(c.Weights) > 0 && len(c.Weights) != len(c.Members) {

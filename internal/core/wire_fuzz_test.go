@@ -9,6 +9,7 @@ import (
 
 	"shredder/internal/noisedist"
 	"shredder/internal/tensor"
+	"shredder/internal/wire"
 )
 
 // noiseFileSeeds are the noise files FuzzDecodeNoiseSource starts from: one
@@ -43,9 +44,9 @@ func noiseFileSeeds(t testing.TB) map[string][]byte {
 		"fitted negative dims": reshaped(0xfffffffd, 0xfffffffc),
 		"fitted wrapping dims": reshaped(math.MaxInt32, math.MaxInt32, math.MaxInt32, math.MaxInt32, 12),
 		"fitted rank 9":        reshaped(1, 1, 1, 1, 1, 1, 1, 3, 4),
-		"members wrap to 8":    tensor.AppendFloats(le32(noiseHeader(ModeStored, []uint32{1}), 1<<29+1), []float64{1}),
+		"members wrap to 8":    wire.AppendFloats(le32(noiseHeader(ModeStored, []uint32{1}), 1<<29+1), []float64{1}),
 		"members past the end": le32(noiseHeader(ModeStored, []uint32{3, 4}), 0xffffffff),
-		"member NaN":           le32(tensor.AppendFloats(le32(noiseHeader(ModeStored, []uint32{1}), 1), []float64{math.NaN()}), 0),
+		"member NaN":           le32(wire.AppendFloats(le32(noiseHeader(ModeStored, []uint32{1}), 1), []float64{math.NaN()}), 0),
 	}
 }
 
@@ -54,7 +55,7 @@ func noiseFileSeeds(t testing.TB) map[string][]byte {
 // than a finite number (Validate holds the sketches and summaries to that)
 // — or "" when all is well.
 func consistent(src NoiseSource) string {
-	vol, ok := tensor.CheckedVolume(src.NoiseShape())
+	vol, ok := wire.CheckedVolume(src.NoiseShape(), math.MaxInt)
 	if !ok || vol <= 0 {
 		return "shape has no positive, representable volume"
 	}

@@ -15,6 +15,7 @@ import (
 
 	"shredder/internal/noisedist"
 	"shredder/internal/tensor"
+	"shredder/internal/wire"
 )
 
 // fixtureCollection mirrors testdata/stored_fixture.bin exactly. The file is
@@ -135,9 +136,9 @@ func le32(b []byte, vs ...uint32) []byte {
 // noiseHeader is a noise file up to its mode's payload: magic, mode, rank
 // and dimensions, in vivo values.
 func noiseHeader(mode string, dims []uint32, inVivo ...float64) []byte {
-	b := tensor.AppendName([]byte(noiseMagic), mode)
+	b := wire.AppendName([]byte(noiseMagic), mode)
 	b = le32(le32(b, uint32(len(dims))), dims...)
-	return tensor.AppendFloats(le32(b, uint32(len(inVivo))), inVivo)
+	return wire.AppendFloats(le32(b, uint32(len(inVivo))), inVivo)
 }
 
 // A structurally valid file with zero members would decode into a
@@ -152,7 +153,7 @@ func TestDecodeEmptyCollection(t *testing.T) {
 // A member is as long as the shape says: a file whose one member carries
 // three values under a [2 2] shape does not end where its fields do.
 func TestDecodeMemberShapeMismatch(t *testing.T) {
-	file := tensor.AppendFloats(le32(noiseHeader(ModeStored, []uint32{2, 2}), 1), []float64{1, 2, 3})
+	file := wire.AppendFloats(le32(noiseHeader(ModeStored, []uint32{2, 2}), 1), []float64{1, 2, 3})
 	file = le32(file, 0)
 	if _, err := DecodeCollection(bytes.NewReader(file)); !errors.Is(err, ErrCollectionCorrupt) {
 		t.Fatalf("err = %v, want ErrCollectionCorrupt", err)
@@ -174,7 +175,7 @@ func TestNonFiniteNoiseRefused(t *testing.T) {
 		marked := syntheticCollection(2, true)
 		set(marked, marker)
 		file := encoded(t, marked)
-		at := bytes.Index(file, tensor.AppendFloats(nil, []float64{marker}))
+		at := bytes.Index(file, wire.AppendFloats(nil, []float64{marker}))
 		if at < 0 {
 			t.Fatalf("%s: marker not found", name)
 		}
@@ -342,17 +343,17 @@ func TestDecodeBadPayloads(t *testing.T) {
 		"negative scale": fittedFile(ModeFitted, edited(func(f *noisedist.Fitted) { f.Comps[0].Scale = -1 })),
 		"NaN loc":        fittedFile(ModeFitted, edited(func(f *noisedist.Fitted) { f.Comps[1].Loc = math.NaN() })),
 		"stored empty":   le32(noiseHeader(ModeStored, []uint32{2}), 0, 0),
-		"stored one weight for two": tensor.AppendFloats(le32(tensor.AppendFloats(
+		"stored one weight for two": wire.AppendFloats(le32(wire.AppendFloats(
 			le32(noiseHeader(ModeStored, []uint32{1}), 2), []float64{1, 2}), 1), []float64{3}),
-		"zero dimension": tensor.AppendFloats(le32(noiseHeader(ModeStored, []uint32{0}), 1, 0), nil),
+		"zero dimension": wire.AppendFloats(le32(noiseHeader(ModeStored, []uint32{0}), 1, 0), nil),
 		"rank 9":         noiseHeader(ModeStored, []uint32{1, 1, 1, 1, 1, 1, 1, 1, 1}),
 		"negative dim":   noiseHeader(ModeStored, []uint32{0xfffffffd, 4}),
 		// (2³¹−1)⁴ wraps an int64; no product of the dimensions may stand in
 		// for the count the file does carry.
 		"wrapping dims": noiseHeader(ModeStored, []uint32{math.MaxInt32, math.MaxInt32, math.MaxInt32, math.MaxInt32}),
 		// 2²⁹+1 members of one float64: the byte count wraps a u32 to 8.
-		"count times size wraps": tensor.AppendFloats(le32(noiseHeader(ModeStored, []uint32{1}), 1<<29+1), []float64{1}),
-		"in vivo past the end":   le32(tensor.AppendName([]byte(noiseMagic), ModeStored), 1, 1, 0xffffffff),
+		"count times size wraps": wire.AppendFloats(le32(noiseHeader(ModeStored, []uint32{1}), 1<<29+1), []float64{1}),
+		"in vivo past the end":   le32(wire.AppendName([]byte(noiseMagic), ModeStored), 1, 1, 0xffffffff),
 		"member one byte short": func() []byte {
 			file := encoded(t, fixtureCollection())
 			return file[:len(file)-5] // the weight count, and the member's last byte

@@ -134,21 +134,6 @@ func (c *CompiledNet) Slice(from, to int) (*CompiledNet, error) {
 // Dtype returns the plan's element type.
 func (c *CompiledNet) Dtype() Dtype { return c.dtype }
 
-// Labels returns the per-step profiler labels in execution order, e.g.
-// "conv2+relu2[f32]" for a fused step. The slice must not be mutated.
-func (c *CompiledNet) Labels() []string {
-	if c.p32 != nil {
-		return c.p32.labels
-	}
-	return c.p64.labels
-}
-
-// From returns the first compiled layer index.
-func (c *CompiledNet) From() int { return c.from }
-
-// To returns the end (exclusive) of the compiled layer range.
-func (c *CompiledNet) To() int { return c.to }
-
 // Infer runs the plan on a float64 batch [N, ...] and returns a fresh
 // float64 result the caller owns — dtype conversion, when any, happens
 // sample by sample at the boundaries. The input is only read. Safe for

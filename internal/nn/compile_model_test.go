@@ -142,7 +142,7 @@ func TestCompileRangeAccessorsAndFloat32Remote(t *testing.T) {
 			t.Fatalf("f32 remote part flips decision on sample %d", i)
 		}
 	}
-	if c32.From() != cut || c32.To() != net.Len() || c32.Dtype() != nn.Float32 {
+	if from, to := nn.PlanRange(c32); from != cut || to != net.Len() || c32.Dtype() != nn.Float32 {
 		t.Fatal("CompiledNet range/dtype accessors wrong")
 	}
 }
@@ -362,10 +362,11 @@ func TestSliceEqualsCompileRange(t *testing.T) {
 						t.Fatalf("%s %v: Slice [%d,%d): %v", spec.Name, dt, r.from, r.to, err)
 					}
 					want := mustCompile(t, net, r.from, r.to, dt)
-					if got.From() != r.from || got.To() != r.to || got.Dtype() != dt ||
-						fmt.Sprint(got.Labels()) != fmt.Sprint(want.Labels()) {
+					from, to := nn.PlanRange(got)
+					if from != r.from || to != r.to || got.Dtype() != dt ||
+						fmt.Sprint(nn.PlanLabels(got)) != fmt.Sprint(nn.PlanLabels(want)) {
 						t.Fatalf("%s %v: Slice [%d,%d) is [%d,%d) %v with steps %v, want steps %v",
-							spec.Name, dt, r.from, r.to, got.From(), got.To(), got.Dtype(), got.Labels(), want.Labels())
+							spec.Name, dt, r.from, r.to, from, to, got.Dtype(), nn.PlanLabels(got), nn.PlanLabels(want))
 					}
 					if !tensor.BitEqual(got.Infer(r.in), want.Infer(r.in)) {
 						t.Fatalf("%s %v: the plan sliced for [%d,%d) differs from the one compiled for it", spec.Name, dt, r.from, r.to)

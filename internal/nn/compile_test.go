@@ -8,6 +8,18 @@ import (
 	"shredder/internal/tensor"
 )
 
+// PlanLabels is c's per-step profiler labels in execution order, e.g.
+// "conv2+relu2[f32]" for a fused step, and PlanRange its layer range
+// [from, to): what the compile tests of this package and of nn_test read.
+func PlanLabels(c *CompiledNet) []string {
+	if c.p32 != nil {
+		return c.p32.labels
+	}
+	return c.p64.labels
+}
+
+func PlanRange(c *CompiledNet) (from, to int) { return c.from, c.to }
+
 func TestParseDtype(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -94,8 +106,8 @@ func testFusedConvReLUBitwiseFloat64(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: compile: %v", cb, err)
 		}
-		if len(cn.Labels()) != 2 || cn.Labels()[0] != "conv0+relu0[f64]" {
-			t.Fatalf("%+v: unexpected plan %v", cb, cn.Labels())
+		if len(PlanLabels(cn)) != 2 || PlanLabels(cn)[0] != "conv0+relu0[f64]" {
+			t.Fatalf("%+v: unexpected plan %v", cb, PlanLabels(cn))
 		}
 		if got, oracle := cn.Infer(x), net.ForwardT(nil, x, false); !tensor.BitEqual(got, oracle) {
 			t.Fatalf("%+v: f64 plan differs from the nil-tape forward pass", cb)
@@ -146,9 +158,9 @@ func TestCompileSkipsDropoutAndRejectsUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, lbl := range cn.Labels() {
+	for _, lbl := range PlanLabels(cn) {
 		if strings.Contains(lbl, "drop0") {
-			t.Fatalf("dropout appears in plan: %v", cn.Labels())
+			t.Fatalf("dropout appears in plan: %v", PlanLabels(cn))
 		}
 	}
 	x := rng.FillNormal(tensor.New(4, 12), 0, 1)

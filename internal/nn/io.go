@@ -9,6 +9,7 @@ import (
 	"os"
 
 	"shredder/internal/tensor"
+	"shredder/internal/wire"
 )
 
 // InputNorm is the input normalisation a network was trained under: a raw
@@ -28,7 +29,7 @@ func (n InputNorm) valid() bool {
 var ErrNoInputNorm = errors.New("nn: checkpoint records no input normalisation")
 
 // checkpointMagic opens a checkpoint: the artifact container of
-// tensor/serialize.go, then the network name, the normalisation (mean, std)
+// package wire, then the network name, the normalisation (mean, std)
 // and a u32 parameter count; per parameter, in the network's own order, a
 // name, a shape and the values as raw float64 words.
 const checkpointMagic = "shredder-ckpt/3\n"
@@ -50,13 +51,13 @@ func Save(s *Sequential, norm InputNorm, w io.Writer) error {
 		size += 2 + len(p.Name) + 4 + 4*len(p.Value.Shape()) + 8*p.Value.Len()
 	}
 	b := append(make([]byte, 0, size), checkpointMagic...)
-	b = tensor.AppendName(b, s.Name())
-	b = tensor.AppendFloats(b, []float64{norm.Mean, norm.Std})
+	b = wire.AppendName(b, s.Name())
+	b = wire.AppendFloats(b, []float64{norm.Mean, norm.Std})
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(params)))
 	for _, p := range params {
-		b = tensor.AppendName(b, p.Name)
-		b = tensor.AppendShape(b, p.Value.Shape())
-		b = tensor.AppendFloats(b, p.Value.Data())
+		b = wire.AppendName(b, p.Name)
+		b = wire.AppendShape(b, p.Value.Shape())
+		b = wire.AppendFloats(b, p.Value.Data())
 	}
 	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("nn: save %q: %w", s.Name(), err)
@@ -71,7 +72,7 @@ func Save(s *Sequential, norm InputNorm, w io.Writer) error {
 // (ErrNoInputNorm) and the file must end with the last parameter. On an
 // error the network is left as it was.
 func Load(s *Sequential, r io.Reader) (InputNorm, error) {
-	file, err := tensor.ReadAll(r)
+	file, err := wire.ReadAll(r)
 	if err != nil {
 		return InputNorm{}, fmt.Errorf("nn: load %q: %w", s.Name(), err)
 	}
@@ -82,7 +83,7 @@ func Load(s *Sequential, r io.Reader) (InputNorm, error) {
 // network and against the bytes there are — before it writes one value, and
 // then converts each payload straight into its parameter's storage.
 func load(s *Sequential, file []byte) (InputNorm, error) {
-	rd := tensor.NewReader(file, checkpointMagic)
+	rd := wire.NewReader(file, checkpointMagic)
 	if rd.Err() != nil {
 		return InputNorm{}, fmt.Errorf("nn: load %q: %w (the checkpoint format changed: a file written before it is not read — pre-train again)", s.Name(), rd.Err())
 	}
@@ -122,7 +123,7 @@ func load(s *Sequential, file []byte) (InputNorm, error) {
 		return InputNorm{}, fmt.Errorf("%w (load %q: mean %v, std %v)", ErrNoInputNorm, s.Name(), norm.Mean, norm.Std)
 	}
 	for i, p := range params {
-		tensor.DecodeFloats(p.Value.Data(), payloads[i])
+		wire.DecodeFloats(p.Value.Data(), payloads[i])
 	}
 	return norm, nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"shredder/internal/tensor"
+	"shredder/internal/wire"
 )
 
 // testNorm is the input normalisation the io tests save their networks under.
@@ -104,16 +105,16 @@ type rawParam struct {
 
 // rawCheckpoint assembles a checkpoint field by field.
 func rawCheckpoint(network string, norm InputNorm, params []rawParam) []byte {
-	b := tensor.AppendName([]byte(checkpointMagic), network)
-	b = tensor.AppendFloats(b, []float64{norm.Mean, norm.Std})
+	b := wire.AppendName([]byte(checkpointMagic), network)
+	b = wire.AppendFloats(b, []float64{norm.Mean, norm.Std})
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(params)))
 	for _, p := range params {
-		b = tensor.AppendName(b, p.name)
+		b = wire.AppendName(b, p.name)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(p.dims)))
 		for _, d := range p.dims {
 			b = binary.LittleEndian.AppendUint32(b, d)
 		}
-		b = tensor.AppendFloats(b, p.data)
+		b = wire.AppendFloats(b, p.data)
 	}
 	return b
 }
@@ -164,7 +165,7 @@ func loadSeeds(t testing.TB) map[string][]byte {
 		"rank 9":            file("fc.b", func(p *rawParam) { p.dims = []uint32{1, 1, 1, 1, 1, 1, 1, 1, 3} }),
 		"one value short":   file("fc.b", func(p *rawParam) { p.data = p.data[:2] }),
 		"one value long":    file("fc.b", func(p *rawParam) { p.data = append(p.data[:3:3], 1) }),
-		"count past params": binary.LittleEndian.AppendUint32(tensor.AppendFloats(tensor.AppendName([]byte(checkpointMagic), "small"), []float64{0.25, 0.5}), 0xffffffff),
+		"count past params": binary.LittleEndian.AppendUint32(wire.AppendFloats(wire.AppendName([]byte(checkpointMagic), "small"), []float64{0.25, 0.5}), 0xffffffff),
 		"zero std":          rawCheckpoint("small", InputNorm{Mean: 1}, intact),
 		"negative std":      rawCheckpoint("small", InputNorm{Std: -1}, intact),
 		"nan norm":          rawCheckpoint("small", InputNorm{Mean: math.NaN(), Std: math.Inf(1)}, intact),

@@ -28,6 +28,7 @@ import (
 	"math"
 
 	"shredder/internal/tensor"
+	"shredder/internal/wire"
 )
 
 // Kind selects the parametric family fitted over the trained values.
@@ -391,7 +392,7 @@ func (f *Fitted) Validate() error {
 	if f == nil {
 		return fmt.Errorf("noisedist: nil fitted distribution")
 	}
-	vol, ok := tensor.CheckedVolume(f.Shape)
+	vol, ok := wire.CheckedVolume(f.Shape, math.MaxInt)
 	if !ok || vol <= 0 {
 		return fmt.Errorf("noisedist: invalid shape %v", f.Shape)
 	}

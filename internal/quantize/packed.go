@@ -6,12 +6,13 @@ import (
 	"slices"
 
 	"shredder/internal/tensor"
+	"shredder/internal/wire"
 )
 
 // The fused wire kernels: a value goes to its packed level, and a packed
 // level to its value at the caller's element type, in one pass with no
-// []uint16 of levels in between. Each is pinned by tests, byte for byte and
-// bit for bit, to the two-step reference it replaces on the request path:
+// []uint16 of levels in between and no second pass to pack them. Tests pin
+// each, byte for byte and bit for bit, to reference_test.go's two steps:
 // AppendPacked to Pack(Quantize(x)), DequantizeInto to Dequantize(Unpack(…))
 // and Dequantize32(Unpack(…)).
 
@@ -39,8 +40,8 @@ func level(v, lo, step, maxLevel float64) uint32 {
 }
 
 // AppendPacked quantizes x and appends the packed levels to dst, which may
-// be a buffer kept from an earlier call: the bytes AppendCoded codes for the
-// wire.
+// be a buffer kept from an earlier call: the bytes wire.AppendCoded codes
+// for the wire.
 func (s Scheme) AppendPacked(dst []byte, x []float64) []byte {
 	if s.Bits < 1 || s.Bits > 16 {
 		panic(fmt.Errorf("%w: pack bits %d", ErrBadBits, s.Bits))
@@ -136,13 +137,10 @@ func dequantize[F tensor.Float](s Scheme, dst []F, packed []byte) {
 // is sized from that shape: a volume the bytes could not hold at one bit per
 // value is refused while it is multiplied up.
 func (s Scheme) checkShaped(packed []byte, shape []int) error {
-	n, limit := 1, 8*len(packed)
-	for _, d := range shape {
-		if d < 0 || (d > 0 && n > limit/d) {
-			// Formatting a copy keeps the caller's variadic shape off the heap.
-			return fmt.Errorf("%w: %d bytes for shape %v", ErrBadPayload, len(packed), append([]int(nil), shape...))
-		}
-		n *= d
+	n, ok := wire.CheckedVolume(shape, 8*len(packed))
+	if !ok {
+		// Formatting a copy keeps the caller's variadic shape off the heap.
+		return fmt.Errorf("%w: %d bytes for shape %v", ErrBadPayload, len(packed), append([]int(nil), shape...))
 	}
 	return s.checkPacked(n, packed)
 }

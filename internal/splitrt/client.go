@@ -14,6 +14,7 @@ import (
 	"shredder/internal/obs"
 	"shredder/internal/quantize"
 	"shredder/internal/tensor"
+	"shredder/internal/wire"
 )
 
 // EdgeClient is the device side of split inference: its core.Edge runs the
@@ -386,7 +387,7 @@ func (c *EdgeClient) pack(req *request) error {
 	q := &c.quant
 	q.Bits, q.Lo, q.Hi, q.Shape = scheme.Bits, scheme.Lo, scheme.Hi, a.Shape()
 	q.Packed = scheme.AppendPacked(q.Packed[:0], a.Data())
-	q.Coded = quantize.AppendCoded(q.Coded[:0], q.Packed)
+	q.Coded = wire.AppendCoded(q.Coded[:0], q.Packed)
 	req.Activation, req.Quant = nil, q
 	return nil
 }

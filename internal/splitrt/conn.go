@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"shredder/internal/obs"
-	"shredder/internal/tensor"
+	"shredder/internal/wire"
 )
 
 // readChunk is how far a connection's read buffer may grow ahead of the
@@ -40,7 +40,7 @@ type frameConn struct {
 
 	prefix [4]byte
 	rbuf   []byte
-	dec    tensor.HuffmanDecoder // decodes a coded narrow response (client connections)
+	dec    wire.HuffmanDecoder // decodes a coded narrow response (client connections)
 
 	wmu  sync.Mutex // serializes sendResponse; fill-then-flush callers are single-writer
 	wbuf []byte

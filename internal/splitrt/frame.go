@@ -13,8 +13,8 @@ package splitrt
 // The encoder uses the same rule to drop the header's trailing zero bytes.
 // The header's rank field counts the u32 dimensions that follow it; strings
 // are u16-length-prefixed; the payload is whatever remains — dense float64
-// values, in the shortest of tensor.AppendDense's raw, narrow and coded
-// narrow forms, or a packed payload in quantize.AppendCoded's coded form.
+// values, in the shortest of wire.AppendDense's raw, narrow and coded
+// narrow forms, or a packed payload in wire.AppendCoded's coded form.
 
 import (
 	"encoding/binary"
@@ -22,14 +22,14 @@ import (
 	"fmt"
 	"math"
 
-	"shredder/internal/quantize"
 	"shredder/internal/tensor"
+	"shredder/internal/wire"
 )
 
 const (
 	// protoVersion rides the hello frame; a server answers any other
 	// version with a rejecting ack. Version 2 carries a quantized payload
-	// coded (quantize.AppendCoded) where version 1 carried it packed;
+	// coded (wire.AppendCoded) where version 1 carried it packed;
 	// version 3 may carry a dense payload narrow (flagNarrow), version 4
 	// coded narrow (flagCodedNarrow) as well.
 	protoVersion = 4
@@ -41,8 +41,6 @@ const (
 	// four bytes read as an arbitrary length — is refused at once.
 	maxFrameBody     = 64 << 20
 	maxHandshakeBody = 4 << 10
-
-	maxRank = 8 // dimensions a request or response may declare
 )
 
 // Frame kinds. Zero is not a kind, so a run of zero bytes is not a frame.
@@ -84,8 +82,8 @@ const (
 	flagQuant                        // request: the payload is coded packed levels
 	flagAudit                        // request: an audit note is attached
 	flagSampled                      // request: the note's in-vivo value was sampled
-	flagNarrow                       // the dense payload is in tensor.AppendNarrow's narrow form
-	flagCodedNarrow                  // the dense payload is in tensor.AppendDense's coded narrow form
+	flagNarrow                       // the dense payload is in wire.AppendNarrow's narrow form
+	flagCodedNarrow                  // the dense payload is in wire.AppendDense's coded narrow form
 )
 
 // errBadFrame is what every decode failure wraps: the bytes are not a
@@ -133,8 +131,8 @@ func appendString(b []byte, s string) []byte {
 // rankOf is a shape's rank as a header byte. Shapes are the program's own,
 // so one the frame cannot declare is a bug.
 func rankOf(shape []int) byte {
-	if len(shape) > maxRank {
-		panic(fmt.Sprintf("splitrt: rank %d exceeds the frame's limit of %d", len(shape), maxRank))
+	if len(shape) > wire.MaxRank {
+		panic(fmt.Sprintf("splitrt: rank %d exceeds the frame's limit of %d", len(shape), wire.MaxRank))
 	}
 	return byte(len(shape))
 }
@@ -227,15 +225,15 @@ func (r *response) appendFrame(b []byte) []byte {
 }
 
 // appendDense appends a dense payload to a frame whose header declares one,
-// in the form tensor.AppendDense picks, and flags a narrow or coded narrow
+// in the form wire.AppendDense picks, and flags a narrow or coded narrow
 // one so in the header, whose flags byte the payload flag has kept from
 // being trimmed. Request and response flags sit at one offset.
 func appendDense(b []byte, data []float64) []byte {
-	b, form := tensor.AppendDense(b, data)
+	b, form := wire.AppendDense(b, data)
 	switch form {
-	case tensor.FormNarrow:
+	case wire.FormNarrow:
 		b[frameHeaderOff+reqFlagsOff] |= flagNarrow
-	case tensor.FormCodedNarrow:
+	case wire.FormCodedNarrow:
 		b[frameHeaderOff+reqFlagsOff] |= flagCodedNarrow
 	}
 	return b
@@ -282,19 +280,19 @@ func setString(dst *string, raw []byte) {
 // payload and its volume.
 type frameShape struct {
 	rank int
-	dims [maxRank]int
+	dims [wire.MaxRank]int
 	vol  int
 }
 
 // cutShape splits the rank dimensions that follow a header off the front of
-// b. The volume is checked while it is multiplied up, so dimensions whose
-// product overflows — or merely exceeds the values a dense frame could
-// carry, which also keeps a few packed bits per value from unpacking into
-// gigabytes — are refused before anything is sized from them.
+// b. The volume is checked while it is multiplied up (wire.CheckedVolume),
+// so dimensions whose product overflows — or merely exceeds the values a
+// dense frame could carry, which also keeps a few packed bits per value from
+// unpacking into gigabytes — are refused before anything is sized from them.
 func cutShape(rank byte, b []byte) (s frameShape, rest []byte, err error) {
-	s = frameShape{rank: int(rank), vol: 1}
-	if s.rank > maxRank {
-		return s, nil, badFrame("rank %d exceeds %d", s.rank, maxRank)
+	s = frameShape{rank: int(rank)}
+	if s.rank > wire.MaxRank {
+		return s, nil, badFrame("rank %d exceeds %d", s.rank, wire.MaxRank)
 	}
 	if len(b) < 4*s.rank {
 		return s, nil, badFrame("%d dimensions with %d bytes left in the frame", s.rank, len(b))
@@ -305,10 +303,10 @@ func cutShape(rank byte, b []byte) (s frameShape, rest []byte, err error) {
 			return s, nil, badFrame("dimension %d", d)
 		}
 		s.dims[i] = int(d)
-		s.vol *= int(d)
-		if s.vol > maxFrameBody/8 {
-			return s, nil, badFrame("shape is larger than any frame at dimension %d", i)
-		}
+	}
+	var ok bool
+	if s.vol, ok = wire.CheckedVolume(s.dims[:s.rank], maxFrameBody/8); !ok {
+		return s, nil, badFrame("shape %v is larger than any frame", s.list())
 	}
 	return s, b[4*s.rank:], nil
 }
@@ -324,23 +322,23 @@ func (s *frameShape) list() []int {
 // otherwise, decoding a coded narrow one with dec; what names the payload
 // ("dense shape", "logits of shape") in an error. The payload's length is
 // held against the shape first.
-func decodeFloats(dst *tensor.Tensor, s *frameShape, flags byte, payload []byte, what string, dec *tensor.HuffmanDecoder) (*tensor.Tensor, error) {
-	form := tensor.FormRaw
+func decodeFloats(dst *tensor.Tensor, s *frameShape, flags byte, payload []byte, what string, dec *wire.HuffmanDecoder) (*tensor.Tensor, error) {
+	form := wire.FormRaw
 	switch flags & (flagNarrow | flagCodedNarrow) {
 	case flagNarrow:
-		form = tensor.FormNarrow
+		form = wire.FormNarrow
 	case flagCodedNarrow:
-		form = tensor.FormCodedNarrow
+		form = wire.FormCodedNarrow
 	case flagNarrow | flagCodedNarrow:
 		return dst, badFrame("%s %v declared narrow and coded narrow", what, s.list())
 	}
-	if !tensor.DenseFits(form, s.vol, len(payload)) {
+	if !wire.DenseFits(form, s.vol, len(payload)) {
 		return dst, badFrame("%d payload bytes for %s %v", len(payload), what, s.list())
 	}
 	if dst == nil || !tensor.ShapeEq(dst.Shape(), s.dims[:s.rank]) {
 		dst = tensor.New(s.dims[:s.rank]...)
 	}
-	if err := tensor.DecodeDense(dst.Data(), payload, form, dec); err != nil {
+	if err := wire.DecodeDense(dst.Data(), payload, form, dec); err != nil {
 		return dst, badFrame("%s %v: %v", what, s.list(), err)
 	}
 	return dst, nil
@@ -387,7 +385,7 @@ func decodeAck(body []byte) (helloAck, error) {
 // is how a request state serves one request after another without
 // allocating; the payload is copied, never aliased: body is the read buffer
 // and the request outlives it. A coded narrow payload is decoded with dec.
-func decodeRequest(body []byte, req *request, dec *tensor.HuffmanDecoder) error {
+func decodeRequest(body []byte, req *request, dec *wire.HuffmanDecoder) error {
 	var h [requestHeaderLen]byte
 	rest, err := openFrame(body, kindRequest, h[:])
 	if err != nil {
@@ -437,7 +435,7 @@ func decodeRequest(body []byte, req *request, dec *tensor.HuffmanDecoder) error 
 	// The packed length the shape declares is held against the coded bytes
 	// before a decode step sizes anything from it.
 	packed := (shape.vol*bits + 7) / 8
-	if err := quantize.CheckCoded(payload, packed); err != nil {
+	if err := wire.CheckCoded(payload, packed); err != nil {
 		return badFrame("%d payload bytes for shape %v at %d bits: %v", len(payload), shape.list(), bits, err)
 	}
 	q := req.Quant
@@ -445,7 +443,7 @@ func decodeRequest(body []byte, req *request, dec *tensor.HuffmanDecoder) error 
 		// One allocation holds the payload's description and its dimensions.
 		fresh := new(struct {
 			quantPayload
-			dims [maxRank]int
+			dims [wire.MaxRank]int
 		})
 		q, fresh.Shape = &fresh.quantPayload, fresh.dims[:0]
 	}
@@ -461,7 +459,7 @@ func decodeRequest(body []byte, req *request, dec *tensor.HuffmanDecoder) error 
 
 // decodeResponse decodes a response frame into resp, with decodeRequest's
 // reuse and copy rules and its use of dec.
-func decodeResponse(body []byte, resp *response, dec *tensor.HuffmanDecoder) error {
+func decodeResponse(body []byte, resp *response, dec *wire.HuffmanDecoder) error {
 	var h [responseHeaderLen]byte
 	rest, err := openFrame(body, kindResponse, h[:])
 	if err != nil {

@@ -22,9 +22,9 @@ import (
 
 	"shredder/internal/core"
 	"shredder/internal/model"
-	"shredder/internal/quantize"
 	"shredder/internal/race"
 	"shredder/internal/tensor"
+	"shredder/internal/wire"
 )
 
 func denseRequest() *request {
@@ -43,7 +43,7 @@ func denseRequest() *request {
 // codedQuant is a quantized payload as an edge sends it: the packed levels'
 // coded form, which is all the frame carries.
 func codedQuant(bits int, lo, hi float64, shape []int, packed []byte) *quantPayload {
-	return &quantPayload{Bits: bits, Lo: lo, Hi: hi, Shape: shape, Coded: quantize.AppendCoded(nil, packed)}
+	return &quantPayload{Bits: bits, Lo: lo, Hi: hi, Shape: shape, Coded: wire.AppendCoded(nil, packed)}
 }
 
 // narrowRequest carries a dense activation the narrow form takes: finite
@@ -176,7 +176,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		"quant": quantRequest(), "coded": codedRequest(), "empty": {ID: 1},
 	} {
 		var got request
-		if err := decodeRequest(frameBodyOf(t, req.appendFrame(nil)), &got, new(tensor.HuffmanDecoder)); err != nil {
+		if err := decodeRequest(frameBodyOf(t, req.appendFrame(nil)), &got, new(wire.HuffmanDecoder)); err != nil {
 			t.Fatalf("%s request: %v", name, err)
 		}
 		if !sameRequest(&got, req) {
@@ -185,7 +185,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	for name, resp := range map[string]*response{"ok": okResponse(), "coded narrow": codedNarrowResponse(), "err": errResponse()} {
 		var got response
-		if err := decodeResponse(frameBodyOf(t, resp.appendFrame(nil)), &got, new(tensor.HuffmanDecoder)); err != nil {
+		if err := decodeResponse(frameBodyOf(t, resp.appendFrame(nil)), &got, new(wire.HuffmanDecoder)); err != nil {
 			t.Fatalf("%s response: %v", name, err)
 		}
 		if !sameBits(got.Logits, resp.Logits) {
@@ -234,7 +234,7 @@ func TestFrameHeaderCompatibility(t *testing.T) {
 	req := denseRequest()
 	var got request
 	longer := withHeaderLen(req.appendFrame(nil), requestHeaderLen, requestHeaderLen+24)
-	if err := decodeRequest(frameBodyOf(t, longer), &got, new(tensor.HuffmanDecoder)); err != nil {
+	if err := decodeRequest(frameBodyOf(t, longer), &got, new(wire.HuffmanDecoder)); err != nil {
 		t.Fatalf("request with a longer header: %v", err)
 	}
 	if !sameRequest(&got, req) {
@@ -245,7 +245,7 @@ func TestFrameHeaderCompatibility(t *testing.T) {
 	// the rank.
 	got = request{}
 	shorter := withHeaderLen(req.appendFrame(nil), requestHeaderLen, reqMemberOff)
-	if err := decodeRequest(frameBodyOf(t, shorter), &got, new(tensor.HuffmanDecoder)); err != nil {
+	if err := decodeRequest(frameBodyOf(t, shorter), &got, new(wire.HuffmanDecoder)); err != nil {
 		t.Fatalf("request with a shorter header: %v", err)
 	}
 	if got.ID != req.ID || !sameBits(got.Activation, req.Activation) {
@@ -257,7 +257,7 @@ func TestFrameHeaderCompatibility(t *testing.T) {
 
 	resp := okResponse()
 	var gotResp response
-	if err := decodeResponse(frameBodyOf(t, withHeaderLen(resp.appendFrame(nil), responseHeaderLen, responseHeaderLen+5)), &gotResp, new(tensor.HuffmanDecoder)); err != nil {
+	if err := decodeResponse(frameBodyOf(t, withHeaderLen(resp.appendFrame(nil), responseHeaderLen, responseHeaderLen+5)), &gotResp, new(wire.HuffmanDecoder)); err != nil {
 		t.Fatalf("response with a longer header: %v", err)
 	}
 	if gotResp.ID != resp.ID || gotResp.Trace != resp.Trace || !sameBits(gotResp.Logits, resp.Logits) {
@@ -276,7 +276,7 @@ func TestFrameHeaderCompatibility(t *testing.T) {
 	} {
 		for _, frame := range [][]byte{c.frame, withHeaderLen(c.frame, responseHeaderLen+16, responseHeaderLen+16)} {
 			gotResp = response{}
-			if err := decodeResponse(frameBodyOf(t, frame), &gotResp, new(tensor.HuffmanDecoder)); err != nil {
+			if err := decodeResponse(frameBodyOf(t, frame), &gotResp, new(wire.HuffmanDecoder)); err != nil {
 				t.Fatalf("%s response with timing fields: %v", c.name, err)
 			}
 			if !sameBits(gotResp.Logits, c.want.Logits) {
@@ -353,7 +353,7 @@ func TestDensePayloadGoesNarrow(t *testing.T) {
 		if !c.narrow {
 			continue
 		}
-		if err := tensor.DecodeNarrow(make([]float64, c.values), c.frame[len(c.frame)-tensor.NarrowLen(c.values):]); err != nil {
+		if err := wire.DecodeNarrow(make([]float64, c.values), c.frame[len(c.frame)-wire.NarrowLen(c.values):]); err != nil {
 			t.Errorf("%s: the frame does not end in the narrow form of %d values: %v", name, c.values, err)
 		}
 	}
@@ -379,9 +379,9 @@ func TestDensePayloadTakesShortestForm(t *testing.T) {
 		if !c.coded {
 			continue
 		}
-		narrow := tensor.NarrowLen(c.values)
-		b, form := tensor.AppendDense(nil, codedNarrowRequest().Activation.Data())
-		if form != tensor.FormCodedNarrow || len(b) >= narrow || !bytes.HasSuffix(c.frame, b) {
+		narrow := wire.NarrowLen(c.values)
+		b, form := wire.AppendDense(nil, codedNarrowRequest().Activation.Data())
+		if form != wire.FormCodedNarrow || len(b) >= narrow || !bytes.HasSuffix(c.frame, b) {
 			t.Errorf("%s: the frame does not end in the coded narrow form of %d values, %d bytes against %d narrow", name, c.values, len(b), narrow)
 		}
 	}
@@ -468,17 +468,17 @@ func hostileRequests() map[string][]byte {
 func TestDecodeRefusesContradictoryFrames(t *testing.T) {
 	for name, body := range hostileRequests() {
 		var req request
-		if err := decodeRequest(body, &req, new(tensor.HuffmanDecoder)); !errors.Is(err, errBadFrame) {
+		if err := decodeRequest(body, &req, new(wire.HuffmanDecoder)); !errors.Is(err, errBadFrame) {
 			t.Errorf("request %q: error %v, want errBadFrame", name, err)
 		}
 	}
 	resp := withHeaderLen(okResponse().appendFrame(nil), responseHeaderLen, responseHeaderLen)
 	binary.LittleEndian.PutUint32(resp[frameHeaderOff+responseHeaderLen:], 7)
 	var got response
-	if err := decodeResponse(resp[4:], &got, new(tensor.HuffmanDecoder)); !errors.Is(err, errBadFrame) {
+	if err := decodeResponse(resp[4:], &got, new(wire.HuffmanDecoder)); !errors.Is(err, errBadFrame) {
 		t.Errorf("response with dims against length: error %v, want errBadFrame", err)
 	}
-	if err := decodeResponse(denseRequest().appendFrame(nil)[4:], &got, new(tensor.HuffmanDecoder)); !errors.Is(err, errBadFrame) {
+	if err := decodeResponse(denseRequest().appendFrame(nil)[4:], &got, new(wire.HuffmanDecoder)); !errors.Is(err, errBadFrame) {
 		t.Errorf("request where a response was expected: error %v, want errBadFrame", err)
 	}
 }
@@ -489,7 +489,7 @@ func TestDecodeRefusesContradictoryFrames(t *testing.T) {
 // one spelling.
 func zeroNarrowEmin2(m interface{ appendFrame([]byte) []byte }, values int) []byte {
 	frame := m.appendFrame(nil)
-	binary.LittleEndian.PutUint16(frame[len(frame)-tensor.NarrowLen(values):], 2)
+	binary.LittleEndian.PutUint16(frame[len(frame)-wire.NarrowLen(values):], 2)
 	return frame
 }
 
@@ -595,7 +595,7 @@ func TestFrameCodecAllocatesNothingWarm(t *testing.T) {
 	respBody := append([]byte(nil), resp.appendFrame(nil)[4:]...)
 	var dstDense, dstNarrow, dstCoded, dstQuant request
 	var dstResp response
-	var hd tensor.HuffmanDecoder // a request state's: it keeps its table and code scratch
+	var hd wire.HuffmanDecoder // a request state's: it keeps its table and code scratch
 	for name, dec := range map[string]func() error{
 		"dense request":        func() error { return decodeRequest(denseBody, &dstDense, &hd) },
 		"narrow request":       func() error { return decodeRequest(narrowBody, &dstNarrow, &hd) },
@@ -715,7 +715,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req request
-		if err := decodeRequest(body, &req, new(tensor.HuffmanDecoder)); err != nil {
+		if err := decodeRequest(body, &req, new(wire.HuffmanDecoder)); err != nil {
 			if !errors.Is(err, errBadFrame) {
 				t.Fatalf("untyped decode error %v", err)
 			}
@@ -731,7 +731,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("%d-byte body decoded to %d coded bytes of shape %v at %d bits", len(body), len(q.Coded), q.Shape, q.Bits)
 		}
 		var again request
-		if err := decodeRequest(req.appendFrame(nil)[4:], &again, new(tensor.HuffmanDecoder)); err != nil {
+		if err := decodeRequest(req.appendFrame(nil)[4:], &again, new(wire.HuffmanDecoder)); err != nil {
 			t.Fatalf("re-encoded request does not decode: %v", err)
 		}
 		if !sameRequest(&again, &req) {
@@ -755,7 +755,7 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(timedFrame(f, timedOKFrame)[4:])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var resp response
-		if err := decodeResponse(body, &resp, new(tensor.HuffmanDecoder)); err != nil {
+		if err := decodeResponse(body, &resp, new(wire.HuffmanDecoder)); err != nil {
 			if !errors.Is(err, errBadFrame) {
 				t.Fatalf("untyped decode error %v", err)
 			}
@@ -765,7 +765,7 @@ func FuzzDecodeResponse(f *testing.F) {
 			t.Fatalf("%d-byte body decoded to %d values", len(body), resp.Logits.Len())
 		}
 		var again response
-		if err := decodeResponse(resp.appendFrame(nil)[4:], &again, new(tensor.HuffmanDecoder)); err != nil {
+		if err := decodeResponse(resp.appendFrame(nil)[4:], &again, new(wire.HuffmanDecoder)); err != nil {
 			t.Fatalf("re-encoded response does not decode: %v", err)
 		}
 		if !sameBits(again.Logits, resp.Logits) {
@@ -822,7 +822,7 @@ func (p *testPeer) readRequest() (request, error) {
 	var req request
 	body, err := p.readFrame(maxFrameBody)
 	if err == nil {
-		err = decodeRequest(body, &req, new(tensor.HuffmanDecoder))
+		err = decodeRequest(body, &req, new(wire.HuffmanDecoder))
 	}
 	return req, err
 }
@@ -831,7 +831,7 @@ func (p *testPeer) readResponse() (response, error) {
 	var resp response
 	body, err := p.readFrame(maxFrameBody)
 	if err == nil {
-		err = decodeResponse(body, &resp, new(tensor.HuffmanDecoder))
+		err = decodeResponse(body, &resp, new(wire.HuffmanDecoder))
 	}
 	return resp, err
 }

@@ -14,6 +14,7 @@ import (
 	"shredder/internal/quantize"
 	"shredder/internal/sched"
 	"shredder/internal/tensor"
+	"shredder/internal/wire"
 )
 
 // CloudServer hosts the remote part R of a split network. It models the
@@ -389,7 +390,7 @@ func (s *CloudServer) decode(st *reqState) (act activation, kind ErrKind, msg st
 	// audit digest reads them.
 	act.n = q.Shape[0]
 	var err error
-	if q.Packed, err = quantize.AppendDecoded(&st.dec, q.Packed[:0], q.Coded, int(scheme.WireBytes(tensor.Volume(q.Shape)))); err != nil {
+	if q.Packed, err = wire.AppendDecoded(&st.dec, q.Packed[:0], q.Coded, int(scheme.WireBytes(tensor.Volume(q.Shape)))); err != nil {
 		return act, ErrBadRequest, fmt.Sprintf("bad quantized payload: %v", err)
 	}
 	if s.dtype == nn.Float32 {

@@ -7,6 +7,7 @@ import (
 	"shredder/internal/audit"
 	"shredder/internal/sched"
 	"shredder/internal/tensor"
+	"shredder/internal/wire"
 )
 
 // reqState is everything the accepting side holds for one request, from the
@@ -30,9 +31,9 @@ type reqState struct {
 	// Storage behind req.Quant and req.Audit: decodeRequest fills what the
 	// request already points at.
 	quant quantPayload
-	dims  [maxRank]int
+	dims  [wire.MaxRank]int
 	note  auditNote
-	dec   tensor.HuffmanDecoder // decodes a coded narrow activation, and a server's quant.Coded into quant.Packed
+	dec   wire.HuffmanDecoder // decodes a coded narrow activation, and a server's quant.Coded into quant.Packed
 
 	f64    *tensor.Tensor   // the activation: a dense payload as decoded, or a packed one dequantized for a float64 plan
 	f32    *tensor.Tensor32 // a packed payload dequantized for a float32 plan

@@ -12,6 +12,7 @@ import (
 	"shredder/internal/audit"
 	"shredder/internal/core"
 	"shredder/internal/tensor"
+	"shredder/internal/wire"
 )
 
 // tapAct is what a tap does with one request frame.
@@ -79,7 +80,7 @@ func (tp *tap) serve(t *testing.T, client net.Conn) {
 		act := tapForward
 		if frame[4] == kindRequest {
 			var req request
-			if err := decodeRequest(frame[4:], &req, new(tensor.HuffmanDecoder)); err != nil {
+			if err := decodeRequest(frame[4:], &req, new(wire.HuffmanDecoder)); err != nil {
 				t.Errorf("tap: %v", err)
 				return
 			}

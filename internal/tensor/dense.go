@@ -20,7 +20,7 @@ type Dense[F Float] struct {
 }
 
 // Tensor32 is the float32 dtype-tagged buffer — the element type of the
-// compiled float32 inference path and of quantize.Dequantize32.
+// compiled float32 inference path and of quantize.DequantizePacked32.
 type Tensor32 = Dense[float32]
 
 // NewDense returns a zero-filled dtype-tagged buffer with the given shape.

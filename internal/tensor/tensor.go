@@ -2,10 +2,10 @@
 // of the Shredder reproduction is built on: contiguous row-major float64
 // tensors with elementwise arithmetic, parallel matrix multiplication,
 // im2col lowering and the direct convolution kernel of compiled plans,
-// reductions, random initialization
-// (including the Laplace distribution Shredder uses for noise tensors), and
-// the little-endian artifact container checkpoints and noise files are
-// written in (serialize.go).
+// reductions, and random initialization (including the Laplace
+// distribution Shredder uses for noise tensors). It is arithmetic only: the
+// byte forms these arrays are written in, on the wire and in files, are
+// package wire's.
 //
 // The package is deliberately minimal: shapes are explicit []int, data is a
 // flat []float64 in row-major order, and there are no lazy views or

@@ -1,15 +1,17 @@
-package tensor
+package wire
 
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"slices"
 )
 
 // The module's one Huffman coder: a canonical, length-limited code over an
 // alphabet of at most 256 symbols, built for one payload from that payload's
-// symbol counts. quantize codes a packed payload's byte values with it (an
-// alphabet of 256) and the coded narrow form its exponent codes (32).
+// symbol counts. The q8 coded stage codes a packed payload's byte values
+// with it (an alphabet of 256) and the coded narrow form its exponent codes
+// (32).
 //
 // A code travels as a length table: one 4-bit length per symbol — symbol 2i
 // in the low nibble of table byte i, 2i+1 in the high one, 0 for a symbol
@@ -27,17 +29,17 @@ const (
 // The coder's refusals of bytes no encoder writes. They are values, so that
 // a decoder refuses without allocating.
 var (
-	errCodeLength = errors.New("tensor: Huffman code longer than 12 bits")
-	errCodeKraft  = errors.New("tensor: Huffman code lengths oversubscribed or incomplete")
-	errCodeStream = errors.New("tensor: Huffman code stream breaks off or holds no code")
-	errCodeRunOn  = errors.New("tensor: Huffman code stream runs on past its last code")
+	errCodeLength = errors.New("wire: Huffman code longer than 12 bits")
+	errCodeKraft  = errors.New("wire: Huffman code lengths oversubscribed or incomplete")
+	errCodeStream = errors.New("wire: Huffman code stream breaks off or holds no code")
+	errCodeRunOn  = errors.New("wire: Huffman code stream runs on past its last code")
 )
 
-// HuffmanCode is a canonical code over an alphabet of n symbols: each
+// huffmanCode is a canonical code over an alphabet of n symbols: each
 // symbol's length in bits (0 for a symbol without a code) and its bits,
 // right-aligned. Every pass over the symbols stops at n, so a small alphabet
 // costs what it holds.
-type HuffmanCode struct {
+type huffmanCode struct {
 	lens [256]uint8
 	bits [256]uint16
 	n    int
@@ -59,7 +61,7 @@ type HuffmanDecoder struct {
 // exceed maxCodeLen they are cut to it and the code is made complete again
 // by lengthening the longest codes below it, the rarest symbols taking the
 // longest codes. The code is one function of the counts.
-func (c *HuffmanCode) Build(counts []uint32) (bits uint64) {
+func (c *huffmanCode) Build(counts []uint32) (bits uint64) {
 	var keys [256]uint64 // count<<8 | symbol, of the symbols that occur
 	n := 0
 	for v, k := range counts {
@@ -163,7 +165,7 @@ func minimumRedundancy(a []uint64) {
 
 // AppendTable appends the length table of the first symbols symbols (an
 // even number): symbols/2 bytes.
-func (c *HuffmanCode) AppendTable(dst []byte, symbols int) []byte {
+func (c *huffmanCode) AppendTable(dst []byte, symbols int) []byte {
 	for i := 0; i < symbols; i += 2 {
 		dst = append(dst, c.lens[i]|c.lens[i+1]<<4)
 	}
@@ -174,7 +176,7 @@ func (c *HuffmanCode) AppendTable(dst []byte, symbols int) []byte {
 // refuses lengths no encoder writes: one past maxCodeLen, or a code that is
 // oversubscribed or incomplete — other than a lone symbol with a 1-bit code,
 // what a payload of one symbol gets.
-func (c *HuffmanCode) ReadTable(table []byte) error {
+func (c *huffmanCode) ReadTable(table []byte) error {
 	c.lens, c.n = [256]uint8{}, 2*len(table)
 	var count [16]int
 	for i, b := range table {
@@ -197,7 +199,7 @@ func (c *HuffmanCode) ReadTable(table []byte) error {
 }
 
 // assign gives every symbol with a length its canonical code.
-func (c *HuffmanCode) assign() {
+func (c *huffmanCode) assign() {
 	var count, next [maxCodeLen + 1]uint16
 	for _, l := range c.lens[:c.n] {
 		count[l]++
@@ -218,7 +220,7 @@ func (c *HuffmanCode) assign() {
 // eight bytes of slack past it. Every four codes (at most 48 bits) the whole
 // bytes held are stored as one 8-byte word, so no branch asks how many there
 // are; the bytes past them are stored again, whole, by the next.
-func (c *HuffmanCode) Encode(out, symbols []byte) {
+func (c *huffmanCode) Encode(out, symbols []byte) {
 	var enc [256]uint32 // bits<<4 | length
 	for v, l := range c.lens[:c.n] {
 		enc[v] = uint32(c.bits[v])<<4 | uint32(l)
@@ -262,7 +264,7 @@ type huffReader struct {
 // refill leaves at least 56 bits, and four codes take at most 48. The bits
 // a refill loads past the whole bytes it counts are the next byte's own, and
 // the next refill ors in the same.
-func (c *HuffmanCode) Decode(out, stream []byte, d *HuffmanDecoder) error {
+func (c *huffmanCode) Decode(out, stream []byte, d *HuffmanDecoder) error {
 	if d.t == nil {
 		d.t = new([1 << maxCodeLen]uint16)
 	}
@@ -331,4 +333,117 @@ func (r huffReader) finish(out, s []byte, t *[1 << maxCodeLen]uint16, shift uint
 		return errCodeRunOn
 	}
 	return nil
+}
+
+// The q8 coded stage: the packed levels quantize.Scheme.AppendPacked writes,
+// under a canonical Huffman code over byte values built for that payload
+// alone. A noised activation quantized inside quantize.Fit's ±4σ range puts
+// its levels on a Laplace-like histogram, so an 8-bit payload carries well
+// under 8 bits per byte. The form is one byte, then what it names:
+//
+//	0  stored: the packed bytes as they are
+//	1  coded:  the code's 128-byte length table, then the code stream
+//
+// The encoder takes the stored form whenever the coded one would not be
+// smaller, so a payload grows by one byte at most. The packed length is not
+// carried: the receiver knows it from the payload's shape
+// (quantize.Scheme.WireBytes).
+// Unlike the dense forms, it decodes spellings it never writes (DESIGN §5j).
+
+const (
+	formStored, formCoded byte = 0, 1
+	codedHeader                = 1 + 256/2 // form byte and length table
+)
+
+// ErrCoded is what every refusal of a coded payload wraps.
+var ErrCoded = errors.New("wire: malformed coded payload")
+
+// countBytes adds b's byte values to h, the counts AppendCoded builds its
+// code from. Four tables take every fourth byte each, so a run of one value —
+// the common case at the centre of a noised activation — does not chain
+// every increment through one counter.
+func countBytes(h *[256]uint32, b []byte) {
+	var t [3][256]uint32
+	i := 0
+	for ; i+4 <= len(b); i += 4 {
+		h[b[i]]++
+		t[0][b[i+1]]++
+		t[1][b[i+2]]++
+		t[2][b[i+3]]++
+	}
+	for _, v := range b[i:] {
+		h[v]++
+	}
+	for v := range h {
+		h[v] += t[0][v] + t[1][v] + t[2][v]
+	}
+}
+
+// AppendCoded appends the coded form of packed to dst, which may be a buffer
+// kept from an earlier call.
+func AppendCoded(dst, packed []byte) []byte {
+	var h [256]uint32
+	countBytes(&h, packed)
+	var c huffmanCode
+	size := codedHeader + int((c.Build(h[:])+7)/8)
+	if size >= 1+len(packed) {
+		return append(append(dst, formStored), packed...)
+	}
+	// One growth for the form byte, the table, the stream and Encode's eight
+	// bytes of slack, which lie past the payload.
+	start := len(dst)
+	dst = c.AppendTable(append(slices.Grow(dst, size+8), formCoded), 256)[:start+size]
+	c.Encode(dst[start+codedHeader:start+size+8], packed)
+	return dst
+}
+
+// CheckCoded is the bound a receiver holds a coded payload to before it
+// sizes anything from n, the packed length the payload's shape declares: a
+// stored payload is exactly n bytes, and a coded one spends at least one bit
+// on every byte. It is AppendDecoded's first step.
+func CheckCoded(coded []byte, n int) error {
+	switch {
+	case n < 0:
+		return fmt.Errorf("%w: %d packed bytes", ErrCoded, n)
+	case len(coded) == 0:
+		return fmt.Errorf("%w: empty coded payload", ErrCoded)
+	case coded[0] == formStored:
+		if len(coded)-1 != n {
+			return fmt.Errorf("%w: %d stored bytes for %d", ErrCoded, len(coded)-1, n)
+		}
+	case coded[0] == formCoded:
+		if len(coded) < codedHeader || n > 8*(len(coded)-codedHeader) {
+			return fmt.Errorf("%w: %d coded bytes cannot hold %d", ErrCoded, len(coded), n)
+		}
+	default:
+		return fmt.Errorf("%w: payload form %d", ErrCoded, coded[0])
+	}
+	return nil
+}
+
+// AppendDecoded appends the n packed bytes a coded payload holds to dst,
+// which may be a buffer kept from an earlier call, decoding with d — kept by
+// whoever decodes; a server keeps one in each request state. The payload
+// comes off the network: a code the encoder cannot have written — lengths
+// past the coder's limit, an oversubscribed or incomplete code, a stream that
+// ends early or runs on, padding that is not zero — is ErrCoded, and dst is
+// returned as it was. Nothing is sized from n before the length table has
+// been checked.
+func AppendDecoded(d *HuffmanDecoder, dst, coded []byte, n int) ([]byte, error) {
+	if err := CheckCoded(coded, n); err != nil {
+		return dst, err
+	}
+	if coded[0] == formStored {
+		return append(dst, coded[1:]...), nil
+	}
+	var c huffmanCode
+	if err := c.ReadTable(coded[1:codedHeader]); err != nil {
+		return dst, fmt.Errorf("%w: %w", ErrCoded, err)
+	}
+	start := len(dst)
+	grown := slices.Grow(dst, n)[:start+n]
+	if err := c.Decode(grown[start:], coded[codedHeader:], d); err != nil {
+		return dst, fmt.Errorf("%w: %w", ErrCoded, err)
+	}
+	return grown, nil
 }

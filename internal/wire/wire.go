@@ -1,4 +1,9 @@
-package tensor
+// Package wire owns every lossless byte stage, below tensor and quantize on
+// the standard library alone: the dense payload forms, the Huffman coder and
+// the q8 coded stage (huffman.go), and the artifact container. Its decoders
+// refuse with typed errors, and CheckedVolume is the one place a shape from
+// outside the program is multiplied up (DESIGN §5j, §5k).
+package wire
 
 import (
 	"encoding/binary"
@@ -10,17 +15,23 @@ import (
 	"slices"
 )
 
-// The artifact container: what a checkpoint (nn.Save) and a noise file
-// (core.EncodeNoiseSource) are made of, and the float codec they share with
-// the splitrt wire. A file is an ASCII magic line, then fields in a fixed
-// order, all little-endian: u32 counts and dimensions, u16-length-prefixed
-// names, raw 8-byte floats, raw 4-byte sketch knots and int32 orders. The
-// Append functions write the fields; a Reader cuts them off the front of the
-// file's bytes, and matches every declared count against the bytes that
-// remain before its caller allocates from it (DESIGN §5k has the layouts).
-
-// MaxRank is the most dimensions a shape in an artifact may declare.
+// MaxRank is the most dimensions an artifact's or a frame's shape may have.
 const MaxRank = 8
+
+// CheckedVolume is the volume of a shape from outside the program: ok is
+// false for a negative dimension and for a running product above limit,
+// refused before it is formed, so it cannot wrap round (possibly to the very
+// count the bytes carry). With no tighter bound, limit is math.MaxInt.
+func CheckedVolume(shape []int, limit int) (vol int, ok bool) {
+	vol = 1
+	for _, d := range shape {
+		if d < 0 || (d > 0 && vol > limit/d) {
+			return 0, false
+		}
+		vol *= d
+	}
+	return vol, true
+}
 
 // AppendFloats appends data to b as raw little-endian float64 words.
 func AppendFloats(b []byte, data []float64) []byte {
@@ -61,7 +72,7 @@ const narrowMaxEmin = 0x7FE - 30
 
 // ErrNarrow is DecodeNarrow's refusal: the bytes are not the narrow form of
 // that many values.
-var ErrNarrow = errors.New("tensor: malformed narrow float payload")
+var ErrNarrow = errors.New("wire: malformed narrow float payload")
 
 // NarrowLen is the length of n values in the narrow form.
 func NarrowLen(n int) int { return 2 + 6*n + (10*n+7)/8 }
@@ -239,7 +250,7 @@ func headWord(heads []byte, g int) uint64 {
 }
 
 // The coded narrow form: the narrow form with its exponent codes under a
-// canonical Huffman code built for the payload (HuffmanCode, over the 32
+// canonical Huffman code built for the payload (huffmanCode, over the 32
 // codes). A noised activation's exponent codes carry under 3 of their 5 bits.
 // The layout, little-endian:
 //
@@ -290,7 +301,7 @@ func AppendDense(b []byte, data []float64) ([]byte, DenseForm) {
 	for v := range counts[0] {
 		counts[0][v] += counts[1][v] + counts[2][v] + counts[3][v]
 	}
-	var c HuffmanCode
+	var c huffmanCode
 	bits := c.Build(counts[0][:])
 	if codedNarrowLen(n, bits) >= NarrowLen(n) {
 		b, _ = AppendNarrow(b[:off], data)
@@ -398,7 +409,7 @@ func DecodeCodedNarrow(dst []float64, src []byte, d *HuffmanDecoder) error {
 	if emin < 1 || emin > narrowMaxEmin || (n%8 != 0 && tails[len(tails)-1]>>(5*n%8) != 0) {
 		return ErrNarrow
 	}
-	var c HuffmanCode
+	var c huffmanCode
 	if c.ReadTable(src[len(src)-16:]) != nil {
 		return ErrNarrow
 	}
@@ -429,7 +440,7 @@ func DecodeCodedNarrow(dst []float64, src []byte, d *HuffmanDecoder) error {
 			seen |= 1 << v
 		}
 	}
-	var want HuffmanCode
+	var want huffmanCode
 	want.Build(counts[:])
 	if (seen&^1 == 0 && emin != 1) || (seen&^1 != 0 && seen&2 == 0) || want.lens != c.lens {
 		return ErrNarrow
@@ -492,12 +503,21 @@ func DecodeDense(dst []float64, src []byte, form DenseForm, d *HuffmanDecoder) e
 	return nil
 }
 
+// The artifact container: what a checkpoint (nn.Save) and a noise file
+// (core.EncodeNoiseSource) are made of. A file is an ASCII magic line, then
+// fields in a fixed order, all little-endian: u32 counts and dimensions,
+// u16-length-prefixed names, floats in the raw dense form, raw 4-byte sketch
+// knots and int32 orders. The Append functions write the fields; a Reader
+// cuts them off the front of the file's bytes, and matches every declared
+// count against the bytes that remain before its caller allocates from it
+// (DESIGN §5k has the layouts).
+
 // AppendName appends s behind its u16 length. Names are the program's own
 // (a network, a parameter, a noise mode), so one the field cannot hold is a
 // bug.
 func AppendName(b []byte, s string) []byte {
 	if len(s) > math.MaxUint16 {
-		panic(fmt.Sprintf("tensor: name of %d bytes does not fit an artifact's u16 length", len(s)))
+		panic(fmt.Sprintf("wire: name of %d bytes does not fit an artifact's u16 length", len(s)))
 	}
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
 	return append(b, s...)
@@ -507,12 +527,12 @@ func AppendName(b []byte, s string) []byte {
 // Shapes are the program's own, so one the Reader would refuse is a bug.
 func AppendShape(b []byte, shape []int) []byte {
 	if len(shape) > MaxRank {
-		panic(fmt.Sprintf("tensor: rank %d exceeds an artifact's limit of %d", len(shape), MaxRank))
+		panic(fmt.Sprintf("wire: rank %d exceeds an artifact's limit of %d", len(shape), MaxRank))
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(shape)))
 	for _, d := range shape {
 		if d < 0 || d > math.MaxInt32 {
-			panic(fmt.Sprintf("tensor: dimension %d does not fit an artifact", d))
+			panic(fmt.Sprintf("wire: dimension %d does not fit an artifact", d))
 		}
 		b = binary.LittleEndian.AppendUint32(b, uint32(d))
 	}
@@ -521,7 +541,7 @@ func AppendShape(b []byte, shape []int) []byte {
 
 // ErrArtifact is what every Reader failure wraps: the bytes are not the
 // artifact the magic line names, or the artifact contradicts itself.
-var ErrArtifact = errors.New("tensor: malformed artifact")
+var ErrArtifact = errors.New("wire: malformed artifact")
 
 // Reader cuts fields off the front of an artifact's bytes. The first failure
 // sticks: every later call returns zero values, so a decoder reads a run of
@@ -627,7 +647,7 @@ func (r *Reader) Shape() (shape []int, vol int) {
 		}
 		shape[i] = int(d)
 	}
-	vol, ok := CheckedVolume(shape)
+	vol, ok := CheckedVolume(shape, math.MaxInt)
 	if !ok {
 		r.fail("shape %v has no representable volume", shape)
 		return nil, 0
@@ -673,19 +693,4 @@ func ReadAll(r io.Reader) ([]byte, error) {
 			buf = append(buf, 0)[:len(buf)]
 		}
 	}
-}
-
-// CheckedVolume is Volume for a shape that came from outside the program. A
-// file can hold any integers as a shape: ok is false for a negative
-// dimension and for dimensions whose product does not fit an int (it would
-// wrap round, possibly to the very element count the file carries).
-func CheckedVolume(shape []int) (vol int, ok bool) {
-	vol = 1
-	for _, d := range shape {
-		if d < 0 || (d > 0 && vol > math.MaxInt/d) {
-			return 0, false
-		}
-		vol *= d
-	}
-	return vol, true
 }
