@@ -19,9 +19,10 @@ import (
 // read at the commit that made a warm start build the network's shapes only
 // (seeding the weights it then loaded cost the build RNG's source, ~5 KB:
 // 1108 objects, 3 831 880 bytes; with gob on the two files a start reads,
-// 5130 objects, 5 019 000 bytes).
+// 5130 objects, 5 019 000 bytes). The objects fell 1101 → 1085 when a
+// float32 array's shape went inline in its header, as a float64 one's was.
 const (
-	fleetColdStartObjects = 1103
+	fleetColdStartObjects = 1085
 	fleetColdStartBytes   = 3826640
 )
 

@@ -145,18 +145,18 @@ func (c *CompiledNet) Infer(x *tensor.Tensor) *tensor.Tensor { return c.InferInt
 // one a fused or packed kernel will be called through. A dst that is nil or
 // not of the result's shape [N, ...] is replaced by a fresh tensor, which is
 // all Infer is. Every element is overwritten; dst must not alias x.
-func (c *CompiledNet) InferInto(dst, x *tensor.Tensor) *tensor.Tensor {
-	if c.p32 != nil {
-		return inferInto(c.p32, dst, x.Data(), x.Shape())
-	}
-	return inferInto(c.p64, dst, x.Data(), x.Shape())
-}
+func (c *CompiledNet) InferInto(dst, x *tensor.Tensor) *tensor.Tensor { return inferAs(c, dst, x) }
 
 // Infer32Into runs the plan on a float32 batch — the zero-conversion entry
 // for payloads dequantized directly to float32 (quantize.DequantizeInto) —
 // with InferInto's destination rule. For a Float64 plan the input is widened
 // sample by sample.
 func (c *CompiledNet) Infer32Into(dst *tensor.Tensor, x *tensor.Tensor32) *tensor.Tensor {
+	return inferAs(c, dst, x)
+}
+
+// inferAs runs a batch of either element type on the plan of c's dtype.
+func inferAs[In tensor.Float](c *CompiledNet, dst *tensor.Tensor, x *tensor.Dense[In]) *tensor.Tensor {
 	if c.p32 != nil {
 		return inferInto(c.p32, dst, x.Data(), x.Shape())
 	}

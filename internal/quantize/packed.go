@@ -147,21 +147,21 @@ func (s Scheme) checkShaped(packed []byte, shape []int) error {
 
 // DequantizePacked reconstructs a wire payload as a float64 tensor.
 func (s Scheme) DequantizePacked(packed []byte, shape ...int) (*tensor.Tensor, error) {
-	if err := s.checkShaped(packed, shape); err != nil {
-		return nil, err
-	}
-	out := tensor.New(shape...)
-	dequantize(s, out.Data(), packed)
-	return out, nil
+	return dequantizeShaped[float64](s, packed, shape)
 }
 
 // DequantizePacked32 reconstructs a wire payload as a float32 buffer: what a
 // Float32-compiled cloud server feeds its plan, with no float64 intermediate.
 func (s Scheme) DequantizePacked32(packed []byte, shape ...int) (*tensor.Tensor32, error) {
+	return dequantizeShaped[float32](s, packed, shape)
+}
+
+// dequantizeShaped is DequantizePacked at element type F.
+func dequantizeShaped[F tensor.Float](s Scheme, packed []byte, shape []int) (*tensor.Dense[F], error) {
 	if err := s.checkShaped(packed, shape); err != nil {
 		return nil, err
 	}
-	out := tensor.NewDense[float32](shape...)
+	out := tensor.NewDense[F](shape...)
 	dequantize(s, out.Data(), packed)
 	return out, nil
 }

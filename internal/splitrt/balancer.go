@@ -58,10 +58,10 @@ func (l *leastInflight) Pick(_ string, cands []BackendView) int {
 
 // NewConsistent returns a rendezvous-hash balancer: every (routing key,
 // backend addr) pair gets a stable score and the highest-scoring healthy
-// backend wins. All pool clients sharing a fleet therefore send the same
-// model+cut to the same backend (maximizing any server-side caching), and
-// a backend's ejection only moves that backend's share — the rest of the
-// mapping is undisturbed, which is the property plain modulo hashing lacks.
+// backend wins. A pool's routing key is its one model+cut, so this does not
+// balance: it is a stable primary with failover. All of a pool's traffic
+// goes to one backend, the same in every pool client sharing the fleet, and
+// the next-highest takes it over only while that backend is ejected.
 func NewConsistent() Balancer { return consistent{} }
 
 type consistent struct{}

@@ -1,9 +1,12 @@
 package tensor
 
+import "fmt"
+
 // This file is the dtype-parameterized reference kernel layer: matrix
 // multiplication in its three transposition variants and im2col convolution
 // lowering, each written once, generically over the element type F. The
-// exported float64 Tensor API (MatMul*, Im2ColInto) delegates to these
+// exported functions over float64 Tensors (MatMul*, Im2ColInto) and
+// MatMulT2BlockedDense, over a Dense of either dtype, delegate to these
 // kernels. Compiled plans run the direct kernel of direct.go, which these are
 // the reference for: matmulT2Kernel's per-output summation order is the one
 // every plan is pinned to, and matmulT1Rows is what a training plan's
@@ -210,7 +213,7 @@ func MatMulT2BlockedDense[F Float](dst, a, b *Dense[F]) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[0]
 	if b.shape[1] != k || dst.shape[0] != m || dst.shape[1] != n {
-		panicShape("MatMulT2BlockedDense", dst.shape, a.shape, b.shape)
+		panic(fmt.Sprintf("tensor: MatMulT2BlockedDense shape mismatch %v vs %v vs %v", dst.shape, a.shape, b.shape))
 	}
 	matmulT2BlockedKernel(dst.data, a.data, b.data, m, k, n)
 }

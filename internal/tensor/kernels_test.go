@@ -70,9 +70,9 @@ func TestBlockedMatMulT2Bitwise(t *testing.T) {
 		b := rng.FillNormal(New(s.n, s.k), 0, 1)
 
 		want64 := MatMulT2(a, b)
-		got64 := NewDense[float64](s.m, s.n)
-		MatMulT2BlockedDense(got64, ToDense[float64](a), ToDense[float64](b))
-		if !Equal(From(got64.Data(), s.m, s.n), want64) {
+		got64 := New(s.m, s.n)
+		MatMulT2BlockedDense(got64, a, b)
+		if !Equal(got64, want64) {
 			t.Fatalf("%+v: blocked f64 kernel differs from the legacy kernel", s)
 		}
 
@@ -184,21 +184,25 @@ func TestIm2ColKernelFloat32Parity(t *testing.T) {
 }
 
 func TestDenseTensorRoundTrip(t *testing.T) {
+	t.Run("float64", denseTensorRoundTrip[float64])
+	t.Run("float32", denseTensorRoundTrip[float32])
+}
+
+func denseTensorRoundTrip[F Float](t *testing.T) {
 	rng := NewRNG(16)
 	src := rng.FillNormal(New(4, 5), 0, 3)
-	d32 := ToDense[float32](src)
-	if !ShapeEq(d32.Shape(), src.Shape()) {
-		t.Fatalf("converted shape %v vs %v", d32.Shape(), src.Shape())
+	d := ToDense[F](src)
+	if !ShapeEq(d.Shape(), src.Shape()) {
+		t.Fatalf("converted shape %v vs %v", d.Shape(), src.Shape())
 	}
-	for i, v := range d32.Data() {
-		if v != float32(src.Data()[i]) {
-			t.Fatalf("elem %d not the float32 rounding of the source", i)
+	for i, v := range d.Data() {
+		if v != F(src.Data()[i]) {
+			t.Fatalf("elem %d not the rounding of the source", i)
 		}
 	}
-	// At float64 the conversion still copies: the result never aliases.
-	d64 := ToDense[float64](src)
-	d64.Data()[0] = 123
+	// The conversion copies, at float64 too: the result never aliases.
+	d.Data()[0] = 123
 	if src.Data()[0] == 123 {
-		t.Fatal("ToDense[float64] shares the source's storage")
+		t.Fatal("ToDense shares the source's storage")
 	}
 }

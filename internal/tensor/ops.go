@@ -6,7 +6,7 @@ import (
 )
 
 // checkSame panics unless a and b share a shape.
-func checkSame(op string, a, b *Tensor) {
+func checkSame[F Float](op string, a, b *Dense[F]) {
 	if !a.SameShape(b) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, a.shape, b.shape))
 	}
@@ -33,7 +33,7 @@ func Sub(a, b *Tensor) *Tensor {
 }
 
 // AddInPlace accumulates b into t.
-func (t *Tensor) AddInPlace(b *Tensor) *Tensor {
+func (t *Dense[F]) AddInPlace(b *Dense[F]) *Dense[F] {
 	checkSame("AddInPlace", t, b)
 	for i := range t.data {
 		t.data[i] += b.data[i]
@@ -42,7 +42,7 @@ func (t *Tensor) AddInPlace(b *Tensor) *Tensor {
 }
 
 // Scale multiplies every element by s in place.
-func (t *Tensor) Scale(s float64) *Tensor {
+func (t *Dense[F]) Scale(s F) *Dense[F] {
 	for i := range t.data {
 		t.data[i] *= s
 	}
@@ -50,7 +50,7 @@ func (t *Tensor) Scale(s float64) *Tensor {
 }
 
 // Shift adds s to every element in place.
-func (t *Tensor) Shift(s float64) *Tensor {
+func (t *Dense[F]) Shift(s F) *Dense[F] {
 	for i := range t.data {
 		t.data[i] += s
 	}
@@ -58,7 +58,7 @@ func (t *Tensor) Shift(s float64) *Tensor {
 }
 
 // Apply replaces every element x with f(x) in place.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
+func (t *Dense[F]) Apply(f func(F) F) *Dense[F] {
 	for i := range t.data {
 		t.data[i] = f(t.data[i])
 	}
@@ -66,8 +66,8 @@ func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 }
 
 // Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
+func (t *Dense[F]) Sum() F {
+	var s F
 	for _, v := range t.data {
 		s += v
 	}
@@ -76,17 +76,17 @@ func (t *Tensor) Sum() float64 {
 
 // AbsSum returns the L1 norm Σ|xᵢ| — the quantity Shredder's loss term
 // maximizes to grow the noise magnitude.
-func (t *Tensor) AbsSum() float64 {
-	s := 0.0
+func (t *Dense[F]) AbsSum() F {
+	var s F
 	for _, v := range t.data {
-		s += math.Abs(v)
+		s += F(math.Abs(float64(v)))
 	}
 	return s
 }
 
 // SqSum returns the sum of squares Σxᵢ².
-func (t *Tensor) SqSum() float64 {
-	s := 0.0
+func (t *Dense[F]) SqSum() F {
+	var s F
 	for _, v := range t.data {
 		s += v * v
 	}
@@ -94,33 +94,33 @@ func (t *Tensor) SqSum() float64 {
 }
 
 // Mean returns the arithmetic mean of the elements (0 for empty tensors).
-func (t *Tensor) Mean() float64 {
+func (t *Dense[F]) Mean() F {
 	if len(t.data) == 0 {
 		return 0
 	}
-	return t.Sum() / float64(len(t.data))
+	return t.Sum() / F(len(t.data))
 }
 
 // Variance returns the population variance of the elements.
-func (t *Tensor) Variance() float64 {
+func (t *Dense[F]) Variance() F {
 	n := len(t.data)
 	if n == 0 {
 		return 0
 	}
 	m := t.Mean()
-	s := 0.0
+	var s F
 	for _, v := range t.data {
 		d := v - m
 		s += d * d
 	}
-	return s / float64(n)
+	return s / F(n)
 }
 
 // Std returns the population standard deviation.
-func (t *Tensor) Std() float64 { return math.Sqrt(t.Variance()) }
+func (t *Dense[F]) Std() F { return F(math.Sqrt(float64(t.Variance()))) }
 
 // Max returns the maximum element. Panics on empty tensors.
-func (t *Tensor) Max() float64 {
+func (t *Dense[F]) Max() F {
 	if len(t.data) == 0 {
 		panic("tensor: Max of empty tensor")
 	}
@@ -134,7 +134,7 @@ func (t *Tensor) Max() float64 {
 }
 
 // Min returns the minimum element. Panics on empty tensors.
-func (t *Tensor) Min() float64 {
+func (t *Dense[F]) Min() F {
 	if len(t.data) == 0 {
 		panic("tensor: Min of empty tensor")
 	}
@@ -148,7 +148,7 @@ func (t *Tensor) Min() float64 {
 }
 
 // Argmax returns the flat index of the maximum element.
-func (t *Tensor) Argmax() int {
+func (t *Dense[F]) Argmax() int {
 	if len(t.data) == 0 {
 		panic("tensor: Argmax of empty tensor")
 	}
@@ -173,9 +173,9 @@ func Dot(a, b *Tensor) float64 {
 
 // AllFinite reports whether every element is finite (no NaN/Inf) — used by
 // trainers as a divergence guard.
-func (t *Tensor) AllFinite() bool {
+func (t *Dense[F]) AllFinite() bool {
 	for _, v := range t.data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
 			return false
 		}
 	}
@@ -183,10 +183,10 @@ func (t *Tensor) AllFinite() bool {
 }
 
 // MaxAbs returns max |xᵢ| (0 for empty tensors).
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
+func (t *Dense[F]) MaxAbs() F {
+	var m F
 	for _, v := range t.data {
-		if a := math.Abs(v); a > m {
+		if a := F(math.Abs(float64(v))); a > m {
 			m = a
 		}
 	}

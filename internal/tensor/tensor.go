@@ -1,18 +1,18 @@
 // Package tensor implements the dense numeric arrays that every other part
-// of the Shredder reproduction is built on: contiguous row-major float64
-// tensors with elementwise arithmetic, parallel matrix multiplication,
-// im2col lowering and the direct convolution kernel of compiled plans,
-// reductions, and random initialization (including the Laplace
-// distribution Shredder uses for noise tensors). It is arithmetic only: the
-// byte forms these arrays are written in, on the wire and in files, are
-// package wire's.
+// of the Shredder reproduction is built on: contiguous row-major tensors of
+// float64 or float32 with elementwise arithmetic, parallel matrix
+// multiplication, im2col lowering and the direct convolution kernel of
+// compiled plans, reductions, and random initialization (including the
+// Laplace distribution Shredder uses for noise tensors). It is arithmetic
+// only: the byte forms these arrays are written in, on the wire and in
+// files, are package wire's.
 //
-// The package is deliberately minimal: shapes are explicit []int, data is a
-// flat []float64 in row-major order, and there are no lazy views or
-// broadcasting rules beyond what the nn package needs. Operations that can
-// fail on shape mismatch panic, because a shape mismatch inside a training
-// loop is always a programming error, never a runtime condition to recover
-// from.
+// The package is deliberately minimal: one array type, Dense, whose element
+// type is a parameter; shapes are explicit []int, data is a flat []F in
+// row-major order, and there are no lazy views or broadcasting rules beyond
+// what the nn package needs. Operations that can fail on shape mismatch
+// panic, because a shape mismatch inside a training loop is always a
+// programming error, never a runtime condition to recover from.
 package tensor
 
 import (
@@ -20,29 +20,37 @@ import (
 	"strings"
 )
 
-// Tensor is a dense, contiguous, row-major n-dimensional array of float64.
-// The zero value is an empty tensor; use New or From to construct one.
+// Dense is a dense, contiguous, row-major n-dimensional array of F. The zero
+// value is an empty array; use New, From or NewDense to construct one.
 //
 // The header carries its shape inline: shape is dims[:rank] for every rank
-// the networks use, so a tensor is two objects — header and data — not three.
-// A Tensor is therefore handled by pointer only; a copied header's shape
-// would still point into the original.
-type Tensor struct {
+// the networks use, so an array is two objects — header and data — not
+// three. A Dense is therefore handled by pointer only; a copied header's
+// shape would still point into the original.
+type Dense[F Float] struct {
 	shape []int
-	data  []float64
+	data  []F
 	dims  [4]int
 }
 
-// wrap returns a tensor over data with a copy of shape, which is neither
+// Tensor is the float64 array: training, noise, and the float64 plans.
+type Tensor = Dense[float64]
+
+// Tensor32 is the float32 array: the element type of the compiled float32
+// inference path and of quantize.DequantizePacked32, where Shredder's
+// learned noise already dwarfs a float32 rounding error.
+type Tensor32 = Dense[float32]
+
+// wrap returns an array over data with a copy of shape, which is neither
 // retained nor formatted: a caller may assemble it in a stack buffer.
-func wrap(data []float64, shape []int) *Tensor {
-	t := &Tensor{data: data}
+func wrap[F Float](data []F, shape []int) *Dense[F] {
+	t := &Dense[F]{data: data}
 	t.setShape(shape)
 	return t
 }
 
 // setShape makes t's shape a copy of shape, inline up to rank len(dims).
-func (t *Tensor) setShape(shape []int) {
+func (t *Dense[F]) setShape(shape []int) {
 	if len(shape) <= len(t.dims) {
 		t.shape = t.dims[:len(shape)]
 	} else {
@@ -51,9 +59,9 @@ func (t *Tensor) setShape(shape []int) {
 	copy(t.shape, shape)
 }
 
-// New returns a zero-filled tensor with the given shape. New() with no
-// arguments returns a scalar-shaped tensor of one element.
-func New(shape ...int) *Tensor {
+// NewDense returns a zero-filled array with the given shape. NewDense() with
+// no arguments returns a scalar-shaped array of one element.
+func NewDense[F Float](shape ...int) *Dense[F] {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
@@ -62,8 +70,11 @@ func New(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	return wrap(make([]float64, n), shape)
+	return wrap(make([]F, n), shape)
 }
+
+// New returns a zero-filled float64 tensor with the given shape.
+func New(shape ...int) *Tensor { return NewDense[float64](shape...) }
 
 // From wraps an existing slice as a tensor with the given shape. The slice
 // is used directly (not copied); its length must equal the shape's volume.
@@ -78,32 +89,43 @@ func From(data []float64, shape ...int) *Tensor {
 	return wrap(data, shape)
 }
 
+// ToDense converts a float64 tensor to an array of the target element type.
+// For F = float64 the storage is still copied, so mutating the result never
+// aliases the source.
+func ToDense[F Float](t *Tensor) *Dense[F] {
+	out := NewDense[F](t.shape...)
+	for i, v := range t.data {
+		out.data[i] = F(v)
+	}
+	return out
+}
+
 // Shape returns the tensor's dimensions. The returned slice must not be
 // modified.
-func (t *Tensor) Shape() []int { return t.shape }
+func (t *Dense[F]) Shape() []int { return t.shape }
 
 // Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.shape[i] }
+func (t *Dense[F]) Dim(i int) int { return t.shape[i] }
 
 // Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.shape) }
+func (t *Dense[F]) Rank() int { return len(t.shape) }
 
 // Len returns the total number of elements.
-func (t *Tensor) Len() int { return len(t.data) }
+func (t *Dense[F]) Len() int { return len(t.data) }
 
 // Data returns the underlying flat storage. Mutating it mutates the tensor.
-func (t *Tensor) Data() []float64 { return t.data }
+func (t *Dense[F]) Data() []F { return t.data }
 
 // Clone returns a deep copy of t.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.shape...)
+func (t *Dense[F]) Clone() *Dense[F] {
+	c := NewDense[F](t.shape...)
 	copy(c.data, t.data)
 	return c
 }
 
 // Reshape returns a tensor sharing t's storage with a new shape of equal
 // volume. A single -1 dimension is inferred from the rest.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
+func (t *Dense[F]) Reshape(shape ...int) *Dense[F] {
 	out := wrap(t.data, shape)
 	s := out.shape
 	infer := -1
@@ -132,12 +154,12 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 }
 
 // Flatten returns a rank-1 view of t sharing its storage.
-func (t *Tensor) Flatten() *Tensor {
+func (t *Dense[F]) Flatten() *Dense[F] {
 	return wrap(t.data, []int{len(t.data)})
 }
 
 // index converts multi-indices to a flat offset.
-func (t *Tensor) index(idx ...int) int {
+func (t *Dense[F]) index(idx ...int) int {
 	if len(idx) != len(t.shape) {
 		panic(fmt.Sprintf("tensor: %d indices for rank-%d tensor", len(idx), len(t.shape)))
 	}
@@ -152,13 +174,13 @@ func (t *Tensor) index(idx ...int) int {
 }
 
 // At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float64 { return t.data[t.index(idx...)] }
+func (t *Dense[F]) At(idx ...int) F { return t.data[t.index(idx...)] }
 
 // Set assigns the element at the given multi-index.
-func (t *Tensor) Set(v float64, idx ...int) { t.data[t.index(idx...)] = v }
+func (t *Dense[F]) Set(v F, idx ...int) { t.data[t.index(idx...)] = v }
 
 // SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
+func (t *Dense[F]) SameShape(o *Dense[F]) bool {
 	if len(t.shape) != len(o.shape) {
 		return false
 	}
@@ -171,7 +193,7 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 }
 
 // Fill sets every element to v.
-func (t *Tensor) Fill(v float64) *Tensor {
+func (t *Dense[F]) Fill(v F) *Dense[F] {
 	for i := range t.data {
 		t.data[i] = v
 	}
@@ -179,10 +201,10 @@ func (t *Tensor) Fill(v float64) *Tensor {
 }
 
 // Zero sets every element to 0.
-func (t *Tensor) Zero() *Tensor { return t.Fill(0) }
+func (t *Dense[F]) Zero() *Dense[F] { return t.Fill(0) }
 
 // CopyFrom copies o's data into t. Shapes must match in volume.
-func (t *Tensor) CopyFrom(o *Tensor) *Tensor {
+func (t *Dense[F]) CopyFrom(o *Dense[F]) *Dense[F] {
 	if len(t.data) != len(o.data) {
 		panic(fmt.Sprintf("tensor: CopyFrom volume mismatch %v vs %v", t.shape, o.shape))
 	}
@@ -192,7 +214,7 @@ func (t *Tensor) CopyFrom(o *Tensor) *Tensor {
 
 // Slice returns the i-th sub-tensor along the first axis, sharing storage.
 // For a tensor of shape [N, ...rest] it returns shape [...rest].
-func (t *Tensor) Slice(i int) *Tensor {
+func (t *Dense[F]) Slice(i int) *Dense[F] {
 	if len(t.shape) == 0 {
 		panic("tensor: Slice on rank-0 tensor")
 	}
@@ -211,7 +233,7 @@ func (t *Tensor) Slice(i int) *Tensor {
 
 // String renders a short human-readable description (shape plus the first
 // few elements), suitable for debugging.
-func (t *Tensor) String() string {
+func (t *Dense[F]) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Tensor%v[", t.shape)
 	n := len(t.data)
@@ -223,7 +245,7 @@ func (t *Tensor) String() string {
 		if i > 0 {
 			b.WriteString(" ")
 		}
-		fmt.Fprintf(&b, "%.4g", t.data[i])
+		fmt.Fprintf(&b, "%.4g", float64(t.data[i]))
 	}
 	if show < n {
 		fmt.Fprintf(&b, " ... (%d elems)", n)

@@ -3,10 +3,26 @@ package tensor
 import (
 	"math"
 	"testing"
+
+	"shredder/internal/race"
 )
 
+// The tests of the shared method set run at both element types from the same
+// values: the test calls a generic body once per dtype.
+
+// from is From at element type F: the same values, converted.
+func from[F Float](data []float64, shape ...int) *Dense[F] { return ToDense[F](From(data, shape...)) }
+
+// sinkDense keeps an allocation-counted result on the heap.
+var sinkDense any
+
 func TestNewShapeAndLen(t *testing.T) {
-	tt := New(2, 3, 4)
+	t.Run("float64", newShapeAndLen[float64])
+	t.Run("float32", newShapeAndLen[float32])
+}
+
+func newShapeAndLen[F Float](t *testing.T) {
+	tt := NewDense[F](2, 3, 4)
 	if tt.Len() != 24 {
 		t.Fatalf("Len = %d, want 24", tt.Len())
 	}
@@ -19,6 +35,16 @@ func TestNewShapeAndLen(t *testing.T) {
 	for _, v := range tt.Data() {
 		if v != 0 {
 			t.Fatal("New tensor not zero-filled")
+		}
+	}
+	if race.Enabled {
+		return // the race detector's instrumentation allocates
+	}
+	// Header and data, with the shape inline up to rank 4: two objects,
+	// like New.
+	for _, shape := range [][]int{{}, {5}, {2, 3}, {2, 3, 4}, {1, 2, 3, 4}} {
+		if n := testing.AllocsPerRun(50, func() { sinkDense = NewDense[F](shape...) }); n != 2 {
+			t.Errorf("NewDense of shape %v: %v allocations, want 2", shape, n)
 		}
 	}
 }
@@ -42,7 +68,12 @@ func TestFromChecksVolume(t *testing.T) {
 }
 
 func TestAtSetRoundTrip(t *testing.T) {
-	tt := New(3, 4)
+	t.Run("float64", atSetRoundTrip[float64])
+	t.Run("float32", atSetRoundTrip[float32])
+}
+
+func atSetRoundTrip[F Float](t *testing.T) {
+	tt := NewDense[F](3, 4)
 	tt.Set(7.5, 2, 1)
 	if got := tt.At(2, 1); got != 7.5 {
 		t.Fatalf("At(2,1) = %v, want 7.5", got)
@@ -64,7 +95,12 @@ func TestAtOutOfRangePanics(t *testing.T) {
 }
 
 func TestReshapeSharesStorage(t *testing.T) {
-	a := From([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	t.Run("float64", reshapeSharesStorage[float64])
+	t.Run("float32", reshapeSharesStorage[float32])
+}
+
+func reshapeSharesStorage[F Float](t *testing.T) {
+	a := from[F]([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := a.Reshape(3, 2)
 	b.Set(99, 0, 0)
 	if a.At(0, 0) != 99 {
@@ -73,7 +109,12 @@ func TestReshapeSharesStorage(t *testing.T) {
 }
 
 func TestReshapeInfer(t *testing.T) {
-	a := New(4, 6)
+	t.Run("float64", reshapeInfer[float64])
+	t.Run("float32", reshapeInfer[float32])
+}
+
+func reshapeInfer[F Float](t *testing.T) {
+	a := NewDense[F](4, 6)
 	b := a.Reshape(2, -1)
 	if !ShapeEq(b.Shape(), []int{2, 12}) {
 		t.Fatalf("inferred shape = %v, want [2 12]", b.Shape())
@@ -91,7 +132,12 @@ func TestReshapeBadVolumePanics(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	a := From([]float64{1, 2}, 2)
+	t.Run("float64", cloneIsDeep[float64])
+	t.Run("float32", cloneIsDeep[float32])
+}
+
+func cloneIsDeep[F Float](t *testing.T) {
+	a := from[F]([]float64{1, 2}, 2)
 	b := a.Clone()
 	b.Data()[0] = 100
 	if a.Data()[0] != 1 {
@@ -100,7 +146,12 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestSliceAndRow(t *testing.T) {
-	a := From([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	t.Run("float64", sliceAndRow[float64])
+	t.Run("float32", sliceAndRow[float32])
+}
+
+func sliceAndRow[F Float](t *testing.T) {
+	a := from[F]([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	s := a.Slice(1)
 	if !ShapeEq(s.Shape(), []int{3}) || s.At(0) != 4 {
 		t.Fatalf("Slice(1) = %v", s)

@@ -367,7 +367,9 @@ func readReport(path string) (*Report, error) {
 
 // printTable prints, per workload and metric, the median before and after
 // and the change in percent. A gated metric (BENCHMARK.json's end-to-end
-// list) shows its bound and whether the change is worse by more; a timing
+// list) shows its bound and whether the change is worse by more, or, when
+// the before side's interquartile range is wider than the bound, that one
+// median cannot tell (a backfilled file has no quartiles); a timing
 // shows the pairs b's change won, and, given a control, the control's own
 // delta, what the host alone moved it by. Before is a's change side, or with
 // paired set, b's own base side.
@@ -391,10 +393,11 @@ func printTable(w io.Writer, c *contract, a, b *Report, paired bool, control *Re
 			if ma == nil {
 				continue
 			}
-			before, after := ma.Change.Median, mb.Change.Median
+			base, after := ma.Change, mb.Change.Median
 			if paired {
-				before = mb.Base.Median
+				base = mb.Base
 			}
+			before := base.Median
 			delta := percent(before, after)
 			aaCol := ""
 			if control != nil {
@@ -416,6 +419,9 @@ func printTable(w io.Writer, c *contract, a, b *Report, paired bool, control *Re
 				verdict = fmt.Sprintf("bound %g%%: ok", 100*mb.Bound)
 				if worse > mb.Bound {
 					verdict = fmt.Sprintf("bound %g%%: WORSE", 100*mb.Bound)
+				}
+				if iqr := (base.Q3 - base.Q1) / math.Abs(before); iqr > mb.Bound {
+					verdict = fmt.Sprintf("bound %g%%: unresolved (IQR %.0f%%)", 100*mb.Bound, 100*iqr)
 				}
 			}
 			fmt.Fprintf(w, "%-14s %-32s %14.6g %14.6g %+7.2f%%%s  %s\n", wname, name, before, after, delta, aaCol, verdict)

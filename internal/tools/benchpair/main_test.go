@@ -72,13 +72,16 @@ func report(medians map[string][2]float64) *Report {
 }
 
 // A control's per-layer deltas print beside the change's, in their own
-// column; an end-to-end metric, judged by its bound, gets none. -compare
-// takes as control only a file that says it is one, and reads a backfilled
-// file, which holds medians alone.
+// column; an end-to-end metric, judged by its bound, gets none, and is
+// unresolved when its base's interquartile range is wider than the bound.
+// -compare takes as control only a file that says it is one, and reads a
+// backfilled file, which holds medians alone.
 func TestCompareWithControl(t *testing.T) {
-	c := &contract{EndToEnd: []metricSpec{{Name: "wire_bytes_per_req", Better: "lower", Bound: 0.01}},
+	c := &contract{EndToEnd: []metricSpec{{Name: "wire_bytes_per_req", Better: "lower", Bound: 0.01}, {Name: "setup_s", Better: "lower", Bound: 0.1}},
 		PerLayer: []metricSpec{{Name: "quantize.pack_us", Better: "lower"}}}
-	change := report(map[string][2]float64{"wire_bytes_per_req": {100, 90}, "quantize.pack_us": {10, 12}})
+	change := report(map[string][2]float64{"wire_bytes_per_req": {100, 90}, "quantize.pack_us": {10, 12}, "setup_s": {5, 5.8}})
+	setup := change.Workloads["cloud"].Metrics["setup_s"]
+	setup.Bound, setup.Base.Q1, setup.Base.Q3 = 0.1, 4.5, 5.3 // +16 % on a 16 % IQR
 	control := report(map[string][2]float64{"wire_bytes_per_req": {100, 100}, "quantize.pack_us": {10, 11.5}})
 	control.Control = true
 	var out bytes.Buffer
@@ -96,6 +99,10 @@ func TestCompareWithControl(t *testing.T) {
 		case strings.Contains(l, "wire_bytes_per_req"):
 			if strings.Contains(l, "+0.00%") || !strings.Contains(l, "bound 1%: ok") {
 				t.Errorf("gated row: %q", l)
+			}
+		case strings.Contains(l, "setup_s"):
+			if !strings.Contains(l, "bound 10%: unresolved (IQR 16%)") {
+				t.Errorf("gated row with a wide IQR: %q", l)
 			}
 		}
 	}
